@@ -29,11 +29,7 @@ impl TargetHash {
 
     /// Full lowercase hex form.
     pub fn to_hex(&self) -> String {
-        let mut s = String::with_capacity(64);
-        for b in &self.0 {
-            s.push_str(&format!("{b:02x}"));
-        }
-        s
+        sq_vcs::hash::to_hex(&self.0)
     }
 
     /// Abbreviated (12 hex chars) form for logs.

@@ -289,7 +289,7 @@ impl SubmitQueueService {
         let ticket = submission.ticket;
 
         // 1. Rebase: merge the patch with what landed since its base.
-        let rebased = match self.rebase(&submission, &base_tree, &head_tree, store.clone()) {
+        let rebased = match self.rebase(&submission, &base_tree, &head_tree, &store) {
             Ok(p) => p,
             Err(e) => {
                 let mut inner = self.inner.lock();
@@ -335,6 +335,11 @@ impl SubmitQueueService {
             &delta,
             |step| action(step, &tree_for_action),
         );
+        // Release the snapshot before committing: the repository's store
+        // is then the sole owner of its objects again and takes the
+        // commit's in place. What was staged for a rejected change goes
+        // with the snapshot.
+        drop(store);
         {
             let mut inner = self.inner.lock();
             // Flake accounting: every infra event — recovered or not —
@@ -444,7 +449,7 @@ impl SubmitQueueService {
         submission: &Submission,
         base_tree: &Tree,
         head_tree: &Tree,
-        store: sq_vcs::ObjectStore,
+        store: &sq_vcs::ObjectStore,
     ) -> Result<Patch, VcsError> {
         // Mainline drift since the base = a synthetic patch transforming
         // base_tree into head_tree; merge the developer patch with it.
@@ -463,7 +468,7 @@ impl SubmitQueueService {
                 None => drift.push(sq_vcs::FileOp::Delete { path: path.clone() }),
             }
         }
-        let merged = merge_patches(base_tree, &store, &drift, &submission.patch)?;
+        let merged = merge_patches(base_tree, store, &drift, &submission.patch)?;
         // The drift part is already in HEAD; restrict to paths the
         // developer touched (their ops after merging with the drift).
         let mut rebased = Patch::new();
@@ -535,8 +540,10 @@ impl SubmitQueueService {
     /// commit (id, mainline position, failing step) that broke the
     /// audit.
     pub fn verify_history(&self, action: &StepAction) -> Result<usize, Box<HistoryViolation>> {
-        let inner = self.inner.lock();
-        let head = inner.repo.head();
+        // Audit a snapshot, outside the lock: the audit rebuilds every
+        // commit, and `status`/`submit`/`head` must not wait for it.
+        let repo = self.repository();
+        let head = repo.head();
         let infra_err = |index: usize, commit: CommitId, reason: String| {
             Box::new(HistoryViolation {
                 commit_index: index,
@@ -546,17 +553,15 @@ impl SubmitQueueService {
                 infra: true,
             })
         };
-        let log = inner
-            .repo
+        let log = repo
             .log(head)
             .map_err(|e| infra_err(0, head, e.to_string()))?;
         let mut verified = 0;
         for (index, id) in log.iter().rev().enumerate() {
-            let tree = inner
-                .repo
+            let tree = repo
                 .tree_at(*id)
                 .map_err(|e| infra_err(index, *id, e.to_string()))?;
-            let analysis = SnapshotAnalysis::analyze(&tree, inner.repo.store())
+            let analysis = SnapshotAnalysis::analyze(&tree, repo.store())
                 .map_err(|e| infra_err(index, *id, e.to_string()))?;
             let targets: HashSet<sq_build::TargetName> = analysis.graph.names().cloned().collect();
             let cache = Mutex::new(ArtifactCache::new());
@@ -680,6 +685,7 @@ mod tests {
         .unwrap();
         let service = SubmitQueueService::new(repo, 2);
         let head_before = service.head();
+        let objects_before = service.repository().store().len();
         let t = service.submit(
             "bob",
             "touch the buggy package",
@@ -694,8 +700,10 @@ mod tests {
             }
             other => panic!("expected rejection, got {other:?}"),
         }
-        // The faulty patch never landed: master stays green.
+        // The faulty patch never landed: master stays green, and the
+        // blob staged for it went with the snapshot it was staged in.
         assert_eq!(service.head(), head_before);
+        assert_eq!(service.repository().store().len(), objects_before);
     }
 
     #[test]
@@ -852,6 +860,56 @@ mod tests {
         let shown = violation.to_string();
         assert!(shown.contains(&planted.to_string()), "display: {shown}");
         assert!(shown.contains("bugzone"), "display: {shown}");
+    }
+
+    /// The audit rebuilds every commit; the service must keep answering
+    /// meanwhile. The first audit step parks on a barrier, and `status`,
+    /// `head` and `submit` have to return while it is parked.
+    #[test]
+    fn verify_history_does_not_hold_the_service_lock() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        use std::sync::{mpsc, Arc, Barrier};
+        use std::time::Duration;
+        let service = SubmitQueueService::new(demo_repo(), 2);
+        let queued = service.submit(
+            "alice",
+            "waits in the queue",
+            service.head(),
+            Patch::write(RepoPath::new("lib/l.rs").unwrap(), "pub fn l() { /* q */ }"),
+        );
+        let parked = Arc::new(Barrier::new(2));
+        let resume = Arc::new(Barrier::new(2));
+        let first_step = AtomicBool::new(true);
+        let action: Box<StepAction> = {
+            let (parked, resume) = (Arc::clone(&parked), Arc::clone(&resume));
+            Box::new(move |_step, _tree| {
+                if first_step.swap(false, Ordering::SeqCst) {
+                    parked.wait();
+                    resume.wait();
+                }
+                StepOutcome::Success
+            })
+        };
+        std::thread::scope(|scope| {
+            let audit = scope.spawn(|| service.verify_history(&action));
+            parked.wait();
+            let (answered, answer) = mpsc::channel();
+            let service = &service;
+            scope.spawn(move || {
+                let status = service.status(queued);
+                let head = service.head();
+                let ticket = service.submit("bob", "mid-audit", head, Patch::new());
+                let _ = answered.send((status, ticket));
+            });
+            // The wait only bounds the failure: with the lock held the
+            // reader never answers, and the audit must still be let go.
+            let got = answer.recv_timeout(Duration::from_secs(10));
+            resume.wait();
+            assert_eq!(audit.join().unwrap().unwrap(), 1);
+            let (status, ticket) = got.expect("status/head/submit stalled behind the audit");
+            assert_eq!(status, Some(TicketState::Queued));
+            assert_eq!(service.status(ticket), Some(TicketState::Queued));
+        });
     }
 
     #[test]

@@ -161,15 +161,23 @@ impl Sha256 {
     }
 }
 
+/// Append the lowercase hex form of `digest` to `out`. The one hex
+/// encoder of the workspace: object ids, target hashes and the canonical
+/// tree encoding (which persisted commit ids hash over) all go through it.
+pub fn hex_into(digest: &[u8], out: &mut Vec<u8>) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    out.reserve(digest.len() * 2);
+    for &b in digest {
+        out.push(HEX[(b >> 4) as usize]);
+        out.push(HEX[(b & 0xF) as usize]);
+    }
+}
+
 /// Render a digest as lowercase hex.
 pub fn to_hex(digest: &[u8]) -> String {
-    const HEX: &[u8; 16] = b"0123456789abcdef";
-    let mut s = String::with_capacity(digest.len() * 2);
-    for &b in digest {
-        s.push(HEX[(b >> 4) as usize] as char);
-        s.push(HEX[(b & 0xF) as usize] as char);
-    }
-    s
+    let mut out = Vec::new();
+    hex_into(digest, &mut out);
+    String::from_utf8(out).expect("hex digits are ASCII")
 }
 
 #[cfg(test)]
@@ -237,5 +245,15 @@ mod tests {
     fn to_hex_format() {
         assert_eq!(to_hex(&[0x00, 0xff, 0x1a]), "00ff1a");
         assert_eq!(to_hex(&[]), "");
+    }
+
+    #[test]
+    fn hex_into_appends_and_matches_format_per_byte() {
+        let all: Vec<u8> = (0..=255).collect();
+        let reference: String = all.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(to_hex(&all), reference);
+        let mut out = b"id ".to_vec();
+        hex_into(&[0xab, 0x01], &mut out);
+        assert_eq!(out, b"id ab01");
     }
 }

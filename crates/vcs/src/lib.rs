@@ -33,6 +33,7 @@ pub mod object;
 pub mod patch;
 pub mod path;
 pub mod repo;
+mod shared;
 pub mod tree;
 
 pub use commit::{Commit, CommitId, CommitMeta};

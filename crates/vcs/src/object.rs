@@ -6,9 +6,9 @@
 //! create tens of thousands of snapshots that share almost all files.
 
 use crate::hash::{to_hex, Sha256};
+use crate::shared::SharedMap;
 use bytes::Bytes;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::fmt;
 
 /// A 32-byte content address.
@@ -56,9 +56,15 @@ impl fmt::Display for ObjectId {
 }
 
 /// An in-memory content-addressed store.
+///
+/// `clone` is a snapshot, and O(1): the clone shares the stored objects
+/// with the original instead of copying them. The two are isolated from
+/// then on — an object `put` into one is never visible through the
+/// other — so a caller can stage the blobs of a change in a clone and
+/// drop it if the change is rejected.
 #[derive(Debug, Clone, Default)]
 pub struct ObjectStore {
-    objects: HashMap<ObjectId, Bytes>,
+    objects: SharedMap<ObjectId, Bytes>,
 }
 
 impl ObjectStore {
@@ -71,7 +77,7 @@ impl ObjectStore {
     pub fn put(&mut self, data: impl Into<Bytes>) -> ObjectId {
         let bytes: Bytes = data.into();
         let id = ObjectId::for_bytes(&bytes);
-        self.objects.entry(id).or_insert(bytes);
+        self.objects.insert(id, bytes);
         id
     }
 
@@ -99,12 +105,20 @@ impl ObjectStore {
 
     /// True iff empty.
     pub fn is_empty(&self) -> bool {
-        self.objects.is_empty()
+        self.objects.len() == 0
     }
 
     /// Total stored bytes (after deduplication).
     pub fn total_bytes(&self) -> usize {
         self.objects.values().map(|b| b.len()).sum()
+    }
+}
+
+#[cfg(test)]
+impl ObjectStore {
+    /// Objects kept apart from the shared map: the most a `put` copies.
+    pub(crate) fn kept_apart(&self) -> usize {
+        self.objects.overlay_len()
     }
 }
 
@@ -152,6 +166,42 @@ mod tests {
         let mut s1 = ObjectStore::new();
         let mut s2 = ObjectStore::new();
         assert_eq!(s1.put(&b"content"[..]), s2.put(&b"content"[..]));
+    }
+
+    #[test]
+    fn a_clone_is_an_isolated_snapshot() {
+        let mut original = ObjectStore::new();
+        let kept = original.put(&b"kept"[..]);
+        let mut staged = original.clone();
+        let theirs = staged.put(&b"staged in the clone"[..]);
+        let ours = original.put(&b"put after the clone"[..]);
+        assert!(staged.contains(&kept) && original.contains(&kept));
+        assert!(staged.contains(&theirs) && !original.contains(&theirs));
+        assert!(original.contains(&ours) && !staged.contains(&ours));
+        assert_eq!((original.len(), staged.len()), (2, 2));
+        // Dropping the clone (a rejected change) leaves nothing behind.
+        drop(staged);
+        assert_eq!(original.len(), 2);
+        assert_eq!(original.total_bytes(), 4 + 19);
+    }
+
+    /// The served path's pattern — snapshot, stage in the snapshot,
+    /// release it, commit to the original — at two store sizes: a clone
+    /// copies nothing, and neither does the `put` that follows.
+    #[test]
+    fn clone_copies_nothing_proportional_to_store_size() {
+        for objects in [100usize, 10_000] {
+            let mut store = ObjectStore::new();
+            for i in 0..objects {
+                let mut snapshot = store.clone();
+                assert!(snapshot.objects.shares_all_with(&store.objects));
+                assert_eq!(store.kept_apart(), 0, "at {i} of {objects}");
+                snapshot.put(format!("staged {i}").into_bytes());
+                drop(snapshot);
+                store.put(format!("object {i}").into_bytes());
+            }
+            assert_eq!(store.len(), objects);
+        }
     }
 
     #[test]

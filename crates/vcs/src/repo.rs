@@ -4,25 +4,43 @@
 //! core service is the only writer, and commits advance HEAD one change
 //! at a time. Feature branches model the developer life cycle of Figure 3
 //! (branch from HEAD, iterate, submit).
+//!
+//! Taking a snapshot — `clone`, or `store().clone()` plus `tree_at` of a
+//! recent commit — costs the same whatever the size of the repository
+//! and the length of its history: objects and commits are shared with
+//! the snapshot, not copied (see [`ObjectStore`]), and the decoded trees
+//! of the last [`RECENT_TREES`] commits are kept, so reading one is a
+//! pointer copy rather than a parse of its canonical form. A snapshot
+//! and the repository it was taken from diverge independently.
 
 use crate::commit::{Commit, CommitId, CommitMeta};
 use crate::error::VcsError;
 use crate::object::ObjectStore;
 use crate::patch::Patch;
+use crate::shared::SharedMap;
 use crate::tree::Tree;
 use crate::Result;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 
 /// Name of the mainline branch.
 pub const MAINLINE: &str = "main";
+
+/// How many of the most recently created commits keep their decoded tree.
+/// The queue reads HEAD and the base a change was developed against,
+/// which is HEAD or a few commits behind it; anything older is decoded
+/// from the store as before. Consecutive trees share no entries, so the
+/// window holds at most this many flat trees (≈ 150 bytes per file each).
+pub const RECENT_TREES: usize = 8;
 
 /// An in-memory repository.
 #[derive(Debug, Clone)]
 pub struct Repository {
     store: ObjectStore,
-    commits: HashMap<CommitId, Commit>,
+    commits: SharedMap<CommitId, Commit>,
     branches: HashMap<String, CommitId>,
     root: CommitId,
+    /// Decoded trees of the last `RECENT_TREES` commits, oldest first.
+    recent: VecDeque<(CommitId, Tree)>,
 }
 
 impl Repository {
@@ -62,7 +80,7 @@ impl Repository {
             CommitMeta::new("system", "repository root", 0),
         );
         let root_id = root.id;
-        let mut commits = HashMap::new();
+        let mut commits = SharedMap::default();
         commits.insert(root_id, root);
         let mut branches = HashMap::new();
         branches.insert(MAINLINE.to_string(), root_id);
@@ -71,6 +89,7 @@ impl Repository {
             commits,
             branches,
             root: root_id,
+            recent: VecDeque::from([(root_id, tree)]),
         })
     }
 
@@ -116,6 +135,9 @@ impl Repository {
 
     /// Materialize the snapshot at a commit.
     pub fn tree_at(&self, id: CommitId) -> Result<Tree> {
+        if let Some((_, tree)) = self.recent.iter().find(|(recent, _)| *recent == id) {
+            return Ok(tree.clone());
+        }
         let commit = self.commit(id)?;
         let bytes = self
             .store
@@ -184,6 +206,10 @@ impl Repository {
         let id = commit.id;
         self.commits.insert(id, commit);
         self.branches.insert(branch.to_string(), id);
+        if self.recent.len() == RECENT_TREES {
+            self.recent.pop_front();
+        }
+        self.recent.push_back((id, new_tree));
         Ok(id)
     }
 
@@ -392,6 +418,41 @@ mod tests {
         assert!(t.contains(&path("ghost.rs")));
         assert_eq!(r.head(), head);
         assert!(!r.head_tree().unwrap().contains(&path("ghost.rs")));
+    }
+
+    /// The queue's cycle — snapshot, release, commit — at two history
+    /// lengths (≈ 100 and ≈ 10 000 objects): the store keeps nothing apart
+    /// that a write would have to copy, and the recent trees are handed
+    /// out, not decoded.
+    #[test]
+    fn snapshot_cost_does_not_grow_with_history() {
+        for commits in [33u64, 3_333] {
+            let mut r = repo();
+            let mut bases = VecDeque::new();
+            for i in 0..commits {
+                let store = r.store().clone();
+                assert_eq!(store.kept_apart(), 0, "commit {i} of {commits}");
+                bases.push_back(r.head());
+                if bases.len() > RECENT_TREES {
+                    bases.pop_front();
+                }
+                for (base, (recent, decoded)) in bases.iter().zip(&r.recent) {
+                    assert_eq!(base, recent);
+                    assert!(r.tree_at(*base).unwrap().shares_entries_with(decoded));
+                }
+                drop(store);
+                r.commit_patch(
+                    MAINLINE,
+                    &Patch::write(path("counter"), format!("{i}")),
+                    CommitMeta::new("dev", "tick", i),
+                )
+                .unwrap();
+            }
+            assert_eq!(r.store().len() as u64, 4 + 3 * commits);
+            assert_eq!(r.recent.len(), RECENT_TREES);
+            // Older commits fall out of the window and still read.
+            assert_eq!(r.tree_at(r.root()).unwrap().len(), 2);
+        }
     }
 
     #[test]

@@ -3,15 +3,22 @@
 //! A [`Tree`] is the state of the whole monorepo at one commit point. It
 //! is an ordered map so that serialization (and therefore the tree's own
 //! content address) is canonical.
+//!
+//! Trees are copy-on-write: `clone` is a pointer copy, and the entries
+//! are copied only when a tree that shares them is first mutated. The
+//! queue hands the same snapshot to the analyzer, the executor's step
+//! actions and the commit, none of which change it.
 
+use crate::hash::hex_into;
 use crate::object::{ObjectId, ObjectStore};
 use crate::path::RepoPath;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// A snapshot of the repository: every file path mapped to its blob id.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Tree {
-    entries: BTreeMap<RepoPath, ObjectId>,
+    entries: Arc<BTreeMap<RepoPath, ObjectId>>,
 }
 
 impl Tree {
@@ -42,12 +49,12 @@ impl Tree {
 
     /// Insert or replace a file.
     pub fn insert(&mut self, path: RepoPath, blob: ObjectId) {
-        self.entries.insert(path, blob);
+        Arc::make_mut(&mut self.entries).insert(path, blob);
     }
 
     /// Remove a file, returning its old blob id.
     pub fn remove(&mut self, path: &RepoPath) -> Option<ObjectId> {
-        self.entries.remove(path)
+        Arc::make_mut(&mut self.entries).remove(path)
     }
 
     /// Iterate entries in path order.
@@ -64,8 +71,8 @@ impl Tree {
     /// path order. Hashing this gives the tree's content address.
     pub fn canonical_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.entries.len() * 80);
-        for (path, id) in &self.entries {
-            out.extend_from_slice(id.to_hex().as_bytes());
+        for (path, id) in self.entries.iter() {
+            hex_into(id.as_bytes(), &mut out);
             out.push(b' ');
             out.extend_from_slice(path.as_str().as_bytes());
             out.push(b'\n');
@@ -81,7 +88,7 @@ impl Tree {
     /// Parse a snapshot back from its canonical form.
     pub fn from_canonical_bytes(bytes: &[u8]) -> Option<Tree> {
         let text = std::str::from_utf8(bytes).ok()?;
-        let mut tree = Tree::new();
+        let mut entries = BTreeMap::new();
         for line in text.lines() {
             let (hex, path) = line.split_once(' ')?;
             if hex.len() != 64 {
@@ -91,9 +98,11 @@ impl Tree {
             for (i, byte) in raw.iter_mut().enumerate() {
                 *byte = u8::from_str_radix(&hex[i * 2..i * 2 + 2], 16).ok()?;
             }
-            tree.insert(RepoPath::new(path).ok()?, ObjectId::from_raw(raw));
+            entries.insert(RepoPath::new(path).ok()?, ObjectId::from_raw(raw));
         }
-        Some(tree)
+        Some(Tree {
+            entries: Arc::new(entries),
+        })
     }
 
     /// Paths present in `self` or `other` whose blob differs (including
@@ -101,7 +110,11 @@ impl Tree {
     /// snapshots.
     pub fn changed_paths<'a>(&'a self, other: &'a Tree) -> Vec<&'a RepoPath> {
         let mut changed = Vec::new();
-        for (p, id) in &self.entries {
+        // Two reads of one recent commit share their entries.
+        if Arc::ptr_eq(&self.entries, &other.entries) {
+            return changed;
+        }
+        for (p, id) in self.entries.iter() {
             match other.entries.get(p) {
                 Some(oid) if oid == id => {}
                 _ => changed.push(p),
@@ -115,6 +128,14 @@ impl Tree {
         changed.sort();
         changed.dedup();
         changed
+    }
+}
+
+#[cfg(test)]
+impl Tree {
+    /// True iff both trees read the same allocation (neither was copied).
+    pub(crate) fn shares_entries_with(&self, other: &Tree) -> bool {
+        Arc::ptr_eq(&self.entries, &other.entries)
     }
 }
 
@@ -204,6 +225,21 @@ mod tests {
             .map(|p| p.as_str().to_string())
             .collect();
         assert_eq!(changed, changed_rev);
+    }
+
+    #[test]
+    fn clone_shares_until_either_side_is_mutated() {
+        let mut store = ObjectStore::new();
+        let mut original = Tree::new();
+        original.insert(path("a"), blob(&mut store, "a"));
+        let mut copy = original.clone();
+        assert!(copy.shares_entries_with(&original));
+        copy.insert(path("b"), blob(&mut store, "b"));
+        copy.remove(&path("a"));
+        assert!(!copy.shares_entries_with(&original));
+        assert_eq!(original.len(), 1);
+        assert!(original.contains(&path("a")) && !original.contains(&path("b")));
+        assert!(copy.contains(&path("b")) && !copy.contains(&path("a")));
     }
 
     #[test]

@@ -81,5 +81,13 @@ smoke bench_server "serving layer: zero lost acks across graceful drain/restart,
 smoke bench_shard "sharded planner: always-green, zero wrongful per lane, sharded >= single-queue, byte-identical rerun"
 smoke bench_lean "lean ablation: every cell green, zero wrongful rejections, all-on wastes less than baseline, byte-identical rerun"
 
+# The wall-clock benchmark is a cargo package of its own (see
+# benchmark/README.md): its unit + schema tests, then all four workloads
+# at 1/20 size with every correctness gate.
+step "benchmark: cargo test --release (unit + schema tests)" \
+  cargo test --release --offline --manifest-path benchmark/Cargo.toml
+step "benchmark/run.sh --smoke (four workloads at 1/20 size, every gate)" \
+  bash benchmark/run.sh --smoke
+
 summary
 echo "All checks passed."

@@ -110,3 +110,73 @@ fn concurrent_submitters_and_one_processor() {
         }
     }
 }
+
+/// Readers take snapshots (`repository()`) and poll `status()`/`head()`
+/// while the processor lands 200 changes: snapshots share the store and
+/// the commit map with the live repository, so every reader must see a
+/// self-consistent repository whose head only ever moves forward.
+#[test]
+fn readers_take_snapshots_while_two_hundred_changes_land() {
+    let service = SubmitQueueService::new(repo(), 2);
+    let root = service.head();
+    let tickets: Vec<_> = (0..200)
+        .map(|k| {
+            let path = RepoPath::new(format!("pkg{}/note_{k}.rs", k % 8)).unwrap();
+            service.submit(
+                "dev",
+                format!("change {k}"),
+                root,
+                Patch::write(path, format!("// {k}\n")),
+            )
+        })
+        .collect();
+    let done = std::sync::atomic::AtomicBool::new(false);
+    std::thread::scope(|scope| {
+        let readers: Vec<_> = (0..3)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut last = root;
+                    let mut last_len = 1;
+                    loop {
+                        // Read the flag first: the final pass then sees
+                        // the fully drained queue.
+                        let finished = done.load(std::sync::atomic::Ordering::SeqCst);
+                        let snapshot = service.repository();
+                        let head = snapshot.head();
+                        let log = snapshot.log(head).expect("snapshot history is complete");
+                        assert!(log.len() >= last_len, "head moved backwards");
+                        assert_eq!(log[log.len() - last_len], last, "history was rewritten");
+                        assert_eq!(log.len(), snapshot.commit_count());
+                        let tree = snapshot.tree_at(head).expect("head tree readable");
+                        assert_eq!(tree.len(), 16 + log.len() - 1);
+                        for (_, blob) in tree.iter() {
+                            assert!(snapshot.store().contains(blob));
+                        }
+                        (last, last_len) = (head, log.len());
+                        assert!(service.status(tickets[0]).is_some());
+                        // Whatever landed since is not in the snapshot.
+                        let live = service.head();
+                        assert!(live == head || snapshot.commit(live).is_err());
+                        if finished {
+                            return last_len;
+                        }
+                    }
+                })
+            })
+            .collect();
+        assert_eq!(service.run_until_idle(&|_s, _t| StepOutcome::Success), 200);
+        done.store(true, std::sync::atomic::Ordering::SeqCst);
+        for reader in readers {
+            assert_eq!(reader.join().unwrap(), 201);
+        }
+    });
+    for t in tickets {
+        assert!(matches!(service.status(t), Some(TicketState::Landed(_))));
+    }
+    assert_eq!(
+        service
+            .verify_history(&|_s, _t| StepOutcome::Success)
+            .unwrap(),
+        201
+    );
+}
