@@ -1,35 +1,38 @@
 //! Durable SubmitQueue: every externally visible state transition is
-//! journaled to `sq-store` *before* it is acknowledged, so a process
-//! death at any instant loses nothing that was acked and half-applies
-//! nothing that was torn.
+//! journaled to `sq-store` *before* it is applied or acknowledged, so a
+//! process death at any instant loses nothing that was acked and
+//! half-applies nothing that was torn.
 //!
 //! The paper's SubmitQueue is a long-running service; its value is a
 //! standing guarantee about mainline state, which a restart must not
-//! void. This module wraps [`SubmitQueueService`] with:
+//! void. This module holds:
 //!
-//! * [`ServiceEvent`] — the journal vocabulary: enqueue, speculation
-//!   start/abort, build verdict, commit, reject, quarantine. One journal
-//!   record carries one *batch* of events (a whole transition), so a
-//!   torn append loses the transition atomically rather than leaving a
-//!   half-recorded verdict.
-//! * [`DurableState`] — the replayable mirror: the fold of all events,
-//!   snapshotted between batches and reconstructed on open as
-//!   `snapshot ⊕ journal suffix`.
-//! * [`DurableSubmitQueue`] — the wrapper enforcing write-ahead order
-//!   (journal, then apply, then ack) and recovering via
-//!   [`SubmitQueueService::restore_from`].
+//! * [`ServiceEvent`] — what [`SubmitQueueService`] emits and the
+//!   journal carries: enqueue, speculation start/abort, build verdict,
+//!   commit, reject, quarantine. One journal record carries one *batch*
+//!   of events (a whole transition), so a torn append loses the
+//!   transition atomically rather than leaving a half-recorded verdict.
+//! * [`DurableState`] — the service's tickets, queue and counters: the
+//!   fold of all events, snapshotted between batches and reconstructed
+//!   on open as `snapshot ⊕ journal suffix`. The service owns the only
+//!   live copy.
+//! * [`DurableSubmitQueue`] — the service plus a [`Wal`]: the same
+//!   `submit` and `process_next`, with the `Wal` as the sink every
+//!   batch is appended to before the service applies it, and a
+//!   snapshot when the `Wal`'s cadence asks for one.
 //!
 //! Crash consistency around the one external side effect — the VCS
 //! commit — leans on idempotence rather than two-phase commit: if the
 //! process dies after `commit_patch` but before the verdict batch is
-//! journaled, recovery finds the change still pending and reprocesses
-//! it; the rebase then absorbs the patch (it is already in HEAD), the
-//! repository reports [`VcsError::EmptyCommit`](sq_vcs::VcsError), and
-//! the service lands the ticket at the existing commit — converging to
-//! byte-identical state with no double commit.
+//! journaled, the ticket never left `Queued`, recovery finds the change
+//! still pending and reprocesses it; the rebase then absorbs the patch
+//! (it is already in HEAD), the repository reports
+//! [`VcsError::EmptyCommit`](sq_vcs::VcsError), and the service lands
+//! the ticket at the existing commit — converging to byte-identical
+//! state with no double commit.
 
-use crate::recovery::{RecoveryConfig, RecoveryEvent};
-use crate::service::{StepAction, SubmitQueueService, TicketId, TicketState};
+use crate::recovery::RecoveryConfig;
+use crate::service::{JournalSink, StepAction, SubmitQueueService, TicketId, TicketState};
 use parking_lot::Mutex;
 use sq_obs::{JsonWriter, MetricsRegistry};
 use sq_store::{
@@ -353,9 +356,10 @@ pub struct QueuedChange {
     pub patch: Patch,
 }
 
-/// The replayable mirror of [`SubmitQueueService`] state: the fold of
-/// every [`ServiceEvent`] since the beginning of time. This is what
-/// snapshots serialize and what recovery rebuilds.
+/// The tickets, queue and counters of [`SubmitQueueService`]: the fold
+/// of every [`ServiceEvent`] since the beginning of time. This is what
+/// the service reads and applies to, what snapshots serialize and what
+/// recovery rebuilds.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct DurableState {
     /// Next ticket id to assign.
@@ -408,9 +412,9 @@ impl DurableState {
                     patch: patch.clone(),
                 });
             }
-            // Audit-trail events: no durable-state effect. (An aborted
-            // attempt leaves the change exactly where it was — the
-            // mirror never removed it.)
+            // Audit-trail events: no state effect. (A change being
+            // built stays at the front of the queue, so an aborted
+            // attempt leaves it exactly where it was.)
             ServiceEvent::SpeculationStarted { .. }
             | ServiceEvent::SpeculationAborted { .. }
             | ServiceEvent::BuildVerdict { .. } => {}
@@ -624,29 +628,9 @@ fn corrupt_record(e: CodecError) -> StoreError {
     }
 }
 
-pub(crate) struct StoreCtx<W: Wal> {
-    pub(crate) store: W,
-    pub(crate) state: DurableState,
-    /// How much of the inner service's recovery log has already been
-    /// mapped to journal events.
-    log_cursor: usize,
-}
-
-impl<W: Wal> StoreCtx<W> {
-    /// Journal a batch (write-ahead), then fold it into the mirror.
-    fn journal(&mut self, batch: &[ServiceEvent]) -> Result<(), StoreError> {
-        self.store.append(&encode_batch(batch))?;
-        for ev in batch {
-            self.state.apply(ev);
-        }
-        Ok(())
-    }
-
-    fn maybe_snapshot(&mut self) -> Result<(), StoreError> {
-        if self.store.should_snapshot() {
-            self.store.write_snapshot(&self.state.encode())?;
-        }
-        Ok(())
+impl<W: Wal> JournalSink for W {
+    fn append(&mut self, batch: &[ServiceEvent]) -> Result<(), StoreError> {
+        Wal::append(self, &encode_batch(batch)).map(|_lsn| ())
     }
 }
 
@@ -664,14 +648,17 @@ impl<W: Wal> StoreCtx<W> {
 /// and this node must never serve again under its current epoch.
 pub struct DurableSubmitQueue<W: Wal> {
     service: SubmitQueueService,
-    pub(crate) ctx: Mutex<StoreCtx<W>>,
+    /// The store lock: appends serialise on it, and a batch is applied
+    /// to the service's state before it is released. Never held across
+    /// a build.
+    pub(crate) store: Mutex<W>,
 }
 
 impl<S: Storage> DurableSubmitQueue<DurableStore<S>> {
     /// Open the durable service: recover `snapshot ⊕ journal suffix`
-    /// from `storage`, then restore the in-memory service to exactly
-    /// that state over `repo` (the VCS is the system of record for
-    /// commits and survives independently of this store).
+    /// from `storage`, then start the service from exactly that state
+    /// over `repo` (the VCS is the system of record for commits and
+    /// survives independently of this store).
     pub fn open(
         repo: Repository,
         threads: usize,
@@ -685,9 +672,9 @@ impl<S: Storage> DurableSubmitQueue<DurableStore<S>> {
 }
 
 impl<W: Wal> DurableSubmitQueue<W> {
-    /// Rebuild the mirror from a recovery (`snapshot ⊕ journal suffix`)
-    /// and restore the in-memory service to exactly that state — the
-    /// shared tail of every open path (single-node, leader, promotion).
+    /// Fold a recovery (`snapshot ⊕ journal suffix`) and start the
+    /// service from exactly that state — the shared tail of every open
+    /// path (single-node, leader, promotion).
     pub(crate) fn from_recovered(
         repo: Repository,
         threads: usize,
@@ -704,15 +691,9 @@ impl<W: Wal> DurableSubmitQueue<W> {
                 state.apply(&ev);
             }
         }
-        let service = SubmitQueueService::with_recovery(repo, threads, recovery);
-        service.restore_from(&state);
         Ok(DurableSubmitQueue {
-            service,
-            ctx: Mutex::new(StoreCtx {
-                store,
-                state,
-                log_cursor: 0,
-            }),
+            service: SubmitQueueService::recovered(repo, threads, recovery, state),
+            store: Mutex::new(store),
         })
     }
 
@@ -725,91 +706,34 @@ impl<W: Wal> DurableSubmitQueue<W> {
         base: CommitId,
         patch: Patch,
     ) -> Result<TicketId, StoreError> {
-        let (author, description) = (author.into(), description.into());
-        let mut ctx = self.ctx.lock();
-        let ticket = ctx.state.next_ticket;
-        ctx.journal(&[ServiceEvent::Enqueue {
-            ticket,
-            author: author.clone(),
-            description: description.clone(),
-            base,
-            patch: patch.clone(),
-        }])?;
-        let acked = self.service.submit(author, description, base, patch);
-        assert_eq!(acked.0, ticket, "service and mirror ticket ids in lockstep");
-        ctx.maybe_snapshot()?;
-        Ok(acked)
+        let ticket = self
+            .service
+            .submit_through(&self.store, author, description, base, patch)?;
+        self.checkpoint()?;
+        Ok(ticket)
     }
 
     /// Process one queued change end to end, journaling the speculation
     /// start before the build and the terminal verdict after it.
     /// Returns the ticket handled, or `None` on an empty queue.
     pub fn process_next(&self, action: &StepAction) -> Result<Option<TicketId>, StoreError> {
-        let mut ctx = self.ctx.lock();
-        let Some(ticket) = ctx.state.queue.front().map(|q| q.ticket) else {
-            return Ok(None);
-        };
-        ctx.journal(&[ServiceEvent::SpeculationStarted { ticket }])?;
-        let processed = self.service.process_next(action);
-        assert_eq!(
-            processed,
-            Some(TicketId(ticket)),
-            "service and mirror queue fronts in lockstep"
-        );
+        let processed = self.service.process_next_through(&self.store, action)?;
+        if processed.is_some() {
+            self.checkpoint()?;
+        }
+        Ok(processed)
+    }
 
-        // Map the service's recovery decisions (made during this build)
-        // into journal events, then the terminal outcome.
-        let mut batch = Vec::new();
-        let mut infra = false;
-        let log = self.service.recovery_log();
-        for ev in &log[ctx.log_cursor..] {
-            match ev {
-                RecoveryEvent::Rebuild { attempt, fault, .. } => {
-                    batch.push(ServiceEvent::SpeculationAborted {
-                        ticket,
-                        reason: format!("infra-red build; rebuild #{attempt} after {fault}"),
-                    });
-                }
-                RecoveryEvent::Quarantined {
-                    target,
-                    observations,
-                } => batch.push(ServiceEvent::Quarantined {
-                    target: target.clone(),
-                    observations: *observations,
-                }),
-                RecoveryEvent::InfraRejected { .. } => infra = true,
-                RecoveryEvent::StepRetries { .. } => {}
-            }
+    /// Snapshot and compact the journal if the cadence says so. Runs
+    /// where a ticket was just acked or judged, not at a speculation
+    /// start. Under the store lock the service's state is exactly the
+    /// fold of the journal, so this is a critical section of its own.
+    fn checkpoint(&self) -> Result<(), StoreError> {
+        let mut store = self.store.lock();
+        if store.should_snapshot() {
+            store.write_snapshot(&self.service.read_state(DurableState::encode))?;
         }
-        ctx.log_cursor = log.len();
-        match self.service.status(TicketId(ticket)) {
-            Some(TicketState::Landed(commit)) => {
-                batch.push(ServiceEvent::BuildVerdict {
-                    ticket,
-                    verdict: Verdict::Pass,
-                    detail: String::new(),
-                });
-                batch.push(ServiceEvent::Committed { ticket, commit });
-            }
-            Some(TicketState::Rejected(reason)) => {
-                batch.push(ServiceEvent::BuildVerdict {
-                    ticket,
-                    verdict: if infra { Verdict::Infra } else { Verdict::Fail },
-                    detail: reason.clone(),
-                });
-                batch.push(ServiceEvent::Rejected {
-                    ticket,
-                    reason,
-                    infra,
-                });
-            }
-            // Still queued: an infra-red rebuild re-queued the change;
-            // the abort event above is the whole story.
-            Some(TicketState::Queued) | None => {}
-        }
-        ctx.journal(&batch)?;
-        ctx.maybe_snapshot()?;
-        Ok(Some(TicketId(ticket)))
+        Ok(())
     }
 
     /// Drain the queue. Returns how many process steps ran.
@@ -831,7 +755,7 @@ impl<W: Wal> DurableSubmitQueue<W> {
     /// admission-control signal: past a configured bound it answers
     /// `Busy` instead of journaling another enqueue.
     pub fn queue_depth(&self) -> usize {
-        self.ctx.lock().state.queue.len()
+        self.service.read_state(|state| state.queue.len())
     }
 
     /// Per-shard view of the speculation queue: queued submissions
@@ -843,39 +767,23 @@ impl<W: Wal> DurableSubmitQueue<W> {
     /// the repository root counts as its own directory. Keys are sorted,
     /// so the export is deterministic.
     pub fn queue_depth_by_dir(&self) -> Vec<(String, usize)> {
-        let ctx = self.ctx.lock();
-        let mut counts: std::collections::BTreeMap<String, usize> = Default::default();
-        for q in &ctx.state.queue {
-            let mut dirs: std::collections::BTreeSet<&str> = Default::default();
-            for op in q.patch.ops() {
-                let path = op.path();
-                dirs.insert(path.components().next().unwrap_or(path.as_str()));
+        self.service.read_state(|state| {
+            let mut counts: BTreeMap<String, usize> = BTreeMap::new();
+            for q in &state.queue {
+                let mut dirs: std::collections::BTreeSet<&str> = Default::default();
+                for op in q.patch.ops() {
+                    let path = op.path();
+                    dirs.insert(path.components().next().unwrap_or(path.as_str()));
+                }
+                let key = match dirs.len() {
+                    0 => "(none)".to_string(),
+                    1 => dirs.into_iter().next().unwrap().to_string(),
+                    _ => "(cross)".to_string(),
+                };
+                *counts.entry(key).or_default() += 1;
             }
-            let key = match dirs.len() {
-                0 => "(none)".to_string(),
-                1 => dirs.into_iter().next().unwrap().to_string(),
-                _ => "(cross)".to_string(),
-            };
-            *counts.entry(key).or_default() += 1;
-        }
-        counts.into_iter().collect()
-    }
-
-    /// Assert that every ticket state in the durable mirror matches the
-    /// live service — the lockstep invariant failover re-checks before
-    /// a promoted replica serves. (Head equality is deliberately NOT
-    /// asserted: after a crash between the VCS commit and the verdict
-    /// journal, the repository is legitimately one commit ahead of the
-    /// mirror until recovery reprocesses the pending change.)
-    pub fn assert_mirror_lockstep(&self) {
-        let ctx = self.ctx.lock();
-        for (ticket, state) in &ctx.state.states {
-            assert_eq!(
-                self.service.status(TicketId(*ticket)).as_ref(),
-                Some(state),
-                "mirror and service disagree on ticket {ticket}"
-            );
-        }
+            counts.into_iter().collect()
+        })
     }
 
     /// Current mainline HEAD.
@@ -896,15 +804,15 @@ impl<W: Wal> DurableSubmitQueue<W> {
         self.service.repository()
     }
 
-    /// Deterministic sorted-key JSON export of the durable mirror, for
+    /// Deterministic sorted-key JSON export of the service's state, for
     /// byte-exact state comparison across crash/recovery boundaries.
     pub fn export_state_json(&self) -> String {
-        self.ctx.lock().state.export_json()
+        self.service.export_state_json()
     }
 
     /// Storage-layer counters (appends, fsyncs, snapshots, replay).
     pub fn store_stats(&self) -> sq_store::StoreStats {
-        *self.ctx.lock().store.stats()
+        *self.store.lock().stats()
     }
 
     /// Record storage counters and recovery gauges into a metrics
@@ -1095,6 +1003,8 @@ mod tests {
         let t = dq.submit("alice", "v1", dq.head(), lib_patch(1)).unwrap();
         let err = dq.process_next(&always_pass()).unwrap_err();
         assert!(matches!(err, StoreError::Crashed { .. }));
+        // The verdict never became durable, so it never became visible.
+        assert_eq!(dq.status(t), Some(TicketState::Queued));
         let repo = dq.repository();
         let commits_before = repo.log(repo.head()).unwrap().len();
         drop(dq);

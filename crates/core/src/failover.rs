@@ -10,9 +10,8 @@
 //!   layer is otherwise identical (the [`Wal`](sq_store::Wal) seam).
 //! * [`promote_from_follower`] — fenced promotion: claim a strictly
 //!   newer epoch (durably, *before* serving), replay the replica's
-//!   journal to its last durable LSN, restore the service, and assert
-//!   the lockstep mirror invariant. Returns a [`PromotionReport`] with
-//!   what recovery had to do.
+//!   journal to its last durable LSN and start the service from that
+//!   state. Returns a [`PromotionReport`] with what recovery had to do.
 //! * [`best_promotion_candidate`] — pick the replica with the highest
 //!   (epoch, durable LSN); under synchronous shipping that replica
 //!   holds every acked record, which is what makes failover zero-loss.
@@ -82,8 +81,7 @@ pub struct PromotionReport {
 /// *before* any state is served, so a stale leader returning from the
 /// dead is refused by every replica that has seen the new epoch.
 /// Recovery then replays `snapshot ⊕ journal suffix` to the last
-/// durable LSN, restores the in-memory service, and asserts the
-/// lockstep mirror invariant.
+/// durable LSN and starts the service from that state.
 pub fn promote_from_follower<S: Storage + Clone>(
     repo: Repository,
     threads: usize,
@@ -106,7 +104,6 @@ pub fn promote_from_follower<S: Storage + Clone>(
         snapshot_loaded: recovered.snapshot.is_some(),
     };
     let queue = DurableSubmitQueue::from_recovered(repo, threads, recovery, leader, &recovered)?;
-    queue.assert_mirror_lockstep();
     Ok((queue, report))
 }
 
@@ -237,40 +234,40 @@ impl<S: Storage + Clone> DurableSubmitQueue<Leader<S>> {
         storage: S,
         config: DurableStoreConfig,
     ) -> Result<usize, StoreError> {
-        self.ctx.lock().store.attach_follower(storage, config)
+        self.store.lock().attach_follower(storage, config)
     }
 
     /// One mechanical reconnect attempt for link `idx` (scheduling
     /// belongs to [`ReconnectScheduler`]).
     pub fn reconnect(&self, idx: usize) -> Result<(), StoreError> {
-        self.ctx.lock().store.reconnect(idx)
+        self.store.lock().reconnect(idx)
     }
 
     /// The leader's fencing epoch.
     pub fn epoch(&self) -> u64 {
-        self.ctx.lock().store.epoch()
+        self.store.lock().epoch()
     }
 
     /// Replication health.
     pub fn replication_status(&self) -> ReplicationStatus {
-        self.ctx.lock().store.status()
+        self.store.lock().status()
     }
 
     /// Shipping and failover counters.
     pub fn replication_stats(&self) -> ReplicationStats {
-        *self.ctx.lock().store.replication_stats()
+        *self.store.lock().replication_stats()
     }
 
     /// Per-link health and lag.
     pub fn link_states(&self) -> Vec<LinkState> {
-        self.ctx.lock().store.link_states()
+        self.store.lock().link_states()
     }
 
     /// Record replication metrics including the wall-clock ack-latency
     /// histogram. Byte-stable exports must use
     /// [`Self::record_replication_deterministic_into`] instead.
     pub fn record_replication_into(&self, metrics: &mut MetricsRegistry) {
-        let samples = self.ctx.lock().store.take_ship_samples();
+        let samples = self.store.lock().take_ship_samples();
         self.record_replication_core(metrics, &samples);
         for micros in &samples.ack_micros {
             metrics.observe("replication.ack.latency_micros", *micros as f64);
@@ -282,17 +279,17 @@ impl<S: Storage + Clone> DurableSubmitQueue<Leader<S>> {
     /// everything except wall-clock latency, so same-seed runs export
     /// byte-identical JSON.
     pub fn record_replication_deterministic_into(&self, metrics: &mut MetricsRegistry) {
-        let samples = self.ctx.lock().store.take_ship_samples();
+        let samples = self.store.lock().take_ship_samples();
         self.record_replication_core(metrics, &samples);
     }
 
     fn record_replication_core(&self, metrics: &mut MetricsRegistry, samples: &ShipSamples) {
         let (epoch, stats, links) = {
-            let ctx = self.ctx.lock();
+            let store = self.store.lock();
             (
-                ctx.store.epoch(),
-                *ctx.store.replication_stats(),
-                ctx.store.link_states(),
+                store.epoch(),
+                *store.replication_stats(),
+                store.link_states(),
             )
         };
         metrics.set_gauge("replication.epoch", epoch as f64);
@@ -341,7 +338,7 @@ impl<S: Storage + Clone> DurableSubmitQueue<Leader<S>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::service::{StepAction, TicketId, TicketState};
+    use crate::service::{StepAction, TicketState};
     use sq_exec::StepOutcome;
     use sq_store::{AckMode, CrashKind, CrashPlan, MemStorage};
     use sq_vcs::{Patch, RepoPath};
@@ -671,12 +668,12 @@ mod tests {
     }
 
     #[test]
-    fn mirror_lockstep_assertion_holds_after_promotion_mid_flight() {
+    fn promotion_mid_flight_does_not_double_commit() {
         // Crash between the VCS commit and the verdict journal (op 4 on
         // a replicated leader: 0 magic, 1 meta, 2 enqueue, 3 spec-start,
-        // 4 verdict batch), then promote: the mirror says Queued while
-        // the repo already has the commit — lockstep must still hold
-        // and recovery must not double-commit.
+        // 4 verdict batch), then promote: the journal says Queued while
+        // the repo already has the commit, and reprocessing must land
+        // the ticket there without a second commit.
         let ls = Arc::new(StdMutex::new(MemStorage::with_crashes(CrashPlan::at_op(
             4,
             CrashKind::Torn,
@@ -721,6 +718,5 @@ mod tests {
             commits_before,
             "promotion must not double-commit"
         );
-        assert_eq!(promoted.status(TicketId(t.0)), promoted.status(t));
     }
 }

@@ -8,15 +8,30 @@
 //! real build steps with artifact caching, and a change commits only if
 //! every step passes — so the mainline is green at every commit point,
 //! by construction, and `verify_history` re-checks it from scratch.
+//!
+//! Tickets, the queue and the counters exist once, as a
+//! [`DurableState`], and change only by applying the [`ServiceEvent`]s
+//! the service emits where it decides: enqueue, speculation start,
+//! abort, quarantine, verdict, commit, reject. Every batch goes through
+//! `transition`, which hands it to a journal sink first and applies it
+//! second. The sink writes nothing for the in-memory service and
+//! appends to a `Wal` for
+//! [`DurableSubmitQueue`](crate::durable::DurableSubmitQueue), so a
+//! recovered service, a replica and the live one all read the same
+//! stream.
 
+use crate::durable::{DurableState, QueuedChange, ServiceEvent, Verdict};
 use crate::recovery::{QuarantineList, RecoveryConfig, RecoveryEvent, RecoveryLog};
 use parking_lot::Mutex;
 use sq_build::affected::SnapshotAnalysis;
 use sq_build::{AffectedSet, TargetName};
-use sq_exec::{ArtifactCache, BuildController, BuildStep, RealExecutor, StepOutcome};
+use sq_exec::{
+    ArtifactCache, BuildController, BuildStep, ControllerReport, RealExecutor, StepOutcome,
+};
+use sq_store::StoreError;
 use sq_vcs::merge::merge_patches;
 use sq_vcs::{CommitId, CommitMeta, Patch, Repository, Tree, VcsError};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 /// Ticket identifying a submitted change.
@@ -44,35 +59,43 @@ pub enum TicketState {
 /// snapshot it runs against. Runs on executor worker threads.
 pub type StepAction = dyn Fn(&BuildStep, &Tree) -> StepOutcome + Send + Sync;
 
-struct Submission {
-    ticket: TicketId,
-    author: String,
-    description: String,
-    /// The mainline commit the patch was developed against.
-    base: CommitId,
-    patch: Patch,
+/// Where an event batch goes before it is applied. Its mutex is the
+/// store lock: whoever holds it is the only one appending and applying.
+pub(crate) trait JournalSink {
+    /// Make `batch` durable. After an `Err` nothing is applied.
+    fn append(&mut self, batch: &[ServiceEvent]) -> Result<(), StoreError>;
+}
+
+/// The in-memory service's sink: nothing is written, nothing can fail.
+struct Unjournaled;
+
+impl JournalSink for Unjournaled {
+    fn append(&mut self, _batch: &[ServiceEvent]) -> Result<(), StoreError> {
+        Ok(())
+    }
 }
 
 struct Inner {
     repo: Repository,
-    queue: VecDeque<Submission>,
-    states: HashMap<TicketId, TicketState>,
-    next_ticket: u64,
-    landed: u64,
-    rejected: u64,
+    /// Tickets, queue and counters: the fold of every event applied.
+    /// A change stays in the queue until its commit or reject event,
+    /// so the one being built is still at the front.
+    state: DurableState,
     /// Infra-red whole-build attempts, per ticket.
-    rebuilds: HashMap<TicketId, u32>,
+    rebuilds: HashMap<u64, u32>,
     /// Per-target flake accounting.
     quarantine: QuarantineList<TargetName>,
     /// Every recovery decision, in order.
     log: RecoveryLog,
-    /// Changes rejected for infrastructure (not change) reasons.
-    infra_rejected: u64,
 }
 
 /// The service.
 pub struct SubmitQueueService {
+    /// The state lock: held for a read, a decision or an `apply`, never
+    /// across a build or a journal append.
     inner: Mutex<Inner>,
+    /// The in-memory service's store lock.
+    unjournaled: Mutex<Unjournaled>,
     /// Incremental builds for landing changes (persistent artifact cache
     /// + duration history — the paper's Section 6 controller).
     controller: BuildController,
@@ -163,19 +186,36 @@ impl SubmitQueueService {
     /// green invariant is never weakened; the list is surfaced for
     /// operators via [`SubmitQueueService::quarantined_targets`]).
     pub fn with_recovery(repo: Repository, threads: usize, recovery: RecoveryConfig) -> Self {
+        Self::recovered(repo, threads, recovery, DurableState::new())
+    }
+
+    /// The service as of `state`, the fold of a recovered journal —
+    /// the restore half of crash recovery. The repository is taken as
+    /// it is: commits live in the VCS, which recovers independently.
+    pub(crate) fn recovered(
+        repo: Repository,
+        threads: usize,
+        recovery: RecoveryConfig,
+        state: DurableState,
+    ) -> Self {
+        let mut quarantine = QuarantineList::new(recovery.quarantine_threshold);
+        for (target, observations) in &state.quarantined {
+            // Quarantined events journal canonical `//pkg:name` labels,
+            // which always re-resolve; a malformed label would mean a
+            // corrupt journal, which decoding already rejected.
+            if let Ok(name) = TargetName::resolve(target, "") {
+                quarantine.restore(name, *observations);
+            }
+        }
         SubmitQueueService {
             inner: Mutex::new(Inner {
                 repo,
-                queue: VecDeque::new(),
-                states: HashMap::new(),
-                next_ticket: 1,
-                landed: 0,
-                rejected: 0,
+                state,
                 rebuilds: HashMap::new(),
-                quarantine: QuarantineList::new(recovery.quarantine_threshold),
+                quarantine,
                 log: RecoveryLog::new(),
-                infra_rejected: 0,
             }),
+            unjournaled: Mutex::new(Unjournaled),
             controller: BuildController::with_retry_policy(threads, recovery.retry),
             executor: RealExecutor::new(threads),
             recovery,
@@ -195,42 +235,25 @@ impl SubmitQueueService {
         self.inner.lock().repo.clone()
     }
 
-    /// Reset the queue, ticket states, counters, and quarantine list to
-    /// a recovered [`DurableState`](crate::durable::DurableState) — the
-    /// restore half of crash recovery. Must run before any submissions;
-    /// the repository is *not* touched (commits live in the VCS, which
-    /// recovers independently).
-    pub(crate) fn restore_from(&self, state: &crate::durable::DurableState) {
-        let mut inner = self.inner.lock();
-        debug_assert!(inner.queue.is_empty() && inner.states.is_empty());
-        inner.next_ticket = state.next_ticket.max(1);
-        inner.landed = state.landed;
-        inner.rejected = state.rejected;
-        inner.infra_rejected = state.infra_rejected;
-        inner.states = state
-            .states
-            .iter()
-            .map(|(t, s)| (TicketId(*t), s.clone()))
-            .collect();
-        inner.queue = state
-            .queue
-            .iter()
-            .map(|q| Submission {
-                ticket: TicketId(q.ticket),
-                author: q.author.clone(),
-                description: q.description.clone(),
-                base: q.base,
-                patch: q.patch.clone(),
-            })
-            .collect();
-        for (target, observations) in &state.quarantined {
-            // Quarantined events journal canonical `//pkg:name` labels,
-            // which always re-resolve; a malformed label would mean a
-            // corrupt journal, which decoding already rejected.
-            if let Ok(name) = TargetName::resolve(target, "") {
-                inner.quarantine.restore(name, *observations);
-            }
+    /// The one place tickets, queue and counters change. `decide` runs
+    /// under both locks and returns the events that say what it decided
+    /// (none: nothing happened). They are journaled with the state lock
+    /// released, so readers never wait for an fsync, and applied only
+    /// once the append has returned, so nothing shows before it is
+    /// durable.
+    fn transition<T>(
+        &self,
+        sink: &Mutex<dyn JournalSink + '_>,
+        decide: impl FnOnce(&mut Inner) -> (T, Vec<ServiceEvent>),
+    ) -> Result<T, StoreError> {
+        let mut sink = sink.lock();
+        let (decided, batch) = decide(&mut self.inner.lock());
+        if !batch.is_empty() {
+            sink.append(&batch)?;
+            let mut inner = self.inner.lock();
+            batch.iter().for_each(|ev| inner.state.apply(ev));
         }
+        Ok(decided)
     }
 
     /// Submit a change: a patch made against `base` (usually the HEAD the
@@ -242,23 +265,48 @@ impl SubmitQueueService {
         base: CommitId,
         patch: Patch,
     ) -> TicketId {
-        let mut inner = self.inner.lock();
-        let ticket = TicketId(inner.next_ticket);
-        inner.next_ticket += 1;
-        inner.states.insert(ticket, TicketState::Queued);
-        inner.queue.push_back(Submission {
-            ticket,
-            author: author.into(),
-            description: description.into(),
-            base,
-            patch,
-        });
-        ticket
+        self.submit_through(&self.unjournaled, author, description, base, patch)
+            .expect("nothing is written, so nothing fails")
+    }
+
+    /// [`Self::submit`], journaled through `sink` before the ticket is
+    /// handed out.
+    pub(crate) fn submit_through(
+        &self,
+        sink: &Mutex<dyn JournalSink + '_>,
+        author: impl Into<String>,
+        description: impl Into<String>,
+        base: CommitId,
+        patch: Patch,
+    ) -> Result<TicketId, StoreError> {
+        self.transition(sink, |inner| {
+            let ticket = inner.state.next_ticket;
+            let enqueue = ServiceEvent::Enqueue {
+                ticket,
+                author: author.into(),
+                description: description.into(),
+                base,
+                patch,
+            };
+            (TicketId(ticket), vec![enqueue])
+        })
     }
 
     /// The state of a change (the service's second API call).
     pub fn status(&self, ticket: TicketId) -> Option<TicketState> {
-        self.inner.lock().states.get(&ticket).cloned()
+        self.read_state(|state| state.states.get(&ticket.0).cloned())
+    }
+
+    /// Read tickets, queue and counters under the state lock.
+    pub(crate) fn read_state<T>(&self, read: impl FnOnce(&DurableState) -> T) -> T {
+        read(&self.inner.lock().state)
+    }
+
+    /// Deterministic sorted-key JSON export of tickets, queue and
+    /// counters, for byte-exact state comparison across services and
+    /// across crash/recovery boundaries.
+    pub fn export_state_json(&self) -> String {
+        self.read_state(DurableState::export_json)
     }
 
     /// Process one queued change end to end. Returns the ticket handled,
@@ -268,171 +316,44 @@ impl SubmitQueueService {
     /// affected-target analysis → real builds of every affected target →
     /// commit on success.
     pub fn process_next(&self, action: &StepAction) -> Option<TicketId> {
-        // Take the submission under the lock, then build outside it so
-        // parallel status queries stay responsive.
-        let (submission, base_tree, head, head_tree, store) = {
-            let mut inner = self.inner.lock();
-            let submission = inner.queue.pop_front()?;
-            let base_tree = match inner.repo.tree_at(submission.base) {
-                Ok(t) => t,
-                Err(e) => {
-                    let ticket = submission.ticket;
-                    self.reject_locked(&mut inner, ticket, format!("bad base: {e}"));
-                    return Some(ticket);
-                }
+        self.process_next_through(&self.unjournaled, action)
+            .expect("nothing is written, so nothing fails")
+    }
+
+    /// [`Self::process_next`], journaled through `sink`: the speculation
+    /// start before the build, the verdict batch after it.
+    pub(crate) fn process_next_through(
+        &self,
+        sink: &Mutex<dyn JournalSink + '_>,
+        action: &StepAction,
+    ) -> Result<Option<TicketId>, StoreError> {
+        // Take what the build reads under the lock, then build outside
+        // both locks so submissions and status queries stay responsive.
+        let started = self.transition(sink, |inner| {
+            let Some(change) = inner.state.queue.front().cloned() else {
+                return (None, Vec::new());
             };
-            let head = inner.repo.head();
+            let started = ServiceEvent::SpeculationStarted {
+                ticket: change.ticket,
+            };
+            let base_tree = inner.repo.tree_at(change.base);
             let head_tree = inner.repo.head_tree().expect("mainline readable");
             let store = inner.repo.store().clone();
-            (submission, base_tree, head, head_tree, store)
+            let snapshot = (change, inner.repo.head(), base_tree, head_tree, store);
+            (Some(snapshot), vec![started])
+        })?;
+        let Some((change, head, base_tree, head_tree, store)) = started else {
+            return Ok(None);
         };
-        let ticket = submission.ticket;
-
-        // 1. Rebase: merge the patch with what landed since its base.
-        let rebased = match self.rebase(&submission, &base_tree, &head_tree, &store) {
-            Ok(p) => p,
-            Err(e) => {
-                let mut inner = self.inner.lock();
-                self.reject_locked(&mut inner, ticket, format!("merge conflict: {e}"));
-                return Some(ticket);
-            }
-        };
-
-        // 2. Analyze: affected targets of the rebased patch on HEAD.
-        let mut store = store;
-        let base_analysis = match SnapshotAnalysis::analyze(&head_tree, &store) {
-            Ok(a) => a,
-            Err(e) => {
-                let mut inner = self.inner.lock();
-                self.reject_locked(&mut inner, ticket, format!("HEAD unanalyzable: {e}"));
-                return Some(ticket);
-            }
-        };
-        let new_tree = match rebased.apply(&head_tree, &mut store) {
-            Ok(t) => t,
-            Err(e) => {
-                let mut inner = self.inner.lock();
-                self.reject_locked(&mut inner, ticket, format!("patch failed to apply: {e}"));
-                return Some(ticket);
-            }
-        };
-        let new_analysis = match SnapshotAnalysis::analyze(&new_tree, &store) {
-            Ok(a) => a,
-            Err(e) => {
-                let mut inner = self.inner.lock();
-                self.reject_locked(&mut inner, ticket, format!("build graph broken: {e}"));
-                return Some(ticket);
-            }
-        };
-        let delta = AffectedSet::between(&base_analysis, &new_analysis);
-
-        // 3. Build every affected target for real (incremental via the
-        // controller's artifact cache + duration history).
-        let tree_for_action = new_tree.clone();
-        let report = self.controller.execute_affected(
-            &new_analysis.graph,
-            &new_analysis.hashes,
-            &delta,
-            |step| action(step, &tree_for_action),
-        );
-        // Release the snapshot before committing: the repository's store
-        // is then the sole owner of its objects again and takes the
-        // commit's in place. What was staged for a rejected change goes
-        // with the snapshot.
-        drop(store);
-        {
-            let mut inner = self.inner.lock();
-            // Flake accounting: every infra event — recovered or not —
-            // counts toward the per-target quarantine threshold.
-            for (step, _fault) in &report.exec.infra_events {
-                if let Some(observations) = inner.quarantine.record_flake(step.target.clone()) {
-                    inner.log.push(RecoveryEvent::Quarantined {
-                        target: step.target.to_string(),
-                        observations,
-                    });
-                }
-            }
-            if report.exec.infra_retries > 0 {
-                inner.log.push(RecoveryEvent::StepRetries {
-                    subject: ticket.to_string(),
-                    retries: report.exec.infra_retries,
-                });
-            }
-            if let Some((step, fault)) = report.exec.infra_failure {
-                // Infra-red: the build says nothing about the change.
-                // Rebuild up to the policy bound instead of rejecting;
-                // successful steps are already cached, so the rebuild
-                // only redoes what the fault interrupted.
-                let attempts = inner.rebuilds.entry(ticket).or_insert(0);
-                *attempts += 1;
-                let attempt = *attempts;
-                if attempt <= self.recovery.max_rebuilds {
-                    inner.log.push(RecoveryEvent::Rebuild {
-                        subject: ticket.to_string(),
-                        attempt,
-                        step,
-                        fault,
-                    });
-                    inner.queue.push_front(submission);
-                } else {
-                    inner.log.push(RecoveryEvent::InfraRejected {
-                        subject: ticket.to_string(),
-                        attempts: attempt,
-                    });
-                    inner.infra_rejected += 1;
-                    self.reject_locked(
-                        &mut inner,
-                        ticket,
-                        format!(
-                            "infrastructure failure (change not at fault): step '{step}' \
-                             hit {fault} after {attempt} build(s)"
-                        ),
-                    );
-                }
-                return Some(ticket);
-            }
-            if let Some((step, reason)) = report.exec.failure {
-                self.reject_locked(
-                    &mut inner,
-                    ticket,
-                    format!("build step '{step}' failed: {reason}"),
-                );
-                return Some(ticket);
-            }
-            // 4. Commit — but only if HEAD did not move underneath us
-            // (single-threaded processing here; the check keeps the
-            // invariant explicit).
-            if inner.repo.head() != head {
-                // Retry by re-queueing at the front with the same base.
-                inner.queue.push_front(submission);
-                return Some(ticket);
-            }
-            let meta = CommitMeta::new(
-                submission.author.clone(),
-                format!("[{}] {}", ticket, submission.description),
-                0,
-            );
-            match inner
-                .repo
-                .commit_patch(sq_vcs::repo::MAINLINE, &rebased, meta)
-            {
-                Ok(commit) => {
-                    inner.states.insert(ticket, TicketState::Landed(commit));
-                    inner.landed += 1;
-                }
-                Err(VcsError::EmptyCommit) => {
-                    // The rebase absorbed the patch entirely (someone
-                    // landed the same edit): treat as landed at HEAD.
-                    let head = inner.repo.head();
-                    inner.states.insert(ticket, TicketState::Landed(head));
-                    inner.landed += 1;
-                }
-                Err(e) => {
-                    self.reject_locked(&mut inner, ticket, format!("commit failed: {e}"));
-                }
-            }
-        }
-        Some(ticket)
+        // `build` releases the snapshot before the commit: the
+        // repository's store is then the sole owner of its objects again
+        // and takes the commit's in place. What was staged for a
+        // rejected change goes with the snapshot.
+        let built = self.build(&change.patch, base_tree, head_tree, store, action);
+        self.transition(sink, |inner| {
+            ((), self.conclude(inner, &change, head, built))
+        })?;
+        Ok(Some(TicketId(change.ticket)))
     }
 
     /// Drain the queue.
@@ -444,46 +365,170 @@ impl SubmitQueueService {
         processed
     }
 
-    fn rebase(
+    /// Rebase, analyze and build one patch against the snapshot taken
+    /// when it started. `Err` is the reason the change itself is at
+    /// fault before any step ran.
+    fn build(
         &self,
-        submission: &Submission,
-        base_tree: &Tree,
-        head_tree: &Tree,
-        store: &sq_vcs::ObjectStore,
-    ) -> Result<Patch, VcsError> {
-        // Mainline drift since the base = a synthetic patch transforming
-        // base_tree into head_tree; merge the developer patch with it.
-        let mut drift = Patch::new();
-        for path in base_tree.changed_paths(head_tree) {
-            match head_tree.get(path) {
-                Some(blob) => {
-                    let content = store
-                        .get_text(&blob)
-                        .ok_or_else(|| VcsError::MissingObject(blob.to_hex()))?;
-                    drift.push(sq_vcs::FileOp::Write {
-                        path: path.clone(),
-                        content,
-                    });
-                }
-                None => drift.push(sq_vcs::FileOp::Delete { path: path.clone() }),
-            }
-        }
-        let merged = merge_patches(base_tree, store, &drift, &submission.patch)?;
-        // The drift part is already in HEAD; restrict to paths the
-        // developer touched (their ops after merging with the drift).
-        let mut rebased = Patch::new();
-        let dev_paths: HashSet<&sq_vcs::RepoPath> = submission.patch.paths().collect();
-        for op in merged.ops() {
-            if dev_paths.contains(op.path()) {
-                rebased.push(op.clone());
-            }
-        }
-        Ok(rebased)
+        patch: &Patch,
+        base_tree: Result<Tree, VcsError>,
+        head_tree: Tree,
+        mut store: sq_vcs::ObjectStore,
+        action: &StepAction,
+    ) -> Result<(Patch, ControllerReport), String> {
+        let base_tree = base_tree.map_err(|e| format!("bad base: {e}"))?;
+        // 1. Rebase: merge the patch with what landed since its base.
+        let rebased = rebase(patch, &base_tree, &head_tree, &store)
+            .map_err(|e| format!("merge conflict: {e}"))?;
+        // 2. Analyze: affected targets of the rebased patch on HEAD.
+        let base_analysis = SnapshotAnalysis::analyze(&head_tree, &store)
+            .map_err(|e| format!("HEAD unanalyzable: {e}"))?;
+        let new_tree = rebased
+            .apply(&head_tree, &mut store)
+            .map_err(|e| format!("patch failed to apply: {e}"))?;
+        let new_analysis = SnapshotAnalysis::analyze(&new_tree, &store)
+            .map_err(|e| format!("build graph broken: {e}"))?;
+        let delta = AffectedSet::between(&base_analysis, &new_analysis);
+        // 3. Build every affected target for real (incremental via the
+        // controller's artifact cache + duration history).
+        let report = self.controller.execute_affected(
+            &new_analysis.graph,
+            &new_analysis.hashes,
+            &delta,
+            |step| action(step, &new_tree),
+        );
+        Ok((rebased, report))
     }
 
-    fn reject_locked(&self, inner: &mut Inner, ticket: TicketId, reason: String) {
-        inner.states.insert(ticket, TicketState::Rejected(reason));
-        inner.rejected += 1;
+    /// Decide what a finished build means, under the state lock, and
+    /// say it as events: quarantines first, then an abort (the change
+    /// is rebuilt), or the verdict with its commit or reject.
+    fn conclude(
+        &self,
+        inner: &mut Inner,
+        change: &QueuedChange,
+        head: CommitId,
+        built: Result<(Patch, ControllerReport), String>,
+    ) -> Vec<ServiceEvent> {
+        let ticket = change.ticket;
+        let subject = || TicketId(ticket).to_string();
+        // A second processor got here first: its verdict stands.
+        if inner.state.states.get(&ticket) != Some(&TicketState::Queued) {
+            return Vec::new();
+        }
+        let rejected = |verdict, reason: String| {
+            [
+                ServiceEvent::BuildVerdict {
+                    ticket,
+                    verdict,
+                    detail: reason.clone(),
+                },
+                ServiceEvent::Rejected {
+                    ticket,
+                    reason,
+                    infra: verdict == Verdict::Infra,
+                },
+            ]
+        };
+        let (rebased, report) = match built {
+            Ok(built) => built,
+            Err(reason) => return rejected(Verdict::Fail, reason).into(),
+        };
+        let mut batch = Vec::new();
+        // Flake accounting: every infra event — recovered or not —
+        // counts toward the per-target quarantine threshold.
+        for (step, _fault) in &report.exec.infra_events {
+            if let Some(observations) = inner.quarantine.record_flake(step.target.clone()) {
+                let target = step.target.to_string();
+                inner.log.push(RecoveryEvent::Quarantined {
+                    target: target.clone(),
+                    observations,
+                });
+                batch.push(ServiceEvent::Quarantined {
+                    target,
+                    observations,
+                });
+            }
+        }
+        if report.exec.infra_retries > 0 {
+            inner.log.push(RecoveryEvent::StepRetries {
+                subject: subject(),
+                retries: report.exec.infra_retries,
+            });
+        }
+        if let Some((step, fault)) = report.exec.infra_failure {
+            // Infra-red: the build says nothing about the change.
+            // Rebuild up to the policy bound instead of rejecting;
+            // successful steps are already cached, so the rebuild
+            // only redoes what the fault interrupted.
+            let attempts = inner.rebuilds.entry(ticket).or_insert(0);
+            *attempts += 1;
+            let attempt = *attempts;
+            if attempt <= self.recovery.max_rebuilds {
+                batch.push(ServiceEvent::SpeculationAborted {
+                    ticket,
+                    reason: format!("infra-red build; rebuild #{attempt} after {fault}"),
+                });
+                inner.log.push(RecoveryEvent::Rebuild {
+                    subject: subject(),
+                    attempt,
+                    step,
+                    fault,
+                });
+            } else {
+                inner.log.push(RecoveryEvent::InfraRejected {
+                    subject: subject(),
+                    attempts: attempt,
+                });
+                batch.extend(rejected(
+                    Verdict::Infra,
+                    format!(
+                        "infrastructure failure (change not at fault): step '{step}' \
+                         hit {fault} after {attempt} build(s)"
+                    ),
+                ));
+            }
+            return batch;
+        }
+        if let Some((step, reason)) = report.exec.failure {
+            batch.extend(rejected(
+                Verdict::Fail,
+                format!("build step '{step}' failed: {reason}"),
+            ));
+            return batch;
+        }
+        // 4. Commit — but only if HEAD did not move underneath us
+        // (single-threaded processing here; the check keeps the
+        // invariant explicit). If it did, the change is still at the
+        // front and the next call rebuilds it.
+        if inner.repo.head() != head {
+            return batch;
+        }
+        let meta = CommitMeta::new(
+            change.author.clone(),
+            format!("[{}] {}", TicketId(ticket), change.description),
+            0,
+        );
+        let commit = match inner
+            .repo
+            .commit_patch(sq_vcs::repo::MAINLINE, &rebased, meta)
+        {
+            Ok(commit) => commit,
+            // The rebase absorbed the patch entirely (someone landed
+            // the same edit): treat as landed at HEAD.
+            Err(VcsError::EmptyCommit) => inner.repo.head(),
+            Err(e) => {
+                batch.extend(rejected(Verdict::Fail, format!("commit failed: {e}")));
+                return batch;
+            }
+        };
+        batch.push(ServiceEvent::BuildVerdict {
+            ticket,
+            verdict: Verdict::Pass,
+            detail: String::new(),
+        });
+        batch.push(ServiceEvent::Committed { ticket, commit });
+        batch
     }
 
     /// Service counters.
@@ -491,14 +536,14 @@ impl SubmitQueueService {
         let cs = self.controller.cache_stats();
         let inner = self.inner.lock();
         ServiceStats {
-            landed: inner.landed,
-            rejected: inner.rejected,
-            queued: inner.queue.len(),
+            landed: inner.state.landed,
+            rejected: inner.state.rejected,
+            queued: inner.state.queue.len(),
             cache_hits: cs.hits,
             cache_misses: cs.misses,
             step_retries: inner.log.step_retries(),
             infra_rebuilds: inner.log.rebuilds() as u64,
-            infra_rejected: inner.infra_rejected,
+            infra_rejected: inner.state.infra_rejected,
             quarantined: inner.quarantine.len(),
         }
     }
@@ -595,6 +640,43 @@ impl SubmitQueueService {
         }
         Ok(verified)
     }
+}
+
+/// The developer's patch as it applies on `head_tree`: merged with what
+/// landed since `base_tree`, restricted to the paths the patch touched.
+fn rebase(
+    patch: &Patch,
+    base_tree: &Tree,
+    head_tree: &Tree,
+    store: &sq_vcs::ObjectStore,
+) -> Result<Patch, VcsError> {
+    // Mainline drift since the base = a synthetic patch transforming
+    // base_tree into head_tree; merge the developer patch with it.
+    let mut drift = Patch::new();
+    for path in base_tree.changed_paths(head_tree) {
+        match head_tree.get(path) {
+            Some(blob) => {
+                let content = store
+                    .get_text(&blob)
+                    .ok_or_else(|| VcsError::MissingObject(blob.to_hex()))?;
+                drift.push(sq_vcs::FileOp::Write {
+                    path: path.clone(),
+                    content,
+                });
+            }
+            None => drift.push(sq_vcs::FileOp::Delete { path: path.clone() }),
+        }
+    }
+    let merged = merge_patches(base_tree, store, &drift, patch)?;
+    // The drift part is already in HEAD; restrict to paths the
+    // developer touched (their ops after merging with the drift).
+    let dev_paths: HashSet<&sq_vcs::RepoPath> = patch.paths().collect();
+    Ok(Patch::from_ops(
+        merged
+            .ops()
+            .filter(|op| dev_paths.contains(op.path()))
+            .cloned(),
+    ))
 }
 
 #[cfg(test)]

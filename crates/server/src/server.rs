@@ -563,7 +563,8 @@ fn handle<W: Wal>(shared: &Shared<W>, req: Request) -> Response {
     }
 }
 
-/// Long-poll a ticket until terminal, timeout, or drain.
+/// Long-poll a ticket until terminal, timeout, drain, or the processor
+/// stopping on a store failure.
 fn subscribe<W: Wal>(shared: &Shared<W>, ticket: u64, timeout_ms: u32) -> Response {
     let deadline = if timeout_ms == 0 {
         None
@@ -590,6 +591,12 @@ fn subscribe<W: Wal>(shared: &Shared<W>, ticket: u64, timeout_ms: u32) -> Respon
             return Response::Error {
                 code: ErrorCode::Draining,
                 detail: "server draining before verdict".into(),
+            };
+        }
+        if shared.store_failed.load(Ordering::SeqCst) {
+            return Response::Error {
+                code: ErrorCode::Store,
+                detail: "durable store failed before verdict; restart required".into(),
             };
         }
         if let Some(d) = deadline {

@@ -418,3 +418,62 @@ fn subscribe_honours_its_timeout_when_nothing_lands() {
     }
     server.shutdown();
 }
+
+/// The processor stops on a store failure; a subscriber with no
+/// deadline must be told, not left polling a ticket nobody will judge.
+#[test]
+fn subscribers_learn_of_a_store_failure() {
+    use sq_store::{CrashKind, CrashPlan};
+    // Mutating ops on a fresh store: 0 = journal magic, 1 = Enqueue,
+    // 2 = SpeculationStarted — the processor's first append dies.
+    let storage: Shared = Arc::new(Mutex::new(MemStorage::with_crashes(CrashPlan::at_op(
+        2,
+        CrashKind::Torn,
+    ))));
+    let server = Server::start(
+        open_queue(demo_repo(), &storage),
+        always_pass(),
+        fast_config(),
+        &[Endpoint::Tcp("127.0.0.1:0".into())],
+    )
+    .unwrap();
+    let addr = server.tcp_addr().unwrap();
+    let mut client = Client::connect_tcp(addr).unwrap();
+    let ticket = enqueue(&mut client, "hana", 1);
+    let (answered, answer) = std::sync::mpsc::channel();
+    let subscriber = std::thread::spawn(move || {
+        let reply = client.call(&Request::SubscribeVerdict {
+            ticket,
+            timeout_ms: 0,
+        });
+        let _ = answered.send(reply);
+    });
+    // The wait only bounds the failure: without the check the
+    // subscriber polls until the drain below answers it.
+    let got = answer.recv_timeout(Duration::from_secs(10));
+    let mut client = Client::connect_tcp(addr).unwrap();
+    let base = head_of(&mut client);
+    let later = client
+        .call(&Request::Enqueue {
+            author: "hana".into(),
+            description: "after the failure".into(),
+            base,
+            patch: lib_patch(2),
+        })
+        .unwrap();
+    let (queue, _) = server.shutdown();
+    subscriber.join().unwrap();
+    match got.expect("subscriber still polling a dead processor") {
+        Ok(Response::Error { code, .. }) => assert_eq!(code, ErrorCode::Store),
+        other => panic!("expected Error{{Store}}, got {other:?}"),
+    }
+    match later {
+        Response::Error { code, .. } => assert_eq!(code, ErrorCode::Store),
+        other => panic!("expected Error{{Store}}, got {other:?}"),
+    }
+    // Nothing was judged: the ticket is still queued for the restart.
+    assert_eq!(
+        queue.status(sq_core::TicketId(ticket)),
+        Some(TicketState::Queued)
+    );
+}

@@ -3,8 +3,11 @@
 //! in-process equivalent must accept concurrent submissions and status
 //! queries while a processor drains the queue.
 
-use keeping_master_green::core::service::{SubmitQueueService, TicketState};
+use keeping_master_green::core::durable::DurableSubmitQueue;
+use keeping_master_green::core::service::{StepAction, SubmitQueueService, TicketState};
+use keeping_master_green::core::RecoveryConfig;
 use keeping_master_green::exec::StepOutcome;
+use keeping_master_green::store::{DurableStoreConfig, MemStorage};
 use keeping_master_green::vcs::{Patch, RepoPath, Repository};
 use std::sync::Arc;
 
@@ -179,4 +182,81 @@ fn readers_take_snapshots_while_two_hundred_changes_land() {
             .unwrap(),
         201
     );
+}
+
+/// A build blocks no one: the first build step parks on a barrier, and
+/// every other call on the durable queue — a journaled `submit`
+/// included — has to answer while it is parked. Neither the store lock
+/// nor the state lock is held across a build.
+#[test]
+fn durable_queue_answers_while_a_build_is_parked() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::{mpsc, Barrier};
+    use std::time::Duration;
+    let queue = DurableSubmitQueue::open(
+        repo(),
+        2,
+        RecoveryConfig::disabled(),
+        MemStorage::new(),
+        DurableStoreConfig::default(),
+    )
+    .unwrap();
+    let root = queue.head();
+    // An edit to a target's source, so the build has a step to park on.
+    let edit = |k: u32| Patch::write(RepoPath::new(format!("pkg{k}/lib.rs")).unwrap(), "// e\n");
+    let building = queue.submit("alice", "being built", root, edit(0)).unwrap();
+    let parked = Arc::new(Barrier::new(2));
+    let resume = Arc::new(Barrier::new(2));
+    let first_step = AtomicBool::new(true);
+    let action: Box<StepAction> = {
+        let (parked, resume) = (Arc::clone(&parked), Arc::clone(&resume));
+        Box::new(move |_step, _tree| {
+            if first_step.swap(false, Ordering::SeqCst) {
+                parked.wait();
+                resume.wait();
+            }
+            StepOutcome::Success
+        })
+    };
+    std::thread::scope(|scope| {
+        let processor = scope.spawn(|| queue.process_next(&action));
+        parked.wait();
+        let (answered, answer) = mpsc::channel();
+        let queue = &queue;
+        scope.spawn(move || {
+            let submitted = queue.submit("bob", "mid-build", root, edit(1));
+            let answers = (
+                submitted,
+                queue.queue_depth(),
+                queue.queue_depth_by_dir(),
+                queue.store_stats().appends,
+                queue.export_state_json(),
+                queue.status(building),
+                queue.head(),
+            );
+            let _ = answered.send(answers);
+        });
+        // The wait only bounds the failure: with a lock held across the
+        // build nobody answers, and the build must still be let go.
+        let got = answer.recv_timeout(Duration::from_secs(10));
+        resume.wait();
+        assert_eq!(processor.join().unwrap().unwrap(), Some(building));
+        let (submitted, depth, by_dir, appends, export, status, head) =
+            got.expect("a call on the durable queue stalled behind the build");
+        let submitted = submitted.unwrap();
+        // Mid-build: the change being built is still queued and counted,
+        // its Enqueue, its SpeculationStarted and bob's Enqueue are
+        // journaled, and nothing has landed.
+        assert_eq!(depth, 2);
+        assert_eq!(by_dir, vec![("pkg0".into(), 1), ("pkg1".into(), 1)]);
+        assert_eq!(appends, 3);
+        assert!(export.contains("\"landed\":0"), "export: {export}");
+        assert_eq!(status, Some(TicketState::Queued));
+        assert_eq!(head, root);
+        assert!(matches!(
+            queue.status(building),
+            Some(TicketState::Landed(_))
+        ));
+        assert_eq!(queue.status(submitted), Some(TicketState::Queued));
+    });
 }
