@@ -1,4 +1,4 @@
-//! The conflict-analysis microbenchmark behind `bench_conflict`.
+//! The conflict-analysis microbenchmark: the `conflict` suite.
 //!
 //! One seeded window of changes is rendered against a materialized
 //! monorepo and every change's affected set is computed once (untimed
@@ -18,10 +18,11 @@
 //!   [`ConflictIndex::matrix_parallel`] across scoped worker threads.
 //!
 //! All three modes must produce byte-identical [`ConflictMatrix`]
-//! serializations — the determinism gate CI enforces via `--smoke`.
+//! serializations — the determinism gate, enforced in every mode.
 //! Unlike `BENCH_e2e.json`, this document reports wall time, so it is
 //! *not* byte-identical across runs; the matrices are.
 
+use crate::suite::{no_flags, pick, Report, Suite};
 use sq_build::{AffectedSet, BitSet, Interner, SnapshotAnalysis, TargetName};
 use sq_core::index::{ConflictIndex, ConflictMatrix, TrunkHash};
 use sq_obs::JsonWriter;
@@ -47,7 +48,7 @@ pub struct ConflictParams {
 }
 
 impl ConflictParams {
-    /// The recorded configuration (what `bench_conflict` runs by default
+    /// The recorded configuration (what `sq-bench conflict` runs by default
     /// and what `BENCH_conflict.json` at the repo root reports).
     pub fn standard() -> Self {
         ConflictParams {
@@ -298,87 +299,56 @@ fn indexed_matrix(
     }
 }
 
-/// Required keys of each entry under `"windows"`.
-const WINDOW_KEYS: &[&str] = &[
-    "n",
-    "pairs",
-    "conflicts",
-    "serial_ms",
-    "indexed_ms",
-    "indexed_parallel_ms",
-    "speedup_indexed",
-    "speedup_indexed_parallel",
-    "matrices_identical",
-];
+/// The `conflict` row of the suite table.
+pub const SUITE: Suite = Suite {
+    name: "conflict",
+    schema: "sq-bench-conflict/v1",
+    deterministic: false,
+    keys: &[
+        "params: seed n_parts threads reps",
+        "windows: n pairs conflicts serial_ms indexed_ms indexed_parallel_ms",
+        "windows: speedup_indexed speedup_indexed_parallel matrices_identical",
+    ],
+    run: |smoke, flags| {
+        no_flags(flags)?;
+        let params = pick(smoke, ConflictParams::smoke, ConflictParams::standard);
+        Ok(Box::new(run_conflict(&params)))
+    },
+};
 
-/// Validate a benchmark document: it must parse as JSON, carry the
-/// schema and parameters, and every window entry must be complete with
-/// `matrices_identical` true. Returns the first problem found.
-pub fn validate(json: &str) -> Result<(), String> {
-    use serde::__private::Value;
-    let value: Value = serde_json::from_str(json).map_err(|e| format!("not valid JSON: {e}"))?;
-    let Value::Map(entries) = value else {
-        return Err("top level is not an object".to_string());
-    };
-    let field = |key: &str| entries.iter().find(|(k, _)| k == key).map(|(_, v)| v);
-    match field("schema") {
-        Some(Value::Str(s)) if s == "sq-bench-conflict/v1" => {}
-        _ => return Err("missing or unexpected schema".to_string()),
+impl Report for ConflictReport {
+    fn summary(&self) -> Vec<String> {
+        let mut lines = vec![format!("{:?}", self.params)];
+        lines.extend(self.windows.iter().map(|r| {
+            format!(
+                "window {:>5}: {:>8} pairs, {:>7} conflicts | serial {:>9.3} ms | \
+                 indexed {:>8.3} ms ({:>6.1}x) | +parallel {:>8.3} ms ({:>6.1}x) | identical={}",
+                r.n,
+                r.pairs,
+                r.conflicts,
+                r.serial_nanos as f64 / 1e6,
+                r.indexed_nanos as f64 / 1e6,
+                r.speedup_indexed(),
+                r.parallel_nanos as f64 / 1e6,
+                r.speedup_parallel(),
+                r.identical
+            )
+        }));
+        lines
     }
-    let Some(Value::Map(params)) = field("params") else {
-        return Err("\"params\" is not an object".to_string());
-    };
-    for key in ["seed", "n_parts", "threads", "reps"] {
-        if !params.iter().any(|(k, _)| k == key) {
-            return Err(format!("missing key params.{key}"));
-        }
+
+    fn gate(&self) -> Vec<String> {
+        self.smoke_gate().err().into_iter().collect()
     }
-    let Some(Value::Seq(windows)) = field("windows") else {
-        return Err("\"windows\" is not an array".to_string());
-    };
-    if windows.is_empty() {
-        return Err("no windows measured".to_string());
+
+    fn doc(&self) -> String {
+        self.to_json()
     }
-    for (i, w) in windows.iter().enumerate() {
-        let Value::Map(m) = w else {
-            return Err(format!("windows[{i}] is not an object"));
-        };
-        for key in WINDOW_KEYS {
-            if !m.iter().any(|(k, _)| k == key) {
-                return Err(format!("missing key windows[{i}].{key}"));
-            }
-        }
-        match m.iter().find(|(k, _)| k == "matrices_identical") {
-            Some((_, Value::Bool(true))) => {}
-            _ => return Err(format!("windows[{i}]: matrices diverged across modes")),
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn validate_flags_malformed_documents() {
-        assert!(validate("nope").is_err());
-        assert!(validate("{}").unwrap_err().contains("schema"));
-        assert!(validate(r#"{"schema":"sq-bench-conflict/v1"}"#)
-            .unwrap_err()
-            .contains("params"));
-        let no_windows = r#"{"schema":"sq-bench-conflict/v1",
-            "params":{"seed":1,"n_parts":8,"threads":2,"reps":1},
-            "windows":[]}"#;
-        assert!(validate(no_windows).unwrap_err().contains("no windows"));
-        let diverged = r#"{"schema":"sq-bench-conflict/v1",
-            "params":{"seed":1,"n_parts":8,"threads":2,"reps":1},
-            "windows":[{"n":4,"pairs":6,"conflicts":1,"serial_ms":1.0,
-                        "indexed_ms":0.5,"indexed_parallel_ms":0.5,
-                        "speedup_indexed":2.0,"speedup_indexed_parallel":2.0,
-                        "matrices_identical":false}]}"#;
-        assert!(validate(diverged).unwrap_err().contains("diverged"));
-    }
 
     #[test]
     fn smoke_gate_prefers_the_256_window() {

@@ -1,4 +1,4 @@
-//! The machine-readable end-to-end benchmark behind `bench_e2e`.
+//! The machine-readable end-to-end benchmark: the `e2e` suite.
 //!
 //! One seeded run of the whole system — workload synthesis, predictor
 //! training, SubmitQueue planning under an infra-fault model, plus a
@@ -9,6 +9,7 @@
 //! same-seed runs emit byte-identical files and a diff between two
 //! commits is a genuine performance diff.
 
+use crate::suite::{no_flags, pick, Report, Suite};
 use sq_core::planner::{run_simulation_observed, PlannerConfig, SimFaults};
 use sq_core::predict::LearnedPredictor;
 use sq_core::strategy::Strategy;
@@ -36,8 +37,8 @@ pub struct E2eParams {
 }
 
 impl E2eParams {
-    /// The recorded benchmark configuration (what `bench_e2e` runs by
-    /// default and what `BENCH_e2e.json` at the repo root reports).
+    /// The recorded benchmark configuration (what `sq-bench e2e` runs
+    /// by default and what `BENCH_e2e.json` at the repo root reports).
     pub fn standard() -> Self {
         E2eParams {
             seed: crate::bench_seed(),
@@ -215,51 +216,45 @@ fn executor_cache_pass() -> (usize, usize, sq_exec::CacheStats) {
     (first.executed.len(), second.cache_hits, stats)
 }
 
-/// Required top-level keys of the benchmark document.
-const REQUIRED_KEYS: &[&str] = &[
-    "schema",
-    "params",
-    "throughput_changes_per_hour",
-    "sustained_throughput_per_hour",
-    "turnaround_mins",
-    "builds_per_change",
-    "worker_utilization",
-    "builds",
-    "infra",
-    "cache",
-    "metrics",
-];
+/// The `e2e` row of the suite table.
+pub const SUITE: Suite = Suite {
+    name: "e2e",
+    schema: "sq-bench-e2e/v1",
+    deterministic: true,
+    keys: &[
+        ": params throughput_changes_per_hour sustained_throughput_per_hour",
+        ": turnaround_mins builds_per_change worker_utilization builds infra cache metrics",
+        "turnaround_mins: mean p50 p95 p99",
+        "cache: hits misses hit_rate",
+        "builds: started aborted needed wasted",
+    ],
+    run: |smoke, flags| {
+        no_flags(flags)?;
+        let params = pick(smoke, E2eParams::smoke, E2eParams::standard);
+        let json = run_e2e(&params);
+        Ok(Box::new(E2eRun { params, json }))
+    },
+};
 
-/// Validate a benchmark document: it must parse as JSON, carry every
-/// required top-level key, the turnaround percentiles, and the cache
-/// hit rate. Returns a description of the first problem found.
-pub fn validate(json: &str) -> Result<(), String> {
-    use serde::__private::Value;
-    let value: Value = serde_json::from_str(json).map_err(|e| format!("not valid JSON: {e}"))?;
-    let Value::Map(entries) = value else {
-        return Err("top level is not an object".to_string());
-    };
-    let has = |entries: &[(String, Value)], key: &str| entries.iter().any(|(k, _)| k == key);
-    for key in REQUIRED_KEYS {
-        if !has(&entries, key) {
-            return Err(format!("missing required key {key:?}"));
-        }
+struct E2eRun {
+    params: E2eParams,
+    json: String,
+}
+
+impl Report for E2eRun {
+    fn summary(&self) -> Vec<String> {
+        vec![format!("{:?}", self.params)]
     }
-    let nested = |outer: &str, inner: &[&str]| -> Result<(), String> {
-        let Some((_, Value::Map(m))) = entries.iter().find(|(k, _)| k == outer) else {
-            return Err(format!("{outer:?} is not an object"));
-        };
-        for key in inner {
-            if !has(m, key) {
-                return Err(format!("missing key {outer}.{key}"));
-            }
-        }
-        Ok(())
-    };
-    nested("turnaround_mins", &["mean", "p50", "p95", "p99"])?;
-    nested("cache", &["hits", "misses", "hit_rate"])?;
-    nested("builds", &["started", "aborted", "needed", "wasted"])?;
-    Ok(())
+
+    /// The document is the run's only output; its audited twin is the
+    /// `lean` suite's baseline cell.
+    fn gate(&self) -> Vec<String> {
+        Vec::new()
+    }
+
+    fn doc(&self) -> String {
+        self.json.clone()
+    }
 }
 
 #[cfg(test)]
@@ -277,12 +272,15 @@ mod tests {
     }
 
     #[test]
-    fn validate_flags_malformed_documents() {
-        assert!(validate("not json").is_err());
-        assert!(validate("[1,2]").is_err());
-        assert!(validate("{}").unwrap_err().contains("schema"));
-        assert!(validate(r#"{"schema":"x"}"#)
-            .unwrap_err()
-            .contains("params"));
+    fn different_seeds_change_the_document() {
+        let tiny = |seed| E2eParams {
+            seed,
+            n_changes: 25,
+            rate: 150.0,
+            workers: 30,
+            fault_rate: 0.1,
+            history_changes: 400,
+        };
+        assert_ne!(run_e2e(&tiny(7)), run_e2e(&tiny(8)));
     }
 }

@@ -13,14 +13,12 @@
 use sq_core::batching::{simulate_batching, BatchingConfig};
 use sq_core::planner::{run_simulation, PlannerConfig};
 use sq_core::strategy::StrategyKind;
-use sq_ml::{BoostConfig, Dataset, GradientBoostedStumps, LogisticRegression, Scaler, TrainConfig};
-use sq_sim::Xoshiro256StarStar;
-use sq_workload::features::{success_features, SUCCESS_FEATURES};
+use sq_ml::{BoostConfig, GradientBoostedStumps, LogisticRegression, Scaler, TrainConfig};
 
-fn main() {
+pub(super) fn run() {
     let mut rows = Vec::new();
-    let w = sq_bench::workload_at_rate(300.0);
-    let predictor = sq_bench::trained_predictor();
+    let w = crate::workload_at_rate(300.0);
+    let predictor = crate::trained_predictor();
     let workers = 150;
 
     // ---- reordering & preemption guard --------------------------------
@@ -37,7 +35,7 @@ fn main() {
         ("epoch 30s (paper §6)", false, None, Some(30u64)),
         ("epoch 10min", false, None, Some(600)),
     ] {
-        let strategy = sq_bench::strategy_for(StrategyKind::SubmitQueue, &w, &predictor);
+        let strategy = crate::strategy_for(StrategyKind::SubmitQueue, &w, &predictor);
         let config = PlannerConfig {
             workers,
             reorder,
@@ -91,19 +89,8 @@ fn main() {
 
     // ---- gradient boosting vs logistic ----------------------------------
     println!("\n=== §10 'other ML techniques': gradient boosting vs logistic ===\n");
-    let history = sq_bench::training_history();
-    let mut rng = Xoshiro256StarStar::seed_from_u64(sq_bench::bench_seed() ^ 0xB005);
-    let mut data = Dataset::new(SUCCESS_FEATURES.iter().map(|s| s.to_string()).collect());
-    for c in &history.changes {
-        let dev = history.developer(c.developer);
-        let (ok, fail) = if c.intrinsic_success {
-            (rng.next_below(4) as u32 + 1, rng.next_below(2) as u32)
-        } else {
-            (rng.next_below(2) as u32, rng.next_below(4) as u32 + 1)
-        };
-        data.push(success_features(c, dev, ok, fail), c.intrinsic_success);
-    }
-    let split = data.split(0.7, &mut rng);
+    let history = crate::training_history();
+    let split = super::success_split(&history, 0xB005);
     let scaler = Scaler::fit(&split.train);
     let z_train = scaler.transform(&split.train);
     let z_test = scaler.transform(&split.test);
@@ -125,5 +112,5 @@ fn main() {
     rows.push(format!("ml,logistic,{logit_acc:.4},{logit_auc:.4},,"));
     rows.push(format!("ml,gbm,{gbm_acc:.4},{gbm_auc:.4},,"));
 
-    sq_bench::write_csv("ablation_s10.csv", "group,variant,a,b,c,d", &rows);
+    crate::write_csv("ablation_s10.csv", "group,variant,a,b,c,d", &rows);
 }

@@ -6,9 +6,9 @@
 use sq_workload::curves::real_conflict_probability;
 use sq_workload::WorkloadParams;
 
-fn main() {
-    let trials = if sq_bench::quick() { 300 } else { 1200 };
-    let seed = sq_bench::bench_seed();
+pub(super) fn run() {
+    let trials = if crate::quick() { 300 } else { 1200 };
+    let seed = crate::bench_seed();
     let platforms = [
         ("iOS", WorkloadParams::ios()),
         ("Android", WorkloadParams::android()),
@@ -24,6 +24,6 @@ fn main() {
         println!("{:>4} {:>10.3} {:>10.3}", n, cells[0], cells[1]);
         rows.push(format!("{n},{:.4},{:.4}", cells[0], cells[1]));
     }
-    sq_bench::write_csv("fig01.csv", "n_concurrent,ios,android", &rows);
+    crate::write_csv("fig01.csv", "n_concurrent,ios,android", &rows);
     println!("\npaper: ~0.05 at n=2, ~0.40 at n=16 (both platforms)");
 }

@@ -7,9 +7,9 @@
 use sq_workload::curves::breakage_vs_staleness;
 use sq_workload::WorkloadParams;
 
-fn main() {
-    let trials = if sq_bench::quick() { 400 } else { 1500 };
-    let seed = sq_bench::bench_seed();
+pub(super) fn run() {
+    let trials = if crate::quick() { 400 } else { 1500 };
+    let seed = crate::bench_seed();
     // Organic mainline commit rate while changes are in development
     // (production mainlines absorb on the order of ten commits/hour;
     // distinct from the Section 8 controlled replay rates).
@@ -30,6 +30,6 @@ fn main() {
         println!("{:>10.1} {:>10.3} {:>10.3}", h, cells[0], cells[1]);
         rows.push(format!("{h},{:.4},{:.4}", cells[0], cells[1]));
     }
-    sq_bench::write_csv("fig02.csv", "staleness_hours,ios,android", &rows);
+    crate::write_csv("fig02.csv", "staleness_hours,ios,android", &rows);
     println!("\npaper: ~0.1–0.2 at 1–10h staleness, rising with staleness");
 }

@@ -8,8 +8,8 @@ use sq_sim::{Cdf, Xoshiro256StarStar};
 use sq_workload::duration::DurationModel;
 use sq_workload::WorkloadParams;
 
-fn main() {
-    let n = if sq_bench::quick() { 20_000 } else { 100_000 };
+pub(super) fn run() {
+    let n = if crate::quick() { 20_000 } else { 100_000 };
     let platforms = [
         ("iOS", WorkloadParams::ios()),
         ("Android", WorkloadParams::android()),
@@ -17,7 +17,7 @@ fn main() {
     let mut cdfs = Vec::new();
     for (_, params) in &platforms {
         let model = DurationModel::new(params);
-        let mut rng = Xoshiro256StarStar::seed_from_u64(sq_bench::bench_seed());
+        let mut rng = Xoshiro256StarStar::seed_from_u64(crate::bench_seed());
         let samples: Vec<f64> = (0..n)
             .map(|_| model.sample(&mut rng).as_mins_f64())
             .collect();
@@ -32,7 +32,7 @@ fn main() {
         println!("{m:>10} {ios:>10.3} {android:>10.3}");
         rows.push(format!("{m},{ios:.4},{android:.4}"));
     }
-    sq_bench::write_csv("fig09.csv", "minutes,ios,android", &rows);
+    crate::write_csv("fig09.csv", "minutes,ios,android", &rows);
     println!(
         "\nmedians: iOS {:.1} min, Android {:.1} min (paper: ≈27/25 min, overlapping CDFs)",
         cdfs[0].quantile(0.5).unwrap(),

@@ -6,17 +6,17 @@
 use sq_core::strategy::{Strategy, StrategyKind};
 use sq_sim::Cdf;
 
-fn main() {
-    let rates = sq_bench::rates();
+pub(super) fn run() {
+    let rates = crate::rates();
     println!(
         "Figure 10 — CDF of Oracle turnaround time (minutes), {}h of arrivals, 2000 workers",
-        sq_bench::bench_hours()
+        crate::bench_hours()
     );
     let mut cdfs: Vec<(f64, Cdf)> = Vec::new();
     for &rate in &rates {
-        let w = sq_bench::workload_at_rate(rate);
+        let w = crate::workload_at_rate(rate);
         let strategy = Strategy::build(StrategyKind::Oracle, &w, None);
-        let result = sq_bench::run_cell(&w, &strategy, 2000, true);
+        let result = crate::run_cell(&w, &strategy, 2000, true);
         cdfs.push((rate, Cdf::from_samples(&result.turnarounds_mins())));
     }
     print!("{:>10}", "minutes");
@@ -40,6 +40,6 @@ fn main() {
         .chain(cdfs.iter().map(|(r, _)| format!("rate{r:.0}")))
         .collect::<Vec<_>>()
         .join(",");
-    sq_bench::write_csv("fig10.csv", &header, &rows);
+    crate::write_csv("fig10.csv", &header, &rows);
     println!("\npaper: higher rates shift the CDF right (more serialization waits)");
 }

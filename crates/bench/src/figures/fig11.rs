@@ -9,10 +9,10 @@
 use sq_core::strategy::StrategyKind;
 use std::collections::HashMap;
 
-fn main() {
-    let rates = sq_bench::rates();
-    let workers = sq_bench::worker_counts();
-    let predictor = sq_bench::trained_predictor();
+pub(super) fn run() {
+    let rates = crate::rates();
+    let workers = crate::worker_counts();
+    let predictor = crate::trained_predictor();
     let kinds = [
         StrategyKind::SubmitQueue,
         StrategyKind::SpeculateAll,
@@ -23,28 +23,38 @@ fn main() {
     let mut raw: HashMap<(&str, u64, usize), (f64, f64, f64)> = HashMap::new();
     let mut oracle: HashMap<(u64, usize), (f64, f64, f64)> = HashMap::new();
     for &rate in &rates {
-        let w = sq_bench::workload_at_rate(rate);
+        let w = crate::workload_at_rate(rate);
         for &nw in &workers {
-            let o = sq_bench::run_cell(
+            let o = crate::run_cell(
                 &w,
-                &sq_bench::strategy_for(StrategyKind::Oracle, &w, &predictor),
+                &crate::strategy_for(StrategyKind::Oracle, &w, &predictor),
                 nw,
                 true,
             );
             oracle.insert((rate as u64, nw), o.turnaround_p50_p95_p99());
             for kind in kinds {
-                let r =
-                    sq_bench::run_cell(&w, &sq_bench::strategy_for(kind, &w, &predictor), nw, true);
+                let r = crate::run_cell(&w, &crate::strategy_for(kind, &w, &predictor), nw, true);
                 raw.insert((kind.name(), rate as u64, nw), r.turnaround_p50_p95_p99());
                 eprintln!("[fig11] {} rate={rate} workers={nw} done", kind.name());
             }
         }
     }
 
+    // (normalized, minutes, Oracle minutes) of one percentile of one cell.
+    let cell = |kind: StrategyKind, pi: usize, rate: f64, nw: usize| {
+        let o = oracle[&(rate as u64, nw)];
+        let v = raw[&(kind.name(), rate as u64, nw)];
+        let (ov, vv) = match pi {
+            0 => (o.0, v.0),
+            1 => (o.1, v.1),
+            _ => (o.2, v.2),
+        };
+        (if ov > 0.0 { vv / ov } else { 0.0 }, vv, ov)
+    };
     let mut rows = Vec::new();
     for kind in kinds {
         for (pi, pname) in [(0usize, "P50"), (1, "P95"), (2, "P99")] {
-            sq_bench::print_matrix(
+            crate::print_matrix(
                 &format!(
                     "{} {} turnaround (normalized vs Oracle)",
                     kind.name(),
@@ -52,31 +62,11 @@ fn main() {
                 ),
                 &rates,
                 &workers,
-                |rate, nw| {
-                    let o = oracle[&(rate as u64, nw)];
-                    let v = raw[&(kind.name(), rate as u64, nw)];
-                    let (ov, vv) = match pi {
-                        0 => (o.0, v.0),
-                        1 => (o.1, v.1),
-                        _ => (o.2, v.2),
-                    };
-                    if ov > 0.0 {
-                        vv / ov
-                    } else {
-                        0.0
-                    }
-                },
+                |rate, nw| cell(kind, pi, rate, nw).0,
             );
             for &rate in &rates {
                 for &nw in &workers {
-                    let o = oracle[&(rate as u64, nw)];
-                    let v = raw[&(kind.name(), rate as u64, nw)];
-                    let (ov, vv) = match pi {
-                        0 => (o.0, v.0),
-                        1 => (o.1, v.1),
-                        _ => (o.2, v.2),
-                    };
-                    let norm = if ov > 0.0 { vv / ov } else { 0.0 };
+                    let (norm, vv, ov) = cell(kind, pi, rate, nw);
                     rows.push(format!(
                         "{},{},{},{},{:.3},{:.2},{:.2}",
                         kind.name(),
@@ -91,7 +81,7 @@ fn main() {
             }
         }
     }
-    sq_bench::write_csv(
+    crate::write_csv(
         "fig11.csv",
         "strategy,percentile,changes_per_hour,workers,normalized,minutes,oracle_minutes",
         &rows,

@@ -7,14 +7,11 @@
 
 use sq_core::strategy::StrategyKind;
 
-fn main() {
-    let rates: Vec<f64> = sq_bench::rates()
-        .into_iter()
-        .filter(|&r| r >= 300.0)
-        .collect();
+pub(super) fn run() {
+    let rates: Vec<f64> = crate::rates().into_iter().filter(|&r| r >= 300.0).collect();
     let rates = if rates.is_empty() { vec![300.0] } else { rates };
-    let workers = sq_bench::worker_counts();
-    let predictor = sq_bench::trained_predictor();
+    let workers = crate::worker_counts();
+    let predictor = crate::trained_predictor();
     let kinds = [
         StrategyKind::SubmitQueue,
         StrategyKind::SpeculateAll,
@@ -23,7 +20,7 @@ fn main() {
     ];
     let mut rows = Vec::new();
     for &rate in &rates {
-        let w = sq_bench::workload_at_rate(rate);
+        let w = crate::workload_at_rate(rate);
         println!("\n=== Figure 12 — normalized avg throughput @ {rate:.0} changes/hour ===");
         print!("{:>14} |", "strategy");
         for &nw in &workers {
@@ -33,9 +30,9 @@ fn main() {
         println!("{}", "-".repeat(16 + 9 * workers.len()));
         let mut oracle_tp = Vec::new();
         for &nw in &workers {
-            let o = sq_bench::run_cell(
+            let o = crate::run_cell(
                 &w,
-                &sq_bench::strategy_for(StrategyKind::Oracle, &w, &predictor),
+                &crate::strategy_for(StrategyKind::Oracle, &w, &predictor),
                 nw,
                 true,
             );
@@ -44,8 +41,7 @@ fn main() {
         for kind in kinds {
             print!("{:>14} |", kind.name());
             for (i, &nw) in workers.iter().enumerate() {
-                let r =
-                    sq_bench::run_cell(&w, &sq_bench::strategy_for(kind, &w, &predictor), nw, true);
+                let r = crate::run_cell(&w, &crate::strategy_for(kind, &w, &predictor), nw, true);
                 let norm = if oracle_tp[i] > 0.0 {
                     r.sustained_throughput_per_hour() / oracle_tp[i]
                 } else {
@@ -63,7 +59,7 @@ fn main() {
             eprintln!("[fig12] {} rate={rate} done", kind.name());
         }
     }
-    sq_bench::write_csv(
+    crate::write_csv(
         "fig12.csv",
         "strategy,changes_per_hour,workers,normalized,throughput_per_hour,oracle_throughput",
         &rows,

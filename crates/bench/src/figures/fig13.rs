@@ -8,14 +8,11 @@
 
 use sq_core::strategy::StrategyKind;
 
-fn main() {
-    let rates: Vec<f64> = sq_bench::rates()
-        .into_iter()
-        .filter(|&r| r >= 300.0)
-        .collect();
+pub(super) fn run() {
+    let rates: Vec<f64> = crate::rates().into_iter().filter(|&r| r >= 300.0).collect();
     let rates = if rates.is_empty() { vec![300.0] } else { rates };
-    let workers = sq_bench::worker_counts();
-    let predictor = sq_bench::trained_predictor();
+    let workers = crate::worker_counts();
+    let predictor = crate::trained_predictor();
     let kinds = [
         StrategyKind::SubmitQueue,
         StrategyKind::Oracle,
@@ -25,7 +22,7 @@ fn main() {
     ];
     let mut rows = Vec::new();
     for &rate in &rates {
-        let w = sq_bench::workload_at_rate(rate);
+        let w = crate::workload_at_rate(rate);
         println!(
             "\n=== Figure 13 — P95 turnaround improvement with conflict analyzer @ {rate:.0}/h ==="
         );
@@ -38,9 +35,9 @@ fn main() {
         for kind in kinds {
             print!("{:>14} |", kind.name());
             for &nw in &workers {
-                let strategy = sq_bench::strategy_for(kind, &w, &predictor);
-                let with = sq_bench::run_cell(&w, &strategy, nw, true);
-                let without = sq_bench::run_cell(&w, &strategy, nw, false);
+                let strategy = crate::strategy_for(kind, &w, &predictor);
+                let with = crate::run_cell(&w, &strategy, nw, true);
+                let without = crate::run_cell(&w, &strategy, nw, false);
                 let (_, p95_with, _) = with.turnaround_p50_p95_p99();
                 let (_, p95_without, _) = without.turnaround_p50_p95_p99();
                 let improvement = if p95_without > 0.0 {
@@ -58,7 +55,7 @@ fn main() {
             eprintln!("[fig13] {} rate={rate} done", kind.name());
         }
     }
-    sq_bench::write_csv(
+    crate::write_csv(
         "fig13.csv",
         "strategy,changes_per_hour,workers,p95_improvement,p95_with,p95_without",
         &rows,

@@ -7,11 +7,11 @@
 use sq_core::trunk::{simulate_trunk, TrunkConfig};
 use sq_workload::{WorkloadBuilder, WorkloadParams};
 
-fn main() {
-    let hours = if sq_bench::quick() { 48.0 } else { 168.0 };
+pub(super) fn run() {
+    let hours = if crate::quick() { 48.0 } else { 168.0 };
     // Organic mainline rate (production commits, not replay rates).
     let w = WorkloadBuilder::new(WorkloadParams::ios().with_rate(12.0))
-        .seed(sq_bench::bench_seed())
+        .seed(crate::bench_seed())
         .duration_hours(hours)
         .build()
         .expect("valid params");
@@ -25,7 +25,7 @@ fn main() {
         }
         rows.push(format!("{h},{pct:.2}"));
     }
-    sq_bench::write_csv("fig14.csv", "hour,green_pct", &rows);
+    crate::write_csv("fig14.csv", "hour,green_pct", &rows);
     println!(
         "\noverall green fraction: {:.1}% across {} breakages (paper: 52%)",
         r.green_fraction * 100.0,

@@ -8,46 +8,21 @@
 //! attempts, backoff charged, and the turnaround/makespan inflation
 //! relative to the fault-free baseline.
 
-use sq_core::audit::{audit_green, audit_rejections_justified, recovery_report};
+use sq_core::audit::{
+    audit_green, audit_rejections_justified, count_wrongful_rejections, recovery_report,
+};
 use sq_core::planner::{run_simulation, PlannerConfig, SimFaults};
 use sq_core::strategy::StrategyKind;
 use sq_sim::Cdf;
-use sq_workload::Workload;
 
 const FLAKE_RATES: [f64; 5] = [0.0, 0.05, 0.1, 0.2, 0.4];
 
-/// Rejections the ground truth cannot justify: the change passes alone
-/// and conflicts with nothing that landed while it was in flight.
-fn count_wrongly_rejected(workload: &Workload, result: &sq_core::planner::SimResult) -> usize {
-    let truth = workload.truth();
-    let committed: std::collections::HashSet<_> = result.commit_log.iter().copied().collect();
-    let resolved_at: std::collections::HashMap<_, _> =
-        result.records.iter().map(|r| (r.id, r.resolved)).collect();
-    result
-        .records
-        .iter()
-        .filter(|rec| !committed.contains(&rec.id))
-        .filter(|rec| {
-            let c = &workload.changes[rec.id.0 as usize];
-            truth.succeeds_alone(c)
-                && !result.commit_log.iter().any(|&d_id| {
-                    let d = &workload.changes[d_id.0 as usize];
-                    let d_committed = resolved_at
-                        .get(&d_id)
-                        .copied()
-                        .unwrap_or(sq_sim::SimTime::ZERO);
-                    c.submit_time < d_committed && truth.real_conflict(c, d)
-                })
-        })
-        .count()
-}
-
-fn main() {
+pub(super) fn run() {
     let rate = 300.0;
     let workers = 128;
-    let workload = sq_bench::workload_at_rate(rate);
-    let predictor = sq_bench::trained_predictor();
-    let strategy = sq_bench::strategy_for(StrategyKind::SubmitQueue, &workload, &predictor);
+    let workload = crate::workload_at_rate(rate);
+    let predictor = crate::trained_predictor();
+    let strategy = crate::strategy_for(StrategyKind::SubmitQueue, &workload, &predictor);
 
     println!(
         "Flake sweep — SubmitQueue, {rate:.0} changes/hour, {workers} workers, \
@@ -64,8 +39,7 @@ fn main() {
     for &flake in &FLAKE_RATES {
         let config = PlannerConfig {
             workers,
-            faults: (flake > 0.0)
-                .then(|| SimFaults::at_rate(flake, sq_bench::bench_seed() ^ 0xF1A4E)),
+            faults: (flake > 0.0).then(|| SimFaults::at_rate(flake, crate::bench_seed() ^ 0xF1A4E)),
             ..PlannerConfig::default()
         };
         let result = run_simulation(&workload, &strategy, &config);
@@ -74,7 +48,7 @@ fn main() {
         // by content or real conflict — never by an injected fault.
         audit_green(&workload, &result).expect("mainline stays green under faults");
         audit_rejections_justified(&workload, &result).expect("no infra-caused rejections");
-        let wrong = count_wrongly_rejected(&workload, &result);
+        let wrong = count_wrongful_rejections(&workload, &result);
         assert_eq!(wrong, 0, "flake rate {flake}: wrongly rejected changes");
 
         let cdf = Cdf::from_samples(&result.turnarounds_mins());
@@ -99,7 +73,7 @@ fn main() {
             result.quarantined.len(),
         ));
     }
-    sq_bench::write_csv(
+    crate::write_csv(
         "flake_sweep.csv",
         "flake_rate,wrongly_rejected,infra_retries,backoff_mins,p50_turnaround_mins,\
          p95_turnaround_mins,makespan_hours,quarantined",

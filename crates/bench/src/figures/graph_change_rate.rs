@@ -10,8 +10,8 @@ use sq_build::affected::SnapshotAnalysis;
 use sq_workload::repo_model::MaterializedRepo;
 use sq_workload::{WorkloadBuilder, WorkloadParams};
 
-fn main() {
-    let n = if sq_bench::quick() { 5_000 } else { 20_000 };
+pub(super) fn run() {
+    let n = if crate::quick() { 5_000 } else { 20_000 };
     println!("Section 5.2 — fraction of changes altering the build graph\n");
     println!("{:>10} {:>12} {:>10}", "platform", "generated", "paper");
     let mut rows = Vec::new();
@@ -21,7 +21,7 @@ fn main() {
         ("Backend", WorkloadParams::backend(), 0.016),
     ] {
         let w = WorkloadBuilder::new(params)
-            .seed(sq_bench::bench_seed())
+            .seed(crate::bench_seed())
             .n_changes(n)
             .build()
             .expect("valid params");
@@ -35,8 +35,8 @@ fn main() {
     params.n_parts = 24;
     let m = MaterializedRepo::generate(&params).expect("repo generates");
     let w = WorkloadBuilder::new(params)
-        .seed(sq_bench::bench_seed() ^ 1)
-        .n_changes(if sq_bench::quick() { 150 } else { 400 })
+        .seed(crate::bench_seed() ^ 1)
+        .n_changes(if crate::quick() { 150 } else { 400 })
         .build()
         .expect("valid params");
     let mut repo = m.repo.clone();
@@ -58,5 +58,5 @@ fn main() {
         w.changes.len()
     );
     rows.push(format!("materialized_ios,{measured:.4},0.079"));
-    sq_bench::write_csv("graph_change_rate.csv", "platform,measured,paper", &rows);
+    crate::write_csv("graph_change_rate.csv", "platform,measured,paper", &rows);
 }

@@ -5,18 +5,17 @@
 //! resubmission count negative), and the RFE feature reduction.
 
 use sq_core::predict::LearnedPredictor;
-use sq_ml::{recursive_feature_elimination, Dataset, Scaler, TrainConfig};
-use sq_sim::Xoshiro256StarStar;
-use sq_workload::features::{success_features, SUCCESS_FEATURES};
+use sq_ml::{recursive_feature_elimination, Scaler, TrainConfig};
+use sq_workload::features::SUCCESS_FEATURES;
 
-fn main() {
-    let history = sq_bench::training_history();
+pub(super) fn run() {
+    let history = crate::training_history();
     println!(
         "Section 7.2 model evaluation — {} historical changes, 70/30 split",
         history.changes.len()
     );
 
-    let (_, report) = LearnedPredictor::train(&history, sq_bench::bench_seed());
+    let (_, report) = LearnedPredictor::train(&history, crate::bench_seed());
     println!(
         "\nsuccess model:  accuracy {:.1}%   AUC {:.3}   (paper: 97%)",
         report.success_accuracy * 100.0,
@@ -32,18 +31,7 @@ fn main() {
     }
 
     // RFE over the success features (paper: reduce to the bare minimum).
-    let mut rng = Xoshiro256StarStar::seed_from_u64(sq_bench::bench_seed() ^ 0xFE);
-    let mut data = Dataset::new(SUCCESS_FEATURES.iter().map(|s| s.to_string()).collect());
-    for c in &history.changes {
-        let dev = history.developer(c.developer);
-        let (ok, fail) = if c.intrinsic_success {
-            (rng.next_below(4) as u32 + 1, rng.next_below(2) as u32)
-        } else {
-            (rng.next_below(2) as u32, rng.next_below(4) as u32 + 1)
-        };
-        data.push(success_features(c, dev, ok, fail), c.intrinsic_success);
-    }
-    let split = data.split(0.7, &mut rng);
+    let split = super::success_split(&history, 0xFE);
     let rfe =
         recursive_feature_elimination(&split.train, &split.test, 5, 2, &TrainConfig::default());
     println!(
@@ -74,5 +62,5 @@ fn main() {
         ),
         format!("top_feature,{}", report.success_feature_ranking[0]),
     ];
-    sq_bench::write_csv("model_eval.csv", "metric,value", &rows);
+    crate::write_csv("model_eval.csv", "metric,value", &rows);
 }

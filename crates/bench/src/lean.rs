@@ -1,9 +1,9 @@
-//! The lean-speculation ablation matrix behind `bench_lean`.
+//! The lean-speculation ablation matrix: the `lean` suite.
 //!
 //! One seeded workload replayed through five [`LeanConfig`] cells —
 //! baseline (decision-identical to plain SubmitQueue), each lean
 //! optimization alone, and all three together — under the same planner
-//! configuration as `bench_e2e`, so the baseline cell reproduces the
+//! configuration as the `e2e` suite, so the baseline cell reproduces the
 //! committed `BENCH_e2e.json` build counts. Every cell is audited:
 //! always-green must hold and wrongful rejections must be zero (a wrong
 //! skip or bypass may only cost latency, never a rejection). Like the
@@ -11,6 +11,7 @@
 //! [`LeanBenchParams`] — simulated time only, sorted metric keys,
 //! shortest-round-trip floats — so same-seed reruns are byte-identical.
 
+use crate::suite::{no_flags, pick, Report, Suite};
 use sq_core::audit::{audit_green, count_wrongful_rejections};
 use sq_core::planner::{run_simulation_observed, PlannerConfig, SimFaults, SimResult};
 use sq_core::predict::LearnedPredictor;
@@ -140,7 +141,7 @@ pub fn run_matrix(params: &LeanBenchParams) -> LeanMatrix {
         .n_changes(params.history_changes)
         .build()
         .expect("valid history params");
-    // Same training seed as bench_e2e, so the baseline cell's planner
+    // Same training seed as the e2e suite, so the baseline cell's planner
     // decisions match the committed BENCH_e2e.json run bit for bit.
     let (predictor, _) = LearnedPredictor::train(&history, params.seed);
     let skip_threshold = predictor.calibrate_skip_threshold(&history, SKIP_MISS_BUDGET);
@@ -182,13 +183,20 @@ fn run_cell(
     }
 }
 
-/// Gate a finished matrix. Every cell must be always-green with zero
+/// Gate a finished matrix. The cells must be the ablation rows in
+/// order; every cell must resolve every change, need the same gating
+/// builds as the baseline, and be always-green with zero
 /// wrongful rejections and a non-empty commit log; the all-on cell must
 /// not start more wasted builds than the baseline, and must sustain at
 /// least the baseline throughput (the headline claim: waste drops, the
 /// queue does not slow down). Returns every violation found.
 pub fn violations(matrix: &LeanMatrix) -> Vec<String> {
     let mut problems = Vec::new();
+    // `baseline()` and `all_on()` below read the first and last cell.
+    let expected = ablation_cells(matrix.skip_threshold);
+    if !(matrix.cells.iter().map(|c| c.label.as_str())).eq(expected.iter().map(|c| c.label())) {
+        problems.push("cells are not the ablation rows in order".to_string());
+    }
     for cell in &matrix.cells {
         if let Err(e) = &cell.green {
             problems.push(format!("{}: always-green violated: {e}", cell.label));
@@ -201,6 +209,23 @@ pub fn violations(matrix: &LeanMatrix) -> Vec<String> {
         }
         if cell.result.committed() == 0 {
             problems.push(format!("{}: nothing committed", cell.label));
+        }
+        if cell.result.records.len() != matrix.params.n_changes {
+            problems.push(format!(
+                "{}: {} of {} changes resolved",
+                cell.label,
+                cell.result.records.len(),
+                matrix.params.n_changes
+            ));
+        }
+        // A wrong skip may delay, never inflate the gating-build count.
+        if cell.needed != matrix.baseline().needed {
+            problems.push(format!(
+                "{}: {} gating builds needed, baseline needed {}",
+                cell.label,
+                cell.needed,
+                matrix.baseline().needed
+            ));
         }
         let report = cell.lean_report();
         if report.skip_hits + report.skip_misses != report.skipped {
@@ -319,121 +344,52 @@ pub fn matrix_json(matrix: &LeanMatrix) -> String {
     w.finish()
 }
 
-/// The expected cell labels, in document order.
-fn expected_labels(threshold: f64) -> Vec<String> {
-    ablation_cells(threshold)
-        .iter()
-        .map(|c| c.label())
-        .collect()
-}
+/// The `lean` row of the suite table.
+pub const SUITE: Suite = Suite {
+    name: "lean",
+    schema: "sq-bench-lean/v1",
+    deterministic: true,
+    keys: &[
+        ": params cells summary",
+        "cells: cell strategy flags green wrongful_rejections commits turnaround_mins builds lean",
+        "cells.builds: started aborted needed wasted",
+    ],
+    run: |smoke, flags| {
+        no_flags(flags)?;
+        let params = pick(smoke, LeanBenchParams::smoke, LeanBenchParams::standard);
+        Ok(Box::new(run_matrix(&params)))
+    },
+};
 
-/// Validate an ablation document: schema, every ablation cell present
-/// in order, each carrying the audited fields and build counts, plus
-/// the summary object. Returns the first problem found.
-pub fn validate(json: &str) -> Result<(), String> {
-    use serde::__private::Value;
-    let value: Value = serde_json::from_str(json).map_err(|e| format!("not valid JSON: {e}"))?;
-    let Value::Map(top) = value else {
-        return Err("top level is not an object".to_string());
-    };
-    let get = |m: &[(String, Value)], key: &str| -> Option<Value> {
-        m.iter().find(|(k, _)| k == key).map(|(_, v)| v.clone())
-    };
-    match get(&top, "schema") {
-        Some(Value::Str(s)) if s == "sq-bench-lean/v1" => {}
-        other => return Err(format!("bad schema field: {other:?}")),
-    }
-    let Some(Value::Seq(cells)) = get(&top, "cells") else {
-        return Err("cells is not an array".to_string());
-    };
-    let expected = expected_labels(0.0);
-    if cells.len() != expected.len() {
-        return Err(format!(
-            "expected {} cells, found {}",
-            expected.len(),
-            cells.len()
-        ));
-    }
-    for (value, expected_label) in cells.iter().zip(&expected) {
-        let Value::Map(c) = value else {
-            return Err("cell entry is not an object".to_string());
-        };
-        match get(c, "cell") {
-            Some(Value::Str(label)) if &label == expected_label => {}
-            other => return Err(format!("expected cell {expected_label:?}, got {other:?}")),
-        }
-        for key in [
-            "strategy",
-            "flags",
-            "green",
-            "wrongful_rejections",
-            "commits",
-            "turnaround_mins",
-            "builds",
-            "lean",
-        ] {
-            if get(c, key).is_none() {
-                return Err(format!("{expected_label}: cell missing {key:?}"));
-            }
-        }
-        let Some(Value::Map(builds)) = get(c, "builds") else {
-            return Err(format!("{expected_label}: builds is not an object"));
-        };
-        for key in ["started", "aborted", "needed", "wasted"] {
-            if get(&builds, key).is_none() {
-                return Err(format!("{expected_label}: builds missing {key:?}"));
-            }
-        }
-    }
-    if get(&top, "summary").is_none() {
-        return Err("missing summary".to_string());
-    }
-    Ok(())
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn tiny() -> LeanBenchParams {
-        LeanBenchParams {
-            seed: 0x5EED,
-            n_changes: 40,
-            rate: 200.0,
-            workers: 30,
-            fault_rate: 0.05,
-            history_changes: 400,
-        }
+impl Report for LeanMatrix {
+    fn summary(&self) -> Vec<String> {
+        let mut lines = vec![
+            format!("{:?}", self.params),
+            format!("calibrated skip threshold: {}", self.skip_threshold),
+        ];
+        lines.extend(self.cells.iter().map(|cell| {
+            let report = cell.lean_report();
+            format!(
+                "  {:22} started={:4} wasted={:4} sustained={:8.3}/h \
+                 skipped={:3} (hits={} misses={}) bypassed={:3}",
+                cell.label,
+                cell.result.builds_started,
+                cell.wasted(),
+                cell.result.sustained_throughput_per_hour(),
+                report.skipped,
+                report.skip_hits,
+                report.skip_misses,
+                report.bypassed,
+            )
+        }));
+        lines
     }
 
-    #[test]
-    fn tiny_matrix_is_audited_valid_and_byte_identical() {
-        let params = tiny();
-        let matrix = run_matrix(&params);
-        assert_eq!(matrix.cells.len(), 5);
-        assert_eq!(matrix.cells[0].label, "baseline");
-        assert_eq!(matrix.cells[4].label, "skip+prioritize+bypass");
-        for cell in &matrix.cells {
-            assert!(cell.green.is_ok(), "{}: {:?}", cell.label, cell.green);
-            assert_eq!(cell.wrongful, 0, "{} wrongfully rejected", cell.label);
-            assert_eq!(cell.result.records.len(), 40, "{}", cell.label);
-        }
-        // A wrong skip may delay, never inflate the gating-build count:
-        // every cell needs the same number of gating builds.
-        let needed: Vec<u64> = matrix.cells.iter().map(|c| c.needed).collect();
-        assert!(needed.iter().all(|&n| n == needed[0]), "{needed:?}");
-        let doc = matrix_json(&matrix);
-        validate(&doc).unwrap();
-        // A same-seed rerun reproduces the document byte for byte.
-        let doc2 = matrix_json(&run_matrix(&params));
-        assert_eq!(doc, doc2);
+    fn gate(&self) -> Vec<String> {
+        violations(self)
     }
 
-    #[test]
-    fn validate_rejects_malformed_documents() {
-        assert!(validate("not json").is_err());
-        assert!(validate("{}").is_err());
-        assert!(validate(r#"{"schema":"wrong","cells":[]}"#).is_err());
-        assert!(validate(r#"{"schema":"sq-bench-lean/v1","cells":[]}"#).is_err());
+    fn doc(&self) -> String {
+        matrix_json(self)
     }
 }

@@ -1,9 +1,22 @@
-//! # sq-bench — figure regeneration harness
+//! # sq-bench — the benchmark and figure-regeneration harness
 //!
-//! One binary per figure of the paper's evaluation (Section 8) plus the
-//! Section 2 motivation curves and the Section 7.2 model report:
+//! One binary. `sq-bench <suite>...|all [--smoke|--write]` runs rows of
+//! the suite table ([`suite::SUITES`]) under one protocol (see
+//! [`suite`]); `sq-bench fig <figure>...|all` runs rows of the figure
+//! table ([`figures::FIGURES`]).
 //!
-//! | binary              | paper figure/claim                                  |
+//! | suite         | document (repo root)     | what it measures                          |
+//! |---------------|--------------------------|-------------------------------------------|
+//! | `e2e`         | `BENCH_e2e.json`         | one seeded run of the whole planner stack |
+//! | `lean`        | `BENCH_lean.json`        | lean-speculation ablation matrix          |
+//! | `shard`       | `BENCH_shard.json`       | sharded vs single-queue planner           |
+//! | `scenarios`   | `BENCH_scenarios.json`   | adversarial scenario × strategy matrix    |
+//! | `replication` | `BENCH_replication.json` | WAL shipping + fenced failover            |
+//! | `server`      | `BENCH_server.json`      | live-socket serving layer (`--uds`, `--rate <r>`) |
+//! | `conflict`    | `BENCH_conflict.json`    | §5.2 index: serial vs indexed vs parallel (wall clock, not compared) |
+//! | `recovery`    | none                     | journal + snapshot replay (wall clock)    |
+//!
+//! | figure              | paper figure/claim                                  |
 //! |---------------------|-----------------------------------------------------|
 //! | `fig01`             | P(real conflict) vs concurrent conflicting changes  |
 //! | `fig02`             | P(breakage) vs change staleness                     |
@@ -16,15 +29,10 @@
 //! | `fig14`             | mainline green rate before SubmitQueue              |
 //! | `model_eval`        | §7.2: accuracy, top features, RFE                   |
 //! | `graph_change_rate` | §5.2: fraction of changes altering the build graph  |
-//! | `bench_e2e`         | machine-readable end-to-end JSON (`BENCH_e2e.json`) |
-//! | `bench_conflict`    | §5.2 conflict index: serial vs indexed vs parallel  |
-//! | `bench_scenarios`   | adversarial scenario matrix (`BENCH_scenarios.json`)|
-//! | `bench_replication` | WAL shipping + failover (`BENCH_replication.json`)  |
-//! | `bench_server`      | live-socket serving layer (`BENCH_server.json`)     |
-//! | `bench_shard`       | sharded vs single-queue planner (`BENCH_shard.json`)|
-//! | `bench_lean`        | lean-speculation ablation matrix (`BENCH_lean.json`)|
+//! | `ablation_s10`      | §10 extensions: reorder, guard, batching, boosting  |
+//! | `flake_sweep`       | infra-flake rate vs latency, zero wrongful rejects  |
 //!
-//! Every binary prints the series to stdout and writes a CSV to
+//! Every figure prints its series to stdout and writes a CSV to
 //! `target/figures/`. Environment knobs: `SQ_BENCH_HOURS` (simulated
 //! arrival hours per cell, default 3), `SQ_BENCH_SEED`, `SQ_BENCH_QUICK=1`
 //! (shrink grids for smoke runs), `SQ_BENCH_RATES`/`SQ_BENCH_WORKERS`
@@ -36,11 +44,14 @@
 
 pub mod conflict;
 pub mod e2e;
+pub mod figures;
 pub mod lean;
+pub mod recovery;
 pub mod replication;
 pub mod scenarios;
 pub mod server;
 pub mod shard;
+pub mod suite;
 
 use sq_core::planner::{run_simulation, PlannerConfig, SimResult};
 use sq_core::predict::LearnedPredictor;
@@ -75,56 +86,50 @@ pub fn quick() -> bool {
     std::env::var("SQ_BENCH_QUICK").is_ok_and(|v| v == "1")
 }
 
+/// A comma-separated axis override from the environment: the positive
+/// values that parse, if there are any.
+fn axis_override<T: std::str::FromStr + PartialOrd + Default>(var: &str) -> Option<Vec<T>> {
+    let raw = std::env::var(var).ok()?;
+    let parsed = raw.split(',').filter_map(|s| s.trim().parse().ok());
+    let positive: Vec<T> = parsed.filter(|v| *v > T::default()).collect();
+    (!positive.is_empty()).then_some(positive)
+}
+
 /// The rate axis of the paper's grids (changes/hour). Override with a
 /// comma-separated `SQ_BENCH_RATES` (e.g. `SQ_BENCH_RATES=300` to run a
 /// single paper panel).
 pub fn rates() -> Vec<f64> {
-    if let Ok(raw) = std::env::var("SQ_BENCH_RATES") {
-        let parsed: Vec<f64> = raw
-            .split(',')
-            .filter_map(|s| s.trim().parse().ok())
-            .filter(|&r| r > 0.0)
-            .collect();
-        if !parsed.is_empty() {
-            return parsed;
-        }
-    }
-    if quick() {
-        vec![100.0, 300.0]
-    } else {
-        vec![100.0, 200.0, 300.0, 400.0, 500.0]
-    }
+    axis_override("SQ_BENCH_RATES").unwrap_or_else(|| match quick() {
+        true => vec![100.0, 300.0],
+        false => vec![100.0, 200.0, 300.0, 400.0, 500.0],
+    })
 }
 
 /// The worker axis of the paper's grids. Override with a comma-separated
 /// `SQ_BENCH_WORKERS`.
 pub fn worker_counts() -> Vec<usize> {
-    if let Ok(raw) = std::env::var("SQ_BENCH_WORKERS") {
-        let parsed: Vec<usize> = raw
-            .split(',')
-            .filter_map(|s| s.trim().parse().ok())
-            .filter(|&w| w > 0)
-            .collect();
-        if !parsed.is_empty() {
-            return parsed;
-        }
-    }
-    if quick() {
-        vec![100, 300]
-    } else {
-        vec![100, 200, 300, 400, 500]
-    }
+    axis_override("SQ_BENCH_WORKERS").unwrap_or_else(|| match quick() {
+        true => vec![100, 300],
+        false => vec![100, 200, 300, 400, 500],
+    })
 }
 
-/// Where figure CSVs land.
+/// The repository root: `crates/bench/` is two levels below it.
+pub fn repo_root() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .parent()
+        .and_then(|p| p.parent())
+        .expect("bench crate lives two levels below the repo root")
+        .to_path_buf()
+}
+
+/// Where figure CSVs and fresh benchmark documents land: `figures/`
+/// under the target directory, resolved against the repository root.
 pub fn figures_dir() -> PathBuf {
-    let dir = PathBuf::from(env_target_dir()).join("figures");
+    let target = std::env::var("CARGO_TARGET_DIR").unwrap_or_else(|_| "target".to_string());
+    let dir = repo_root().join(target).join("figures");
     fs::create_dir_all(&dir).expect("create figures dir");
     dir
-}
-
-fn env_target_dir() -> String {
-    std::env::var("CARGO_TARGET_DIR").unwrap_or_else(|_| "target".to_string())
 }
 
 /// Write a CSV (plus announce the path on stdout).
@@ -186,6 +191,12 @@ pub fn strategy_for(
             None => Strategy::build(kind, workload, None),
         },
     }
+}
+
+/// The build action of the suites that measure the queue, not builds:
+/// every step succeeds.
+pub(crate) fn always_pass() -> Box<sq_core::service::StepAction> {
+    Box::new(|_step, _tree| sq_exec::StepOutcome::Success)
 }
 
 /// Run one grid cell.

@@ -1,4 +1,4 @@
-//! The WAL-shipping replication benchmark behind `bench_replication`.
+//! The WAL-shipping replication benchmark: the `replication` suite.
 //!
 //! Two measurements over the same seeded workload:
 //!
@@ -14,14 +14,14 @@
 //!   ([`best_promotion_candidate`] + [`promote_from_follower`]), rejoins
 //!   the deposed medium, and finishes the workload. The cell records
 //!   the promotion report and whether the final exported state is
-//!   byte-identical to an uncrashed twin — the zero-loss gate that
-//!   `--smoke` enforces in CI.
+//!   byte-identical to an uncrashed twin — the zero-loss gate, enforced
+//!   in every mode.
 
+use crate::suite::{no_flags, pick, Report, Suite};
 use sq_core::durable::DurableSubmitQueue;
 use sq_core::failover::{best_promotion_candidate, open_leader, promote_from_follower};
-use sq_core::service::{StepAction, TicketId};
+use sq_core::service::TicketId;
 use sq_core::RecoveryConfig;
-use sq_exec::StepOutcome;
 use sq_obs::JsonWriter;
 use sq_store::{
     AckMode, CrashKind, CrashPlan, DurableStoreConfig, Leader, MemStorage, ReplicationConfig,
@@ -53,7 +53,7 @@ pub struct ReplicationParams {
 }
 
 impl ReplicationParams {
-    /// The recorded configuration (what `bench_replication` runs by
+    /// The recorded configuration (what `sq-bench replication` runs by
     /// default and what `BENCH_replication.json` at the repo root
     /// reports).
     pub fn standard() -> Self {
@@ -249,8 +249,8 @@ impl ReplicationReport {
     }
 
     /// The CI gate: every failover cell must have reproduced the
-    /// uncrashed twin's state byte-identically with a clean promoted
-    /// tail, every throughput cell must have acked everything at full
+    /// uncrashed twin's state byte-identically under a bumped epoch with
+    /// a clean promoted tail, every throughput cell must have acked everything at full
     /// quorum, and the chaos must actually have fired.
     pub fn smoke_gate(&self) -> Result<(), String> {
         if self.cells.is_empty() || self.failover.is_empty() {
@@ -282,6 +282,12 @@ impl ReplicationReport {
                     mode_name(f.mode)
                 ));
             }
+            if f.epoch < 2 {
+                return Err(format!(
+                    "failover {}: the promotion did not bump the epoch",
+                    mode_name(f.mode)
+                ));
+            }
             if f.truncated_bytes != 0 {
                 return Err(format!(
                     "failover {}: promoted replica repaired {} torn bytes",
@@ -302,10 +308,6 @@ impl ReplicationReport {
 
 fn store_cfg(params: &ReplicationParams) -> DurableStoreConfig {
     DurableStoreConfig::with_snapshot_every(params.snapshot_every)
-}
-
-fn always_pass() -> Box<StepAction> {
-    Box::new(|_step, _tree| StepOutcome::Success)
 }
 
 struct Cluster {
@@ -362,7 +364,7 @@ fn workload(params: &ReplicationParams) -> (MaterializedRepo, sq_workload::Workl
 fn run_cell(params: &ReplicationParams, mode: AckMode, followers: usize) -> (CellResult, String) {
     let (m, w) = workload(params);
     let Cluster { dq, .. } = open_cluster(m.repo.clone(), params, mode, followers);
-    let action = always_pass();
+    let action = crate::always_pass();
     let start = Instant::now();
     for c in &w.changes {
         dq.submit(
@@ -407,7 +409,7 @@ fn run_failover(params: &ReplicationParams, mode: AckMode, clean_export: &str) -
         leader,
         followers,
     } = open_cluster(m.repo.clone(), params, mode, followers_n);
-    let action = always_pass();
+    let action = crate::always_pass();
     let mut crashes = 0u64;
     let mut report = None;
     let mut promote_nanos = 0u64;
@@ -543,147 +545,66 @@ pub fn run_replication(params: &ReplicationParams) -> ReplicationReport {
     }
 }
 
-/// Required keys of each entry under `"cells"`.
-const CELL_KEYS: &[&str] = &[
-    "mode",
-    "followers",
-    "changes",
-    "landed",
-    "commits",
-    "epoch",
-    "ships",
-    "shipped_records",
-    "shipped_bytes",
-    "journal_appends",
-    "degraded_acks",
-];
+/// The `replication` row of the suite table.
+pub const SUITE: Suite = Suite {
+    name: "replication",
+    schema: "sq-bench-replication/v1",
+    deterministic: true,
+    keys: &[
+        "params: seed n_parts n_changes kill_after snapshot_every",
+        "cells: mode followers changes landed commits epoch ships shipped_records",
+        "cells: shipped_bytes journal_appends degraded_acks",
+        "failover: mode followers kill_after crashes epoch durable_lsn replayed_records",
+        "failover: truncated_bytes landed export_identical",
+    ],
+    run: |smoke, flags| {
+        no_flags(flags)?;
+        let params = pick(smoke, ReplicationParams::smoke, ReplicationParams::standard);
+        Ok(Box::new(run_replication(&params)))
+    },
+};
 
-/// Required keys of each entry under `"failover"`.
-const FAILOVER_KEYS: &[&str] = &[
-    "mode",
-    "followers",
-    "kill_after",
-    "crashes",
-    "epoch",
-    "durable_lsn",
-    "replayed_records",
-    "truncated_bytes",
-    "landed",
-    "export_identical",
-];
-
-/// Validate a benchmark document: it must parse as JSON, carry the
-/// schema and parameters, every cell and failover entry must be
-/// complete, and every failover must report `export_identical` true.
-/// Returns the first problem found.
-pub fn validate(json: &str) -> Result<(), String> {
-    use serde::__private::Value;
-    let value: Value = serde_json::from_str(json).map_err(|e| format!("not valid JSON: {e}"))?;
-    let Value::Map(entries) = value else {
-        return Err("top level is not an object".to_string());
-    };
-    let field = |key: &str| entries.iter().find(|(k, _)| k == key).map(|(_, v)| v);
-    match field("schema") {
-        Some(Value::Str(s)) if s == "sq-bench-replication/v1" => {}
-        _ => return Err("missing or unexpected schema".to_string()),
-    }
-    let Some(Value::Map(params)) = field("params") else {
-        return Err("\"params\" is not an object".to_string());
-    };
-    for key in [
-        "seed",
-        "n_parts",
-        "n_changes",
-        "kill_after",
-        "snapshot_every",
-    ] {
-        if !params.iter().any(|(k, _)| k == key) {
-            return Err(format!("missing key params.{key}"));
-        }
-    }
-    for (section, keys) in [("cells", CELL_KEYS), ("failover", FAILOVER_KEYS)] {
-        let Some(Value::Seq(items)) = field(section) else {
-            return Err(format!("\"{section}\" is not an array"));
-        };
-        if items.is_empty() {
-            return Err(format!("no {section} measured"));
-        }
-        for (i, item) in items.iter().enumerate() {
-            let Value::Map(m) = item else {
-                return Err(format!("{section}[{i}] is not an object"));
-            };
-            for key in keys {
-                if !m.iter().any(|(k, _)| k == key) {
-                    return Err(format!("missing key {section}[{i}].{key}"));
-                }
-            }
-            if section == "failover" {
-                match m.iter().find(|(k, _)| k == "export_identical") {
-                    Some((_, Value::Bool(true))) => {}
-                    _ => {
-                        return Err(format!(
-                            "failover[{i}]: state diverged from the uncrashed twin"
-                        ))
-                    }
-                }
-            }
-        }
-    }
-    Ok(())
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn tiny() -> ReplicationParams {
-        ReplicationParams {
-            seed: 7,
-            n_parts: 8,
-            n_changes: 6,
-            follower_counts: vec![1, 2],
-            kill_after: 2,
-            snapshot_every: 4,
-        }
+impl Report for ReplicationReport {
+    fn summary(&self) -> Vec<String> {
+        let mut lines = vec![format!("{:?}", self.params)];
+        lines.extend(self.cells.iter().map(|c| {
+            format!(
+                "cell {:>6?} x{}: {:>3} landed | {:>5} ships | {:>6} records | {:>9} bytes | \
+                 {:>9.3} ms ({:>7.1} changes/s)",
+                c.mode,
+                c.followers,
+                c.landed,
+                c.ships,
+                c.shipped_records,
+                c.shipped_bytes,
+                c.elapsed_nanos as f64 / 1e6,
+                c.changes as f64 / (c.elapsed_nanos.max(1) as f64 / 1e9),
+            )
+        }));
+        lines.extend(self.failover.iter().map(|f| {
+            format!(
+                "failover {:>6?}: epoch {} | durable_lsn {} | {} replayed | \
+                 promote {:>7.3} ms | identical={}",
+                f.mode,
+                f.epoch,
+                f.durable_lsn,
+                f.replayed_records,
+                f.promote_nanos as f64 / 1e6,
+                f.export_identical
+            )
+        }));
+        lines
     }
 
-    #[test]
-    fn tiny_run_is_deterministic_and_passes_the_gate() {
-        let a = run_replication(&tiny());
-        a.smoke_gate().expect("gate holds");
-        validate(&a.to_json()).expect("document is valid");
-        let b = run_replication(&tiny());
-        assert_eq!(
-            a.to_json(),
-            b.to_json(),
-            "committed document must be byte-reproducible"
-        );
-        for f in &a.failover {
-            assert!(f.crashes >= 1);
-            assert!(f.epoch >= 2, "promotion must bump the epoch");
-            assert!(f.export_identical);
-        }
+    fn gate(&self) -> Vec<String> {
+        self.smoke_gate().err().into_iter().collect()
     }
 
-    #[test]
-    fn validate_flags_malformed_documents() {
-        assert!(validate("nope").is_err());
-        assert!(validate("{}").unwrap_err().contains("schema"));
-        assert!(validate(r#"{"schema":"sq-bench-replication/v1"}"#)
-            .unwrap_err()
-            .contains("params"));
-        let no_cells = r#"{"schema":"sq-bench-replication/v1",
-            "params":{"seed":1,"n_parts":8,"n_changes":4,"kill_after":2,"snapshot_every":4},
-            "cells":[],"failover":[]}"#;
-        assert!(validate(no_cells).unwrap_err().contains("no cells"));
-        let diverged = r#"{"schema":"sq-bench-replication/v1",
-            "params":{"seed":1,"n_parts":8,"n_changes":4,"kill_after":2,"snapshot_every":4},
-            "cells":[{"mode":"async","followers":1,"changes":4,"landed":4,"commits":5,
-                      "epoch":1,"ships":12,"shipped_records":12,"shipped_bytes":600,
-                      "journal_appends":12,"degraded_acks":0}],
-            "failover":[{"mode":"async","followers":2,"kill_after":2,"crashes":1,
-                         "epoch":2,"durable_lsn":9,"replayed_records":9,
-                         "truncated_bytes":0,"landed":4,"export_identical":false}]}"#;
-        assert!(validate(diverged).unwrap_err().contains("diverged"));
+    fn doc(&self) -> String {
+        self.to_json()
+    }
+
+    fn timing(&self) -> Option<String> {
+        Some(self.to_timing_json())
     }
 }

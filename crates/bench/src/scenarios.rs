@@ -1,14 +1,15 @@
-//! The machine-readable scenario matrix behind `bench_scenarios`.
+//! The machine-readable scenario matrix: the `scenarios` suite.
 //!
 //! Runs every named manifest from [`ScenarioManifest::matrix`] through
 //! every strategy in `StrategyKind::all()` (one source of truth for both
 //! axes), audits each run, and distills the results into JSON documents:
 //! one per scenario, plus a combined matrix document (the committed
-//! trajectory `BENCH_scenarios.json`). Like `bench_e2e`, the documents
+//! trajectory `BENCH_scenarios.json`). Like the `e2e` suite's, the documents
 //! are pure functions of the parameters — simulated time only, sorted
 //! metric keys, shortest-round-trip floats — so same-seed reruns emit
-//! byte-identical files, which the `--smoke` gate asserts.
+//! byte-identical files, which `--smoke` asserts.
 
+use crate::suite::{no_flags, pick, Report, Suite};
 use sq_core::scenario::{run_scenario, ScenarioRun};
 use sq_core::strategy::StrategyKind;
 use sq_obs::JsonWriter;
@@ -62,19 +63,28 @@ pub fn run_matrix(params: &ScenarioBenchParams) -> Vec<ScenarioRun> {
         .collect()
 }
 
-/// Audit-gate a finished matrix: every scenario × strategy must be
+/// Audit-gate a finished matrix: every named scenario in order, each
+/// with every strategy in `all()` order, and every scenario × strategy
 /// always-green with zero wrongful rejections and a non-empty commit
 /// log. Returns every violation found (empty = pass).
 pub fn violations(runs: &[ScenarioRun]) -> Vec<String> {
     let mut problems = Vec::new();
-    if runs.len() != ScenarioManifest::matrix().len() {
+    let expected = ScenarioManifest::matrix();
+    if !(runs.iter().map(|r| &r.manifest.name)).eq(expected.iter().map(|m| &m.name)) {
         problems.push(format!(
-            "matrix has {} scenarios, expected {}",
-            runs.len(),
-            ScenarioManifest::matrix().len()
+            "matrix is not the {} named scenarios in order",
+            expected.len()
         ));
     }
     for run in runs {
+        // The census check: a kind added to the enum that never
+        // reaches the matrix fails here.
+        if !(run.outcomes.iter().map(|o| o.kind)).eq(StrategyKind::all()) {
+            problems.push(format!(
+                "{}: strategy rows are not StrategyKind::all() in order",
+                run.manifest.name
+            ));
+        }
         for o in &run.outcomes {
             let cell = format!("{} / {}", run.manifest.name, o.kind.name());
             if let Err(e) = &o.green {
@@ -228,121 +238,59 @@ pub fn matrix_json(params: &ScenarioBenchParams, runs: &[ScenarioRun]) -> String
     w.finish()
 }
 
-/// Validate a matrix document: every named scenario present in order,
-/// each with exactly `strategy_count` strategy rows carrying the audited
-/// fields. Returns a description of the first problem found.
-pub fn validate(json: &str) -> Result<(), String> {
-    use serde::__private::Value;
-    let value: Value = serde_json::from_str(json).map_err(|e| format!("not valid JSON: {e}"))?;
-    let Value::Map(top) = value else {
-        return Err("top level is not an object".to_string());
-    };
-    let get = |m: &[(String, Value)], key: &str| -> Option<Value> {
-        m.iter().find(|(k, _)| k == key).map(|(_, v)| v.clone())
-    };
-    match get(&top, "schema") {
-        Some(Value::Str(s)) if s == "sq-bench-scenario-matrix/v1" => {}
-        other => return Err(format!("bad schema field: {other:?}")),
-    }
-    let Some(Value::Seq(scenarios)) = get(&top, "scenarios") else {
-        return Err("scenarios is not an array".to_string());
-    };
-    let expected: Vec<String> = ScenarioManifest::matrix()
-        .into_iter()
-        .map(|m| m.name)
-        .collect();
-    if scenarios.len() != expected.len() {
-        return Err(format!(
-            "expected {} scenarios, found {}",
-            expected.len(),
-            scenarios.len()
-        ));
-    }
-    for (value, expected_name) in scenarios.iter().zip(&expected) {
-        let Value::Map(s) = value else {
-            return Err("scenario entry is not an object".to_string());
-        };
-        match get(s, "scenario") {
-            Some(Value::Str(name)) if &name == expected_name => {}
-            other => {
-                return Err(format!(
-                    "expected scenario {expected_name:?}, got {other:?}"
-                ))
-            }
-        }
-        let Some(Value::Seq(strategies)) = get(s, "strategies") else {
-            return Err(format!("{expected_name}: strategies is not an array"));
-        };
-        if strategies.len() != StrategyKind::COUNT {
-            return Err(format!(
-                "{expected_name}: {} strategy rows, expected {}",
-                strategies.len(),
-                StrategyKind::COUNT
-            ));
-        }
-        // The census check: every StrategyKind, in `all()` order, in
-        // every scenario document — a kind added to the enum that never
-        // reaches the matrix fails validation here.
-        for (row, kind) in strategies.iter().zip(StrategyKind::all()) {
-            let Value::Map(r) = row else {
-                return Err(format!("{expected_name}: strategy row is not an object"));
-            };
-            match get(r, "strategy") {
-                Some(Value::Str(name)) if name == kind.name() => {}
-                other => {
-                    return Err(format!(
-                        "{expected_name}: expected strategy {:?}, got {other:?}",
-                        kind.name()
-                    ))
-                }
-            }
-            for key in [
-                "strategy",
-                "green",
-                "rejections_justified",
-                "wrongful_rejections",
-                "commits",
-                "turnaround_mins",
-            ] {
-                if get(r, key).is_none() {
-                    return Err(format!("{expected_name}: strategy row missing {key:?}"));
-                }
-            }
-        }
-    }
-    Ok(())
+/// The `scenarios` row of the suite table.
+pub const SUITE: Suite = Suite {
+    name: "scenarios",
+    schema: "sq-bench-scenario-matrix/v1",
+    deterministic: true,
+    keys: &[
+        ": scenario_count strategy_count",
+        "scenarios: scenario params",
+        "scenarios.strategies: strategy green rejections_justified wrongful_rejections",
+        "scenarios.strategies: commits turnaround_mins",
+    ],
+    run: |smoke, flags| {
+        no_flags(flags)?;
+        let params = pick(
+            smoke,
+            ScenarioBenchParams::smoke,
+            ScenarioBenchParams::standard,
+        );
+        let runs = run_matrix(&params);
+        Ok(Box::new(ScenarioMatrix { params, runs }))
+    },
+};
+
+struct ScenarioMatrix {
+    params: ScenarioBenchParams,
+    runs: Vec<ScenarioRun>,
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn tiny_matrix_emits_valid_byte_identical_documents() {
-        let params = ScenarioBenchParams {
-            seed: 0x5EED,
-            n_changes_override: Some(24),
-            history_changes: 200,
-        };
-        let runs = run_matrix(&params);
-        assert_eq!(runs.len(), ScenarioManifest::matrix().len());
-        let doc = matrix_json(&params, &runs);
-        validate(&doc).unwrap();
-        for run in &runs {
-            // Per-scenario documents parse as JSON too.
-            let json = scenario_json(run);
-            assert!(serde_json::from_str::<serde::__private::Value>(&json).is_ok());
-        }
-        // A same-seed rerun reproduces the document byte for byte.
-        let doc2 = matrix_json(&params, &run_matrix(&params));
-        assert_eq!(doc, doc2);
+impl Report for ScenarioMatrix {
+    fn summary(&self) -> Vec<String> {
+        let mut lines = vec![format!("{:?}", self.params)];
+        lines.extend(self.runs.iter().map(|run| {
+            let clean = run.outcomes.iter().all(|o| o.clean());
+            format!(
+                "  {:14} {} strategies, {}",
+                run.manifest.name,
+                run.outcomes.len(),
+                if clean { "all clean" } else { "VIOLATIONS" },
+            )
+        }));
+        lines
     }
 
-    #[test]
-    fn validate_rejects_malformed_documents() {
-        assert!(validate("not json").is_err());
-        assert!(validate("{}").is_err());
-        assert!(validate(r#"{"schema":"sq-bench-scenario-matrix/v1","scenarios":[]}"#).is_err());
-        assert!(validate(r#"{"schema":"wrong","scenarios":[]}"#).is_err());
+    fn gate(&self) -> Vec<String> {
+        violations(&self.runs)
+    }
+
+    fn doc(&self) -> String {
+        matrix_json(&self.params, &self.runs)
+    }
+
+    fn extras(&self) -> Vec<(String, String)> {
+        let file = |run: &ScenarioRun| format!("scenarios/{}.json", run.manifest.name);
+        (self.runs.iter().map(|run| (file(run), scenario_json(run)))).collect()
     }
 }

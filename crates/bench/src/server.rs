@@ -1,4 +1,6 @@
-//! The serving-layer load generator behind `bench_server`.
+//! The serving-layer load generator: the `server` suite. `--rate <r>`
+//! paces the sequential phase at `r` enqueues/second (timing document
+//! only); `--uds` serves over a Unix-domain socket instead of TCP.
 //!
 //! Replays an `sq-workload` trace against a **live loopback server**
 //! (`sq-server` fronting a [`DurableSubmitQueue`]) and measures two
@@ -24,10 +26,9 @@
 //! byte-reproducible — `--smoke` runs the whole benchmark twice and
 //! fails unless the two documents are identical.
 
+use crate::suite::{pick, Report, Suite};
 use sq_core::durable::DurableSubmitQueue;
-use sq_core::service::StepAction;
 use sq_core::RecoveryConfig;
-use sq_exec::StepOutcome;
 use sq_obs::{JsonWriter, MetricsRegistry};
 use sq_server::{Client, Endpoint, Request, Response, Server, ServerConfig, WireTicketState};
 use sq_store::{DurableStore, DurableStoreConfig, MemStorage};
@@ -65,7 +66,7 @@ pub struct ServerBenchParams {
 }
 
 impl ServerBenchParams {
-    /// The recorded configuration (what `bench_server` runs by default
+    /// The recorded configuration (what `sq-bench server` runs by default
     /// and what `BENCH_server.json` at the repo root reports).
     pub fn standard() -> Self {
         ServerBenchParams {
@@ -278,10 +279,6 @@ impl ServerBenchReport {
     }
 }
 
-fn always_pass() -> Box<StepAction> {
-    Box::new(|_step, _tree| StepOutcome::Success)
-}
-
 fn open_queue(repo: sq_vcs::Repository, storage: &Shared, params: &ServerBenchParams) -> Queue {
     DurableSubmitQueue::open(
         repo,
@@ -303,7 +300,7 @@ fn start_server(queue: Queue, params: &ServerBenchParams) -> Server<DurableStore
     };
     Server::start(
         queue,
-        always_pass(),
+        crate::always_pass(),
         ServerConfig {
             poll_interval: Duration::from_millis(2),
             ..ServerConfig::default()
@@ -502,131 +499,72 @@ pub fn run_server_bench(params: &ServerBenchParams) -> ServerBenchReport {
     }
 }
 
-/// Required keys of the `"sequential"` section.
-const SEQUENTIAL_KEYS: &[&str] = &["changes", "landed"];
-
-/// Required keys of the `"durability"` section.
-const DURABILITY_KEYS: &[&str] = &[
-    "burst",
-    "acked",
-    "landed_after_restart",
-    "lost",
-    "queue_depth_after",
-];
-
-/// Required keys of the `"totals"` section.
-const TOTALS_KEYS: &[&str] = &[
-    "requests_enqueue",
-    "enqueues_acked",
-    "busy_replies",
-    "tickets_processed",
-    "journal_appends",
-    "landed",
-    "commits",
-];
-
-/// Validate a benchmark document: it must parse as JSON, carry the
-/// schema and parameters, every section must be complete, and `lost`
-/// must be zero. Returns the first problem found.
-pub fn validate(json: &str) -> Result<(), String> {
-    use serde::__private::Value;
-    let value: Value = serde_json::from_str(json).map_err(|e| format!("not valid JSON: {e}"))?;
-    let Value::Map(entries) = value else {
-        return Err("top level is not an object".to_string());
-    };
-    let field = |key: &str| entries.iter().find(|(k, _)| k == key).map(|(_, v)| v);
-    match field("schema") {
-        Some(Value::Str(s)) if s == "sq-bench-server/v1" => {}
-        _ => return Err("missing or unexpected schema".to_string()),
-    }
-    let Some(Value::Map(params)) = field("params") else {
-        return Err("\"params\" is not an object".to_string());
-    };
-    for key in [
-        "seed",
-        "n_parts",
-        "n_changes",
-        "burst",
-        "window",
-        "snapshot_every",
-        "transport",
-    ] {
-        if !params.iter().any(|(k, _)| k == key) {
-            return Err(format!("missing key params.{key}"));
-        }
-    }
-    for (section, keys) in [
-        ("sequential", SEQUENTIAL_KEYS),
-        ("durability", DURABILITY_KEYS),
-        ("totals", TOTALS_KEYS),
-    ] {
-        let Some(Value::Map(m)) = field(section) else {
-            return Err(format!("\"{section}\" is not an object"));
-        };
-        for key in keys {
-            if !m.iter().any(|(k, _)| k == key) {
-                return Err(format!("missing key {section}.{key}"));
+/// The `server` row of the suite table.
+pub const SUITE: Suite = Suite {
+    name: "server",
+    schema: "sq-bench-server/v1",
+    deterministic: true,
+    keys: &[
+        "params: seed n_parts n_changes burst window snapshot_every transport",
+        "sequential: changes landed",
+        "durability: burst acked landed_after_restart lost queue_depth_after",
+        "totals: requests_enqueue enqueues_acked busy_replies tickets_processed",
+        "totals: journal_appends landed commits",
+    ],
+    run: |smoke, flags| {
+        let mut params = pick(smoke, ServerBenchParams::smoke, ServerBenchParams::standard);
+        let mut flags = flags.iter();
+        while let Some(flag) = flags.next() {
+            match flag.as_str() {
+                "--uds" => params.use_uds = true,
+                "--rate" => {
+                    let rate = flags.next().ok_or("--rate requires an argument")?;
+                    params.rate = (rate.parse())
+                        .map_err(|_| format!("--rate requires a number, got {rate:?}"))?;
+                }
+                _ => return Err(format!("unknown flag {flag:?}")),
             }
         }
-    }
-    let Some(Value::Map(durability)) = field("durability") else {
-        unreachable!("checked above");
-    };
-    match durability.iter().find(|(k, _)| k == "lost") {
-        Some((_, Value::U64(0))) => Ok(()),
-        _ => Err("acked enqueues were lost across the restart".to_string()),
-    }
-}
+        Ok(Box::new(run_server_bench(&params)))
+    },
+};
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn tiny() -> ServerBenchParams {
-        ServerBenchParams {
-            seed: 7,
-            n_parts: 8,
-            n_changes: 4,
-            burst: 3,
-            window: 2,
-            snapshot_every: 8,
-            rate: 0.0,
-            use_uds: false,
-        }
-    }
-
-    #[test]
-    fn tiny_run_is_deterministic_and_passes_the_gate() {
-        let a = run_server_bench(&tiny());
-        a.smoke_gate().expect("gate holds");
-        validate(&a.to_json()).expect("document is valid");
-        let b = run_server_bench(&tiny());
-        assert_eq!(
-            a.to_json(),
-            b.to_json(),
-            "committed document must be byte-reproducible"
-        );
-        assert_eq!(a.durability.lost, 0);
-        assert_eq!(a.sequential.landed, 4);
-        assert!(a.timing.requests > 0);
+impl Report for ServerBenchReport {
+    fn summary(&self) -> Vec<String> {
+        let (t, d) = (&self.timing, &self.durability);
+        vec![
+            format!("{:?}", self.params),
+            format!(
+                "sequential: {:>3} changes landed | {:>5} requests | {:>9.3} ms ({:>8.1} req/s)",
+                self.sequential.landed,
+                t.requests,
+                t.elapsed_nanos as f64 / 1e6,
+                t.requests as f64 / (t.elapsed_nanos.max(1) as f64 / 1e9),
+            ),
+            format!(
+                "ack latency     micros: P50 {:>9.1} | P95 {:>9.1} | P99 {:>9.1}",
+                t.ack_p50, t.ack_p95, t.ack_p99
+            ),
+            format!(
+                "verdict latency micros: P50 {:>9.1} | P95 {:>9.1} | P99 {:>9.1}",
+                t.verdict_p50, t.verdict_p95, t.verdict_p99
+            ),
+            format!(
+                "durability: {} acked | {} landed after restart | {} lost",
+                d.acked, d.landed_after_restart, d.lost
+            ),
+        ]
     }
 
-    #[test]
-    fn validate_flags_malformed_documents() {
-        assert!(validate("nope").is_err());
-        assert!(validate("{}").unwrap_err().contains("schema"));
-        assert!(validate(r#"{"schema":"sq-bench-server/v1"}"#)
-            .unwrap_err()
-            .contains("params"));
-        let lost = r#"{"schema":"sq-bench-server/v1",
-            "params":{"seed":1,"n_parts":8,"n_changes":4,"burst":2,"window":2,
-                      "snapshot_every":8,"transport":"tcp"},
-            "sequential":{"changes":4,"landed":4},
-            "durability":{"burst":2,"acked":2,"landed_after_restart":1,"lost":1,
-                          "queue_depth_after":0},
-            "totals":{"requests_enqueue":6,"enqueues_acked":6,"busy_replies":0,
-                      "tickets_processed":6,"journal_appends":20,"landed":5,
-                      "commits":6}}"#;
-        assert!(validate(lost).unwrap_err().contains("lost"));
+    fn gate(&self) -> Vec<String> {
+        self.smoke_gate().err().into_iter().collect()
+    }
+
+    fn doc(&self) -> String {
+        self.to_json()
+    }
+
+    fn timing(&self) -> Option<String> {
+        Some(self.to_timing_json())
     }
 }

@@ -1,4 +1,4 @@
-//! The sharded-planner scaling benchmark behind `bench_shard`.
+//! The sharded-planner scaling benchmark: the `shard` suite.
 //!
 //! Runs the **same** workload through the planner twice under the
 //! **same** planning-cost model (`PlanningCost`, the paper's Section 6
@@ -25,6 +25,7 @@
 //! sharded sustains ≥ 10k changes/hour where single-queue saturates
 //! below.
 
+use crate::suite::{no_flags, pick, Report, Suite};
 use sq_core::audit;
 use sq_core::planner::{run_simulation, PlannerConfig, SimResult};
 use sq_core::shard::{PlanningCost, ShardPlan, ShardReport, ShardSpec};
@@ -294,7 +295,8 @@ impl ShardBenchReport {
 
     /// The CI gate: both configurations resolve everything and keep the
     /// merged trunk green with zero wrongful rejections (globally and
-    /// per lane), and sharding never loses throughput. With a
+    /// per lane), the lanes are one per shard plus the arbiter and
+    /// account for every change, and sharding never loses throughput. With a
     /// `throughput_floor`, the headline claim is gated too: sharded
     /// sustains at least the floor while single-queue saturates below.
     pub fn smoke_gate(&self) -> Result<(), String> {
@@ -325,6 +327,13 @@ impl ShardBenchReport {
                     l.name, l.wrongful
                 ));
             }
+        }
+        if self.lanes.len() != self.params.n_shards + 1 {
+            return Err(format!(
+                "{} lanes for {} shards and one arbiter",
+                self.lanes.len(),
+                self.params.n_shards
+            ));
         }
         let routed: u64 = self.lanes.iter().map(|l| l.routed).sum();
         if routed != self.sharded.resolved {
@@ -414,148 +423,61 @@ pub fn run_shard_bench(params: &ShardBenchParams) -> ShardBenchReport {
     }
 }
 
-/// Required keys of each configuration section.
-const CELL_KEYS: &[&str] = &[
-    "changes",
-    "resolved",
-    "commits",
-    "rejects",
-    "green",
-    "rejections_justified",
-    "wrongful_rejections",
-    "sustained_per_hour",
-    "throughput_per_hour",
-    "turnaround_mins",
-    "builds_started",
-    "builds_aborted",
-    "makespan_hours",
-];
+/// The `shard` row of the suite table.
+pub const SUITE: Suite = Suite {
+    name: "shard",
+    schema: "sq-bench-shard/v1",
+    deterministic: true,
+    keys: &[
+        "params: seed rate_per_hour hours n_changes n_parts n_shards total_workers",
+        "params: planning_base_ms planning_per_pending_ms history_changes throughput_floor",
+        "single-queue: changes resolved commits rejects green rejections_justified",
+        "single-queue: wrongful_rejections sustained_per_hour throughput_per_hour turnaround_mins",
+        "single-queue: builds_started builds_aborted makespan_hours",
+        "sharded: changes resolved commits rejects green rejections_justified",
+        "sharded: wrongful_rejections sustained_per_hour throughput_per_hour turnaround_mins",
+        "sharded: builds_started builds_aborted makespan_hours",
+        "lanes: name workers routed committed rejected wrongful",
+    ],
+    run: |smoke, flags| {
+        no_flags(flags)?;
+        let params = pick(smoke, ShardBenchParams::smoke, ShardBenchParams::standard);
+        Ok(Box::new(run_shard_bench(&params)))
+    },
+};
 
-/// Required keys of each lane entry.
-const LANE_KEYS: &[&str] = &[
-    "name",
-    "workers",
-    "routed",
-    "committed",
-    "rejected",
-    "wrongful",
-];
-
-/// Validate a benchmark document: schema, complete parameters and
-/// sections, and the hard invariants (green, zero wrongful rejections
-/// everywhere). Returns the first problem found.
-pub fn validate(json: &str) -> Result<(), String> {
-    use serde::__private::Value;
-    let value: Value = serde_json::from_str(json).map_err(|e| format!("not valid JSON: {e}"))?;
-    let Value::Map(entries) = value else {
-        return Err("top level is not an object".to_string());
-    };
-    let field = |key: &str| entries.iter().find(|(k, _)| k == key).map(|(_, v)| v);
-    match field("schema") {
-        Some(Value::Str(s)) if s == "sq-bench-shard/v1" => {}
-        _ => return Err("missing or unexpected schema".to_string()),
-    }
-    let Some(Value::Map(params)) = field("params") else {
-        return Err("\"params\" is not an object".to_string());
-    };
-    for key in [
-        "seed",
-        "rate_per_hour",
-        "hours",
-        "n_changes",
-        "n_parts",
-        "n_shards",
-        "total_workers",
-        "planning_base_ms",
-        "planning_per_pending_ms",
-        "history_changes",
-        "throughput_floor",
-    ] {
-        if !params.iter().any(|(k, _)| k == key) {
-            return Err(format!("missing key params.{key}"));
-        }
-    }
-    for section in ["single-queue", "sharded"] {
-        let Some(Value::Map(m)) = field(section) else {
-            return Err(format!("\"{section}\" is not an object"));
-        };
-        for key in CELL_KEYS {
-            if !m.iter().any(|(k, _)| k == key) {
-                return Err(format!("missing key {section}.{key}"));
-            }
-        }
-        match m.iter().find(|(k, _)| k == "green") {
-            Some((_, Value::Bool(true))) => {}
-            _ => return Err(format!("{section} is not always-green")),
-        }
-        match m.iter().find(|(k, _)| k == "wrongful_rejections") {
-            Some((_, Value::U64(0))) => {}
-            _ => return Err(format!("{section} has wrongful rejections")),
-        }
-    }
-    let Some(Value::Seq(lanes)) = field("lanes") else {
-        return Err("\"lanes\" is not an array".to_string());
-    };
-    if lanes.is_empty() {
-        return Err("no lanes recorded".to_string());
-    }
-    for (i, lane) in lanes.iter().enumerate() {
-        let Value::Map(m) = lane else {
-            return Err(format!("lanes[{i}] is not an object"));
-        };
-        for key in LANE_KEYS {
-            if !m.iter().any(|(k, _)| k == key) {
-                return Err(format!("missing key lanes[{i}].{key}"));
-            }
-        }
-        match m.iter().find(|(k, _)| k == "wrongful") {
-            Some((_, Value::U64(0))) => {}
-            _ => return Err(format!("lanes[{i}] has wrongful rejections")),
-        }
-    }
-    Ok(())
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn tiny() -> ShardBenchParams {
-        ShardBenchParams {
-            seed: 7,
-            rate_per_hour: 600.0,
-            hours: 0.2,
-            n_parts: 64,
-            n_shards: 4,
-            total_workers: 80,
-            planning_base_ms: 1_000,
-            planning_per_pending_ms: 2_000,
-            history_changes: 200,
-            throughput_floor: 0.0,
-        }
+impl Report for ShardBenchReport {
+    fn summary(&self) -> Vec<String> {
+        let mut lines = vec![format!("{:?}", self.params)];
+        lines.extend([&self.single, &self.sharded].map(|cell| {
+            format!(
+                "{:<12} sustained {:>8.0}/h | commits {:>5} | rejects {:>4} | \
+                 P50 {:>7.1}m P95 {:>7.1}m | green={} wrongful={}",
+                cell.label,
+                cell.sustained_per_hour,
+                cell.commits,
+                cell.rejects,
+                cell.p50_mins,
+                cell.p95_mins,
+                cell.green,
+                cell.wrongful,
+            )
+        }));
+        lines.extend(self.lanes.iter().map(|l| {
+            format!(
+                "  lane {:<8} workers {:>4} | routed {:>5} | committed {:>5} | \
+                 rejected {:>4} | wrongful {}",
+                l.name, l.workers, l.routed, l.committed, l.rejected, l.wrongful
+            )
+        }));
+        lines
     }
 
-    #[test]
-    fn tiny_run_is_deterministic_and_passes_the_gate() {
-        let a = run_shard_bench(&tiny());
-        a.smoke_gate().expect("gate holds");
-        validate(&a.to_json()).expect("document is valid");
-        let b = run_shard_bench(&tiny());
-        assert_eq!(
-            a.to_json(),
-            b.to_json(),
-            "committed document must be byte-reproducible"
-        );
-        assert_eq!(a.sharded.resolved, a.sharded.changes);
-        assert_eq!(a.lanes.len(), tiny().n_shards + 1);
+    fn gate(&self) -> Vec<String> {
+        self.smoke_gate().err().into_iter().collect()
     }
 
-    #[test]
-    fn validate_flags_malformed_documents() {
-        assert!(validate("nope").is_err());
-        assert!(validate("{}").unwrap_err().contains("schema"));
-        assert!(validate(r#"{"schema":"sq-bench-shard/v1"}"#)
-            .unwrap_err()
-            .contains("params"));
+    fn doc(&self) -> String {
+        self.to_json()
     }
 }

@@ -3,7 +3,8 @@
 //! that validates, and a passing perf-regression gate on the 256-change
 //! window.
 
-use sq_bench::conflict::{run_conflict, validate, ConflictParams};
+use sq_bench::conflict::{run_conflict, ConflictParams, SUITE};
+use sq_bench::suite::check_doc;
 
 #[test]
 fn small_run_gates_and_validates() {
@@ -35,5 +36,5 @@ fn small_run_gates_and_validates() {
         gate
     );
     report.smoke_gate().expect("perf gate holds");
-    validate(&report.to_json()).expect("document validates");
+    check_doc(&report.to_json(), SUITE.schema, SUITE.keys).expect("document validates");
 }

@@ -24,6 +24,7 @@
 //!   change is rebased — the pairwise hot path never re-materializes a
 //!   target set.
 
+use crate::fasthash::FastMap;
 use crate::index::{ConflictIndex, IndexStats, TrunkHash};
 use sq_build::conflict::{changes_conflict, union_graph_conflict, ConflictVerdict};
 use sq_build::{AffectedSet, BitSet, InternedAffected, Interner, SnapshotAnalysis, TargetName};
@@ -367,7 +368,7 @@ impl ConflictAnalyzer for RealAnalyzer {
 /// pending change) on admission, removal on resolution.
 #[derive(Debug, Clone, Default)]
 pub struct ConflictGraph {
-    adj: HashMap<ChangeId, BTreeSet<ChangeId>>,
+    adj: FastMap<ChangeId, BTreeSet<ChangeId>>,
 }
 
 impl ConflictGraph {
@@ -440,6 +441,13 @@ impl ConflictGraph {
             .get(&id)
             .map(|set| set.iter().copied().filter(|e| *e < id).collect())
             .unwrap_or_default()
+    }
+
+    /// True iff `D_i` is non-empty, without building it.
+    pub fn has_earlier_conflicts(&self, id: ChangeId) -> bool {
+        self.adj
+            .get(&id)
+            .is_some_and(|set| set.first().is_some_and(|e| *e < id))
     }
 
     /// True iff the two tracked changes are independent (no edge).
@@ -542,6 +550,33 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn has_earlier_conflicts_agrees_with_the_list() {
+        let w = workload(200);
+        let mut analyzer = StatisticalAnalyzer::new();
+        let mut g = ConflictGraph::new();
+        let mut pending: Vec<&sq_workload::ChangeSpec> = Vec::new();
+        for c in &w.changes[..40] {
+            g.admit(c, &pending, &mut analyzer);
+            pending.push(c);
+        }
+        // Removing early changes leaves some with later neighbours only.
+        for c in &w.changes[..10] {
+            g.remove(c.id);
+        }
+        let (mut with, mut without) = (0, 0);
+        for c in &w.changes[..40] {
+            let listed = !g.earlier_conflicts(c.id).is_empty();
+            assert_eq!(g.has_earlier_conflicts(c.id), listed, "change {}", c.id.0);
+            if listed {
+                with += 1;
+            } else {
+                without += 1;
+            }
+        }
+        assert!(with > 0 && without > 10, "{with} with, {without} without");
     }
 
     #[test]

@@ -70,6 +70,7 @@ pub mod audit;
 pub mod batching;
 pub mod durable;
 pub mod failover;
+mod fasthash;
 pub mod index;
 pub mod lean;
 pub mod pending;

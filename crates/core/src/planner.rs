@@ -18,6 +18,7 @@
 //! the headline invariant (an always-green commit log) after the fact.
 
 use crate::analyzer::{ConflictGraph, IndexedAnalyzer};
+use crate::fasthash::{FastMap, FastSet};
 use crate::lean::LeanReport;
 use crate::pending::{ChangeOutcome, ChangeRecord};
 use crate::predict::SpeculationCounters;
@@ -30,7 +31,7 @@ use sq_exec::{RetryPolicy, WorkerPool};
 use sq_obs::{Observer, SpanId};
 use sq_sim::{run as run_des, EventQueue, Scheduler, SimDuration, SimTime};
 use sq_workload::{ChangeId, ChangeSpec, GroundTruth, Workload};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 
 /// Planner configuration.
 #[derive(Debug, Clone)]
@@ -340,11 +341,11 @@ pub fn run_simulation_observed(
         analyzer,
         graph: ConflictGraph::new(),
         pending: BTreeMap::new(),
-        running: HashMap::new(),
-        seq_to_key: HashMap::new(),
-        aborted_seqs: HashSet::new(),
-        build_results: HashMap::new(),
-        resolved_rejected: HashSet::new(),
+        running: FastMap::default(),
+        seq_to_key: FastMap::default(),
+        aborted_seqs: FastSet::default(),
+        build_results: FastMap::default(),
+        resolved_rejected: FastSet::default(),
         pools: lane_workers.iter().map(|&w| WorkerPool::new(w)).collect(),
         lane_workers,
         lane_labels,
@@ -357,7 +358,7 @@ pub fn run_simulation_observed(
         commit_log: Vec::new(),
         makespan: SimTime::ZERO,
         epoch_scheduled: vec![false; n_lanes],
-        infra_attempts: HashMap::new(),
+        infra_attempts: FastMap::default(),
         infra_retries: 0,
         infra_backoff: SimDuration::ZERO,
         quarantine: QuarantineList::new(
@@ -476,12 +477,12 @@ struct Planner<'a> {
     analyzer: IndexedAnalyzer,
     graph: ConflictGraph,
     pending: BTreeMap<ChangeId, PendingChange>,
-    running: HashMap<BuildKey, RunningBuild>,
-    seq_to_key: HashMap<u64, BuildKey>,
-    aborted_seqs: HashSet<u64>,
-    build_results: HashMap<BuildKey, bool>,
+    running: FastMap<BuildKey, RunningBuild>,
+    seq_to_key: FastMap<u64, BuildKey>,
+    aborted_seqs: FastSet<u64>,
+    build_results: FastMap<BuildKey, bool>,
     /// Changes that resolved as rejected (for contradiction checks).
-    resolved_rejected: HashSet<ChangeId>,
+    resolved_rejected: FastSet<ChangeId>,
     /// One worker pool per lane (a single pool without sharding).
     pools: Vec<WorkerPool>,
     /// Worker capacity per lane (`pools[l]` was built with this size).
@@ -502,7 +503,7 @@ struct Planner<'a> {
     /// Whether a planning tick is scheduled, per lane.
     epoch_scheduled: Vec<bool>,
     /// Attempt ordinal per build key (for fault decisions).
-    infra_attempts: HashMap<BuildKey, u32>,
+    infra_attempts: FastMap<BuildKey, u32>,
     infra_retries: u64,
     infra_backoff: SimDuration,
     quarantine: QuarantineList<ChangeId>,
@@ -559,7 +560,7 @@ impl<'a> Planner<'a> {
     /// (Section 10), always — the gating build runs against whatever has
     /// committed so far, and the change lands the moment it passes.
     fn realized_key_of(&self, id: ChangeId) -> Option<BuildKey> {
-        if !self.config.reorder && !self.graph.earlier_conflicts(id).is_empty() {
+        if !self.config.reorder && self.graph.has_earlier_conflicts(id) {
             return None;
         }
         let p = self.pending.get(&id)?;
@@ -773,8 +774,8 @@ impl<'a> Planner<'a> {
         // 2. Desired list: gating builds first, then the strategy's picks
         // over the lane's pending window.
         let mut desired: Vec<BuildKey> = Vec::with_capacity(budget);
-        let mut must_run: HashSet<BuildKey> = HashSet::new();
-        let mut seen: HashSet<BuildKey> = HashSet::new();
+        let mut must_run: FastSet<BuildKey> = FastSet::default();
+        let mut seen: FastSet<BuildKey> = FastSet::default();
         for (&id, p) in self.pending.iter() {
             if p.lane != lane {
                 continue;
@@ -865,23 +866,25 @@ impl<'a> Planner<'a> {
             }
         }
         desired.truncate(budget);
-        let desired_set: HashSet<BuildKey> = desired.iter().cloned().collect();
+        // Only a preemption consults it; most rounds never build it.
+        let mut desired_set: Option<FastSet<&BuildKey>> = None;
 
         // 3. Schedule in priority order. Running builds that are merely
         // out of fashion keep their workers (no thrash); only a *gating*
         // build may preempt, and only victims outside the desired set or
         // non-gating (latest-subject first — the least valuable
         // speculation under submission-order fairness).
-        for key in desired {
-            if self.running.contains_key(&key) {
+        for key in &desired {
+            if self.running.contains_key(key) {
                 continue;
             }
             let worker = match self.pools[lane].acquire_worker(now) {
                 Some(w) => w,
                 None => {
-                    if !must_run.contains(&key) {
+                    if !must_run.contains(key) {
                         break;
                     }
+                    let desired_set = desired_set.get_or_insert_with(|| desired.iter().collect());
                     let guard = self.config.preemption_guard;
                     let victim = self
                         .running
@@ -931,7 +934,7 @@ impl<'a> Planner<'a> {
                 .span_field(span, "assumed", key.assumed.len() as f64);
             self.obs.tracer.span_field(span, "worker", worker as f64);
             self.obs.metrics.inc("planner.builds_started");
-            if must_run.contains(&key) {
+            if must_run.contains(key) {
                 self.obs.metrics.inc("planner.gating_builds_started");
             }
             self.running.insert(

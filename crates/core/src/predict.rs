@@ -13,8 +13,6 @@
 //!   of Section 8.
 //! * [`UniformPredictor`] — 50/50, which turns the speculation engine
 //!   into the Speculate-all baseline.
-//! * [`OptimisticPredictor`] — certainty of success: the Zuul-style
-//!   Optimistic baseline.
 
 use sq_ml::{Dataset, LogisticRegression, Scaler, TrainConfig};
 use sq_sim::Xoshiro256StarStar;
@@ -86,20 +84,6 @@ impl Predictor for UniformPredictor {
 
     fn p_conflict(&self, _w: &Workload, _a: &ChangeSpec, _b: &ChangeSpec) -> f64 {
         0.5
-    }
-}
-
-/// Certainty of success — drives the Optimistic (Zuul) baseline.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct OptimisticPredictor;
-
-impl Predictor for OptimisticPredictor {
-    fn p_success(&self, _w: &Workload, _c: &ChangeSpec, _k: SpeculationCounters) -> f64 {
-        1.0
-    }
-
-    fn p_conflict(&self, _w: &Workload, _a: &ChangeSpec, _b: &ChangeSpec) -> f64 {
-        0.0
     }
 }
 
@@ -314,14 +298,12 @@ mod tests {
     }
 
     #[test]
-    fn uniform_and_optimistic_constants() {
+    fn uniform_constants() {
         let w = workload(10, 2);
         let c = &w.changes[0];
         let k = SpeculationCounters::default();
         assert_eq!(UniformPredictor.p_success(&w, c, k), 0.5);
         assert_eq!(UniformPredictor.p_conflict(&w, c, &w.changes[1]), 0.5);
-        assert_eq!(OptimisticPredictor.p_success(&w, c, k), 1.0);
-        assert_eq!(OptimisticPredictor.p_conflict(&w, c, &w.changes[1]), 0.0);
     }
 
     #[test]

@@ -410,6 +410,27 @@ impl SubmitQueueService {
         head: CommitId,
         built: Result<(Patch, ControllerReport), String>,
     ) -> Vec<ServiceEvent> {
+        let batch = self.decide(inner, change, head, built);
+        // The rebuild count only matters while the ticket is queued.
+        if batch.iter().any(|e| {
+            matches!(
+                e,
+                ServiceEvent::Committed { .. } | ServiceEvent::Rejected { .. }
+            )
+        }) {
+            inner.rebuilds.remove(&change.ticket);
+        }
+        batch
+    }
+
+    /// The decision itself; [`Self::conclude`] wraps it.
+    fn decide(
+        &self,
+        inner: &mut Inner,
+        change: &QueuedChange,
+        head: CommitId,
+        built: Result<(Patch, ControllerReport), String>,
+    ) -> Vec<ServiceEvent> {
         let ticket = change.ticket;
         let subject = || TicketId(ticket).to_string();
         // A second processor got here first: its verdict stands.
@@ -688,15 +709,10 @@ mod tests {
         Box::new(|_step, _tree| StepOutcome::Success)
     }
 
-    /// Fail any step whose target's sources contain the string "BUG".
+    /// Fail any step whose target name contains "bug": content access
+    /// requires the store, so the service tests encode bugs in paths.
     fn fail_on_bug() -> Box<StepAction> {
-        Box::new(|step, tree| {
-            // The step's package directory is the target's package.
-            let pkg = step.target.package().to_string();
-            for path in tree.paths_under(&pkg) {
-                let _ = path; // content access requires the store; the
-                              // service tests instead encode bugs in paths
-            }
+        Box::new(|step, _tree| {
             if step.target.short_name().contains("bug") {
                 StepOutcome::Failure("intentional bug".into())
             } else {
@@ -1032,6 +1048,50 @@ mod tests {
         assert!(log
             .iter()
             .any(|e| matches!(e, RecoveryEvent::Rebuild { attempt: 1, .. })));
+    }
+
+    #[test]
+    fn rebuild_counts_are_dropped_with_the_verdict() {
+        use sq_exec::{InfraFault, InfraFaultKind, RetryPolicy};
+        use std::sync::atomic::{AtomicBool, Ordering};
+        use std::sync::Arc;
+        let config = RecoveryConfig {
+            retry: RetryPolicy::none(),
+            max_rebuilds: 1,
+            quarantine_threshold: u32::MAX,
+        };
+        let service = SubmitQueueService::with_recovery(demo_repo(), 2, config);
+        // Armed before each change: exactly one step of its first build
+        // crashes, so every ticket gets a rebuild count of one.
+        let armed = Arc::new(AtomicBool::new(false));
+        let trigger = armed.clone();
+        let action: Box<StepAction> = Box::new(move |_step, _tree| {
+            if trigger.swap(false, Ordering::SeqCst) {
+                StepOutcome::InfraFailure(InfraFault {
+                    kind: InfraFaultKind::WorkerCrash,
+                    attempt: 1,
+                })
+            } else {
+                StepOutcome::Success
+            }
+        });
+        for i in 0..50 {
+            service.submit(
+                "alice",
+                format!("change {i}"),
+                service.head(),
+                Patch::write(
+                    RepoPath::new("lib/l.rs").unwrap(),
+                    format!("pub fn l() {{ /* rev {i} */ }}"),
+                ),
+            );
+            armed.store(true, Ordering::SeqCst);
+            service.run_until_idle(&action);
+        }
+        let stats = service.stats();
+        assert_eq!((stats.landed, stats.rejected), (50, 0));
+        assert_eq!(stats.infra_rebuilds, 50);
+        assert!(service.inner.lock().rebuilds.is_empty());
     }
 
     #[test]

@@ -37,6 +37,7 @@
 //! a global heap. Space is O(flips emitted), never 2ⁿ.
 
 use crate::analyzer::ConflictGraph;
+use crate::fasthash::FastMap;
 use crate::predict::{Predictor, SpeculationCounters};
 use sq_workload::{ChangeId, ChangeSpec, Workload};
 use std::cmp::Ordering;
@@ -91,7 +92,7 @@ impl SpeculationEngine {
         counters: &HashMap<ChangeId, SpeculationCounters>,
         fixed: &HashMap<ChangeId, Vec<ChangeId>>,
     ) -> HashMap<ChangeId, f64> {
-        let by_id: HashMap<ChangeId, &ChangeSpec> = pending.iter().map(|c| (c.id, *c)).collect();
+        let by_id: FastMap<ChangeId, &ChangeSpec> = pending.iter().map(|c| (c.id, *c)).collect();
         let mut p_commit: HashMap<ChangeId, f64> = HashMap::with_capacity(pending.len());
         for c in pending {
             let k = counters.get(&c.id).copied().unwrap_or_default();
@@ -197,7 +198,7 @@ impl SpeculationEngine {
             Self::commit_probabilities(workload, pending, graph, predictor, counters, fixed);
         // One lazy pattern generator per pending change, plus how many
         // more patterns it may still emit.
-        let mut generators: HashMap<ChangeId, (PatternGen, usize)> = HashMap::new();
+        let mut generators: FastMap<ChangeId, (PatternGen, usize)> = FastMap::default();
         let mut global: BinaryHeap<Frontier> = BinaryHeap::new();
         for c in pending {
             let cap = pattern_cap(c.id);

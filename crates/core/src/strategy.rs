@@ -27,10 +27,10 @@
 //!   changes land after a single front-of-queue verify.
 
 use crate::analyzer::ConflictGraph;
+use crate::fasthash::FastMap;
 use crate::lean::{BypassPolicy, LeanConfig, SKIP_MISS_BUDGET};
 use crate::predict::{
-    LearnedPredictor, OptimisticPredictor, OraclePredictor, Predictor, SpeculationCounters,
-    UniformPredictor,
+    LearnedPredictor, OraclePredictor, Predictor, SpeculationCounters, UniformPredictor,
 };
 use crate::speculation::{BuildKey, PlannedBuild, SpeculationEngine};
 use sq_workload::{ChangeId, ChangeSpec, Workload};
@@ -299,9 +299,8 @@ impl Strategy {
             Strategy::Optimistic => {
                 // One build per change: assume every earlier conflicting
                 // pending change commits (the single most-optimistic path;
-                // the OptimisticPredictor would produce the same keys
-                // through the engine, listed here directly for clarity).
-                let _ = OptimisticPredictor; // policy equivalence documented above
+                // a predictor certain of success would produce the same
+                // keys through the engine, listed here directly for clarity).
                 pending
                     .iter()
                     .take(budget)
@@ -519,7 +518,7 @@ impl LeanStrategy {
 /// analyzer). Bound to one workload's change-id space.
 pub struct MemoizedLearned {
     inner: LearnedPredictor,
-    conflict_cache: std::cell::RefCell<HashMap<(ChangeId, ChangeId), f64>>,
+    conflict_cache: RefCell<FastMap<(ChangeId, ChangeId), f64>>,
 }
 
 impl MemoizedLearned {
@@ -527,7 +526,7 @@ impl MemoizedLearned {
     pub fn new(inner: LearnedPredictor) -> Self {
         MemoizedLearned {
             inner,
-            conflict_cache: std::cell::RefCell::new(HashMap::new()),
+            conflict_cache: RefCell::default(),
         }
     }
 }

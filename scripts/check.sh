@@ -62,24 +62,19 @@ step "cargo fmt --check" \
 
 step "cargo clippy --workspace --all-targets -- -D warnings (vendor stand-ins excluded)" \
   cargo clippy --workspace --all-targets \
-    --exclude bytes --exclude criterion --exclude crossbeam --exclude parking_lot \
+    --exclude bytes --exclude crossbeam --exclude parking_lot \
     --exclude proptest --exclude rand --exclude serde --exclude serde_derive \
     --exclude serde_json \
     -- -D warnings
 
-smoke() { # smoke <bin> <description>
-  step "$1 --smoke ($2)" \
-    cargo run --release -p sq-bench --bin "$1" -- --smoke
-}
-
-smoke bench_e2e "machine-readable benchmark: emit + validate JSON"
-smoke bench_recovery "durable store: replay throughput + byte-identical recovery"
-smoke bench_conflict "perf gate: indexed+parallel <= serial, byte-identical matrices"
-smoke bench_scenarios "adversarial matrix: always-green, no wrongful rejections, byte-identical rerun"
-smoke bench_replication "zero-loss gate: seeded failover, byte-identical state vs uncrashed twin"
-smoke bench_server "serving layer: zero lost acks across graceful drain/restart, byte-identical rerun"
-smoke bench_shard "sharded planner: always-green, zero wrongful per lane, sharded >= single-queue, byte-identical rerun"
-smoke bench_lean "lean ablation: every cell green, zero wrongful rejections, all-on wastes less than baseline, byte-identical rerun"
+# One driver (crates/bench/src/suite.rs): every suite's smoke gate, then
+# the six deterministic documents regenerated at full size and compared
+# byte for byte with the committed BENCH_*.json. The driver prints each
+# suite's own seconds.
+step "sq-bench all --smoke (every suite: gate, required keys, byte-identical same-seed rerun)" \
+  cargo run --release -p sq-bench -- all --smoke
+step "sq-bench e2e lean shard scenarios replication server (fresh == committed, byte for byte)" \
+  cargo run --release -p sq-bench -- e2e lean shard scenarios replication server
 
 # The wall-clock benchmark is a cargo package of its own (see
 # benchmark/README.md): its unit + schema tests, then all four workloads
