@@ -184,13 +184,12 @@ pub fn strategy_for(
     workload: &Workload,
     predictor: &LearnedPredictor,
 ) -> Strategy {
-    match kind {
-        StrategyKind::SubmitQueue => Strategy::submit_queue_with(predictor.clone()),
-        _ => match kind.lean_config(calibrated_skip_threshold(predictor)) {
-            Some(cfg) => Strategy::lean_with(predictor.clone(), cfg),
-            None => Strategy::build(kind, workload, None),
-        },
-    }
+    Strategy::for_kind(
+        kind,
+        workload,
+        || predictor.clone(),
+        calibrated_skip_threshold,
+    )
 }
 
 /// The build action of the suites that measure the queue, not builds:

@@ -5,17 +5,15 @@
 //! engine can (1) trim the speculation space and (2) find independent
 //! changes that commit in parallel.
 //!
-//! Three analyzer backends:
-//! * [`StatisticalAnalyzer`] — the reference simulation backend:
-//!   conflicts are the workload's part-overlap relation, recomputed per
-//!   query. With the analyzer *disabled* it reports every pair as
-//!   conflicting, which reproduces the Section 4 "assume all pending
+//! Two analyzer backends:
+//! * [`IndexedAnalyzer`] — the simulation backend: conflicts are the
+//!   workload's part-overlap relation
+//!   ([`ChangeSpec::potentially_conflicts`] is the reference), served
+//!   through the incremental [`ConflictIndex`]: each change's part set
+//!   is interned into a bitset once and every pairwise query is a
+//!   word-wise AND. With the analyzer *disabled* it reports every pair
+//!   as conflicting, which reproduces the Section 4 "assume all pending
 //!   changes conflict" regime that Figure 13 ablates against.
-//! * [`IndexedAnalyzer`] — the same relation served through the
-//!   incremental [`ConflictIndex`]: each change's part set is interned
-//!   into a bitset once and every pairwise query is a word-wise AND.
-//!   Decision-for-decision identical to [`StatisticalAnalyzer`]; this is
-//!   what the planner runs.
 //! * [`RealAnalyzer`] — the full Section 5.2 pipeline over a materialized
 //!   repository: textual merge check, fast-path name intersection, and
 //!   the union-graph algorithm. The base snapshot is analyzed **once**
@@ -39,46 +37,13 @@ pub trait ConflictAnalyzer {
     fn conflicts(&mut self, a: &ChangeSpec, b: &ChangeSpec) -> bool;
 }
 
-/// The statistical backend used by the discrete-event simulations.
-#[derive(Debug, Clone)]
-pub struct StatisticalAnalyzer {
-    enabled: bool,
-}
-
-impl StatisticalAnalyzer {
-    /// An analyzer that detects independence via part overlap.
-    pub fn new() -> Self {
-        StatisticalAnalyzer { enabled: true }
-    }
-
-    /// The ablation of Figure 13: analyzer off ⇒ every pair conflicts.
-    pub fn disabled() -> Self {
-        StatisticalAnalyzer { enabled: false }
-    }
-}
-
-impl Default for StatisticalAnalyzer {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl ConflictAnalyzer for StatisticalAnalyzer {
-    fn conflicts(&mut self, a: &ChangeSpec, b: &ChangeSpec) -> bool {
-        if !self.enabled {
-            return true;
-        }
-        a.potentially_conflicts(b)
-    }
-}
-
 /// The part-overlap relation served through the incremental
 /// [`ConflictIndex`]: bitset intersection instead of the quadratic part
 /// scan, with per-change memoization.
 ///
-/// Decision-for-decision identical to [`StatisticalAnalyzer`] — a part
-/// bitset intersects iff the part lists overlap — so swapping it into the
-/// planner changes no simulated trajectory. Part ids are already dense
+/// Decision-for-decision identical to
+/// [`ChangeSpec::potentially_conflicts`] — a part bitset intersects iff
+/// the part lists overlap. Part ids are already dense
 /// (`PartId(u32)`), so no interner is needed, and a part set does not
 /// depend on the mainline snapshot, so the trunk key is a constant: only
 /// [`IndexedAnalyzer::forget`] (resolution) ever invalidates an entry.
@@ -475,30 +440,9 @@ mod tests {
     }
 
     #[test]
-    fn statistical_analyzer_tracks_part_overlap() {
-        let w = workload(100);
-        let mut on = StatisticalAnalyzer::new();
-        let mut off = StatisticalAnalyzer::disabled();
-        let mut agreement = 0;
-        for pair in w.changes.windows(2) {
-            let (a, b) = (&pair[0], &pair[1]);
-            assert_eq!(on.conflicts(a, b), a.potentially_conflicts(b));
-            assert!(
-                off.conflicts(a, b),
-                "disabled analyzer conflicts everything"
-            );
-            if on.conflicts(a, b) {
-                agreement += 1;
-            }
-        }
-        // Sanity: not everything overlaps.
-        assert!(agreement < 99);
-    }
-
-    #[test]
     fn graph_admission_builds_edges_both_ways() {
         let w = workload(50);
-        let mut analyzer = StatisticalAnalyzer::disabled(); // full clique
+        let mut analyzer = IndexedAnalyzer::disabled(); // full clique
         let mut g = ConflictGraph::new();
         let mut pending: Vec<&sq_workload::ChangeSpec> = Vec::new();
         for c in &w.changes[..5] {
@@ -516,7 +460,7 @@ mod tests {
     #[test]
     fn graph_removal_cleans_both_endpoints() {
         let w = workload(10);
-        let mut analyzer = StatisticalAnalyzer::disabled();
+        let mut analyzer = IndexedAnalyzer::disabled();
         let mut g = ConflictGraph::new();
         let mut pending: Vec<&sq_workload::ChangeSpec> = Vec::new();
         for c in &w.changes[..3] {
@@ -533,7 +477,7 @@ mod tests {
     #[test]
     fn independence_reflects_analyzer() {
         let w = workload(200);
-        let mut analyzer = StatisticalAnalyzer::new();
+        let mut analyzer = IndexedAnalyzer::new();
         let mut g = ConflictGraph::new();
         let mut pending: Vec<&sq_workload::ChangeSpec> = Vec::new();
         for c in &w.changes[..20] {
@@ -555,7 +499,7 @@ mod tests {
     #[test]
     fn has_earlier_conflicts_agrees_with_the_list() {
         let w = workload(200);
-        let mut analyzer = StatisticalAnalyzer::new();
+        let mut analyzer = IndexedAnalyzer::new();
         let mut g = ConflictGraph::new();
         let mut pending: Vec<&sq_workload::ChangeSpec> = Vec::new();
         for c in &w.changes[..40] {
@@ -617,21 +561,24 @@ mod tests {
     #[test]
     fn indexed_analyzer_is_decision_identical_to_statistical() {
         let w = workload(300);
-        let mut stat = StatisticalAnalyzer::new();
         let mut indexed = IndexedAnalyzer::new();
         let mut off = IndexedAnalyzer::disabled();
         let n = 40;
+        let mut conflicting = 0;
         for i in 0..n {
             for j in (i + 1)..n {
                 let (a, b) = (&w.changes[i], &w.changes[j]);
                 assert_eq!(
                     indexed.conflicts(a, b),
-                    stat.conflicts(a, b),
+                    a.potentially_conflicts(b),
                     "pair ({i}, {j})"
                 );
                 assert!(off.conflicts(a, b), "disabled conflicts everything");
+                conflicting += usize::from(a.potentially_conflicts(b));
             }
         }
+        // Sanity: the relation is neither empty nor total.
+        assert!(0 < conflicting && conflicting < n * (n - 1) / 2);
         let s = indexed.index().stats();
         // Each change's bitset is computed at most once...
         assert!(s.cache_misses <= n as u64);

@@ -170,10 +170,12 @@ impl BypassPolicy {
 }
 
 /// Per-run accounting of lean decisions, resolved change by resolved
-/// change. A *hit* is a skipped change that landed without a single
-/// aborted build — the speculation we didn't run would have been
-/// waste. A *miss* is a skipped change that had a build contradicted
-/// before landing — the skip cost one rebuild of latency.
+/// change: the planner counts the marks [`crate::strategy::Plan`] put
+/// on each change while it was pending. A *hit* is a skipped change
+/// that landed without a single aborted build — the speculation we
+/// didn't run would have been waste. A *miss* is a skipped change that
+/// had a build contradicted before landing — the skip cost one rebuild
+/// of latency.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LeanReport {
     /// Resolved changes whose speculation was probability-gated away.

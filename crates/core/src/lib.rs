@@ -14,13 +14,13 @@
 //!                     ENGINE ◄── CONFLICT ANALYZER (conflict graph)
 //! ```
 //!
-//! * [`pending`] — pending-change state machine and commit/abort records.
+//! * [`pending`] — per-change outcomes and commit/reject records.
 //! * [`predict`] — `P_succ` / `P_conf` estimators: the trained logistic
 //!   models (Section 7.2), plus oracle / static / optimistic estimators
 //!   used by the baselines.
 //! * [`analyzer`] — the conflict graph over pending changes (Section 5),
-//!   backed either by the statistical part-overlap model (simulation) or
-//!   by the real build-system analyzer from `sq-build`.
+//!   backed either by the index-served part-overlap model (simulation)
+//!   or by the real build-system analyzer from `sq-build`.
 //! * [`index`] — the incremental conflict index: per-change affected
 //!   bitsets memoized by (change, trunk), invalidated only on trunk
 //!   advance or rebase, with a deterministic parallel pairwise matrix.
@@ -28,9 +28,11 @@
 //!   `V = B · P_needed` per Equations 1–5, and greedy best-first
 //!   selection of the most valuable builds in O(n) frontier space
 //!   (Section 7.1).
-//! * [`strategy`] — SubmitQueue plus every baseline evaluated in
-//!   Section 8: Speculate-all, Optimistic (Zuul), Single-Queue (Bors),
-//!   and the Oracle used for normalization — plus the lean variants.
+//! * [`strategy`] — one `Strategy` value (a kind, a predictor, optional
+//!   lean flags) whose `desired_builds` returns the round's `Plan`:
+//!   SubmitQueue plus every baseline evaluated in Section 8 —
+//!   Speculate-all, Optimistic (Zuul), Single-Queue (Bors), and the
+//!   Oracle used for normalization — plus the lean variants.
 //! * [`lean`] — the Uber 2025 follow-up optimizations: probability-
 //!   gated speculation skipping, risk prioritization, and bypass lanes
 //!   (`LeanConfig`, `BypassPolicy`, `LeanReport`).

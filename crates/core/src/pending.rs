@@ -60,15 +60,6 @@ impl ChangeRecord {
     }
 }
 
-/// Live state of a change inside the planner.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum PendingState {
-    /// Enqueued; speculative builds may be running.
-    Pending,
-    /// Terminal.
-    Resolved(ChangeOutcome),
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -84,17 +75,5 @@ mod tests {
             1,
         );
         assert_eq!(r.turnaround, SimDuration::from_mins(35));
-    }
-
-    #[test]
-    fn states_compare() {
-        assert_ne!(
-            PendingState::Pending,
-            PendingState::Resolved(ChangeOutcome::Committed)
-        );
-        assert_ne!(
-            PendingState::Resolved(ChangeOutcome::Committed),
-            PendingState::Resolved(ChangeOutcome::Rejected)
-        );
     }
 }

@@ -330,9 +330,6 @@ pub fn run_simulation_observed(
         None => (vec![config.workers], vec![String::new()]),
     };
     let n_lanes = lane_workers.len();
-    // A strategy instance may be reused across runs (the benchmark
-    // grid); lean decision bookkeeping is per-run.
-    strategy.lean_reset();
     let mut sim = Planner {
         workload,
         truth: workload.truth(),
@@ -368,7 +365,7 @@ pub fn run_simulation_observed(
                 .map(|f| f.quarantine_threshold.max(1))
                 .unwrap_or(u32::MAX),
         ),
-        lean: strategy.is_lean().then(LeanReport::default),
+        lean: strategy.lean().map(|_| LeanReport::default()),
         obs,
     };
     let mut queue: EventQueue<Event> = EventQueue::new();
@@ -460,6 +457,7 @@ struct RunningBuild {
     span: SpanId,
 }
 
+#[derive(Default)]
 struct PendingChange {
     /// Planning lane the change routed to (0 without sharding).
     lane: usize,
@@ -467,6 +465,10 @@ struct PendingChange {
     counters: SpeculationCounters,
     builds_scheduled: u32,
     builds_aborted: u32,
+    /// Lean marks: whether any planning round skipped the change's
+    /// speculation / routed it through the bypass lane (sticky).
+    skipped: bool,
+    bypassed: bool,
 }
 
 struct Planner<'a> {
@@ -633,7 +635,7 @@ impl<'a> Planner<'a> {
         // without a single aborted build (the speculation we didn't run
         // would have been pure waste), a *miss* otherwise.
         if let Some(report) = self.lean.as_mut() {
-            if self.strategy.lean_skipped(id) {
+            if p.skipped {
                 report.skipped += 1;
                 if p.builds_aborted == 0 {
                     report.skip_hits += 1;
@@ -641,7 +643,7 @@ impl<'a> Planner<'a> {
                     report.skip_misses += 1;
                 }
             }
-            if self.strategy.lean_bypassed(id) {
+            if p.bypassed {
                 report.bypassed += 1;
             }
         }
@@ -800,7 +802,7 @@ impl<'a> Planner<'a> {
             .filter(|(_, p)| p.lane == lane && !p.fixed_committed.is_empty())
             .map(|(&id, p)| (id, p.fixed_committed.clone()))
             .collect();
-        let picks = self.strategy.desired_builds(
+        let plan = self.strategy.desired_builds(
             self.workload,
             &pending_specs,
             &self.graph,
@@ -808,6 +810,18 @@ impl<'a> Planner<'a> {
             &fixed,
             budget,
         );
+        // The round's lean marks stick to the change until it resolves.
+        for id in &plan.skipped {
+            if let Some(p) = self.pending.get_mut(id) {
+                p.skipped = true;
+            }
+        }
+        for id in &plan.bypassed {
+            if let Some(p) = self.pending.get_mut(id) {
+                p.bypassed = true;
+            }
+        }
+        let picks = plan.builds;
         if self.obs.is_enabled() {
             // Speculation pressure per planning round: how deep the queue
             // is, how wide the strategy's speculation tree grew, and how
@@ -1006,10 +1020,7 @@ impl<'a> sq_sim::Simulation for Planner<'a> {
                     spec.id,
                     PendingChange {
                         lane,
-                        fixed_committed: Vec::new(),
-                        counters: SpeculationCounters::default(),
-                        builds_scheduled: 0,
-                        builds_aborted: 0,
+                        ..PendingChange::default()
                     },
                 );
                 self.lane_pending_count[lane] += 1;

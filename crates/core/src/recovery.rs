@@ -12,7 +12,7 @@
 //! functions, so two runs with equal seeds produce equal logs.
 
 use sq_exec::{BuildStep, InfraFault, RetryPolicy};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
 
 /// Build-level (as opposed to step-level) infra-recovery policy.
@@ -117,53 +117,60 @@ impl fmt::Display for RecoveryEvent {
     }
 }
 
-/// Append-only log of recovery decisions.
+/// Log of recovery decisions: lifetime totals per kind of decision, and
+/// the most recent [`RecoveryLog::WINDOW`] events. A long-lived server
+/// on flaky infrastructure pushes without bound, so the log keeps a
+/// bounded window and counts what scrolls out of it.
 #[derive(Debug, Clone, Default)]
 pub struct RecoveryLog {
-    events: Vec<RecoveryEvent>,
+    events: VecDeque<RecoveryEvent>,
+    step_retries: u64,
+    rebuilds: usize,
+    infra_rejections: usize,
 }
 
 impl RecoveryLog {
+    /// How many of the most recent events are kept.
+    pub const WINDOW: usize = 1024;
+
     /// An empty log.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Append an event.
+    /// Append an event, dropping the oldest once the window is full.
     pub fn push(&mut self, event: RecoveryEvent) {
-        self.events.push(event);
+        match &event {
+            RecoveryEvent::StepRetries { retries, .. } => self.step_retries += retries,
+            RecoveryEvent::Rebuild { .. } => self.rebuilds += 1,
+            RecoveryEvent::InfraRejected { .. } => self.infra_rejections += 1,
+            RecoveryEvent::Quarantined { .. } => {}
+        }
+        if self.events.len() == Self::WINDOW {
+            self.events.pop_front();
+        }
+        self.events.push_back(event);
     }
 
-    /// The events, in decision order.
-    pub fn events(&self) -> &[RecoveryEvent] {
-        &self.events
+    /// The most recent events, oldest first, in decision order.
+    pub fn events(&self) -> impl ExactSizeIterator<Item = &RecoveryEvent> {
+        self.events.iter()
     }
 
-    /// Total step retries absorbed.
+    /// Total step retries absorbed since the log was created.
     pub fn step_retries(&self) -> u64 {
-        self.events
-            .iter()
-            .map(|e| match e {
-                RecoveryEvent::StepRetries { retries, .. } => *retries,
-                _ => 0,
-            })
-            .sum()
+        self.step_retries
     }
 
-    /// Whole-build rebuilds scheduled.
+    /// Whole-build rebuilds scheduled since the log was created.
     pub fn rebuilds(&self) -> usize {
-        self.events
-            .iter()
-            .filter(|e| matches!(e, RecoveryEvent::Rebuild { .. }))
-            .count()
+        self.rebuilds
     }
 
-    /// Changes rejected for infrastructure reasons.
+    /// Changes rejected for infrastructure reasons since the log was
+    /// created.
     pub fn infra_rejections(&self) -> usize {
-        self.events
-            .iter()
-            .filter(|e| matches!(e, RecoveryEvent::InfraRejected { .. }))
-            .count()
+        self.infra_rejections
     }
 }
 
@@ -305,6 +312,51 @@ mod tests {
         assert_eq!(log.rebuilds(), 0);
         assert_eq!(log.infra_rejections(), 1);
         assert_eq!(log.events().len(), 4);
+    }
+
+    #[test]
+    fn log_keeps_a_window_of_events_and_totals_of_everything() {
+        use sq_build::TargetName;
+        use sq_exec::{InfraFaultKind, StepKind};
+        let event = |i: u32| match i % 4 {
+            0 => RecoveryEvent::StepRetries {
+                subject: format!("T{i}"),
+                retries: u64::from(i % 7),
+            },
+            1 => RecoveryEvent::Rebuild {
+                subject: format!("T{i}"),
+                attempt: i,
+                step: BuildStep::new(
+                    TargetName::resolve("//t:t", "").unwrap(),
+                    StepKind::RunTests,
+                ),
+                fault: InfraFault {
+                    kind: InfraFaultKind::Timeout,
+                    attempt: i,
+                },
+            },
+            2 => RecoveryEvent::Quarantined {
+                target: format!("//t:{i}"),
+                observations: i,
+            },
+            _ => RecoveryEvent::InfraRejected {
+                subject: format!("T{i}"),
+                attempts: i,
+            },
+        };
+        let pushed: Vec<RecoveryEvent> = (0..5_000).map(event).collect();
+        let mut log = RecoveryLog::new();
+        for e in &pushed {
+            log.push(e.clone());
+        }
+        // Totals are a straight count over everything pushed...
+        let retries: u64 = (0..5_000u64).filter(|i| i % 4 == 0).map(|i| i % 7).sum();
+        assert_eq!(log.step_retries(), retries);
+        assert_eq!(log.rebuilds(), 1_250);
+        assert_eq!(log.infra_rejections(), 1_250);
+        // ...while the events kept are the last window, in order.
+        assert_eq!(log.events().len(), RecoveryLog::WINDOW);
+        assert!(log.events().eq(&pushed[5_000 - RecoveryLog::WINDOW..]));
     }
 
     #[test]

@@ -118,17 +118,15 @@ pub fn run_scenario(
     // same seed and calibration budget `Strategy::build` uses, so the
     // shared instances are decision-identical to per-kind training.
     let (predictor, _) = LearnedPredictor::train(&history, 0xFEED);
-    let skip_threshold = predictor.calibrate_skip_threshold(&history, SKIP_MISS_BUDGET);
     let outcomes: Vec<StrategyOutcome> = StrategyKind::all()
         .into_iter()
         .map(|kind| {
-            let strategy = match kind.lean_config(skip_threshold) {
-                Some(cfg) => Strategy::lean_with(predictor.clone(), cfg),
-                None if kind == StrategyKind::SubmitQueue => {
-                    Strategy::submit_queue_with(predictor.clone())
-                }
-                None => Strategy::build(kind, &workload, None),
-            };
+            let strategy = Strategy::for_kind(
+                kind,
+                &workload,
+                || predictor.clone(),
+                |p| p.calibrate_skip_threshold(&history, SKIP_MISS_BUDGET),
+            );
             debug_assert_eq!(strategy.kind(), kind);
             let result = run_simulation(&workload, &strategy, &config);
             let green = audit_green(&workload, &result);

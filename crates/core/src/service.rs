@@ -569,10 +569,11 @@ impl SubmitQueueService {
         }
     }
 
-    /// The recovery audit log: every step-retry, rebuild, quarantine,
-    /// and infra-rejection decision, in order.
+    /// The recovery audit log: the most recent [`RecoveryLog::WINDOW`]
+    /// step-retry, rebuild, quarantine and infra-rejection decisions,
+    /// oldest first (`stats()` carries the lifetime totals).
     pub fn recovery_log(&self) -> Vec<RecoveryEvent> {
-        self.inner.lock().log.events().to_vec()
+        self.inner.lock().log.events().cloned().collect()
     }
 
     /// Targets quarantined as chronically flaky. Advisory: quarantined

@@ -84,7 +84,7 @@ impl SpeculationEngine {
     /// per pending change, the earlier conflicting changes that have
     /// *already committed* — their conflict mass applies with certainty
     /// (the change will definitely be built on top of them).
-    pub fn commit_probabilities<P: Predictor>(
+    pub fn commit_probabilities<P: Predictor + ?Sized>(
         workload: &Workload,
         pending: &[&ChangeSpec],
         graph: &ConflictGraph,
@@ -126,35 +126,6 @@ impl SpeculationEngine {
         fixed: &HashMap<ChangeId, Vec<ChangeId>>,
         budget: usize,
     ) -> Vec<PlannedBuild> {
-        Self::select_builds_weighted(
-            workload,
-            pending,
-            graph,
-            predictor,
-            counters,
-            fixed,
-            budget,
-            |_| 1.0,
-        )
-    }
-
-    /// Like [`Self::select_builds`], but with a per-change *benefit*
-    /// multiplier: `V = B(subject) · P_needed` (paper Section 4.2.1 —
-    /// "builds for certain projects or with certain priority (e.g.,
-    /// security patches) can have higher values, which in turn will be
-    /// favored by SubmitQueue. Alternatively, we may assign different
-    /// quotas to different teams"). Benefits must be positive and finite.
-    #[allow(clippy::too_many_arguments)]
-    pub fn select_builds_weighted<P: Predictor, B: Fn(ChangeId) -> f64>(
-        workload: &Workload,
-        pending: &[&ChangeSpec],
-        graph: &ConflictGraph,
-        predictor: &P,
-        counters: &HashMap<ChangeId, SpeculationCounters>,
-        fixed: &HashMap<ChangeId, Vec<ChangeId>>,
-        budget: usize,
-        benefit: B,
-    ) -> Vec<PlannedBuild> {
         Self::select_builds_configured(
             workload,
             pending,
@@ -163,20 +134,26 @@ impl SpeculationEngine {
             counters,
             fixed,
             budget,
-            benefit,
+            |_| 1.0,
             |_| usize::MAX,
         )
     }
 
-    /// The fully configurable selector behind [`Self::select_builds`]
-    /// and [`Self::select_builds_weighted`]: per-change benefit
-    /// multipliers *and* per-change pattern caps. `pattern_cap(c)`
-    /// bounds how many outcome patterns of change `c` may enter the
-    /// plan: `usize::MAX` is the paper's unbounded speculation, `1`
-    /// admits only the single most-likely pattern (lean skipping), and
-    /// `0` removes the change from engine selection entirely (bypass
-    /// lanes schedule it out of band). Capping never changes the order
-    /// or value of the patterns that *are* emitted.
+    /// The selector behind [`Self::select_builds`], with a per-change
+    /// *benefit* multiplier and a per-change pattern cap.
+    ///
+    /// `V = B(subject) · P_needed` (paper Section 4.2.1 — "builds for
+    /// certain projects or with certain priority (e.g., security
+    /// patches) can have higher values, which in turn will be favored by
+    /// SubmitQueue. Alternatively, we may assign different quotas to
+    /// different teams"). Benefits must be positive and finite.
+    ///
+    /// `pattern_cap(c)` bounds how many outcome patterns of change `c`
+    /// may enter the plan: `usize::MAX` is the paper's unbounded
+    /// speculation, `1` admits only the single most-likely pattern (lean
+    /// skipping), and `0` removes the change from engine selection
+    /// entirely (bypass lanes schedule it out of band). Capping never
+    /// changes the order or value of the patterns that *are* emitted.
     #[allow(clippy::too_many_arguments)]
     pub fn select_builds_configured<P, B, K>(
         workload: &Workload,
@@ -190,7 +167,7 @@ impl SpeculationEngine {
         pattern_cap: K,
     ) -> Vec<PlannedBuild>
     where
-        P: Predictor,
+        P: Predictor + ?Sized,
         B: Fn(ChangeId) -> f64,
         K: Fn(ChangeId) -> usize,
     {
@@ -240,15 +217,6 @@ impl SpeculationEngine {
             }
         }
         out
-    }
-
-    /// The exact build needed to decide `subject` once the fates of its
-    /// earlier conflicts are known: `assumed` = those that committed.
-    pub fn realized_key(subject: ChangeId, committed_earlier_conflicts: &[ChangeId]) -> BuildKey {
-        let mut assumed = committed_earlier_conflicts.to_vec();
-        assumed.sort_unstable();
-        assumed.dedup();
-        BuildKey { subject, assumed }
     }
 }
 
@@ -559,7 +527,7 @@ mod tests {
     #[test]
     fn values_are_non_increasing_and_probabilities() {
         let w = workload(12);
-        let mut analyzer = crate::analyzer::StatisticalAnalyzer::disabled();
+        let mut analyzer = crate::analyzer::IndexedAnalyzer::disabled();
         let mut g = ConflictGraph::new();
         let mut pending: Vec<&ChangeSpec> = Vec::new();
         for c in &w.changes[..12] {
@@ -620,7 +588,7 @@ mod tests {
         // With 0/1 probabilities every change has exactly one nonzero
         // pattern — the n needed builds out of 2ⁿ−1 (Section 4.1).
         let w = workload(10);
-        let mut analyzer = crate::analyzer::StatisticalAnalyzer::disabled();
+        let mut analyzer = crate::analyzer::IndexedAnalyzer::disabled();
         let mut g = ConflictGraph::new();
         let mut pending: Vec<&ChangeSpec> = Vec::new();
         for c in &w.changes[..10] {
@@ -665,7 +633,7 @@ mod tests {
     #[test]
     fn budget_caps_selection() {
         let w = workload(20);
-        let mut analyzer = crate::analyzer::StatisticalAnalyzer::disabled();
+        let mut analyzer = crate::analyzer::IndexedAnalyzer::disabled();
         let mut g = ConflictGraph::new();
         let mut pending: Vec<&ChangeSpec> = Vec::new();
         for c in &w.changes[..20] {
@@ -685,17 +653,14 @@ mod tests {
     }
 
     #[test]
-    fn realized_key_sorts_and_dedups() {
-        let k =
-            SpeculationEngine::realized_key(ChangeId(9), &[ChangeId(5), ChangeId(2), ChangeId(5)]);
-        assert_eq!(k.assumed, vec![ChangeId(2), ChangeId(5)]);
-        assert_eq!(k.to_string(), "B[2.5.9]");
+    fn build_key_displays_assumed_then_subject() {
+        assert_eq!(key(9, &[2, 5]).to_string(), "B[2.5.9]");
     }
 
     #[test]
     fn selection_is_deterministic() {
         let w = workload(15);
-        let mut analyzer = crate::analyzer::StatisticalAnalyzer::new();
+        let mut analyzer = crate::analyzer::IndexedAnalyzer::new();
         let mut g = ConflictGraph::new();
         let mut pending: Vec<&ChangeSpec> = Vec::new();
         for c in &w.changes[..15] {
@@ -786,7 +751,7 @@ mod tests {
             &HashMap::new(),
             3,
         );
-        let weighted = SpeculationEngine::select_builds_weighted(
+        let weighted = SpeculationEngine::select_builds_configured(
             &w,
             &pending,
             &g,
@@ -795,6 +760,7 @@ mod tests {
             &HashMap::new(),
             3,
             |id| if id == security { 10.0 } else { 1.0 },
+            |_| usize::MAX,
         );
         // Unweighted top-3 contains no build for C2 (its best pattern is
         // worth 0.3125 = P(C0 commits)·P(C1 aborts), below C0/C1's
@@ -803,42 +769,6 @@ mod tests {
         // Weighted: C2's builds lead the plan.
         assert_eq!(weighted[0].key.subject, security);
         assert!((weighted[0].value - 3.125).abs() < 1e-9); // 10 × 0.3125
-    }
-
-    #[test]
-    fn uniform_benefit_matches_unweighted() {
-        let w = workload(10);
-        let mut analyzer = crate::analyzer::StatisticalAnalyzer::new();
-        let mut g = ConflictGraph::new();
-        let mut pending: Vec<&ChangeSpec> = Vec::new();
-        for c in &w.changes[..10] {
-            g.admit(c, &pending, &mut analyzer);
-            pending.push(c);
-        }
-        let a = SpeculationEngine::select_builds(
-            &w,
-            &pending,
-            &g,
-            &UniformPredictor,
-            &HashMap::new(),
-            &HashMap::new(),
-            20,
-        );
-        let b = SpeculationEngine::select_builds_weighted(
-            &w,
-            &pending,
-            &g,
-            &UniformPredictor,
-            &HashMap::new(),
-            &HashMap::new(),
-            20,
-            |_| 1.0,
-        );
-        assert_eq!(a.len(), b.len());
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.key, y.key);
-            assert!((x.value - y.value).abs() < 1e-12);
-        }
     }
 
     #[test]
@@ -907,7 +837,7 @@ mod tests {
     #[test]
     fn unbounded_cap_matches_unweighted_selection() {
         let w = workload(12);
-        let mut analyzer = crate::analyzer::StatisticalAnalyzer::new();
+        let mut analyzer = crate::analyzer::IndexedAnalyzer::new();
         let mut g = ConflictGraph::new();
         let mut pending: Vec<&ChangeSpec> = Vec::new();
         for c in &w.changes[..12] {

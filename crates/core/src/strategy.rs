@@ -35,7 +35,7 @@ use crate::predict::{
 use crate::speculation::{BuildKey, PlannedBuild, SpeculationEngine};
 use sq_workload::{ChangeId, ChangeSpec, Workload};
 use std::cell::RefCell;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 /// Which scheduling policy a simulation runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -73,54 +73,42 @@ impl StrategyKind {
         }
     }
 
-    /// Number of strategies. The single source of truth for matrix
-    /// sizing: [`StrategyKind::all`] returns exactly this many entries,
-    /// so scenario/benchmark matrices sized or checked against `COUNT`
-    /// cannot silently drop a newly added strategy.
-    pub const COUNT: usize = 8;
+    /// Every strategy, in the paper's reporting order (the lean variants
+    /// follow the paper's five). The one census: [`Self::COUNT`],
+    /// [`Self::all`] and [`Self::index`] all read it, so a kind joins
+    /// every scenario/benchmark matrix by being listed here.
+    const ALL: [StrategyKind; 8] = [
+        StrategyKind::SubmitQueue,
+        StrategyKind::Oracle,
+        StrategyKind::SpeculateAll,
+        StrategyKind::Optimistic,
+        StrategyKind::SingleQueue,
+        StrategyKind::LeanSpeculation,
+        StrategyKind::Prioritized,
+        StrategyKind::BypassLane,
+    ];
 
-    /// All strategies, in the paper's reporting order (the lean
-    /// variants follow the paper's five).
+    /// Number of strategies.
+    pub const COUNT: usize = Self::ALL.len();
+
+    /// All strategies, in reporting order.
     pub fn all() -> [StrategyKind; Self::COUNT] {
-        [
-            StrategyKind::SubmitQueue,
-            StrategyKind::Oracle,
-            StrategyKind::SpeculateAll,
-            StrategyKind::Optimistic,
-            StrategyKind::SingleQueue,
-            StrategyKind::LeanSpeculation,
-            StrategyKind::Prioritized,
-            StrategyKind::BypassLane,
-        ]
+        Self::ALL
     }
 
-    /// Dense position of this kind within [`Self::all`]. The match is
-    /// exhaustive, so adding a variant without extending the census
-    /// fails to compile; `census_is_complete` pins `all()[k.index()]
-    /// == k` and `COUNT` to this function, closing the loop.
-    pub const fn index(self) -> usize {
-        match self {
-            StrategyKind::SubmitQueue => 0,
-            StrategyKind::Oracle => 1,
-            StrategyKind::SpeculateAll => 2,
-            StrategyKind::Optimistic => 3,
-            StrategyKind::SingleQueue => 4,
-            StrategyKind::LeanSpeculation => 5,
-            StrategyKind::Prioritized => 6,
-            StrategyKind::BypassLane => 7,
-        }
+    /// Dense position of this kind within [`Self::all`].
+    pub fn index(self) -> usize {
+        Self::ALL
+            .iter()
+            .position(|k| *k == self)
+            .expect("every kind is listed in ALL")
     }
 
     /// Whether [`Strategy::build`] needs a training history for this
-    /// kind (the learned-model strategies do; the baselines don't).
+    /// kind (the learned-model strategies — SubmitQueue and everything
+    /// layered on it — do; the baselines don't).
     pub fn needs_history(self) -> bool {
-        matches!(
-            self,
-            StrategyKind::SubmitQueue
-                | StrategyKind::LeanSpeculation
-                | StrategyKind::Prioritized
-                | StrategyKind::BypassLane
-        )
+        self == StrategyKind::SubmitQueue || self.lean_config(0.0).is_some()
     }
 
     /// The canonical single-flag [`LeanConfig`] for the lean kinds
@@ -136,29 +124,38 @@ impl StrategyKind {
     }
 }
 
-/// A strategy instance (policy + any trained models).
+/// A strategy instance: an immutable value whose one question,
+/// [`Strategy::desired_builds`], is a pure function of the pending
+/// window it is shown.
 ///
 /// A `Strategy` is bound to one workload: the Oracle carries that
-/// workload's ground truth, and SubmitQueue memoizes pair-conflict
-/// probabilities by change id. Build a fresh instance per workload
-/// (different replay *rates* of the same trace share change identities
-/// and may share an instance).
-pub enum Strategy {
-    /// SubmitQueue with its trained predictor (conflict probabilities
-    /// memoized across planning rounds).
-    SubmitQueue(MemoizedLearned),
-    /// The oracle for a specific workload.
-    Oracle(OraclePredictor),
-    /// Speculate-all.
-    SpeculateAll,
-    /// Optimistic.
-    Optimistic,
-    /// Single-queue.
-    SingleQueue,
-    /// Any lean configuration over the SubmitQueue core (the three
-    /// lean kinds are canonical single-flag configs; benches also run
-    /// combined configs through this variant).
-    Lean(LeanStrategy),
+/// workload's ground truth, and the learned model memoizes pair-conflict
+/// probabilities by change id for as long as the instance lives. Build a
+/// fresh instance per workload (different replay *rates* of the same
+/// trace share change identities and may share an instance).
+pub struct Strategy {
+    /// The kind this instance reports as.
+    kind: StrategyKind,
+    /// Where the speculation engine's probabilities come from: the
+    /// trained models with `P_conf` memoized across planning rounds, one
+    /// workload's ground truth, or 50/50 on everything. `None`:
+    /// Optimistic and Single-Queue list their keys directly.
+    predictor: Option<Box<dyn Predictor + Send>>,
+    /// The flags of a lean instance (the three lean kinds are canonical
+    /// single-flag configs; benches also run combined configs).
+    lean: Option<LeanConfig>,
+}
+
+/// What one planning round decided.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Plan {
+    /// The desired builds, best first, at most `budget` entries.
+    pub builds: Vec<PlannedBuild>,
+    /// Changes whose speculation was probability-gated down to their
+    /// single most likely pattern this round, ascending.
+    pub skipped: Vec<ChangeId>,
+    /// Changes routed through the bypass lane this round, ascending.
+    pub bypassed: Vec<ChangeId>,
 }
 
 impl Strategy {
@@ -168,106 +165,100 @@ impl Strategy {
     /// changes); Lean-Speculation additionally calibrates its skip
     /// threshold on that history against [`SKIP_MISS_BUDGET`].
     pub fn build(kind: StrategyKind, workload: &Workload, history: Option<&Workload>) -> Strategy {
+        let history = || history.expect("learned strategies train on a history");
+        Strategy::for_kind(
+            kind,
+            workload,
+            || LearnedPredictor::train(history(), 0xFEED).0,
+            |p| p.calibrate_skip_threshold(history(), SKIP_MISS_BUDGET),
+        )
+    }
+
+    /// The one place a kind becomes an instance. `trained` yields the
+    /// learned models (a grid trains one and hands out clones) and
+    /// `skip_threshold` the calibrated cutoff; each is called only for a
+    /// kind that reads it.
+    pub fn for_kind(
+        kind: StrategyKind,
+        workload: &Workload,
+        trained: impl FnOnce() -> LearnedPredictor,
+        skip_threshold: impl FnOnce(&LearnedPredictor) -> f64,
+    ) -> Strategy {
+        let baseline = |predictor| Strategy {
+            kind,
+            predictor,
+            lean: None,
+        };
         match kind {
-            StrategyKind::SubmitQueue => {
-                let history = history.expect("SubmitQueue needs training history");
-                let (predictor, _) = LearnedPredictor::train(history, 0xFEED);
-                Strategy::SubmitQueue(MemoizedLearned::new(predictor))
+            StrategyKind::Oracle => baseline(Some(Box::new(OraclePredictor::new(workload)))),
+            StrategyKind::SpeculateAll => baseline(Some(Box::new(UniformPredictor))),
+            StrategyKind::Optimistic | StrategyKind::SingleQueue => baseline(None),
+            StrategyKind::SubmitQueue => Strategy::submit_queue_with(trained()),
+            StrategyKind::LeanSpeculation => {
+                let predictor = trained();
+                let threshold = skip_threshold(&predictor);
+                Strategy::lean_with(predictor, LeanConfig::lean(threshold))
             }
-            StrategyKind::LeanSpeculation
-            | StrategyKind::Prioritized
-            | StrategyKind::BypassLane => {
-                let history = history.expect("lean strategies need training history");
-                let (predictor, _) = LearnedPredictor::train(history, 0xFEED);
-                let threshold = predictor.calibrate_skip_threshold(history, SKIP_MISS_BUDGET);
-                let config = kind.lean_config(threshold).expect("lean kind");
-                Strategy::lean_with(predictor, config)
+            StrategyKind::Prioritized | StrategyKind::BypassLane => {
+                let config = kind.lean_config(0.0).expect("lean kind");
+                Strategy::lean_with(trained(), config)
             }
-            StrategyKind::Oracle => Strategy::Oracle(OraclePredictor::new(workload)),
-            StrategyKind::SpeculateAll => Strategy::SpeculateAll,
-            StrategyKind::Optimistic => Strategy::Optimistic,
-            StrategyKind::SingleQueue => Strategy::SingleQueue,
         }
     }
 
     /// Reuse an already-trained predictor (the benchmark grid trains one
     /// model and shares it across cells).
     pub fn submit_queue_with(predictor: LearnedPredictor) -> Strategy {
-        Strategy::SubmitQueue(MemoizedLearned::new(predictor))
+        Strategy {
+            kind: StrategyKind::SubmitQueue,
+            predictor: Some(Box::new(Memoized {
+                inner: predictor,
+                conflict_cache: RefCell::default(),
+            })),
+            lean: None,
+        }
     }
 
     /// A lean strategy over an already-trained predictor with an
-    /// explicit flag configuration (benches ablate through this; the
-    /// scenario runner shares one predictor across all lean kinds).
+    /// explicit flag configuration (benches ablate through this). It
+    /// reports the canonical kind of its flags — the all-off baseline
+    /// reports SubmitQueue, whose decisions it makes — and, unlike
+    /// [`Strategy::submit_queue_with`], carries a lean report.
     pub fn lean_with(predictor: LearnedPredictor, config: LeanConfig) -> Strategy {
-        Strategy::Lean(LeanStrategy::new(
-            MemoizedLearned::new(predictor),
-            config,
-            BypassPolicy::standard(),
-        ))
+        Strategy {
+            kind: config.canonical_kind(),
+            lean: Some(config),
+            ..Strategy::submit_queue_with(predictor)
+        }
     }
 
-    /// The kind of this instance. Lean instances report the canonical
-    /// kind of their flag configuration (baseline configs report as
-    /// SubmitQueue — they are decision-identical to it).
+    /// The kind of this instance.
     pub fn kind(&self) -> StrategyKind {
-        match self {
-            Strategy::SubmitQueue(_) => StrategyKind::SubmitQueue,
-            Strategy::Oracle(_) => StrategyKind::Oracle,
-            Strategy::SpeculateAll => StrategyKind::SpeculateAll,
-            Strategy::Optimistic => StrategyKind::Optimistic,
-            Strategy::SingleQueue => StrategyKind::SingleQueue,
-            Strategy::Lean(l) => l.config.canonical_kind(),
-        }
+        self.kind
     }
 
-    /// Is this a lean instance (carries skip/bypass bookkeeping)?
-    pub fn is_lean(&self) -> bool {
-        matches!(self, Strategy::Lean(_))
+    /// The lean flags, when this is a lean instance (the planner keeps a
+    /// [`crate::lean::LeanReport`] exactly for those).
+    pub fn lean(&self) -> Option<&LeanConfig> {
+        self.lean.as_ref()
     }
 
-    /// The lean flag configuration, when lean.
-    pub fn lean_config_ref(&self) -> Option<&LeanConfig> {
-        match self {
-            Strategy::Lean(l) => Some(&l.config),
-            _ => None,
-        }
-    }
-
-    /// Was `id`'s speculation probability-gated away at any planning
-    /// round of the current run?
-    pub fn lean_skipped(&self, id: ChangeId) -> bool {
-        match self {
-            Strategy::Lean(l) => l.skipped.borrow().contains(&id),
-            _ => false,
-        }
-    }
-
-    /// Was `id` routed through the bypass lane at any planning round of
-    /// the current run?
-    pub fn lean_bypassed(&self, id: ChangeId) -> bool {
-        match self {
-            Strategy::Lean(l) => l.bypassed.borrow().contains(&id),
-            _ => false,
-        }
-    }
-
-    /// Clear per-run lean bookkeeping. The planner calls this at
-    /// simulation start so a strategy instance reused across runs (the
-    /// benchmark grid) doesn't leak decision sets between runs; the
-    /// decisions themselves are pure functions of the planning inputs.
-    pub fn lean_reset(&self) {
-        if let Strategy::Lean(l) = self {
-            l.skipped.borrow_mut().clear();
-            l.bypassed.borrow_mut().clear();
-        }
-    }
-
-    /// The desired builds for the current pending set, best first, at
-    /// most `budget` entries.
+    /// The desired builds for the current pending set, with the lean
+    /// marks this round put on changes (none off the lean path).
     ///
-    /// `pending` is sorted by id; `graph` covers exactly the pending set;
-    /// `counters` holds dynamic speculation counts.
+    /// `pending` is sorted by id; `graph` covers at least the pending
+    /// set; `counters` holds dynamic speculation counts.
+    ///
+    /// On the engine path this is SubmitQueue's selection plus whichever
+    /// of the three optimizations of the 2025 sequel the instance's
+    /// flags turn on; with none on, no table is built and the selector
+    /// runs with benefit 1 and no pattern cap. Safety argument (audited
+    /// in the `lean` bench suite and the lean proptests): nothing here
+    /// touches the planner's *gating* path. A change still commits or
+    /// rejects only through its realized build, so the worst a wrong
+    /// skip or bypass can do is schedule a build that later gets
+    /// contradicted and aborted — pure latency, never a wrongful
+    /// rejection and never a red mainline.
     pub fn desired_builds(
         &self,
         workload: &Workload,
@@ -276,175 +267,69 @@ impl Strategy {
         counters: &HashMap<ChangeId, SpeculationCounters>,
         fixed: &HashMap<ChangeId, Vec<ChangeId>>,
         budget: usize,
-    ) -> Vec<PlannedBuild> {
-        match self {
-            Strategy::SubmitQueue(p) => SpeculationEngine::select_builds(
-                workload, pending, graph, p, counters, fixed, budget,
-            ),
-            Strategy::Lean(l) => {
-                l.desired_builds(workload, pending, graph, counters, fixed, budget)
-            }
-            Strategy::Oracle(p) => SpeculationEngine::select_builds(
-                workload, pending, graph, p, counters, fixed, budget,
-            ),
-            Strategy::SpeculateAll => SpeculationEngine::select_builds(
-                workload,
-                pending,
-                graph,
-                &UniformPredictor,
-                counters,
-                fixed,
-                budget,
-            ),
-            Strategy::Optimistic => {
-                // One build per change: assume every earlier conflicting
-                // pending change commits (the single most-optimistic path;
-                // a predictor certain of success would produce the same
-                // keys through the engine, listed here directly for clarity).
-                pending
-                    .iter()
-                    .take(budget)
-                    .map(|c| PlannedBuild {
-                        key: BuildKey {
-                            subject: c.id,
-                            assumed: graph.earlier_conflicts(c.id),
-                        },
-                        value: 1.0,
-                    })
-                    .collect()
-            }
-            Strategy::SingleQueue => {
-                // Only changes whose earlier conflicts are all resolved
-                // may build; they build against the exact committed
-                // prefix (empty pattern here; the planner unions in the
-                // fixed committed prefix).
-                pending
-                    .iter()
-                    .filter(|c| graph.earlier_conflicts(c.id).is_empty())
-                    .take(budget)
-                    .map(|c| PlannedBuild {
-                        key: BuildKey {
-                            subject: c.id,
-                            assumed: Vec::new(),
-                        },
-                        value: 1.0,
-                    })
-                    .collect()
-            }
-        }
-    }
-}
-
-/// The lean-speculation planning core: SubmitQueue's engine plus the
-/// three independently-toggleable optimizations of the 2025 sequel.
-///
-/// Safety argument (audited in `bench_lean` and the lean proptests):
-/// nothing here touches the planner's *gating* path. A change still
-/// commits or rejects only through its realized build, so the worst a
-/// wrong skip or bypass can do is schedule a build that later gets
-/// contradicted and aborted — pure latency, never a wrongful rejection
-/// and never a red mainline.
-pub struct LeanStrategy {
-    predictor: MemoizedLearned,
-    /// Which optimizations are active.
-    pub config: LeanConfig,
-    /// Bypass-lane eligibility policy.
-    pub policy: BypassPolicy,
-    /// Changes whose speculation was gated away this run (bookkeeping
-    /// only — consulted by the planner when the change resolves).
-    skipped: RefCell<HashSet<ChangeId>>,
-    /// Changes routed through the bypass lane this run.
-    bypassed: RefCell<HashSet<ChangeId>>,
-}
-
-impl LeanStrategy {
-    /// Assemble from a memoized predictor, flags, and a bypass policy.
-    pub fn new(predictor: MemoizedLearned, config: LeanConfig, policy: BypassPolicy) -> Self {
-        LeanStrategy {
-            predictor,
-            config,
-            policy,
-            skipped: RefCell::new(HashSet::new()),
-            bypassed: RefCell::new(HashSet::new()),
-        }
-    }
-
-    /// Predicted conflict risk of `c` against its earlier *pending*
-    /// conflicters: `1 − Π (1 − P_conf(d, c))`. This is the score space
-    /// the skip threshold was calibrated in (pairwise `P_conf` over
-    /// potentially-conflicting pairs).
-    fn risk(
-        &self,
-        workload: &Workload,
-        by_id: &HashMap<ChangeId, &ChangeSpec>,
-        graph: &ConflictGraph,
-        c: &ChangeSpec,
-    ) -> f64 {
-        let mut survive = 1.0;
-        for d in graph.earlier_conflicts(c.id) {
-            if let Some(dc) = by_id.get(&d) {
-                survive *= 1.0 - self.predictor.p_conflict(workload, dc, c);
-            }
-        }
-        (1.0 - survive).clamp(0.0, 1.0)
-    }
-
-    fn desired_builds(
-        &self,
-        workload: &Workload,
-        pending: &[&ChangeSpec],
-        graph: &ConflictGraph,
-        counters: &HashMap<ChangeId, SpeculationCounters>,
-        fixed: &HashMap<ChangeId, Vec<ChangeId>>,
-        budget: usize,
-    ) -> Vec<PlannedBuild> {
-        let by_id: HashMap<ChangeId, &ChangeSpec> = pending.iter().map(|c| (c.id, *c)).collect();
-        let needs_risk = self.config.prioritize || self.config.skip_threshold.is_some();
-        let risks: HashMap<ChangeId, f64> = if needs_risk {
-            pending
+    ) -> Plan {
+        let mut plan = Plan::default();
+        let Some(predictor) = self.predictor.as_deref() else {
+            // Both direct policies build a change on top of every
+            // earlier conflicting pending change (the single
+            // most-optimistic path; a predictor certain of success would
+            // produce the same keys through the engine). Optimistic does
+            // so for every change; Single-Queue only once none is left,
+            // so it builds against the exact committed prefix (the
+            // planner unions that in).
+            let optimistic = self.kind == StrategyKind::Optimistic;
+            let ready = pending
                 .iter()
-                .map(|c| (c.id, self.risk(workload, &by_id, graph, c)))
-                .collect()
-        } else {
-            HashMap::new()
+                .filter(|c| optimistic || !graph.has_earlier_conflicts(c.id));
+            plan.builds.extend(ready.take(budget).map(|c| PlannedBuild {
+                key: BuildKey {
+                    subject: c.id,
+                    assumed: graph.earlier_conflicts(c.id),
+                },
+                value: 1.0,
+            }));
+            return plan;
         };
+        let flags = self.lean.unwrap_or_else(LeanConfig::baseline);
+
+        // Predicted conflict risk of each change against its earlier
+        // *pending* conflicters: `1 − Π (1 − P_conf(d, c))`. This is the
+        // score space the skip threshold was calibrated in (pairwise
+        // `P_conf` over potentially-conflicting pairs).
+        let mut risks: FastMap<ChangeId, f64> = FastMap::default();
+        if flags.prioritize || flags.skip_threshold.is_some() {
+            let by_id: FastMap<ChangeId, &ChangeSpec> =
+                pending.iter().map(|c| (c.id, *c)).collect();
+            for c in pending {
+                let mut survive = 1.0;
+                for d in graph.earlier_conflicts(c.id) {
+                    if let Some(dc) = by_id.get(&d) {
+                        survive *= 1.0 - predictor.p_conflict(workload, dc, c);
+                    }
+                }
+                risks.insert(c.id, (1.0 - survive).clamp(0.0, 1.0));
+            }
+        }
 
         // Bypass lane: policy-eligible changes get exactly one build —
         // their *expected-mainline* build (most-likely outcome pattern)
         // — placed ahead of all speculation.
-        let mut bypass_ids: HashSet<ChangeId> = HashSet::new();
-        let mut head: Vec<PlannedBuild> = Vec::new();
-        if self.config.bypass {
+        if flags.bypass {
             let p_commit = SpeculationEngine::commit_probabilities(
-                workload,
-                pending,
-                graph,
-                &self.predictor,
-                counters,
-                fixed,
+                workload, pending, graph, predictor, counters, fixed,
             );
-            for c in pending {
-                if !self.policy.eligible(c) {
-                    continue;
-                }
-                bypass_ids.insert(c.id);
-                self.bypassed.borrow_mut().insert(c.id);
-                let mut assumed: Vec<ChangeId> = graph
-                    .earlier_conflicts(c.id)
-                    .into_iter()
-                    .filter(|d| p_commit.get(d).copied().unwrap_or(0.0) >= 0.5)
-                    .collect();
-                assumed.sort_unstable();
-                head.push(PlannedBuild {
+            let policy = BypassPolicy::standard();
+            for c in pending.iter().filter(|c| policy.eligible(c)).take(budget) {
+                plan.bypassed.push(c.id);
+                let mut assumed = graph.earlier_conflicts(c.id);
+                assumed.retain(|d| p_commit.get(d).copied().unwrap_or(0.0) >= 0.5);
+                plan.builds.push(PlannedBuild {
                     key: BuildKey {
                         subject: c.id,
                         assumed,
                     },
                     value: 1.0,
                 });
-                if head.len() >= budget {
-                    break;
-                }
             }
         }
 
@@ -452,25 +337,20 @@ impl LeanStrategy {
         // single (most-likely) pattern instead of a fan-out. Only
         // changes that actually have earlier pending conflicters are
         // counted as skips — for everyone else there is nothing to skip.
-        let mut skip_ids: HashSet<ChangeId> = HashSet::new();
-        if let Some(threshold) = self.config.skip_threshold {
+        // (`pending` is id-sorted, so both mark lists are too.)
+        if let Some(threshold) = flags.skip_threshold {
             for c in pending {
-                if bypass_ids.contains(&c.id) {
-                    continue;
-                }
-                if graph.earlier_conflicts(c.id).is_empty() {
-                    continue;
-                }
-                if risks.get(&c.id).copied().unwrap_or(1.0) < threshold {
-                    skip_ids.insert(c.id);
-                    self.skipped.borrow_mut().insert(c.id);
+                if plan.bypassed.binary_search(&c.id).is_err()
+                    && graph.has_earlier_conflicts(c.id)
+                    && risks.get(&c.id).copied().unwrap_or(1.0) < threshold
+                {
+                    plan.skipped.push(c.id);
                 }
             }
         }
 
-        let remaining = budget.saturating_sub(head.len());
         let benefit = |id: ChangeId| {
-            if self.config.prioritize {
+            if flags.prioritize {
                 1.0 + risks.get(&id).copied().unwrap_or(0.0)
             } else {
                 1.0
@@ -480,15 +360,15 @@ impl LeanStrategy {
             workload,
             pending,
             graph,
-            &self.predictor,
+            predictor,
             counters,
             fixed,
-            remaining,
+            budget.saturating_sub(plan.builds.len()),
             benefit,
             |id| {
-                if bypass_ids.contains(&id) {
+                if plan.bypassed.binary_search(&id).is_ok() {
                     0
-                } else if skip_ids.contains(&id) {
+                } else if plan.skipped.binary_search(&id).is_ok() {
                     1
                 } else {
                     usize::MAX
@@ -503,72 +383,25 @@ impl LeanStrategy {
         // only possible cost is latency). Without this, per-change
         // skips just hand their slots to even less likely patterns of
         // other changes and the wasted-build count is conserved.
-        if let Some(threshold) = self.config.skip_threshold {
+        if let Some(threshold) = flags.skip_threshold {
             picks.retain(|pb| pb.value / benefit(pb.key.subject) >= threshold);
         }
-        head.extend(picks);
-        head
+        plan.builds.extend(picks);
+        plan
     }
 }
 
-/// Owning `P_conf` memoization around the learned models: pair-conflict
-/// probabilities are pure functions of the two changes, and the planner
-/// replans on every event, so caching eliminates the dominant prediction
-/// cost (an O(pending²) model evaluation per round without the
-/// analyzer). Bound to one workload's change-id space.
-pub struct MemoizedLearned {
-    inner: LearnedPredictor,
+/// `P_conf` memoization around a predictor: pair-conflict probabilities
+/// are pure functions of the two changes, and the planner replans on
+/// every event, so caching eliminates the dominant prediction cost (an
+/// O(pending²) model evaluation per round without the analyzer). Bound
+/// to one workload's change-id space.
+struct Memoized<P> {
+    inner: P,
     conflict_cache: RefCell<FastMap<(ChangeId, ChangeId), f64>>,
 }
 
-impl MemoizedLearned {
-    /// Wrap a trained predictor.
-    pub fn new(inner: LearnedPredictor) -> Self {
-        MemoizedLearned {
-            inner,
-            conflict_cache: RefCell::default(),
-        }
-    }
-}
-
-impl Predictor for MemoizedLearned {
-    fn p_success(&self, w: &Workload, c: &ChangeSpec, k: SpeculationCounters) -> f64 {
-        self.inner.p_success(w, c, k)
-    }
-
-    fn p_conflict(&self, w: &Workload, a: &ChangeSpec, b: &ChangeSpec) -> f64 {
-        let key = if a.id.0 <= b.id.0 {
-            (a.id, b.id)
-        } else {
-            (b.id, a.id)
-        };
-        if let Some(&v) = self.conflict_cache.borrow().get(&key) {
-            return v;
-        }
-        let v = self.inner.p_conflict(w, a, b);
-        self.conflict_cache.borrow_mut().insert(key, v);
-        v
-    }
-}
-
-/// Borrowing `P_conf` memoization wrapper (same idea as
-/// [`MemoizedLearned`] for arbitrary predictors).
-pub struct CachedPredictor<'a, P: Predictor> {
-    inner: &'a P,
-    conflict_cache: std::cell::RefCell<HashMap<(ChangeId, ChangeId), f64>>,
-}
-
-impl<'a, P: Predictor> CachedPredictor<'a, P> {
-    /// Wrap a predictor.
-    pub fn new(inner: &'a P) -> Self {
-        CachedPredictor {
-            inner,
-            conflict_cache: std::cell::RefCell::new(HashMap::new()),
-        }
-    }
-}
-
-impl<'a, P: Predictor> Predictor for CachedPredictor<'a, P> {
+impl<P: Predictor> Predictor for Memoized<P> {
     fn p_success(&self, w: &Workload, c: &ChangeSpec, k: SpeculationCounters) -> f64 {
         self.inner.p_success(w, c, k)
     }
@@ -591,7 +424,7 @@ impl<'a, P: Predictor> Predictor for CachedPredictor<'a, P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analyzer::StatisticalAnalyzer;
+    use crate::analyzer::IndexedAnalyzer;
     use sq_workload::{WorkloadBuilder, WorkloadParams};
 
     fn setup(n: usize) -> (Workload, ConflictGraph, Vec<usize>) {
@@ -600,7 +433,7 @@ mod tests {
             .n_changes(n)
             .build()
             .unwrap();
-        let mut analyzer = StatisticalAnalyzer::new();
+        let mut analyzer = IndexedAnalyzer::new();
         let mut g = ConflictGraph::new();
         let mut pending: Vec<&ChangeSpec> = Vec::new();
         for c in &w.changes[..n] {
@@ -614,14 +447,9 @@ mod tests {
     fn optimistic_emits_one_build_per_change() {
         let (w, g, _) = setup(10);
         let pending: Vec<&ChangeSpec> = w.changes[..10].iter().collect();
-        let builds = Strategy::Optimistic.desired_builds(
-            &w,
-            &pending,
-            &g,
-            &HashMap::new(),
-            &HashMap::new(),
-            100,
-        );
+        let builds = Strategy::build(StrategyKind::Optimistic, &w, None)
+            .desired_builds(&w, &pending, &g, &HashMap::new(), &HashMap::new(), 100)
+            .builds;
         assert_eq!(builds.len(), 10);
         for (b, c) in builds.iter().zip(&pending) {
             assert_eq!(b.key.subject, c.id);
@@ -633,14 +461,9 @@ mod tests {
     fn single_queue_serializes_conflict_chains() {
         let (w, g, _) = setup(20);
         let pending: Vec<&ChangeSpec> = w.changes[..20].iter().collect();
-        let builds = Strategy::SingleQueue.desired_builds(
-            &w,
-            &pending,
-            &g,
-            &HashMap::new(),
-            &HashMap::new(),
-            100,
-        );
+        let builds = Strategy::build(StrategyKind::SingleQueue, &w, None)
+            .desired_builds(&w, &pending, &g, &HashMap::new(), &HashMap::new(), 100)
+            .builds;
         // Every scheduled change has no unresolved earlier conflicts.
         for b in &builds {
             assert!(g.earlier_conflicts(b.key.subject).is_empty());
@@ -660,14 +483,9 @@ mod tests {
     fn speculate_all_goes_wide() {
         let (w, g, _) = setup(8);
         let pending: Vec<&ChangeSpec> = w.changes[..8].iter().collect();
-        let builds = Strategy::SpeculateAll.desired_builds(
-            &w,
-            &pending,
-            &g,
-            &HashMap::new(),
-            &HashMap::new(),
-            64,
-        );
+        let builds = Strategy::build(StrategyKind::SpeculateAll, &w, None)
+            .desired_builds(&w, &pending, &g, &HashMap::new(), &HashMap::new(), 64)
+            .builds;
         // Every pending change appears as a subject.
         let subjects: std::collections::HashSet<ChangeId> =
             builds.iter().map(|b| b.key.subject).collect();
@@ -679,16 +497,20 @@ mod tests {
         let (w, g, _) = setup(12);
         let pending: Vec<&ChangeSpec> = w.changes[..12].iter().collect();
         let strategy = Strategy::build(StrategyKind::Oracle, &w, None);
-        let builds =
+        let plan =
             strategy.desired_builds(&w, &pending, &g, &HashMap::new(), &HashMap::new(), 1000);
-        assert_eq!(builds.len(), 12);
+        assert_eq!(plan.builds.len(), 12);
+        assert!(plan.skipped.is_empty() && plan.bypassed.is_empty());
     }
 
     #[test]
-    fn cached_predictor_agrees_with_inner() {
+    fn memoized_predictor_agrees_with_inner() {
         let (w, _, _) = setup(6);
         let oracle = OraclePredictor::new(&w);
-        let cached = CachedPredictor::new(&oracle);
+        let cached = Memoized {
+            inner: oracle.clone(),
+            conflict_cache: RefCell::default(),
+        };
         for i in 0..5 {
             let (a, b) = (&w.changes[i], &w.changes[i + 1]);
             let direct = oracle.p_conflict(&w, a, b);
@@ -696,6 +518,7 @@ mod tests {
             assert_eq!(cached.p_conflict(&w, a, b), direct); // cache hit
             assert_eq!(cached.p_conflict(&w, b, a), direct); // symmetric key
         }
+        assert_eq!(cached.conflict_cache.borrow().len(), 5);
     }
 
     #[test]
@@ -715,14 +538,9 @@ mod tests {
 
     #[test]
     fn census_is_complete() {
-        // `index()` is an exhaustive match over the enum; pinning
-        // `all()` and `COUNT` to it means no variant can be added
-        // without joining every scenario/benchmark matrix.
+        // `COUNT`, `all()` and `index()` all read one array; what is left
+        // to pin is that no two entries of it share a display name.
         let all = StrategyKind::all();
-        assert_eq!(all.len(), StrategyKind::COUNT);
-        for (i, kind) in all.into_iter().enumerate() {
-            assert_eq!(kind.index(), i, "{} out of census order", kind.name());
-        }
         let names: std::collections::HashSet<&str> = all.iter().map(|k| k.name()).collect();
         assert_eq!(names.len(), StrategyKind::COUNT, "names must be unique");
     }
@@ -746,10 +564,10 @@ mod tests {
         ] {
             let s = Strategy::build(kind, &w, Some(&history));
             assert_eq!(s.kind(), kind);
-            assert!(s.is_lean());
-            assert!(s.lean_config_ref().is_some());
+            assert_eq!(s.lean().map(|c| c.canonical_kind()), Some(kind));
         }
-        assert!(!Strategy::SpeculateAll.is_lean());
+        let baseline = Strategy::build(StrategyKind::SpeculateAll, &w, None);
+        assert!(baseline.lean().is_none());
     }
 
     #[test]
@@ -766,12 +584,10 @@ mod tests {
         let pending: Vec<&ChangeSpec> = w.changes[..16].iter().collect();
         let a = sq.desired_builds(&w, &pending, &g, &HashMap::new(), &HashMap::new(), 40);
         let b = lean.desired_builds(&w, &pending, &g, &HashMap::new(), &HashMap::new(), 40);
-        assert_eq!(a.len(), b.len());
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.key, y.key);
-            assert!((x.value - y.value).abs() < 1e-12);
-        }
+        assert_eq!(a, b, "same keys, same values, no marks");
+        assert!(b.skipped.is_empty() && b.bypassed.is_empty());
         assert_eq!(lean.kind(), StrategyKind::SubmitQueue);
+        assert!(lean.lean().is_some() && sq.lean().is_none());
     }
 
     #[test]
@@ -786,9 +602,9 @@ mod tests {
         // Threshold 1.0 ⇒ every conflicted change is skip-eligible.
         let lean = Strategy::lean_with(predictor, LeanConfig::lean(1.0));
         let pending: Vec<&ChangeSpec> = w.changes[..16].iter().collect();
-        let builds = lean.desired_builds(&w, &pending, &g, &HashMap::new(), &HashMap::new(), 400);
+        let plan = lean.desired_builds(&w, &pending, &g, &HashMap::new(), &HashMap::new(), 400);
         let mut per_subject: HashMap<ChangeId, usize> = HashMap::new();
-        for b in &builds {
+        for b in &plan.builds {
             *per_subject.entry(b.key.subject).or_default() += 1;
         }
         for (id, n) in &per_subject {
@@ -796,11 +612,10 @@ mod tests {
         }
         for c in &pending {
             if !g.earlier_conflicts(c.id).is_empty() {
-                assert!(lean.lean_skipped(c.id), "{} not recorded", c.id);
+                assert!(plan.skipped.contains(&c.id), "{} not recorded", c.id);
             }
         }
-        lean.lean_reset();
-        assert!(!lean.lean_skipped(pending[0].id));
+        assert!(!plan.skipped.contains(&pending[0].id), "nothing to skip");
     }
 
     #[test]
@@ -817,16 +632,12 @@ mod tests {
         // Flag one large change as an emergency.
         w2.changes[7].emergency = true;
         let pending: Vec<&ChangeSpec> = w2.changes[..16].iter().collect();
-        let builds = lean.desired_builds(&w2, &pending, &g, &HashMap::new(), &HashMap::new(), 400);
-        assert!(lean.lean_bypassed(pending[7].id), "emergency must bypass");
+        let Plan {
+            builds, bypassed, ..
+        } = lean.desired_builds(&w2, &pending, &g, &HashMap::new(), &HashMap::new(), 400);
+        assert!(bypassed.contains(&pending[7].id), "emergency must bypass");
         // Every bypassed change's build precedes every engine pick and
         // appears exactly once as a subject.
-        let bypassed: Vec<ChangeId> = pending
-            .iter()
-            .filter(|c| lean.lean_bypassed(c.id))
-            .map(|c| c.id)
-            .collect();
-        assert!(!bypassed.is_empty());
         for id in &bypassed {
             let count = builds.iter().filter(|b| b.key.subject == *id).count();
             assert_eq!(count, 1, "{id} must get exactly one bypass build");
@@ -856,8 +667,10 @@ mod tests {
         let a = sq.desired_builds(&w, &pending, &g, &HashMap::new(), &HashMap::new(), 1000);
         let b = lean.desired_builds(&w, &pending, &g, &HashMap::new(), &HashMap::new(), 1000);
         // Unbounded budget: same build set (weights reorder, never drop).
-        let ka: std::collections::HashSet<BuildKey> = a.iter().map(|x| x.key.clone()).collect();
-        let kb: std::collections::HashSet<BuildKey> = b.iter().map(|x| x.key.clone()).collect();
+        let keys = |p: Plan| -> std::collections::HashSet<BuildKey> {
+            p.builds.into_iter().map(|x| x.key).collect()
+        };
+        let (ka, kb) = (keys(a), keys(b));
         assert_eq!(ka, kb);
     }
 }

@@ -7,16 +7,9 @@
 //! aggregate and **per worker**, so the observability layer can report
 //! the fleet's load distribution, not just its mean.
 //!
-//! Two API levels coexist:
-//!
-//! * the indexed API ([`WorkerPool::acquire_worker`],
-//!   [`WorkerPool::release_worker`]) identifies which worker a build
-//!   occupies (lowest-index-idle assignment, deterministic), enabling
-//!   per-worker busy-time attribution;
-//! * the anonymous API ([`WorkerPool::acquire`], [`WorkerPool::release`])
-//!   is the original capacity-only interface, kept for callers that only
-//!   care about saturation; it delegates to the indexed one (LIFO
-//!   release), so aggregate accounting is identical either way.
+//! [`WorkerPool::acquire_worker`] and [`WorkerPool::release_worker`]
+//! identify which worker a build occupies (lowest-index-idle assignment,
+//! deterministic), enabling per-worker busy-time attribution.
 
 use sq_sim::{SimDuration, SimTime};
 
@@ -38,8 +31,6 @@ pub struct WorkerPool {
     /// utilization reporting.
     busy_integral: u128,
     last_update: SimTime,
-    /// Workers acquired through the anonymous API, released LIFO.
-    anon: Vec<usize>,
 }
 
 impl WorkerPool {
@@ -51,7 +42,6 @@ impl WorkerPool {
             busy: 0,
             busy_integral: 0,
             last_update: SimTime::ZERO,
-            anon: Vec::new(),
         }
     }
 
@@ -68,11 +58,6 @@ impl WorkerPool {
     /// Currently idle workers.
     pub fn idle(&self) -> usize {
         self.total() - self.busy
-    }
-
-    /// True iff at least one worker is idle.
-    pub fn has_capacity(&self) -> bool {
-        self.busy < self.total()
     }
 
     fn advance(&mut self, now: SimTime) {
@@ -107,34 +92,6 @@ impl WorkerPool {
             .expect("release_worker without matching acquire");
         slot.busy_us += now.since(since).as_micros() as u128;
         self.busy -= 1;
-    }
-
-    /// Occupy one worker at simulated time `now` (anonymous API).
-    /// Returns `false` (and changes nothing) when the pool is saturated.
-    pub fn acquire(&mut self, now: SimTime) -> bool {
-        match self.acquire_worker(now) {
-            Some(idx) => {
-                self.anon.push(idx);
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Release one worker at simulated time `now` (anonymous API):
-    /// the most recently anonymously-acquired worker, or the
-    /// lowest-indexed busy one if the anonymous stack is empty.
-    ///
-    /// # Panics
-    /// Panics if no worker is busy.
-    pub fn release(&mut self, now: SimTime) {
-        let idx = self.anon.pop().unwrap_or_else(|| {
-            self.slots
-                .iter()
-                .position(|s| s.since.is_some())
-                .expect("release without matching acquire")
-        });
-        self.release_worker(idx, now);
     }
 
     /// Mean utilization in [0, 1] over `[0, now]`.
@@ -180,13 +137,6 @@ impl WorkerPool {
     }
 }
 
-/// Convenience: how long a build occupying one worker takes, given the
-/// amount of incremental work and a floor for fixed overheads (fetch,
-/// queueing, artifact upload). Used by the simulation-facing controller.
-pub fn build_occupancy(work: SimDuration, overhead: SimDuration) -> SimDuration {
-    work + overhead
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -195,21 +145,14 @@ mod tests {
     fn acquire_release_cycle() {
         let mut p = WorkerPool::new(2);
         let t0 = SimTime::ZERO;
-        assert!(p.acquire(t0));
-        assert!(p.acquire(t0));
-        assert!(!p.acquire(t0));
+        assert!(p.acquire_worker(t0).is_some());
+        let w = p.acquire_worker(t0).unwrap();
+        assert!(p.acquire_worker(t0).is_none(), "saturated");
         assert_eq!(p.busy(), 2);
         assert_eq!(p.idle(), 0);
-        p.release(SimTime::from_secs(10));
-        assert!(p.has_capacity());
-        assert!(p.acquire(SimTime::from_secs(10)));
-    }
-
-    #[test]
-    #[should_panic]
-    fn release_without_acquire_panics() {
-        let mut p = WorkerPool::new(1);
-        p.release(SimTime::from_secs(1));
+        p.release_worker(w, SimTime::from_secs(10));
+        assert_eq!(p.idle(), 1);
+        assert_eq!(p.acquire_worker(SimTime::from_secs(10)), Some(w));
     }
 
     #[test]
@@ -230,8 +173,8 @@ mod tests {
         let mut p = WorkerPool::new(2);
         // One worker busy for the first half of a 100s window, both idle
         // after: utilization = (1 × 50) / (2 × 100) = 0.25.
-        assert!(p.acquire(SimTime::ZERO));
-        p.release(SimTime::from_secs(50));
+        let w = p.acquire_worker(SimTime::ZERO).unwrap();
+        p.release_worker(w, SimTime::from_secs(50));
         let u = p.utilization(SimTime::from_secs(100));
         assert!((u - 0.25).abs() < 1e-9, "u = {u}");
     }
@@ -240,7 +183,7 @@ mod tests {
     fn utilization_full_load() {
         let mut p = WorkerPool::new(3);
         for _ in 0..3 {
-            assert!(p.acquire(SimTime::ZERO));
+            assert!(p.acquire_worker(SimTime::ZERO).is_some());
         }
         let u = p.utilization(SimTime::from_secs(60));
         assert!((u - 1.0).abs() < 1e-9);
@@ -290,24 +233,5 @@ mod tests {
         assert_eq!(busy[0], SimDuration::from_secs(10));
         // Still busy; querying did not mutate anything.
         assert_eq!(p.busy(), 1);
-    }
-
-    #[test]
-    fn anonymous_release_is_lifo() {
-        let mut p = WorkerPool::new(2);
-        assert!(p.acquire(SimTime::ZERO)); // worker 0
-        assert!(p.acquire(SimTime::ZERO)); // worker 1
-        p.release(SimTime::from_secs(10)); // releases worker 1
-        let busy = p.per_worker_busy(SimTime::from_secs(10));
-        assert_eq!(busy[1], SimDuration::from_secs(10));
-        assert_eq!(p.busy(), 1);
-    }
-
-    #[test]
-    fn occupancy_helper() {
-        assert_eq!(
-            build_occupancy(SimDuration::from_mins(30), SimDuration::from_secs(90)),
-            SimDuration::from_micros(30 * 60_000_000 + 90_000_000)
-        );
     }
 }
