@@ -173,7 +173,8 @@ fn executor_cache_pass() -> (usize, usize, sq_exec::CacheStats) {
         ("app/s.rs", "app"),
     ] {
         let id = store.put(content.as_bytes().to_vec());
-        tree.insert(path(p), id);
+        tree.insert(path(p), id)
+            .expect("no file is another's directory");
     }
     let graph = BuildGraph::from_targets([
         Target::new(

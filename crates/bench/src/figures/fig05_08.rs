@@ -82,7 +82,8 @@ pub(super) fn run() {
         ("z/a.rs", "z-v1"),
     ] {
         let id = store.put(content.as_bytes().to_vec());
-        tree.insert(RepoPath::new(path).expect("valid"), id);
+        tree.insert(RepoPath::new(path).expect("valid"), id)
+            .expect("no file is another's directory");
     }
     let base = SnapshotAnalysis::analyze(&tree, &store).expect("analyzable");
     let c1 = Patch::write(RepoPath::new("x/a.rs").expect("valid"), "x-v2");

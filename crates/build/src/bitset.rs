@@ -352,7 +352,7 @@ mod tests {
             ("tool/t.rs", "tool-v1"),
         ] {
             let id = store.put(content.as_bytes().to_vec());
-            tree.insert(RepoPath::new(path).unwrap(), id);
+            tree.insert(RepoPath::new(path).unwrap(), id).unwrap();
         }
         let base = SnapshotAnalysis::analyze(&tree, &store).unwrap();
         let ta = Patch::write(RepoPath::new("lib/l.rs").unwrap(), "lib-v2")

@@ -280,7 +280,7 @@ mod tests {
         let mut tree = Tree::new();
         for (path, content) in files {
             let id = store.put(content.as_bytes().to_vec());
-            tree.insert(p(path), id);
+            tree.insert(p(path), id).unwrap();
         }
         (tree, store)
     }

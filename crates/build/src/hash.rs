@@ -163,7 +163,7 @@ mod tests {
         ];
         for (path, content) in files {
             let id = store.put(content.as_bytes().to_vec());
-            tree.insert(RepoPath::new(path).unwrap(), id);
+            tree.insert(RepoPath::new(path).unwrap(), id).unwrap();
         }
         (tree, store)
     }
@@ -226,13 +226,13 @@ mod tests {
         let mut store = ObjectStore::new();
         let mut t1 = Tree::new();
         let id = store.put(&b"same content"[..]);
-        t1.insert(RepoPath::new("p/a.rs").unwrap(), id);
+        t1.insert(RepoPath::new("p/a.rs").unwrap(), id).unwrap();
         let b1 = store.put(&b"library(name = \"p\", srcs = [\"a.rs\"])"[..]);
-        t1.insert(RepoPath::new("p/BUILD").unwrap(), b1);
+        t1.insert(RepoPath::new("p/BUILD").unwrap(), b1).unwrap();
         let mut t2 = Tree::new();
-        t2.insert(RepoPath::new("p/b.rs").unwrap(), id);
+        t2.insert(RepoPath::new("p/b.rs").unwrap(), id).unwrap();
         let b2 = store.put(&b"library(name = \"p\", srcs = [\"b.rs\"])"[..]);
-        t2.insert(RepoPath::new("p/BUILD").unwrap(), b2);
+        t2.insert(RepoPath::new("p/BUILD").unwrap(), b2).unwrap();
         let h1 = hashes_of(&t1, &store);
         let h2 = hashes_of(&t2, &store);
         assert_ne!(h1.get(&n("//p:p")), h2.get(&n("//p:p")));
@@ -251,10 +251,12 @@ mod tests {
         ));
         // Point the tree at a blob the store has never seen.
         let mut dangling = tree.clone();
-        dangling.insert(
-            RepoPath::new("mid/m.rs").unwrap(),
-            sq_vcs::ObjectId::for_bytes(b"never stored"),
-        );
+        dangling
+            .insert(
+                RepoPath::new("mid/m.rs").unwrap(),
+                sq_vcs::ObjectId::for_bytes(b"never stored"),
+            )
+            .unwrap();
         assert!(matches!(
             TargetHashes::compute(&graph, &dangling, &store),
             Err(BuildError::MissingObject(_))

@@ -306,7 +306,7 @@ mod tests {
         let mut tree = Tree::new();
         for (p, c) in files {
             let id = store.put(c.as_bytes().to_vec());
-            tree.insert(RepoPath::new(p).unwrap(), id);
+            tree.insert(RepoPath::new(p).unwrap(), id).unwrap();
         }
         (tree, store)
     }

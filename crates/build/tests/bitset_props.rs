@@ -37,9 +37,9 @@ fn workspace(n_pkgs: usize, dep_bits: &[bool]) -> (Tree, ObjectStore) {
             deps.join(", ")
         );
         let bid = store.put(build.into_bytes());
-        tree.insert(p(&format!("pkg{i}/BUILD")), bid);
+        tree.insert(p(&format!("pkg{i}/BUILD")), bid).unwrap();
         let sid = store.put(format!("src-{i}-v0").into_bytes());
-        tree.insert(p(&format!("pkg{i}/s.rs")), sid);
+        tree.insert(p(&format!("pkg{i}/s.rs")), sid).unwrap();
     }
     (tree, store)
 }
@@ -175,7 +175,7 @@ fn fig8_counterexample_interned() {
         ("z/a.rs", "z-v1"),
     ] {
         let id = store.put(content.as_bytes().to_vec());
-        tree.insert(p(path), id);
+        tree.insert(p(path), id).unwrap();
     }
     let c1 = Patch::write(p("x/a.rs"), "x-v2");
     let c2 = Patch::write(

@@ -805,6 +805,35 @@ mod tests {
         assert_eq!(service.repository().store().len(), objects_before);
     }
 
+    /// A flat path → blob map held `lib/l.rs` and `lib/l.rs/x` side by
+    /// side and landed the change; no checkout can hold both.
+    #[test]
+    fn a_write_through_a_file_or_onto_a_directory_is_rejected_not_committed() {
+        let service = SubmitQueueService::new(demo_repo(), 2);
+        let head_before = service.head();
+        let objects_before = service.repository().store().len();
+        let action = always_pass();
+        for colliding in ["lib/l.rs/nested.rs", "lib"] {
+            let t = service.submit(
+                "mallory",
+                "shadow a path",
+                head_before,
+                Patch::write(RepoPath::new(colliding).unwrap(), "x"),
+            );
+            assert_eq!(service.process_next(&action), Some(t));
+            let expected = sq_vcs::VcsError::PathConflict(RepoPath::new(colliding).unwrap());
+            match service.status(t) {
+                Some(TicketState::Rejected(reason)) => {
+                    assert!(reason.contains(&expected.to_string()), "reason = {reason}")
+                }
+                other => panic!("expected rejection, got {other:?}"),
+            }
+        }
+        assert_eq!(service.head(), head_before);
+        assert_eq!(service.repository().store().len(), objects_before);
+        assert_eq!(service.stats().rejected, 2);
+    }
+
     #[test]
     fn stale_base_gets_rebased() {
         let service = SubmitQueueService::new(demo_repo(), 2);

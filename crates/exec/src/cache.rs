@@ -152,7 +152,7 @@ mod tests {
         let mut tree = Tree::new();
         let p = RepoPath::new("a/s.rs").unwrap();
         let id = store.put(content.as_bytes().to_vec());
-        tree.insert(p.clone(), id);
+        tree.insert(p.clone(), id).unwrap();
         let graph = BuildGraph::from_targets([Target::new(
             TargetName::from_str("//a:a").unwrap(),
             RuleKind::Library,

@@ -175,7 +175,7 @@ mod tests {
         ];
         for (p, c) in files {
             let id = store.put(c.as_bytes().to_vec());
-            tree.insert(RepoPath::new(p).unwrap(), id);
+            tree.insert(RepoPath::new(p).unwrap(), id).unwrap();
         }
         (tree, store)
     }

@@ -403,7 +403,7 @@ mod tests {
             ("d/s.rs", "d"),
         ] {
             let id = store.put(content.as_bytes().to_vec());
-            tree.insert(p(path), id);
+            tree.insert(p(path), id).unwrap();
         }
         let graph = BuildGraph::from_targets([
             Target::new(n("//a:a"), RuleKind::Library, vec![p("a/s.rs")], vec![]),
@@ -459,7 +459,7 @@ mod tests {
         let mut tree = Tree::new();
         for (path, content) in [("a/s.rs", "a"), ("b/s.rs", "b")] {
             let id = store.put(content.as_bytes().to_vec());
-            tree.insert(p(path), id);
+            tree.insert(p(path), id).unwrap();
         }
         let graph = BuildGraph::from_targets([
             Target::new(n("//a:a"), RuleKind::Library, vec![p("a/s.rs")], vec![]),
@@ -672,7 +672,7 @@ mod tests {
             ("p2/s.rs", "p2"),
         ] {
             let id = store.put(content.as_bytes().to_vec());
-            tree.insert(p(path), id);
+            tree.insert(p(path), id).unwrap();
         }
         let graph = BuildGraph::from_targets([
             Target::new(n("//f:f"), RuleKind::Library, vec![p("f/s.rs")], vec![]),

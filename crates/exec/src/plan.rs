@@ -164,7 +164,7 @@ mod tests {
         ];
         for (path, content) in files {
             let id = store.put(content.as_bytes().to_vec());
-            tree.insert(p(path), id);
+            tree.insert(p(path), id).unwrap();
         }
         (tree, store)
     }

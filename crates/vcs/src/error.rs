@@ -9,6 +9,13 @@ use std::fmt;
 pub enum VcsError {
     /// A referenced object id is not in the store.
     MissingObject(String),
+    /// A stored directory object is not one this crate's encoder writes.
+    CorruptObject {
+        /// Hex id of the object.
+        id: String,
+        /// What is wrong with it.
+        reason: &'static str,
+    },
     /// A referenced commit does not exist.
     UnknownCommit(CommitId),
     /// A referenced branch does not exist.
@@ -17,6 +24,9 @@ pub enum VcsError {
     BranchExists(String),
     /// A patch operation referenced a path absent from the tree.
     MissingPath(RepoPath),
+    /// A write needs a directory where the tree holds a file, or names a
+    /// path the tree holds a directory at: no checkout could hold both.
+    PathConflict(RepoPath),
     /// A path string failed normalization.
     InvalidPath(String),
     /// Applying a patch produced a textual merge conflict.
@@ -37,10 +47,19 @@ impl fmt::Display for VcsError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             VcsError::MissingObject(id) => write!(f, "object {id} not found in store"),
+            VcsError::CorruptObject { id, reason } => {
+                write!(f, "object {id} is not a directory: {reason}")
+            }
             VcsError::UnknownCommit(id) => write!(f, "unknown commit {id}"),
             VcsError::UnknownBranch(name) => write!(f, "unknown branch '{name}'"),
             VcsError::BranchExists(name) => write!(f, "branch '{name}' already exists"),
             VcsError::MissingPath(p) => write!(f, "path '{p}' not found in tree"),
+            VcsError::PathConflict(p) => {
+                write!(
+                    f,
+                    "path '{p}' collides with a file or directory in the tree"
+                )
+            }
             VcsError::InvalidPath(s) => write!(f, "invalid repository path '{s}'"),
             VcsError::MergeConflict { paths } => {
                 write!(f, "textual merge conflict on {} path(s): ", paths.len())?;

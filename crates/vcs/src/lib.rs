@@ -11,7 +11,8 @@
 //!   addressing (blobs, trees, commits all get stable ids).
 //! * [`object`] — the content-addressed object store.
 //! * [`path`] — normalized repository paths.
-//! * [`tree`] — immutable snapshots mapping paths to blob ids.
+//! * [`tree`] — immutable snapshots mapping paths to blob ids: one
+//!   shared, content-addressed node per directory.
 //! * [`patch`] — a developer's code patch: writes and deletes, plus patch
 //!   composition (the paper's `C₁ ⊕ C₂`).
 //! * [`diff`] — Myers line diff between blobs.

@@ -287,7 +287,7 @@ mod tests {
         let mut t = Tree::new();
         for (p, c) in [("f1", "a\nb\nc\nd\ne\nf"), ("f2", "x\ny\nz")] {
             let id = store.put(c.as_bytes().to_vec());
-            t.insert(path(p), id);
+            t.insert(path(p), id).unwrap();
         }
         (t, store)
     }

@@ -1,6 +1,6 @@
 //! The content-addressed object store.
 //!
-//! Blobs (file contents), serialized trees and commits are all stored
+//! Blobs (file contents), directory objects and commits are all stored
 //! under the SHA-256 of their bytes. Storing is idempotent; identical
 //! content is deduplicated, which matters because the benchmark workloads
 //! create tens of thousands of snapshots that share almost all files.
@@ -21,8 +21,8 @@ impl ObjectId {
         ObjectId(Sha256::digest(data))
     }
 
-    /// Construct from raw digest bytes (used when parsing canonical trees
-    /// and deserializing traces).
+    /// Construct from raw digest bytes (used when decoding directory
+    /// objects and deserializing traces).
     pub fn from_raw(raw: [u8; 32]) -> Self {
         ObjectId(raw)
     }
@@ -79,6 +79,12 @@ impl ObjectStore {
         let id = ObjectId::for_bytes(&bytes);
         self.objects.insert(id, bytes);
         id
+    }
+
+    /// Insert content whose address the caller has already computed.
+    pub(crate) fn put_addressed(&mut self, id: ObjectId, data: Vec<u8>) {
+        debug_assert_eq!(id, ObjectId::for_bytes(&data));
+        self.objects.insert(id, data.into());
     }
 
     /// Fetch content by address.

@@ -121,20 +121,27 @@ impl Patch {
     }
 
     /// Apply to a tree, producing the new snapshot. Deleting a missing
-    /// path is an error (the patch was made against a different base).
+    /// path is an error (the patch was made against a different base),
+    /// and so is a write the tree cannot hold
+    /// ([`VcsError::PathConflict`]).
+    ///
+    /// Deletes go first: a patch has one op per path, so the order
+    /// changes no result, and a patch that replaces a file by a directory
+    /// of its name (or the reverse) then applies whichever sorts first.
     pub fn apply(&self, base: &Tree, store: &mut ObjectStore) -> Result<Tree, VcsError> {
         let mut tree = base.clone();
+        for path in self.ops.values().filter_map(|op| match op {
+            FileOp::Delete { path } => Some(path),
+            FileOp::Write { .. } => None,
+        }) {
+            if tree.remove(path).is_none() {
+                return Err(VcsError::MissingPath(path.clone()));
+            }
+        }
         for op in self.ops.values() {
-            match op {
-                FileOp::Write { path, content } => {
-                    let id = store.put(content.clone().into_bytes());
-                    tree.insert(path.clone(), id);
-                }
-                FileOp::Delete { path } => {
-                    if tree.remove(path).is_none() {
-                        return Err(VcsError::MissingPath(path.clone()));
-                    }
-                }
+            if let FileOp::Write { path, content } = op {
+                let id = store.put(content.clone().into_bytes());
+                tree.insert(path.clone(), id)?;
             }
         }
         Ok(tree)
@@ -170,13 +177,14 @@ impl Patch {
     }
 
     /// True iff applying to `base` would change nothing (all writes are
-    /// identical content and there are no deletes of existing files).
+    /// identical content, byte for byte, and there are no deletes of
+    /// existing files).
     pub fn is_noop_on(&self, base: &Tree, store: &ObjectStore) -> bool {
         self.ops.values().all(|op| match op {
             FileOp::Write { path, content } => base
                 .get(path)
-                .and_then(|id| store.get_text(&id))
-                .is_some_and(|old| old == *content),
+                .and_then(|id| store.get(&id))
+                .is_some_and(|old| old.as_ref() == content.as_bytes()),
             FileOp::Delete { path } => !base.contains(path),
         })
     }
@@ -194,7 +202,7 @@ mod tests {
         let mut t = Tree::new();
         for (p, c) in [("a.rs", "alpha"), ("b.rs", "beta"), ("dir/c.rs", "gamma")] {
             let id = store.put(c.as_bytes().to_vec());
-            t.insert(path(p), id);
+            t.insert(path(p), id).unwrap();
         }
         t
     }
@@ -316,5 +324,54 @@ mod tests {
         assert!(same.is_noop_on(&base, &store));
         assert!(!diff.is_noop_on(&base, &store));
         assert!(Patch::new().is_noop_on(&base, &store));
+    }
+
+    /// A blob that is not UTF-8 reads, lossily, as U+FFFD: a write of
+    /// that character is a change, not a no-op.
+    #[test]
+    fn noop_detection_compares_bytes_not_lossy_text() {
+        let mut store = ObjectStore::new();
+        let mut base = Tree::new();
+        let raw = store.put(vec![0xFF]);
+        base.insert(path("bin"), raw).unwrap();
+        assert_eq!(store.get_text(&raw).unwrap(), "\u{FFFD}");
+        let write = Patch::write(path("bin"), "\u{FFFD}");
+        assert!(!write.is_noop_on(&base, &store));
+        let out = write.apply(&base, &mut store).unwrap();
+        assert_eq!(
+            store.get(&out.get(&path("bin")).unwrap()).unwrap().as_ref(),
+            "\u{FFFD}".as_bytes()
+        );
+    }
+
+    #[test]
+    fn a_write_through_a_file_or_onto_a_directory_is_refused() {
+        let mut store = ObjectStore::new();
+        let base = base_tree(&mut store);
+        for refused in ["a.rs/BUILD", "dir"] {
+            assert_eq!(
+                Patch::write(path(refused), "x").apply(&base, &mut store),
+                Err(VcsError::PathConflict(path(refused)))
+            );
+        }
+        // One patch may turn a file into a directory and a directory
+        // into a file, whichever of its ops sorts first.
+        let swap = Patch::from_ops([
+            FileOp::Delete { path: path("a.rs") },
+            FileOp::Write {
+                path: path("a.rs/BUILD"),
+                content: "x".into(),
+            },
+            FileOp::Write {
+                path: path("dir"),
+                content: "x".into(),
+            },
+            FileOp::Delete {
+                path: path("dir/c.rs"),
+            },
+        ]);
+        let out = swap.apply(&base, &mut store).unwrap();
+        let files: Vec<&str> = out.iter().map(|(p, _)| p.as_str()).collect();
+        assert_eq!(files, ["a.rs/BUILD", "b.rs", "dir"]);
     }
 }

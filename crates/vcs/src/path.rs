@@ -9,6 +9,11 @@ use crate::error::VcsError;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
+/// The most components a path may have. Directory trees recurse once per
+/// level (encoding, decoding, dropping), so the bound keeps a path that
+/// arrives in a frame or a journal from choosing the stack depth.
+pub const MAX_DEPTH: usize = 128;
+
 /// A validated, normalized repository-relative path.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 #[serde(transparent)]
@@ -18,8 +23,9 @@ impl RepoPath {
     /// Normalize and validate a path string.
     ///
     /// Accepts optional leading `/` and redundant separators; rejects
-    /// empty paths, `.`/`..` components, and trailing slashes that would
-    /// make the path a directory.
+    /// empty paths, `.`/`..` components, more than [`MAX_DEPTH`]
+    /// components, and trailing slashes that would make the path a
+    /// directory.
     pub fn new(s: impl AsRef<str>) -> Result<Self, VcsError> {
         let raw = s.as_ref();
         let mut parts: Vec<&str> = Vec::new();
@@ -30,10 +36,7 @@ impl RepoPath {
                 p => parts.push(p),
             }
         }
-        if parts.is_empty() {
-            return Err(VcsError::InvalidPath(raw.to_string()));
-        }
-        if raw.ends_with('/') {
+        if parts.is_empty() || parts.len() > MAX_DEPTH || raw.ends_with('/') {
             return Err(VcsError::InvalidPath(raw.to_string()));
         }
         Ok(RepoPath(parts.join("/")))
@@ -107,6 +110,8 @@ mod tests {
         assert!(RepoPath::new("a/../b").is_err());
         assert!(RepoPath::new("./a").is_err());
         assert!(RepoPath::new("a/b/").is_err());
+        assert!(RepoPath::new(vec!["d"; MAX_DEPTH].join("/")).is_ok());
+        assert!(RepoPath::new(vec!["d"; MAX_DEPTH + 1].join("/")).is_err());
     }
 
     #[test]

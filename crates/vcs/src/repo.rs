@@ -10,8 +10,11 @@
 //! and the length of its history: objects and commits are shared with
 //! the snapshot, not copied (see [`ObjectStore`]), and the decoded trees
 //! of the last [`RECENT_TREES`] commits are kept, so reading one is a
-//! pointer copy rather than a parse of its canonical form. A snapshot
-//! and the repository it was taken from diverge independently.
+//! pointer copy rather than a decode of its directory objects. Landing a
+//! change costs what the change touches: a commit stores one object per
+//! directory on the way to a file it wrote (see [`Tree`]) and shares the
+//! rest with its parent. A snapshot and the repository it was taken from
+//! diverge independently.
 
 use crate::commit::{Commit, CommitId, CommitMeta};
 use crate::error::VcsError;
@@ -28,8 +31,9 @@ pub const MAINLINE: &str = "main";
 /// How many of the most recently created commits keep their decoded tree.
 /// The queue reads HEAD and the base a change was developed against,
 /// which is HEAD or a few commits behind it; anything older is decoded
-/// from the store as before. Consecutive trees share no entries, so the
-/// window holds at most this many flat trees (≈ 150 bytes per file each).
+/// from the store. Consecutive trees share every directory the commit
+/// between them did not write, so beyond one full tree the window holds
+/// a spine per commit, not a tree per commit.
 pub const RECENT_TREES: usize = 8;
 
 /// An in-memory repository.
@@ -70,7 +74,7 @@ impl Repository {
         for (p, content) in initial {
             let path = crate::path::RepoPath::new(p)?;
             let id = store.put(content.as_bytes().to_vec());
-            tree.insert(path, id);
+            tree.insert(path, id)?;
         }
         let tree_id = tree.store(&mut store);
         let root = Commit::create(
@@ -138,13 +142,7 @@ impl Repository {
         if let Some((_, tree)) = self.recent.iter().find(|(recent, _)| *recent == id) {
             return Ok(tree.clone());
         }
-        let commit = self.commit(id)?;
-        let bytes = self
-            .store
-            .get(&commit.tree)
-            .ok_or_else(|| VcsError::MissingObject(commit.tree.to_hex()))?;
-        Tree::from_canonical_bytes(bytes)
-            .ok_or_else(|| VcsError::MissingObject(commit.tree.to_hex()))
+        Tree::load(&self.store, self.commit(id)?.tree)
     }
 
     /// The snapshot at the mainline HEAD.
@@ -438,7 +436,7 @@ mod tests {
                 }
                 for (base, (recent, decoded)) in bases.iter().zip(&r.recent) {
                     assert_eq!(base, recent);
-                    assert!(r.tree_at(*base).unwrap().shares_entries_with(decoded));
+                    assert!(r.tree_at(*base).unwrap().shares_root_with(decoded));
                 }
                 drop(store);
                 r.commit_patch(
@@ -448,11 +446,37 @@ mod tests {
                 )
                 .unwrap();
             }
-            assert_eq!(r.store().len() as u64, 4 + 3 * commits);
+            assert_eq!(r.store().len() as u64, 5 + 3 * commits);
             assert_eq!(r.recent.len(), RECENT_TREES);
             // Older commits fall out of the window and still read.
             assert_eq!(r.tree_at(r.root()).unwrap().len(), 2);
         }
+    }
+
+    /// A commit whose tree is not a directory object this crate wrote
+    /// reads as an error, whole: no panic, no partial tree.
+    #[test]
+    fn a_commit_over_a_hostile_tree_object_reads_as_an_error() {
+        let mut r = repo();
+        let good = r.head_tree().unwrap().id();
+        let mut bytes = r.store().get(&good).unwrap().to_vec();
+        bytes.swap(0, 1); // the first entry's kind byte is now an id byte
+        for hostile in [bytes, b"not a directory".to_vec()] {
+            let tree = r.store_mut().put(hostile);
+            let head = r.head();
+            let bad = Commit::create(&mut r.store, vec![head], tree, meta("hostile"));
+            let id = bad.id;
+            r.commits.insert(id, bad);
+            assert!(matches!(
+                r.tree_at(id),
+                Err(VcsError::CorruptObject { id: named, .. }) if named == tree.to_hex()
+            ));
+            assert!(matches!(
+                r.read_file(id, &path("README.md")),
+                Err(VcsError::CorruptObject { .. })
+            ));
+        }
+        assert_eq!(r.head_tree().unwrap().len(), 2);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 use proptest::prelude::*;
 use sq_vcs::diff::{apply_hunks, diff_lines, DiffOp};
 use sq_vcs::merge::{merge_file, FileMerge};
-use sq_vcs::{FileOp, ObjectStore, Patch, RepoPath, Tree};
+use sq_vcs::{FileOp, ObjectId, ObjectStore, Patch, RepoPath, Tree};
 
 /// Short line-based texts over a tiny alphabet (maximizes collisions,
 /// which is what stresses diff/merge logic).
@@ -34,7 +34,8 @@ fn full_tree(store: &mut ObjectStore) -> Tree {
     for d in 0..4 {
         for f in 0..4 {
             let id = store.put(format!("base d{d} f{f}").into_bytes());
-            t.insert(RepoPath::new(format!("d{d}/f{f}.rs")).unwrap(), id);
+            t.insert(RepoPath::new(format!("d{d}/f{f}.rs")).unwrap(), id)
+                .unwrap();
         }
     }
     t
@@ -112,13 +113,56 @@ proptest! {
     }
 
     #[test]
-    fn tree_canonical_roundtrip(patch in arb_patch()) {
+    fn tree_store_load_roundtrip(patch in arb_patch()) {
         let mut store = ObjectStore::new();
         let base = full_tree(&mut store);
         let tree = patch.apply(&base, &mut store).unwrap();
-        let bytes = tree.canonical_bytes();
-        let parsed = Tree::from_canonical_bytes(&bytes).unwrap();
-        prop_assert_eq!(parsed, tree);
+        let id = tree.store(&mut store);
+        let loaded = Tree::load(&store, id).unwrap();
+        prop_assert_eq!(loaded.iter().collect::<Vec<_>>(), tree.iter().collect::<Vec<_>>());
+        prop_assert_eq!(loaded.len(), tree.len());
+        prop_assert_eq!(&loaded, &tree);
+    }
+
+    /// Directory objects are checked, not trusted: with any one byte of
+    /// one of them changed, the tree is refused or is exactly the tree
+    /// those bytes encode.
+    #[test]
+    fn a_flipped_byte_in_a_directory_object_is_an_error_or_reencodes_exactly(
+        patch in arb_patch(),
+        which in 0usize..5,
+        at in any::<usize>(),
+        flip in 1u16..256,
+    ) {
+        let mut blobs = ObjectStore::new();
+        let tree = patch.apply(&full_tree(&mut blobs), &mut blobs).unwrap();
+        // `store` holds directory objects only: the root, whose four
+        // entries (kind, id, length, two-byte name) are d0..d3, and those.
+        let mut store = ObjectStore::new();
+        let root = tree.store(&mut store);
+        let mut root_bytes = store.get(&root).unwrap().to_vec();
+        prop_assert_eq!(root_bytes.len(), 4 * 39);
+
+        // Change the root, or a subdirectory and the root's id for it.
+        let top = if which == 0 {
+            let at = at % root_bytes.len();
+            root_bytes[at] ^= flip as u8;
+            store.put(root_bytes.clone())
+        } else {
+            let id_at = (which - 1) * 39 + 1;
+            let sub = ObjectId::from_raw(root_bytes[id_at..id_at + 32].try_into().unwrap());
+            let mut sub_bytes = store.get(&sub).unwrap().to_vec();
+            let at = at % sub_bytes.len();
+            sub_bytes[at] ^= flip as u8;
+            let changed = store.put(sub_bytes);
+            root_bytes[id_at..id_at + 32].copy_from_slice(changed.as_bytes());
+            store.put(root_bytes.clone())
+        };
+        if let Ok(loaded) = Tree::load(&store, top) {
+            let mut again = ObjectStore::new();
+            prop_assert_eq!(loaded.store(&mut again), top);
+            prop_assert_eq!(again.get(&top).unwrap().to_vec(), root_bytes);
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Property tests for the sharing behind O(1) snapshots: the object
-//! store's shared map, copy-on-write trees and the repository's window of
-//! decoded recent trees must be invisible — every read answers what a
+//! store's shared map, trees that share their directories and the
+//! repository's window of decoded recent trees must be invisible — every read answers what a
 //! deep copy taken at the same moment would have answered.
 
 use proptest::prelude::*;
@@ -58,7 +58,7 @@ fn contents(tree: &Tree, store: &sq_vcs::ObjectStore) -> Vec<(RepoPath, Vec<u8>)
 
 fn decoded_from_store(repo: &Repository, id: CommitId) -> Tree {
     let commit = repo.commit(id).unwrap();
-    Tree::from_canonical_bytes(repo.store().get(&commit.tree).unwrap()).unwrap()
+    Tree::load(repo.store(), commit.tree).unwrap()
 }
 
 proptest! {
@@ -139,19 +139,51 @@ proptest! {
         let repo = seed_repo();
         let mut store = repo.store().clone();
         let original = repo.head_tree().unwrap();
-        let bytes_before = original.canonical_bytes();
+        let before = (original.id(), contents(&original, &store));
         let mut copy = original.clone();
         for op in ops {
             match op {
-                FileOp::Write { path, content } => copy.insert(path, store.put(content.into_bytes())),
+                FileOp::Write { path, content } => {
+                    copy.insert(path, store.put(content.into_bytes())).unwrap()
+                }
                 FileOp::Delete { path } => {
                     copy.remove(&path);
                 }
             }
         }
-        prop_assert_eq!(original.canonical_bytes(), bytes_before.clone());
+        prop_assert_eq!(&(original.id(), contents(&original, &store)), &before);
         // The window's own copy of HEAD is untouched too.
-        prop_assert_eq!(repo.head_tree().unwrap().canonical_bytes(), bytes_before);
+        let head = repo.head_tree().unwrap();
+        prop_assert_eq!(&(head.id(), contents(&head, &store)), &before);
+        // And the copy is what a tree built from nothing would be.
+        let mut rebuilt = Tree::new();
+        for (path, blob) in copy.iter() {
+            rebuilt.insert(path.clone(), *blob).unwrap();
+        }
+        prop_assert_eq!(rebuilt.id(), copy.id());
+    }
+
+    /// A directory's id is remembered once computed; that memory says
+    /// nothing about which stores hold its object. A tree staged in a
+    /// snapshot must reach a store that has never seen it whole.
+    #[test]
+    fn a_tree_stored_elsewhere_first_still_arrives_whole(
+        history in arb_patches(),
+        patch in arb_patch(),
+    ) {
+        let mut repo = seed_repo();
+        commit_all(&mut repo, &history, "dev");
+        let head = repo.head_tree().unwrap();
+        let mut staged = repo.store().clone();
+        let tree = patch.apply(&head, &mut staged).unwrap_or(head);
+        let id = tree.store(&mut staged);
+
+        let mut fresh = sq_vcs::ObjectStore::new();
+        prop_assert_eq!(tree.store(&mut fresh), id);
+        let loaded = Tree::load(&fresh, id).unwrap();
+        // File by file: equal ids alone would make the two trees equal.
+        prop_assert_eq!(loaded.iter().collect::<Vec<_>>(), tree.iter().collect::<Vec<_>>());
+        prop_assert_eq!(loaded.len(), tree.len());
     }
 
     #[test]

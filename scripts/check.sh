@@ -95,11 +95,16 @@ step "sq-bench e2e lean shard scenarios replication server (fresh == committed, 
 
 # The wall-clock benchmark is a cargo package of its own (see
 # benchmark/README.md): its unit + schema tests, then all four workloads
-# at 1/20 size with every correctness gate.
+# at 1/20 size with every correctness gate — and once more traced, which
+# adds the gates only the traced run has: the layer replay against its
+# opaque twins (core.service.replay_coverage), the journal reopen and the
+# follower promotion.
 step "benchmark: cargo test --release (unit + schema tests)" \
   cargo test --release --offline --manifest-path benchmark/Cargo.toml
 step "benchmark/run.sh --smoke (four workloads at 1/20 size, every gate)" \
   bash benchmark/run.sh --smoke
+step "benchmark/run.sh --smoke --trace 1 (the traced gates: layer replay, journal reopen, promotion)" \
+  bash benchmark/run.sh --smoke --trace 1
 
 summary
 echo "All checks passed."

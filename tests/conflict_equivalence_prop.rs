@@ -22,7 +22,8 @@ fn build_workspace(n: usize, dep_mask: u64) -> (Tree, ObjectStore) {
     for i in 0..n {
         for s in 0..2 {
             let id = store.put(format!("pkg{i} src{s}").into_bytes());
-            tree.insert(RepoPath::new(format!("p{i}/s{s}.rs")).unwrap(), id);
+            tree.insert(RepoPath::new(format!("p{i}/s{s}.rs")).unwrap(), id)
+                .unwrap();
         }
         let dep = if i > 0 && (dep_mask >> i) & 1 == 1 {
             format!(", deps = [\"//p{}:t{}\"]", i - 1, i - 1)
@@ -31,7 +32,8 @@ fn build_workspace(n: usize, dep_mask: u64) -> (Tree, ObjectStore) {
         };
         let build = format!("library(name = \"t{i}\", srcs = [\"s0.rs\", \"s1.rs\"]{dep})");
         let id = store.put(build.into_bytes());
-        tree.insert(RepoPath::new(format!("p{i}/BUILD")).unwrap(), id);
+        tree.insert(RepoPath::new(format!("p{i}/BUILD")).unwrap(), id)
+            .unwrap();
     }
     (tree, store)
 }
