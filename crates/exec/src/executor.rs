@@ -2,10 +2,26 @@
 //!
 //! The simulator models build time; this executor actually *runs* build
 //! steps, so the examples and integration tests can exercise the system
-//! end to end with genuine parallel execution: a crossbeam-scoped worker
-//! pool pulls ready targets from a queue, a target becomes ready when all
-//! its dependencies finished, and artifacts are recorded in the shared
-//! [`ArtifactCache`].
+//! end to end with genuine parallel execution. A target becomes ready
+//! when all its requested dependencies finished, and artifacts are
+//! recorded in the shared [`ArtifactCache`].
+//!
+//! ## How a worker waits
+//!
+//! The calling thread is worker 0 and `threads − 1` scoped helpers run
+//! beside it (never more than one worker per requested target). A
+//! worker with nothing to run *parks* on a condvar paired with the one
+//! scheduling mutex; it is woken only by an event that changes what it
+//! would do — a surplus ready target, the last in-flight target
+//! finishing, or an abort — and every one of those is written under
+//! that mutex by a worker that notifies before it unlocks, so a wake-up
+//! cannot be lost and nothing polls. A worker that finishes a target
+//! records it, releases its dependents and claims its next target in
+//! one hold of the lock; it keeps one released dependent for itself and
+//! wakes one parked worker per *surplus* one, so a dependency chain
+//! runs start to finish on one thread with no wake-up at all.
+//! [`ExecReport::idle_wakeups`] counts the wake-ups that found nothing
+//! to do.
 //!
 //! Failure policy is fail-fast: once any step fails, no new targets are
 //! dispatched (in-flight ones drain), mirroring how the paper's build
@@ -27,7 +43,7 @@ use sq_build::{BuildGraph, TargetHashes, TargetName};
 use sq_obs::MetricsRegistry;
 use sq_sim::SimDuration;
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Condvar;
 use std::time::{Duration, Instant};
 
 /// Result of one step action.
@@ -77,6 +93,10 @@ pub struct ExecReport {
     /// Wall-clock time each executor thread spent inside step actions
     /// (index = thread index; length = thread count).
     pub worker_busy: Vec<Duration>,
+    /// Times a parked worker woke and found neither a ready target nor
+    /// a reason to exit. Exact, not a timing: a dependency chain costs
+    /// none, however many workers wait beside it.
+    pub idle_wakeups: u64,
 }
 
 impl ExecReport {
@@ -108,6 +128,23 @@ impl ExecReport {
             .collect()
     }
 
+    /// Append what one target's pipeline produced, in completion order.
+    /// Only the first failure of each color is kept.
+    fn absorb(&mut self, done: ExecReport) {
+        self.executed.extend(done.executed);
+        self.cache_hits += done.cache_hits;
+        self.infra_events.extend(done.infra_events);
+        self.infra_retries += done.infra_retries;
+        self.charged_backoff += done.charged_backoff;
+        self.step_wall.extend(done.step_wall);
+        if self.failure.is_none() {
+            self.failure = done.failure;
+        }
+        if self.infra_failure.is_none() {
+            self.infra_failure = done.infra_failure;
+        }
+    }
+
     /// Record this report into a metrics registry under the `exec.`
     /// namespace: step/cache/retry counters, per-kind step-latency
     /// histograms (milliseconds), and a per-thread busy-time histogram.
@@ -116,6 +153,7 @@ impl ExecReport {
         metrics.add("exec.cache_hits", self.cache_hits as u64);
         metrics.add("exec.infra_events", self.infra_events.len() as u64);
         metrics.add("exec.infra_retries", self.infra_retries);
+        metrics.add("exec.idle_wakeups", self.idle_wakeups);
         if self.failure.is_some() {
             metrics.inc("exec.failures");
         }
@@ -135,7 +173,8 @@ impl ExecReport {
     }
 }
 
-/// A thread-pool executor over a build graph.
+/// A scoped-thread executor over a build graph: the caller plus
+/// `threads − 1` helpers, parked while idle (see the module docs).
 #[derive(Debug, Clone, Copy)]
 pub struct RealExecutor {
     threads: usize,
@@ -195,12 +234,12 @@ impl RealExecutor {
         F: Fn(&BuildStep) -> StepOutcome + Sync,
     {
         // Restrict the dependency relation to the requested set.
-        let mut remaining_deps: HashMap<&TargetName, usize> = HashMap::new();
+        let mut remaining: HashMap<&TargetName, usize> = HashMap::new();
         let mut dependents: HashMap<&TargetName, Vec<&TargetName>> = HashMap::new();
         for name in targets {
             let Some(t) = graph.get(name) else { continue };
             let in_set: Vec<&TargetName> = t.deps.iter().filter(|d| targets.contains(*d)).collect();
-            remaining_deps.insert(name, in_set.len());
+            remaining.insert(name, in_set.len());
             for d in in_set {
                 dependents
                     .entry(graph.get(d).map(|t| &t.name).unwrap_or(d))
@@ -209,171 +248,220 @@ impl RealExecutor {
             }
         }
 
-        let state = Mutex::new(ExecState {
-            ready: remaining_deps
-                .iter()
-                .filter(|(_, &n)| n == 0)
-                .map(|(&t, _)| t.clone())
-                .collect(),
-            remaining: remaining_deps
-                .iter()
-                .map(|(&t, &n)| (t.clone(), n))
-                .collect(),
-            in_flight: 0,
-            report: ExecReport {
-                worker_busy: vec![Duration::ZERO; self.threads],
-                ..ExecReport::default()
-            },
-        });
-        let aborted = AtomicBool::new(false);
+        let sched = Scheduler {
+            state: std::sync::Mutex::new(ExecState {
+                ready: remaining
+                    .iter()
+                    .filter(|(_, &n)| n == 0)
+                    .map(|(&t, _)| t)
+                    .collect(),
+                remaining,
+                in_flight: 0,
+                parked: 0,
+                aborted: false,
+                report: ExecReport {
+                    worker_busy: vec![Duration::ZERO; self.threads],
+                    ..ExecReport::default()
+                },
+            }),
+            wake: Condvar::new(),
+            dependents,
+        };
+        let run_target =
+            |name: &TargetName| run_pipeline(graph, hashes, cache, policy, &action, name);
 
-        // Shadow with references so the indexed `move` closures below
-        // capture cheap copies instead of taking ownership.
-        let state = &state;
-        let aborted = &aborted;
-        let dependents = &dependents;
-        let action = &action;
-
+        // The calling thread is worker 0; a helper beyond one per
+        // requested target could never claim anything.
+        let helpers = (self.threads - 1).min(targets.len().saturating_sub(1));
         crossbeam::scope(|scope| {
-            for widx in 0..self.threads {
-                scope.spawn(move |_| {
-                    let mut busy = Duration::ZERO;
-                    loop {
-                        // Claim a ready target or detect completion.
-                        let claimed = {
-                            let mut st = state.lock();
-                            if let Some(t) = st.ready.pop() {
-                                st.in_flight += 1;
-                                Some(t)
-                            } else if st.in_flight == 0 || aborted.load(Ordering::SeqCst) {
-                                None
-                            } else {
-                                // Work may appear when in-flight targets
-                                // finish; spin politely.
-                                drop(st);
-                                std::thread::yield_now();
-                                continue;
-                            }
-                        };
-                        let Some(target_name) = claimed else { break };
-
-                        if aborted.load(Ordering::SeqCst) {
-                            let mut st = state.lock();
-                            st.in_flight -= 1;
-                            continue;
-                        }
-
-                        // Run the pipeline for this target.
-                        let target = graph.get(&target_name).expect("target in graph");
-                        let hash = hashes.get(&target_name);
-                        let mut target_failed = false;
-                        for &kind in steps_for(target.kind) {
-                            let step = BuildStep::new(target_name.clone(), kind);
-                            // Cache check.
-                            if let Some(h) = hash {
-                                if cache.lock().lookup(h, kind).is_some() {
-                                    state.lock().report.cache_hits += 1;
-                                    continue;
-                                }
-                            }
-                            // Attempt loop: infra failures retry under the
-                            // policy; genuine outcomes resolve immediately.
-                            let mut attempt = 1u32;
-                            let outcome = loop {
-                                let t0 = Instant::now();
-                                let out = action(&step);
-                                let dt = t0.elapsed();
-                                busy += dt;
-                                state.lock().report.step_wall.push((kind, dt));
-                                match out {
-                                    StepOutcome::InfraFailure(fault) => {
-                                        state
-                                            .lock()
-                                            .report
-                                            .infra_events
-                                            .push((step.clone(), fault.clone()));
-                                        if policy.should_retry(attempt) {
-                                            let backoff = policy.backoff(attempt);
-                                            let mut st = state.lock();
-                                            st.report.infra_retries += 1;
-                                            st.report.charged_backoff += backoff;
-                                            drop(st);
-                                            attempt += 1;
-                                            continue;
-                                        }
-                                        break StepOutcome::InfraFailure(fault);
-                                    }
-                                    other => break other,
-                                }
-                            };
-                            match outcome {
-                                StepOutcome::Success => {
-                                    if let Some(h) = hash {
-                                        let inserted =
-                                            cache.lock().insert_if_success(h, kind, &outcome);
-                                        debug_assert!(inserted.is_some());
-                                    }
-                                    state.lock().report.executed.push(step);
-                                }
-                                StepOutcome::Failure(reason) => {
-                                    let mut st = state.lock();
-                                    if st.report.failure.is_none() {
-                                        st.report.failure = Some((step, reason));
-                                    }
-                                    drop(st);
-                                    aborted.store(true, Ordering::SeqCst);
-                                    target_failed = true;
-                                    break;
-                                }
-                                StepOutcome::InfraFailure(fault) => {
-                                    // Retry budget exhausted: the build is
-                                    // infra-red. Fail fast like a genuine
-                                    // failure, but keep the colors apart so
-                                    // the caller can rebuild instead of
-                                    // rejecting the change.
-                                    let mut st = state.lock();
-                                    if st.report.infra_failure.is_none() {
-                                        st.report.infra_failure = Some((step, fault));
-                                    }
-                                    drop(st);
-                                    aborted.store(true, Ordering::SeqCst);
-                                    target_failed = true;
-                                    break;
-                                }
-                            }
-                        }
-
-                        // Mark completion; release dependents.
-                        let mut st = state.lock();
-                        st.in_flight -= 1;
-                        if !target_failed && !aborted.load(Ordering::SeqCst) {
-                            if let Some(deps) = dependents.get(&target_name) {
-                                for &d in deps {
-                                    let n = st.remaining.get_mut(d).expect("dependent tracked");
-                                    *n -= 1;
-                                    if *n == 0 {
-                                        st.ready.push(d.clone());
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    state.lock().report.worker_busy[widx] += busy;
-                });
+            for widx in 1..=helpers {
+                let (sched, run_target) = (&sched, &run_target);
+                scope.spawn(move |_| sched.work(widx, run_target));
             }
+            sched.work(0, &run_target);
         })
         .expect("executor threads must not panic");
 
-        let mut final_state = state.lock();
-        std::mem::take(&mut final_state.report)
+        sched.state.into_inner().expect(POISONED).report
     }
 }
 
-struct ExecState {
-    ready: Vec<TargetName>,
-    remaining: HashMap<TargetName, usize>,
+const POISONED: &str = "an executor worker panicked while scheduling";
+
+/// Run every step of one target: cache check, attempt loop (infra
+/// failures retry under the policy, genuine outcomes resolve at once),
+/// cache insert on success. Returns what happened as a report of its
+/// own, which the scheduler merges under the completion lock.
+fn run_pipeline<F>(
+    graph: &BuildGraph,
+    hashes: &TargetHashes,
+    cache: &Mutex<ArtifactCache>,
+    policy: &RetryPolicy,
+    action: &F,
+    target_name: &TargetName,
+) -> ExecReport
+where
+    F: Fn(&BuildStep) -> StepOutcome + Sync,
+{
+    let mut done = ExecReport::default();
+    let target = graph.get(target_name).expect("target in graph");
+    let hash = hashes.get(target_name);
+    for &kind in steps_for(target.kind) {
+        let step = BuildStep::new(target_name.clone(), kind);
+        if let Some(h) = hash {
+            if cache.lock().lookup(h, kind).is_some() {
+                done.cache_hits += 1;
+                continue;
+            }
+        }
+        let mut attempt = 1u32;
+        let outcome = loop {
+            let t0 = Instant::now();
+            let out = action(&step);
+            done.step_wall.push((kind, t0.elapsed()));
+            match out {
+                StepOutcome::InfraFailure(fault) => {
+                    done.infra_events.push((step.clone(), fault.clone()));
+                    if policy.should_retry(attempt) {
+                        done.infra_retries += 1;
+                        done.charged_backoff += policy.backoff(attempt);
+                        attempt += 1;
+                        continue;
+                    }
+                    break StepOutcome::InfraFailure(fault);
+                }
+                other => break other,
+            }
+        };
+        match outcome {
+            StepOutcome::Success => {
+                if let Some(h) = hash {
+                    let inserted = cache.lock().insert_if_success(h, kind, &outcome);
+                    debug_assert!(inserted.is_some());
+                }
+                done.executed.push(step);
+            }
+            StepOutcome::Failure(reason) => {
+                done.failure = Some((step, reason));
+                break;
+            }
+            // Retry budget exhausted: the build is infra-red. Fail fast
+            // like a genuine failure, but keep the colors apart so the
+            // caller can rebuild instead of rejecting the change.
+            StepOutcome::InfraFailure(fault) => {
+                done.infra_failure = Some((step, fault));
+                break;
+            }
+        }
+    }
+    done
+}
+
+/// The scheduling core: one mutex over everything a worker's next move
+/// depends on, and the condvar idle workers park on. Every condition a
+/// parked worker waits for — a ready target, the last in-flight target
+/// finishing, an abort — changes only under `state`, and whoever changes
+/// it notifies before unlocking, so no wake-up can be lost.
+struct Scheduler<'a> {
+    state: std::sync::Mutex<ExecState<'a>>,
+    wake: Condvar,
+    dependents: HashMap<&'a TargetName, Vec<&'a TargetName>>,
+}
+
+struct ExecState<'a> {
+    ready: Vec<&'a TargetName>,
+    remaining: HashMap<&'a TargetName, usize>,
     in_flight: usize,
+    /// Workers inside `wake.wait`: a notify nobody would hear is skipped.
+    parked: usize,
+    /// Set by the first failed target: nothing new is dispatched after.
+    aborted: bool,
     report: ExecReport,
+}
+
+impl<'a> Scheduler<'a> {
+    /// One worker's life: claim a target, run it, hand it back for the
+    /// next, until the run is over.
+    fn work(&self, widx: usize, run_target: &impl Fn(&TargetName) -> ExecReport) {
+        let _unpark_on_panic = AbortOnPanic(self);
+        let mut busy = Duration::ZERO;
+        let mut claimed = self.next(None);
+        while let Some(target) = claimed {
+            let done = run_target(target);
+            busy += done.step_wall.iter().map(|(_, dt)| *dt).sum::<Duration>();
+            claimed = self.next(Some((target, done)));
+        }
+        self.state.lock().expect(POISONED).report.worker_busy[widx] = busy;
+    }
+
+    /// Record the target this worker just `finished` (if any), release
+    /// its dependents, and claim the next target — all in one hold of
+    /// the lock. A worker that released dependents takes one itself, so
+    /// a dependency chain stays on one thread, and wakes one parked
+    /// worker per *surplus* ready target; with nothing ready it parks
+    /// while a target in flight may still release some. `None` once the
+    /// run is over: aborted, or nothing ready and nothing in flight.
+    fn next(&self, finished: Option<(&TargetName, ExecReport)>) -> Option<&'a TargetName> {
+        let mut st = self.state.lock().expect(POISONED);
+        if let Some((target, done)) = finished {
+            st.aborted |= !done.is_success();
+            st.report.absorb(done);
+            st.in_flight -= 1;
+            let mut released = 0usize;
+            if !st.aborted {
+                for &d in self.dependents.get(target).into_iter().flatten() {
+                    let n = st.remaining.get_mut(d).expect("dependent tracked");
+                    *n -= 1;
+                    if *n == 0 {
+                        st.ready.push(d);
+                        released += 1;
+                    }
+                }
+            }
+            if st.aborted || (st.in_flight == 0 && st.ready.is_empty()) {
+                if st.parked > 0 {
+                    self.wake.notify_all();
+                }
+            } else {
+                for _ in 0..released.saturating_sub(1).min(st.parked) {
+                    self.wake.notify_one();
+                }
+            }
+        }
+        loop {
+            if st.aborted {
+                return None;
+            }
+            if let Some(t) = st.ready.pop() {
+                st.in_flight += 1;
+                return Some(t);
+            }
+            if st.in_flight == 0 {
+                return None;
+            }
+            st.parked += 1;
+            st = self.wake.wait(st).expect(POISONED);
+            st.parked -= 1;
+            if !st.aborted && st.ready.is_empty() && st.in_flight > 0 {
+                st.report.idle_wakeups += 1;
+            }
+        }
+    }
+}
+
+/// A worker that unwinds (a panicking step action) never hands its
+/// target back, so the workers parked on it would wait forever: abort
+/// the run and wake them, and let the scope report the panic.
+struct AbortOnPanic<'s, 'a>(&'s Scheduler<'a>);
+
+impl Drop for AbortOnPanic<'_, '_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            let mut st = self.0.state.lock().unwrap_or_else(|e| e.into_inner());
+            st.aborted = true;
+            self.0.wake.notify_all();
+        }
+    }
 }
 
 #[cfg(test)]
@@ -382,7 +470,7 @@ mod tests {
     use sq_build::{RuleKind, Target};
     use sq_vcs::{ObjectStore, RepoPath, Tree};
     use std::str::FromStr;
-    use std::sync::atomic::AtomicUsize;
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
     fn n(s: &str) -> TargetName {
         TargetName::from_str(s).unwrap()
@@ -660,7 +748,6 @@ mod tests {
     /// no *new* target is dispatched, while in-flight targets complete.
     #[test]
     fn fail_fast_drains_in_flight_without_new_dispatches() {
-        use std::sync::atomic::AtomicUsize;
         // f and s are independent and ready; p1, p2 depend on both, so
         // they become dispatchable only once f and s complete.
         let mut store = ObjectStore::new();
@@ -775,6 +862,7 @@ mod tests {
         report.record_into(&mut metrics);
         assert_eq!(metrics.counter("exec.steps_executed"), 5);
         assert_eq!(metrics.counter("exec.cache_hits"), 0);
+        assert_eq!(metrics.counter("exec.idle_wakeups"), report.idle_wakeups);
         let h = metrics
             .histogram("exec.step_wall_ms.compile")
             .expect("compile latency histogram");

@@ -17,8 +17,10 @@
 //! Two execution backends are provided: [`pool::WorkerPool`], a capacity
 //! model for the discrete-event simulator (a build occupies one worker
 //! for its duration, as in the paper's evaluation grid), and
-//! [`executor::RealExecutor`], a crossbeam thread pool that actually runs
-//! step actions in dependency order for the runnable examples.
+//! [`executor::RealExecutor`], which actually runs step actions in
+//! dependency order on the calling thread plus scoped helpers — the
+//! served queue's builds and the runnable examples. Its idle workers
+//! park on a condvar; nothing waits by spinning.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

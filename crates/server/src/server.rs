@@ -13,6 +13,14 @@
 //! which is the point — the paper's queue is the throughput governor,
 //! not the socket layer.
 //!
+//! Nothing waits by spinning. The processor, the verdict subscribers
+//! and the idle connection workers each sleep on a condvar whose
+//! condition is written under its mutex by whoever changes it (an
+//! enqueue bumps the `work` generation, a verdict the `verdicts` one),
+//! so no wake-up is lost and `poll_interval` is only a fallback; the
+//! acceptors are the one polling loop, and they sleep after *every*
+//! failed `accept`, `WouldBlock` or not.
+//!
 //! ## Backpressure
 //!
 //! Bounded at three layers, each with an explicit refusal instead of
@@ -165,8 +173,11 @@ struct Shared<W: Wal> {
     /// verdict subscribers wait on it instead of busy-polling.
     verdicts: Mutex<u64>,
     verdicts_cv: Condvar,
-    /// Wakes the processor when an enqueue adds work.
-    work: Mutex<()>,
+    /// Bumped, under the lock, by every acked enqueue. The processor
+    /// reads it before `process_next` and, finding the queue empty,
+    /// waits only while it is unchanged — so an enqueue that lands
+    /// between the two is never slept through.
+    work: Mutex<u64>,
     work_cv: Condvar,
     metrics: Mutex<MetricsRegistry>,
     /// Top-level directories ever exported as `server.shard.*` gauges —
@@ -176,6 +187,24 @@ struct Shared<W: Wal> {
 }
 
 impl<W: Wal> Shared<W> {
+    fn new(queue: DurableSubmitQueue<W>, action: Box<StepAction>, cfg: ServerConfig) -> Self {
+        Shared {
+            queue,
+            action,
+            cfg,
+            shutdown: AtomicBool::new(false),
+            store_failed: AtomicBool::new(false),
+            pending: Mutex::new(VecDeque::new()),
+            pending_cv: Condvar::new(),
+            verdicts: Mutex::new(0),
+            verdicts_cv: Condvar::new(),
+            work: Mutex::new(0),
+            work_cv: Condvar::new(),
+            shard_dirs: Mutex::new(Default::default()),
+            metrics: Mutex::new(MetricsRegistry::new()),
+        }
+    }
+
     fn draining(&self) -> bool {
         self.shutdown.load(Ordering::SeqCst)
     }
@@ -203,21 +232,7 @@ impl<W: Wal + Send + 'static> Server<W> {
         cfg: ServerConfig,
         endpoints: &[Endpoint],
     ) -> io::Result<Server<W>> {
-        let shared = Arc::new(Shared {
-            queue,
-            action,
-            cfg: cfg.clone(),
-            shutdown: AtomicBool::new(false),
-            store_failed: AtomicBool::new(false),
-            pending: Mutex::new(VecDeque::new()),
-            pending_cv: Condvar::new(),
-            verdicts: Mutex::new(0),
-            verdicts_cv: Condvar::new(),
-            work: Mutex::new(()),
-            work_cv: Condvar::new(),
-            shard_dirs: Mutex::new(Default::default()),
-            metrics: Mutex::new(MetricsRegistry::new()),
-        });
+        let shared = Arc::new(Shared::new(queue, action, cfg.clone()));
         let mut threads = Vec::new();
         let mut tcp_addr = None;
         let mut uds_path = None;
@@ -228,7 +243,9 @@ impl<W: Wal + Send + 'static> Server<W> {
                     listener.set_nonblocking(true)?;
                     tcp_addr = Some(listener.local_addr()?);
                     let s = Arc::clone(&shared);
-                    threads.push(thread::spawn(move || accept_tcp(&s, &listener)));
+                    threads.push(thread::spawn(move || {
+                        accept_loop(&s, || listener.accept().map(|(c, _)| Conn::Tcp(c)))
+                    }));
                 }
                 Endpoint::Uds(path) => {
                     let _ = std::fs::remove_file(path);
@@ -236,7 +253,9 @@ impl<W: Wal + Send + 'static> Server<W> {
                     listener.set_nonblocking(true)?;
                     uds_path = Some(path.clone());
                     let s = Arc::clone(&shared);
-                    threads.push(thread::spawn(move || accept_uds(&s, &listener)));
+                    threads.push(thread::spawn(move || {
+                        accept_loop(&s, || listener.accept().map(|(c, _)| Conn::Uds(c)))
+                    }));
                 }
             }
         }
@@ -292,8 +311,13 @@ impl<W: Wal + Send + 'static> Server<W> {
 impl<W: Wal + Send + 'static> Drop for Server<W> {
     fn drop(&mut self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
+        // Each waiter reads the flag under its lock: taking that lock
+        // before notifying means none can miss both flag and notify.
+        drop(self.shared.pending.lock());
         self.shared.pending_cv.notify_all();
+        drop(self.shared.work.lock());
         self.shared.work_cv.notify_all();
+        drop(self.shared.verdicts.lock());
         self.shared.verdicts_cv.notify_all();
         for t in self.threads.drain(..) {
             let _ = t.join();
@@ -304,39 +328,22 @@ impl<W: Wal + Send + 'static> Drop for Server<W> {
     }
 }
 
-fn accept_tcp<W: Wal>(shared: &Shared<W>, listener: &TcpListener) {
+/// Accept on one non-blocking listener until drain. Any failed
+/// `accept` backs off before the next: `WouldBlock` is the idle case,
+/// and anything else (`EMFILE`, say) may persist, so it is counted and
+/// must not spin either.
+fn accept_loop<W: Wal>(shared: &Shared<W>, accept: impl Fn() -> io::Result<Conn>) {
     loop {
-        match listener.accept() {
-            Ok((stream, _)) => admit(shared, Conn::Tcp(stream)),
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+        match accept() {
+            Ok(conn) => admit(shared, conn),
+            Err(e) => {
                 if shared.draining() {
                     return;
+                }
+                if e.kind() != io::ErrorKind::WouldBlock {
+                    shared.metrics.lock().unwrap().inc("server.accept_errors");
                 }
                 thread::sleep(shared.cfg.poll_interval.min(Duration::from_millis(5)));
-            }
-            Err(_) => {
-                if shared.draining() {
-                    return;
-                }
-            }
-        }
-    }
-}
-
-fn accept_uds<W: Wal>(shared: &Shared<W>, listener: &UnixListener) {
-    loop {
-        match listener.accept() {
-            Ok((stream, _)) => admit(shared, Conn::Uds(stream)),
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                if shared.draining() {
-                    return;
-                }
-                thread::sleep(shared.cfg.poll_interval.min(Duration::from_millis(5)));
-            }
-            Err(_) => {
-                if shared.draining() {
-                    return;
-                }
             }
         }
     }
@@ -508,6 +515,7 @@ fn handle<W: Wal>(shared: &Shared<W>, req: Request) -> Response {
                     // The journal append (and quorum ship) is durable;
                     // only now does the ack go to the wire.
                     shared.metrics.lock().unwrap().inc("server.enqueues.acked");
+                    *shared.work.lock().unwrap() += 1;
                     shared.work_cv.notify_one();
                     crate::protocol::enqueued(ticket)
                 }
@@ -620,6 +628,7 @@ fn processor_loop<W: Wal>(shared: &Shared<W>) {
         if shared.draining() {
             return;
         }
+        let seen = *shared.work.lock().unwrap();
         match shared.queue.process_next(&shared.action) {
             Ok(Some(_)) => {
                 let mut gen = shared.verdicts.lock().unwrap();
@@ -633,10 +642,12 @@ fn processor_loop<W: Wal>(shared: &Shared<W>) {
                     .inc("server.tickets.processed");
             }
             Ok(None) => {
-                let guard = shared.work.lock().unwrap();
+                let work = shared.work.lock().unwrap();
                 let _ = shared
                     .work_cv
-                    .wait_timeout(guard, shared.cfg.poll_interval)
+                    .wait_timeout_while(work, shared.cfg.poll_interval, |work| {
+                        *work == seen && !shared.draining()
+                    })
                     .unwrap();
             }
             Err(e) => {
@@ -653,5 +664,52 @@ fn processor_loop<W: Wal>(shared: &Shared<W>) {
                 return;
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use sq_core::RecoveryConfig;
+    use sq_exec::StepOutcome;
+    use sq_store::{DurableStoreConfig, MemStorage};
+    use sq_vcs::Repository;
+
+    /// `accept` failing with something other than `WouldBlock` for as
+    /// long as it is called (a process out of descriptors): the acceptor
+    /// sleeps between attempts like the idle case, and counts each one.
+    #[test]
+    fn a_persistent_accept_error_backs_off_and_is_counted() {
+        let repo = Repository::init([("lib/BUILD", "library(name = \"lib\", srcs = [])")]).unwrap();
+        let queue = DurableSubmitQueue::open(
+            repo,
+            1,
+            RecoveryConfig::disabled(),
+            Arc::new(Mutex::new(MemStorage::new())),
+            DurableStoreConfig::with_snapshot_every(u64::MAX),
+        )
+        .unwrap();
+        let shared = Shared::new(
+            queue,
+            Box::new(|_, _| StepOutcome::Success),
+            ServerConfig::default(),
+        );
+        const EMFILE: i32 = 24;
+        let started = Instant::now();
+        thread::scope(|scope| {
+            scope.spawn(|| accept_loop(&shared, || Err(io::Error::from_raw_os_error(EMFILE))));
+            thread::sleep(Duration::from_millis(60));
+            shared.shutdown.store(true, Ordering::SeqCst);
+        });
+        let errors = shared
+            .metrics
+            .lock()
+            .unwrap()
+            .counter("server.accept_errors");
+        let at_most = started.elapsed().as_millis() as u64 / 5 + 1;
+        assert!(
+            (1..=at_most).contains(&errors),
+            "{errors} accept attempts, at most {at_most} fit a 5 ms back-off"
+        );
     }
 }

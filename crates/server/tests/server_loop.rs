@@ -477,3 +477,50 @@ fn subscribers_learn_of_a_store_failure() {
         Some(TicketState::Queued)
     );
 }
+
+/// With a poll interval of seconds, the only thing that can wake the
+/// idle processor in time is the enqueue itself. Three hundred
+/// enqueue → verdict round trips, one after the other, each finding the
+/// processor idle: had a single enqueue slipped between the processor's
+/// "queue is empty" and its wait, that trip alone would cost a whole
+/// interval. The drain at the end is held to the same standard.
+#[test]
+fn an_enqueue_always_wakes_the_idle_processor() {
+    let interval = Duration::from_secs(4);
+    let storage = shared();
+    let server = Server::start(
+        open_queue(demo_repo(), &storage),
+        always_pass(),
+        ServerConfig {
+            poll_interval: interval,
+            ..ServerConfig::default()
+        },
+        &[Endpoint::Tcp("127.0.0.1:0".into())],
+    )
+    .unwrap();
+    let started = std::time::Instant::now();
+    let mut client = Client::connect_tcp(server.tcp_addr().unwrap()).unwrap();
+    for v in 0..300 {
+        let ticket = enqueue(&mut client, "ines", v);
+        match client
+            .call(&Request::SubscribeVerdict {
+                ticket,
+                timeout_ms: 0,
+            })
+            .unwrap()
+        {
+            Response::Verdict { state, .. } => {
+                assert!(matches!(state, WireTicketState::Landed(_)))
+            }
+            other => panic!("expected Verdict, got {other:?}"),
+        }
+    }
+    drop(client);
+    let (queue, _) = server.shutdown();
+    assert_eq!(queue.queue_depth(), 0);
+    assert!(
+        started.elapsed() < interval / 2,
+        "300 round trips and a drain took {:?}: something slept out a {interval:?} poll interval",
+        started.elapsed()
+    );
+}

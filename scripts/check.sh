@@ -68,6 +68,13 @@ if [[ "$quick" == 1 ]]; then
   exit 0
 fi
 
+# The executor parks its idle workers on a condvar, so a lost wake-up is
+# a test that never returns. This row runs before the workspace tests
+# (which run the same suite again, untimed) and under `timeout`: a red
+# row within minutes instead of a hung job.
+step "timeout 300 cargo test --release -p sq-exec (a lost wake-up fails here, never hangs)" \
+  timeout 300 cargo test --release -p sq-exec
+
 # The workspace run already covers the root package (unit, integration
 # including chaos_recovery, property and doc tests) — running
 # `cargo test -q` first would execute all of those twice.
