@@ -12,7 +12,7 @@
 //! | `shard`       | `BENCH_shard.json`       | sharded vs single-queue planner           |
 //! | `scenarios`   | `BENCH_scenarios.json`   | adversarial scenario × strategy matrix    |
 //! | `replication` | `BENCH_replication.json` | WAL shipping + fenced failover            |
-//! | `server`      | `BENCH_server.json`      | live-socket serving layer (`--uds`, `--rate <r>`) |
+//! | `server`      | `BENCH_server.json`      | live-socket serving layer (`--uds`)               |
 //! | `conflict`    | `BENCH_conflict.json`    | §5.2 index: serial vs indexed vs parallel (wall clock, not compared) |
 //! | `recovery`    | none                     | journal + snapshot replay (wall clock)    |
 //!

@@ -1,13 +1,14 @@
 //! The WAL-shipping replication benchmark: the `replication` suite.
 //!
-//! Two measurements over the same seeded workload:
+//! Two measurements over the same seeded workload, deterministic
+//! counters only (wall-clock shipping and promotion cost are the
+//! `benchmark/` package's `store.ship_quorum2_us` and
+//! `core.failover.promote_ms`), so the document is byte-reproducible:
 //!
 //! * **Throughput cells** — a replicated [`DurableSubmitQueue`] (a
 //!   leader and N synchronous followers) lands the whole workload, for every
-//!   `(ack mode, follower count)` combination. The deterministic
-//!   counters (ships, shipped records/bytes, journal appends, epoch)
-//!   go into the committed document; wall time goes into a separate
-//!   timing document, so the committed file is byte-reproducible.
+//!   `(ack mode, follower count)` combination: ships, shipped
+//!   records/bytes, journal appends, epoch.
 //! * **Failover cells** — per ack mode, the leader's medium is killed
 //!   mid-run by a seeded crash plan after a fixed number of landed
 //!   changes. The harness promotes the best surviving replica
@@ -29,7 +30,6 @@ use sq_store::{
 use sq_workload::repo_model::MaterializedRepo;
 use sq_workload::{WorkloadBuilder, WorkloadParams};
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
 
 type Shared = Arc<Mutex<MemStorage>>;
 type ReplQueue = DurableSubmitQueue<Leader<Shared>>;
@@ -105,9 +105,6 @@ pub struct CellResult {
     pub journal_appends: u64,
     /// Appends acked below quorum (must be 0 with healthy followers).
     pub degraded_acks: u64,
-    /// Wall time of the submit+land loop, in nanoseconds (timing
-    /// document only — excluded from the committed JSON).
-    pub elapsed_nanos: u64,
 }
 
 /// One seeded leader-kill + promotion measurement.
@@ -135,9 +132,6 @@ pub struct FailoverResult {
     /// Whether the final exported state is byte-identical to the
     /// uncrashed twin's — the zero-loss gate.
     pub export_identical: bool,
-    /// Wall time of candidate selection + promotion, in nanoseconds
-    /// (timing document only).
-    pub promote_nanos: u64,
 }
 
 /// A full benchmark report: parameters, throughput cells, failover cells.
@@ -160,8 +154,7 @@ fn mode_name(mode: AckMode) -> &'static str {
 
 impl ReplicationReport {
     /// Render the committed machine-readable document. Every field is
-    /// deterministic for a given seed — wall-clock numbers live in
-    /// [`Self::to_timing_json`] — so reruns are byte-identical.
+    /// deterministic for a given seed, so reruns are byte-identical.
     pub fn to_json(&self) -> String {
         let mut w = JsonWriter::new();
         w.begin_object();
@@ -207,40 +200,6 @@ impl ReplicationReport {
             w.field_u64("landed", f.landed);
             w.key("export_identical");
             w.value_bool(f.export_identical);
-            w.end_object();
-        }
-        w.end_array();
-        w.end_object();
-        w.finish()
-    }
-
-    /// Render the wall-clock companion document (not committed: timing
-    /// is inherently non-reproducible).
-    pub fn to_timing_json(&self) -> String {
-        let mut w = JsonWriter::new();
-        w.begin_object();
-        w.field_str("schema", "sq-bench-replication-timing/v1");
-        w.key("cells");
-        w.begin_array();
-        for c in &self.cells {
-            w.begin_object();
-            w.field_str("mode", mode_name(c.mode));
-            w.field_u64("followers", c.followers as u64);
-            w.field_f64("elapsed_ms", c.elapsed_nanos as f64 / 1e6);
-            w.field_f64(
-                "changes_per_sec",
-                c.changes as f64 / (c.elapsed_nanos.max(1) as f64 / 1e9),
-            );
-            w.end_object();
-        }
-        w.end_array();
-        w.key("failover");
-        w.begin_array();
-        for f in &self.failover {
-            w.begin_object();
-            w.field_str("mode", mode_name(f.mode));
-            w.field_u64("followers", f.followers as u64);
-            w.field_f64("promote_ms", f.promote_nanos as f64 / 1e6);
             w.end_object();
         }
         w.end_array();
@@ -365,7 +324,6 @@ fn run_cell(params: &ReplicationParams, mode: AckMode, followers: usize) -> (Cel
     let (m, w) = workload(params);
     let Cluster { dq, .. } = open_cluster(m.repo.clone(), params, mode, followers);
     let action = crate::always_pass();
-    let start = Instant::now();
     for c in &w.changes {
         dq.submit(
             format!("dev{}", c.developer.0),
@@ -376,7 +334,6 @@ fn run_cell(params: &ReplicationParams, mode: AckMode, followers: usize) -> (Cel
         .expect("healthy submit");
         dq.run_until_idle(&action).expect("healthy drain");
     }
-    let elapsed_nanos = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
     let stats = dq.replication_stats();
     let st = dq.store_stats();
     let repo = dq.repository();
@@ -392,7 +349,6 @@ fn run_cell(params: &ReplicationParams, mode: AckMode, followers: usize) -> (Cel
         shipped_bytes: stats.shipped_bytes,
         journal_appends: st.appends,
         degraded_acks: stats.degraded_acks,
-        elapsed_nanos,
     };
     (cell, dq.export_state_json())
 }
@@ -412,7 +368,6 @@ fn run_failover(params: &ReplicationParams, mode: AckMode, clean_export: &str) -
     let action = crate::always_pass();
     let mut crashes = 0u64;
     let mut report = None;
-    let mut promote_nanos = 0u64;
 
     for (i, c) in w.changes.iter().enumerate() {
         if i == params.kill_after {
@@ -437,10 +392,9 @@ fn run_failover(params: &ReplicationParams, mode: AckMode, clean_export: &str) -
                 }
                 Err(_) => {
                     crashes += 1;
-                    let (next, r, nanos) = fail_over(dq, &leader, &followers, params, mode);
+                    let (next, r) = fail_over(dq, &leader, &followers, params, mode);
                     dq = next;
                     report = Some(r);
-                    promote_nanos = nanos;
                     if dq.status(TicketId(expected)).is_some() {
                         break;
                     }
@@ -453,10 +407,9 @@ fn run_failover(params: &ReplicationParams, mode: AckMode, clean_export: &str) -
                 Ok(None) => break,
                 Err(_) => {
                     crashes += 1;
-                    let (next, r, nanos) = fail_over(dq, &leader, &followers, params, mode);
+                    let (next, r) = fail_over(dq, &leader, &followers, params, mode);
                     dq = next;
                     report = Some(r);
-                    promote_nanos = nanos;
                 }
             }
         }
@@ -473,7 +426,6 @@ fn run_failover(params: &ReplicationParams, mode: AckMode, clean_export: &str) -
         truncated_bytes: report.truncated_bytes,
         landed: dq.service().stats().landed,
         export_identical: dq.export_state_json() == clean_export,
-        promote_nanos,
     }
 }
 
@@ -485,11 +437,10 @@ fn fail_over(
     followers: &[Shared],
     params: &ReplicationParams,
     mode: AckMode,
-) -> (ReplQueue, sq_core::failover::PromotionReport, u64) {
+) -> (ReplQueue, sq_core::failover::PromotionReport) {
     let repo = dead.repository();
     let dead_epoch = dead.epoch();
     drop(dead);
-    let start = Instant::now();
     let candidate = best_promotion_candidate(
         followers,
         &store_cfg(params),
@@ -506,7 +457,6 @@ fn fail_over(
         candidate.cluster_epoch.max(dead_epoch),
     )
     .expect("promotion from best candidate");
-    let promote_nanos = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
     for (i, s) in followers.iter().enumerate() {
         if i != candidate.index {
             dq.attach_follower(s.clone(), store_cfg(params))
@@ -517,7 +467,7 @@ fn fail_over(
     dead_leader.lock().unwrap().set_plan(CrashPlan::none());
     dq.attach_follower(dead_leader.clone(), store_cfg(params))
         .expect("reattach deposed leader");
-    (dq, report, promote_nanos)
+    (dq, report)
 }
 
 /// Run the full benchmark: every `(mode, followers)` throughput cell,
@@ -569,28 +519,14 @@ impl Report for ReplicationReport {
         let mut lines = vec![format!("{:?}", self.params)];
         lines.extend(self.cells.iter().map(|c| {
             format!(
-                "cell {:>6?} x{}: {:>3} landed | {:>5} ships | {:>6} records | {:>9} bytes | \
-                 {:>9.3} ms ({:>7.1} changes/s)",
-                c.mode,
-                c.followers,
-                c.landed,
-                c.ships,
-                c.shipped_records,
-                c.shipped_bytes,
-                c.elapsed_nanos as f64 / 1e6,
-                c.changes as f64 / (c.elapsed_nanos.max(1) as f64 / 1e9),
+                "cell {:>6?} x{}: {:>3} landed | {:>5} ships | {:>6} records | {:>9} bytes",
+                c.mode, c.followers, c.landed, c.ships, c.shipped_records, c.shipped_bytes,
             )
         }));
         lines.extend(self.failover.iter().map(|f| {
             format!(
-                "failover {:>6?}: epoch {} | durable_lsn {} | {} replayed | \
-                 promote {:>7.3} ms | identical={}",
-                f.mode,
-                f.epoch,
-                f.durable_lsn,
-                f.replayed_records,
-                f.promote_nanos as f64 / 1e6,
-                f.export_identical
+                "failover {:>6?}: epoch {} | durable_lsn {} | {} replayed | identical={}",
+                f.mode, f.epoch, f.durable_lsn, f.replayed_records, f.export_identical
             )
         }));
         lines
@@ -602,9 +538,5 @@ impl Report for ReplicationReport {
 
     fn doc(&self) -> String {
         self.to_json()
-    }
-
-    fn timing(&self) -> Option<String> {
-        Some(self.to_timing_json())
     }
 }

@@ -1,42 +1,38 @@
-//! The serving-layer load generator: the `server` suite. `--rate <r>`
-//! paces the sequential phase at `r` enqueues/second (timing document
-//! only); `--uds` serves over a Unix-domain socket instead of TCP.
+//! The serving-layer load generator: the `server` suite. `--uds` serves
+//! over a Unix-domain socket instead of TCP.
 //!
 //! Replays an `sq-workload` trace against a **live loopback server**
-//! (`sq-server` fronting a [`DurableSubmitQueue`]) and measures two
+//! (`sq-server` fronting a [`DurableSubmitQueue`]) and checks two
 //! things over the same seeded run:
 //!
 //! * **Sequential replay** — every workload change goes over the wire
 //!   as `Head` → `Enqueue` → `SubscribeVerdict`, waiting for the
 //!   verdict before the next change, so ticket assignment, commit
-//!   order, and every counter are deterministic. Per-request wall
-//!   latencies (enqueue-to-ack and enqueue-to-verdict) are recorded
-//!   through `sq-obs` histograms and reported as P50/P95/P99 in the
-//!   timing document only.
+//!   order, and every counter are deterministic.
 //! * **Drain durability** — a pipelined burst of enqueues is acked,
 //!   the server is gracefully drained mid-queue, the queue is
 //!   reopened from the same storage, and a fresh server proves every
 //!   acked ticket still reaches `Landed`. `lost` must be zero: an ack
 //!   is a journal-backed promise that survives a restart.
 //!
-//! The deterministic counters (changes landed, commits, journal
-//! appends summed across both server lives, acks, losses) go into the
-//! committed document; wall time and latency percentiles go into a
-//! separate timing document, so the committed file is
-//! byte-reproducible — `--smoke` runs the whole benchmark twice and
-//! fails unless the two documents are identical.
+//! The document holds deterministic counters only (changes landed,
+//! commits, journal appends summed across both server lives, acks,
+//! losses), so it is byte-reproducible — `--smoke` runs the whole
+//! benchmark twice and fails unless the two documents are identical.
+//! Wall-clock numbers for this path (throughput, ack and verdict
+//! latency) are the `benchmark/` package's.
 
 use crate::suite::{pick, Report, Suite};
 use sq_core::durable::DurableSubmitQueue;
 use sq_core::RecoveryConfig;
-use sq_obs::{JsonWriter, MetricsRegistry};
+use sq_obs::JsonWriter;
 use sq_server::{Client, Endpoint, Request, Response, Server, ServerConfig, WireTicketState};
 use sq_store::{DurableStore, DurableStoreConfig, MemStorage};
 use sq_vcs::{CommitId, Patch, RepoPath};
 use sq_workload::repo_model::MaterializedRepo;
 use sq_workload::{WorkloadBuilder, WorkloadParams};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 type Shared = Arc<Mutex<MemStorage>>;
 type Queue = DurableSubmitQueue<DurableStore<Shared>>;
@@ -56,11 +52,6 @@ pub struct ServerBenchParams {
     pub window: usize,
     /// Snapshot cadence of the store.
     pub snapshot_every: u64,
-    /// Target enqueue rate in changes/second for the sequential phase
-    /// (`0.0` = unpaced, as fast as the loop turns). Pacing only
-    /// shapes the timing document; the deterministic counters are
-    /// rate-independent.
-    pub rate: f64,
     /// Serve over a Unix-domain socket instead of TCP loopback.
     pub use_uds: bool,
 }
@@ -76,7 +67,6 @@ impl ServerBenchParams {
             burst: 8,
             window: 2,
             snapshot_every: 16,
-            rate: 0.0,
             use_uds: false,
         }
     }
@@ -90,7 +80,6 @@ impl ServerBenchParams {
             burst: 4,
             window: 2,
             snapshot_every: 8,
-            rate: 0.0,
             use_uds: false,
         }
     }
@@ -139,27 +128,6 @@ pub struct TotalsCell {
     pub commits: u64,
 }
 
-/// Wall-clock measurements (timing document only).
-#[derive(Debug, Clone)]
-pub struct TimingCell {
-    /// Wall time of the sequential phase, in nanoseconds.
-    pub elapsed_nanos: u64,
-    /// Requests sent during the sequential phase.
-    pub requests: u64,
-    /// Enqueue-to-ack latency percentiles, in microseconds.
-    pub ack_p50: f64,
-    /// P95 of enqueue-to-ack, in microseconds.
-    pub ack_p95: f64,
-    /// P99 of enqueue-to-ack, in microseconds.
-    pub ack_p99: f64,
-    /// Enqueue-to-verdict latency percentiles, in microseconds.
-    pub verdict_p50: f64,
-    /// P95 of enqueue-to-verdict, in microseconds.
-    pub verdict_p95: f64,
-    /// P99 of enqueue-to-verdict, in microseconds.
-    pub verdict_p99: f64,
-}
-
 /// A full benchmark report.
 #[derive(Debug, Clone)]
 pub struct ServerBenchReport {
@@ -171,14 +139,11 @@ pub struct ServerBenchReport {
     pub durability: DurabilityCell,
     /// End-of-run totals across both server lives.
     pub totals: TotalsCell,
-    /// Wall-clock companion (never serialized into the committed doc).
-    pub timing: TimingCell,
 }
 
 impl ServerBenchReport {
     /// Render the committed machine-readable document. Every field is
-    /// deterministic for a given seed — wall-clock numbers live in
-    /// [`Self::to_timing_json`] — so reruns are byte-identical.
+    /// deterministic for a given seed, so reruns are byte-identical.
     pub fn to_json(&self) -> String {
         let mut w = JsonWriter::new();
         w.begin_object();
@@ -216,27 +181,6 @@ impl ServerBenchReport {
         w.field_u64("landed", self.totals.landed);
         w.field_u64("commits", self.totals.commits);
         w.end_object();
-        w.end_object();
-        w.finish()
-    }
-
-    /// Render the wall-clock companion document (not committed: timing
-    /// is inherently non-reproducible).
-    pub fn to_timing_json(&self) -> String {
-        let t = &self.timing;
-        let secs = t.elapsed_nanos.max(1) as f64 / 1e9;
-        let mut w = JsonWriter::new();
-        w.begin_object();
-        w.field_str("schema", "sq-bench-server-timing/v1");
-        w.field_f64("elapsed_ms", t.elapsed_nanos as f64 / 1e6);
-        w.field_u64("requests", t.requests);
-        w.field_f64("requests_per_sec", t.requests as f64 / secs);
-        w.field_f64("ack_p50_micros", t.ack_p50);
-        w.field_f64("ack_p95_micros", t.ack_p95);
-        w.field_f64("ack_p99_micros", t.ack_p99);
-        w.field_f64("verdict_p50_micros", t.verdict_p50);
-        w.field_f64("verdict_p95_micros", t.verdict_p95);
-        w.field_f64("verdict_p99_micros", t.verdict_p99);
         w.end_object();
         w.finish()
     }
@@ -325,13 +269,6 @@ fn head(client: &mut Client) -> CommitId {
     }
 }
 
-fn quantile(metrics: &MetricsRegistry, name: &str, q: f64) -> f64 {
-    metrics
-        .histogram(name)
-        .and_then(|h| h.quantile(q))
-        .unwrap_or(0.0)
-}
-
 /// Run the full benchmark: sequential replay over a live socket, then
 /// the pipelined-burst drain/restart durability phase.
 pub fn run_server_bench(params: &ServerBenchParams) -> ServerBenchReport {
@@ -349,20 +286,9 @@ pub fn run_server_bench(params: &ServerBenchParams) -> ServerBenchReport {
     let mut client = connect(&server, params);
 
     // Phase 1 — sequential replay: Head → Enqueue → SubscribeVerdict
-    // per change, so every counter is deterministic. Latencies go into
-    // sq-obs histograms; only their percentiles are reported.
-    let mut lat = MetricsRegistry::new();
-    let mut requests = 0u64;
-    let start = Instant::now();
-    for (i, c) in w.changes.iter().enumerate() {
-        if params.rate > 0.0 {
-            let due = Duration::from_secs_f64(i as f64 / params.rate);
-            if let Some(wait) = due.checked_sub(start.elapsed()) {
-                std::thread::sleep(wait);
-            }
-        }
+    // per change, so every counter is deterministic.
+    for c in &w.changes {
         let base = head(&mut client);
-        let sent = Instant::now();
         let ticket = match client
             .call(&Request::Enqueue {
                 author: format!("dev{}", c.developer.0),
@@ -375,7 +301,6 @@ pub fn run_server_bench(params: &ServerBenchParams) -> ServerBenchReport {
             Response::Enqueued { ticket } => ticket,
             other => panic!("expected Enqueued, got {other:?}"),
         };
-        lat.observe("server.ack_micros", sent.elapsed().as_secs_f64() * 1e6);
         match client
             .call(&Request::SubscribeVerdict {
                 ticket,
@@ -392,15 +317,11 @@ pub fn run_server_bench(params: &ServerBenchParams) -> ServerBenchReport {
             }
             other => panic!("expected Verdict, got {other:?}"),
         }
-        lat.observe("server.verdict_micros", sent.elapsed().as_secs_f64() * 1e6);
-        requests += 3;
     }
-    let elapsed_nanos = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
 
     // Phase 2 — drain durability: pipeline a burst of disjoint-file
     // enqueues, collect the acks, then gracefully drain mid-queue.
     let base = head(&mut client);
-    requests += 1;
     for i in 0..params.burst {
         client
             .send(&Request::Enqueue {
@@ -421,7 +342,6 @@ pub fn run_server_bench(params: &ServerBenchParams) -> ServerBenchReport {
             Response::Busy { .. } => {}
             other => panic!("expected Enqueued or Busy, got {other:?}"),
         }
-        requests += 1;
     }
     let acked = tickets.len() as u64;
     drop(client);
@@ -451,7 +371,6 @@ pub fn run_server_bench(params: &ServerBenchParams) -> ServerBenchReport {
             Response::StatusIs { state: None } => {} // lost: counted below
             other => panic!("expected Verdict, got {other:?}"),
         }
-        requests += 1;
     }
     drop(client);
     let (queue, metrics_b) = server.shutdown();
@@ -486,16 +405,6 @@ pub fn run_server_bench(params: &ServerBenchParams) -> ServerBenchReport {
             landed: landed_total,
             commits,
         },
-        timing: TimingCell {
-            elapsed_nanos,
-            requests,
-            ack_p50: quantile(&lat, "server.ack_micros", 0.50),
-            ack_p95: quantile(&lat, "server.ack_micros", 0.95),
-            ack_p99: quantile(&lat, "server.ack_micros", 0.99),
-            verdict_p50: quantile(&lat, "server.verdict_micros", 0.50),
-            verdict_p95: quantile(&lat, "server.verdict_micros", 0.95),
-            verdict_p99: quantile(&lat, "server.verdict_micros", 0.99),
-        },
     }
 }
 
@@ -513,15 +422,9 @@ pub const SUITE: Suite = Suite {
     ],
     run: |smoke, flags| {
         let mut params = pick(smoke, ServerBenchParams::smoke, ServerBenchParams::standard);
-        let mut flags = flags.iter();
-        while let Some(flag) = flags.next() {
+        for flag in flags {
             match flag.as_str() {
                 "--uds" => params.use_uds = true,
-                "--rate" => {
-                    let rate = flags.next().ok_or("--rate requires an argument")?;
-                    params.rate = (rate.parse())
-                        .map_err(|_| format!("--rate requires a number, got {rate:?}"))?;
-                }
                 _ => return Err(format!("unknown flag {flag:?}")),
             }
         }
@@ -531,23 +434,12 @@ pub const SUITE: Suite = Suite {
 
 impl Report for ServerBenchReport {
     fn summary(&self) -> Vec<String> {
-        let (t, d) = (&self.timing, &self.durability);
+        let d = &self.durability;
         vec![
             format!("{:?}", self.params),
             format!(
-                "sequential: {:>3} changes landed | {:>5} requests | {:>9.3} ms ({:>8.1} req/s)",
-                self.sequential.landed,
-                t.requests,
-                t.elapsed_nanos as f64 / 1e6,
-                t.requests as f64 / (t.elapsed_nanos.max(1) as f64 / 1e9),
-            ),
-            format!(
-                "ack latency     micros: P50 {:>9.1} | P95 {:>9.1} | P99 {:>9.1}",
-                t.ack_p50, t.ack_p95, t.ack_p99
-            ),
-            format!(
-                "verdict latency micros: P50 {:>9.1} | P95 {:>9.1} | P99 {:>9.1}",
-                t.verdict_p50, t.verdict_p95, t.verdict_p99
+                "sequential: {} of {} changes landed",
+                self.sequential.landed, self.sequential.changes
             ),
             format!(
                 "durability: {} acked | {} landed after restart | {} lost",
@@ -562,9 +454,5 @@ impl Report for ServerBenchReport {
 
     fn doc(&self) -> String {
         self.to_json()
-    }
-
-    fn timing(&self) -> Option<String> {
-        Some(self.to_timing_json())
     }
 }

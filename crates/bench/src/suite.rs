@@ -35,10 +35,6 @@ pub trait Report {
     fn gate(&self) -> Vec<String>;
     /// The suite's document: `BENCH_<suite>.json`.
     fn doc(&self) -> String;
-    /// The wall-clock companion of a deterministic document.
-    fn timing(&self) -> Option<String> {
-        None
-    }
     /// Further files, as (path under `target/figures/`, content).
     fn extras(&self) -> Vec<(String, String)> {
         Vec::new()
@@ -202,9 +198,6 @@ fn finish(suite: &Suite, mode: Mode, flags: &[String], report: &dyn Report) -> R
     let stem = format!("BENCH_{}", suite.name);
     let suffix = if smoke { "_smoke" } else { "" };
     write(&dir.join(format!("{stem}{suffix}.json")), &doc)?;
-    if let Some(timing) = report.timing() {
-        write(&dir.join(format!("{stem}_timing.json")), &timing)?;
-    }
     for (path, content) in report.extras() {
         write(&dir.join(path), &content)?;
     }

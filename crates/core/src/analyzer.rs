@@ -342,21 +342,6 @@ impl ConflictGraph {
         Self::default()
     }
 
-    /// Number of pending changes tracked.
-    pub fn len(&self) -> usize {
-        self.adj.len()
-    }
-
-    /// True iff no changes are tracked.
-    pub fn is_empty(&self) -> bool {
-        self.adj.is_empty()
-    }
-
-    /// True iff the change is tracked.
-    pub fn contains(&self, id: ChangeId) -> bool {
-        self.adj.contains_key(&id)
-    }
-
     /// Admit a change, querying `analyzer` against every tracked change.
     pub fn admit<A: ConflictAnalyzer>(
         &mut self,
@@ -414,16 +399,6 @@ impl ConflictGraph {
             .get(&id)
             .is_some_and(|set| set.first().is_some_and(|e| *e < id))
     }
-
-    /// True iff the two tracked changes are independent (no edge).
-    pub fn independent(&self, a: ChangeId, b: ChangeId) -> bool {
-        self.adj.get(&a).is_some_and(|set| !set.contains(&b))
-    }
-
-    /// Total edges (each counted once).
-    pub fn edge_count(&self) -> usize {
-        self.adj.values().map(|s| s.len()).sum::<usize>() / 2
-    }
 }
 
 #[cfg(test)]
@@ -449,10 +424,11 @@ mod tests {
             g.admit(c, &pending, &mut analyzer);
             pending.push(c);
         }
-        assert_eq!(g.len(), 5);
-        assert_eq!(g.edge_count(), 10); // K5
-        let d = g.earlier_conflicts(w.changes[4].id);
-        assert_eq!(d.len(), 4);
+        // K5: every change neighbours the other four, i of them earlier.
+        for (i, c) in w.changes[..5].iter().enumerate() {
+            assert_eq!(g.neighbors(c.id).count(), 4);
+            assert_eq!(g.earlier_conflicts(c.id).len(), i);
+        }
         // Symmetry: the first change sees the last as a (later) neighbour.
         assert!(g.neighbors(w.changes[0].id).any(|n| n == w.changes[4].id));
     }
@@ -468,9 +444,11 @@ mod tests {
             pending.push(c);
         }
         g.remove(w.changes[1].id);
-        assert_eq!(g.len(), 2);
-        assert!(!g.contains(w.changes[1].id));
-        assert!(g.neighbors(w.changes[0].id).all(|n| n != w.changes[1].id));
+        // The removed change has no neighbours and is nobody's.
+        assert_eq!(g.neighbors(w.changes[1].id).count(), 0);
+        assert!(g.earlier_conflicts(w.changes[1].id).is_empty());
+        let left: Vec<ChangeId> = g.neighbors(w.changes[0].id).collect();
+        assert_eq!(left, vec![w.changes[2].id]);
         assert_eq!(g.earlier_conflicts(w.changes[2].id), vec![w.changes[0].id]);
     }
 
@@ -487,10 +465,12 @@ mod tests {
         for i in 0..20 {
             for j in (i + 1)..20 {
                 let (a, b) = (&w.changes[i], &w.changes[j]);
+                let conflict = a.potentially_conflicts(b);
+                assert_eq!(g.neighbors(a.id).any(|n| n == b.id), conflict, "({i}, {j})");
                 assert_eq!(
-                    g.independent(a.id, b.id),
-                    !a.potentially_conflicts(b),
-                    "pair ({i}, {j})"
+                    g.earlier_conflicts(b.id).contains(&a.id),
+                    conflict,
+                    "({i}, {j})"
                 );
             }
         }

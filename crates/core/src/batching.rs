@@ -108,7 +108,15 @@ pub fn simulate_batching(workload: &Workload, config: &BatchingConfig) -> Batchi
         queue.schedule(c.submit_time, BatchEvent::Arrival(i));
     }
     let outcome = run_des(&mut sim, &mut queue, 10_000_000);
-    debug_assert!(outcome.drained, "batching simulation hit the event cap");
+    // Not a debug assertion: everything runs in release, and a run cut
+    // short must not read as a finished one.
+    assert!(
+        outcome.drained,
+        "batching simulation stopped at its event cap: {} events handled, {} of {} changes still pending",
+        outcome.events_handled,
+        workload.changes.len() - sim.records.len(),
+        workload.changes.len()
+    );
     BatchingResult {
         records: sim.records,
         commits: sim.commits,

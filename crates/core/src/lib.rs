@@ -36,9 +36,14 @@
 //! * [`lean`] — the Uber 2025 follow-up optimizations: probability-
 //!   gated speculation skipping, risk prioritization, and bypass lanes
 //!   (`LeanConfig`, `BypassPolicy`, `LeanReport`).
-//! * [`planner`] — the planner engine driving a discrete-event
-//!   simulation: schedules/aborts builds, commits changes, measures
-//!   turnaround and throughput.
+//! * [`decision`] — the decision core of the planner engine (Sections
+//!   4–6): events in (a change arrived, a build attempt finished),
+//!   actions out (start, abort, retry, resolved). The serializability
+//!   rule, the contradiction test and the preemption policy, with no
+//!   clock, randomness, worker pool or observer inside.
+//! * [`planner`] — the core's first driver, a discrete-event
+//!   simulation: the clock, worker pools, ground truth, fault dice and
+//!   observer; measures turnaround and throughput.
 //! * [`trunk`] — the *pre*-SubmitQueue world of Figure 14: trunk-based
 //!   development with post-submit detection and manual reverts.
 //! * [`batching`] — the Section 10 batch-and-bisect extension (batching
@@ -70,6 +75,7 @@
 pub mod analyzer;
 pub mod audit;
 pub mod batching;
+pub mod decision;
 pub mod durable;
 pub mod failover;
 mod fasthash;

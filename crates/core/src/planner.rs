@@ -1,28 +1,27 @@
-//! The planner engine (paper Section 6) driving a discrete-event
-//! simulation of the whole system.
+//! The planner engine (paper Section 6) as a discrete-event simulation:
+//! the first driver of the decision core.
 //!
-//! On every event (change arrival, build completion) the planner:
+//! [`crate::decision::Core`] decides — which builds a lane wants, which
+//! running builds are contradicted, when a change commits or is
+//! rejected. This module owns what the core may not know: the event
+//! queue and its simulated clock, one [`WorkerPool`] per lane, ground
+//! truth, the seeded infra-fault dice, build durations and backoff, the
+//! result's accounting, and every [`Observer`] call.
 //!
-//! 1. re-queries the strategy for the prioritized list of desired builds
-//!    (the paper's planner contacts the speculation engine "on every
-//!    epoch"; we replan event-driven, which is the epoch limit → 0),
-//! 2. **aborts** running builds that are no longer in the desired list,
-//! 3. **schedules** new desired builds while workers are available,
-//! 4. **commits or rejects** changes whose gating build result is known:
-//!    a change resolves once every earlier conflicting change has
-//!    resolved and the build against the exact committed prefix has
-//!    finished — the serializability rule that keeps the mainline green.
-//!
-//! Build outcomes come from the workload's ground truth, so every
-//! strategy replays the identical reality; the audit module then verifies
-//! the headline invariant (an always-green commit log) after the fact.
+//! On every event (change arrival, build completion) the driver tells
+//! the core what happened, then has it plan every lane (the paper's
+//! planner contacts the speculation engine "on every epoch"; replanning
+//! event-driven is the epoch limit → 0, and `epoch` / `planning_cost`
+//! defer each lane to its next tick instead), and carries the core's
+//! actions out in order. Build outcomes come from the workload's ground
+//! truth, so every strategy replays the identical reality; the audit
+//! module then verifies the headline invariant (an always-green commit
+//! log) after the fact.
 
-use crate::analyzer::{ConflictGraph, IndexedAnalyzer};
-use crate::fasthash::{FastMap, FastSet};
+use crate::decision::{Action, BuildId, Core, Outcome};
+use crate::fasthash::FastMap;
 use crate::lean::LeanReport;
 use crate::pending::{ChangeOutcome, ChangeRecord};
-use crate::predict::SpeculationCounters;
-use crate::recovery::QuarantineList;
 use crate::shard::{PlanningCost, ShardSpec};
 use crate::speculation::BuildKey;
 use crate::strategy::{Strategy, StrategyKind};
@@ -31,7 +30,6 @@ use sq_exec::{RetryPolicy, WorkerPool};
 use sq_obs::{Observer, SpanId};
 use sq_sim::{run as run_des, EventQueue, Scheduler, SimDuration, SimTime};
 use sq_workload::{ChangeId, ChangeSpec, GroundTruth, Workload};
-use std::collections::{BTreeMap, HashMap};
 
 /// Planner configuration.
 #[derive(Debug, Clone)]
@@ -301,71 +299,30 @@ pub fn run_simulation_observed(
     config: &PlannerConfig,
     obs: &mut Observer,
 ) -> SimResult {
-    // The index-backed analyzer: per-change part bitsets are computed
-    // once on admission and served from cache for every later pairwise
-    // query (decision-identical to the plain statistical analyzer).
-    let analyzer = if config.conflict_analyzer {
-        IndexedAnalyzer::new()
-    } else {
-        IndexedAnalyzer::disabled()
-    };
-    // Lane layout: one global lane, or (sharded) one lane per shard plus
-    // the arbiter, each with its own worker sub-fleet.
-    let (lane_workers, lane_labels): (Vec<usize>, Vec<String>) = match &config.shards {
-        Some(s) => {
-            assert_eq!(
-                s.lane_workers.len(),
-                s.plan.n_lanes(),
-                "one worker count per lane (shards + arbiter)"
-            );
-            assert!(
-                s.lane_workers.iter().all(|&w| w >= 1),
-                "every lane needs at least one worker"
-            );
-            (
-                s.lane_workers.clone(),
-                (0..s.plan.n_lanes()).map(|l| s.plan.lane_name(l)).collect(),
-            )
-        }
-        None => (vec![config.workers], vec![String::new()]),
-    };
-    let n_lanes = lane_workers.len();
-    let mut sim = Planner {
+    let core = Core::new(workload, strategy, config);
+    let mut sim = Driver {
         workload,
         truth: workload.truth(),
-        strategy,
-        config: config.clone(),
-        analyzer,
-        graph: ConflictGraph::new(),
-        pending: BTreeMap::new(),
-        running: FastMap::default(),
-        seq_to_key: FastMap::default(),
-        aborted_seqs: FastSet::default(),
-        build_results: FastMap::default(),
-        resolved_rejected: FastSet::default(),
-        pools: lane_workers.iter().map(|&w| WorkerPool::new(w)).collect(),
-        lane_workers,
-        lane_labels,
-        lane_pending_count: vec![0; n_lanes],
-        lane_running_count: vec![0; n_lanes],
-        next_seq: 0,
+        config,
+        pools: (0..core.n_lanes())
+            .map(|l| WorkerPool::new(core.budget(l)))
+            .collect(),
+        lane_labels: match &config.shards {
+            Some(s) => (0..core.n_lanes()).map(|l| s.plan.lane_name(l)).collect(),
+            None => vec![String::new()],
+        },
+        epoch_scheduled: vec![false; core.n_lanes()],
+        core,
+        live: FastMap::default(),
+        actions: Vec::new(),
         builds_started: 0,
         builds_aborted: 0,
         records: Vec::with_capacity(workload.changes.len()),
         commit_log: Vec::new(),
         makespan: SimTime::ZERO,
-        epoch_scheduled: vec![false; n_lanes],
         infra_attempts: FastMap::default(),
         infra_retries: 0,
         infra_backoff: SimDuration::ZERO,
-        quarantine: QuarantineList::new(
-            config
-                .faults
-                .as_ref()
-                .map(|f| f.quarantine_threshold.max(1))
-                .unwrap_or(u32::MAX),
-        ),
-        lean: strategy.lean().map(|_| LeanReport::default()),
         obs,
     };
     let mut queue: EventQueue<Event> = EventQueue::new();
@@ -373,22 +330,26 @@ pub fn run_simulation_observed(
         queue.schedule(c.submit_time, Event::Arrival(i));
     }
     let outcome = run_des(&mut sim, &mut queue, config.max_events);
-    debug_assert!(outcome.drained, "simulation hit the event safety valve");
+    // Not a debug assertion: everything runs in release, and a run cut
+    // short must not read as a finished one.
+    assert!(
+        outcome.drained,
+        "simulation stopped at max_events: {} events handled, {} of {} changes still pending",
+        outcome.events_handled,
+        workload.changes.len() - sim.records.len(),
+        workload.changes.len()
+    );
     // Fleet-wide utilization: per-pool utilization weighted by lane
     // size (reduces to the single pool's value with one lane).
     let makespan = sim.makespan;
-    let total_workers: usize = sim.lane_workers.iter().sum();
+    let total_workers: usize = sim.pools.iter().map(WorkerPool::total).sum();
     let busy_weighted: f64 = sim
         .pools
         .iter_mut()
-        .zip(&sim.lane_workers)
-        .map(|(p, &w)| p.utilization(makespan) * w as f64)
+        .map(|p| p.utilization(makespan) * p.total() as f64)
         .sum();
-    let utilization = if total_workers == 0 {
-        0.0
-    } else {
-        busy_weighted / total_workers as f64
-    };
+    let utilization = busy_weighted / total_workers as f64;
+    let lean = sim.core.lean_report();
     if sim.obs.is_enabled() {
         let per_worker: Vec<f64> = sim
             .pools
@@ -407,14 +368,14 @@ pub fn run_simulation_observed(
             metrics.observe("planner.worker_utilization", u);
         }
         // Conflict-index counters. `analyzer.parallel_ms` is
-        // deterministically 0 here: the planner's incremental admission
+        // deterministically 0 here: the core's incremental admission
         // path never runs a parallel matrix batch, so nothing
         // wall-clock-dependent can reach the export (the byte-identity
         // test below depends on this).
-        sim.analyzer.index().stats().record_into(metrics);
+        sim.core.analyzer_stats().record_into(metrics);
         // Lean counters exist only for lean strategies, so every other
         // strategy's export stays byte-identical to the pre-lean planner.
-        if let Some(report) = &sim.lean {
+        if let Some(report) = &lean {
             report.record_into(metrics);
         }
     }
@@ -428,8 +389,8 @@ pub fn run_simulation_observed(
         utilization,
         infra_retries: sim.infra_retries,
         infra_backoff: sim.infra_backoff,
-        quarantined: sim.quarantine.quarantined().copied().collect(),
-        lean: sim.lean,
+        quarantined: sim.core.quarantined(),
+        lean,
     }
 }
 
@@ -437,66 +398,39 @@ pub fn run_simulation_observed(
 enum Event {
     /// Index into `workload.changes`.
     Arrival(usize),
-    /// A build finished (may have been aborted meanwhile).
-    BuildDone(u64),
+    /// A build's current attempt finished (stale if aborted meanwhile).
+    BuildDone(BuildId),
     /// Planning tick for one lane (epoch / planning-cost modes only;
     /// lane 0 is the only lane without sharding).
     Epoch(usize),
 }
 
+/// What the driver knows about a build the core has running.
 #[derive(Debug, Clone, Copy)]
-struct RunningBuild {
-    seq: u64,
+struct LiveBuild {
+    /// Start and scheduled finish of the current attempt.
     start: SimTime,
     finish: SimTime,
-    /// Planning lane that scheduled the build (0 without sharding).
+    /// The worker it occupies: pool (by lane) and slot there.
     lane: usize,
-    /// Worker-pool slot the build occupies (per-worker accounting).
-    worker: usize,
-    /// Trace span opened at schedule time, closed at finish/abort.
+    slot: usize,
+    /// Trace span opened at the first start, closed at finish/abort.
     span: SpanId,
 }
 
-#[derive(Default)]
-struct PendingChange {
-    /// Planning lane the change routed to (0 without sharding).
-    lane: usize,
-    fixed_committed: Vec<ChangeId>,
-    counters: SpeculationCounters,
-    builds_scheduled: u32,
-    builds_aborted: u32,
-    /// Lean marks: whether any planning round skipped the change's
-    /// speculation / routed it through the bypass lane (sticky).
-    skipped: bool,
-    bypassed: bool,
-}
-
-struct Planner<'a> {
+struct Driver<'a> {
     workload: &'a Workload,
     truth: GroundTruth,
-    strategy: &'a Strategy,
-    config: PlannerConfig,
-    analyzer: IndexedAnalyzer,
-    graph: ConflictGraph,
-    pending: BTreeMap<ChangeId, PendingChange>,
-    running: FastMap<BuildKey, RunningBuild>,
-    seq_to_key: FastMap<u64, BuildKey>,
-    aborted_seqs: FastSet<u64>,
-    build_results: FastMap<BuildKey, bool>,
-    /// Changes that resolved as rejected (for contradiction checks).
-    resolved_rejected: FastSet<ChangeId>,
+    config: &'a PlannerConfig,
+    core: Core<'a>,
     /// One worker pool per lane (a single pool without sharding).
     pools: Vec<WorkerPool>,
-    /// Worker capacity per lane (`pools[l]` was built with this size).
-    lane_workers: Vec<usize>,
     /// Display label per lane (empty without sharding — the single-lane
     /// export must stay byte-identical to the pre-shard planner).
     lane_labels: Vec<String>,
-    /// Pending-window size per lane, maintained incrementally.
-    lane_pending_count: Vec<usize>,
-    /// Running-build count per lane, maintained incrementally.
-    lane_running_count: Vec<usize>,
-    next_seq: u64,
+    live: FastMap<BuildId, LiveBuild>,
+    /// The core's orders, carried out and drained after every input.
+    actions: Vec<Action>,
     builds_started: u64,
     builds_aborted: u64,
     records: Vec<ChangeRecord>,
@@ -508,470 +442,206 @@ struct Planner<'a> {
     infra_attempts: FastMap<BuildKey, u32>,
     infra_retries: u64,
     infra_backoff: SimDuration,
-    quarantine: QuarantineList<ChangeId>,
-    /// Lean accounting, present only for lean strategies.
-    lean: Option<LeanReport>,
     obs: &'a mut Observer,
 }
 
-impl<'a> Planner<'a> {
+impl<'a> Driver<'a> {
     fn spec(&self, id: ChangeId) -> &'a ChangeSpec {
         // Change ids are dense indices by construction.
         &self.workload.changes[id.0 as usize]
     }
 
-    fn pending_specs(&self) -> Vec<&'a ChangeSpec> {
-        self.pending.keys().map(|&id| self.spec(id)).collect()
-    }
-
-    fn n_lanes(&self) -> usize {
-        self.pools.len()
-    }
-
-    fn sharded(&self) -> bool {
-        self.n_lanes() > 1
-    }
-
-    /// Lane a spec routes to (0 without sharding).
-    fn lane_of(&self, spec: &ChangeSpec) -> usize {
-        match &self.config.shards {
-            Some(s) => s.plan.lane_of(spec),
-            None => 0,
-        }
-    }
-
-    /// The arbiter lane's index (the single lane without sharding).
-    fn arbiter_lane(&self) -> usize {
-        self.n_lanes() - 1
-    }
-
-    /// A lane's pending specs, in submission (id) order.
-    fn lane_pending_specs(&self, lane: usize) -> Vec<&'a ChangeSpec> {
-        if !self.sharded() {
-            return self.pending_specs();
-        }
-        self.pending
-            .iter()
-            .filter(|(_, p)| p.lane == lane)
-            .map(|(&id, _)| self.spec(id))
-            .collect()
-    }
-
-    /// The build that decides `id` right now: in submission-order mode,
-    /// only once every earlier conflict is resolved; in reorder mode
-    /// (Section 10), always — the gating build runs against whatever has
-    /// committed so far, and the change lands the moment it passes.
-    fn realized_key_of(&self, id: ChangeId) -> Option<BuildKey> {
-        if !self.config.reorder && self.graph.has_earlier_conflicts(id) {
-            return None;
-        }
-        let p = self.pending.get(&id)?;
-        let mut assumed = p.fixed_committed.clone();
-        assumed.sort_unstable();
-        assumed.dedup();
-        Some(BuildKey {
-            subject: id,
-            assumed,
-        })
-    }
-
-    /// Union a strategy pattern with the subject's committed prefix.
-    fn finalize_key(&self, mut key: BuildKey) -> BuildKey {
-        if let Some(p) = self.pending.get(&key.subject) {
-            key.assumed.extend_from_slice(&p.fixed_committed);
-            key.assumed.sort_unstable();
-            key.assumed.dedup();
-        }
-        key
-    }
-
-    fn try_resolve(&mut self, now: SimTime) {
-        loop {
-            let candidates: Vec<ChangeId> = self.pending.keys().copied().collect();
-            let mut resolved_any = false;
-            for id in candidates {
-                let Some(key) = self.realized_key_of(id) else {
-                    continue;
-                };
-                let Some(&ok) = self.build_results.get(&key) else {
-                    continue;
-                };
-                // The realized build's result is consumed: this build
-                // was *needed* (vs merely selected or wasted).
-                self.obs.metrics.inc("planner.builds_needed");
-                self.resolve(id, ok, now);
-                resolved_any = true;
-            }
-            if !resolved_any {
-                return;
-            }
-        }
-    }
-
-    fn resolve(&mut self, id: ChangeId, ok: bool, now: SimTime) {
-        // In submission-order mode only later neighbours can still be
-        // pending; in reorder mode an overtaken *earlier* neighbour must
-        // also rebase onto this commit.
-        let neighbors: Vec<ChangeId> = self.graph.neighbors(id).collect();
-        if ok {
-            for n in neighbors {
-                if let Some(p) = self.pending.get_mut(&n) {
-                    p.fixed_committed.push(id);
+    /// Carry out, in order, what the core ordered since the last call.
+    fn apply(&mut self, now: SimTime, sched: &mut Scheduler<'_, Event>) {
+        let mut actions = std::mem::take(&mut self.actions);
+        for action in actions.drain(..) {
+            match action {
+                Action::Start {
+                    build,
+                    key,
+                    lane,
+                    gating,
+                } => {
+                    let slot = self.pools[lane]
+                        .acquire_worker(now)
+                        .expect("the core starts no build beyond a lane's budget");
+                    let duration =
+                        self.spec(key.subject).build_duration + self.config.build_overhead;
+                    sched.at(now + duration, Event::BuildDone(build));
+                    let tracer = &mut self.obs.tracer;
+                    let span = tracer.start_span("build", now);
+                    tracer.span_field(span, "subject", key.subject.0 as f64);
+                    tracer.span_field(span, "assumed", key.assumed.len() as f64);
+                    tracer.span_field(span, "worker", slot as f64);
+                    self.obs.metrics.inc("planner.builds_started");
+                    if gating {
+                        self.obs.metrics.inc("planner.gating_builds_started");
+                    }
+                    let (start, finish) = (now, now + duration);
+                    let b = LiveBuild {
+                        start,
+                        finish,
+                        lane,
+                        slot,
+                        span,
+                    };
+                    self.live.insert(build, b);
+                    self.builds_started += 1;
+                }
+                Action::Abort { build, preempted } => {
+                    let b = self.live.remove(&build).expect("aborted build is live");
+                    self.pools[b.lane].release_worker(b.slot, now);
+                    self.builds_aborted += 1;
+                    self.obs.metrics.inc("planner.builds_aborted");
+                    self.obs.tracer.span_field(b.span, "aborted", 1.0);
+                    self.obs.tracer.end_span(b.span, now);
+                    if preempted {
+                        self.obs.metrics.inc("planner.preemptions");
+                    }
+                }
+                // The build reruns on the *same* worker (not released)
+                // after a charged backoff.
+                Action::Retry { build, quarantined } => {
+                    let key = self.core.key_of(build).expect("retried build is running");
+                    let (subject, attempt) = (key.subject, self.infra_attempts[key]);
+                    let faults = self.config.faults.as_ref().expect("only the dice retry");
+                    if quarantined {
+                        self.obs.metrics.inc("planner.quarantined");
+                        let fields = [("change", subject.0 as f64)];
+                        self.obs.tracer.event("quarantine", now, &fields);
+                    }
+                    let backoff = faults.retry.backoff(attempt);
+                    let duration =
+                        backoff + self.spec(subject).build_duration + self.config.build_overhead;
+                    sched.at(now + duration, Event::BuildDone(build));
+                    self.obs.metrics.inc("planner.infra_retries");
+                    self.obs
+                        .metrics
+                        .observe("planner.infra_backoff_secs", backoff.as_secs_f64());
+                    let fields = [
+                        ("change", subject.0 as f64),
+                        ("attempt", f64::from(attempt)),
+                        ("backoff_secs", backoff.as_secs_f64()),
+                    ];
+                    self.obs.tracer.event("infra_retry", now, &fields);
+                    let b = self.live.get_mut(&build).expect("retried build is live");
+                    (b.start, b.finish) = (now, now + duration);
+                    self.infra_retries += 1;
+                    self.infra_backoff += backoff;
+                    self.builds_started += 1;
+                }
+                Action::Resolved {
+                    change,
+                    committed,
+                    builds_scheduled,
+                    builds_aborted,
+                } => {
+                    let (counter, event, outcome) = if committed {
+                        self.commit_log.push(change);
+                        ("planner.commits", "commit", ChangeOutcome::Committed)
+                    } else {
+                        ("planner.rejects", "reject", ChangeOutcome::Rejected)
+                    };
+                    let submitted = self.spec(change).submit_time;
+                    let turnaround_mins = now.since(submitted).as_mins_f64();
+                    // The realized build's result was consumed: that
+                    // build was *needed* (vs merely selected or wasted).
+                    self.obs.metrics.inc("planner.builds_needed");
+                    self.obs.metrics.inc(counter);
+                    self.obs
+                        .metrics
+                        .observe("planner.turnaround_mins", turnaround_mins);
+                    let fields = [
+                        ("change", change.0 as f64),
+                        ("turnaround_mins", turnaround_mins),
+                    ];
+                    self.obs.tracer.event(event, now, &fields);
+                    self.records.push(ChangeRecord::new(
+                        change,
+                        submitted,
+                        now,
+                        outcome,
+                        builds_scheduled,
+                        builds_aborted,
+                    ));
+                    self.makespan = self.makespan.max(now);
                 }
             }
-            self.commit_log.push(id);
-        } else {
-            self.resolved_rejected.insert(id);
         }
-        self.graph.remove(id);
-        // The change's cached affected bitset can never be queried again.
-        self.analyzer.forget(id);
-        let p = self
-            .pending
-            .remove(&id)
-            .expect("resolving a pending change");
-        self.lane_pending_count[p.lane] -= 1;
-        // Lean accounting: a skip was a *hit* when the change resolved
-        // without a single aborted build (the speculation we didn't run
-        // would have been pure waste), a *miss* otherwise.
-        if let Some(report) = self.lean.as_mut() {
-            if p.skipped {
-                report.skipped += 1;
-                if p.builds_aborted == 0 {
-                    report.skip_hits += 1;
-                } else {
-                    report.skip_misses += 1;
-                }
-            }
-            if p.bypassed {
-                report.bypassed += 1;
-            }
-        }
-        let spec = self.spec(id);
-        let turnaround_mins = now.since(spec.submit_time).as_mins_f64();
-        self.obs.metrics.inc(if ok {
-            "planner.commits"
-        } else {
-            "planner.rejects"
-        });
-        self.obs
-            .metrics
-            .observe("planner.turnaround_mins", turnaround_mins);
-        self.obs.tracer.event(
-            if ok { "commit" } else { "reject" },
-            now,
-            &[
-                ("change", id.0 as f64),
-                ("turnaround_mins", turnaround_mins),
-            ],
-        );
-        self.records.push(ChangeRecord::new(
-            id,
-            spec.submit_time,
-            now,
-            if ok {
-                ChangeOutcome::Committed
-            } else {
-                ChangeOutcome::Rejected
-            },
-            p.builds_scheduled,
-            p.builds_aborted,
-        ));
-        self.makespan = self.makespan.max(now);
-    }
-
-    /// A running build whose outcome pattern can no longer be the
-    /// realized one (`P_needed = 0`): its subject resolved, a change it
-    /// assumed committed was rejected, or a change it assumed aborted
-    /// committed. The paper's Section 10 refinement — abort only builds
-    /// "very unlikely to be needed" — with certainty substituted for
-    /// likelihood: contradicted builds are *never* needed.
-    fn contradicted(&self, key: &BuildKey) -> bool {
-        let Some(p) = self.pending.get(&key.subject) else {
-            return true; // subject already resolved
-        };
-        for d in &key.assumed {
-            if self.resolved_rejected.contains(d) {
-                return true; // assumed-committed change was rejected
-            }
-        }
-        for d in &p.fixed_committed {
-            if !key.assumed.contains(d) {
-                return true; // assumed-aborted change committed
-            }
-        }
-        false
-    }
-
-    fn abort_build(&mut self, key: &BuildKey, now: SimTime) {
-        let rb = self.running.remove(key).expect("aborting a running build");
-        self.aborted_seqs.insert(rb.seq);
-        self.pools[rb.lane].release_worker(rb.worker, now);
-        self.lane_running_count[rb.lane] -= 1;
-        self.builds_aborted += 1;
-        self.obs.metrics.inc("planner.builds_aborted");
-        self.obs.tracer.span_field(rb.span, "aborted", 1.0);
-        self.obs.tracer.end_span(rb.span, now);
-        if let Some(p) = self.pending.get_mut(&key.subject) {
-            p.builds_aborted += 1;
-        }
+        self.actions = actions;
     }
 
     /// Delay until a lane's next planning tick: the fixed epoch period
     /// (if any) plus the modeled cost of a planning round over the lane's
     /// current pending window (if any).
     fn tick_delay(&self, lane: usize) -> SimDuration {
+        let cost = self.config.planning_cost.as_ref();
         self.config.epoch.unwrap_or(SimDuration::ZERO)
-            + self
-                .config
-                .planning_cost
-                .as_ref()
-                .map(|pc| pc.tick(self.lane_pending_count[lane]))
-                .unwrap_or(SimDuration::ZERO)
+            + cost.map_or(SimDuration::ZERO, |pc| pc.tick(self.core.pending_in(lane)))
     }
 
-    /// Event-driven mode replans immediately; epoch / planning-cost mode
-    /// defers each lane to its next tick (scheduling one if none is
-    /// pending — every lane, so a quiet lane can't stall forever behind
-    /// a busy one).
+    /// Event-driven mode replans every lane immediately; epoch /
+    /// planning-cost mode defers each lane to its next tick (scheduling
+    /// one if none is pending — every lane, so a quiet lane can't stall
+    /// forever behind a busy one).
     fn maybe_replan(&mut self, now: SimTime, sched: &mut Scheduler<'_, Event>) {
-        if self.config.epoch.is_none() && self.config.planning_cost.is_none() {
-            self.replan_now(now, sched);
-            return;
-        }
-        for lane in 0..self.n_lanes() {
-            if !self.epoch_scheduled[lane] {
+        let event_driven = self.config.epoch.is_none() && self.config.planning_cost.is_none();
+        for lane in 0..self.core.n_lanes() {
+            if event_driven {
+                self.plan_lane(lane, now, sched);
+            } else if !self.epoch_scheduled[lane] {
                 self.epoch_scheduled[lane] = true;
                 sched.at(now + self.tick_delay(lane), Event::Epoch(lane));
             }
         }
     }
 
-    fn replan_now(&mut self, now: SimTime, sched: &mut Scheduler<'_, Event>) {
-        for lane in 0..self.n_lanes() {
-            self.replan_lane(lane, now, sched);
-        }
-    }
-
-    /// One lane's planning round: abort contradicted builds, re-query the
-    /// strategy over the lane's own pending window, and (re)schedule on
-    /// the lane's worker sub-fleet. Planning is a pure function of the
-    /// lane view — the only global inputs are the conflict graph and the
-    /// build-result table, both of which are append-only facts.
-    fn replan_lane(&mut self, lane: usize, now: SimTime, sched: &mut Scheduler<'_, Event>) {
-        let budget = self.lane_workers[lane];
-        // 1. Abort this lane's running builds whose pattern is
-        // contradicted by the outcomes observed so far — their result can
-        // never be used.
-        let dead: Vec<BuildKey> = self
-            .running
-            .iter()
-            .filter(|(k, rb)| rb.lane == lane && self.contradicted(k))
-            .map(|(k, _)| k.clone())
-            .collect();
-        for key in dead {
-            self.abort_build(&key, now);
-        }
-
-        // 2. Desired list: gating builds first, then the strategy's picks
-        // over the lane's pending window.
-        let mut desired: Vec<BuildKey> = Vec::with_capacity(budget);
-        let mut must_run: FastSet<BuildKey> = FastSet::default();
-        let mut seen: FastSet<BuildKey> = FastSet::default();
-        for (&id, p) in self.pending.iter() {
-            if p.lane != lane {
-                continue;
+    /// One planning round of one lane: the core decides, the driver
+    /// observes the round and carries it out.
+    fn plan_lane(&mut self, lane: usize, now: SimTime, sched: &mut Scheduler<'_, Event>) {
+        let live = &self.live;
+        // Fraction of its current attempt a running build has behind it
+        // (a zero-length attempt has none).
+        let progress = |build: BuildId| {
+            let b = &live[&build];
+            let done = now.since(b.start).as_secs_f64();
+            let total = b.finish.since(b.start).as_secs_f64();
+            if total > 0.0 {
+                done / total
+            } else {
+                0.0
             }
-            if let Some(key) = self.realized_key_of(id) {
-                if !self.build_results.contains_key(&key) && seen.insert(key.clone()) {
-                    must_run.insert(key.clone());
-                    desired.push(key);
-                }
-            }
-        }
-        let pending_specs = self.lane_pending_specs(lane);
-        let counters: HashMap<ChangeId, SpeculationCounters> = self
-            .pending
-            .iter()
-            .filter(|(_, p)| p.lane == lane)
-            .map(|(&id, p)| (id, p.counters))
-            .collect();
-        let fixed: HashMap<ChangeId, Vec<ChangeId>> = self
-            .pending
-            .iter()
-            .filter(|(_, p)| p.lane == lane && !p.fixed_committed.is_empty())
-            .map(|(&id, p)| (id, p.fixed_committed.clone()))
-            .collect();
-        let plan = self.strategy.desired_builds(
-            self.workload,
-            &pending_specs,
-            &self.graph,
-            &counters,
-            &fixed,
-            budget,
-        );
-        // The round's lean marks stick to the change until it resolves.
-        for id in &plan.skipped {
-            if let Some(p) = self.pending.get_mut(id) {
-                p.skipped = true;
-            }
-        }
-        for id in &plan.bypassed {
-            if let Some(p) = self.pending.get_mut(id) {
-                p.bypassed = true;
-            }
-        }
-        let picks = plan.builds;
+        };
+        let round = self.core.plan(lane, &progress, &mut self.actions);
         if self.obs.is_enabled() {
             // Speculation pressure per planning round: how deep the queue
             // is, how wide the strategy's speculation tree grew, and how
             // much success probability mass (`P_needed`) the picks carry.
             // With one lane the counts are the global ones — the export
             // stays byte-identical to the pre-shard planner.
-            let queue_depth = self.lane_pending_count[lane];
-            let running = self.lane_running_count[lane];
-            let sharded = self.sharded();
-            let label = self.lane_labels[lane].clone();
             let metrics = &mut self.obs.metrics;
-            metrics.observe("planner.queue_depth", queue_depth as f64);
-            metrics.observe("planner.running_builds", running as f64);
-            metrics.observe("planner.gating_builds", must_run.len() as f64);
-            metrics.observe("planner.speculation_tree_size", picks.len() as f64);
-            metrics.observe(
-                "planner.p_needed_mass",
-                picks.iter().map(|pb| pb.value).sum(),
-            );
-            if sharded {
+            metrics.observe("planner.queue_depth", round.queue_depth as f64);
+            metrics.observe("planner.running_builds", round.running as f64);
+            metrics.observe("planner.gating_builds", round.gating as f64);
+            metrics.observe("planner.speculation_tree_size", round.tree_size as f64);
+            metrics.observe("planner.p_needed_mass", round.p_needed_mass);
+            if self.core.n_lanes() > 1 {
+                let label = &self.lane_labels[lane];
                 metrics.observe(
                     &format!("planner.shard.{label}.queue_depth"),
-                    queue_depth as f64,
+                    round.queue_depth as f64,
                 );
-            }
-        }
-        // Arbiter stalls: a shard-lane change whose gating build cannot
-        // run yet because an *arbiter-lane* earlier conflict is still
-        // pending — the cross-shard coordination price.
-        if self.sharded() && self.obs.is_enabled() && lane != self.arbiter_lane() {
-            let arbiter = self.arbiter_lane();
-            let stalls = self
-                .pending
-                .iter()
-                .filter(|(_, p)| p.lane == lane)
-                .filter(|(&id, _)| {
-                    self.graph
-                        .earlier_conflicts(id)
-                        .iter()
-                        .any(|d| self.pending.get(d).is_some_and(|pd| pd.lane == arbiter))
-                })
-                .count();
-            if stalls > 0 {
-                self.obs
-                    .metrics
-                    .observe("planner.shard.arbiter_stalls", stalls as f64);
-            }
-        }
-        for pb in picks {
-            if desired.len() >= budget {
-                break;
-            }
-            let key = self.finalize_key(pb.key);
-            if !self.build_results.contains_key(&key) && seen.insert(key.clone()) {
-                desired.push(key);
-            }
-        }
-        desired.truncate(budget);
-        // Only a preemption consults it; most rounds never build it.
-        let mut desired_set: Option<FastSet<&BuildKey>> = None;
-
-        // 3. Schedule in priority order. Running builds that are merely
-        // out of fashion keep their workers (no thrash); only a *gating*
-        // build may preempt, and only victims outside the desired set or
-        // non-gating (latest-subject first — the least valuable
-        // speculation under submission-order fairness).
-        for key in &desired {
-            if self.running.contains_key(key) {
-                continue;
-            }
-            let worker = match self.pools[lane].acquire_worker(now) {
-                Some(w) => w,
-                None => {
-                    if !must_run.contains(key) {
-                        break;
-                    }
-                    let desired_set = desired_set.get_or_insert_with(|| desired.iter().collect());
-                    let guard = self.config.preemption_guard;
-                    let victim = self
-                        .running
-                        .iter()
-                        .filter(|(k, rb)| {
-                            if rb.lane != lane || must_run.contains(*k) {
-                                return false;
-                            }
-                            match guard {
-                                Some(g) => {
-                                    // Progress fraction of the candidate victim.
-                                    let total = rb.finish.since(rb.start).as_secs_f64();
-                                    let done = now.since(rb.start).as_secs_f64();
-                                    total <= 0.0 || done / total < g
-                                }
-                                None => true,
-                            }
-                        })
-                        .max_by(|(a, _), (b, _)| {
-                            let a_out = !desired_set.contains(*a);
-                            let b_out = !desired_set.contains(*b);
-                            a_out.cmp(&b_out).then_with(|| a.cmp(b))
-                        })
-                        .map(|(k, _)| k.clone());
-                    let Some(victim) = victim else { break };
-                    self.abort_build(&victim, now);
-                    self.obs.metrics.inc("planner.preemptions");
-                    let acquired = self.pools[lane].acquire_worker(now);
-                    debug_assert!(acquired.is_some(), "preemption frees exactly one worker");
-                    match acquired {
-                        Some(w) => w,
-                        None => break,
-                    }
+                let stalls = self.core.arbiter_stalls(lane);
+                if stalls > 0 {
+                    metrics.observe("planner.shard.arbiter_stalls", stalls as f64);
                 }
-            };
-            let seq = self.next_seq;
-            self.next_seq += 1;
-            let duration = self.spec(key.subject).build_duration + self.config.build_overhead;
-            sched.at(now + duration, Event::BuildDone(seq));
-            self.seq_to_key.insert(seq, key.clone());
-            let span = self.obs.tracer.start_span("build", now);
-            self.obs
-                .tracer
-                .span_field(span, "subject", key.subject.0 as f64);
-            self.obs
-                .tracer
-                .span_field(span, "assumed", key.assumed.len() as f64);
-            self.obs.tracer.span_field(span, "worker", worker as f64);
-            self.obs.metrics.inc("planner.builds_started");
-            if must_run.contains(key) {
-                self.obs.metrics.inc("planner.gating_builds_started");
-            }
-            self.running.insert(
-                key.clone(),
-                RunningBuild {
-                    seq,
-                    start: now,
-                    finish: now + duration,
-                    lane,
-                    worker,
-                    span,
-                },
-            );
-            self.lane_running_count[lane] += 1;
-            self.builds_started += 1;
-            if let Some(p) = self.pending.get_mut(&key.subject) {
-                p.builds_scheduled += 1;
             }
         }
+        self.apply(now, sched);
     }
 }
 
-impl<'a> sq_sim::Simulation for Planner<'a> {
+impl<'a> sq_sim::Simulation for Driver<'a> {
     type Event = Event;
 
     fn handle(&mut self, now: SimTime, event: Event, sched: &mut Scheduler<'_, Event>) {
@@ -979,169 +649,58 @@ impl<'a> sq_sim::Simulation for Planner<'a> {
             Event::Arrival(i) => {
                 self.obs.metrics.inc("planner.arrivals");
                 let spec = &self.workload.changes[i];
-                let lane = self.lane_of(spec);
-                // Admission: a shard-lane newcomer can only really
-                // conflict with its own lane or the arbiter lane (its
-                // parts all live in one shard; a conflicting partner must
-                // touch one of them, so it routed to the same lane or —
-                // multi-shard — to the arbiter). Filtering the probe set
-                // accordingly yields the identical conflict graph with
-                // strictly fewer analyzer queries. Arbiter arrivals probe
-                // everyone.
-                let pending_specs = if self.sharded() && lane != self.arbiter_lane() {
-                    let arbiter = self.arbiter_lane();
-                    self.pending
-                        .iter()
-                        .filter(|(_, p)| p.lane == lane || p.lane == arbiter)
-                        .map(|(&id, _)| self.spec(id))
-                        .collect()
-                } else {
-                    self.pending_specs()
-                };
-                self.graph.admit(spec, &pending_specs, &mut self.analyzer);
-                if self.sharded() && self.obs.is_enabled() {
-                    // Cross-shard conflict rate: edges the newcomer forms
-                    // with pending changes routed to a *different* lane
-                    // (by the partition theorem, one endpoint is always
-                    // the arbiter).
-                    let cross = self
-                        .graph
-                        .earlier_conflicts(spec.id)
-                        .iter()
-                        .filter(|d| self.pending.get(d).is_some_and(|pd| pd.lane != lane))
-                        .count();
+                self.core.arrive(spec);
+                if self.core.n_lanes() > 1 && self.obs.is_enabled() {
+                    let cross = self.core.cross_lane_conflicts(spec.id);
                     if cross > 0 {
                         self.obs
                             .metrics
                             .add("planner.shard.cross_conflicts", cross as u64);
                     }
                 }
-                self.pending.insert(
-                    spec.id,
-                    PendingChange {
-                        lane,
-                        ..PendingChange::default()
-                    },
-                );
-                self.lane_pending_count[lane] += 1;
-                // A duplicate-key result may already exist (identical
-                // realized build computed for an earlier change set).
-                self.try_resolve(now);
                 self.maybe_replan(now, sched);
             }
-            Event::BuildDone(seq) => {
-                if self.aborted_seqs.remove(&seq) {
-                    // Worker already released at abort time.
-                    self.seq_to_key.remove(&seq);
+            Event::BuildDone(build) => {
+                let Some(key) = self.core.key_of(build) else {
+                    // Aborted meanwhile; its worker went back then.
                     return;
-                }
-                let key = self
-                    .seq_to_key
-                    .remove(&seq)
-                    .expect("completed build was tracked");
-                // Infra-fault check first: an infra-red attempt carries
-                // no information about the change, so it is retried on
-                // the *same* worker (not released) after a charged
-                // backoff — never rejected, never recorded as a result.
-                if let Some(faults) = self.config.faults.clone() {
+                };
+                // The dice first: an infra-red attempt carries no
+                // information about the change, so ground truth is not
+                // even consulted.
+                let infra = self.config.faults.as_ref().is_some_and(|faults| {
                     let attempts = self.infra_attempts.entry(key.clone()).or_insert(0);
                     *attempts += 1;
-                    let attempt = *attempts;
-                    if faults.infra_red(&key, attempt) {
-                        self.infra_retries += 1;
-                        if self.quarantine.record_flake(key.subject).is_some() {
-                            self.obs.metrics.inc("planner.quarantined");
-                            self.obs.tracer.event(
-                                "quarantine",
-                                now,
-                                &[("change", key.subject.0 as f64)],
-                            );
-                        }
-                        let backoff = faults.retry.backoff(attempt);
-                        let duration = backoff
-                            + self.spec(key.subject).build_duration
-                            + self.config.build_overhead;
-                        let new_seq = self.next_seq;
-                        self.next_seq += 1;
-                        sched.at(now + duration, Event::BuildDone(new_seq));
-                        self.seq_to_key.insert(new_seq, key.clone());
-                        let prev = *self.running.get(&key).expect("retried build was running");
-                        self.obs.metrics.inc("planner.infra_retries");
-                        self.obs
-                            .metrics
-                            .observe("planner.infra_backoff_secs", backoff.as_secs_f64());
-                        self.obs.tracer.event(
-                            "infra_retry",
-                            now,
-                            &[
-                                ("change", key.subject.0 as f64),
-                                ("attempt", f64::from(attempt)),
-                                ("backoff_secs", backoff.as_secs_f64()),
-                            ],
-                        );
-                        self.running.insert(
-                            key.clone(),
-                            RunningBuild {
-                                seq: new_seq,
-                                start: now,
-                                finish: now + duration,
-                                lane: prev.lane,
-                                worker: prev.worker,
-                                span: prev.span,
-                            },
-                        );
-                        self.infra_backoff += backoff;
-                        self.builds_started += 1;
-                        if let Some(p) = self.pending.get_mut(&key.subject) {
-                            p.builds_scheduled += 1;
-                        }
-                        return;
-                    }
+                    faults.infra_red(key, *attempts)
+                });
+                if infra {
+                    self.core.finished(build, Outcome::Infra, &mut self.actions);
+                    self.apply(now, sched);
+                    return;
                 }
-                let rb = self
-                    .running
-                    .remove(&key)
-                    .expect("finished build was running");
-                self.pools[rb.lane].release_worker(rb.worker, now);
-                self.lane_running_count[rb.lane] -= 1;
+                let assumed = key.assumed.iter().map(|&a| self.spec(a));
+                let ok = self.truth.build_succeeds(self.spec(key.subject), assumed);
+                let b = self.live.remove(&build).expect("running build is live");
+                self.pools[b.lane].release_worker(b.slot, now);
                 self.obs
                     .metrics
-                    .observe("planner.build_mins", now.since(rb.start).as_mins_f64());
-                let subject = self.spec(key.subject);
-                let assumed: Vec<&ChangeSpec> = key.assumed.iter().map(|&a| self.spec(a)).collect();
-                let ok = self.truth.build_succeeds(subject, assumed.iter().copied());
-                self.build_results.insert(key.clone(), ok);
+                    .observe("planner.build_mins", now.since(b.start).as_mins_f64());
                 self.obs.metrics.inc("planner.builds_finished");
                 self.obs
                     .tracer
-                    .span_field(rb.span, "ok", if ok { 1.0 } else { 0.0 });
-                self.obs.tracer.end_span(rb.span, now);
-                // Dynamic speculation counters (Section 7.2): a finished
-                // speculation is evidence for its subject and, on
-                // success, for every change it stacked on.
-                if let Some(p) = self.pending.get_mut(&key.subject) {
-                    if ok {
-                        p.counters.succeeded += 1;
-                    } else {
-                        p.counters.failed += 1;
-                    }
-                }
-                if ok {
-                    for a in &key.assumed {
-                        if let Some(p) = self.pending.get_mut(a) {
-                            p.counters.succeeded += 1;
-                        }
-                    }
-                }
-                self.try_resolve(now);
+                    .span_field(b.span, "ok", if ok { 1.0 } else { 0.0 });
+                self.obs.tracer.end_span(b.span, now);
+                let outcome = if ok { Outcome::Green } else { Outcome::Red };
+                self.core.finished(build, outcome, &mut self.actions);
+                self.apply(now, sched);
                 self.maybe_replan(now, sched);
             }
             Event::Epoch(lane) => {
                 self.epoch_scheduled[lane] = false;
                 self.obs.metrics.inc("planner.epochs");
-                self.replan_lane(lane, now, sched);
+                self.plan_lane(lane, now, sched);
                 // Keep the lane ticking while it has anything to plan for.
-                if self.lane_pending_count[lane] > 0 || self.lane_running_count[lane] > 0 {
+                if self.core.pending_in(lane) > 0 || self.core.busy(lane) > 0 {
                     self.epoch_scheduled[lane] = true;
                     sched.at(now + self.tick_delay(lane), Event::Epoch(lane));
                 }
@@ -1479,6 +1038,18 @@ mod tests {
         assert!(r.commit_log.is_empty());
         assert_eq!(r.builds_started, 0);
         assert_eq!(r.makespan, SimTime::ZERO);
+    }
+
+    #[test]
+    #[should_panic(expected = "10 events handled, 50 of 50 changes still pending")]
+    fn a_run_cut_short_by_max_events_panics_in_release_too() {
+        let w = workload(100.0, 50, 26);
+        let strategy = Strategy::build(StrategyKind::Oracle, &w, None);
+        let cfg = PlannerConfig {
+            max_events: 10,
+            ..config(50)
+        };
+        run_simulation(&w, &strategy, &cfg);
     }
 
     #[test]

@@ -60,6 +60,16 @@ summary() {
 step "cargo build --release" \
   cargo build --release
 
+# ROADMAP 1.1, held by a grep and not by a comment: the decision core has
+# no clock, RNG, worker pool or observer, so a second driver can run it.
+core_is_sans_io() {
+  ! awk '/#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ": " $0 }' \
+      crates/core/src/decision.rs |
+    grep -E 'sq_sim|sq_obs|WorkerPool|GroundTruth|std::time|Instant|thread::'
+}
+step "decision.rs names no clock, RNG, pool or observer (non-test part)" \
+  core_is_sans_io
+
 if [[ "$quick" == 1 ]]; then
   step "cargo test -q (root package: integration + property suites)" \
     cargo test -q
