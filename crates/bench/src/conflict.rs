@@ -1,26 +1,23 @@
-//! The conflict-analysis microbenchmark: the `conflict` suite.
+//! The conflict-analysis counts: the `conflict` suite.
 //!
 //! One seeded window of changes is rendered against a materialized
-//! monorepo and every change's affected set is computed once (untimed
-//! setup). The pairwise Step-2 relation — "do the affected target names
-//! intersect?" (paper §5.2, Equation 6) — is then evaluated three ways
-//! over the same inputs:
+//! monorepo and every change's affected set is computed once. The
+//! pairwise Step-2 relation — "do the affected target names intersect?"
+//! (paper §5.2, Equation 6) — is then evaluated two ways over the same
+//! inputs:
 //!
-//! * **serial** — the pre-index baseline: each pair freshly materializes
-//!   both sides' `HashSet<TargetName>` (string clones and all) and
-//!   probes for overlap. The *full* uncached pipeline additionally
-//!   re-applies both patches and re-analyzes both snapshots per pair,
-//!   so every speedup reported here is a lower bound.
-//! * **indexed** — intern the names, build one [`BitSet`] per change in
-//!   a cold [`ConflictIndex`] (construction is inside the timed region),
-//!   then [`ConflictIndex::matrix_serial`]: word-wise ANDs.
-//! * **indexed+parallel** — same cold-index build, then
-//!   [`ConflictIndex::matrix_parallel`] across scoped worker threads.
+//! * **reference** — each change's affected names as a `HashSet`, built
+//!   once per change; a pair conflicts iff its two sets overlap.
+//! * **indexed** — intern the names, one [`BitSet`] per change in a
+//!   [`ConflictIndex`], then [`ConflictIndex::matrix_serial`]: word-wise
+//!   ANDs.
 //!
-//! All three modes must produce byte-identical [`ConflictMatrix`]
-//! serializations — the determinism gate, enforced in every mode.
-//! Unlike `BENCH_e2e.json`, this document reports wall time, so it is
-//! *not* byte-identical across runs; the matrices are.
+//! Both must produce byte-identical [`ConflictMatrix`] serializations —
+//! the gate, in every mode. The document holds counts only (`pairs`,
+//! `conflicts`, `matrices_identical` per window), so it is a pure
+//! function of the params and is compared byte for byte like every
+//! other suite's. What the index costs in wall time is
+//! `core.index.matrix_us_w256` in `benchmark/`.
 
 use crate::suite::{no_flags, pick, Report, Suite};
 use sq_build::{AffectedSet, BitSet, Interner, SnapshotAnalysis, TargetName};
@@ -29,22 +26,17 @@ use sq_obs::JsonWriter;
 use sq_workload::repo_model::MaterializedRepo;
 use sq_workload::{ChangeId, WorkloadBuilder, WorkloadParams};
 use std::collections::HashSet;
-use std::time::Instant;
 
-/// Parameters of one conflict-benchmark run.
+/// Parameters of one conflict-suite run.
 #[derive(Debug, Clone)]
 pub struct ConflictParams {
     /// Master seed for the workload and repository.
     pub seed: u64,
     /// Logical parts (= packages) in the materialized repo.
     pub n_parts: usize,
-    /// Window sizes to measure (the workload holds `max(windows)`
+    /// Window sizes to count (the workload holds `max(windows)`
     /// changes; each window is a prefix).
     pub windows: Vec<usize>,
-    /// Worker threads for the parallel mode.
-    pub threads: usize,
-    /// Repetitions per mode; the minimum wall time is reported.
-    pub reps: usize,
 }
 
 impl ConflictParams {
@@ -55,58 +47,34 @@ impl ConflictParams {
             seed: crate::bench_seed(),
             n_parts: 128,
             windows: vec![64, 256, 1024],
-            threads: 8,
-            reps: 3,
         }
     }
 
-    /// A small configuration for CI smoke runs. Keeps the 256-change
-    /// window: that is where the smoke gate compares parallel against
-    /// serial wall time.
+    /// A small configuration for CI smoke runs.
     pub fn smoke() -> Self {
         ConflictParams {
             seed: crate::bench_seed(),
             n_parts: 32,
             windows: vec![64, 256],
-            threads: 8,
-            reps: 2,
         }
     }
 }
 
-/// Measured results for one window size.
+/// The counts of one window size.
 #[derive(Debug, Clone)]
 pub struct WindowResult {
     /// Window size (number of changes).
     pub n: usize,
-    /// Pairs evaluated per mode: `n (n - 1) / 2`.
+    /// Pairs evaluated: `n (n - 1) / 2`.
     pub pairs: u64,
     /// Conflicting pairs in the (shared) matrix.
     pub conflicts: u64,
-    /// Best-of-reps wall time of the per-pair set-materialization
-    /// baseline, in nanoseconds.
-    pub serial_nanos: u64,
-    /// Best-of-reps wall time of cold-index build + serial matrix.
-    pub indexed_nanos: u64,
-    /// Best-of-reps wall time of cold-index build + parallel matrix.
-    pub parallel_nanos: u64,
-    /// Whether all three modes serialized to identical matrix bytes.
+    /// Whether the reference and the index serialized to identical
+    /// matrix bytes.
     pub identical: bool,
 }
 
-impl WindowResult {
-    /// Serial wall over indexed wall.
-    pub fn speedup_indexed(&self) -> f64 {
-        self.serial_nanos as f64 / self.indexed_nanos.max(1) as f64
-    }
-
-    /// Serial wall over indexed+parallel wall.
-    pub fn speedup_parallel(&self) -> f64 {
-        self.serial_nanos as f64 / self.parallel_nanos.max(1) as f64
-    }
-}
-
-/// A full benchmark report: parameters plus one result per window.
+/// A full report: parameters plus one result per window.
 #[derive(Debug, Clone)]
 pub struct ConflictReport {
     /// The parameters the run used.
@@ -120,13 +88,11 @@ impl ConflictReport {
     pub fn to_json(&self) -> String {
         let mut w = JsonWriter::new();
         w.begin_object();
-        w.field_str("schema", "sq-bench-conflict/v1");
+        w.field_str("schema", SUITE.schema);
         w.key("params");
         w.begin_object();
         w.field_u64("seed", self.params.seed);
         w.field_u64("n_parts", self.params.n_parts as u64);
-        w.field_u64("threads", self.params.threads as u64);
-        w.field_u64("reps", self.params.reps as u64);
         w.end_object();
         w.key("windows");
         w.begin_array();
@@ -135,11 +101,6 @@ impl ConflictReport {
             w.field_u64("n", r.n as u64);
             w.field_u64("pairs", r.pairs);
             w.field_u64("conflicts", r.conflicts);
-            w.field_f64("serial_ms", r.serial_nanos as f64 / 1e6);
-            w.field_f64("indexed_ms", r.indexed_nanos as f64 / 1e6);
-            w.field_f64("indexed_parallel_ms", r.parallel_nanos as f64 / 1e6);
-            w.field_f64("speedup_indexed", r.speedup_indexed());
-            w.field_f64("speedup_indexed_parallel", r.speedup_parallel());
             w.key("matrices_identical");
             w.value_bool(r.identical);
             w.end_object();
@@ -148,38 +109,10 @@ impl ConflictReport {
         w.end_object();
         w.finish()
     }
-
-    /// The CI perf-regression gate: every window's matrices must be
-    /// byte-identical across all three modes, and on the gate window
-    /// (256 changes if measured, else the largest) the indexed+parallel
-    /// wall time must not exceed the serial baseline.
-    pub fn smoke_gate(&self) -> Result<(), String> {
-        for r in &self.windows {
-            if !r.identical {
-                return Err(format!(
-                    "window {}: conflict matrices diverged across modes",
-                    r.n
-                ));
-            }
-        }
-        let gate = self
-            .windows
-            .iter()
-            .find(|r| r.n == 256)
-            .or_else(|| self.windows.iter().max_by_key(|r| r.n))
-            .ok_or("no windows measured")?;
-        if gate.parallel_nanos > gate.serial_nanos {
-            return Err(format!(
-                "window {}: indexed+parallel ({} ns) slower than serial ({} ns)",
-                gate.n, gate.parallel_nanos, gate.serial_nanos
-            ));
-        }
-        Ok(())
-    }
 }
 
-/// Run the benchmark: untimed setup (materialize the repo, compute each
-/// change's affected set once), then time the three modes per window.
+/// Run the suite: materialize the repo, compute each change's affected
+/// set once, then count every window both ways.
 pub fn run_conflict(params: &ConflictParams) -> ConflictReport {
     let n_changes = params.windows.iter().copied().max().unwrap_or(0);
     let mut wl_params = WorkloadParams::ios();
@@ -191,8 +124,8 @@ pub fn run_conflict(params: &ConflictParams) -> ConflictReport {
         .build()
         .expect("valid workload params");
 
-    // Untimed setup: one affected set per change against the pristine
-    // mainline — exactly what the index memoizes in production.
+    // One affected set per change against the pristine mainline —
+    // exactly what the index memoizes in production.
     let mut store = repo.repo.store().clone();
     let base_tree = repo.repo.head_tree().expect("repo has a head");
     let base = SnapshotAnalysis::analyze(&base_tree, &store).expect("base analyzes");
@@ -208,10 +141,14 @@ pub fn run_conflict(params: &ConflictParams) -> ConflictReport {
         affected.push(AffectedSet::between(&base, &analysis));
     }
 
+    let names: Vec<HashSet<&TargetName>> = affected
+        .iter()
+        .map(|set| set.iter().map(|(t, _)| t).collect())
+        .collect();
     let windows = params
         .windows
         .iter()
-        .map(|&n| run_window(n, &ids[..n], &affected[..n], params))
+        .map(|&n| run_window(&ids[..n], &names[..n], &affected[..n]))
         .collect();
     ConflictReport {
         params: params.clone(),
@@ -220,59 +157,29 @@ pub fn run_conflict(params: &ConflictParams) -> ConflictReport {
 }
 
 fn run_window(
-    n: usize,
     ids: &[ChangeId],
+    names: &[HashSet<&TargetName>],
     affected: &[AffectedSet],
-    params: &ConflictParams,
 ) -> WindowResult {
-    let mut serial_nanos = u64::MAX;
-    let mut indexed_nanos = u64::MAX;
-    let mut parallel_nanos = u64::MAX;
-    let mut serial_m = None;
-    let mut indexed_m = None;
-    let mut parallel_m = None;
-    for _ in 0..params.reps.max(1) {
-        let (t, m) = time(|| serial_matrix(affected));
-        serial_nanos = serial_nanos.min(t);
-        serial_m = Some(m);
-        let (t, m) = time(|| indexed_matrix(ids, affected, None));
-        indexed_nanos = indexed_nanos.min(t);
-        indexed_m = Some(m);
-        let (t, m) = time(|| indexed_matrix(ids, affected, Some(params.threads)));
-        parallel_nanos = parallel_nanos.min(t);
-        parallel_m = Some(m);
-    }
-    let serial_m = serial_m.expect("at least one rep");
-    let identical = serial_m.to_bytes() == indexed_m.expect("rep").to_bytes()
-        && serial_m.to_bytes() == parallel_m.expect("rep").to_bytes();
+    let n = ids.len();
+    let reference = reference_matrix(names);
+    let indexed = indexed_matrix(ids, affected);
     WindowResult {
         n,
         pairs: (n * n.saturating_sub(1) / 2) as u64,
-        conflicts: serial_m.conflict_count(),
-        serial_nanos,
-        indexed_nanos,
-        parallel_nanos,
-        identical,
+        conflicts: reference.conflict_count(),
+        identical: reference.to_bytes() == indexed.to_bytes(),
     }
 }
 
-fn time<T>(f: impl FnOnce() -> T) -> (u64, T) {
-    let start = Instant::now();
-    let out = f();
-    let nanos = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-    (nanos, out)
-}
-
-/// The pre-index baseline: every pair materializes both name sets from
-/// scratch (owned strings, fresh hash tables) before probing overlap.
-fn serial_matrix(affected: &[AffectedSet]) -> ConflictMatrix {
-    let n = affected.len();
+/// The relation by its definition: a pair conflicts iff the two
+/// changes' affected target names overlap.
+fn reference_matrix(names: &[HashSet<&TargetName>]) -> ConflictMatrix {
+    let n = names.len();
     let mut m = ConflictMatrix::new(n);
     for i in 0..n {
         for j in (i + 1)..n {
-            let a: HashSet<TargetName> = affected[i].iter().map(|(t, _)| t.clone()).collect();
-            let b: HashSet<TargetName> = affected[j].iter().map(|(t, _)| t.clone()).collect();
-            if !a.is_disjoint(&b) {
+            if !names[i].is_disjoint(&names[j]) {
                 m.set(i, j);
             }
         }
@@ -280,34 +187,24 @@ fn serial_matrix(affected: &[AffectedSet]) -> ConflictMatrix {
     m
 }
 
-/// Cold-index build (interning included in the timed region) followed by
-/// the serial or parallel whole-window matrix.
-fn indexed_matrix(
-    ids: &[ChangeId],
-    affected: &[AffectedSet],
-    threads: Option<usize>,
-) -> ConflictMatrix {
+/// Intern the names into a fresh index, then the whole-window matrix.
+fn indexed_matrix(ids: &[ChangeId], affected: &[AffectedSet]) -> ConflictMatrix {
     let mut interner: Interner<TargetName> = Interner::new();
     let mut index = ConflictIndex::new(TrunkHash(1));
     for (id, set) in ids.iter().zip(affected) {
         let bits: BitSet = set.iter().map(|(t, _)| interner.intern(t)).collect();
         index.ensure_with(*id, || bits);
     }
-    match threads {
-        None => index.matrix_serial(ids),
-        Some(t) => index.matrix_parallel(ids, t),
-    }
+    index.matrix_serial(ids)
 }
 
 /// The `conflict` row of the suite table.
 pub const SUITE: Suite = Suite {
     name: "conflict",
-    schema: "sq-bench-conflict/v1",
-    deterministic: false,
+    schema: "sq-bench-conflict/v2",
     keys: &[
-        "params: seed n_parts threads reps",
-        "windows: n pairs conflicts serial_ms indexed_ms indexed_parallel_ms",
-        "windows: speedup_indexed speedup_indexed_parallel matrices_identical",
+        "params: seed n_parts",
+        "windows: n pairs conflicts matrices_identical",
     ],
     run: |smoke, flags| {
         no_flags(flags)?;
@@ -321,64 +218,22 @@ impl Report for ConflictReport {
         let mut lines = vec![format!("{:?}", self.params)];
         lines.extend(self.windows.iter().map(|r| {
             format!(
-                "window {:>5}: {:>8} pairs, {:>7} conflicts | serial {:>9.3} ms | \
-                 indexed {:>8.3} ms ({:>6.1}x) | +parallel {:>8.3} ms ({:>6.1}x) | identical={}",
-                r.n,
-                r.pairs,
-                r.conflicts,
-                r.serial_nanos as f64 / 1e6,
-                r.indexed_nanos as f64 / 1e6,
-                r.speedup_indexed(),
-                r.parallel_nanos as f64 / 1e6,
-                r.speedup_parallel(),
-                r.identical
+                "window {:>5}: {:>8} pairs, {:>7} conflicts | identical={}",
+                r.n, r.pairs, r.conflicts, r.identical
             )
         }));
         lines
     }
 
+    /// Every window's reference and indexed matrices are byte-identical.
     fn gate(&self) -> Vec<String> {
-        self.smoke_gate().err().into_iter().collect()
+        let diverged = self.windows.iter().filter(|r| !r.identical);
+        diverged
+            .map(|r| format!("window {}: index and name-set reference diverged", r.n))
+            .collect()
     }
 
     fn doc(&self) -> String {
         self.to_json()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn smoke_gate_prefers_the_256_window() {
-        let win = |n: usize, serial: u64, parallel: u64| WindowResult {
-            n,
-            pairs: (n * (n - 1) / 2) as u64,
-            conflicts: 0,
-            serial_nanos: serial,
-            indexed_nanos: parallel,
-            parallel_nanos: parallel,
-            identical: true,
-        };
-        let report = |windows: Vec<WindowResult>| ConflictReport {
-            params: ConflictParams::smoke(),
-            windows,
-        };
-        // Tiny windows may legitimately lose to thread-spawn overhead;
-        // the gate only reads the 256 window.
-        let r = report(vec![win(8, 10, 500), win(256, 1_000, 400)]);
-        assert!(r.smoke_gate().is_ok());
-        let r = report(vec![win(256, 400, 1_000)]);
-        assert!(r.smoke_gate().unwrap_err().contains("slower"));
-        let mut bad = win(256, 1_000, 400);
-        bad.identical = false;
-        assert!(report(vec![bad])
-            .smoke_gate()
-            .unwrap_err()
-            .contains("diverged"));
-        // Without a 256 window the largest one gates.
-        let r = report(vec![win(8, 10, 500), win(64, 2_000, 900)]);
-        assert!(r.smoke_gate().is_ok());
     }
 }

@@ -221,7 +221,6 @@ fn executor_cache_pass() -> (usize, usize, sq_exec::CacheStats) {
 pub const SUITE: Suite = Suite {
     name: "e2e",
     schema: "sq-bench-e2e/v1",
-    deterministic: true,
     keys: &[
         ": params throughput_changes_per_hour sustained_throughput_per_hour",
         ": turnaround_mins builds_per_change worker_utilization builds infra cache metrics",

@@ -348,7 +348,6 @@ pub fn matrix_json(matrix: &LeanMatrix) -> String {
 pub const SUITE: Suite = Suite {
     name: "lean",
     schema: "sq-bench-lean/v1",
-    deterministic: true,
     keys: &[
         ": params cells summary",
         "cells: cell strategy flags green wrongful_rejections commits turnaround_mins builds lean",

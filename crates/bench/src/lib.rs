@@ -13,8 +13,11 @@
 //! | `scenarios`   | `BENCH_scenarios.json`   | adversarial scenario × strategy matrix    |
 //! | `replication` | `BENCH_replication.json` | WAL shipping + fenced failover            |
 //! | `server`      | `BENCH_server.json`      | live-socket serving layer (`--uds`)               |
-//! | `conflict`    | `BENCH_conflict.json`    | §5.2 index: serial vs indexed vs parallel (wall clock, not compared) |
-//! | `recovery`    | none                     | journal + snapshot replay (wall clock)    |
+//! | `conflict`    | `BENCH_conflict.json`    | §5.2 index vs name-set reference: counts  |
+//!
+//! Every document is a pure function of its params and is compared byte
+//! for byte with the committed copy; wall-clock numbers live in
+//! `benchmark/`.
 //!
 //! | figure              | paper figure/claim                                  |
 //! |---------------------|-----------------------------------------------------|
@@ -46,7 +49,6 @@ pub mod conflict;
 pub mod e2e;
 pub mod figures;
 pub mod lean;
-pub mod recovery;
 pub mod replication;
 pub mod scenarios;
 pub mod server;

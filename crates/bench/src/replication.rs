@@ -499,7 +499,6 @@ pub fn run_replication(params: &ReplicationParams) -> ReplicationReport {
 pub const SUITE: Suite = Suite {
     name: "replication",
     schema: "sq-bench-replication/v1",
-    deterministic: true,
     keys: &[
         "params: seed n_parts n_changes kill_after snapshot_every",
         "cells: mode followers changes landed commits epoch ships shipped_records",

@@ -242,7 +242,6 @@ pub fn matrix_json(params: &ScenarioBenchParams, runs: &[ScenarioRun]) -> String
 pub const SUITE: Suite = Suite {
     name: "scenarios",
     schema: "sq-bench-scenario-matrix/v1",
-    deterministic: true,
     keys: &[
         ": scenario_count strategy_count",
         "scenarios: scenario params",

@@ -412,7 +412,6 @@ pub fn run_server_bench(params: &ServerBenchParams) -> ServerBenchReport {
 pub const SUITE: Suite = Suite {
     name: "server",
     schema: "sq-bench-server/v1",
-    deterministic: true,
     keys: &[
         "params: seed n_parts n_changes burst window snapshot_every transport",
         "sequential: changes landed",

@@ -427,7 +427,6 @@ pub fn run_shard_bench(params: &ShardBenchParams) -> ShardBenchReport {
 pub const SUITE: Suite = Suite {
     name: "shard",
     schema: "sq-bench-shard/v1",
-    deterministic: true,
     keys: &[
         "params: seed rate_per_hour hours n_changes n_parts n_shards total_workers",
         "params: planning_base_ms planning_per_pending_ms history_changes throughput_floor",

@@ -6,14 +6,17 @@
 //! the typed report → check the document's required keys → write the
 //! fresh document under `target/figures/` → then, by mode,
 //!
-//! * default: byte-compare a deterministic suite's document with the
-//!   committed `BENCH_<suite>.json` at the repository root;
+//! * default: byte-compare the document with the committed
+//!   `BENCH_<suite>.json` at the repository root;
 //! * `--write`: overwrite that committed document instead;
-//! * `--smoke`: small params, and a deterministic suite's same-seed
-//!   rerun must reproduce the document byte for byte.
+//! * `--smoke`: small params, and a same-seed rerun must reproduce the
+//!   document byte for byte.
 //!
-//! A failed gate writes nothing. `sq-bench fig <name>...|all` runs rows
-//! of [`crate::figures::FIGURES`] in-process.
+//! No suite reads a clock: every document is a pure function of its
+//! params (wall-clock numbers live in `benchmark/`; the only `Instant`
+//! in this crate is the seconds this driver prints per suite). A failed
+//! gate writes nothing. `sq-bench fig <name>...|all` runs rows of
+//! [`crate::figures::FIGURES`] in-process.
 
 use crate::figures::FIGURES;
 use serde::__private::Value;
@@ -47,9 +50,6 @@ pub struct Suite {
     pub name: &'static str,
     /// The document's `schema` value.
     pub schema: &'static str,
-    /// Whether the document is a pure function of the params (no wall
-    /// clock), i.e. comparable byte for byte.
-    pub deterministic: bool,
     /// The keys the document must contain.
     pub keys: KeyPaths,
     /// Build the params and run.
@@ -69,7 +69,6 @@ pub const SUITES: &[Suite] = &[
     crate::replication::SUITE,
     crate::server::SUITE,
     crate::conflict::SUITE,
-    crate::recovery::SUITE,
 ];
 
 /// Smoke or standard params.
@@ -188,7 +187,7 @@ fn finish(suite: &Suite, mode: Mode, flags: &[String], report: &dyn Report) -> R
     check_doc(&doc, suite.schema, suite.keys)
         .map_err(|e| format!("emitted document is invalid: {e}"))?;
     let smoke = mode == Mode::Smoke;
-    if smoke && suite.deterministic {
+    if smoke {
         if (suite.run)(true, flags)?.doc() != doc {
             return Err("same-seed rerun diverged from the first run".to_string());
         }
@@ -202,11 +201,9 @@ fn finish(suite: &Suite, mode: Mode, flags: &[String], report: &dyn Report) -> R
         write(&dir.join(path), &content)?;
     }
     let committed = crate::repo_root().join(format!("{stem}.json"));
-    if mode == Mode::Write && !committed.exists() {
-        println!("  no committed {stem}.json to overwrite");
-    } else if mode == Mode::Write {
+    if mode == Mode::Write {
         write(&committed, &doc)?;
-    } else if mode == Mode::Check && suite.deterministic {
+    } else if mode == Mode::Check {
         let old = std::fs::read_to_string(&committed)
             .map_err(|e| format!("cannot read {}: {e}", committed.display()))?;
         if let Some(diff) = first_difference(&old, &doc) {

@@ -1,10 +1,10 @@
-//! Integration test for the conflict benchmark: a small real run must
-//! produce byte-identical matrices across all three modes, a document
-//! that validates, and a passing perf-regression gate on the 256-change
-//! window.
+//! Integration test for the conflict suite: a small real run must
+//! produce byte-identical matrices from the name-set reference and the
+//! index, sane counts, a document that validates, and the same document
+//! again from the same params.
 
 use sq_bench::conflict::{run_conflict, ConflictParams, SUITE};
-use sq_bench::suite::check_doc;
+use sq_bench::suite::{check_doc, Report};
 
 #[test]
 fn small_run_gates_and_validates() {
@@ -12,8 +12,6 @@ fn small_run_gates_and_validates() {
         seed: 0x5EED,
         n_parts: 16,
         windows: vec![32, 256],
-        threads: 8,
-        reps: 2,
     };
     let report = run_conflict(&params);
     assert_eq!(report.windows.len(), 2);
@@ -27,14 +25,12 @@ fn small_run_gates_and_validates() {
         );
         assert!(r.conflicts <= r.pairs);
     }
-    // The indexed mode must beat per-pair set materialization outright
-    // on the gate window (the parallel bound is asserted by the gate).
-    let gate = report.windows.iter().find(|r| r.n == 256).unwrap();
-    assert!(
-        gate.speedup_indexed() > 1.0,
-        "indexed slower than serial: {:?}",
-        gate
+    assert_eq!(report.gate(), Vec::<String>::new());
+    let doc = report.to_json();
+    check_doc(&doc, SUITE.schema, SUITE.keys).expect("document validates");
+    assert_eq!(
+        run_conflict(&params).to_json(),
+        doc,
+        "same params, same bytes"
     );
-    report.smoke_gate().expect("perf gate holds");
-    check_doc(&report.to_json(), SUITE.schema, SUITE.keys).expect("document validates");
 }

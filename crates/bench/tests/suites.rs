@@ -17,26 +17,20 @@ fn every_smoke_run_is_clean_keyed_and_reproducible() {
             let parsed = serde_json::from_str::<serde::__private::Value>(&extra);
             assert!(parsed.is_ok(), "{name}: {path} is not JSON");
         }
-        if suite.deterministic {
-            let rerun = (suite.run)(true, &[]).expect("same flags").doc();
-            assert_eq!(rerun, doc, "{name}: same-seed rerun diverged");
-        }
+        let rerun = (suite.run)(true, &[]).expect("same flags").doc();
+        assert_eq!(rerun, doc, "{name}: same-seed rerun diverged");
     }
 }
 
 #[test]
 fn committed_documents_carry_every_required_key() {
-    let mut committed = Vec::new();
     for suite in SUITES {
         let path = sq_bench::repo_root().join(format!("BENCH_{}.json", suite.name));
-        if let Ok(json) = std::fs::read_to_string(&path) {
-            check_doc(&json, suite.schema, suite.keys)
-                .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
-            committed.push(suite.name);
-        }
+        let json = std::fs::read_to_string(&path)
+            .unwrap_or_else(|e| panic!("{}: no committed document: {e}", path.display()));
+        check_doc(&json, suite.schema, suite.keys)
+            .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
     }
-    // Every suite but `recovery` has a committed document.
-    assert_eq!(committed.len(), SUITES.len() - 1, "{committed:?}");
 }
 
 #[test]
@@ -64,7 +58,7 @@ fn usage_errors_exit_2_and_list_the_valid_names() {
     for (args, expected) in [
         (
             &["nope"][..],
-            "valid: all e2e lean shard scenarios replication server conflict recovery",
+            "valid: all e2e lean shard scenarios replication server conflict",
         ),
         (
             &["fig", "fig99"][..],

@@ -1,5 +1,5 @@
 //! The incremental conflict index: memoized per-change affected bitsets
-//! plus a parallel pairwise conflict matrix.
+//! plus a pairwise conflict matrix.
 //!
 //! The planner re-examines the pending window on every epoch; without an
 //! index that means recomputing each change's affected set — and every
@@ -13,19 +13,11 @@
 //!   **rebased** ([`ConflictIndex::invalidate`]) or resolved
 //!   ([`ConflictIndex::forget`]).
 //!
-//! Pairwise decisions are then word-wise ANDs ([`ConflictIndex::pair_conflict`]),
-//! and whole-window matrices can be computed serially or in parallel
-//! across the vendored `crossbeam` scoped threads. **Determinism:** the
-//! matrix is partitioned by *row* (change-id order), each worker fills
-//! word-disjoint rows of the output, and workers are joined in partition
-//! order — so the resulting [`ConflictMatrix`] is byte-identical to the
-//! serial one regardless of thread count or interleaving. The only
-//! nondeterministic quantity is wall time, which is accumulated in
-//! [`IndexStats::parallel_nanos`] and **never** fed back into any
-//! decision; in simulation runs the parallel batch path is not exercised
-//! at all, so `analyzer.parallel_ms` exports as a constant 0 and
-//! same-seed runs stay byte-identical (asserted by
-//! `planner::tests::observed_runs_are_unperturbed_and_export_identical_json`).
+//! Pairwise decisions are then word-wise ANDs
+//! ([`ConflictIndex::pair_conflict`]); [`ConflictIndex::matrix_serial`]
+//! does a whole window at once. Every counter in [`IndexStats`] is a
+//! pure function of the queries made, so same-seed runs export
+//! byte-identical metrics.
 
 use sq_build::BitSet;
 use sq_obs::MetricsRegistry;
@@ -47,17 +39,12 @@ pub struct IndexStats {
     pub cache_misses: u64,
     /// Pairwise conflict decisions made.
     pub pairs_checked: u64,
-    /// Wall time spent inside parallel matrix batches. Never influences
-    /// any decision; deterministically 0 when no batch ran.
-    pub parallel_nanos: u64,
 }
 
 impl IndexStats {
-    /// Export as `analyzer.*` counters plus the `analyzer.parallel_ms`
-    /// gauge. Safe to call with a same-seed-deterministic registry: all
-    /// exported values are pure functions of the queries made, except
-    /// `parallel_ms`, which is 0 unless a parallel batch actually ran.
-    /// Counters reconcile via
+    /// Export as `analyzer.*` counters. Safe to call with a
+    /// same-seed-deterministic registry: all exported values are pure
+    /// functions of the queries made. Counters reconcile via
     /// [`record_total`](MetricsRegistry::record_total): the fields are
     /// cumulative lifetime totals, so re-exporting the same snapshot
     /// periodically must not double-count.
@@ -65,7 +52,6 @@ impl IndexStats {
         metrics.record_total("analyzer.cache_hits", self.cache_hits);
         metrics.record_total("analyzer.cache_misses", self.cache_misses);
         metrics.record_total("analyzer.pairs_checked", self.pairs_checked);
-        metrics.set_gauge("analyzer.parallel_ms", self.parallel_nanos as f64 / 1e6);
     }
 }
 
@@ -181,66 +167,10 @@ impl ConflictIndex {
         self.stats.pairs_checked += (n * n.saturating_sub(1) / 2) as u64;
         m
     }
-
-    /// The same matrix, with rows partitioned across `threads` scoped
-    /// worker threads. Each worker fills a contiguous, word-disjoint
-    /// block of rows and workers are joined in partition order, so the
-    /// result is byte-identical to [`ConflictIndex::matrix_serial`]
-    /// whatever the interleaving. Wall time lands in
-    /// [`IndexStats::parallel_nanos`] only.
-    pub fn matrix_parallel(&mut self, ids: &[ChangeId], threads: usize) -> ConflictMatrix {
-        let n = ids.len();
-        let threads = threads.clamp(1, n.max(1));
-        let bits: Vec<&BitSet> = ids
-            .iter()
-            .map(|&id| self.bits(id).expect("matrix over ensured entries"))
-            .collect();
-        let start = std::time::Instant::now();
-        let mut m = ConflictMatrix::new(n);
-        let wpr = m.words_per_row;
-        let chunk_rows = n.div_ceil(threads);
-        let bits = &bits;
-        let row_blocks: Vec<Vec<u64>> = crossbeam::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|t| {
-                    let lo = (t * chunk_rows).min(n);
-                    let hi = ((t + 1) * chunk_rows).min(n);
-                    scope.spawn(move |_| {
-                        let mut block = vec![0u64; hi.saturating_sub(lo) * wpr];
-                        for i in lo..hi {
-                            for j in (i + 1)..n {
-                                if bits[i].intersects(bits[j]) {
-                                    block[(i - lo) * wpr + j / 64] |= 1u64 << (j % 64);
-                                }
-                            }
-                        }
-                        block
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("matrix worker panicked"))
-                .collect()
-        })
-        .expect("matrix scope panicked");
-        // Merge in partition (= row, = change-id) order: deterministic.
-        for (t, block) in row_blocks.into_iter().enumerate() {
-            if block.is_empty() {
-                continue;
-            }
-            let lo = t * chunk_rows;
-            m.words[lo * wpr..lo * wpr + block.len()].copy_from_slice(&block);
-        }
-        self.stats.pairs_checked += (n * n.saturating_sub(1) / 2) as u64;
-        self.stats.parallel_nanos += u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        m
-    }
 }
 
 /// A symmetric pairwise conflict matrix over a window of n changes,
-/// stored as the strict upper triangle in row-major, word-padded rows
-/// (so parallel row writers touch disjoint words).
+/// stored as the strict upper triangle in row-major, word-padded rows.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ConflictMatrix {
     n: usize,
@@ -292,8 +222,8 @@ impl ConflictMatrix {
 
     /// Canonical byte serialization: the window size followed by the
     /// packed rows, little-endian. Two matrices over the same window are
-    /// equal iff their bytes are equal — this is what the benchmark's
-    /// cross-mode determinism gate compares.
+    /// equal iff their bytes are equal — this is what the `conflict`
+    /// suite's reference-vs-index gate compares.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(8 + self.words.len() * 8);
         out.extend_from_slice(&(self.n as u64).to_le_bytes());
@@ -360,21 +290,14 @@ mod tests {
     }
 
     #[test]
-    fn parallel_matrix_is_byte_identical_to_serial_for_any_thread_count() {
-        let n = 33; // not a multiple of any chunk size
-        let serial = ensured_index(n).matrix_serial(&ids(n));
-        for threads in [1, 2, 3, 8, 64] {
-            let par = ensured_index(n).matrix_parallel(&ids(n), threads);
-            assert_eq!(par.to_bytes(), serial.to_bytes(), "threads = {threads}");
-        }
+    fn serial_matrix_follows_the_chain_and_counts_the_whole_window() {
+        let n = 33; // rows end mid-word
+        let mut ix = ensured_index(n);
+        let serial = ix.matrix_serial(&ids(n));
         // The chain structure: exactly n-1 conflicting pairs.
         assert_eq!(serial.conflict_count(), n - 1);
         assert!(serial.get(0, 1) && serial.get(1, 0), "symmetric accessor");
         assert!(!serial.get(0, 2) && !serial.get(0, 0));
-        // Serial batches leave parallel wall time untouched.
-        let mut ix = ensured_index(n);
-        ix.matrix_serial(&ids(n));
-        assert_eq!(ix.stats().parallel_nanos, 0);
         assert_eq!(
             ix.stats().pairs_checked,
             n * (n - 1) / 2,
@@ -385,10 +308,10 @@ mod tests {
     #[test]
     fn empty_and_single_windows_are_fine() {
         let mut ix = ensured_index(1);
-        let m0 = ix.matrix_parallel(&[], 8);
+        let m0 = ix.matrix_serial(&[]);
         assert!(m0.is_empty());
         assert_eq!(m0.to_bytes(), ConflictMatrix::new(0).to_bytes());
-        let m1 = ix.matrix_parallel(&ids(1), 8);
+        let m1 = ix.matrix_serial(&ids(1));
         assert_eq!(m1.len(), 1);
         assert_eq!(m1.conflict_count(), 0);
     }
@@ -401,7 +324,6 @@ mod tests {
         ix.stats().record_into(&mut metrics);
         assert_eq!(metrics.counter("analyzer.cache_misses"), 3);
         assert_eq!(metrics.counter("analyzer.pairs_checked"), 1);
-        assert_eq!(metrics.gauge("analyzer.parallel_ms"), Some(0.0));
         // Regression for the cumulative-total-into-counter bug class:
         // a second export of the same snapshot must change nothing.
         ix.stats().record_into(&mut metrics);

@@ -23,7 +23,7 @@
 //!   or by the real build-system analyzer from `sq-build`.
 //! * [`index`] — the incremental conflict index: per-change affected
 //!   bitsets memoized by (change, trunk), invalidated only on trunk
-//!   advance or rebase, with a deterministic parallel pairwise matrix.
+//!   advance or rebase, with a whole-window pairwise matrix.
 //! * [`speculation`] — the speculation engine (Section 4): build values
 //!   `V = B · P_needed` per Equations 1–5, and greedy best-first
 //!   selection of the most valuable builds in O(n) frontier space
@@ -57,9 +57,9 @@
 //!   plans, per-lane worker splits, the planning-cost model that makes
 //!   one global window saturate, and per-shard reports/audits over the
 //!   merged trunk.
-//! * [`service`] — an embeddable `SubmitQueueService` that runs the full
-//!   stack (real conflict analyzer, real executor) over a materialized
-//!   repository.
+//! * [`service`] — an embeddable `SubmitQueueService`: a serial queue
+//!   over a materialized repository (rebase, target-hash affected set,
+//!   real executor, commit if green). It names no conflict analyzer.
 //! * [`durable`] — the crash-consistent service: every state transition
 //!   is journaled through `sq-store` before it is acknowledged, and
 //!   `DurableSubmitQueue::open` reconstructs the exact acked state from

@@ -3,11 +3,14 @@
 //! The simulations measure *scheduling policy*; this module wires the
 //! full concrete stack together the way the paper's production system
 //! does (Section 7.1's API service + core service, minus the RPC):
-//! patches land against a live `sq-vcs` repository, the Section 5
-//! conflict analyzer decides independence, the `sq-exec` executor runs
-//! real build steps with artifact caching, and a change commits only if
-//! every step passes — so the mainline is green at every commit point,
-//! by construction, and `verify_history` re-checks it from scratch.
+//! patches land against a live `sq-vcs` repository one at a time — a
+//! serial queue: the front change is rebased onto HEAD, its affected
+//! targets are computed from the two snapshots' target hashes, the
+//! `sq-exec` executor runs real build steps with artifact caching, and
+//! the change commits only if every step passes — so the mainline is
+//! green at every commit point, by construction, and `verify_history`
+//! re-checks it from scratch. No conflict analyzer runs here: nothing
+//! is built speculatively or committed in parallel yet (ROADMAP item 1).
 //!
 //! Tickets, the queue and the counters exist once, as a
 //! [`DurableState`], and change only by applying the [`ServiceEvent`]s
@@ -25,9 +28,7 @@ use crate::recovery::{QuarantineList, RecoveryConfig, RecoveryEvent, RecoveryLog
 use parking_lot::Mutex;
 use sq_build::affected::SnapshotAnalysis;
 use sq_build::{AffectedSet, TargetName};
-use sq_exec::{
-    ArtifactCache, BuildController, BuildStep, ControllerReport, RealExecutor, StepOutcome,
-};
+use sq_exec::{ArtifactCache, BuildController, BuildStep, ExecReport, RealExecutor, StepOutcome};
 use sq_store::StoreError;
 use sq_vcs::merge::merge_patches;
 use sq_vcs::{CommitId, CommitMeta, Patch, Repository, Tree, VcsError};
@@ -96,8 +97,8 @@ pub struct SubmitQueueService {
     inner: Mutex<Inner>,
     /// The in-memory service's store lock.
     unjournaled: Mutex<Unjournaled>,
-    /// Incremental builds for landing changes (persistent artifact cache
-    /// + duration history — the paper's Section 6 controller).
+    /// Incremental builds for landing changes (persistent artifact
+    /// cache — the paper's Section 6 controller).
     controller: BuildController,
     /// From-scratch builds for `verify_history` (no cache reuse: the
     /// audit must not trust prior artifacts).
@@ -375,7 +376,7 @@ impl SubmitQueueService {
         head_tree: Tree,
         mut store: sq_vcs::ObjectStore,
         action: &StepAction,
-    ) -> Result<(Patch, ControllerReport), String> {
+    ) -> Result<(Patch, ExecReport), String> {
         let base_tree = base_tree.map_err(|e| format!("bad base: {e}"))?;
         // 1. Rebase: merge the patch with what landed since its base.
         let rebased = rebase(patch, &base_tree, &head_tree, &store)
@@ -390,7 +391,7 @@ impl SubmitQueueService {
             .map_err(|e| format!("build graph broken: {e}"))?;
         let delta = AffectedSet::between(&base_analysis, &new_analysis);
         // 3. Build every affected target for real (incremental via the
-        // controller's artifact cache + duration history).
+        // controller's artifact cache).
         let report = self.controller.execute_affected(
             &new_analysis.graph,
             &new_analysis.hashes,
@@ -408,7 +409,7 @@ impl SubmitQueueService {
         inner: &mut Inner,
         change: &QueuedChange,
         head: CommitId,
-        built: Result<(Patch, ControllerReport), String>,
+        built: Result<(Patch, ExecReport), String>,
     ) -> Vec<ServiceEvent> {
         let batch = self.decide(inner, change, head, built);
         // The rebuild count only matters while the ticket is queued.
@@ -429,7 +430,7 @@ impl SubmitQueueService {
         inner: &mut Inner,
         change: &QueuedChange,
         head: CommitId,
-        built: Result<(Patch, ControllerReport), String>,
+        built: Result<(Patch, ExecReport), String>,
     ) -> Vec<ServiceEvent> {
         let ticket = change.ticket;
         let subject = || TicketId(ticket).to_string();
@@ -458,7 +459,7 @@ impl SubmitQueueService {
         let mut batch = Vec::new();
         // Flake accounting: every infra event — recovered or not —
         // counts toward the per-target quarantine threshold.
-        for (step, _fault) in &report.exec.infra_events {
+        for (step, _fault) in &report.infra_events {
             if let Some(observations) = inner.quarantine.record_flake(step.target.clone()) {
                 let target = step.target.to_string();
                 inner.log.push(RecoveryEvent::Quarantined {
@@ -471,13 +472,13 @@ impl SubmitQueueService {
                 });
             }
         }
-        if report.exec.infra_retries > 0 {
+        if report.infra_retries > 0 {
             inner.log.push(RecoveryEvent::StepRetries {
                 subject: subject(),
-                retries: report.exec.infra_retries,
+                retries: report.infra_retries,
             });
         }
-        if let Some((step, fault)) = report.exec.infra_failure {
+        if let Some((step, fault)) = report.infra_failure {
             // Infra-red: the build says nothing about the change.
             // Rebuild up to the policy bound instead of rejecting;
             // successful steps are already cached, so the rebuild
@@ -511,7 +512,7 @@ impl SubmitQueueService {
             }
             return batch;
         }
-        if let Some((step, reason)) = report.exec.failure {
+        if let Some((step, reason)) = report.failure {
             batch.extend(rejected(
                 Verdict::Fail,
                 format!("build step '{step}' failed: {reason}"),

@@ -88,7 +88,7 @@ impl ArtifactCache {
         }
     }
 
-    /// Peek without touching stats (used by planners to *estimate* work).
+    /// Peek without touching stats.
     pub fn contains(&self, hash: TargetHash, kind: StepKind) -> bool {
         self.map.contains_key(&(hash, kind))
     }

@@ -1,68 +1,24 @@
 //! The build controller facade (paper Section 6).
 //!
-//! Ties the pieces together the way the production controller does:
-//! *plan* the minimal step set against the artifact cache, *estimate*
-//! the makespan via the duration-history load balancer, *execute* on the
-//! worker pool, and *observe* real step durations back into the history
-//! so the next estimate is better.
+//! A cache, an executor and a retry policy that outlive one build: the
+//! controller hands a change's affected targets to the executor, which
+//! checks the hash-keyed [`ArtifactCache`] at the moment each step would
+//! run — the one place "is this step already built?" is decided, and
+//! the one place a hit or a miss is counted — and spreads the work by
+//! letting idle workers claim the next ready target.
 
-use crate::balance::{DurationModel, LoadBalancer};
 use crate::cache::ArtifactCache;
 use crate::executor::{ExecReport, RealExecutor, StepOutcome};
 use crate::fault::RetryPolicy;
-use crate::plan::BuildPlan;
 use crate::step::BuildStep;
 use parking_lot::Mutex;
 use sq_build::{AffectedSet, BuildGraph, TargetHashes, TargetName};
-use sq_sim::SimDuration;
 use std::collections::HashSet;
-use std::time::Instant;
 
-/// Outcome of one controller-driven build.
-#[derive(Debug)]
-pub struct ControllerReport {
-    /// Steps the plan contained (after cache elimination).
-    pub planned_steps: usize,
-    /// Steps skipped because of cache hits at planning time.
-    pub cached_steps: usize,
-    /// The balancer's predicted makespan for the plan.
-    pub estimated_makespan: SimDuration,
-    /// The execution report (per-step results, failures).
-    pub exec: ExecReport,
-    /// Wall-clock time the execution actually took.
-    pub wall: std::time::Duration,
-}
-
-impl ControllerReport {
-    /// True iff every step succeeded.
-    pub fn is_success(&self) -> bool {
-        self.exec.is_success()
-    }
-
-    /// Record planning counters, the execution report, and per-thread
-    /// wall-clock utilization into `metrics`.
-    pub fn record_into(&self, metrics: &mut sq_obs::MetricsRegistry) {
-        metrics.add("controller.planned_steps", self.planned_steps as u64);
-        metrics.add("controller.cached_steps", self.cached_steps as u64);
-        metrics.observe(
-            "controller.estimated_makespan_secs",
-            self.estimated_makespan.as_secs_f64(),
-        );
-        metrics.observe("controller.wall_ms", self.wall.as_secs_f64() * 1e3);
-        self.exec.record_into(metrics);
-        for u in self.exec.worker_utilization(self.wall) {
-            metrics.observe("exec.worker_utilization", u);
-        }
-    }
-}
-
-/// The build controller: owns the artifact cache and duration history
-/// across builds.
+/// The build controller: owns the artifact cache across builds.
 pub struct BuildController {
     executor: RealExecutor,
-    threads: usize,
     cache: Mutex<ArtifactCache>,
-    durations: Mutex<DurationModel>,
     retry: RetryPolicy,
 }
 
@@ -76,81 +32,42 @@ impl BuildController {
     pub fn with_retry_policy(threads: usize, retry: RetryPolicy) -> Self {
         BuildController {
             executor: RealExecutor::new(threads),
-            threads,
             cache: Mutex::new(ArtifactCache::new()),
-            durations: Mutex::new(DurationModel::default()),
             retry,
         }
     }
 
-    /// The retry policy governing infra failures.
-    pub fn retry_policy(&self) -> &RetryPolicy {
-        &self.retry
-    }
-
-    /// Plan and execute the affected set of a change.
-    ///
-    /// `action` runs each step; observed durations feed the history the
-    /// balancer uses for subsequent estimates.
+    /// Build the affected set of a change: every affected target that
+    /// still exists in `graph`, in dependency order, `action` running
+    /// each step the cache does not already hold.
     pub fn execute_affected<F>(
         &self,
         graph: &BuildGraph,
         hashes: &TargetHashes,
         delta: &AffectedSet,
         action: F,
-    ) -> ControllerReport
+    ) -> ExecReport
     where
         F: Fn(&BuildStep) -> StepOutcome + Sync,
     {
-        // 1. Plan: minimal steps given the cache.
-        let plan = {
-            let cache = self.cache.lock();
-            BuildPlan::for_affected(graph, hashes, delta, &cache)
-        };
-        // 2. Estimate: balanced makespan under the duration history.
-        let estimated_makespan = {
-            let durations = self.durations.lock();
-            LoadBalancer
-                .assign(&plan.steps, &durations, self.threads)
-                .makespan
-        };
-        // 3. Execute, observing real durations.
-        let targets: HashSet<TargetName> = plan.steps.iter().map(|s| s.target.clone()).collect();
-        let started = Instant::now();
-        let exec = self.executor.execute_with_recovery(
+        let targets: HashSet<TargetName> = delta
+            .iter()
+            .filter(|(name, state)| state.hash().is_some() && graph.get(name).is_some())
+            .map(|(name, _)| name.clone())
+            .collect();
+        self.executor.execute_with_recovery(
             graph,
             &targets,
             hashes,
             &self.cache,
             &self.retry,
-            |step| {
-                let t0 = Instant::now();
-                let out = action(step);
-                self.durations.lock().observe(
-                    &step.target,
-                    step.kind,
-                    SimDuration::from_secs_f64(t0.elapsed().as_secs_f64()),
-                );
-                out
-            },
-        );
-        ControllerReport {
-            planned_steps: plan.steps.len(),
-            cached_steps: plan.cached_steps,
-            estimated_makespan,
-            exec,
-            wall: started.elapsed(),
-        }
+            action,
+        )
     }
 
     /// Cache statistics (hits/misses/entries).
     pub fn cache_stats(&self) -> crate::cache::CacheStats {
         self.cache.lock().stats()
-    }
-
-    /// Current duration estimate for a step (from the observed history).
-    pub fn estimate(&self, target: &TargetName, kind: crate::step::StepKind) -> SimDuration {
-        self.durations.lock().estimate(target, kind)
     }
 }
 
@@ -192,25 +109,48 @@ mod tests {
         (new, delta)
     }
 
+    /// The executor's property test holds dependency order on random
+    /// DAGs (`executor_props.rs`); this holds it for the target set
+    /// `execute_affected` derives from a delta.
     #[test]
-    fn executes_plan_and_learns_durations() {
+    fn dependencies_run_before_dependents() {
         let (tree, mut store) = workspace();
         let patch = Patch::write(RepoPath::new("lib/l.rs").unwrap(), "v2");
         let (analysis, delta) = delta_for(&tree, &mut store, &patch);
         let controller = BuildController::new(2);
         let report = controller.execute_affected(&analysis.graph, &analysis.hashes, &delta, |_| {
-            std::thread::sleep(std::time::Duration::from_millis(5));
             StepOutcome::Success
         });
         assert!(report.is_success());
         // lib compile + app compile/link/package = 4 steps.
-        assert_eq!(report.planned_steps, 4);
-        assert_eq!(report.cached_steps, 0);
-        // The history now knows these steps take ≥5ms.
+        assert_eq!(report.executed.len(), 4);
         let lib = sq_build::TargetName::resolve("//lib:lib", "").unwrap();
-        assert!(controller.estimate(&lib, StepKind::Compile).as_secs_f64() >= 0.004);
+        assert_eq!(
+            report.executed[0].target, lib,
+            "dependency must be built first"
+        );
     }
 
+    #[test]
+    fn a_warm_step_is_not_executed() {
+        let (tree, mut store) = workspace();
+        let patch = Patch::write(RepoPath::new("lib/l.rs").unwrap(), "v2");
+        let (analysis, delta) = delta_for(&tree, &mut store, &patch);
+        let controller = BuildController::new(2);
+        // lib's compile already ran for this exact hash.
+        let lib = sq_build::TargetName::resolve("//lib:lib", "").unwrap();
+        let lib_hash = analysis.hashes.get(&lib).unwrap();
+        controller.cache.lock().insert(lib_hash, StepKind::Compile);
+        let report = controller.execute_affected(&analysis.graph, &analysis.hashes, &delta, |_| {
+            StepOutcome::Success
+        });
+        assert_eq!(report.cache_hits, 1);
+        assert_eq!(report.executed.len(), 3);
+        assert!(report.executed.iter().all(|s| s.target != lib));
+    }
+
+    /// Every step is looked up once, where it would run: a fully warm
+    /// rebuild executes nothing and counts each step as a hit.
     #[test]
     fn second_identical_build_is_fully_cached() {
         let (tree, mut store) = workspace();
@@ -220,14 +160,19 @@ mod tests {
         let r1 = controller.execute_affected(&analysis.graph, &analysis.hashes, &delta, |_| {
             StepOutcome::Success
         });
-        assert_eq!(r1.planned_steps, 3); // app: compile + link + package
+        assert_eq!(r1.executed.len(), 3); // app: compile + link + package
+        assert_eq!(r1.cache_hits, 0);
+        let cold = controller.cache_stats();
+        assert_eq!((cold.hits, cold.misses), (0, 3));
         let r2 = controller.execute_affected(&analysis.graph, &analysis.hashes, &delta, |_| {
             StepOutcome::Success
         });
-        assert_eq!(r2.planned_steps, 0);
-        assert_eq!(r2.cached_steps, 3);
         assert!(r2.is_success());
-        assert!(controller.cache_stats().entries >= 3);
+        assert!(r2.executed.is_empty());
+        assert_eq!(r2.cache_hits, r1.executed.len());
+        let warm = controller.cache_stats();
+        assert_eq!((warm.hits, warm.misses), (3, 3));
+        assert_eq!(warm.entries, 3);
     }
 
     #[test]
@@ -245,7 +190,7 @@ mod tests {
                 }
             });
         assert!(!report.is_success());
-        let (step, reason) = report.exec.failure.as_ref().unwrap();
+        let (step, reason) = report.failure.as_ref().unwrap();
         assert_eq!(step.kind, StepKind::Link);
         assert_eq!(reason, "linker error");
     }
@@ -272,10 +217,10 @@ mod tests {
                 StepOutcome::Success
             }
         });
-        assert!(report.is_success(), "{:?}", report.exec);
-        assert_eq!(report.exec.infra_retries as usize, report.planned_steps);
-        assert!(report.exec.charged_backoff > sq_sim::SimDuration::ZERO);
-        assert!(controller.cache_stats().entries >= report.planned_steps);
+        assert!(report.is_success(), "{report:?}");
+        assert_eq!(report.infra_retries as usize, report.executed.len());
+        assert!(report.charged_backoff > sq_sim::SimDuration::ZERO);
+        assert!(controller.cache_stats().entries >= report.executed.len());
     }
 
     #[test]
@@ -292,22 +237,9 @@ mod tests {
             })
         });
         assert!(!report.is_success());
-        assert!(report.exec.is_infra_red());
-        assert!(report.exec.failure.is_none());
+        assert!(report.is_infra_red());
+        assert!(report.failure.is_none());
         // Nothing entered the cache.
         assert_eq!(controller.cache_stats().entries, 0);
-    }
-
-    #[test]
-    fn estimated_makespan_reflects_history() {
-        let (tree, mut store) = workspace();
-        let patch = Patch::write(RepoPath::new("lib/l.rs").unwrap(), "v4");
-        let (analysis, delta) = delta_for(&tree, &mut store, &patch);
-        let controller = BuildController::new(1);
-        // Cold start: estimate uses the default.
-        let r1 = controller.execute_affected(&analysis.graph, &analysis.hashes, &delta, |_| {
-            StepOutcome::Success
-        });
-        assert!(r1.estimated_makespan > SimDuration::ZERO);
     }
 }

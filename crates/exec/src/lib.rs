@@ -2,17 +2,18 @@
 //!
 //! "Based on the selected builds, the planner engine … schedules
 //! executions of selected builds … through the build controller." The
-//! controller owns three optimizations the paper calls out:
+//! paper calls out three optimizations of that controller; here they
+//! are one cache and one scheduler:
 //!
-//! * **Minimal set of build steps** ([`plan`]): when building
-//!   `H ⊕ C₁ ⊕ C₂ ⊕ C₃` after `H ⊕ C₁ ⊕ C₂` has already built, only the
-//!   difference `δ_{H⊕C₁⊕C₂⊕C₃} − δ_{H⊕C₁⊕C₂}` needs steps.
-//! * **Load balancing** ([`balance`]): steps are spread over workers using
-//!   the history of observed step durations so every worker gets an even
-//!   amount of work.
-//! * **Caching artifacts** ([`cache`]): outputs are keyed by target hash,
-//!   so any build that reaches an already-built target reuses the
-//!   artifact.
+//! * **Caching artifacts** and the **minimal set of build steps**
+//!   ([`cache`]): outputs are keyed by target hash, and the executor
+//!   looks each step up at the moment it would run — so a build of
+//!   `H ⊕ C₁ ⊕ C₂ ⊕ C₃` after `H ⊕ C₁ ⊕ C₂` runs steps only for the
+//!   targets whose hash differs, and any build that reaches an
+//!   already-built target reuses the artifact.
+//! * **Load balancing** ([`executor`]): an idle worker claims the next
+//!   ready target, so work spreads by itself and no worker waits while
+//!   another has a backlog.
 //!
 //! Two execution backends are provided: [`pool::WorkerPool`], a capacity
 //! model for the discrete-event simulator (a build occupies one worker
@@ -25,20 +26,16 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod balance;
 pub mod cache;
 pub mod controller;
 pub mod executor;
 pub mod fault;
-pub mod plan;
 pub mod pool;
 pub mod step;
 
-pub use balance::{DurationModel, LoadBalancer};
 pub use cache::{ArtifactCache, ArtifactId, CacheStats};
-pub use controller::{BuildController, ControllerReport};
+pub use controller::BuildController;
 pub use executor::{ExecReport, RealExecutor, StepOutcome};
 pub use fault::{FaultInjector, FaultPlan, InfraFault, InfraFaultKind, RetryPolicy};
-pub use plan::BuildPlan;
 pub use pool::WorkerPool;
 pub use step::{steps_for, BuildStep, StepKind};

@@ -285,12 +285,6 @@ impl<W: Wal + Send + 'static> Server<W> {
         self.uds_path.as_deref()
     }
 
-    /// Snapshot of the server's metrics registry (request counters plus
-    /// the store/replication exports refreshed on every `Stats` call).
-    pub fn metrics_json(&self) -> String {
-        self.shared.metrics.lock().unwrap().to_json()
-    }
-
     /// Graceful drain: stop accepting, finish in-flight requests,
     /// answer open subscriptions with `Draining`, stop the processor
     /// after its current build, join every thread, and hand back the

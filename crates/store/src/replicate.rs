@@ -414,12 +414,6 @@ impl<S: Storage> Follower<S> {
     pub fn promote(&mut self) -> Result<u64, StoreError> {
         self.promote_to(self.epoch + 1)
     }
-
-    /// Surrender the handle, keeping the medium (to reopen as a
-    /// [`Leader`] after promotion).
-    pub fn into_storage(self) -> S {
-        self.store.storage
-    }
 }
 
 /// Per-link snapshot for status and observability.
@@ -608,11 +602,6 @@ impl<S: Storage + Clone> Leader<S> {
     /// last drain.
     pub fn take_ship_samples(&mut self) -> ShipSamples {
         std::mem::take(&mut self.samples)
-    }
-
-    /// Number of links (up or down).
-    pub fn link_count(&self) -> usize {
-        self.links.len()
     }
 
     /// Highest LSN durably journaled locally.

@@ -70,6 +70,16 @@ core_is_sans_io() {
 step "decision.rs names no clock, RNG, pool or observer (non-test part)" \
   core_is_sans_io
 
+# The same way: no sq-bench suite reads a clock, so every document is a
+# pure function of its params and wall-clock numbers live in benchmark/
+# only. suite.rs alone may name one, for the seconds the driver prints
+# per suite.
+bench_reads_no_clock() {
+  ! grep -rlE '\bInstant\b|SystemTime' crates/bench/src | grep -v '^crates/bench/src/suite\.rs$'
+}
+step "crates/bench/src reads no clock outside suite.rs" \
+  bench_reads_no_clock
+
 if [[ "$quick" == 1 ]]; then
   step "cargo test -q (root package: integration + property suites)" \
     cargo test -q
@@ -102,13 +112,13 @@ step "cargo clippy --workspace --all-targets -- -D warnings (vendor stand-ins ex
     -- -D warnings
 
 # One driver (crates/bench/src/suite.rs): every suite's smoke gate, then
-# the six deterministic documents regenerated at full size and compared
-# byte for byte with the committed BENCH_*.json. The driver prints each
-# suite's own seconds.
+# all seven documents regenerated at full size and compared byte for
+# byte with the committed BENCH_*.json. The driver prints each suite's
+# own seconds.
 step "sq-bench all --smoke (every suite: gate, required keys, byte-identical same-seed rerun)" \
   cargo run --release -p sq-bench -- all --smoke
-step "sq-bench e2e lean shard scenarios replication server (fresh == committed, byte for byte)" \
-  cargo run --release -p sq-bench -- e2e lean shard scenarios replication server
+step "sq-bench all (seven suites, fresh == committed, byte for byte)" \
+  cargo run --release -p sq-bench -- all
 
 # The wall-clock benchmark is a cargo package of its own (see
 # benchmark/README.md): its unit + schema tests, then all four workloads

@@ -11,7 +11,8 @@
 //! * [`vcs`] — content-addressed in-memory monorepo.
 //! * [`build`] — Buck-like build system: targets, Algorithm-1 hashing,
 //!   Section 5.2 conflict detection.
-//! * [`exec`] — build controller: caching, load balancing, real executor.
+//! * [`exec`] — build controller: artifact cache, real executor,
+//!   worker-pool model.
 //! * [`ml`] — logistic regression + RFE (Section 7.2).
 //! * [`workload`] — synthetic workloads calibrated to the paper's curves.
 //! * [`store`] — durable state: CRC-checksummed write-ahead journal,
