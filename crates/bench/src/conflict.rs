@@ -44,7 +44,7 @@ impl ConflictParams {
     /// and what `BENCH_conflict.json` at the repo root reports).
     pub fn standard() -> Self {
         ConflictParams {
-            seed: crate::bench_seed(),
+            seed: crate::BENCH_SEED,
             n_parts: 128,
             windows: vec![64, 256, 1024],
         }
@@ -53,7 +53,7 @@ impl ConflictParams {
     /// A small configuration for CI smoke runs.
     pub fn smoke() -> Self {
         ConflictParams {
-            seed: crate::bench_seed(),
+            seed: crate::BENCH_SEED,
             n_parts: 32,
             windows: vec![64, 256],
         }

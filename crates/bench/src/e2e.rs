@@ -41,7 +41,7 @@ impl E2eParams {
     /// by default and what `BENCH_e2e.json` at the repo root reports).
     pub fn standard() -> Self {
         E2eParams {
-            seed: crate::bench_seed(),
+            seed: crate::BENCH_SEED,
             n_changes: 400,
             rate: 250.0,
             workers: 150,
@@ -53,7 +53,7 @@ impl E2eParams {
     /// A small configuration for CI smoke runs (seconds, not minutes).
     pub fn smoke() -> Self {
         E2eParams {
-            seed: crate::bench_seed(),
+            seed: crate::BENCH_SEED,
             n_changes: 60,
             rate: 200.0,
             workers: 40,

@@ -25,7 +25,7 @@ use sq_workload::Workload;
 /// The §7.2 success-model dataset over a history, split 70/30: each
 /// change's features with speculation counters drawn to match its outcome.
 fn success_split(history: &Workload, salt: u64) -> Split {
-    let mut rng = Xoshiro256StarStar::seed_from_u64(crate::bench_seed() ^ salt);
+    let mut rng = Xoshiro256StarStar::seed_from_u64(crate::BENCH_SEED ^ salt);
     let mut data = Dataset::new(SUCCESS_FEATURES.iter().map(|s| s.to_string()).collect());
     for c in &history.changes {
         let dev = history.developer(c.developer);
@@ -39,8 +39,12 @@ fn success_split(history: &Workload, salt: u64) -> Split {
     data.split(0.7, &mut rng)
 }
 
-/// Every figure by name, in the order `sq-bench fig all` runs them.
-pub const FIGURES: &[(&str, fn())] = &[
+/// One row of the figure table: the name on the command line, and the
+/// run, which takes `smoke` (small grids and trial counts).
+pub type Figure = (&'static str, fn(bool));
+
+/// Every figure, in the order `sq-bench fig all` runs them.
+pub const FIGURES: &[Figure] = &[
     ("fig01", fig01::run),
     ("fig02", fig02::run),
     ("fig05_08", fig05_08::run),

@@ -15,10 +15,10 @@ use sq_core::planner::{run_simulation, PlannerConfig};
 use sq_core::strategy::StrategyKind;
 use sq_ml::{BoostConfig, GradientBoostedStumps, LogisticRegression, Scaler, TrainConfig};
 
-pub(super) fn run() {
+pub(super) fn run(smoke: bool) {
     let mut rows = Vec::new();
-    let w = crate::workload_at_rate(300.0);
-    let predictor = crate::trained_predictor();
+    let w = crate::workload_at_rate(300.0, smoke);
+    let predictor = crate::trained_predictor(smoke);
     let workers = 150;
 
     // ---- reordering & preemption guard --------------------------------
@@ -35,7 +35,7 @@ pub(super) fn run() {
         ("epoch 30s (paper §6)", false, None, Some(30u64)),
         ("epoch 10min", false, None, Some(600)),
     ] {
-        let strategy = crate::strategy_for(StrategyKind::SubmitQueue, &w, &predictor);
+        let strategy = crate::strategy_for(StrategyKind::SubmitQueue, &w, &predictor, smoke);
         let config = PlannerConfig {
             workers,
             reorder,
@@ -70,7 +70,6 @@ pub(super) fn run() {
             &BatchingConfig {
                 max_batch: k,
                 workers,
-                ..BatchingConfig::default()
             },
         );
         let (p50, p95, _) = r
@@ -89,7 +88,7 @@ pub(super) fn run() {
 
     // ---- gradient boosting vs logistic ----------------------------------
     println!("\n=== §10 'other ML techniques': gradient boosting vs logistic ===\n");
-    let history = crate::training_history();
+    let history = crate::training_history(smoke);
     let split = super::success_split(&history, 0xB005);
     let scaler = Scaler::fit(&split.train);
     let z_train = scaler.transform(&split.train);

@@ -6,9 +6,9 @@
 use sq_workload::curves::real_conflict_probability;
 use sq_workload::WorkloadParams;
 
-pub(super) fn run() {
-    let trials = if crate::quick() { 300 } else { 1200 };
-    let seed = crate::bench_seed();
+pub(super) fn run(smoke: bool) {
+    let trials = if smoke { 300 } else { 1200 };
+    let seed = crate::BENCH_SEED;
     let platforms = [
         ("iOS", WorkloadParams::ios()),
         ("Android", WorkloadParams::android()),

@@ -7,9 +7,9 @@
 use sq_workload::curves::breakage_vs_staleness;
 use sq_workload::WorkloadParams;
 
-pub(super) fn run() {
-    let trials = if crate::quick() { 400 } else { 1500 };
-    let seed = crate::bench_seed();
+pub(super) fn run(smoke: bool) {
+    let trials = if smoke { 400 } else { 1500 };
+    let seed = crate::BENCH_SEED;
     // Organic mainline commit rate while changes are in development
     // (production mainlines absorb on the order of ten commits/hour;
     // distinct from the Section 8 controlled replay rates).

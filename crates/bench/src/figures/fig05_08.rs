@@ -51,7 +51,7 @@ fn show_builds(title: &str, edges: &[(u64, u64)]) {
     }
 }
 
-pub(super) fn run() {
+pub(super) fn run(_smoke: bool) {
     println!("Figures 5–7 — speculation tree vs speculation graphs");
     show_builds(
         "Figure 5: all three changes conflict — full tree, 2^3−1 = 7 builds",

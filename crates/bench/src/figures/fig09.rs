@@ -8,8 +8,8 @@ use sq_sim::{Cdf, Xoshiro256StarStar};
 use sq_workload::duration::DurationModel;
 use sq_workload::WorkloadParams;
 
-pub(super) fn run() {
-    let n = if crate::quick() { 20_000 } else { 100_000 };
+pub(super) fn run(smoke: bool) {
+    let n = if smoke { 20_000 } else { 100_000 };
     let platforms = [
         ("iOS", WorkloadParams::ios()),
         ("Android", WorkloadParams::android()),
@@ -17,7 +17,7 @@ pub(super) fn run() {
     let mut cdfs = Vec::new();
     for (_, params) in &platforms {
         let model = DurationModel::new(params);
-        let mut rng = Xoshiro256StarStar::seed_from_u64(crate::bench_seed());
+        let mut rng = Xoshiro256StarStar::seed_from_u64(crate::BENCH_SEED);
         let samples: Vec<f64> = (0..n)
             .map(|_| model.sample(&mut rng).as_mins_f64())
             .collect();

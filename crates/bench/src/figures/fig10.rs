@@ -6,15 +6,15 @@
 use sq_core::strategy::{Strategy, StrategyKind};
 use sq_sim::Cdf;
 
-pub(super) fn run() {
-    let rates = crate::rates();
+pub(super) fn run(smoke: bool) {
+    let rates = crate::rates(smoke);
     println!(
         "Figure 10 — CDF of Oracle turnaround time (minutes), {}h of arrivals, 2000 workers",
-        crate::bench_hours()
+        crate::bench_hours(smoke)
     );
     let mut cdfs: Vec<(f64, Cdf)> = Vec::new();
     for &rate in &rates {
-        let w = crate::workload_at_rate(rate);
+        let w = crate::workload_at_rate(rate, smoke);
         let strategy = Strategy::build(StrategyKind::Oracle, &w, None);
         let result = crate::run_cell(&w, &strategy, 2000, true);
         cdfs.push((rate, Cdf::from_samples(&result.turnarounds_mins())));

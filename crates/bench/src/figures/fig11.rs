@@ -9,10 +9,10 @@
 use sq_core::strategy::StrategyKind;
 use std::collections::HashMap;
 
-pub(super) fn run() {
-    let rates = crate::rates();
-    let workers = crate::worker_counts();
-    let predictor = crate::trained_predictor();
+pub(super) fn run(smoke: bool) {
+    let rates = crate::rates(smoke);
+    let workers = crate::worker_counts(smoke);
+    let predictor = crate::trained_predictor(smoke);
     let kinds = [
         StrategyKind::SubmitQueue,
         StrategyKind::SpeculateAll,
@@ -23,17 +23,22 @@ pub(super) fn run() {
     let mut raw: HashMap<(&str, u64, usize), (f64, f64, f64)> = HashMap::new();
     let mut oracle: HashMap<(u64, usize), (f64, f64, f64)> = HashMap::new();
     for &rate in &rates {
-        let w = crate::workload_at_rate(rate);
+        let w = crate::workload_at_rate(rate, smoke);
         for &nw in &workers {
             let o = crate::run_cell(
                 &w,
-                &crate::strategy_for(StrategyKind::Oracle, &w, &predictor),
+                &crate::strategy_for(StrategyKind::Oracle, &w, &predictor, smoke),
                 nw,
                 true,
             );
             oracle.insert((rate as u64, nw), o.turnaround_p50_p95_p99());
             for kind in kinds {
-                let r = crate::run_cell(&w, &crate::strategy_for(kind, &w, &predictor), nw, true);
+                let r = crate::run_cell(
+                    &w,
+                    &crate::strategy_for(kind, &w, &predictor, smoke),
+                    nw,
+                    true,
+                );
                 raw.insert((kind.name(), rate as u64, nw), r.turnaround_p50_p95_p99());
                 eprintln!("[fig11] {} rate={rate} workers={nw} done", kind.name());
             }

@@ -7,11 +7,14 @@
 
 use sq_core::strategy::StrategyKind;
 
-pub(super) fn run() {
-    let rates: Vec<f64> = crate::rates().into_iter().filter(|&r| r >= 300.0).collect();
+pub(super) fn run(smoke: bool) {
+    let rates: Vec<f64> = crate::rates(smoke)
+        .into_iter()
+        .filter(|&r| r >= 300.0)
+        .collect();
     let rates = if rates.is_empty() { vec![300.0] } else { rates };
-    let workers = crate::worker_counts();
-    let predictor = crate::trained_predictor();
+    let workers = crate::worker_counts(smoke);
+    let predictor = crate::trained_predictor(smoke);
     let kinds = [
         StrategyKind::SubmitQueue,
         StrategyKind::SpeculateAll,
@@ -20,7 +23,7 @@ pub(super) fn run() {
     ];
     let mut rows = Vec::new();
     for &rate in &rates {
-        let w = crate::workload_at_rate(rate);
+        let w = crate::workload_at_rate(rate, smoke);
         println!("\n=== Figure 12 — normalized avg throughput @ {rate:.0} changes/hour ===");
         print!("{:>14} |", "strategy");
         for &nw in &workers {
@@ -32,7 +35,7 @@ pub(super) fn run() {
         for &nw in &workers {
             let o = crate::run_cell(
                 &w,
-                &crate::strategy_for(StrategyKind::Oracle, &w, &predictor),
+                &crate::strategy_for(StrategyKind::Oracle, &w, &predictor, smoke),
                 nw,
                 true,
             );
@@ -41,7 +44,12 @@ pub(super) fn run() {
         for kind in kinds {
             print!("{:>14} |", kind.name());
             for (i, &nw) in workers.iter().enumerate() {
-                let r = crate::run_cell(&w, &crate::strategy_for(kind, &w, &predictor), nw, true);
+                let r = crate::run_cell(
+                    &w,
+                    &crate::strategy_for(kind, &w, &predictor, smoke),
+                    nw,
+                    true,
+                );
                 let norm = if oracle_tp[i] > 0.0 {
                     r.sustained_throughput_per_hour() / oracle_tp[i]
                 } else {

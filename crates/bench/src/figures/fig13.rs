@@ -8,11 +8,14 @@
 
 use sq_core::strategy::StrategyKind;
 
-pub(super) fn run() {
-    let rates: Vec<f64> = crate::rates().into_iter().filter(|&r| r >= 300.0).collect();
+pub(super) fn run(smoke: bool) {
+    let rates: Vec<f64> = crate::rates(smoke)
+        .into_iter()
+        .filter(|&r| r >= 300.0)
+        .collect();
     let rates = if rates.is_empty() { vec![300.0] } else { rates };
-    let workers = crate::worker_counts();
-    let predictor = crate::trained_predictor();
+    let workers = crate::worker_counts(smoke);
+    let predictor = crate::trained_predictor(smoke);
     let kinds = [
         StrategyKind::SubmitQueue,
         StrategyKind::Oracle,
@@ -22,7 +25,7 @@ pub(super) fn run() {
     ];
     let mut rows = Vec::new();
     for &rate in &rates {
-        let w = crate::workload_at_rate(rate);
+        let w = crate::workload_at_rate(rate, smoke);
         println!(
             "\n=== Figure 13 — P95 turnaround improvement with conflict analyzer @ {rate:.0}/h ==="
         );
@@ -35,7 +38,7 @@ pub(super) fn run() {
         for kind in kinds {
             print!("{:>14} |", kind.name());
             for &nw in &workers {
-                let strategy = crate::strategy_for(kind, &w, &predictor);
+                let strategy = crate::strategy_for(kind, &w, &predictor, smoke);
                 let with = crate::run_cell(&w, &strategy, nw, true);
                 let without = crate::run_cell(&w, &strategy, nw, false);
                 let (_, p95_with, _) = with.turnaround_p50_p95_p99();

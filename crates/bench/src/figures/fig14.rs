@@ -7,11 +7,11 @@
 use sq_core::trunk::{simulate_trunk, TrunkConfig};
 use sq_workload::{WorkloadBuilder, WorkloadParams};
 
-pub(super) fn run() {
-    let hours = if crate::quick() { 48.0 } else { 168.0 };
+pub(super) fn run(smoke: bool) {
+    let hours = if smoke { 48.0 } else { 168.0 };
     // Organic mainline rate (production commits, not replay rates).
     let w = WorkloadBuilder::new(WorkloadParams::ios().with_rate(12.0))
-        .seed(crate::bench_seed())
+        .seed(crate::BENCH_SEED)
         .duration_hours(hours)
         .build()
         .expect("valid params");

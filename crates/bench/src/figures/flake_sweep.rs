@@ -17,12 +17,12 @@ use sq_sim::Cdf;
 
 const FLAKE_RATES: [f64; 5] = [0.0, 0.05, 0.1, 0.2, 0.4];
 
-pub(super) fn run() {
+pub(super) fn run(smoke: bool) {
     let rate = 300.0;
     let workers = 128;
-    let workload = crate::workload_at_rate(rate);
-    let predictor = crate::trained_predictor();
-    let strategy = crate::strategy_for(StrategyKind::SubmitQueue, &workload, &predictor);
+    let workload = crate::workload_at_rate(rate, smoke);
+    let predictor = crate::trained_predictor(smoke);
+    let strategy = crate::strategy_for(StrategyKind::SubmitQueue, &workload, &predictor, smoke);
 
     println!(
         "Flake sweep — SubmitQueue, {rate:.0} changes/hour, {workers} workers, \
@@ -39,7 +39,7 @@ pub(super) fn run() {
     for &flake in &FLAKE_RATES {
         let config = PlannerConfig {
             workers,
-            faults: (flake > 0.0).then(|| SimFaults::at_rate(flake, crate::bench_seed() ^ 0xF1A4E)),
+            faults: (flake > 0.0).then(|| SimFaults::at_rate(flake, crate::BENCH_SEED ^ 0xF1A4E)),
             ..PlannerConfig::default()
         };
         let result = run_simulation(&workload, &strategy, &config);

@@ -10,8 +10,8 @@ use sq_build::affected::SnapshotAnalysis;
 use sq_workload::repo_model::MaterializedRepo;
 use sq_workload::{WorkloadBuilder, WorkloadParams};
 
-pub(super) fn run() {
-    let n = if crate::quick() { 5_000 } else { 20_000 };
+pub(super) fn run(smoke: bool) {
+    let n = if smoke { 5_000 } else { 20_000 };
     println!("Section 5.2 — fraction of changes altering the build graph\n");
     println!("{:>10} {:>12} {:>10}", "platform", "generated", "paper");
     let mut rows = Vec::new();
@@ -21,7 +21,7 @@ pub(super) fn run() {
         ("Backend", WorkloadParams::backend(), 0.016),
     ] {
         let w = WorkloadBuilder::new(params)
-            .seed(crate::bench_seed())
+            .seed(crate::BENCH_SEED)
             .n_changes(n)
             .build()
             .expect("valid params");
@@ -35,8 +35,8 @@ pub(super) fn run() {
     params.n_parts = 24;
     let m = MaterializedRepo::generate(&params).expect("repo generates");
     let w = WorkloadBuilder::new(params)
-        .seed(crate::bench_seed() ^ 1)
-        .n_changes(if crate::quick() { 150 } else { 400 })
+        .seed(crate::BENCH_SEED ^ 1)
+        .n_changes(if smoke { 150 } else { 400 })
         .build()
         .expect("valid params");
     let mut repo = m.repo.clone();

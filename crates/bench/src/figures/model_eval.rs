@@ -8,14 +8,14 @@ use sq_core::predict::LearnedPredictor;
 use sq_ml::{recursive_feature_elimination, Scaler, TrainConfig};
 use sq_workload::features::SUCCESS_FEATURES;
 
-pub(super) fn run() {
-    let history = crate::training_history();
+pub(super) fn run(smoke: bool) {
+    let history = crate::training_history(smoke);
     println!(
         "Section 7.2 model evaluation — {} historical changes, 70/30 split",
         history.changes.len()
     );
 
-    let (_, report) = LearnedPredictor::train(&history, crate::bench_seed());
+    let (_, report) = LearnedPredictor::train(&history, crate::BENCH_SEED);
     println!(
         "\nsuccess model:  accuracy {:.1}%   AUC {:.3}   (paper: 97%)",
         report.success_accuracy * 100.0,

@@ -43,7 +43,7 @@ impl LeanBenchParams {
     /// root reports) — identical to `E2eParams::standard`.
     pub fn standard() -> Self {
         LeanBenchParams {
-            seed: crate::bench_seed(),
+            seed: crate::BENCH_SEED,
             n_changes: 400,
             rate: 250.0,
             workers: 150,
@@ -55,7 +55,7 @@ impl LeanBenchParams {
     /// A small configuration for CI smoke runs.
     pub fn smoke() -> Self {
         LeanBenchParams {
-            seed: crate::bench_seed(),
+            seed: crate::BENCH_SEED,
             n_changes: 60,
             rate: 200.0,
             workers: 40,

@@ -2,8 +2,8 @@
 //!
 //! One binary. `sq-bench <suite>...|all [--smoke|--write]` runs rows of
 //! the suite table ([`suite::SUITES`]) under one protocol (see
-//! [`suite`]); `sq-bench fig <figure>...|all` runs rows of the figure
-//! table ([`figures::FIGURES`]).
+//! [`suite`]); `sq-bench fig <figure>...|all [--smoke]` runs rows of the
+//! figure table ([`figures::FIGURES`]).
 //!
 //! | suite         | document (repo root)     | what it measures                          |
 //! |---------------|--------------------------|-------------------------------------------|
@@ -36,11 +36,8 @@
 //! | `flake_sweep`       | infra-flake rate vs latency, zero wrongful rejects  |
 //!
 //! Every figure prints its series to stdout and writes a CSV to
-//! `target/figures/`. Environment knobs: `SQ_BENCH_HOURS` (simulated
-//! arrival hours per cell, default 3), `SQ_BENCH_SEED`, `SQ_BENCH_QUICK=1`
-//! (shrink grids for smoke runs), `SQ_BENCH_RATES`/`SQ_BENCH_WORKERS`
-//! (comma-separated axis overrides, e.g. `SQ_BENCH_RATES=300` for one
-//! paper panel).
+//! `target/figures/`. `--smoke` shrinks the grids, trial counts and
+//! simulated hours; it is the only knob.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -63,57 +60,32 @@ use std::fs;
 use std::io::Write as _;
 use std::path::PathBuf;
 
+/// Master seed for all workloads.
+pub const BENCH_SEED: u64 = 0x5EED;
+
 /// Simulated hours of arrivals per grid cell.
-pub fn bench_hours() -> f64 {
-    if quick() {
+pub fn bench_hours(smoke: bool) -> f64 {
+    if smoke {
         1.0
     } else {
-        std::env::var("SQ_BENCH_HOURS")
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(3.0)
+        3.0
     }
 }
 
-/// Master seed for all workloads.
-pub fn bench_seed() -> u64 {
-    std::env::var("SQ_BENCH_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0x5EED)
-}
-
-/// Quick-mode flag for smoke runs.
-pub fn quick() -> bool {
-    std::env::var("SQ_BENCH_QUICK").is_ok_and(|v| v == "1")
-}
-
-/// A comma-separated axis override from the environment: the positive
-/// values that parse, if there are any.
-fn axis_override<T: std::str::FromStr + PartialOrd + Default>(var: &str) -> Option<Vec<T>> {
-    let raw = std::env::var(var).ok()?;
-    let parsed = raw.split(',').filter_map(|s| s.trim().parse().ok());
-    let positive: Vec<T> = parsed.filter(|v| *v > T::default()).collect();
-    (!positive.is_empty()).then_some(positive)
-}
-
-/// The rate axis of the paper's grids (changes/hour). Override with a
-/// comma-separated `SQ_BENCH_RATES` (e.g. `SQ_BENCH_RATES=300` to run a
-/// single paper panel).
-pub fn rates() -> Vec<f64> {
-    axis_override("SQ_BENCH_RATES").unwrap_or_else(|| match quick() {
+/// The rate axis of the paper's grids (changes/hour).
+pub fn rates(smoke: bool) -> Vec<f64> {
+    match smoke {
         true => vec![100.0, 300.0],
         false => vec![100.0, 200.0, 300.0, 400.0, 500.0],
-    })
+    }
 }
 
-/// The worker axis of the paper's grids. Override with a comma-separated
-/// `SQ_BENCH_WORKERS`.
-pub fn worker_counts() -> Vec<usize> {
-    axis_override("SQ_BENCH_WORKERS").unwrap_or_else(|| match quick() {
+/// The worker axis of the paper's grids.
+pub fn worker_counts(smoke: bool) -> Vec<usize> {
+    match smoke {
         true => vec![100, 300],
         false => vec![100, 200, 300, 400, 500],
-    })
+    }
 }
 
 /// The repository root: `crates/bench/` is two levels below it.
@@ -147,35 +119,29 @@ pub fn write_csv(name: &str, header: &str, rows: &[String]) {
 
 /// Build the controlled-replay workload for a given ingestion rate
 /// (Section 8.1: same changes, different rates).
-pub fn workload_at_rate(rate: f64) -> Workload {
+pub fn workload_at_rate(rate: f64, smoke: bool) -> Workload {
     WorkloadBuilder::new(WorkloadParams::ios().with_rate(rate))
-        .seed(bench_seed())
-        .duration_hours(bench_hours())
+        .seed(BENCH_SEED)
+        .duration_hours(bench_hours(smoke))
         .build()
         .expect("valid workload params")
 }
 
 /// The training history for SubmitQueue's models (disjoint seed).
-pub fn training_history() -> Workload {
-    let n = if quick() { 3_000 } else { 10_000 };
+pub fn training_history(smoke: bool) -> Workload {
+    let n = if smoke { 3_000 } else { 10_000 };
     WorkloadBuilder::new(WorkloadParams::ios())
-        .seed(bench_seed() ^ 0xA11CE)
+        .seed(BENCH_SEED ^ 0xA11CE)
         .n_changes(n)
         .build()
         .expect("valid workload params")
 }
 
 /// Train the SubmitQueue predictor once for the whole grid.
-pub fn trained_predictor() -> LearnedPredictor {
-    let history = training_history();
-    let (p, _) = LearnedPredictor::train(&history, bench_seed());
+pub fn trained_predictor(smoke: bool) -> LearnedPredictor {
+    let history = training_history(smoke);
+    let (p, _) = LearnedPredictor::train(&history, BENCH_SEED);
     p
-}
-
-/// Skip threshold shared by grid cells that reuse [`trained_predictor`]:
-/// calibrated once against the same training history.
-pub fn calibrated_skip_threshold(predictor: &LearnedPredictor) -> f64 {
-    predictor.calibrate_skip_threshold(&training_history(), sq_core::SKIP_MISS_BUDGET)
 }
 
 /// Instantiate a strategy for a workload, reusing a trained predictor
@@ -185,12 +151,15 @@ pub fn strategy_for(
     kind: StrategyKind,
     workload: &Workload,
     predictor: &LearnedPredictor,
+    smoke: bool,
 ) -> Strategy {
     Strategy::for_kind(
         kind,
         workload,
         || predictor.clone(),
-        calibrated_skip_threshold,
+        |trained| {
+            trained.calibrate_skip_threshold(&training_history(smoke), sq_core::SKIP_MISS_BUDGET)
+        },
     )
 }
 
@@ -244,15 +213,17 @@ mod tests {
     use super::*;
 
     #[test]
-    fn knobs_have_sane_defaults() {
-        assert!(bench_hours() > 0.0);
-        assert!(!rates().is_empty());
-        assert!(!worker_counts().is_empty());
+    fn the_smoke_grid_is_a_corner_of_the_full_one() {
+        assert!(bench_hours(true) < bench_hours(false));
+        assert!(rates(true).iter().all(|r| rates(false).contains(r)));
+        assert!(worker_counts(true)
+            .iter()
+            .all(|w| worker_counts(false).contains(w)));
     }
 
     #[test]
     fn workload_rate_is_respected() {
-        let w = workload_at_rate(200.0);
+        let w = workload_at_rate(200.0, true);
         assert!(!w.changes.is_empty());
         assert!((w.params.changes_per_hour - 200.0).abs() < 1e-9);
     }

@@ -58,7 +58,7 @@ impl ReplicationParams {
     /// reports).
     pub fn standard() -> Self {
         ReplicationParams {
-            seed: crate::bench_seed(),
+            seed: crate::BENCH_SEED,
             n_parts: 32,
             n_changes: 24,
             follower_counts: vec![1, 2, 3],
@@ -70,7 +70,7 @@ impl ReplicationParams {
     /// A small configuration for CI smoke runs.
     pub fn smoke() -> Self {
         ReplicationParams {
-            seed: crate::bench_seed(),
+            seed: crate::BENCH_SEED,
             n_parts: 16,
             n_changes: 10,
             follower_counts: vec![1, 2],

@@ -32,7 +32,7 @@ impl ScenarioBenchParams {
     /// every scenario at its full configured duration.
     pub fn standard() -> Self {
         ScenarioBenchParams {
-            seed: crate::bench_seed(),
+            seed: crate::BENCH_SEED,
             n_changes_override: None,
             history_changes: 1_500,
         }
@@ -41,7 +41,7 @@ impl ScenarioBenchParams {
     /// A small configuration for CI smoke runs.
     pub fn smoke() -> Self {
         ScenarioBenchParams {
-            seed: crate::bench_seed(),
+            seed: crate::BENCH_SEED,
             n_changes_override: Some(70),
             history_changes: 600,
         }

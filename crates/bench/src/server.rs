@@ -48,7 +48,8 @@ pub struct ServerBenchParams {
     pub n_changes: usize,
     /// Pipelined enqueues acked right before the graceful drain.
     pub burst: usize,
-    /// Speculation window of the queue under test.
+    /// Build-executor threads of the queue under test (the document
+    /// key is `window`).
     pub window: usize,
     /// Snapshot cadence of the store.
     pub snapshot_every: u64,
@@ -61,7 +62,7 @@ impl ServerBenchParams {
     /// and what `BENCH_server.json` at the repo root reports).
     pub fn standard() -> Self {
         ServerBenchParams {
-            seed: crate::bench_seed(),
+            seed: crate::BENCH_SEED,
             n_parts: 32,
             n_changes: 48,
             burst: 8,
@@ -74,7 +75,7 @@ impl ServerBenchParams {
     /// A small configuration for CI smoke runs.
     pub fn smoke() -> Self {
         ServerBenchParams {
-            seed: crate::bench_seed(),
+            seed: crate::BENCH_SEED,
             n_parts: 16,
             n_changes: 12,
             burst: 4,
@@ -287,6 +288,7 @@ pub fn run_server_bench(params: &ServerBenchParams) -> ServerBenchReport {
 
     // Phase 1 — sequential replay: Head → Enqueue → SubscribeVerdict
     // per change, so every counter is deterministic.
+    let mut landed = 0u64;
     for c in &w.changes {
         let base = head(&mut client);
         let ticket = match client
@@ -309,11 +311,7 @@ pub fn run_server_bench(params: &ServerBenchParams) -> ServerBenchReport {
             .expect("subscribe round trip")
         {
             Response::Verdict { state, .. } => {
-                assert!(
-                    matches!(state, WireTicketState::Landed(_)),
-                    "workload change {} failed to land: {state:?}",
-                    c.id
-                );
+                landed += u64::from(matches!(state, WireTicketState::Landed(_)));
             }
             other => panic!("expected Verdict, got {other:?}"),
         }
@@ -387,7 +385,7 @@ pub fn run_server_bench(params: &ServerBenchParams) -> ServerBenchReport {
         params: params.clone(),
         sequential: SequentialCell {
             changes: w.changes.len() as u64,
-            landed: w.changes.len() as u64,
+            landed,
         },
         durability: DurabilityCell {
             burst: params.burst as u64,

@@ -71,7 +71,7 @@ impl ShardBenchParams {
     /// window can schedule but not what the fleet can build.
     pub fn standard() -> Self {
         ShardBenchParams {
-            seed: crate::bench_seed(),
+            seed: crate::BENCH_SEED,
             rate_per_hour: 14_000.0,
             hours: 0.5,
             n_parts: 8_192,
@@ -89,7 +89,7 @@ impl ShardBenchParams {
     /// window, ≲ 0.3 for every lane) at a fraction of the scale.
     pub fn smoke() -> Self {
         ShardBenchParams {
-            seed: crate::bench_seed(),
+            seed: crate::BENCH_SEED,
             rate_per_hour: 2_400.0,
             hours: 0.5,
             n_parts: 2_048,

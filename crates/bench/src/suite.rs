@@ -15,8 +15,8 @@
 //! No suite reads a clock: every document is a pure function of its
 //! params (wall-clock numbers live in `benchmark/`; the only `Instant`
 //! in this crate is the seconds this driver prints per suite). A failed
-//! gate writes nothing. `sq-bench fig <name>...|all` runs rows of
-//! [`crate::figures::FIGURES`] in-process.
+//! gate writes nothing. `sq-bench fig <name>...|all [--smoke]` runs rows
+//! of [`crate::figures::FIGURES`] in-process, at full or smoke size.
 
 use crate::figures::FIGURES;
 use serde::__private::Value;
@@ -215,7 +215,7 @@ fn finish(suite: &Suite, mode: Mode, flags: &[String], report: &dyn Report) -> R
 }
 
 const USAGE: &str = "usage: sq-bench <suite>...|all [--smoke|--write] [suite flags]
-       sq-bench fig <figure>...|all";
+       sq-bench fig <figure>...|all [--smoke]";
 
 /// Rows of `table` by name, or every row for `all`.
 fn select<'t, T>(
@@ -245,14 +245,21 @@ pub fn cli(args: &[String]) -> i32 {
         2
     };
     if args.first().is_some_and(|a| a == "fig") {
-        let names: Vec<&String> = args[1..].iter().collect();
+        let (flags, names): (Vec<&String>, Vec<&String>) =
+            args[1..].iter().partition(|a| a.starts_with("--"));
+        if let Some(flag) = flags.iter().find(|f| **f != "--smoke") {
+            return usage(format!(
+                "{USAGE}\nfig takes no flag but --smoke, got {flag:?}"
+            ));
+        }
+        let smoke = !flags.is_empty(); // only --smoke got this far
         let figures = match select("figure", &names, FIGURES, |f| f.0) {
             Ok(figures) => figures,
             Err(e) => return usage(e),
         };
         for (name, run) in figures {
             println!("\n━━━━━━━━━━━━━━━━ {name} ━━━━━━━━━━━━━━━━");
-            run();
+            run(smoke);
         }
         return 0;
     }

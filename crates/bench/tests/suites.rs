@@ -67,6 +67,8 @@ fn usage_errors_exit_2_and_list_the_valid_names() {
         (&[][..], "no suite named; valid: all e2e"),
         // A flag the named suite does not take fails before any run.
         (&["e2e", "--smoke", "--uds"][..], "unknown flag \"--uds\""),
+        // The figure table has no committed documents to write.
+        (&["fig", "all", "--write"][..], "no flag but --smoke"),
     ] {
         let driver = Command::new(env!("CARGO_BIN_EXE_sq-bench"))
             .args(args)
@@ -76,4 +78,13 @@ fn usage_errors_exit_2_and_list_the_valid_names() {
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(stderr.contains(expected), "{args:?}: {stderr}");
     }
+}
+
+#[test]
+fn fig_takes_smoke() {
+    let driver = Command::new(env!("CARGO_BIN_EXE_sq-bench"))
+        .args(["fig", "fig05_08", "--smoke"])
+        .output();
+    let out = driver.expect("driver starts");
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
 }

@@ -129,24 +129,6 @@ impl AffectedSet {
         self.map.is_empty()
     }
 
-    /// True iff this affected set is a *leaf footprint* of `graph`: no
-    /// target outside the set depends (directly) on any member, so the
-    /// change's blast radius ends at the targets it touched. Doc-only
-    /// and leaf-tool edits look like this, which is what makes them
-    /// safe candidates for a bypass lane — nothing downstream can be
-    /// broken by them. The empty set is trivially a leaf footprint.
-    /// Deleted members still count: a dangling dependent means the
-    /// footprint is not a leaf.
-    pub fn is_leaf_footprint(&self, graph: &BuildGraph) -> bool {
-        if self.is_empty() {
-            return true;
-        }
-        graph
-            .targets()
-            .filter(|t| !self.contains(&t.name))
-            .all(|t| t.deps.iter().all(|d| !self.contains(d)))
-    }
-
     /// True iff the two sets share any affected target name (Step 2 of
     /// the union-graph algorithm; also the Fig. 8 trap — name overlap is
     /// *not* the whole conflict story).
@@ -289,38 +271,5 @@ mod tests {
         assert!(db.names_intersect(&da));
         assert!(!da.names_intersect(&dc));
         assert!(!dc.names_intersect(&da));
-    }
-
-    #[test]
-    fn leaf_footprints_are_detected() {
-        let (tree, mut store) = workspace();
-        let base = SnapshotAnalysis::analyze(&tree, &store).unwrap();
-        // Editing lib affects {lib, app}: app (outside? no — inside) —
-        // the pair is closed under dependents, so it is a leaf footprint.
-        let ta = Patch::write(p("lib/l.rs"), "lib-v2")
-            .apply(&tree, &mut store)
-            .unwrap();
-        let na = SnapshotAnalysis::analyze(&ta, &store).unwrap();
-        let da = AffectedSet::between(&base, &na);
-        assert_eq!(da.len(), 2);
-        assert!(da.is_leaf_footprint(&na.graph));
-        // The standalone tool target is a leaf.
-        let tc = Patch::write(p("tool/t.rs"), "tool-v2")
-            .apply(&tree, &mut store)
-            .unwrap();
-        let nc = SnapshotAnalysis::analyze(&tc, &store).unwrap();
-        let dc = AffectedSet::between(&base, &nc);
-        assert_eq!(dc.len(), 1);
-        assert!(dc.is_leaf_footprint(&nc.graph));
-        // A synthetic set holding only lib is NOT a leaf: app depends on
-        // it from outside the set.
-        let mut only_lib = AffectedSet::default();
-        only_lib.map.insert(
-            n("//lib:lib"),
-            AffectedState::Changed(na.hashes.get(&n("//lib:lib")).unwrap()),
-        );
-        assert!(!only_lib.is_leaf_footprint(&na.graph));
-        // Empty sets are trivially leaves.
-        assert!(AffectedSet::default().is_leaf_footprint(&na.graph));
     }
 }

@@ -156,16 +156,6 @@ impl BitSet {
         })
     }
 
-    /// Add every id of `other` to this set.
-    pub fn union_with(&mut self, other: &BitSet) {
-        if other.words.len() > self.words.len() {
-            self.words.resize(other.words.len(), 0);
-        }
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            *a |= b;
-        }
-    }
-
     /// Number of ids present.
     pub fn len(&self) -> usize {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
@@ -333,10 +323,6 @@ mod tests {
         assert_eq!(a, b);
         b.insert(900);
         assert_ne!(a, b);
-        let mut c = BitSet::new();
-        c.union_with(&b);
-        assert_eq!(b, c);
-        assert_eq!(c.len(), 2);
     }
 
     #[test]

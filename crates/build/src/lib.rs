@@ -20,10 +20,6 @@
 //!   per-pair Eq.-6 name intersection is a word-wise AND instead of a
 //!   string-keyed map probe (the conflict index in `sq-core` builds on
 //!   this);
-//! * [`shard`] — deterministic target-graph partitioning (connected
-//!   components / top-level project) feeding the sharded planner in
-//!   `sq-core`, with cross-shard dependency edges recorded for the
-//!   arbiter;
 //! * [`error`] — everything that makes a snapshot unbuildable.
 
 #![forbid(unsafe_code)]
@@ -36,7 +32,6 @@ pub mod error;
 pub mod graph;
 pub mod hash;
 pub mod parser;
-pub mod shard;
 
 pub use affected::{AffectedSet, AffectedState, SnapshotAnalysis};
 pub use bitset::{BitSet, InternedAffected, Interner};
@@ -44,7 +39,6 @@ pub use error::BuildError;
 pub use graph::{BuildGraph, RuleKind, Target, TargetName};
 pub use hash::{TargetHash, TargetHashes};
 pub use parser::parse_workspace;
-pub use shard::{CrossShardEdge, ShardRule, TargetPartition};
 
 /// Crate-wide result type.
 pub type Result<T> = std::result::Result<T, BuildError>;

@@ -101,11 +101,6 @@ proptest! {
         for &v in sx.iter().take(8) {
             prop_assert!(bx.contains(v));
         }
-        let mut bu = bx.clone();
-        bu.union_with(&by);
-        let su: HashSet<u32> = sx.union(&sy).copied().collect();
-        prop_assert_eq!(bu.len(), su.len());
-        prop_assert_eq!(bu.iter().collect::<HashSet<u32>>(), su);
     }
 
     #[test]

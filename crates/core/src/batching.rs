@@ -15,6 +15,7 @@
 //! mainline; the greenness audit still runs on the result.
 
 use crate::pending::{ChangeOutcome, ChangeRecord};
+use crate::planner::BUILD_OVERHEAD;
 use sq_sim::{run as run_des, EventQueue, Scheduler, SimDuration, SimTime, Simulation};
 use sq_workload::{ChangeId, ChangeSpec, GroundTruth, Workload};
 use std::collections::{HashMap, VecDeque};
@@ -26,8 +27,6 @@ pub struct BatchingConfig {
     pub max_batch: usize,
     /// Worker fleet size (one batch occupies one worker).
     pub workers: usize,
-    /// Fixed overhead per batch build.
-    pub build_overhead: SimDuration,
 }
 
 impl Default for BatchingConfig {
@@ -35,7 +34,6 @@ impl Default for BatchingConfig {
         BatchingConfig {
             max_batch: 4,
             workers: 100,
-            build_overhead: SimDuration::from_secs(60),
         }
     }
 }
@@ -182,7 +180,7 @@ impl<'a> Batcher<'a> {
             .map(|&id| self.spec(id).build_duration)
             .max()
             .expect("non-empty batch");
-        let duration = max_dur + self.config.build_overhead;
+        let duration = max_dur + BUILD_OVERHEAD;
         let id = self.next_batch;
         self.next_batch += 1;
         self.busy += 1;
@@ -306,14 +304,7 @@ mod tests {
     }
 
     fn run(w: &Workload, max_batch: usize, workers: usize) -> BatchingResult {
-        simulate_batching(
-            w,
-            &BatchingConfig {
-                max_batch,
-                workers,
-                ..BatchingConfig::default()
-            },
-        )
+        simulate_batching(w, &BatchingConfig { max_batch, workers })
     }
 
     #[test]

@@ -328,7 +328,9 @@ pub fn encode_batch(events: &[ServiceEvent]) -> Vec<u8> {
 pub fn decode_batch(payload: &[u8]) -> Result<Vec<ServiceEvent>, CodecError> {
     let mut dec = Decoder::new(payload);
     let n = dec.u32()?;
-    let mut out = Vec::with_capacity(n as usize);
+    // The count is input: reserve no more than the payload could hold
+    // (every event is at least its tag byte).
+    let mut out = Vec::with_capacity((n as usize).min(dec.remaining()));
     for _ in 0..n {
         out.push(ServiceEvent::decode(&mut dec)?);
     }
@@ -791,8 +793,8 @@ impl<W: Wal> DurableSubmitQueue<W> {
         self.service.head()
     }
 
-    /// The wrapped service (read-only access to stats, audit log,
-    /// history verification).
+    /// The wrapped service (read-only access to stats and history
+    /// verification).
     pub fn service(&self) -> &SubmitQueueService {
         &self.service
     }
@@ -925,6 +927,14 @@ mod tests {
         ];
         assert_eq!(decode_batch(&encode_batch(&events)).unwrap(), events);
         assert_eq!(decode_batch(&encode_batch(&[])).unwrap(), vec![]);
+    }
+
+    #[test]
+    fn decode_batch_refuses_a_count_its_payload_cannot_hold() {
+        assert!(decode_batch(&[0xFF; 4]).is_err());
+        let mut short = encode_batch(&[ServiceEvent::SpeculationStarted { ticket: 1 }]);
+        short[..4].copy_from_slice(&3u32.to_le_bytes());
+        assert!(decode_batch(&short).is_err());
     }
 
     #[test]

@@ -4,14 +4,9 @@
 //! The planner re-examines the pending window on every epoch; without an
 //! index that means recomputing each change's affected set — and every
 //! pairwise intersection — from scratch each round. The index caches one
-//! [`BitSet`] per change, keyed by `(change id, trunk hash)`:
-//!
-//! * a **hit** returns the cached bitset untouched;
-//! * the entry is invalidated only when the **trunk advances** (an entry
-//!   computed against an older trunk is stale by definition — affected
-//!   sets are relative to mainline) or when the change itself is
-//!   **rebased** ([`ConflictIndex::invalidate`]) or resolved
-//!   ([`ConflictIndex::forget`]).
+//! [`BitSet`] per change, computed against the one trunk the index was
+//! opened on: a **hit** returns the cached bitset untouched, and an entry
+//! leaves only when its change resolves ([`ConflictIndex::forget`]).
 //!
 //! Pairwise decisions are then word-wise ANDs
 //! ([`ConflictIndex::pair_conflict`]); [`ConflictIndex::matrix_serial`]
@@ -24,8 +19,8 @@ use sq_obs::MetricsRegistry;
 use sq_workload::ChangeId;
 use std::collections::HashMap;
 
-/// Identifies the mainline snapshot an affected bitset was computed
-/// against. Any advance invalidates every cached entry (lazily).
+/// Identifies the mainline snapshot an index's affected bitsets are
+/// computed against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TrunkHash(pub u64);
 
@@ -34,8 +29,7 @@ pub struct TrunkHash(pub u64);
 pub struct IndexStats {
     /// Bitset lookups served from cache.
     pub cache_hits: u64,
-    /// Bitset lookups that had to (re)compute: first sight, trunk
-    /// advance, or rebase.
+    /// Bitset lookups that had to compute: first sight of the change.
     pub cache_misses: u64,
     /// Pairwise conflict decisions made.
     pub pairs_checked: u64,
@@ -55,17 +49,11 @@ impl IndexStats {
     }
 }
 
-#[derive(Debug, Clone)]
-struct Entry {
-    trunk: TrunkHash,
-    bits: BitSet,
-}
-
-/// Memoized per-change affected bitsets keyed by `(change, trunk)`.
+/// Memoized per-change affected bitsets against one trunk.
 #[derive(Debug, Clone)]
 pub struct ConflictIndex {
     trunk: TrunkHash,
-    entries: HashMap<ChangeId, Entry>,
+    entries: HashMap<ChangeId, BitSet>,
     stats: IndexStats,
 }
 
@@ -79,23 +67,9 @@ impl ConflictIndex {
         }
     }
 
-    /// The trunk entries are currently valid against.
+    /// The trunk entries are computed against.
     pub fn trunk(&self) -> TrunkHash {
         self.trunk
-    }
-
-    /// Advance the trunk. Entries computed against the old trunk stay in
-    /// the map but are *stale*: the next [`ConflictIndex::ensure_with`]
-    /// for that change recomputes (lazy invalidation — no O(n) sweep on
-    /// every commit).
-    pub fn advance_trunk(&mut self, trunk: TrunkHash) {
-        self.trunk = trunk;
-    }
-
-    /// Invalidate one change's entry (it was rebased: same id, new
-    /// content — the cached bitset no longer describes it).
-    pub fn invalidate(&mut self, id: ChangeId) {
-        self.entries.remove(&id);
     }
 
     /// Drop a resolved change's entry for good.
@@ -103,36 +77,25 @@ impl ConflictIndex {
         self.entries.remove(&id);
     }
 
-    /// The change's affected bitset, recomputing via `compute` only on a
-    /// miss (first sight, stale trunk, or post-rebase).
+    /// The change's affected bitset, computed via `compute` only on a
+    /// miss (first sight).
     pub fn ensure_with(&mut self, id: ChangeId, compute: impl FnOnce() -> BitSet) -> &BitSet {
-        let fresh = self.entries.get(&id).is_some_and(|e| e.trunk == self.trunk);
-        if fresh {
+        if self.entries.contains_key(&id) {
             self.stats.cache_hits += 1;
         } else {
             self.stats.cache_misses += 1;
-            self.entries.insert(
-                id,
-                Entry {
-                    trunk: self.trunk,
-                    bits: compute(),
-                },
-            );
+            self.entries.insert(id, compute());
         }
-        &self.entries[&id].bits
+        &self.entries[&id]
     }
 
-    /// The cached bitset, if present and computed against the current
-    /// trunk.
+    /// The cached bitset, if present.
     pub fn bits(&self, id: ChangeId) -> Option<&BitSet> {
-        self.entries
-            .get(&id)
-            .filter(|e| e.trunk == self.trunk)
-            .map(|e| &e.bits)
+        self.entries.get(&id)
     }
 
     /// Pairwise decision from the cached bitsets: word-wise AND. Both
-    /// entries must be fresh (ensure first); a missing entry is treated
+    /// entries must be present (ensure first); a missing entry is treated
     /// as conflicting — conservative, never parallel-commit something the
     /// index cannot see.
     pub fn pair_conflict(&mut self, a: ChangeId, b: ChangeId) -> bool {
@@ -149,7 +112,7 @@ impl ConflictIndex {
     }
 
     /// The full pairwise matrix over `ids`, serially. Every id must have
-    /// been [`ConflictIndex::ensure_with`]'d against the current trunk.
+    /// been [`ConflictIndex::ensure_with`]'d.
     pub fn matrix_serial(&mut self, ids: &[ChangeId]) -> ConflictMatrix {
         let n = ids.len();
         let bits: Vec<&BitSet> = ids
@@ -256,27 +219,18 @@ mod tests {
     }
 
     #[test]
-    fn hits_and_misses_follow_the_invalidation_rule() {
+    fn a_second_lookup_hits_until_the_change_is_forgotten() {
         let mut ix = ConflictIndex::new(TrunkHash(1));
         let a = ChangeId(7);
         ix.ensure_with(a, || chain_bits(a));
         ix.ensure_with(a, || panic!("second lookup must hit"));
         assert_eq!((ix.stats().cache_hits, ix.stats().cache_misses), (1, 1));
 
-        // Trunk advance: stale, recompute.
-        ix.advance_trunk(TrunkHash(2));
-        assert!(ix.bits(a).is_none(), "stale entry is invisible");
-        ix.ensure_with(a, || chain_bits(a));
-        assert_eq!((ix.stats().cache_hits, ix.stats().cache_misses), (1, 2));
-
-        // Rebase: explicit invalidation, recompute.
-        ix.invalidate(a);
-        ix.ensure_with(a, || chain_bits(a));
-        assert_eq!((ix.stats().cache_hits, ix.stats().cache_misses), (1, 3));
-
         // Resolution: forgotten for good.
         ix.forget(a);
         assert!(ix.bits(a).is_none());
+        ix.ensure_with(a, || chain_bits(a));
+        assert_eq!((ix.stats().cache_hits, ix.stats().cache_misses), (1, 2));
     }
 
     #[test]

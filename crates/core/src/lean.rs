@@ -137,8 +137,7 @@ impl LeanConfig {
 pub struct BypassPolicy {
     /// Maximum files touched.
     pub max_files: u32,
-    /// Maximum affected build targets (leaf-sized footprints; the real
-    /// analyzer's equivalent is `AffectedSet::is_leaf_footprint`).
+    /// Maximum affected build targets (leaf-sized footprints).
     pub max_affected_targets: u32,
 }
 

@@ -66,8 +66,7 @@
 //!   snapshot + journal-suffix replay.
 //! * [`failover`] — replicated operation on top of `durable`: leaders
 //!   that ship every journal record to followers, fenced follower
-//!   promotion with zero acked-work loss, candidate selection, and
-//!   capped-backoff reconnect scheduling.
+//!   promotion with zero acked-work loss, and candidate selection.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -96,14 +95,14 @@ pub use analyzer::{ConflictAnalyzer, ConflictGraph, IndexedAnalyzer, RealAnalyze
 pub use durable::{DurableState, DurableSubmitQueue, ServiceEvent};
 pub use failover::{
     best_promotion_candidate, open_leader, promote_from_follower, PromotionCandidate,
-    PromotionReport, ReconnectScheduler, ReconnectTick,
+    PromotionReport,
 };
 pub use index::{ConflictIndex, ConflictMatrix, IndexStats, TrunkHash};
 pub use lean::{BypassPolicy, LeanConfig, LeanReport, SKIP_MISS_BUDGET};
 pub use pending::{ChangeOutcome, ChangeRecord};
 pub use planner::{run_simulation, PlannerConfig, SimResult};
 pub use predict::{LearnedPredictor, OraclePredictor, Predictor};
-pub use recovery::{QuarantineList, RecoveryConfig, RecoveryEvent, RecoveryLog};
+pub use recovery::{QuarantineList, RecoveryConfig};
 pub use scenario::{run_scenario, ScenarioRun, StrategyOutcome};
 pub use service::{HistoryViolation, SubmitQueueService, TicketId, TicketState};
 pub use shard::{LaneStats, PlanningCost, ShardPlan, ShardReport, ShardSpec};

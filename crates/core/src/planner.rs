@@ -31,6 +31,14 @@ use sq_obs::{Observer, SpanId};
 use sq_sim::{run as run_des, EventQueue, Scheduler, SimDuration, SimTime};
 use sq_workload::{ChangeId, ChangeSpec, GroundTruth, Workload};
 
+/// Fixed scheduling/fetch overhead added to every build (and, in
+/// [`crate::batching`], to every batch build).
+pub(crate) const BUILD_OVERHEAD: SimDuration = SimDuration::from_secs(60);
+
+/// Safety valve on simulation events: a run that has not drained by then
+/// panics rather than reading as a finished one.
+const MAX_EVENTS: u64 = 50_000_000;
+
 /// Planner configuration.
 #[derive(Debug, Clone)]
 pub struct PlannerConfig {
@@ -40,10 +48,6 @@ pub struct PlannerConfig {
     /// disabled ⇒ every pair of pending changes is treated as
     /// conflicting, the Section 4 baseline assumption).
     pub conflict_analyzer: bool,
-    /// Fixed scheduling/fetch overhead added to every build.
-    pub build_overhead: SimDuration,
-    /// Safety valve on simulation events.
-    pub max_events: u64,
     /// Section 10 "Change Reordering": when enabled, a change may commit
     /// as soon as its build against the *current* committed prefix
     /// succeeds, even if earlier conflicting changes are still pending —
@@ -141,8 +145,6 @@ impl Default for PlannerConfig {
         PlannerConfig {
             workers: 100,
             conflict_analyzer: true,
-            build_overhead: SimDuration::from_secs(60),
-            max_events: 50_000_000,
             reorder: false,
             preemption_guard: None,
             epoch: None,
@@ -299,6 +301,16 @@ pub fn run_simulation_observed(
     config: &PlannerConfig,
     obs: &mut Observer,
 ) -> SimResult {
+    run_capped(workload, strategy, config, obs, MAX_EVENTS)
+}
+
+fn run_capped(
+    workload: &Workload,
+    strategy: &Strategy,
+    config: &PlannerConfig,
+    obs: &mut Observer,
+    max_events: u64,
+) -> SimResult {
     let core = Core::new(workload, strategy, config);
     let mut sim = Driver {
         workload,
@@ -329,7 +341,7 @@ pub fn run_simulation_observed(
     for (i, c) in workload.changes.iter().enumerate() {
         queue.schedule(c.submit_time, Event::Arrival(i));
     }
-    let outcome = run_des(&mut sim, &mut queue, config.max_events);
+    let outcome = run_des(&mut sim, &mut queue, max_events);
     // Not a debug assertion: everything runs in release, and a run cut
     // short must not read as a finished one.
     assert!(
@@ -461,8 +473,7 @@ impl<'a> Driver<'a> {
                     let slot = self.pools[lane]
                         .acquire_worker(now)
                         .expect("the core starts no build beyond a lane's budget");
-                    let duration =
-                        self.spec(key.subject).build_duration + self.config.build_overhead;
+                    let duration = self.spec(key.subject).build_duration + BUILD_OVERHEAD;
                     sched.at(now + duration, Event::BuildDone(build));
                     let tracer = &mut self.obs.tracer;
                     let span = tracer.start_span("build", now);
@@ -507,8 +518,7 @@ impl<'a> Driver<'a> {
                         self.obs.tracer.event("quarantine", now, &fields);
                     }
                     let backoff = faults.retry.backoff(attempt);
-                    let duration =
-                        backoff + self.spec(subject).build_duration + self.config.build_overhead;
+                    let duration = backoff + self.spec(subject).build_duration + BUILD_OVERHEAD;
                     sched.at(now + duration, Event::BuildDone(build));
                     self.obs.metrics.inc("planner.infra_retries");
                     self.obs
@@ -1041,11 +1051,7 @@ mod tests {
     fn a_run_cut_short_by_max_events_panics_in_release_too() {
         let w = workload(100.0, 50, 26);
         let strategy = Strategy::build(StrategyKind::Oracle, &w, None);
-        let cfg = PlannerConfig {
-            max_events: 10,
-            ..config(50)
-        };
-        run_simulation(&w, &strategy, &cfg);
+        run_capped(&w, &strategy, &config(50), &mut Observer::disabled(), 10);
     }
 
     #[test]
@@ -1057,7 +1063,7 @@ mod tests {
         let c = &w.changes[0];
         assert_eq!(r.commit_log.len(), usize::from(c.intrinsic_success));
         // Turnaround = build duration + overhead (no queueing).
-        let expected = c.build_duration + PlannerConfig::default().build_overhead;
+        let expected = c.build_duration + BUILD_OVERHEAD;
         assert_eq!(r.records[0].turnaround, expected);
     }
 
@@ -1100,24 +1106,18 @@ mod tests {
     }
 
     #[test]
-    fn zero_overhead_turnarounds_are_exact_durations_for_oracle_uncontended() {
+    fn uncontended_oracle_turnarounds_are_exactly_duration_plus_overhead() {
         let w = workload(10.0, 10, 24); // very sparse arrivals
         let strategy = Strategy::build(StrategyKind::Oracle, &w, None);
-        let r = run_simulation(
-            &w,
-            &strategy,
-            &PlannerConfig {
-                workers: 100,
-                build_overhead: SimDuration::ZERO,
-                ..PlannerConfig::default()
-            },
-        );
+        let r = run_simulation(&w, &strategy, &config(100));
         // With no contention and no conflicts gating at this sparsity for
-        // most changes, most turnarounds equal the build duration exactly.
+        // most changes, most turnarounds equal the build's own time exactly.
         let exact = r
             .records
             .iter()
-            .filter(|rec| rec.turnaround == w.changes[rec.id.0 as usize].build_duration)
+            .filter(|rec| {
+                rec.turnaround == w.changes[rec.id.0 as usize].build_duration + BUILD_OVERHEAD
+            })
             .count();
         assert!(exact >= 7, "only {exact}/10 exact");
     }

@@ -233,7 +233,7 @@ impl LearnedPredictor {
         if scores.len() < 50 {
             return 0.0; // too little evidence to gate anything
         }
-        let calibration = sq_ml::Calibration::fit(&scores, &labels, 20);
+        let calibration = sq_ml::Calibration::fit(&scores, &labels);
         // Candidate cutoffs span the *low-risk* regime only: skipping is
         // for changes the model is confident about, so the grid tops out
         // well below coin-flip odds. (The empirical-rate curve goes

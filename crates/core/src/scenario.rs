@@ -67,26 +67,6 @@ pub struct ScenarioRun {
     pub outcomes: Vec<StrategyOutcome>,
 }
 
-impl ScenarioRun {
-    /// The first audit violation across all strategies, if any.
-    pub fn first_violation(&self) -> Option<String> {
-        self.outcomes.iter().find_map(|o| {
-            let problem = match (&o.green, &o.rejections_justified) {
-                (Err(e), _) => Some(("green", e.clone())),
-                (_, Err(e)) => Some(("rejections", e.clone())),
-                _ => None,
-            }?;
-            Some(format!(
-                "{} / {}: {} audit failed: {}",
-                self.manifest.name,
-                o.kind.name(),
-                problem.0,
-                problem.1
-            ))
-        })
-    }
-}
-
 /// Replay `manifest` through every strategy with `n_changes` changes
 /// (pass [`ScenarioManifest::n_changes`] for the configured duration)
 /// and a disjoint `history_changes`-sized training workload.
@@ -174,7 +154,6 @@ mod tests {
             );
             assert_eq!(o.result.records.len(), 40);
         }
-        assert!(run.first_violation().is_none());
     }
 
     #[test]

@@ -24,7 +24,7 @@
 //! stream.
 
 use crate::durable::{DurableState, QueuedChange, ServiceEvent, Verdict};
-use crate::recovery::{QuarantineList, RecoveryConfig, RecoveryEvent, RecoveryLog};
+use crate::recovery::{QuarantineList, RecoveryConfig};
 use parking_lot::Mutex;
 use sq_build::affected::SnapshotAnalysis;
 use sq_build::{AffectedSet, TargetName};
@@ -86,8 +86,10 @@ struct Inner {
     rebuilds: HashMap<u64, u32>,
     /// Per-target flake accounting.
     quarantine: QuarantineList<TargetName>,
-    /// Every recovery decision, in order.
-    log: RecoveryLog,
+    /// Step attempts retried in place, since this process started.
+    step_retries: u64,
+    /// Infra-red whole builds redone, since this process started.
+    infra_rebuilds: u64,
 }
 
 /// The service.
@@ -184,8 +186,8 @@ impl SubmitQueueService {
     /// `recovery.max_rebuilds` times before the change is rejected with
     /// an explicit infrastructure reason, and chronically flaky targets
     /// are quarantined (advisorily — they keep gating, so the always-
-    /// green invariant is never weakened; the list is surfaced for
-    /// operators via [`SubmitQueueService::quarantined_targets`]).
+    /// green invariant is never weakened; the list is the `quarantined`
+    /// map of the exported state, journaled as `Quarantined` events).
     pub fn with_recovery(repo: Repository, threads: usize, recovery: RecoveryConfig) -> Self {
         Self::recovered(repo, threads, recovery, DurableState::new())
     }
@@ -214,7 +216,8 @@ impl SubmitQueueService {
                 state,
                 rebuilds: HashMap::new(),
                 quarantine,
-                log: RecoveryLog::new(),
+                step_retries: 0,
+                infra_rebuilds: 0,
             }),
             unjournaled: Mutex::new(Unjournaled),
             controller: BuildController::with_retry_policy(threads, recovery.retry),
@@ -433,7 +436,6 @@ impl SubmitQueueService {
         built: Result<(Patch, ExecReport), String>,
     ) -> Vec<ServiceEvent> {
         let ticket = change.ticket;
-        let subject = || TicketId(ticket).to_string();
         // A second processor got here first: its verdict stands.
         if inner.state.states.get(&ticket) != Some(&TicketState::Queued) {
             return Vec::new();
@@ -461,23 +463,13 @@ impl SubmitQueueService {
         // counts toward the per-target quarantine threshold.
         for (step, _fault) in &report.infra_events {
             if let Some(observations) = inner.quarantine.record_flake(step.target.clone()) {
-                let target = step.target.to_string();
-                inner.log.push(RecoveryEvent::Quarantined {
-                    target: target.clone(),
-                    observations,
-                });
                 batch.push(ServiceEvent::Quarantined {
-                    target,
+                    target: step.target.to_string(),
                     observations,
                 });
             }
         }
-        if report.infra_retries > 0 {
-            inner.log.push(RecoveryEvent::StepRetries {
-                subject: subject(),
-                retries: report.infra_retries,
-            });
-        }
+        inner.step_retries += report.infra_retries;
         if let Some((step, fault)) = report.infra_failure {
             // Infra-red: the build says nothing about the change.
             // Rebuild up to the policy bound instead of rejecting;
@@ -487,21 +479,12 @@ impl SubmitQueueService {
             *attempts += 1;
             let attempt = *attempts;
             if attempt <= self.recovery.max_rebuilds {
+                inner.infra_rebuilds += 1;
                 batch.push(ServiceEvent::SpeculationAborted {
                     ticket,
                     reason: format!("infra-red build; rebuild #{attempt} after {fault}"),
                 });
-                inner.log.push(RecoveryEvent::Rebuild {
-                    subject: subject(),
-                    attempt,
-                    step,
-                    fault,
-                });
             } else {
-                inner.log.push(RecoveryEvent::InfraRejected {
-                    subject: subject(),
-                    attempts: attempt,
-                });
                 batch.extend(rejected(
                     Verdict::Infra,
                     format!(
@@ -563,31 +546,11 @@ impl SubmitQueueService {
             queued: inner.state.queue.len(),
             cache_hits: cs.hits,
             cache_misses: cs.misses,
-            step_retries: inner.log.step_retries(),
-            infra_rebuilds: inner.log.rebuilds() as u64,
+            step_retries: inner.step_retries,
+            infra_rebuilds: inner.infra_rebuilds,
             infra_rejected: inner.state.infra_rejected,
             quarantined: inner.quarantine.len(),
         }
-    }
-
-    /// The recovery audit log: the most recent [`RecoveryLog::WINDOW`]
-    /// step-retry, rebuild, quarantine and infra-rejection decisions,
-    /// oldest first (`stats()` carries the lifetime totals).
-    pub fn recovery_log(&self) -> Vec<RecoveryEvent> {
-        self.inner.lock().log.events().cloned().collect()
-    }
-
-    /// Targets quarantined as chronically flaky. Advisory: quarantined
-    /// targets still gate landings (skipping them could let a genuinely
-    /// red change slip onto mainline); the list tells operators where
-    /// the flaky infrastructure is.
-    pub fn quarantined_targets(&self) -> Vec<TargetName> {
-        self.inner
-            .lock()
-            .quarantine
-            .quarantined()
-            .cloned()
-            .collect()
     }
 
     /// Read a file at the current HEAD (inspection helper for examples).
@@ -1074,11 +1037,7 @@ mod tests {
         assert!(matches!(service.status(t), Some(TicketState::Landed(_))));
         let stats = service.stats();
         assert_eq!((stats.landed, stats.rejected), (1, 0));
-        assert_eq!(stats.infra_rebuilds, 1);
-        let log = service.recovery_log();
-        assert!(log
-            .iter()
-            .any(|e| matches!(e, RecoveryEvent::Rebuild { attempt: 1, .. })));
+        assert_eq!((stats.infra_rebuilds, stats.infra_rejected), (1, 0));
     }
 
     #[test]
@@ -1159,14 +1118,6 @@ mod tests {
         let stats = service.stats();
         assert_eq!(stats.infra_rejected, 1);
         assert_eq!(stats.infra_rebuilds, 1); // one redo, then gave up
-        assert_eq!(
-            service
-                .recovery_log()
-                .iter()
-                .filter(|e| matches!(e, RecoveryEvent::InfraRejected { .. }))
-                .count(),
-            1
-        );
     }
 
     #[test]
@@ -1215,16 +1166,12 @@ mod tests {
         assert_eq!((stats.landed, stats.rejected), (2, 0));
         assert_eq!(stats.step_retries, 2);
         // Two observed flakes on //lib:lib crossed the threshold.
-        let quarantined = service.quarantined_targets();
-        assert_eq!(quarantined.len(), 1);
-        assert!(quarantined[0].to_string().contains("//lib"));
-        assert!(service.recovery_log().iter().any(|e| matches!(
-            e,
-            RecoveryEvent::Quarantined {
-                observations: 2,
-                ..
-            }
-        )));
+        assert_eq!(stats.quarantined, 1);
+        let quarantined = service.read_state(|state| state.quarantined.clone());
+        assert_eq!(
+            quarantined.into_iter().collect::<Vec<_>>(),
+            [("//lib:lib".to_string(), 2)]
+        );
         // Quarantine is advisory: the audit still verifies everything.
         assert!(service.verify_history(&always_pass()).is_ok());
     }

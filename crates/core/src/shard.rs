@@ -5,8 +5,7 @@
 //! the planner itself becomes the bottleneck long before the workers do.
 //! The fix, following Google's *Smart Build Targets Batching Service*
 //! and Uber's *CI at Scale* (PAPERS.md): partition the target universe
-//! into mostly-independent **shards** (`sq_build::shard` computes the
-//! partition from the real target graph), route each change to the lane
+//! into mostly-independent **shards**, route each change to the lane
 //! owning its affected set, and run one speculation engine per lane over
 //! that lane's — much smaller — pending window.
 //!
@@ -37,9 +36,7 @@ use sq_workload::{ChangeSpec, Workload};
 
 /// Part → shard routing table.
 ///
-/// Parts are the workload's logical repository regions; in a real
-/// deployment the table comes from a [`sq_build::shard::TargetPartition`]
-/// over the target graph (see [`ShardPlan::from_assignments`]).
+/// Parts are the workload's logical repository regions.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardPlan {
     /// `PartId.0 as usize` → shard id. Out-of-range parts wrap
@@ -59,18 +56,6 @@ impl ShardPlan {
         assert!(n_parts >= 1, "need at least one part");
         ShardPlan {
             shard_of_part: (0..n_parts).map(|p| (p % n_shards) as u32).collect(),
-            n_shards,
-        }
-    }
-
-    /// Plan from explicit per-part shard assignments — the bridge from
-    /// [`sq_build::shard::TargetPartition::assignments`], treating the
-    /// interned dense target id as the part id.
-    pub fn from_assignments(assignments: &[u32]) -> ShardPlan {
-        assert!(!assignments.is_empty(), "empty assignment table");
-        let n_shards = assignments.iter().max().copied().unwrap_or(0) as usize + 1;
-        ShardPlan {
-            shard_of_part: assignments.to_vec(),
             n_shards,
         }
     }
@@ -293,57 +278,13 @@ impl ShardReport {
     }
 }
 
-/// Project a full run down to one lane: the lane's records and commits
-/// only, with global counters zeroed (they are not attributable to a
-/// single lane). The filtered result still indexes the full workload's
-/// dense change-id space, so every audit in [`crate::audit`] applies
-/// per shard exactly as it does globally.
-pub fn lane_result(
-    workload: &Workload,
-    result: &SimResult,
-    plan: &ShardPlan,
-    lane: usize,
-) -> SimResult {
-    let in_lane =
-        |id: sq_workload::ChangeId| plan.lane_of(&workload.changes[id.0 as usize]) == lane;
-    SimResult {
-        strategy: result.strategy,
-        records: result
-            .records
-            .iter()
-            .filter(|r| in_lane(r.id))
-            .cloned()
-            .collect(),
-        commit_log: result
-            .commit_log
-            .iter()
-            .copied()
-            .filter(|&id| in_lane(id))
-            .collect(),
-        makespan: result.makespan,
-        builds_started: 0,
-        builds_aborted: 0,
-        utilization: 0.0,
-        infra_retries: 0,
-        infra_backoff: SimDuration::ZERO,
-        quarantined: result
-            .quarantined
-            .iter()
-            .copied()
-            .filter(|&id| in_lane(id))
-            .collect(),
-        // Global lean accounting is not attributable per lane.
-        lean: None,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::planner::{run_simulation, PlannerConfig};
     use crate::strategy::{Strategy, StrategyKind};
     use sq_obs::check::assert_idempotent_export;
-    use sq_workload::{ChangeId, WorkloadBuilder, WorkloadParams};
+    use sq_workload::{WorkloadBuilder, WorkloadParams};
 
     fn pid(p: u32) -> PartId {
         PartId(p)
@@ -361,15 +302,8 @@ mod tests {
         assert_eq!(plan.lane_of_parts(&[pid(1), pid(2)]), plan.arbiter_lane());
         // No parts → arbiter.
         assert_eq!(plan.lane_of_parts(&[]), plan.arbiter_lane());
-    }
-
-    #[test]
-    fn from_assignments_bridges_target_partitions() {
-        let plan = ShardPlan::from_assignments(&[0, 0, 1, 2, 1]);
-        assert_eq!(plan.n_shards(), 3);
-        assert_eq!(plan.shard_of_part(pid(2)), 1);
         // Out-of-range parts wrap deterministically.
-        assert_eq!(plan.shard_of_part(pid(7)), plan.shard_of_part(pid(2)));
+        assert_eq!(plan.shard_of_part(pid(17)), plan.shard_of_part(pid(7)));
     }
 
     #[test]
@@ -448,33 +382,5 @@ mod tests {
         // Exporter idempotence: exporting the same report twice into one
         // registry must not change any value (the PR-8 regression guard).
         assert_idempotent_export(|m| report.record_into(m));
-    }
-
-    #[test]
-    fn lane_result_projections_cover_and_stay_auditable() {
-        let w = WorkloadBuilder::new(WorkloadParams::ios().with_rate(200.0))
-            .seed(42)
-            .n_changes(150)
-            .build()
-            .unwrap();
-        let strategy = Strategy::build(StrategyKind::Oracle, &w, None);
-        let r = run_simulation(&w, &strategy, &PlannerConfig::default());
-        crate::audit::audit_green(&w, &r).unwrap();
-        let plan = ShardPlan::round_robin(300, 3);
-        let mut seen_records = 0usize;
-        let mut seen_commits: Vec<ChangeId> = Vec::new();
-        for lane in 0..plan.n_lanes() {
-            let lr = lane_result(&w, &r, &plan, lane);
-            // A green merged trunk implies every lane projection is green
-            // (pairs in the sublog are pairs in the full log).
-            crate::audit::audit_green(&w, &lr).unwrap();
-            seen_records += lr.records.len();
-            seen_commits.extend(&lr.commit_log);
-        }
-        assert_eq!(seen_records, r.records.len());
-        seen_commits.sort_unstable();
-        let mut all: Vec<ChangeId> = r.commit_log.clone();
-        all.sort_unstable();
-        assert_eq!(seen_commits, all);
     }
 }

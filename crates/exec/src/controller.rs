@@ -237,7 +237,7 @@ mod tests {
             })
         });
         assert!(!report.is_success());
-        assert!(report.is_infra_red());
+        assert!(report.infra_failure.is_some());
         assert!(report.failure.is_none());
         // Nothing entered the cache.
         assert_eq!(controller.cache_stats().entries, 0);

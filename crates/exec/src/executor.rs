@@ -105,13 +105,6 @@ impl ExecReport {
         self.failure.is_none() && self.infra_failure.is_none()
     }
 
-    /// True iff the run ended red purely for infrastructure reasons:
-    /// retries exhausted without any genuine failure. Such a run says
-    /// nothing about the change — callers should rebuild, not reject.
-    pub fn is_infra_red(&self) -> bool {
-        self.failure.is_none() && self.infra_failure.is_some()
-    }
-
     /// Wall-clock utilization of each executor thread over `wall` (the
     /// run's total wall time): busy-in-action / wall, clamped to [0, 1].
     pub fn worker_utilization(&self, wall: Duration) -> Vec<f64> {
@@ -677,8 +670,7 @@ mod tests {
             },
         );
         assert!(!report.is_success());
-        assert!(report.is_infra_red(), "no genuine failure happened");
-        assert!(report.failure.is_none());
+        assert!(report.failure.is_none(), "no genuine failure happened");
         let (step, _) = report.infra_failure.as_ref().unwrap();
         assert_eq!(step.target, n("//b:b"));
         // All three attempts were observed, two of them retried.

@@ -10,10 +10,10 @@
 //! * [`FaultPlan`] / [`FaultInjector`] — a seeded model of *infra*
 //!   failures (worker crashes, timeouts, transient tooling errors) that
 //!   wraps any step action and injects [`StepOutcome::InfraFailure`]
-//!   with configurable per-step probabilities. Decisions are a pure
-//!   function of `(seed, target, step kind, attempt)`, so they are
-//!   bit-identical across runs *and* independent of worker-thread
-//!   interleaving — no shared RNG stream whose draw order could differ.
+//!   at one configured rate. Decisions are a pure function of `(seed,
+//!   target, step kind, attempt)`, so they are bit-identical across
+//!   runs *and* independent of worker-thread interleaving — no shared
+//!   RNG stream whose draw order could differ.
 //! * [`RetryPolicy`] — bounded retries with deterministic exponential
 //!   backoff, charged as build time. Genuine failures
 //!   ([`StepOutcome::Failure`]) are never retried: retrying a
@@ -24,9 +24,8 @@
 //! [`StepOutcome::Failure`]: crate::executor::StepOutcome::Failure
 
 use crate::executor::StepOutcome;
-use crate::step::{BuildStep, StepKind};
+use crate::step::BuildStep;
 use parking_lot::Mutex;
-use sq_build::TargetName;
 use sq_sim::SimDuration;
 use std::collections::HashMap;
 use std::fmt;
@@ -103,16 +102,12 @@ pub fn fraction(h: u64) -> f64 {
     (h >> 11) as f64 / (1u64 << 53) as f64
 }
 
-/// A seeded, per-step-probability plan of infrastructure faults.
-///
-/// Probabilities resolve most-specific-first: per-target override, then
-/// per-step-kind override, then the uniform default rate.
+/// A seeded plan of infrastructure faults: every attempt of every step
+/// fails with the same probability.
 #[derive(Debug, Clone)]
 pub struct FaultPlan {
     seed: u64,
-    default_rate: f64,
-    per_kind: HashMap<StepKind, f64>,
-    per_target: HashMap<TargetName, f64>,
+    rate: f64,
 }
 
 impl FaultPlan {
@@ -120,12 +115,7 @@ impl FaultPlan {
     /// Panics unless `rate` is a probability in `[0, 1]`.
     pub fn uniform(seed: u64, rate: f64) -> Self {
         assert!((0.0..=1.0).contains(&rate), "fault rate must be in [0,1]");
-        FaultPlan {
-            seed,
-            default_rate: rate,
-            per_kind: HashMap::new(),
-            per_target: HashMap::new(),
-        }
+        FaultPlan { seed, rate }
     }
 
     /// A plan that never injects (identity wrapper).
@@ -133,35 +123,9 @@ impl FaultPlan {
         Self::uniform(0, 0.0)
     }
 
-    /// Override the rate for one step kind (e.g. make `RunTests` flaky
-    /// while compiles stay clean).
-    pub fn with_kind_rate(mut self, kind: StepKind, rate: f64) -> Self {
-        assert!((0.0..=1.0).contains(&rate), "fault rate must be in [0,1]");
-        self.per_kind.insert(kind, rate);
-        self
-    }
-
-    /// Override the rate for every step of one target.
-    pub fn with_target_rate(mut self, target: TargetName, rate: f64) -> Self {
-        assert!((0.0..=1.0).contains(&rate), "fault rate must be in [0,1]");
-        self.per_target.insert(target, rate);
-        self
-    }
-
     /// The seed the plan draws from.
     pub fn seed(&self) -> u64 {
         self.seed
-    }
-
-    /// The effective fault probability for a step.
-    pub fn rate_for(&self, step: &BuildStep) -> f64 {
-        if let Some(&r) = self.per_target.get(&step.target) {
-            return r;
-        }
-        if let Some(&r) = self.per_kind.get(&step.kind) {
-            return r;
-        }
-        self.default_rate
     }
 
     /// Decide whether `attempt` (1-based) of `step` hits an infra fault.
@@ -169,12 +133,11 @@ impl FaultPlan {
     /// Pure function of `(seed, step, attempt)` — identical across runs
     /// and thread schedules.
     pub fn decide(&self, step: &BuildStep, attempt: u32) -> Option<InfraFault> {
-        let rate = self.rate_for(step);
-        if rate <= 0.0 {
+        if self.rate <= 0.0 {
             return None;
         }
         let h = mix64(self.seed ^ step_hash(step) ^ mix64(u64::from(attempt)));
-        if fraction(h) >= rate {
+        if fraction(h) >= self.rate {
             return None;
         }
         // A second independent draw picks the fault kind.
@@ -235,20 +198,6 @@ impl FaultInjector {
             Some(fault) => StepOutcome::InfraFailure(fault),
             None => real(step),
         }
-    }
-
-    /// Wrap an action so every call routes through the injector. The
-    /// returned closure has the plain step-action signature, so it
-    /// drops into [`RealExecutor::execute`] and
-    /// [`BuildController::execute_affected`] unchanged.
-    ///
-    /// [`RealExecutor::execute`]: crate::executor::RealExecutor::execute
-    /// [`BuildController::execute_affected`]: crate::controller::BuildController::execute_affected
-    pub fn wrap<'a, F>(&'a self, action: F) -> impl Fn(&BuildStep) -> StepOutcome + Sync + 'a
-    where
-        F: Fn(&BuildStep) -> StepOutcome + Sync + 'a,
-    {
-        move |step| self.run(step, &action)
     }
 }
 
@@ -315,17 +264,6 @@ impl RetryPolicy {
         let jitter = 0.5 + 0.5 * fraction(mix64(self.seed ^ mix64(u64::from(attempt))));
         SimDuration::from_secs_f64(capped * jitter)
     }
-
-    /// Total backoff charged by a step that failed `attempts` times
-    /// (the sum of the first `attempts` backoffs). Monotone
-    /// nondecreasing in `attempts`.
-    pub fn total_backoff(&self, attempts: u32) -> SimDuration {
-        let mut total = SimDuration::ZERO;
-        for a in 1..=attempts {
-            total += self.backoff(a);
-        }
-        total
-    }
 }
 
 impl Default for RetryPolicy {
@@ -337,6 +275,8 @@ impl Default for RetryPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::step::StepKind;
+    use sq_build::TargetName;
     use std::str::FromStr;
 
     fn step(name: &str, kind: StepKind) -> BuildStep {
@@ -391,21 +331,6 @@ mod tests {
     }
 
     #[test]
-    fn per_kind_and_per_target_overrides_win() {
-        let t = TargetName::from_str("//hot:spot").unwrap();
-        let plan = FaultPlan::uniform(1, 0.0)
-            .with_kind_rate(StepKind::RunTests, 1.0)
-            .with_target_rate(t.clone(), 0.0);
-        // Kind override applies...
-        assert!(plan.decide(&step("//a:a", StepKind::RunTests), 1).is_some());
-        assert!(plan.decide(&step("//a:a", StepKind::Compile), 1).is_none());
-        // ...but the per-target override beats it.
-        assert!(plan
-            .decide(&BuildStep::new(t, StepKind::RunTests), 1)
-            .is_none());
-    }
-
-    #[test]
     fn injector_draws_fresh_per_attempt() {
         // With rate 1.0 on attempt draws a retried step keeps failing;
         // with a 0.5 plan some attempt eventually passes through.
@@ -456,7 +381,7 @@ mod tests {
     fn retry_policy_none_never_retries() {
         let p = RetryPolicy::none();
         assert!(!p.should_retry(1));
-        assert_eq!(p.total_backoff(5), SimDuration::ZERO);
+        assert_eq!(p.backoff(5), SimDuration::ZERO);
     }
 
     #[test]

@@ -55,11 +55,6 @@ impl WorkerPool {
         self.busy
     }
 
-    /// Currently idle workers.
-    pub fn idle(&self) -> usize {
-        self.total() - self.busy
-    }
-
     fn advance(&mut self, now: SimTime) {
         let dt = now.since(self.last_update);
         self.busy_integral += dt.as_micros() as u128 * self.busy as u128;
@@ -149,9 +144,8 @@ mod tests {
         let w = p.acquire_worker(t0).unwrap();
         assert!(p.acquire_worker(t0).is_none(), "saturated");
         assert_eq!(p.busy(), 2);
-        assert_eq!(p.idle(), 0);
         p.release_worker(w, SimTime::from_secs(10));
-        assert_eq!(p.idle(), 1);
+        assert_eq!(p.busy(), 1);
         assert_eq!(p.acquire_worker(SimTime::from_secs(10)), Some(w));
     }
 

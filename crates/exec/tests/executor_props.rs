@@ -233,7 +233,8 @@ proptest! {
         prop_assert_eq!(report.infra_retries, attempts.keys().map(|s| u64::from(retried(s))).sum::<u64>());
         let backoff = attempts
             .keys()
-            .fold(SimDuration::ZERO, |sum, s| sum + policy.total_backoff(retried(s)));
+            .flat_map(|s| (1..=retried(s)).map(|attempt| policy.backoff(attempt)))
+            .fold(SimDuration::ZERO, |sum, b| sum + b);
         prop_assert_eq!(report.charged_backoff, backoff);
         prop_assert_eq!(report.cache_hits, 0);
         prop_assert_eq!(report.worker_busy.len(), threads);

@@ -5,85 +5,34 @@
 //! that threshold from the raw model scores is unsafe unless the
 //! scores are *calibrated*: a score of 0.05 should mean roughly 5% of
 //! such pairs really conflict. This module measures calibration on a
-//! labeled holdout (reliability bins, expected calibration error) and
-//! picks the largest threshold whose *empirical* miss rate — the
-//! fraction of below-threshold examples that are in fact positive —
-//! stays within a caller-supplied budget. Everything here is
-//! deterministic: same scores, same labels, same answer.
-
-/// A reliability bin: predictions in `[lo, hi)` with their observed
-/// positive rate.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ReliabilityBin {
-    /// Inclusive lower edge of the score interval.
-    pub lo: f64,
-    /// Exclusive upper edge (inclusive for the last bin).
-    pub hi: f64,
-    /// Number of examples whose score fell in the interval.
-    pub count: usize,
-    /// Mean predicted score inside the interval.
-    pub mean_score: f64,
-    /// Observed fraction of positives inside the interval.
-    pub positive_rate: f64,
-}
+//! labeled holdout and picks the largest threshold whose *empirical*
+//! miss rate — the fraction of below-threshold examples that are in
+//! fact positive — stays within a caller-supplied budget. Everything
+//! here is deterministic: same scores, same labels, same answer.
 
 /// Calibration measured on a labeled score set.
 ///
 /// Holds the `(score, label)` pairs sorted by score so empirical
-/// queries (`empirical_rate_below`) are exact, plus equal-width
-/// reliability bins for the calibration-error summary.
+/// queries (`empirical_rate_below`) are exact.
 #[derive(Debug, Clone)]
 pub struct Calibration {
     /// `(score, positive)` pairs sorted ascending by score.
     sorted: Vec<(f64, bool)>,
-    /// Equal-width reliability bins over `[0, 1]`.
-    pub bins: Vec<ReliabilityBin>,
 }
 
 impl Calibration {
     /// Measure calibration of `scores` against boolean `labels`
-    /// (`true` = positive) using `n_bins` equal-width bins.
+    /// (`true` = positive).
     ///
     /// # Panics
     ///
-    /// Panics if the slices differ in length or `n_bins` is zero.
-    pub fn fit(scores: &[f64], labels: &[bool], n_bins: usize) -> Self {
+    /// Panics if the slices differ in length.
+    pub fn fit(scores: &[f64], labels: &[bool]) -> Self {
         assert_eq!(scores.len(), labels.len(), "scores/labels must align");
-        assert!(n_bins > 0, "need at least one bin");
         let mut sorted: Vec<(f64, bool)> =
             scores.iter().copied().zip(labels.iter().copied()).collect();
         sorted.sort_by(|a, b| a.0.total_cmp(&b.0));
-        let width = 1.0 / n_bins as f64;
-        let mut bins = Vec::with_capacity(n_bins);
-        for i in 0..n_bins {
-            let lo = i as f64 * width;
-            let hi = if i + 1 == n_bins {
-                1.0 + f64::EPSILON
-            } else {
-                (i + 1) as f64 * width
-            };
-            let members: Vec<&(f64, bool)> =
-                sorted.iter().filter(|(s, _)| *s >= lo && *s < hi).collect();
-            let count = members.len();
-            let mean_score = if count == 0 {
-                0.0
-            } else {
-                members.iter().map(|(s, _)| s).sum::<f64>() / count as f64
-            };
-            let positive_rate = if count == 0 {
-                0.0
-            } else {
-                members.iter().filter(|(_, y)| *y).count() as f64 / count as f64
-            };
-            bins.push(ReliabilityBin {
-                lo,
-                hi: hi.min(1.0),
-                count,
-                mean_score,
-                positive_rate,
-            });
-        }
-        Calibration { sorted, bins }
+        Calibration { sorted }
     }
 
     /// Number of labeled examples.
@@ -105,21 +54,6 @@ impl Calibration {
         }
         let positives = self.sorted[..below].iter().filter(|(_, y)| *y).count();
         Some(positives as f64 / below as f64)
-    }
-
-    /// Expected calibration error: count-weighted mean of
-    /// |mean score − positive rate| across non-empty bins.
-    pub fn expected_calibration_error(&self) -> f64 {
-        let total: usize = self.bins.iter().map(|b| b.count).sum();
-        if total == 0 {
-            return 0.0;
-        }
-        self.bins
-            .iter()
-            .filter(|b| b.count > 0)
-            .map(|b| (b.mean_score - b.positive_rate).abs() * b.count as f64)
-            .sum::<f64>()
-            / total as f64
     }
 
     /// Largest threshold from `grid` whose empirical below-threshold
@@ -156,7 +90,7 @@ mod tests {
     #[test]
     fn empirical_rate_is_exact() {
         let (s, y) = ramp();
-        let c = Calibration::fit(&s, &y, 10);
+        let c = Calibration::fit(&s, &y);
         assert_eq!(c.len(), 100);
         assert_eq!(c.empirical_rate_below(0.5), Some(0.0));
         // Below 0.6: 60 examples, 10 positives (0.50..0.59).
@@ -168,7 +102,7 @@ mod tests {
     #[test]
     fn threshold_search_picks_largest_safe_cut() {
         let (s, y) = ramp();
-        let c = Calibration::fit(&s, &y, 10);
+        let c = Calibration::fit(&s, &y);
         let grid: Vec<f64> = (1..=10).map(|i| i as f64 / 10.0).collect();
         // Zero-miss budget: anything ≤ 0.5 is safe, 0.6 admits misses.
         assert_eq!(c.largest_threshold_with_rate_below(&grid, 0.0), Some(0.5));
@@ -180,34 +114,15 @@ mod tests {
     fn no_safe_threshold_yields_none() {
         let scores = vec![0.1, 0.2, 0.3];
         let labels = vec![true, true, true];
-        let c = Calibration::fit(&scores, &labels, 4);
+        let c = Calibration::fit(&scores, &labels);
         assert_eq!(c.largest_threshold_with_rate_below(&[0.5, 0.9], 0.1), None);
-    }
-
-    #[test]
-    fn ece_zero_for_perfectly_calibrated_bins() {
-        // Score 0.25 with 25% positives, score 0.75 with 75% positives.
-        let mut scores = Vec::new();
-        let mut labels = Vec::new();
-        for i in 0..100 {
-            scores.push(0.25);
-            labels.push(i % 4 == 0);
-            scores.push(0.75);
-            labels.push(i % 4 != 0);
-        }
-        let c = Calibration::fit(&scores, &labels, 2);
-        assert!(c.expected_calibration_error() < 1e-12);
-        let (s, y) = ramp();
-        let sharp = Calibration::fit(&s, &y, 10);
-        assert!(sharp.expected_calibration_error() > 0.2);
     }
 
     #[test]
     fn fit_is_deterministic() {
         let (s, y) = ramp();
-        let a = Calibration::fit(&s, &y, 10);
-        let b = Calibration::fit(&s, &y, 10);
-        assert_eq!(a.bins, b.bins);
+        let a = Calibration::fit(&s, &y);
+        let b = Calibration::fit(&s, &y);
         assert_eq!(
             a.largest_threshold_with_rate_below(&[0.1, 0.5], 0.0),
             b.largest_threshold_with_rate_below(&[0.1, 0.5], 0.0)

@@ -68,14 +68,6 @@ impl Dataset {
         &self.labels
     }
 
-    /// Fraction of positive labels.
-    pub fn positive_rate(&self) -> f64 {
-        if self.labels.is_empty() {
-            return 0.0;
-        }
-        self.labels.iter().filter(|&&l| l).count() as f64 / self.labels.len() as f64
-    }
-
     /// Shuffle and split into train/test with `train_frac` of rows in the
     /// training set (the paper used 70/30).
     pub fn split(&self, train_frac: f64, rng: &mut Xoshiro256StarStar) -> Split {
@@ -202,7 +194,6 @@ mod tests {
         assert_eq!(d.len(), 100);
         assert_eq!(d.n_features(), 2);
         assert_eq!(d.feature_names(), &["a".to_string(), "b".to_string()]);
-        assert!((d.positive_rate() - 0.34).abs() < 0.01);
     }
 
     #[test]

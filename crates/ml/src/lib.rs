@@ -14,13 +14,12 @@
 //!   train/test splits, and z-score standardization.
 //! * [`logistic`] — binary logistic regression trained by mini-batch SGD
 //!   with L2 regularization.
-//! * [`metrics`] — accuracy, precision/recall/F1, ROC-AUC, log-loss,
-//!   confusion matrices.
+//! * [`metrics`] — accuracy, ROC-AUC, log-loss, confusion matrices.
 //! * [`rfe`] — recursive feature elimination over standardized weights.
 //! * [`boost`] — gradient-boosted decision stumps, the Section 10
 //!   "future work" model, for head-to-head comparison.
-//! * [`calibration`] — reliability bins and empirical threshold search
-//!   for probability-gated decisions (lean speculation skipping).
+//! * [`calibration`] — empirical threshold search for probability-gated
+//!   decisions (lean speculation skipping).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -33,7 +32,7 @@ pub mod metrics;
 pub mod rfe;
 
 pub use boost::{BoostConfig, GradientBoostedStumps};
-pub use calibration::{Calibration, ReliabilityBin};
+pub use calibration::Calibration;
 pub use dataset::{Dataset, Scaler, Split};
 pub use logistic::{LogisticRegression, TrainConfig};
 pub use metrics::{accuracy, confusion, log_loss, roc_auc, Confusion};

@@ -14,37 +14,6 @@ pub struct Confusion {
 }
 
 impl Confusion {
-    /// Precision: TP / (TP + FP); 0 when undefined.
-    pub fn precision(&self) -> f64 {
-        let denom = self.tp + self.fp;
-        if denom == 0 {
-            0.0
-        } else {
-            self.tp as f64 / denom as f64
-        }
-    }
-
-    /// Recall: TP / (TP + FN); 0 when undefined.
-    pub fn recall(&self) -> f64 {
-        let denom = self.tp + self.fn_;
-        if denom == 0 {
-            0.0
-        } else {
-            self.tp as f64 / denom as f64
-        }
-    }
-
-    /// F1: harmonic mean of precision and recall; 0 when undefined.
-    pub fn f1(&self) -> f64 {
-        let p = self.precision();
-        let r = self.recall();
-        if p + r == 0.0 {
-            0.0
-        } else {
-            2.0 * p * r / (p + r)
-        }
-    }
-
     /// Accuracy over all four cells.
     pub fn accuracy(&self) -> f64 {
         let total = self.tp + self.fp + self.tn + self.fn_;
@@ -156,18 +125,12 @@ mod tests {
                 fn_: 1
             }
         );
-        assert!((c.precision() - 2.0 / 3.0).abs() < 1e-12);
-        assert!((c.recall() - 2.0 / 3.0).abs() < 1e-12);
         assert!((c.accuracy() - 0.6).abs() < 1e-12);
-        assert!((c.f1() - 2.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]
     fn degenerate_confusion_is_zero_not_nan() {
         let c = Confusion::default();
-        assert_eq!(c.precision(), 0.0);
-        assert_eq!(c.recall(), 0.0);
-        assert_eq!(c.f1(), 0.0);
         assert_eq!(c.accuracy(), 0.0);
     }
 

@@ -141,27 +141,6 @@ impl<D: Distribution> Distribution for Truncated<D> {
     }
 }
 
-/// A continuous uniform distribution on `[lo, hi)`.
-#[derive(Debug, Clone, Copy)]
-pub struct Uniform {
-    lo: f64,
-    hi: f64,
-}
-
-impl Uniform {
-    /// Create from bounds. Panics if `lo > hi` or bounds are non-finite.
-    pub fn new(lo: f64, hi: f64) -> Self {
-        assert!(lo.is_finite() && hi.is_finite() && lo <= hi);
-        Uniform { lo, hi }
-    }
-}
-
-impl Distribution for Uniform {
-    fn sample(&self, rng: &mut Xoshiro256StarStar) -> f64 {
-        self.lo + (self.hi - self.lo) * rng.next_f64()
-    }
-}
-
 /// A Pareto (power-law) distribution with scale `x_min` and shape `alpha`.
 ///
 /// Used for hotspot modeling: a small number of build targets receive most
@@ -185,50 +164,6 @@ impl Distribution for Pareto {
         // Inverse transform: x_min / U^{1/alpha}.
         let u = 1.0 - rng.next_f64(); // in (0, 1]
         self.x_min / u.powf(1.0 / self.alpha)
-    }
-}
-
-/// A Bernoulli distribution: 1.0 with probability `p`, else 0.0.
-///
-/// The fault-injection layer's distributional face: flake-rate sweeps
-/// draw per-attempt infra-fault indicators from it, and `p` is the
-/// flake rate the bench binaries iterate over.
-#[derive(Debug, Clone, Copy)]
-pub struct Bernoulli {
-    p: f64,
-}
-
-impl Bernoulli {
-    /// Create from a success probability. Panics unless `p` is a
-    /// probability in `[0, 1]`.
-    pub fn new(p: f64) -> Self {
-        assert!(
-            p.is_finite() && (0.0..=1.0).contains(&p),
-            "bernoulli probability must be in [0,1], got {p}"
-        );
-        Bernoulli { p }
-    }
-
-    /// The success probability.
-    pub fn p(&self) -> f64 {
-        self.p
-    }
-
-    /// Draw a boolean directly.
-    pub fn draw(&self, rng: &mut Xoshiro256StarStar) -> bool {
-        // p = 0 must never fire and p = 1 must always fire, regardless
-        // of the rng's exact [0,1) draw.
-        self.p > 0.0 && rng.next_f64() < self.p
-    }
-}
-
-impl Distribution for Bernoulli {
-    fn sample(&self, rng: &mut Xoshiro256StarStar) -> f64 {
-        if self.draw(rng) {
-            1.0
-        } else {
-            0.0
-        }
     }
 }
 
@@ -434,49 +369,12 @@ mod tests {
     }
 
     #[test]
-    fn uniform_bounds_and_mean() {
-        let d = Uniform::new(2.0, 6.0);
-        let mut r = rng();
-        for _ in 0..10_000 {
-            let x = d.sample(&mut r);
-            assert!((2.0..6.0).contains(&x));
-        }
-        let m = sample_mean(&d, 100_000);
-        assert!((m - 4.0).abs() < 0.02, "mean = {m}");
-    }
-
-    #[test]
     fn pareto_exceeds_scale() {
         let d = Pareto::new(1.5, 2.0);
         let mut r = rng();
         for _ in 0..10_000 {
             assert!(d.sample(&mut r) >= 1.5);
         }
-    }
-
-    #[test]
-    fn bernoulli_matches_rate() {
-        let d = Bernoulli::new(0.3);
-        let m = sample_mean(&d, 200_000);
-        assert!((m - 0.3).abs() < 0.005, "rate = {m}");
-        assert!((d.p() - 0.3).abs() < 1e-12);
-    }
-
-    #[test]
-    fn bernoulli_extremes_are_exact() {
-        let never = Bernoulli::new(0.0);
-        let always = Bernoulli::new(1.0);
-        let mut r = rng();
-        for _ in 0..10_000 {
-            assert!(!never.draw(&mut r));
-            assert!(always.draw(&mut r));
-        }
-    }
-
-    #[test]
-    #[should_panic]
-    fn bernoulli_rejects_out_of_range() {
-        Bernoulli::new(1.5);
     }
 
     #[test]

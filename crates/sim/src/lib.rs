@@ -13,11 +13,10 @@
 //!   ([`rng::Xoshiro256StarStar`]) that does not depend on platform entropy,
 //! * the probability distributions used by the workload model
 //!   ([`dist`]): exponential inter-arrival times, log-normal build
-//!   durations, Bernoulli outcomes, and an alias-method sampler for
-//!   weighted discrete choices,
-//! * streaming and batch statistics ([`stats`]): Welford online moments,
-//!   exact percentiles, and empirical CDFs used to print the paper's
-//!   figures.
+//!   durations, and an alias-method sampler for weighted discrete
+//!   choices,
+//! * batch statistics ([`stats`]): exact percentiles and empirical CDFs
+//!   used to print the paper's figures.
 //!
 //! Everything in this crate is deterministic given a seed: two runs with
 //! the same seed produce bit-identical event orders, which is what makes
@@ -37,5 +36,5 @@ pub mod time;
 pub use engine::{run, Scheduler, Simulation};
 pub use event::EventQueue;
 pub use rng::Xoshiro256StarStar;
-pub use stats::{Cdf, OnlineStats, Percentiles};
+pub use stats::{Cdf, Percentiles};
 pub use time::{SimDuration, SimTime};

@@ -2,104 +2,10 @@
 //!
 //! Every figure in the paper's Section 8 is either a CDF (Figs. 9, 10), a
 //! percentile grid (Fig. 11), or a normalized mean (Figs. 12, 13). This
-//! module provides: Welford's online mean/variance ([`OnlineStats`]), exact
-//! sample percentiles ([`Percentiles`]), and empirical CDFs evaluated at
-//! arbitrary points ([`Cdf`]).
+//! module provides exact sample percentiles ([`Percentiles`]) and empirical
+//! CDFs evaluated at arbitrary points ([`Cdf`]).
 
 use serde::{Deserialize, Serialize};
-
-/// Welford's online algorithm for streaming mean and variance.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct OnlineStats {
-    n: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl OnlineStats {
-    /// An empty accumulator.
-    pub fn new() -> Self {
-        OnlineStats {
-            n: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Add one observation.
-    pub fn push(&mut self, x: f64) {
-        self.n += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.n as f64;
-        self.m2 += delta * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Sample mean. `None` if empty — a silent 0.0 is indistinguishable
-    /// from a genuine zero-mean sample.
-    pub fn mean(&self) -> Option<f64> {
-        if self.n == 0 {
-            None
-        } else {
-            Some(self.mean)
-        }
-    }
-
-    /// Unbiased sample variance. `None` with fewer than two observations
-    /// (the estimator is undefined there, not zero).
-    pub fn variance(&self) -> Option<f64> {
-        if self.n < 2 {
-            None
-        } else {
-            Some(self.m2 / (self.n - 1) as f64)
-        }
-    }
-
-    /// Sample standard deviation. `None` with fewer than two observations.
-    pub fn stddev(&self) -> Option<f64> {
-        self.variance().map(f64::sqrt)
-    }
-
-    /// Smallest observation (`+inf` if empty).
-    pub fn min(&self) -> f64 {
-        self.min
-    }
-
-    /// Largest observation (`-inf` if empty).
-    pub fn max(&self) -> f64 {
-        self.max
-    }
-
-    /// Merge another accumulator into this one (parallel Welford).
-    pub fn merge(&mut self, other: &OnlineStats) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = other.clone();
-            return;
-        }
-        let n1 = self.n as f64;
-        let n2 = other.n as f64;
-        let delta = other.mean - self.mean;
-        let total = n1 + n2;
-        self.mean += delta * n2 / total;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
-        self.n += other.n;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-}
 
 /// Exact sample percentiles over a collected batch.
 ///
@@ -224,12 +130,6 @@ impl Cdf {
         le as f64 / self.sorted.len() as f64
     }
 
-    /// Evaluate the CDF at each of `points`, returning `(x, F(x))` pairs —
-    /// the series format the figure binaries print.
-    pub fn series(&self, points: &[f64]) -> Vec<(f64, f64)> {
-        points.iter().map(|&x| (x, self.eval(x))).collect()
-    }
-
     /// The empirical quantile function (inverse CDF) at `q` in `[0, 1]`.
     pub fn quantile(&self, q: f64) -> Option<f64> {
         if self.sorted.is_empty() {
@@ -242,102 +142,9 @@ impl Cdf {
     }
 }
 
-/// A fixed-width histogram for quick textual summaries.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct Histogram {
-    lo: f64,
-    width: f64,
-    counts: Vec<u64>,
-    underflow: u64,
-    overflow: u64,
-}
-
-impl Histogram {
-    /// `bins` equal-width bins covering `[lo, hi)`. Panics unless
-    /// `lo < hi` and `bins > 0`.
-    pub fn new(lo: f64, hi: f64, bins: usize) -> Self {
-        assert!(lo < hi && bins > 0);
-        Histogram {
-            lo,
-            width: (hi - lo) / bins as f64,
-            counts: vec![0; bins],
-            underflow: 0,
-            overflow: 0,
-        }
-    }
-
-    /// Record one observation.
-    pub fn push(&mut self, x: f64) {
-        if !x.is_finite() || x < self.lo {
-            self.underflow += 1;
-            return;
-        }
-        let idx = ((x - self.lo) / self.width) as usize;
-        if idx >= self.counts.len() {
-            self.overflow += 1;
-        } else {
-            self.counts[idx] += 1;
-        }
-    }
-
-    /// Bin counts (excluding under/overflow).
-    pub fn counts(&self) -> &[u64] {
-        &self.counts
-    }
-
-    /// Observations below the range.
-    pub fn underflow(&self) -> u64 {
-        self.underflow
-    }
-
-    /// Observations at or above the top of the range.
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
-    /// Total recorded observations, including out-of-range ones.
-    pub fn total(&self) -> u64 {
-        self.counts.iter().sum::<u64>() + self.underflow + self.overflow
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn online_stats_basic() {
-        let mut s = OnlineStats::new();
-        for x in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
-            s.push(x);
-        }
-        assert_eq!(s.count(), 8);
-        assert!((s.mean().unwrap() - 5.0).abs() < 1e-12);
-        // Population variance is 4.0; sample variance = 32/7.
-        assert!((s.variance().unwrap() - 32.0 / 7.0).abs() < 1e-12);
-        assert!((s.stddev().unwrap() - (32.0f64 / 7.0).sqrt()).abs() < 1e-12);
-        assert_eq!(s.min(), 2.0);
-        assert_eq!(s.max(), 9.0);
-    }
-
-    #[test]
-    fn online_stats_empty() {
-        let s = OnlineStats::new();
-        assert_eq!(s.mean(), None);
-        assert_eq!(s.variance(), None);
-        assert_eq!(s.stddev(), None);
-        assert_eq!(s.count(), 0);
-    }
-
-    #[test]
-    fn online_stats_single_observation() {
-        let mut s = OnlineStats::new();
-        s.push(3.0);
-        assert_eq!(s.mean(), Some(3.0));
-        // Sample variance needs two observations.
-        assert_eq!(s.variance(), None);
-        assert_eq!(s.stddev(), None);
-    }
 
     #[test]
     fn percentiles_mean_empty_vs_filled() {
@@ -346,27 +153,6 @@ mod tests {
         p.push(2.0);
         p.push(4.0);
         assert_eq!(p.mean(), Some(3.0));
-    }
-
-    #[test]
-    fn online_stats_merge_matches_sequential() {
-        let xs: Vec<f64> = (0..100).map(|i| (i as f64).sin() * 10.0).collect();
-        let mut whole = OnlineStats::new();
-        for &x in &xs {
-            whole.push(x);
-        }
-        let mut a = OnlineStats::new();
-        let mut b = OnlineStats::new();
-        for &x in &xs[..37] {
-            a.push(x);
-        }
-        for &x in &xs[37..] {
-            b.push(x);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), whole.count());
-        assert!((a.mean().unwrap() - whole.mean().unwrap()).abs() < 1e-9);
-        assert!((a.variance().unwrap() - whole.variance().unwrap()).abs() < 1e-9);
     }
 
     #[test]
@@ -430,28 +216,9 @@ mod tests {
     }
 
     #[test]
-    fn cdf_series_shape() {
-        let c = Cdf::from_samples(&[5.0, 10.0]);
-        let s = c.series(&[0.0, 5.0, 10.0]);
-        assert_eq!(s, vec![(0.0, 0.0), (5.0, 0.5), (10.0, 1.0)]);
-    }
-
-    #[test]
     fn cdf_empty() {
         let c = Cdf::from_samples(&[]);
         assert_eq!(c.eval(1.0), 0.0);
         assert_eq!(c.quantile(0.5), None);
-    }
-
-    #[test]
-    fn histogram_bins_and_flows() {
-        let mut h = Histogram::new(0.0, 10.0, 5);
-        for x in [-1.0, 0.0, 1.9, 2.0, 9.9, 10.0, 55.0] {
-            h.push(x);
-        }
-        assert_eq!(h.underflow(), 1);
-        assert_eq!(h.overflow(), 2);
-        assert_eq!(h.counts(), &[2, 1, 0, 0, 1]);
-        assert_eq!(h.total(), 7);
     }
 }

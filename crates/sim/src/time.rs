@@ -147,19 +147,9 @@ impl SimDuration {
         self.0 as f64 / 3_600e6
     }
 
-    /// True iff this is the zero duration.
-    pub const fn is_zero(self) -> bool {
-        self.0 == 0
-    }
-
     /// Saturating subtraction.
     pub fn saturating_sub(self, other: SimDuration) -> SimDuration {
         SimDuration(self.0.saturating_sub(other.0))
-    }
-
-    /// Scale by a non-negative float, rounding to the nearest microsecond.
-    pub fn mul_f64(self, k: f64) -> SimDuration {
-        SimDuration::from_secs_f64(self.as_secs_f64() * k)
     }
 }
 
@@ -311,12 +301,5 @@ mod tests {
         assert!(a < b);
         assert!(SimTime::ZERO < a);
         assert!(b < SimTime::MAX);
-    }
-
-    #[test]
-    fn mul_f64_scales() {
-        let d = SimDuration::from_mins(30);
-        assert_eq!(d.mul_f64(2.0), SimDuration::from_hours(1));
-        assert_eq!(d.mul_f64(0.0), SimDuration::ZERO);
     }
 }

@@ -2,8 +2,7 @@
 //! event queue, statistics against naive references, RNG sanity.
 
 use proptest::prelude::*;
-use sq_sim::stats::Histogram;
-use sq_sim::{Cdf, EventQueue, OnlineStats, Percentiles, SimTime, Xoshiro256StarStar};
+use sq_sim::{Cdf, EventQueue, Percentiles, SimTime, Xoshiro256StarStar};
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
@@ -96,48 +95,6 @@ proptest! {
         // Quantile inverts: F(Q(q)) >= q.
         let q = cdf.quantile(0.5).unwrap();
         prop_assert!(cdf.eval(q) >= 0.5);
-    }
-
-    #[test]
-    fn online_stats_merge_equals_sequential(
-        xs in proptest::collection::vec(-1e4f64..1e4, 1..64),
-        split in 0usize..64,
-    ) {
-        let split = split.min(xs.len());
-        let mut whole = OnlineStats::new();
-        for &x in &xs {
-            whole.push(x);
-        }
-        let mut a = OnlineStats::new();
-        let mut b = OnlineStats::new();
-        for &x in &xs[..split] {
-            a.push(x);
-        }
-        for &x in &xs[split..] {
-            b.push(x);
-        }
-        a.merge(&b);
-        prop_assert_eq!(a.count(), whole.count());
-        prop_assert!((a.mean().unwrap() - whole.mean().unwrap()).abs() < 1e-6);
-        // A single observation has no sample variance — both sides must
-        // agree on that, not silently read 0.0.
-        match (a.variance(), whole.variance()) {
-            (Some(av), Some(wv)) => prop_assert!((av - wv).abs() < 1e-3),
-            (av, wv) => prop_assert_eq!(av, wv),
-        }
-    }
-
-    #[test]
-    fn histogram_conserves_observations(
-        xs in proptest::collection::vec(-50f64..150.0, 0..100),
-    ) {
-        let mut h = Histogram::new(0.0, 100.0, 10);
-        for &x in &xs {
-            h.push(x);
-        }
-        prop_assert_eq!(h.total(), xs.len() as u64);
-        let binned: u64 = h.counts().iter().sum();
-        prop_assert_eq!(binned + h.underflow() + h.overflow(), xs.len() as u64);
     }
 
     #[test]

@@ -41,7 +41,7 @@ pub use codec::{CodecError, Decoder, Encoder};
 pub use fault::{CrashKind, CrashPlan};
 pub use replicate::{
     AckMode, Follower, Leader, LinkState, ReplicationConfig, ReplicationStats, ReplicationStatus,
-    ShipBatch, ShipSamples,
+    ShipBatch,
 };
 pub use storage::{FsStorage, MemStorage, Storage, StoreError};
 

@@ -44,10 +44,8 @@
 //! down the append still succeeds — the guarantee degrades *visibly*
 //! (`degraded_acks`, [`ReplicationStatus::Degraded`]) rather than
 //! blocking the queue, matching the paper's always-on service bias.
-//! [`AckMode::Async`] is explicit best-effort. Reconnect *scheduling*
-//! (attempt caps, capped backoff) lives one layer up in
-//! `core::failover`, which owns a `RetryPolicy`; this module only
-//! exposes the mechanical [`Leader::reconnect`].
+//! [`AckMode::Async`] is explicit best-effort. [`Leader::reconnect`] is
+//! one mechanical attempt; when to call it is the caller's decision.
 
 use crate::checksum::Crc32;
 use crate::journal;
@@ -73,17 +71,19 @@ pub enum AckMode {
     Quorum,
 }
 
+/// A link whose durable LSN trails the leader by more than this counts
+/// as *lagging* in [`ReplicationStatus::Degraded`].
+const MAX_LAG: u64 = 64;
+
+/// Resync suffixes are shipped in chunks of at most this many records
+/// per frame.
+const BATCH_MAX_RECORDS: usize = 32;
+
 /// Tuning for a [`Leader`] and its [`Follower`] links.
 #[derive(Debug, Clone)]
 pub struct ReplicationConfig {
     /// Acknowledgement discipline.
     pub ack_mode: AckMode,
-    /// A link whose durable LSN trails the leader by more than this
-    /// counts as *lagging* in [`ReplicationStatus::Degraded`].
-    pub max_lag: u64,
-    /// Resync suffixes are shipped in chunks of at most this many
-    /// records per frame.
-    pub batch_max_records: usize,
     /// Name of the epoch meta file within the backend.
     pub meta_file: String,
 }
@@ -92,8 +92,6 @@ impl Default for ReplicationConfig {
     fn default() -> Self {
         ReplicationConfig {
             ack_mode: AckMode::Quorum,
-            max_lag: 64,
-            batch_max_records: 32,
             meta_file: "replica.meta".to_string(),
         }
     }
@@ -431,13 +429,13 @@ pub struct LinkState {
 /// Replication health, coarsest first.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReplicationStatus {
-    /// Every link up and within `max_lag`.
+    /// Every link up and within 64 records of the leader.
     Healthy,
     /// Serving, but the durability guarantee is weaker than configured.
     Degraded {
         /// Links currently down.
         down: usize,
-        /// Links (up or down) trailing by more than `max_lag`.
+        /// Links (up or down) trailing by more than 64 records.
         lagging: usize,
         /// Whether live replicas still form a majority of voters.
         quorum_ok: bool,
@@ -452,8 +450,7 @@ pub enum ReplicationStatus {
     },
 }
 
-/// Shipping and failover counters (plain integers; exported into
-/// `sq-obs` by `core::failover`).
+/// Shipping and failover counters (plain integers).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReplicationStats {
     /// Frames shipped successfully (appends and resync chunks).
@@ -481,43 +478,6 @@ pub struct ReplicationStats {
     pub follower_truncated_bytes: u64,
 }
 
-/// Per-frame samples for observability histograms, drained by the
-/// service layer via [`Leader::take_ship_samples`]. `batch_records` and
-/// `batch_bytes` are deterministic functions of the operation sequence;
-/// `ack_micros` (wall-clock append-to-ack latency) is the only
-/// non-deterministic series — byte-stable exports must omit it.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ShipSamples {
-    /// Records per successfully shipped frame. `u64` so no batch size
-    /// is ever clamped: an earlier revision narrowed to `u32` with a
-    /// silent `min(u32::MAX)`, which would misreport exactly the
-    /// oversized batches worth alarming on.
-    pub batch_records: Vec<u64>,
-    /// Wire bytes per successfully shipped frame (unclamped, as above).
-    pub batch_bytes: Vec<u64>,
-    /// Wall-clock append-to-ack latency per append, microseconds.
-    pub ack_micros: Vec<u64>,
-}
-
-/// Retain at most this many samples between drains (drop beyond: the
-/// histograms these feed are about shape, not census).
-const SAMPLE_CAP: usize = 65_536;
-
-impl ShipSamples {
-    fn push_frame(&mut self, records: usize, bytes: usize) {
-        if self.batch_records.len() < SAMPLE_CAP {
-            self.batch_records.push(records as u64);
-            self.batch_bytes.push(bytes as u64);
-        }
-    }
-
-    fn push_ack(&mut self, micros: u64) {
-        if self.ack_micros.len() < SAMPLE_CAP {
-            self.ack_micros.push(micros);
-        }
-    }
-}
-
 #[derive(Debug)]
 struct Link<S: Storage> {
     storage: S,
@@ -541,7 +501,6 @@ pub struct Leader<S: Storage + Clone> {
     config: ReplicationConfig,
     links: Vec<Link<S>>,
     stats: ReplicationStats,
-    samples: ShipSamples,
     fenced: Option<(u64, u64)>,
 }
 
@@ -571,7 +530,6 @@ impl<S: Storage + Clone> Leader<S> {
                 config,
                 links: Vec::new(),
                 stats: ReplicationStats::default(),
-                samples: ShipSamples::default(),
                 fenced: None,
             },
             recovery,
@@ -596,12 +554,6 @@ impl<S: Storage + Clone> Leader<S> {
     /// Shipping and failover counters.
     pub fn replication_stats(&self) -> &ReplicationStats {
         &self.stats
-    }
-
-    /// Drain the per-frame observability samples accumulated since the
-    /// last drain.
-    pub fn take_ship_samples(&mut self) -> ShipSamples {
-        std::mem::take(&mut self.samples)
     }
 
     /// Highest LSN durably journaled locally.
@@ -633,14 +585,7 @@ impl<S: Storage + Clone> Leader<S> {
         let (mut follower, recovery) =
             Follower::open(storage.clone(), store_config.clone(), &self.config)?;
         self.stats.follower_truncated_bytes += recovery.truncated_tail_bytes;
-        let durable = resync(
-            &mut self.local,
-            self.epoch,
-            &self.config,
-            &mut self.stats,
-            &mut self.samples,
-            &mut follower,
-        )?;
+        let durable = resync(&mut self.local, self.epoch, &mut self.stats, &mut follower)?;
         self.links.push(Link {
             storage,
             store_config,
@@ -661,14 +606,7 @@ impl<S: Storage + Clone> Leader<S> {
             &self.config,
         )?;
         self.stats.follower_truncated_bytes += recovery.truncated_tail_bytes;
-        let durable = resync(
-            &mut self.local,
-            self.epoch,
-            &self.config,
-            &mut self.stats,
-            &mut self.samples,
-            &mut follower,
-        )?;
+        let durable = resync(&mut self.local, self.epoch, &mut self.stats, &mut follower)?;
         let link = &mut self.links[idx];
         link.follower = Some(follower);
         link.last_durable = durable;
@@ -691,7 +629,7 @@ impl<S: Storage + Clone> Leader<S> {
             } else {
                 live += 1;
             }
-            if durable.saturating_sub(link.last_durable) > self.config.max_lag {
+            if durable.saturating_sub(link.last_durable) > MAX_LAG {
                 lagging += 1;
             }
         }
@@ -728,7 +666,6 @@ impl<S: Storage + Clone> Leader<S> {
                     self.stats.ships += 1;
                     self.stats.shipped_records += 1;
                     self.stats.shipped_bytes += bytes.len() as u64;
-                    self.samples.push_frame(1, bytes.len());
                 }
                 Err(StoreError::Fenced { ours, theirs }) => {
                     // `ours` is the follower's (newer) epoch: we are
@@ -766,9 +703,7 @@ impl<S: Storage + Clone> Leader<S> {
 fn resync<S: Storage>(
     local: &mut DurableStore<S>,
     epoch: u64,
-    config: &ReplicationConfig,
     stats: &mut ReplicationStats,
-    samples: &mut ShipSamples,
     follower: &mut Follower<S>,
 ) -> Result<u64, StoreError> {
     if follower.epoch() > epoch {
@@ -792,14 +727,13 @@ fn resync<S: Storage>(
         0
     };
     let records = local.read_records_after(from)?;
-    for chunk in records.chunks(config.batch_max_records.max(1)) {
+    for chunk in records.chunks(BATCH_MAX_RECORDS) {
         let batch = ShipBatch::new(epoch, chunk.to_vec());
         let bytes = batch.encode();
         follower.append_encoded(&bytes)?;
         stats.ships += 1;
         stats.shipped_records += chunk.len() as u64;
         stats.shipped_bytes += bytes.len() as u64;
-        samples.push_frame(chunk.len(), bytes.len());
     }
     stats.resyncs += 1;
     Ok(follower.durable_lsn())
@@ -817,11 +751,8 @@ impl<S: Storage + Clone> crate::Wal for Leader<S> {
                 theirs: epoch,
             });
         }
-        let started = std::time::Instant::now();
         let lsn = self.local.append(payload)?;
         self.ship_to_links(lsn, payload)?;
-        self.samples
-            .push_ack(u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX));
         Ok(lsn)
     }
 

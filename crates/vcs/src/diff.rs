@@ -33,13 +33,6 @@ pub struct Hunk {
     pub new_len: usize,
 }
 
-impl Hunk {
-    /// The half-open old-line interval this hunk occupies.
-    pub fn old_range(&self) -> std::ops::Range<usize> {
-        self.old_start..self.old_start + self.old_len
-    }
-}
-
 /// Compute the line-level edit script from `old` to `new`.
 pub fn diff_lines(old: &str, new: &str) -> Vec<Hunk> {
     let a: Vec<&str> = old.lines().collect();
@@ -247,24 +240,6 @@ pub fn apply_hunks(old: &str, new: &str, hunks: &[Hunk]) -> String {
     out.join("\n")
 }
 
-/// The set of old-line indices modified (deleted or adjacent to an
-/// insertion) by the script — the "touched region" used for overlap
-/// detection in three-way merges.
-pub fn touched_old_lines(hunks: &[Hunk]) -> Vec<std::ops::Range<usize>> {
-    hunks
-        .iter()
-        .filter(|h| h.op != DiffOp::Equal)
-        .map(|h| {
-            if h.op == DiffOp::Insert {
-                // An insertion at position p touches the boundary [p, p).
-                h.old_start..h.old_start
-            } else {
-                h.old_range()
-            }
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -321,7 +296,7 @@ mod tests {
         let mut out = Vec::new();
         for h in &hunks {
             match h.op {
-                DiffOp::Equal => out.extend_from_slice(&a[h.old_range()]),
+                DiffOp::Equal => out.extend_from_slice(&a[h.old_start..h.old_start + h.old_len]),
                 DiffOp::Insert => out.extend_from_slice(&b[h.new_start..h.new_start + h.new_len]),
                 DiffOp::Delete => {}
             }
@@ -334,22 +309,6 @@ mod tests {
             .map(|h| h.old_len + h.new_len)
             .sum();
         assert_eq!(edits, 5);
-    }
-
-    #[test]
-    fn touched_lines_reports_modified_region() {
-        let hunks = diff_lines("a\nb\nc\nd", "a\nX\nc\nd");
-        let touched = touched_old_lines(&hunks);
-        // The modification of line 1 may surface as one replace hunk or a
-        // delete plus a boundary insert; in either case everything touched
-        // lies within lines [1, 2].
-        assert!(
-            touched.iter().any(|r| r.contains(&1)),
-            "touched = {touched:?}"
-        );
-        for r in &touched {
-            assert!(r.start >= 1 && r.end <= 2, "touched = {touched:?}");
-        }
     }
 
     #[test]

@@ -20,8 +20,6 @@ pub enum VcsError {
     UnknownCommit(CommitId),
     /// A referenced branch does not exist.
     UnknownBranch(String),
-    /// A branch with this name already exists.
-    BranchExists(String),
     /// A patch operation referenced a path absent from the tree.
     MissingPath(RepoPath),
     /// A write needs a directory where the tree holds a file, or names a
@@ -52,7 +50,6 @@ impl fmt::Display for VcsError {
             }
             VcsError::UnknownCommit(id) => write!(f, "unknown commit {id}"),
             VcsError::UnknownBranch(name) => write!(f, "unknown branch '{name}'"),
-            VcsError::BranchExists(name) => write!(f, "branch '{name}' already exists"),
             VcsError::MissingPath(p) => write!(f, "path '{p}' not found in tree"),
             VcsError::PathConflict(p) => {
                 write!(

@@ -19,7 +19,7 @@
 //! * [`merge`] — three-way file and tree merge with textual-conflict
 //!   detection (what a plain git server would catch; the paper's point is
 //!   that this is *insufficient* — semantic conflicts need build steps).
-//! * [`commit`], [`repo`] — commit DAG, branches, mainline history, and
+//! * [`commit`], [`repo`] — commit DAG, the mainline branch and its history, and
 //!   the always-green audit trail.
 
 #![forbid(unsafe_code)]

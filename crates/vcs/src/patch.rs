@@ -99,17 +99,6 @@ impl Patch {
         self.ops.values()
     }
 
-    /// True iff this patch and `other` touch any common path.
-    pub fn touches_common_path(&self, other: &Patch) -> bool {
-        // Iterate over the smaller set.
-        let (small, large) = if self.len() <= other.len() {
-            (self, other)
-        } else {
-            (other, self)
-        };
-        small.ops.keys().any(|p| large.ops.contains_key(p))
-    }
-
     /// Compose: the patch equivalent to applying `self` then `later`
     /// (paper `C₁ ⊕ C₂`). Later operations win on common paths.
     pub fn compose(&self, later: &Patch) -> Patch {
@@ -145,35 +134,6 @@ impl Patch {
             }
         }
         Ok(tree)
-    }
-
-    /// The inverse patch relative to `base`: applying `self` then the
-    /// result of `invert(base)` restores `base` exactly on the touched
-    /// paths.
-    pub fn invert(&self, base: &Tree, store: &ObjectStore) -> Result<Patch, VcsError> {
-        let mut inv = Patch::new();
-        for op in self.ops.values() {
-            let path = op.path();
-            match base.get(path) {
-                Some(old_id) => {
-                    let content = store
-                        .get_text(&old_id)
-                        .ok_or_else(|| VcsError::MissingObject(old_id.to_hex()))?;
-                    inv.push(FileOp::Write {
-                        path: path.clone(),
-                        content,
-                    });
-                }
-                None => {
-                    // The op created this path; the inverse deletes it.
-                    if matches!(op, FileOp::Delete { .. }) {
-                        return Err(VcsError::MissingPath(path.clone()));
-                    }
-                    inv.push(FileOp::Delete { path: path.clone() });
-                }
-            }
-        }
-        Ok(inv)
     }
 
     /// True iff applying to `base` would change nothing (all writes are
@@ -282,37 +242,6 @@ mod tests {
             .unwrap();
         let direct = composed.apply(&base, &mut store).unwrap();
         assert_eq!(seq, direct);
-    }
-
-    #[test]
-    fn invert_restores_touched_paths() {
-        let mut store = ObjectStore::new();
-        let base = base_tree(&mut store);
-        let patch = Patch::from_ops([
-            FileOp::Write {
-                path: path("a.rs"),
-                content: "changed".into(),
-            },
-            FileOp::Delete { path: path("b.rs") },
-            FileOp::Write {
-                path: path("created.rs"),
-                content: "fresh".into(),
-            },
-        ]);
-        let inv = patch.invert(&base, &store).unwrap();
-        let applied = patch.apply(&base, &mut store).unwrap();
-        let restored = inv.apply(&applied, &mut store).unwrap();
-        assert_eq!(restored, base);
-    }
-
-    #[test]
-    fn touches_common_path_detection() {
-        let p1 = Patch::write(path("a"), "1");
-        let p2 = Patch::write(path("b"), "2");
-        let p3 = Patch::from_ops([FileOp::Delete { path: path("a") }]);
-        assert!(!p1.touches_common_path(&p2));
-        assert!(p1.touches_common_path(&p3));
-        assert!(p3.touches_common_path(&p1));
     }
 
     #[test]

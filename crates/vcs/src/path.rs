@@ -63,17 +63,6 @@ impl RepoPath {
         self.0.rsplit_once('/').map_or(&self.0, |(_, f)| f)
     }
 
-    /// True iff this path is inside directory `dir` (a normalized prefix).
-    pub fn starts_with_dir(&self, dir: &str) -> bool {
-        let dir = dir.trim_matches('/');
-        if dir.is_empty() {
-            return true;
-        }
-        self.0
-            .strip_prefix(dir)
-            .is_some_and(|rest| rest.starts_with('/'))
-    }
-
     /// Join a child component onto this path.
     pub fn join(&self, child: &str) -> Result<RepoPath, VcsError> {
         RepoPath::new(format!("{}/{}", self.0, child))
@@ -126,17 +115,6 @@ mod tests {
         let top = RepoPath::new("README.md").unwrap();
         assert_eq!(top.parent(), None);
         assert_eq!(top.file_name(), "README.md");
-    }
-
-    #[test]
-    fn starts_with_dir() {
-        let p = RepoPath::new("apps/rider/src/main.rs").unwrap();
-        assert!(p.starts_with_dir("apps"));
-        assert!(p.starts_with_dir("apps/rider"));
-        assert!(p.starts_with_dir("/apps/rider/"));
-        assert!(p.starts_with_dir(""));
-        assert!(!p.starts_with_dir("apps/ride"));
-        assert!(!p.starts_with_dir("libs"));
     }
 
     #[test]

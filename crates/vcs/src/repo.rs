@@ -1,9 +1,8 @@
-//! The repository: object store + commit DAG + branches.
+//! The repository: object store + commit DAG + the mainline branch.
 //!
 //! The mainline branch (`main`) is the paper's *master*: SubmitQueue's
 //! core service is the only writer, and commits advance HEAD one change
-//! at a time. Feature branches model the developer life cycle of Figure 3
-//! (branch from HEAD, iterate, submit).
+//! at a time.
 //!
 //! Taking a snapshot — `clone`, or `store().clone()` plus `tree_at` of a
 //! recent commit — costs the same whatever the size of the repository
@@ -125,13 +124,6 @@ impl Repository {
             .ok_or_else(|| VcsError::UnknownBranch(name.to_string()))
     }
 
-    /// Names of all branches, sorted.
-    pub fn branch_names(&self) -> Vec<&str> {
-        let mut names: Vec<&str> = self.branches.keys().map(|s| s.as_str()).collect();
-        names.sort_unstable();
-        names
-    }
-
     /// Look up a commit.
     pub fn commit(&self, id: CommitId) -> Result<&Commit> {
         self.commits.get(&id).ok_or(VcsError::UnknownCommit(id))
@@ -159,28 +151,6 @@ impl Repository {
         self.store
             .get_text(&blob)
             .ok_or_else(|| VcsError::MissingObject(blob.to_hex()))
-    }
-
-    /// Create a branch at `from` (defaults to mainline HEAD when `None`).
-    pub fn create_branch(&mut self, name: &str, from: Option<CommitId>) -> Result<CommitId> {
-        if self.branches.contains_key(name) {
-            return Err(VcsError::BranchExists(name.to_string()));
-        }
-        let base = from.unwrap_or_else(|| self.head());
-        self.commit(base)?; // validate
-        self.branches.insert(name.to_string(), base);
-        Ok(base)
-    }
-
-    /// Delete a branch (the mainline cannot be deleted).
-    pub fn delete_branch(&mut self, name: &str) -> Result<()> {
-        if name == MAINLINE {
-            return Err(VcsError::InvalidPath(MAINLINE.to_string()));
-        }
-        self.branches
-            .remove(name)
-            .map(|_| ())
-            .ok_or_else(|| VcsError::UnknownBranch(name.to_string()))
     }
 
     /// Apply `patch` on top of branch `branch` and advance it.
@@ -232,55 +202,6 @@ impl Repository {
         Ok(out)
     }
 
-    /// True iff `ancestor` is reachable from `descendant` via first-parent
-    /// links.
-    pub fn is_ancestor(&self, ancestor: CommitId, descendant: CommitId) -> Result<bool> {
-        let mut cur = Some(descendant);
-        while let Some(id) = cur {
-            if id == ancestor {
-                return Ok(true);
-            }
-            cur = self.commit(id)?.parents.first().copied();
-        }
-        Ok(false)
-    }
-
-    /// Revert commit `target` on top of branch `branch`: compute the
-    /// inverse of the patch `target` introduced and commit it.
-    ///
-    /// This is the manual rollback operation the paper's introduction
-    /// describes as "tedious and error-prone" — provided here both for
-    /// fidelity and so tests can exercise red-master recovery in the
-    /// trunk-based baseline.
-    pub fn revert(&mut self, branch: &str, target: CommitId, meta: CommitMeta) -> Result<CommitId> {
-        let target_commit = self.commit(target)?.clone();
-        let parent = *target_commit
-            .parents
-            .first()
-            .ok_or(VcsError::UnknownCommit(target))?;
-        let parent_tree = self.tree_at(parent)?;
-        let target_tree = self.tree_at(target)?;
-        // Reconstruct the patch target introduced, then invert it against
-        // the *current* branch tip state.
-        let mut inverse = Patch::new();
-        for path in parent_tree.changed_paths(&target_tree) {
-            match parent_tree.get(path) {
-                Some(old_blob) => {
-                    let content = self
-                        .store
-                        .get_text(&old_blob)
-                        .ok_or_else(|| VcsError::MissingObject(old_blob.to_hex()))?;
-                    inverse.push(crate::patch::FileOp::Write {
-                        path: path.clone(),
-                        content,
-                    });
-                }
-                None => inverse.push(crate::patch::FileOp::Delete { path: path.clone() }),
-            }
-        }
-        self.commit_patch(branch, &inverse, meta)
-    }
-
     /// Number of commits known to the repository.
     pub fn commit_count(&self) -> usize {
         self.commits.len()
@@ -308,7 +229,7 @@ mod tests {
     fn init_creates_mainline_with_root() {
         let r = repo();
         assert_eq!(r.head(), r.root());
-        assert_eq!(r.branch_names(), vec![MAINLINE]);
+        assert_eq!(r.branch_tip(MAINLINE).unwrap(), r.root());
         let tree = r.head_tree().unwrap();
         assert_eq!(tree.len(), 2);
         assert_eq!(r.read_file(r.head(), &path("README.md")).unwrap(), "# repo");
@@ -347,37 +268,6 @@ mod tests {
     }
 
     #[test]
-    fn branches_isolate_work() {
-        let mut r = repo();
-        r.create_branch("feature", None).unwrap();
-        let patch = Patch::write(path("src/feat.rs"), "fn feat() {}");
-        r.commit_patch("feature", &patch, meta("feat")).unwrap();
-        // Mainline unaffected.
-        assert!(!r.head_tree().unwrap().contains(&path("src/feat.rs")));
-        let tip = r.branch_tip("feature").unwrap();
-        assert!(r.tree_at(tip).unwrap().contains(&path("src/feat.rs")));
-    }
-
-    #[test]
-    fn duplicate_branch_rejected() {
-        let mut r = repo();
-        r.create_branch("x", None).unwrap();
-        assert!(matches!(
-            r.create_branch("x", None),
-            Err(VcsError::BranchExists(_))
-        ));
-    }
-
-    #[test]
-    fn delete_branch_guards_mainline() {
-        let mut r = repo();
-        r.create_branch("x", None).unwrap();
-        r.delete_branch("x").unwrap();
-        assert!(r.delete_branch("x").is_err());
-        assert!(r.delete_branch(MAINLINE).is_err());
-    }
-
-    #[test]
     fn log_walks_history_newest_first() {
         let mut r = repo();
         let c1 = r
@@ -388,22 +278,6 @@ mod tests {
             .unwrap();
         let log = r.log(r.head()).unwrap();
         assert_eq!(log, vec![c2, c1, r.root()]);
-    }
-
-    #[test]
-    fn ancestry() {
-        let mut r = repo();
-        let c1 = r
-            .commit_patch(MAINLINE, &Patch::write(path("a"), "1"), meta("c1"))
-            .unwrap();
-        r.create_branch("side", Some(r.root())).unwrap();
-        let s1 = r
-            .commit_patch("side", &Patch::write(path("b"), "1"), meta("s1"))
-            .unwrap();
-        assert!(r.is_ancestor(r.root(), c1).unwrap());
-        assert!(r.is_ancestor(r.root(), s1).unwrap());
-        assert!(!r.is_ancestor(c1, s1).unwrap());
-        assert!(!r.is_ancestor(s1, c1).unwrap());
     }
 
     #[test]
@@ -477,36 +351,6 @@ mod tests {
             ));
         }
         assert_eq!(r.head_tree().unwrap().len(), 2);
-    }
-
-    #[test]
-    fn revert_restores_previous_content() {
-        let mut r = repo();
-        let bad = r
-            .commit_patch(
-                MAINLINE,
-                &Patch::from_ops([
-                    crate::patch::FileOp::Write {
-                        path: path("src/lib.rs"),
-                        content: "broken!".into(),
-                    },
-                    crate::patch::FileOp::Write {
-                        path: path("new.rs"),
-                        content: "added".into(),
-                    },
-                ]),
-                meta("bad change"),
-            )
-            .unwrap();
-        let revert_id = r.revert(MAINLINE, bad, meta("revert bad")).unwrap();
-        assert_eq!(r.head(), revert_id);
-        assert_eq!(
-            r.read_file(revert_id, &path("src/lib.rs")).unwrap(),
-            "fn lib() {}"
-        );
-        assert!(!r.head_tree().unwrap().contains(&path("new.rs")));
-        // The bad commit is still in history (revert, not rewrite).
-        assert!(r.is_ancestor(bad, revert_id).unwrap());
     }
 
     #[test]

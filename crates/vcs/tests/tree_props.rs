@@ -47,12 +47,19 @@ fn blob(v: u8) -> ObjectId {
     ObjectId::for_bytes(content(v).as_bytes())
 }
 
+/// True iff `path` is strictly below directory `dir`.
+fn inside(path: &RepoPath, dir: &str) -> bool {
+    path.as_str()
+        .strip_prefix(dir)
+        .is_some_and(|rest| rest.starts_with('/'))
+}
+
 /// What `Tree::insert` must refuse: a file on the way to `path`, or
 /// files below it.
 fn collides(model: &Model, path: &RepoPath) -> bool {
     model
         .keys()
-        .any(|held| path.starts_with_dir(held.as_str()) || held.starts_with_dir(path.as_str()))
+        .any(|held| inside(path, held.as_str()) || inside(held, path.as_str()))
 }
 
 /// Run one op on both sides; the tree must fail exactly when the model
@@ -155,7 +162,7 @@ proptest! {
                 prop_assert_eq!(tree.get(path), model.get(path).copied());
                 prop_assert_eq!(tree.contains(path), model.contains_key(path));
                 let dir = path.as_str();
-                let under: Vec<&RepoPath> = model.keys().filter(|p| p.starts_with_dir(dir)).collect();
+                let under: Vec<&RepoPath> = model.keys().filter(|p| inside(p, dir)).collect();
                 prop_assert_eq!(tree.paths_under(dir).collect::<Vec<_>>(), under);
             }
             // Against every earlier state, with and without known ids.

@@ -122,11 +122,6 @@ impl AdversaryPlan {
         Self::default()
     }
 
-    /// True when no adversary is enabled.
-    pub fn is_benign(&self) -> bool {
-        self.revert_storm.is_none() && self.flaky.is_none() && self.hub.is_none()
-    }
-
     /// Sanity-check every enabled adversary.
     pub fn validate(&self) -> Result<(), String> {
         if let Some(s) = &self.revert_storm {
@@ -147,8 +142,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn default_plan_is_benign() {
-        assert!(AdversaryPlan::default().is_benign());
+    fn the_benign_plan_validates() {
         assert!(AdversaryPlan::none().validate().is_ok());
     }
 

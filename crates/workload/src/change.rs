@@ -128,11 +128,6 @@ impl ChangeSpec {
         // construction.
         self.parts.iter().any(|p| other.parts.contains(p))
     }
-
-    /// Total churn (lines added + removed).
-    pub fn churn(&self) -> u32 {
-        self.lines_added + self.lines_removed
-    }
 }
 
 #[cfg(test)]
@@ -180,11 +175,6 @@ mod tests {
         let b = spec(2, &[1]);
         assert!(!a.potentially_conflicts(&b));
         assert!(!a.potentially_conflicts(&a));
-    }
-
-    #[test]
-    fn churn_sums() {
-        assert_eq!(spec(1, &[]).churn(), 120);
     }
 
     #[test]

@@ -80,6 +80,71 @@ bench_reads_no_clock() {
 step "crates/bench/src reads no clock outside suite.rs" \
   bench_reads_no_clock
 
+# ROADMAP item 6, held the same way: no capability without a caller. Over
+# the non-test part of every .rs under crates/*/src, src, examples and
+# benchmark/src (lines before the file's first #[cfg(test)]; comment
+# lines and `pub use` statements dropped), every name declared `pub` or
+# `pub(crate)` fn|struct|enum|trait|const|type under crates/*/src or src
+# must occur more often than it is declared. Name-based, so a tripwire
+# and not a proof: `new` and `len` never trip it, and a type with an
+# `impl` block names itself. The exceptions are the names only tests
+# reach that (b) tests of other behaviour use as an oracle or to inject
+# a fault, or that detect or repair one, or (c) a ROADMAP item names as
+# its input; an exception that no longer needs excepting is an offender
+# too.
+census_exceptions=$(cat <<'EXCEPTIONS'
+advance_base              # (c) RealAnalyzer's input; ROADMAP item 1.3 serves through it
+register                  # (c) RealAnalyzer's input; ROADMAP item 1.3 serves through it
+preview                   # (c) Repository::preview, the speculative snapshot of ROADMAP item 1.3
+even                      # (b) strategy_pins.rs and decision_any_order.rs split their lanes with it
+needs_history             # (b) strategy_pins.rs reads it per kind
+assert_idempotent_export  # (b) the oracle of every record_into test
+gauge                     # (b) tests of exporters read gauges back through it
+send_raw                  # (b) fault injection: hostile frames in server_loop.rs and protocol_props.rs
+reconnect                 # (b) repairs a down link (store-level; chaos_recovery.rs heals with it)
+link_states               # (b) detects a down or lagging link
+chop                      # (b) fault injection: torn journal tails in journal_props.rs
+flip_bit                  # (b) fault injection: bit rot in journal, snapshot and ship tests
+is_dead                   # (b) fault injection: reads whether a crash plan fired
+apply_hunks               # (b) the oracle of the diff tests and properties
+total_bytes               # (b) the measure of the stores-its-spine tests in tree.rs and repo_model.rs
+commit_count              # (b) the snapshot-isolation oracle of tests/service_concurrency.rs
+integral_multiplier       # (b) the analytic oracle scenario_props.rs holds the thinned arrivals to
+EXCEPTIONS
+)
+no_capability_without_a_caller() {
+  local offenders
+  offenders=$(find crates/*/src src examples benchmark/src -name '*.rs' | sort |
+    xargs awk -v exceptions="$(awk 'NF { print $1 }' <<<"$census_exceptions")" '
+    BEGIN { n = split(exceptions, list, "\n"); for (i = 1; i <= n; i++) excepted[list[i]] = 1 }
+    FNR == 1 { in_test = 0; in_use = 0; declares = (FILENAME ~ /^(crates\/[^\/]+\/src|src)\//) }
+    /#\[cfg\(test\)\]/ { in_test = 1 }
+    in_test || /^[ \t]*\/\// { next }
+    in_use { if (/;/) in_use = 0; next }
+    /^[ \t]*pub(\([a-z]+\))? use / { in_use = !/;/; next }
+    {
+      line = $0
+      if (declares && match(line, /pub(\(crate\))? +(const +|unsafe +)*(fn|struct|enum|trait|const|type) +[A-Za-z_][A-Za-z0-9_]*/)) {
+        name = substr(line, RSTART, RLENGTH); sub(/.* /, "", name)
+        declared[name]++
+        if (!(name in where)) where[name] = FILENAME
+      }
+      while (match(line, /[A-Za-z_][A-Za-z0-9_]*/)) {
+        seen[substr(line, RSTART, RLENGTH)]++
+        line = substr(line, RSTART + RLENGTH)
+      }
+    }
+    END {
+      for (name in declared)
+        if (seen[name] == declared[name] && !(name in excepted)) print where[name] ": " name
+      for (name in excepted)
+        if (seen[name] != declared[name]) print "scripts/check.sh: " name " (excepted, but it has a caller or is gone)"
+    }' | sort)
+  [[ -z "$offenders" ]] || { echo "$offenders"; return 1; }
+}
+step "no capability without a caller (name census of the non-test sources)" \
+  no_capability_without_a_caller
+
 if [[ "$quick" == 1 ]]; then
   step "cargo test -q (root package: integration + property suites)" \
     cargo test -q

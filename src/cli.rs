@@ -53,11 +53,6 @@ impl Console {
         }
     }
 
-    /// Wrap an existing service.
-    pub fn with_service(service: SubmitQueueService) -> Self {
-        Console { service }
-    }
-
     /// The demo step action: steps fail when the file `<pkg>/FAIL`
     /// exists, so failures can be staged from the console itself.
     fn action(step: &crate::exec::BuildStep, tree: &crate::vcs::Tree) -> StepOutcome {

@@ -96,7 +96,6 @@ proptest! {
             &BatchingConfig {
                 max_batch,
                 workers,
-                ..BatchingConfig::default()
             },
         );
         // Liveness: everyone resolves exactly once.
