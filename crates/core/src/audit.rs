@@ -60,30 +60,13 @@ pub fn audit_green(workload: &Workload, result: &SimResult) -> Result<(), String
 /// exactly the "wrongly rejected change" count the flake-rate sweeps
 /// must hold at zero.
 pub fn audit_rejections_justified(workload: &Workload, result: &SimResult) -> Result<(), String> {
-    let truth = workload.truth();
-    let committed: HashSet<ChangeId> = result.commit_log.iter().copied().collect();
-    let resolved_at: HashMap<ChangeId, SimTime> =
-        result.records.iter().map(|r| (r.id, r.resolved)).collect();
-    for rec in &result.records {
-        if committed.contains(&rec.id) {
-            continue;
-        }
-        let c = &workload.changes[rec.id.0 as usize];
-        let justified = !truth.succeeds_alone(c)
-            || result.commit_log.iter().any(|&d_id| {
-                let d = &workload.changes[d_id.0 as usize];
-                let d_committed = resolved_at.get(&d_id).copied().unwrap_or(SimTime::ZERO);
-                c.submit_time < d_committed && truth.real_conflict(c, d)
-            });
-        if !justified {
-            return Err(format!(
-                "{} passes alone and conflicts with nothing that landed in its window — \
-                 it was wrongly rejected",
-                rec.id
-            ));
-        }
+    match wrongful_rejections(workload, result).first() {
+        Some(id) => Err(format!(
+            "{id} passes alone and conflicts with nothing that landed in its window — \
+             it was wrongly rejected"
+        )),
+        None => Ok(()),
     }
-    Ok(())
 }
 
 /// Count the wrongful rejections in a finished run: changes that pass

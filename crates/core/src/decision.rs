@@ -5,9 +5,9 @@
 //! build attempt finished green, red or infra-red ([`Core::finished`]),
 //! and asks it to plan a lane ([`Core::plan`]). The core answers with
 //! [`Action`]s in the order they must be carried out. It holds the
-//! pending window, the conflict graph, the running builds by identity
-//! (not by worker), the build results, and the rule that keeps the
-//! mainline green:
+//! pending specs and the committed ones they build on, the conflict
+//! graph, the running builds by identity (not by worker), the build
+//! results, and the rule that keeps the mainline green:
 //!
 //! * a change **resolves** once every earlier conflicting change has
 //!   resolved and the build against the exact committed prefix has
@@ -19,23 +19,25 @@
 //! * an **infra-red** attempt says nothing about the change: it is
 //!   retried, counted towards quarantine, and never becomes a result.
 //!
-//! The core has no clock, randomness, worker pool or observer
-//! (`scripts/check.sh` greps for them): when things happen, how long a
-//! build takes, whether an attempt flakes and which worker runs it are
-//! the driver's — [`crate::planner`] is the first, on simulated time.
-//! Every output is a function of the sequence of inputs alone.
+//! The core names no workload, clock, randomness, worker pool or
+//! observer (`scripts/check.sh` greps for them): which changes exist and
+//! when, how long a build takes, whether an attempt flakes and which
+//! worker runs it are the driver's — [`crate::planner`] is the first, on
+//! simulated time. Developers are read through a [`Roster`]. Every
+//! output is a function of the sequence of inputs alone.
 
 use crate::analyzer::{ConflictGraph, IndexedAnalyzer};
 use crate::fasthash::{FastMap, FastSet};
 use crate::index::IndexStats;
 use crate::lean::LeanReport;
 use crate::planner::PlannerConfig;
-use crate::predict::SpeculationCounters;
+use crate::predict::{Roster, SpeculationCounters};
 use crate::recovery::QuarantineList;
 use crate::speculation::BuildKey;
 use crate::strategy::Strategy;
-use sq_workload::{ChangeId, ChangeSpec, Workload};
+use sq_workload::{ChangeId, ChangeSpec};
 use std::collections::{BTreeMap, HashMap};
+use std::rc::Rc;
 
 /// Identity of one started build. It survives infra retries and is
 /// never reused: a completion for an id no longer running is stale.
@@ -110,11 +112,12 @@ pub struct Round {
     pub p_needed_mass: f64,
 }
 
-#[derive(Default)]
 struct PendingChange {
+    spec: Rc<ChangeSpec>,
     /// Planning lane the change routed to (0 without sharding).
     lane: usize,
-    fixed_committed: Vec<ChangeId>,
+    /// Committed neighbours to build on; the last holder frees a spec.
+    fixed_committed: Vec<Rc<ChangeSpec>>,
     counters: SpeculationCounters,
     builds_scheduled: u32,
     builds_aborted: u32,
@@ -125,7 +128,7 @@ struct PendingChange {
 
 /// The decision core. See the module documentation.
 pub struct Core<'a> {
-    workload: &'a Workload,
+    roster: &'a dyn Roster,
     strategy: &'a Strategy,
     config: &'a PlannerConfig,
     analyzer: IndexedAnalyzer,
@@ -153,7 +156,7 @@ impl<'a> Core<'a> {
     /// `conflict_analyzer`, `reorder`, `preemption_guard`, the lanes
     /// (`shards`, or one lane of `workers`) and the faults'
     /// `quarantine_threshold`; the rest is the driver's.
-    pub fn new(workload: &'a Workload, strategy: &'a Strategy, config: &'a PlannerConfig) -> Self {
+    pub fn new(roster: &'a dyn Roster, strategy: &'a Strategy, config: &'a PlannerConfig) -> Self {
         let analyzer = if config.conflict_analyzer {
             IndexedAnalyzer::new()
         } else {
@@ -179,7 +182,7 @@ impl<'a> Core<'a> {
         let faults = config.faults.as_ref();
         let threshold = faults.map_or(u32::MAX, |f| f.quarantine_threshold.max(1));
         Core {
-            workload,
+            roster,
             strategy,
             config,
             analyzer,
@@ -261,11 +264,6 @@ impl<'a> Core<'a> {
         self.in_lane(lane).filter(|&(id, _)| stalled(id)).count()
     }
 
-    fn spec(&self, id: ChangeId) -> &'a ChangeSpec {
-        // Change ids are dense indices by construction.
-        &self.workload.changes[id.0 as usize]
-    }
-
     /// A lane's pending changes, in submission (id) order.
     fn in_lane(&self, lane: usize) -> impl Iterator<Item = (ChangeId, &PendingChange)> + '_ {
         self.pending
@@ -274,7 +272,7 @@ impl<'a> Core<'a> {
             .map(|(&id, p)| (id, p))
     }
 
-    /// A change entered the queue. Changes arrive in id order.
+    /// A change entered the queue (ids ascend); the core keeps the spec.
     pub fn arrive(&mut self, spec: &ChangeSpec) {
         let arbiter = self.n_lanes() - 1;
         let lane = match &self.config.shards {
@@ -291,12 +289,18 @@ impl<'a> Core<'a> {
             .pending
             .iter()
             .filter(|(_, p)| lane == arbiter || p.lane == lane || p.lane == arbiter)
-            .map(|(&id, _)| self.spec(id))
+            .map(|(_, p)| &*p.spec)
             .collect();
         self.graph.admit(spec, &probe, &mut self.analyzer);
         let entry = PendingChange {
+            spec: Rc::new(spec.clone()),
             lane,
-            ..PendingChange::default()
+            fixed_committed: Vec::new(),
+            counters: SpeculationCounters::default(),
+            builds_scheduled: 0,
+            builds_aborted: 0,
+            skipped: false,
+            bypassed: false,
         };
         self.pending.insert(spec.id, entry);
         self.pending_count[lane] += 1;
@@ -354,7 +358,7 @@ impl<'a> Core<'a> {
             return None;
         }
         let p = self.pending.get(&id)?;
-        let mut assumed = p.fixed_committed.clone();
+        let mut assumed: Vec<ChangeId> = p.fixed_committed.iter().map(|c| c.id).collect();
         assumed.sort_unstable();
         assumed.dedup();
         Some(BuildKey {
@@ -366,7 +370,7 @@ impl<'a> Core<'a> {
     /// Union a strategy pattern with the subject's committed prefix.
     fn finalize_key(&self, mut key: BuildKey) -> BuildKey {
         if let Some(p) = self.pending.get(&key.subject) {
-            key.assumed.extend_from_slice(&p.fixed_committed);
+            key.assumed.extend(p.fixed_committed.iter().map(|c| c.id));
             key.assumed.sort_unstable();
             key.assumed.dedup();
         }
@@ -391,13 +395,18 @@ impl<'a> Core<'a> {
     }
 
     fn resolve(&mut self, id: ChangeId, ok: bool, out: &mut Vec<Action>) {
+        let p = self
+            .pending
+            .remove(&id)
+            .expect("resolving a pending change");
+        self.pending_count[p.lane] -= 1;
         // In submission-order mode only later neighbours can still be
         // pending; in reorder mode an overtaken *earlier* neighbour must
         // also rebase onto this commit.
         if ok {
             for n in self.graph.neighbors(id) {
-                if let Some(p) = self.pending.get_mut(&n) {
-                    p.fixed_committed.push(id);
+                if let Some(q) = self.pending.get_mut(&n) {
+                    q.fixed_committed.push(Rc::clone(&p.spec));
                 }
             }
         } else {
@@ -406,11 +415,6 @@ impl<'a> Core<'a> {
         self.graph.remove(id);
         // The change's cached affected bitset can never be queried again.
         self.analyzer.forget(id);
-        let p = self
-            .pending
-            .remove(&id)
-            .expect("resolving a pending change");
-        self.pending_count[p.lane] -= 1;
         // Lean accounting: a skip was a *hit* when the change resolved
         // without a single aborted build (the speculation we didn't run
         // would have been pure waste), a *miss* otherwise.
@@ -444,7 +448,7 @@ impl<'a> Core<'a> {
             return true; // subject already resolved
         };
         let assumed_rejected = |d| self.resolved_rejected.contains(d);
-        let unassumed_commit = |d| !key.assumed.contains(d);
+        let unassumed_commit = |d: &Rc<ChangeSpec>| !key.assumed.contains(&d.id);
         key.assumed.iter().any(assumed_rejected) || p.fixed_committed.iter().any(unassumed_commit)
     }
 
@@ -493,7 +497,7 @@ impl<'a> Core<'a> {
         let mut window: Vec<&ChangeSpec> = Vec::with_capacity(self.pending_count[lane]);
         let mut counters: HashMap<ChangeId, SpeculationCounters> =
             HashMap::with_capacity(self.pending_count[lane]);
-        let mut fixed: HashMap<ChangeId, Vec<ChangeId>> = HashMap::new();
+        let mut fixed: HashMap<ChangeId, Vec<&ChangeSpec>> = HashMap::new();
         for (id, p) in self.in_lane(lane) {
             if let Some(key) = self.realized_key_of(id) {
                 if !self.build_results.contains_key(&key) && seen.insert(key.clone()) {
@@ -501,14 +505,14 @@ impl<'a> Core<'a> {
                     desired.push(key);
                 }
             }
-            window.push(self.spec(id));
+            window.push(&p.spec);
             counters.insert(id, p.counters);
             if !p.fixed_committed.is_empty() {
-                fixed.insert(id, p.fixed_committed.clone());
+                fixed.insert(id, p.fixed_committed.iter().map(|c| &**c).collect());
             }
         }
         let plan = self.strategy.desired_builds(
-            self.workload,
+            self.roster,
             &window,
             &self.graph,
             &counters,
@@ -600,7 +604,8 @@ impl<'a> Core<'a> {
 mod tests {
     use super::*;
     use crate::strategy::StrategyKind;
-    use sq_workload::{WorkloadBuilder, WorkloadParams};
+    use sq_workload::{change::DevId, DevProfile, WorkloadBuilder, WorkloadParams};
+    use std::collections::VecDeque;
 
     /// The paper's Figure 5, fed by hand: C1, C2, C3 conflict with one
     /// another and seven workers hold the whole speculation tree.
@@ -681,5 +686,72 @@ mod tests {
         assert_eq!((round.queue_depth, round.running, round.gating), (2, 3, 1));
         assert_eq!(core.key_of(started[1].0), None);
         assert_eq!(core.key_of(started[2].0), Some(&tree[2]));
+    }
+
+    /// A core needs nothing but its inputs: one over a roster that is not
+    /// a `Workload`, handed copies of the specs that drop as soon as
+    /// `arrive` returns, decides exactly as one over the workload. The
+    /// lean strategy reads developers on every round, and with the
+    /// analyzer off every change conflicts, so committed prefixes are
+    /// scored too.
+    #[test]
+    fn the_core_needs_nothing_but_its_inputs() {
+        struct Devs(Vec<DevProfile>);
+        impl Roster for Devs {
+            fn developer(&self, id: DevId) -> &DevProfile {
+                &self.0[id.0 as usize]
+            }
+        }
+        let params = || WorkloadBuilder::new(WorkloadParams::ios());
+        let w = params().seed(8).n_changes(40).build().unwrap();
+        let history = params().seed(77).n_changes(400).build().unwrap();
+        let strategy = Strategy::build(StrategyKind::LeanSpeculation, &w, Some(&history));
+        let config = PlannerConfig {
+            workers: 4,
+            conflict_analyzer: false,
+            ..PlannerConfig::default()
+        };
+        let devs = Devs(w.developers.clone());
+        let mut by_workload = Core::new(&w, &strategy, &config);
+        let mut by_roster = Core::new(&devs, &strategy, &config);
+        let truth = w.truth();
+        let spec = |id: ChangeId| &w.changes[id.0 as usize];
+        let (mut out, mut other) = (Vec::new(), Vec::new());
+        let mut live: VecDeque<(BuildId, BuildKey)> = VecDeque::new();
+        let (mut next, mut resolved, mut committed) = (0, 0, 0);
+        for step in 0.. {
+            if next < w.changes.len() && (live.is_empty() || step % 2 == 0) {
+                by_workload.arrive(&w.changes[next]);
+                by_roster.arrive(&w.changes[next].clone());
+                next += 1;
+            } else if let Some((build, key)) = live.pop_front() {
+                let assumed = key.assumed.iter().map(|&a| spec(a));
+                let outcome = match truth.build_succeeds(spec(key.subject), assumed) {
+                    true => Outcome::Green,
+                    false => Outcome::Red,
+                };
+                by_workload.finished(build, outcome, &mut out);
+                by_roster.finished(build, outcome, &mut other);
+            } else {
+                break;
+            }
+            by_workload.plan(0, &|_| 0.0, &mut out);
+            by_roster.plan(0, &|_| 0.0, &mut other);
+            assert_eq!(out, other, "step {step}");
+            other.clear();
+            for action in out.drain(..) {
+                match action {
+                    Action::Start { build, key, .. } => live.push_back((build, key)),
+                    Action::Abort { build, .. } => live.retain(|(b, _)| *b != build),
+                    Action::Resolved { committed: ok, .. } => {
+                        resolved += 1;
+                        committed += usize::from(ok);
+                    }
+                    Action::Retry { .. } => unreachable!("no attempt is infra-red"),
+                }
+            }
+        }
+        assert_eq!(resolved, w.changes.len(), "every change resolves");
+        assert!(committed > 1, "committed prefixes were scored");
     }
 }

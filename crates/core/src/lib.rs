@@ -15,15 +15,13 @@
 //! ```
 //!
 //! * [`pending`] — per-change outcomes and commit/reject records.
-//! * [`predict`] — `P_succ` / `P_conf` estimators: the trained logistic
-//!   models (Section 7.2), plus oracle / static / optimistic estimators
-//!   used by the baselines.
+//! * [`predict`] — `P_succ` / `P_conf` estimators: the learned logistic
+//!   models (Section 7.2), the oracle and the uniform 50/50 baseline.
 //! * [`analyzer`] — the conflict graph over pending changes (Section 5),
 //!   backed either by the index-served part-overlap model (simulation)
 //!   or by the real build-system analyzer from `sq-build`.
-//! * [`index`] — the incremental conflict index: per-change affected
-//!   bitsets memoized by (change, trunk), invalidated only on trunk
-//!   advance or rebase, with a whole-window pairwise matrix.
+//! * [`index`] — the incremental conflict index: affected bitsets kept
+//!   per change until it resolves, and a whole-window pairwise matrix.
 //! * [`speculation`] — the speculation engine (Section 4): build values
 //!   `V = B · P_needed` per Equations 1–5, and greedy best-first
 //!   selection of the most valuable builds in O(n) frontier space
@@ -40,7 +38,7 @@
 //!   4–6): events in (a change arrived, a build attempt finished),
 //!   actions out (start, abort, retry, resolved). The serializability
 //!   rule, the contradiction test and the preemption policy, with no
-//!   clock, randomness, worker pool or observer inside.
+//!   workload, clock, randomness, worker pool or observer inside.
 //! * [`planner`] — the core's first driver, a discrete-event
 //!   simulation: the clock, worker pools, ground truth, fault dice and
 //!   observer; measures turnaround and throughput.

@@ -13,13 +13,28 @@
 //!   of Section 8.
 //! * [`UniformPredictor`] — 50/50, which turns the speculation engine
 //!   into the Speculate-all baseline.
+//!
+//! Developers come through a [`Roster`], which a [`Workload`] is.
 
 use sq_ml::{Dataset, LogisticRegression, Scaler, TrainConfig};
 use sq_sim::Xoshiro256StarStar;
 use sq_workload::features::{
     conflict_features, success_features, CONFLICT_FEATURES, SUCCESS_FEATURES,
 };
-use sq_workload::{ChangeSpec, GroundTruth, Workload};
+use sq_workload::{change::DevId, ChangeSpec, DevProfile, GroundTruth, Workload};
+
+/// Who wrote a change: the developer profiles a predictor scores with,
+/// the one thing it reads beyond the changes themselves.
+pub trait Roster {
+    /// The profile of developer `id`.
+    fn developer(&self, id: DevId) -> &DevProfile;
+}
+
+impl Roster for Workload {
+    fn developer(&self, id: DevId) -> &DevProfile {
+        Workload::developer(self, id)
+    }
+}
 
 /// Dynamic per-change counters the planner feeds back into prediction
 /// ("the number of speculations that succeeded or failed were also
@@ -35,11 +50,11 @@ pub struct SpeculationCounters {
 /// A `P_succ`/`P_conf` estimator.
 pub trait Predictor {
     /// Probability the change's build steps pass in isolation.
-    fn p_success(&self, w: &Workload, c: &ChangeSpec, counters: SpeculationCounters) -> f64;
+    fn p_success(&self, w: &dyn Roster, c: &ChangeSpec, counters: SpeculationCounters) -> f64;
 
     /// Probability the two changes really conflict, *given* the conflict
     /// analyzer flagged them as potentially conflicting.
-    fn p_conflict(&self, w: &Workload, a: &ChangeSpec, b: &ChangeSpec) -> f64;
+    fn p_conflict(&self, w: &dyn Roster, a: &ChangeSpec, b: &ChangeSpec) -> f64;
 }
 
 /// Perfect foresight (Section 8's Oracle).
@@ -56,7 +71,7 @@ impl OraclePredictor {
 }
 
 impl Predictor for OraclePredictor {
-    fn p_success(&self, _w: &Workload, c: &ChangeSpec, _k: SpeculationCounters) -> f64 {
+    fn p_success(&self, _w: &dyn Roster, c: &ChangeSpec, _k: SpeculationCounters) -> f64 {
         if self.truth.succeeds_alone(c) {
             1.0
         } else {
@@ -64,7 +79,7 @@ impl Predictor for OraclePredictor {
         }
     }
 
-    fn p_conflict(&self, _w: &Workload, a: &ChangeSpec, b: &ChangeSpec) -> f64 {
+    fn p_conflict(&self, _w: &dyn Roster, a: &ChangeSpec, b: &ChangeSpec) -> f64 {
         if self.truth.real_conflict(a, b) {
             1.0
         } else {
@@ -78,11 +93,11 @@ impl Predictor for OraclePredictor {
 pub struct UniformPredictor;
 
 impl Predictor for UniformPredictor {
-    fn p_success(&self, _w: &Workload, _c: &ChangeSpec, _k: SpeculationCounters) -> f64 {
+    fn p_success(&self, _w: &dyn Roster, _c: &ChangeSpec, _k: SpeculationCounters) -> f64 {
         0.5
     }
 
-    fn p_conflict(&self, _w: &Workload, _a: &ChangeSpec, _b: &ChangeSpec) -> f64 {
+    fn p_conflict(&self, _w: &dyn Roster, _a: &ChangeSpec, _b: &ChangeSpec) -> f64 {
         0.5
     }
 }
@@ -248,14 +263,14 @@ impl LearnedPredictor {
 }
 
 impl Predictor for LearnedPredictor {
-    fn p_success(&self, w: &Workload, c: &ChangeSpec, k: SpeculationCounters) -> f64 {
+    fn p_success(&self, w: &dyn Roster, c: &ChangeSpec, k: SpeculationCounters) -> f64 {
         let dev = w.developer(c.developer);
         let mut row = success_features(c, dev, k.succeeded, k.failed);
         self.success_scaler.transform_row(&mut row);
         self.success_model.predict_row(&row)
     }
 
-    fn p_conflict(&self, w: &Workload, a: &ChangeSpec, b: &ChangeSpec) -> f64 {
+    fn p_conflict(&self, w: &dyn Roster, a: &ChangeSpec, b: &ChangeSpec) -> f64 {
         let mut row = conflict_features(a, w.developer(a.developer), b, w.developer(b.developer));
         self.conflict_scaler.transform_row(&mut row);
         self.conflict_model.predict_row(&row)

@@ -38,8 +38,8 @@
 
 use crate::analyzer::ConflictGraph;
 use crate::fasthash::FastMap;
-use crate::predict::{Predictor, SpeculationCounters};
-use sq_workload::{ChangeId, ChangeSpec, Workload};
+use crate::predict::{Predictor, Roster, SpeculationCounters};
+use sq_workload::{ChangeId, ChangeSpec};
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashMap};
 
@@ -79,35 +79,34 @@ pub struct SpeculationEngine;
 impl SpeculationEngine {
     /// Commit probabilities for the pending set, in submission order.
     ///
-    /// `pending` must be sorted by id (submission order); `counters`
-    /// provides the dynamic speculation counts per change; `fixed` lists,
-    /// per pending change, the earlier conflicting changes that have
-    /// *already committed* — their conflict mass applies with certainty
-    /// (the change will definitely be built on top of them).
+    /// `pending` must be sorted by id (submission order); `roster` names
+    /// their developers; `counters` holds the dynamic speculation counts;
+    /// `fixed` holds, per pending change, the specs of the earlier
+    /// conflicting changes *already committed* — their conflict mass
+    /// applies with certainty (the change is built on top of them).
     pub fn commit_probabilities<P: Predictor + ?Sized>(
-        workload: &Workload,
+        roster: &dyn Roster,
         pending: &[&ChangeSpec],
         graph: &ConflictGraph,
         predictor: &P,
         counters: &HashMap<ChangeId, SpeculationCounters>,
-        fixed: &HashMap<ChangeId, Vec<ChangeId>>,
+        fixed: &HashMap<ChangeId, Vec<&ChangeSpec>>,
     ) -> HashMap<ChangeId, f64> {
         let by_id: FastMap<ChangeId, &ChangeSpec> = pending.iter().map(|c| (c.id, *c)).collect();
         let mut p_commit: HashMap<ChangeId, f64> = HashMap::with_capacity(pending.len());
         for c in pending {
             let k = counters.get(&c.id).copied().unwrap_or_default();
-            let p_succ = predictor.p_success(workload, c, k);
+            let p_succ = predictor.p_success(roster, c, k);
             let mut survive = 1.0;
             for d in graph.earlier_conflicts(c.id) {
                 let Some(dc) = by_id.get(&d) else { continue };
                 let pd = p_commit.get(&d).copied().unwrap_or(0.0);
-                survive *= 1.0 - pd * predictor.p_conflict(workload, dc, c);
+                survive *= 1.0 - pd * predictor.p_conflict(roster, dc, c);
             }
             // Already-committed conflicts contribute with probability 1.
             if let Some(fixed_prefix) = fixed.get(&c.id) {
-                for &e in fixed_prefix {
-                    let ec = &workload.changes[e.0 as usize];
-                    survive *= 1.0 - predictor.p_conflict(workload, ec, c);
+                for e in fixed_prefix {
+                    survive *= 1.0 - predictor.p_conflict(roster, e, c);
                 }
             }
             p_commit.insert(c.id, (p_succ * survive).clamp(0.0, 1.0));
@@ -118,16 +117,16 @@ impl SpeculationEngine {
     /// Select up to `budget` builds with the highest `P_needed`, in
     /// non-increasing value order. Zero-value builds are never emitted.
     pub fn select_builds<P: Predictor>(
-        workload: &Workload,
+        roster: &dyn Roster,
         pending: &[&ChangeSpec],
         graph: &ConflictGraph,
         predictor: &P,
         counters: &HashMap<ChangeId, SpeculationCounters>,
-        fixed: &HashMap<ChangeId, Vec<ChangeId>>,
+        fixed: &HashMap<ChangeId, Vec<&ChangeSpec>>,
         budget: usize,
     ) -> Vec<PlannedBuild> {
         Self::select_builds_configured(
-            workload,
+            roster,
             pending,
             graph,
             predictor,
@@ -156,12 +155,12 @@ impl SpeculationEngine {
     /// changes the order or value of the patterns that *are* emitted.
     #[allow(clippy::too_many_arguments)]
     pub fn select_builds_configured<P, B, K>(
-        workload: &Workload,
+        roster: &dyn Roster,
         pending: &[&ChangeSpec],
         graph: &ConflictGraph,
         predictor: &P,
         counters: &HashMap<ChangeId, SpeculationCounters>,
-        fixed: &HashMap<ChangeId, Vec<ChangeId>>,
+        fixed: &HashMap<ChangeId, Vec<&ChangeSpec>>,
         budget: usize,
         benefit: B,
         pattern_cap: K,
@@ -172,7 +171,7 @@ impl SpeculationEngine {
         K: Fn(ChangeId) -> usize,
     {
         let p_commit =
-            Self::commit_probabilities(workload, pending, graph, predictor, counters, fixed);
+            Self::commit_probabilities(roster, pending, graph, predictor, counters, fixed);
         // One lazy pattern generator per pending change, plus how many
         // more patterns it may still emit.
         let mut generators: FastMap<ChangeId, (PatternGen, usize)> = FastMap::default();
@@ -398,7 +397,7 @@ mod tests {
     use super::*;
     use crate::analyzer::{ConflictAnalyzer, ConflictGraph};
     use crate::predict::{OraclePredictor, UniformPredictor};
-    use sq_workload::{WorkloadBuilder, WorkloadParams};
+    use sq_workload::{Workload, WorkloadBuilder, WorkloadParams};
 
     /// Analyzer scripted from an explicit edge list.
     struct Scripted(Vec<(u64, u64)>);
@@ -614,7 +613,7 @@ mod tests {
     #[test]
     fn commit_probabilities_fold_in_conflicts() {
         let w = workload(2);
-        let g = graph_with(&w, 2, &[(0, 1)]);
+        let mut g = graph_with(&w, 2, &[(0, 1)]);
         let pending: Vec<&ChangeSpec> = w.changes[..2].iter().collect();
         let p = SpeculationEngine::commit_probabilities(
             &w,
@@ -628,6 +627,19 @@ mod tests {
         // multiplicative generalization).
         assert!((p[&ChangeId(0)] - 0.5).abs() < 1e-12);
         assert!((p[&ChangeId(1)] - 0.375).abs() < 1e-12);
+        // C0 has committed: C1 is built on top of it, so its conflict
+        // mass applies with certainty — p1 = 0.5 · (1 − 0.5) = 0.25.
+        g.remove(ChangeId(0));
+        let fixed = HashMap::from([(ChangeId(1), vec![&w.changes[0]])]);
+        let p = SpeculationEngine::commit_probabilities(
+            &w,
+            &pending[1..],
+            &g,
+            &UniformPredictor,
+            &HashMap::new(),
+            &fixed,
+        );
+        assert!((p[&ChangeId(1)] - 0.25).abs() < 1e-12);
     }
 
     #[test]

@@ -30,7 +30,7 @@ use crate::analyzer::ConflictGraph;
 use crate::fasthash::FastMap;
 use crate::lean::{BypassPolicy, LeanConfig, SKIP_MISS_BUDGET};
 use crate::predict::{
-    LearnedPredictor, OraclePredictor, Predictor, SpeculationCounters, UniformPredictor,
+    LearnedPredictor, OraclePredictor, Predictor, Roster, SpeculationCounters, UniformPredictor,
 };
 use crate::speculation::{BuildKey, PlannedBuild, SpeculationEngine};
 use sq_workload::{ChangeId, ChangeSpec, Workload};
@@ -246,8 +246,9 @@ impl Strategy {
     /// The desired builds for the current pending set, with the lean
     /// marks this round put on changes (none off the lean path).
     ///
-    /// `pending` is sorted by id; `graph` covers at least the pending
-    /// set; `counters` holds dynamic speculation counts.
+    /// `pending` is sorted by id; `roster` names their developers; `graph`
+    /// covers at least the pending set; `counters` holds dynamic
+    /// speculation counts; `fixed`, the committed specs each builds on.
     ///
     /// On the engine path this is SubmitQueue's selection plus whichever
     /// of the three optimizations of the 2025 sequel the instance's
@@ -261,11 +262,11 @@ impl Strategy {
     /// rejection and never a red mainline.
     pub fn desired_builds(
         &self,
-        workload: &Workload,
+        roster: &dyn Roster,
         pending: &[&ChangeSpec],
         graph: &ConflictGraph,
         counters: &HashMap<ChangeId, SpeculationCounters>,
-        fixed: &HashMap<ChangeId, Vec<ChangeId>>,
+        fixed: &HashMap<ChangeId, Vec<&ChangeSpec>>,
         budget: usize,
     ) -> Plan {
         let mut plan = Plan::default();
@@ -304,7 +305,7 @@ impl Strategy {
                 let mut survive = 1.0;
                 for d in graph.earlier_conflicts(c.id) {
                     if let Some(dc) = by_id.get(&d) {
-                        survive *= 1.0 - predictor.p_conflict(workload, dc, c);
+                        survive *= 1.0 - predictor.p_conflict(roster, dc, c);
                     }
                 }
                 risks.insert(c.id, (1.0 - survive).clamp(0.0, 1.0));
@@ -316,7 +317,7 @@ impl Strategy {
         // — placed ahead of all speculation.
         if flags.bypass {
             let p_commit = SpeculationEngine::commit_probabilities(
-                workload, pending, graph, predictor, counters, fixed,
+                roster, pending, graph, predictor, counters, fixed,
             );
             let policy = BypassPolicy::standard();
             for c in pending.iter().filter(|c| policy.eligible(c)).take(budget) {
@@ -357,7 +358,7 @@ impl Strategy {
             }
         };
         let mut picks = SpeculationEngine::select_builds_configured(
-            workload,
+            roster,
             pending,
             graph,
             predictor,
@@ -402,11 +403,11 @@ struct Memoized<P> {
 }
 
 impl<P: Predictor> Predictor for Memoized<P> {
-    fn p_success(&self, w: &Workload, c: &ChangeSpec, k: SpeculationCounters) -> f64 {
+    fn p_success(&self, w: &dyn Roster, c: &ChangeSpec, k: SpeculationCounters) -> f64 {
         self.inner.p_success(w, c, k)
     }
 
-    fn p_conflict(&self, w: &Workload, a: &ChangeSpec, b: &ChangeSpec) -> f64 {
+    fn p_conflict(&self, w: &dyn Roster, a: &ChangeSpec, b: &ChangeSpec) -> f64 {
         let key = if a.id.0 <= b.id.0 {
             (a.id, b.id)
         } else {

@@ -39,7 +39,7 @@ summary() {
   echo
   echo "Step timings (slowest first):"
   printf '%s' "$timings" | sort -rn | awk -F'\t' '{ printf "  %5ss  %s\n", $1, $2 }'
-  # The one definition of the line counts ROADMAP item 5 is judged by:
+  # The one definition of the line counts ROADMAP item 6 is judged by:
   # per crate, the lines before each file's first #[cfg(test)], and all.
   echo
   echo "Rust lines under crates/*/src   non-test    total"
@@ -60,14 +60,14 @@ summary() {
 step "cargo build --release" \
   cargo build --release
 
-# ROADMAP 1.1, held by a grep and not by a comment: the decision core has
-# no clock, RNG, worker pool or observer, so a second driver can run it.
+# Held by a grep and not by a comment: the decision core names no
+# workload, clock, RNG, worker pool or observer, so any driver can feed it.
 core_is_sans_io() {
   ! awk '/#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ": " $0 }' \
       crates/core/src/decision.rs |
-    grep -E 'sq_sim|sq_obs|WorkerPool|GroundTruth|std::time|Instant|thread::'
+    grep -E 'Workload|sq_sim|sq_obs|WorkerPool|GroundTruth|std::time|Instant|thread::'
 }
-step "decision.rs names no clock, RNG, pool or observer (non-test part)" \
+step "decision.rs names no workload, clock, RNG, pool or observer (non-test part)" \
   core_is_sans_io
 
 # The same way: no sq-bench suite reads a clock, so every document is a
