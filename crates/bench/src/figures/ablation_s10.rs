@@ -12,8 +12,10 @@
 
 use sq_core::batching::{simulate_batching, BatchingConfig};
 use sq_core::planner::{run_simulation, PlannerConfig};
+use sq_core::shard::PlanningCost;
 use sq_core::strategy::StrategyKind;
 use sq_ml::{BoostConfig, GradientBoostedStumps, LogisticRegression, Scaler, TrainConfig};
+use sq_sim::SimDuration;
 
 pub(super) fn run(smoke: bool) {
     let mut rows = Vec::new();
@@ -40,7 +42,10 @@ pub(super) fn run(smoke: bool) {
             workers,
             reorder,
             preemption_guard: guard,
-            epoch: epoch_secs.map(sq_sim::SimDuration::from_secs),
+            planning_cost: epoch_secs.map(|s| PlanningCost {
+                base: SimDuration::from_secs(s),
+                per_pending: SimDuration::ZERO,
+            }),
             ..PlannerConfig::default()
         };
         let r = run_simulation(&w, &strategy, &config);

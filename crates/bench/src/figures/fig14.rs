@@ -4,7 +4,7 @@
 //!
 //! Paper anchor: the mainline was green only 52% of the time.
 
-use sq_core::trunk::{simulate_trunk, TrunkConfig};
+use sq_core::trunk::simulate_trunk;
 use sq_workload::{WorkloadBuilder, WorkloadParams};
 
 pub(super) fn run(smoke: bool) {
@@ -15,7 +15,7 @@ pub(super) fn run(smoke: bool) {
         .duration_hours(hours)
         .build()
         .expect("valid params");
-    let r = simulate_trunk(&w, &TrunkConfig::default());
+    let r = simulate_trunk(&w);
     println!("Figure 14 — hourly mainline green rate before SubmitQueue ({hours:.0}h)");
     println!("{:>6} {:>12}", "hour", "green %");
     let mut rows = Vec::new();

@@ -24,9 +24,9 @@
 
 use crate::suite::{pick, Report, Suite};
 use sq_core::durable::DurableSubmitQueue;
-use sq_core::RecoveryConfig;
+use sq_core::{RecoveryConfig, TicketState};
 use sq_obs::JsonWriter;
-use sq_server::{Client, Endpoint, Request, Response, Server, ServerConfig, WireTicketState};
+use sq_server::{Client, Endpoint, Request, Response, Server, ServerConfig};
 use sq_store::{DurableStore, DurableStoreConfig, MemStorage};
 use sq_vcs::{CommitId, Patch, RepoPath};
 use sq_workload::repo_model::MaterializedRepo;
@@ -311,7 +311,7 @@ pub fn run_server_bench(params: &ServerBenchParams) -> ServerBenchReport {
             .expect("subscribe round trip")
         {
             Response::Verdict { state, .. } => {
-                landed += u64::from(matches!(state, WireTicketState::Landed(_)));
+                landed += u64::from(matches!(state, TicketState::Landed(_)));
             }
             other => panic!("expected Verdict, got {other:?}"),
         }
@@ -362,7 +362,7 @@ pub fn run_server_bench(params: &ServerBenchParams) -> ServerBenchReport {
             .expect("post-restart subscribe")
         {
             Response::Verdict { state, .. } => {
-                if matches!(state, WireTicketState::Landed(_)) {
+                if matches!(state, TicketState::Landed(_)) {
                     landed_after_restart += 1;
                 }
             }

@@ -12,12 +12,10 @@
 //!
 //! [`InternedAffected`] is the bridge from [`AffectedSet`]: the same
 //! `target → state` information, with names replaced by interned ids.
-//! Its [`InternedAffected::names_intersect`] agrees exactly with
-//! [`AffectedSet::names_intersect`], and
-//! [`InternedAffected::shared_disagreement`] agrees exactly with the §5.2
-//! fast-path comparison (same target affected by both sides with
-//! different resulting states) — both are property-tested against the
-//! string-keyed originals in `tests/bitset_props.rs`.
+//! Its [`InternedAffected::shared_disagreement`] agrees exactly with the
+//! §5.2 fast-path comparison (same target affected by both sides with
+//! different resulting states) — property-tested against the
+//! string-keyed original in `tests/bitset_props.rs`.
 
 use crate::affected::{AffectedSet, AffectedState};
 use std::collections::HashMap;
@@ -26,9 +24,9 @@ use std::hash::Hash;
 /// Maps distinct values to dense `u32` ids, first-come first-numbered.
 ///
 /// Ids are stable for the interner's lifetime: interning the same value
-/// twice returns the same id, and [`Interner::resolve`] inverts the
-/// mapping. One interner must be shared by every set that will be
-/// compared — ids from different interners are meaningless to each other.
+/// twice returns the same id. One interner must be shared by every set
+/// that will be compared — ids from different interners are meaningless
+/// to each other.
 #[derive(Debug, Clone, Default)]
 pub struct Interner<T> {
     ids: HashMap<T, u32>,
@@ -54,33 +52,13 @@ impl<T: Eq + Hash + Clone> Interner<T> {
         self.items.push(item.clone());
         id
     }
-
-    /// The id of `item` if it has been interned.
-    pub fn get(&self, item: &T) -> Option<u32> {
-        self.ids.get(item).copied()
-    }
-
-    /// The value behind an id.
-    pub fn resolve(&self, id: u32) -> Option<&T> {
-        self.items.get(id as usize)
-    }
-
-    /// Number of distinct values interned.
-    pub fn len(&self) -> usize {
-        self.items.len()
-    }
-
-    /// True iff nothing has been interned.
-    pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
-    }
 }
 
 /// A set of dense `u32` ids packed 64 per word.
 ///
-/// Grows on insert; never shrinks. Equality ignores trailing zero words,
-/// so sets built with different capacities compare by content.
-#[derive(Debug, Clone, Default)]
+/// Grows on insert to the word of its largest id and never shrinks, so
+/// two sets with the same ids have the same words.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct BitSet {
     words: Vec<u64>,
 }
@@ -89,13 +67,6 @@ impl BitSet {
     /// An empty set.
     pub fn new() -> Self {
         BitSet { words: Vec::new() }
-    }
-
-    /// An empty set with room for ids `0..bits` without reallocating.
-    pub fn with_capacity(bits: u32) -> Self {
-        BitSet {
-            words: vec![0; (bits as usize).div_ceil(64)],
-        }
     }
 
     /// Insert an id; true iff it was not already present.
@@ -108,12 +79,6 @@ impl BitSet {
         let fresh = self.words[w] & mask == 0;
         self.words[w] |= mask;
         fresh
-    }
-
-    /// True iff the id is present.
-    pub fn contains(&self, id: u32) -> bool {
-        let (w, b) = (id as usize / 64, id % 64);
-        self.words.get(w).is_some_and(|word| word & (1 << b) != 0)
     }
 
     /// True iff the two sets share any id: a word-wise AND with an early
@@ -140,51 +105,7 @@ impl BitSet {
                 })
             })
     }
-
-    /// All ids in the set, ascending.
-    pub fn iter(&self) -> impl Iterator<Item = u32> + '_ {
-        self.words.iter().enumerate().flat_map(|(wi, &w)| {
-            let mut word = w;
-            std::iter::from_fn(move || {
-                if word == 0 {
-                    return None;
-                }
-                let bit = word.trailing_zeros();
-                word &= word - 1;
-                Some(wi as u32 * 64 + bit)
-            })
-        })
-    }
-
-    /// Number of ids present.
-    pub fn len(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
-    }
-
-    /// True iff no id is present.
-    pub fn is_empty(&self) -> bool {
-        self.words.iter().all(|&w| w == 0)
-    }
-
-    /// The packed words (low id first). Trailing zero words may or may
-    /// not be present; use [`BitSet::len`]/equality for content questions.
-    pub fn words(&self) -> &[u64] {
-        &self.words
-    }
 }
-
-impl PartialEq for BitSet {
-    fn eq(&self, other: &Self) -> bool {
-        let (short, long) = if self.words.len() <= other.words.len() {
-            (&self.words, &other.words)
-        } else {
-            (&other.words, &self.words)
-        };
-        short == &long[..short.len()] && long[short.len()..].iter().all(|&w| w == 0)
-    }
-}
-
-impl Eq for BitSet {}
 
 impl FromIterator<u32> for BitSet {
     fn from_iter<I: IntoIterator<Item = u32>>(iter: I) -> Self {
@@ -221,11 +142,6 @@ impl InternedAffected {
         InternedAffected { bits, states }
     }
 
-    /// The id bitset.
-    pub fn bits(&self) -> &BitSet {
-        &self.bits
-    }
-
     /// The state of an interned target, if affected.
     pub fn state_of(&self, id: u32) -> Option<&AffectedState> {
         self.states
@@ -234,19 +150,9 @@ impl InternedAffected {
             .map(|i| &self.states[i].1)
     }
 
-    /// Number of affected targets.
-    pub fn len(&self) -> usize {
-        self.states.len()
-    }
-
     /// True iff no target was affected.
     pub fn is_empty(&self) -> bool {
         self.states.is_empty()
-    }
-
-    /// Exactly [`AffectedSet::names_intersect`], as a word-wise AND.
-    pub fn names_intersect(&self, other: &InternedAffected) -> bool {
-        self.bits.intersects(&other.bits)
     }
 
     /// The §5.2 fast-path comparison: true iff some target is affected
@@ -276,27 +182,21 @@ mod tests {
         let b = i.intern(&"beta".to_string());
         assert_eq!((a, b), (0, 1));
         assert_eq!(i.intern(&"alpha".to_string()), 0, "re-intern is stable");
-        assert_eq!(i.get(&"beta".to_string()), Some(1));
-        assert_eq!(i.get(&"gamma".to_string()), None);
-        assert_eq!(i.resolve(0), Some(&"alpha".to_string()));
-        assert_eq!(i.resolve(2), None);
-        assert_eq!(i.len(), 2);
-        assert!(!i.is_empty());
+        assert_eq!(i.intern(&"gamma".to_string()), 2);
     }
 
     #[test]
-    fn bitset_insert_contains_iter() {
+    fn bitset_insert_reports_freshness() {
         let mut s = BitSet::new();
-        assert!(s.is_empty());
         for id in [3, 64, 64, 200, 0] {
             s.insert(id);
         }
         assert!(!s.insert(200), "duplicate insert reports not-fresh");
-        assert_eq!(s.len(), 4);
-        assert_eq!(s.iter().collect::<Vec<_>>(), vec![0, 3, 64, 200]);
-        assert!(s.contains(64));
-        assert!(!s.contains(65));
-        assert!(!s.contains(100_000), "probe beyond capacity is false");
+        assert!(s.insert(65));
+        assert_eq!(
+            s.intersection(&s).collect::<Vec<_>>(),
+            vec![0, 3, 64, 65, 200]
+        );
     }
 
     #[test]
@@ -312,17 +212,6 @@ mod tests {
         // Disjoint word ranges: no panic, no intersection.
         let d: BitSet = [100_000u32].into_iter().collect();
         assert!(!a.intersects(&d));
-    }
-
-    #[test]
-    fn bitset_equality_ignores_capacity() {
-        let mut a = BitSet::with_capacity(1024);
-        let mut b = BitSet::new();
-        a.insert(7);
-        b.insert(7);
-        assert_eq!(a, b);
-        b.insert(900);
-        assert_ne!(a, b);
     }
 
     #[test]
@@ -354,12 +243,7 @@ mod tests {
         let ib = InternedAffected::from_affected(&db, &mut interner);
         let ia2 = InternedAffected::from_affected(&da, &mut interner);
         assert_eq!(ia, ia2, "re-interning is deterministic");
-        assert_eq!(ia.len(), da.len());
-        assert_eq!(
-            ia.names_intersect(&ib),
-            da.names_intersect(&db),
-            "bitset Step 2 agrees with the string-keyed original"
-        );
+        assert_eq!(ia.states.len(), da.len());
         assert!(!ia.shared_disagreement(&ib));
         // Same target, different content hashes: disagreement.
         let ta2 = Patch::write(RepoPath::new("lib/l.rs").unwrap(), "lib-v3")
@@ -367,11 +251,10 @@ mod tests {
             .unwrap();
         let da2 = AffectedSet::between(&base, &SnapshotAnalysis::analyze(&ta2, &store).unwrap());
         let ia3 = InternedAffected::from_affected(&da2, &mut interner);
-        assert!(ia.names_intersect(&ia3));
         assert!(ia.shared_disagreement(&ia3));
         // A state can be looked up by interned id.
         let lib = TargetName::from_str("//lib:lib").unwrap();
-        let lib_id = interner.get(&lib).unwrap();
+        let lib_id = interner.intern(&lib);
         assert_eq!(ia.state_of(lib_id), da.get(&lib));
         assert_eq!(ia.state_of(u32::MAX), None);
     }

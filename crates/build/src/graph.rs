@@ -174,8 +174,6 @@ pub struct BuildGraph {
     targets: BTreeMap<TargetName, Target>,
     /// Dependencies strictly before dependents; ties broken by name.
     topo: Vec<TargetName>,
-    /// Longest dependency chain, counted in targets (0 for empty graphs).
-    depth: usize,
 }
 
 impl BuildGraph {
@@ -222,18 +220,8 @@ impl BuildGraph {
             .map(|(&t, _)| t)
             .collect();
         let mut topo: Vec<TargetName> = Vec::with_capacity(map.len());
-        let mut chain: HashMap<&TargetName, usize> = HashMap::new();
-        let mut depth = 0usize;
         while let Some(&name) = ready.iter().next() {
             ready.remove(name);
-            let longest = 1 + map[name]
-                .deps
-                .iter()
-                .map(|d| chain.get(d).copied().unwrap_or(0))
-                .max()
-                .unwrap_or(0);
-            chain.insert(name, longest);
-            depth = depth.max(longest);
             topo.push(name.clone());
             if let Some(ds) = dependents.get(name) {
                 for &d in ds {
@@ -253,11 +241,7 @@ impl BuildGraph {
                 .collect();
             return Err(BuildError::DependencyCycle(stuck));
         }
-        Ok(BuildGraph {
-            targets: map,
-            topo,
-            depth,
-        })
+        Ok(BuildGraph { targets: map, topo })
     }
 
     /// Look up a target by name.
@@ -265,19 +249,10 @@ impl BuildGraph {
         self.targets.get(name)
     }
 
-    /// True iff the graph declares this target.
-    pub fn contains(&self, name: &TargetName) -> bool {
-        self.targets.contains_key(name)
-    }
-
     /// Number of targets.
+    #[allow(clippy::len_without_is_empty)]
     pub fn len(&self) -> usize {
         self.targets.len()
-    }
-
-    /// True iff the graph has no targets.
-    pub fn is_empty(&self) -> bool {
-        self.targets.is_empty()
     }
 
     /// Target names in name order.
@@ -293,12 +268,6 @@ impl BuildGraph {
     /// Target names in topological order (dependencies first).
     pub fn topo_order(&self) -> impl Iterator<Item = &TargetName> {
         self.topo.iter()
-    }
-
-    /// Length of the longest dependency chain, in targets (1 when the
-    /// graph has targets but no edges; 0 when empty).
-    pub fn depth(&self) -> usize {
-        self.depth
     }
 
     /// True iff both graphs declare the same targets with the same rule
@@ -399,7 +368,6 @@ mod tests {
         .unwrap();
         let order2: Vec<String> = g2.topo_order().map(|x| x.to_string()).collect();
         assert_eq!(order, order2);
-        assert_eq!(g.depth(), 3);
         assert!(g.same_structure(&g2));
     }
 
@@ -445,9 +413,7 @@ mod tests {
     #[test]
     fn empty_graph() {
         let g = BuildGraph::from_targets([]).unwrap();
-        assert!(g.is_empty());
         assert_eq!(g.len(), 0);
-        assert_eq!(g.depth(), 0);
         assert_eq!(g.topo_order().count(), 0);
     }
 }

@@ -111,16 +111,6 @@ impl TargetHashes {
         self.hashes.get(name).copied()
     }
 
-    /// Number of hashed targets.
-    pub fn len(&self) -> usize {
-        self.hashes.len()
-    }
-
-    /// True iff no targets were hashed.
-    pub fn is_empty(&self) -> bool {
-        self.hashes.is_empty()
-    }
-
     /// Iterate `(name, hash)` pairs in name order.
     pub fn iter(&self) -> impl Iterator<Item = (&TargetName, TargetHash)> {
         self.hashes.iter().map(|(n, &h)| (n, h))
@@ -267,8 +257,6 @@ mod tests {
     fn accessors() {
         let (tree, store) = workspace("base-v1");
         let h = hashes_of(&tree, &store);
-        assert_eq!(h.len(), 4);
-        assert!(!h.is_empty());
         assert_eq!(h.iter().count(), 4);
         let one = h.get(&n("//base:base")).unwrap();
         assert_eq!(one.to_hex().len(), 64);

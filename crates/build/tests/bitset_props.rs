@@ -1,10 +1,10 @@
 //! Property tests for the interned-bitset layer: on arbitrary target
-//! graphs and arbitrary pairs of patches, the bitset Step-2 intersection
-//! must agree exactly with the string-keyed `AffectedSet` oracle, and the
-//! interned state comparison must agree with the §5.2 fast path whenever
-//! the fast path applies. The Figure-8 counterexample is pinned as a
-//! fixture: disjoint interned name sets do *not* mean independence —
-//! the union-graph walk still sees the dependency coupling.
+//! graphs and arbitrary pairs of patches, the interned state comparison
+//! must agree exactly with the string-keyed `AffectedSet` oracle, and
+//! with the §5.2 fast path whenever the fast path applies. The Figure-8
+//! counterexample is pinned as a fixture: disjoint affected name sets do
+//! *not* mean independence — the union-graph walk still sees the
+//! dependency coupling.
 
 use proptest::prelude::*;
 use sq_build::bitset::{BitSet, InternedAffected, Interner};
@@ -91,20 +91,18 @@ proptest! {
         let sy: HashSet<u32> = ys.iter().map(|&v| u32::from(v)).collect();
         let bx: BitSet = sx.iter().copied().collect();
         let by: BitSet = sy.iter().copied().collect();
-        prop_assert_eq!(bx.len(), sx.len());
-        prop_assert_eq!(bx.is_empty(), sx.is_empty());
+        let mut all: Vec<u32> = sx.iter().copied().collect();
+        all.sort_unstable();
+        prop_assert_eq!(bx.intersection(&bx).collect::<Vec<_>>(), all);
         prop_assert_eq!(bx.intersects(&by), !sx.is_disjoint(&sy));
         prop_assert_eq!(by.intersects(&bx), bx.intersects(&by));
         let mut want: Vec<u32> = sx.intersection(&sy).copied().collect();
         want.sort_unstable();
         prop_assert_eq!(bx.intersection(&by).collect::<Vec<_>>(), want);
-        for &v in sx.iter().take(8) {
-            prop_assert!(bx.contains(v));
-        }
     }
 
     #[test]
-    fn interned_intersection_agrees_with_eq6_oracle(
+    fn interned_disagreement_agrees_with_eq6_oracle(
         n_pkgs in 2usize..6,
         dep_bits in proptest::collection::vec(any::<bool>(), 10..11),
         edits_a in proptest::collection::vec(any::<u8>(), 0..4),
@@ -128,10 +126,6 @@ proptest! {
         let ia = InternedAffected::from_affected(&da, &mut interner);
         let ib = InternedAffected::from_affected(&db, &mut interner);
 
-        // Step 2 as a word-wise AND == Step 2 over the string-keyed maps.
-        prop_assert_eq!(ia.names_intersect(&ib), da.names_intersect(&db));
-        prop_assert_eq!(ib.names_intersect(&ia), ia.names_intersect(&ib));
-
         // The interned state comparison == the fast-path oracle.
         prop_assert_eq!(ia.shared_disagreement(&ib), oracle_disagreement(&da, &db));
         prop_assert_eq!(ib.shared_disagreement(&ia), oracle_disagreement(&db, &da));
@@ -143,7 +137,7 @@ proptest! {
 
         // Conservativeness: a Step-2 hit always makes the union graph
         // report a conflict.
-        if ia.names_intersect(&ib) {
+        if da.names_intersect(&db) {
             prop_assert!(union_graph_conflict(&base, &aa, &ab));
         }
     }
@@ -151,7 +145,7 @@ proptest! {
 
 /// The paper's Figure 8 fixture, interned: C1 edits a source of `x`
 /// (affecting `x` and its dependent `y`); C2 makes `z` depend on `x`.
-/// The interned bitsets are disjoint — and that is exactly why bitset
+/// The affected name sets are disjoint — and that is exactly why name
 /// intersection alone must never be read as independence: the union-graph
 /// walk still finds the dependency coupling.
 #[test]
@@ -187,12 +181,11 @@ fn fig8_counterexample_interned() {
     let mut interner: Interner<TargetName> = Interner::new();
     let i1 = InternedAffected::from_affected(&d1, &mut interner);
     let i2 = InternedAffected::from_affected(&d2, &mut interner);
-    // Interned Step 2 agrees with the string-keyed original: disjoint.
-    assert!(!i1.names_intersect(&i2));
+    // Step 2: the affected names are disjoint.
     assert!(!d1.names_intersect(&d2));
     assert!(!i1.shared_disagreement(&i2));
     // The fast path refuses (C2 altered the graph) and the union-graph
-    // walk still reports the conflict — a bitset miss is necessary but
+    // walk still reports the conflict — a Step-2 miss is necessary but
     // not sufficient for independence.
     assert_eq!(fast_path_conflict(&base, &a1, &a2), None);
     assert!(union_graph_conflict(&base, &a1, &a2));

@@ -39,6 +39,10 @@ use sq_workload::{ChangeId, ChangeSpec};
 use std::collections::{BTreeMap, HashMap};
 use std::rc::Rc;
 
+/// Infra-red attempts observed on one change before it is flagged in
+/// the quarantine list (retrying continues regardless).
+const QUARANTINE_THRESHOLD: u32 = 3;
+
 /// Identity of one started build. It survives infra retries and is
 /// never reused: a completion for an id no longer running is stale.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -154,8 +158,8 @@ pub struct Core<'a> {
 impl<'a> Core<'a> {
     /// A core with nothing pending. Of `config` it reads
     /// `conflict_analyzer`, `reorder`, `preemption_guard`, the lanes
-    /// (`shards`, or one lane of `workers`) and the faults'
-    /// `quarantine_threshold`; the rest is the driver's.
+    /// (`shards`, or one lane of `workers`) and whether `faults` is set;
+    /// the rest is the driver's.
     pub fn new(roster: &'a dyn Roster, strategy: &'a Strategy, config: &'a PlannerConfig) -> Self {
         let analyzer = if config.conflict_analyzer {
             IndexedAnalyzer::new()
@@ -179,8 +183,11 @@ impl<'a> Core<'a> {
             }
             None => vec![config.workers],
         };
-        let faults = config.faults.as_ref();
-        let threshold = faults.map_or(u32::MAX, |f| f.quarantine_threshold.max(1));
+        let threshold = if config.faults.is_some() {
+            QUARANTINE_THRESHOLD
+        } else {
+            u32::MAX
+        };
         Core {
             roster,
             strategy,

@@ -211,6 +211,38 @@ pub fn decode_patch(dec: &mut Decoder<'_>) -> Result<Patch, CodecError> {
     Ok(patch)
 }
 
+/// Append a ticket state to `enc` as a tag (0 queued, 1 landed, 2
+/// rejected) and its body. One format for the snapshot and the
+/// `sq-server` wire protocol.
+pub fn encode_ticket_state(enc: &mut Encoder, state: &TicketState) {
+    match state {
+        TicketState::Queued => enc.put_u8(0),
+        TicketState::Landed(c) => {
+            enc.put_u8(1);
+            encode_commit(enc, *c);
+        }
+        TicketState::Rejected(reason) => {
+            enc.put_u8(2);
+            enc.put_str(reason);
+        }
+    }
+}
+
+/// Inverse of [`encode_ticket_state`]; refuses unknown tags.
+pub fn decode_ticket_state(dec: &mut Decoder<'_>) -> Result<TicketState, CodecError> {
+    Ok(match dec.u8()? {
+        0 => TicketState::Queued,
+        1 => TicketState::Landed(decode_commit(dec)?),
+        2 => TicketState::Rejected(dec.str()?.to_string()),
+        _ => {
+            return Err(CodecError {
+                what: "unknown ticket-state tag",
+                offset: 0,
+            })
+        }
+    })
+}
+
 impl ServiceEvent {
     fn encode(&self, enc: &mut Encoder) {
         match self {
@@ -473,17 +505,7 @@ impl DurableState {
         enc.put_u32(u32::try_from(self.states.len()).expect("states fit in u32"));
         for (ticket, state) in &self.states {
             enc.put_u64(*ticket);
-            match state {
-                TicketState::Queued => enc.put_u8(0),
-                TicketState::Landed(c) => {
-                    enc.put_u8(1);
-                    encode_commit(&mut enc, *c);
-                }
-                TicketState::Rejected(reason) => {
-                    enc.put_u8(2);
-                    enc.put_str(reason);
-                }
-            }
+            encode_ticket_state(&mut enc, state);
         }
         enc.put_u32(u32::try_from(self.quarantined.len()).expect("quarantine fits in u32"));
         for (target, observations) in &self.quarantined {
@@ -517,17 +539,7 @@ impl DurableState {
         }
         for _ in 0..dec.u32()? {
             let ticket = dec.u64()?;
-            let ts = match dec.u8()? {
-                0 => TicketState::Queued,
-                1 => TicketState::Landed(decode_commit(&mut dec)?),
-                2 => TicketState::Rejected(dec.str()?.to_string()),
-                _ => {
-                    return Err(CodecError {
-                        what: "unknown ticket-state tag",
-                        offset: 0,
-                    })
-                }
-            };
+            let ts = decode_ticket_state(&mut dec)?;
             state.states.insert(ticket, ts);
         }
         for _ in 0..dec.u32()? {

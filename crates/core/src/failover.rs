@@ -83,7 +83,7 @@ pub fn promote_from_follower<S: Storage + Clone>(
     replication: ReplicationConfig,
     fence_above: u64,
 ) -> Result<(DurableSubmitQueue<Leader<S>>, PromotionReport), StoreError> {
-    let (mut follower, _) = Follower::open(storage.clone(), store_config.clone(), &replication)?;
+    let (mut follower, _) = Follower::open(storage.clone(), store_config.clone())?;
     let claimed = follower.promote_to(fence_above.max(follower.epoch()) + 1)?;
     drop(follower);
     let (leader, recovered) = Leader::open(storage, store_config, replication)?;
@@ -117,17 +117,18 @@ pub struct PromotionCandidate {
 /// Inspect every surviving replica and pick the one with the highest
 /// `(epoch, durable LSN)` — the longest acknowledged history on the
 /// newest timeline. Opening a candidate repairs (truncates) any torn
-/// tail its medium holds, exactly as promotion itself would.
+/// tail its medium holds, exactly as promotion itself would. A replica
+/// is opened without its replication settings: only a leader has any.
 pub fn best_promotion_candidate<S: Storage + Clone>(
     storages: &[S],
     store_config: &DurableStoreConfig,
-    replication: &ReplicationConfig,
+    _replication: &ReplicationConfig,
 ) -> Result<PromotionCandidate, StoreError> {
     assert!(!storages.is_empty(), "no replicas to promote");
     let mut best: Option<PromotionCandidate> = None;
     let mut cluster_epoch = 0;
     for (index, storage) in storages.iter().enumerate() {
-        let (follower, _) = Follower::open(storage.clone(), store_config.clone(), replication)?;
+        let (follower, _) = Follower::open(storage.clone(), store_config.clone())?;
         let (epoch, durable_lsn) = (follower.epoch(), follower.durable_lsn());
         cluster_epoch = cluster_epoch.max(epoch);
         if best

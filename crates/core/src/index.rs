@@ -52,24 +52,18 @@ impl IndexStats {
 /// Memoized per-change affected bitsets against one trunk.
 #[derive(Debug, Clone)]
 pub struct ConflictIndex {
-    trunk: TrunkHash,
     entries: HashMap<ChangeId, BitSet>,
     stats: IndexStats,
 }
 
 impl ConflictIndex {
-    /// An empty index against `trunk`.
-    pub fn new(trunk: TrunkHash) -> Self {
+    /// An empty index against `trunk`. Nothing reads the trunk back: an
+    /// index lives exactly as long as the trunk it was opened on.
+    pub fn new(_trunk: TrunkHash) -> Self {
         ConflictIndex {
-            trunk,
             entries: HashMap::new(),
             stats: IndexStats::default(),
         }
-    }
-
-    /// The trunk entries are computed against.
-    pub fn trunk(&self) -> TrunkHash {
-        self.trunk
     }
 
     /// Drop a resolved change's entry for good.
@@ -152,30 +146,10 @@ impl ConflictMatrix {
         }
     }
 
-    /// Window size.
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// True iff the window is empty.
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
-    }
-
     /// Mark the pair `(i, j)` with `i < j` as conflicting.
     pub fn set(&mut self, i: usize, j: usize) {
         debug_assert!(i < j && j < self.n);
         self.words[i * self.words_per_row + j / 64] |= 1u64 << (j % 64);
-    }
-
-    /// Whether changes `i` and `j` conflict (symmetric; `i == j` is
-    /// false by convention).
-    pub fn get(&self, i: usize, j: usize) -> bool {
-        if i == j {
-            return false;
-        }
-        let (i, j) = if i < j { (i, j) } else { (j, i) };
-        self.words[i * self.words_per_row + j / 64] & (1u64 << (j % 64)) != 0
     }
 
     /// Number of conflicting pairs.
@@ -250,8 +224,8 @@ mod tests {
         let serial = ix.matrix_serial(&ids(n));
         // The chain structure: exactly n-1 conflicting pairs.
         assert_eq!(serial.conflict_count(), n - 1);
-        assert!(serial.get(0, 1) && serial.get(1, 0), "symmetric accessor");
-        assert!(!serial.get(0, 2) && !serial.get(0, 0));
+        // Row 0 holds exactly the pair (0, 1).
+        assert_eq!(serial.words[0], 1 << 1);
         assert_eq!(
             ix.stats().pairs_checked,
             n * (n - 1) / 2,
@@ -263,10 +237,9 @@ mod tests {
     fn empty_and_single_windows_are_fine() {
         let mut ix = ensured_index(1);
         let m0 = ix.matrix_serial(&[]);
-        assert!(m0.is_empty());
         assert_eq!(m0.to_bytes(), ConflictMatrix::new(0).to_bytes());
         let m1 = ix.matrix_serial(&ids(1));
-        assert_eq!(m1.len(), 1);
+        assert_eq!(m1.n, 1);
         assert_eq!(m1.conflict_count(), 0);
     }
 

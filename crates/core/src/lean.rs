@@ -13,7 +13,7 @@
 //!    speculation budget is value-weighted by conflict risk, so risky
 //!    changes surface their conflicts early while low-risk changes
 //!    batch cheaply.
-//! 3. **Bypass lanes** ([`LeanConfig::bypass`] + [`BypassPolicy`]):
+//! 3. **Bypass lanes** ([`LeanConfig::bypass`] + [`bypass_eligible`]):
 //!    changes matching a low-risk footprint policy — or explicitly
 //!    flagged as emergencies — land after a single non-speculative
 //!    verify against the current mainline.
@@ -129,43 +129,29 @@ impl LeanConfig {
     }
 }
 
-/// The bypass-lane eligibility policy: a pure, deterministic predicate
-/// over what is observable at submission time. Footprint-monotone by
-/// construction — shrinking a change's footprint (fewer files, fewer
+/// Most files a bypassed change may touch, and most build targets it
+/// may affect: doc-sized, leaf-sized changes. Kept deliberately tight —
+/// every bypassed change trades its whole speculation fan-out for one
+/// front-of-queue verify, so a generous policy starves speculation for
+/// the rest of the window.
+const BYPASS_MAX_FILES: u32 = 2;
+const BYPASS_MAX_AFFECTED_TARGETS: u32 = 2;
+
+/// Is `c` eligible for the bypass lane? A pure, deterministic predicate
+/// over what is observable at submission time. Emergencies always are;
+/// everything else must have a small, graph-preserving, presubmit-clean
+/// footprint confined to at most one repository part. Footprint-monotone
+/// by construction — shrinking a change's footprint (fewer files, fewer
 /// affected targets, fewer parts) never revokes eligibility.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BypassPolicy {
-    /// Maximum files touched.
-    pub max_files: u32,
-    /// Maximum affected build targets (leaf-sized footprints).
-    pub max_affected_targets: u32,
-}
-
-impl BypassPolicy {
-    /// The production policy: doc-sized, leaf-sized changes. Kept
-    /// deliberately tight — every bypassed change trades its whole
-    /// speculation fan-out for one front-of-queue verify, so a generous
-    /// policy starves speculation for the rest of the window.
-    pub fn standard() -> BypassPolicy {
-        BypassPolicy {
-            max_files: 2,
-            max_affected_targets: 2,
-        }
+pub fn bypass_eligible(c: &ChangeSpec) -> bool {
+    if c.emergency {
+        return true;
     }
-
-    /// Is `c` eligible for the bypass lane? Emergencies always are;
-    /// everything else must have a small, graph-preserving, presubmit-
-    /// clean footprint confined to at most one repository part.
-    pub fn eligible(&self, c: &ChangeSpec) -> bool {
-        if c.emergency {
-            return true;
-        }
-        !c.alters_build_graph
-            && c.presubmit_passed
-            && c.files_changed <= self.max_files
-            && c.affected_targets <= self.max_affected_targets
-            && c.parts.len() <= 1
-    }
+    !c.alters_build_graph
+        && c.presubmit_passed
+        && c.files_changed <= BYPASS_MAX_FILES
+        && c.affected_targets <= BYPASS_MAX_AFFECTED_TARGETS
+        && c.parts.len() <= 1
 }
 
 /// Per-run accounting of lean decisions, resolved change by resolved
@@ -270,45 +256,43 @@ mod tests {
 
     #[test]
     fn bypass_policy_is_footprint_monotone() {
-        let policy = BypassPolicy::standard();
         let base = small_change();
-        assert!(policy.eligible(&base));
+        assert!(bypass_eligible(&base));
         // Shrinking any footprint dimension preserves eligibility.
         for (files, targets) in [(1, 1), (0, 0), (2, 2)] {
             let mut c = base.clone();
             c.files_changed = files;
             c.affected_targets = targets;
-            assert!(policy.eligible(&c), "files={files} targets={targets}");
+            assert!(bypass_eligible(&c), "files={files} targets={targets}");
         }
         // Growing past the policy revokes it.
         let mut big = base.clone();
-        big.files_changed = policy.max_files + 1;
-        assert!(!policy.eligible(&big));
+        big.files_changed = BYPASS_MAX_FILES + 1;
+        assert!(!bypass_eligible(&big));
         let mut wide = base.clone();
-        wide.affected_targets = policy.max_affected_targets + 1;
-        assert!(!policy.eligible(&wide));
+        wide.affected_targets = BYPASS_MAX_AFFECTED_TARGETS + 1;
+        assert!(!bypass_eligible(&wide));
         let mut multi = base.clone();
         multi.parts = vec![PartId(1), PartId(2)];
-        assert!(!policy.eligible(&multi));
+        assert!(!bypass_eligible(&multi));
         let mut graph = base.clone();
         graph.alters_build_graph = true;
-        assert!(!policy.eligible(&graph));
+        assert!(!bypass_eligible(&graph));
         let mut failed = base;
         failed.presubmit_passed = false;
-        assert!(!policy.eligible(&failed));
+        assert!(!bypass_eligible(&failed));
     }
 
     #[test]
     fn emergency_flag_overrides_the_footprint_policy() {
-        let policy = BypassPolicy::standard();
         let mut huge = small_change();
         huge.files_changed = 400;
         huge.affected_targets = 900;
         huge.alters_build_graph = true;
         huge.presubmit_passed = false;
-        assert!(!policy.eligible(&huge));
+        assert!(!bypass_eligible(&huge));
         huge.emergency = true;
-        assert!(policy.eligible(&huge));
+        assert!(bypass_eligible(&huge));
     }
 
     #[test]

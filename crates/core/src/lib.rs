@@ -33,7 +33,7 @@
 //!   Oracle used for normalization — plus the lean variants.
 //! * [`lean`] — the Uber 2025 follow-up optimizations: probability-
 //!   gated speculation skipping, risk prioritization, and bypass lanes
-//!   (`LeanConfig`, `BypassPolicy`, `LeanReport`).
+//!   (`LeanConfig`, `bypass_eligible`, `LeanReport`).
 //! * [`decision`] — the decision core of the planner engine (Sections
 //!   4–6): events in (a change arrived, a build attempt finished),
 //!   actions out (start, abort, retry, resolved). The serializability
@@ -96,7 +96,7 @@ pub use failover::{
     PromotionReport,
 };
 pub use index::{ConflictIndex, ConflictMatrix, IndexStats, TrunkHash};
-pub use lean::{BypassPolicy, LeanConfig, LeanReport, SKIP_MISS_BUDGET};
+pub use lean::{bypass_eligible, LeanConfig, LeanReport, SKIP_MISS_BUDGET};
 pub use pending::{ChangeOutcome, ChangeRecord};
 pub use planner::{run_simulation, PlannerConfig, SimResult};
 pub use predict::{LearnedPredictor, OraclePredictor, Predictor};

@@ -68,8 +68,8 @@ mod tests {
     fn turnaround_is_resolution_minus_submission() {
         let r = ChangeRecord::new(
             ChangeId(3),
-            SimTime::from_mins(10),
-            SimTime::from_mins(45),
+            SimTime::from_secs(10 * 60),
+            SimTime::from_secs(45 * 60),
             ChangeOutcome::Committed,
             2,
             1,

@@ -61,13 +61,6 @@ pub struct PlannerConfig {
     /// gating build ("if a build is near its completion, it might be
     /// beneficial to continue running its build steps").
     pub preemption_guard: Option<f64>,
-    /// Section 6 epochs: when set, the planner contacts the speculation
-    /// engine only every `epoch` of simulated time instead of on every
-    /// event ("the planner engine contacts the speculation engine on
-    /// every epoch"). `None` replans event-driven (epoch → 0), which is
-    /// strictly more reactive; the ablation quantifies what longer
-    /// epochs cost.
-    pub epoch: Option<SimDuration>,
     /// Deterministic infra-fault model: when set, each finished build
     /// attempt may come back infra-red and is retried (worker retained,
     /// backoff charged) instead of being treated as a change failure.
@@ -79,11 +72,12 @@ pub struct PlannerConfig {
     /// rule stay global so always-green holds over the merged trunk.
     /// `None` keeps today's single global lane, bit for bit.
     pub shards: Option<ShardSpec>,
-    /// Model of the planning round's own cost: when set, each lane's
-    /// replans are deferred to adaptive ticks `base + per_pending · n`
-    /// behind its window size `n` (composing with [`Self::epoch`], which
-    /// adds its fixed period on top). This is what a huge single-lane
-    /// window saturates on; `None` models free planning rounds.
+    /// Section 6 epochs and the planning round's own cost: when set,
+    /// each lane's replans are deferred to ticks `base + per_pending · n`
+    /// behind its window size `n` ("the planner engine contacts the
+    /// speculation engine on every epoch"; a fixed epoch is
+    /// `per_pending: 0`). This is what a huge single-lane window
+    /// saturates on; `None` replans event-driven, on every event.
     pub planning_cost: Option<PlanningCost>,
 }
 
@@ -91,23 +85,18 @@ pub struct PlannerConfig {
 ///
 /// An infra-red attempt carries no information about the change, so the
 /// planner *never* rejects on it: the build reruns on the same worker
-/// after a charged backoff, for as long as it takes. The retry policy's
-/// attempt bound only sets where the backoff schedule plateaus and when
-/// a change is flagged for quarantine — infra evidence alone can never
-/// turn into a rejection, which is what keeps wrongly-rejected-change
-/// counts at zero under flake-rate sweeps.
+/// after the standard policy's backoff (seeded by `seed`, charged as
+/// queue time on the retained worker), for as long as it takes. A change
+/// is flagged for quarantine after three infra-red attempts — infra
+/// evidence alone can never turn into a rejection, which is what keeps
+/// wrongly-rejected-change counts at zero under flake-rate sweeps.
 #[derive(Debug, Clone)]
 pub struct SimFaults {
     /// Probability that any single build attempt ends infra-red.
     pub rate: f64,
-    /// Seed for the per-(build, attempt) fault decisions.
+    /// Seed for the per-(build, attempt) fault decisions and the
+    /// backoff jitter.
     pub seed: u64,
-    /// Backoff schedule charged (as queue time on the retained worker)
-    /// before each infra retry.
-    pub retry: RetryPolicy,
-    /// Infra-red attempts observed on one change before it is flagged
-    /// in the result's quarantine list (retrying continues regardless).
-    pub quarantine_threshold: u32,
 }
 
 impl SimFaults {
@@ -115,12 +104,7 @@ impl SimFaults {
     /// Panics unless `rate` is a probability in `[0, 1]`.
     pub fn at_rate(rate: f64, seed: u64) -> Self {
         assert!((0.0..=1.0).contains(&rate), "fault rate must be in [0,1]");
-        SimFaults {
-            rate,
-            seed,
-            retry: RetryPolicy::standard(4, seed),
-            quarantine_threshold: 3,
-        }
+        SimFaults { rate, seed }
     }
 
     /// Decide whether `attempt` (1-based) of the build `key` is
@@ -147,7 +131,6 @@ impl Default for PlannerConfig {
             conflict_analyzer: true,
             reorder: false,
             preemption_guard: None,
-            epoch: None,
             faults: None,
             shards: None,
             planning_cost: None,
@@ -517,7 +500,9 @@ impl<'a> Driver<'a> {
                         let fields = [("change", subject.0 as f64)];
                         self.obs.tracer.event("quarantine", now, &fields);
                     }
-                    let backoff = faults.retry.backoff(attempt);
+                    // The simulator retries until green, so of the standard
+                    // policy only its backoff schedule is read.
+                    let backoff = RetryPolicy::standard(4, faults.seed).backoff(attempt);
                     let duration = backoff + self.spec(subject).build_duration + BUILD_OVERHEAD;
                     sched.at(now + duration, Event::BuildDone(build));
                     self.obs.metrics.inc("planner.infra_retries");
@@ -577,21 +562,19 @@ impl<'a> Driver<'a> {
         self.actions = actions;
     }
 
-    /// Delay until a lane's next planning tick: the fixed epoch period
-    /// (if any) plus the modeled cost of a planning round over the lane's
-    /// current pending window (if any).
+    /// Delay until a lane's next planning tick: the modeled cost of a
+    /// planning round over the lane's current pending window (if any).
     fn tick_delay(&self, lane: usize) -> SimDuration {
         let cost = self.config.planning_cost.as_ref();
-        self.config.epoch.unwrap_or(SimDuration::ZERO)
-            + cost.map_or(SimDuration::ZERO, |pc| pc.tick(self.core.pending_in(lane)))
+        cost.map_or(SimDuration::ZERO, |pc| pc.tick(self.core.pending_in(lane)))
     }
 
-    /// Event-driven mode replans every lane immediately; epoch /
-    /// planning-cost mode defers each lane to its next tick (scheduling
-    /// one if none is pending — every lane, so a quiet lane can't stall
-    /// forever behind a busy one).
+    /// Event-driven mode replans every lane immediately; planning-cost
+    /// mode defers each lane to its next tick (scheduling one if none is
+    /// pending — every lane, so a quiet lane can't stall forever behind
+    /// a busy one).
     fn maybe_replan(&mut self, now: SimTime, sched: &mut Scheduler<'_, Event>) {
-        let event_driven = self.config.epoch.is_none() && self.config.planning_cost.is_none();
+        let event_driven = self.config.planning_cost.is_none();
         for lane in 0..self.core.n_lanes() {
             if event_driven {
                 self.plan_lane(lane, now, sched);
@@ -1000,7 +983,10 @@ mod tests {
             &strategy,
             &PlannerConfig {
                 workers: 150,
-                epoch: Some(SimDuration::from_secs(30)),
+                planning_cost: Some(PlanningCost {
+                    base: SimDuration::from_secs(30),
+                    per_pending: SimDuration::ZERO,
+                }),
                 ..PlannerConfig::default()
             },
         );
@@ -1019,7 +1005,10 @@ mod tests {
             &strategy,
             &PlannerConfig {
                 workers: 150,
-                epoch: Some(SimDuration::from_mins(20)),
+                planning_cost: Some(PlanningCost {
+                    base: SimDuration::from_mins(20),
+                    per_pending: SimDuration::ZERO,
+                }),
                 ..PlannerConfig::default()
             },
         );
@@ -1206,18 +1195,17 @@ mod tests {
     fn chronic_flakes_land_in_the_quarantine_list() {
         let w = workload(100.0, 30, 32);
         let strategy = Strategy::build(StrategyKind::Oracle, &w, None);
-        let mut faults = SimFaults::at_rate(0.6, 3);
-        faults.quarantine_threshold = 2;
         let r = run_simulation(
             &w,
             &strategy,
             &PlannerConfig {
                 workers: 30,
-                faults: Some(faults),
+                faults: Some(SimFaults::at_rate(0.6, 3)),
                 ..PlannerConfig::default()
             },
         );
-        // At a 60% per-attempt fault rate, some change must flake twice.
+        // At a 60% per-attempt fault rate, some change must flake three
+        // times.
         assert!(!r.quarantined.is_empty(), "quarantine list stayed empty");
         assert_eq!(r.records.len(), 30);
         audit_green(&w, &r).unwrap();

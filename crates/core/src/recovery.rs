@@ -36,16 +36,6 @@ impl RecoveryConfig {
             quarantine_threshold: u32::MAX,
         }
     }
-
-    /// Production-shaped defaults: 3 step attempts with exponential
-    /// backoff, 3 whole-build redos, quarantine after 3 observed flakes.
-    pub fn standard(seed: u64) -> Self {
-        RecoveryConfig {
-            retry: RetryPolicy::standard(3, seed),
-            max_rebuilds: 3,
-            quarantine_threshold: 3,
-        }
-    }
 }
 
 /// Flake accounting with a quarantine threshold.
@@ -96,24 +86,15 @@ impl<K: Ord + Clone> QuarantineList<K> {
         self.quarantined.insert(key);
     }
 
-    /// Observation count for `key`.
-    pub fn observations(&self, key: &K) -> u32 {
-        self.counts.get(key).copied().unwrap_or(0)
-    }
-
     /// The quarantined keys, in order.
     pub fn quarantined(&self) -> impl Iterator<Item = &K> {
         self.quarantined.iter()
     }
 
     /// Number of quarantined keys.
+    #[allow(clippy::len_without_is_empty)]
     pub fn len(&self) -> usize {
         self.quarantined.len()
-    }
-
-    /// True iff nothing is quarantined.
-    pub fn is_empty(&self) -> bool {
-        self.quarantined.is_empty()
     }
 }
 
@@ -126,12 +107,12 @@ mod tests {
         let mut q: QuarantineList<&str> = QuarantineList::new(3);
         assert_eq!(q.record_flake("//a:a"), None);
         assert_eq!(q.record_flake("//a:a"), None);
-        assert!(q.is_empty());
+        assert_eq!(q.len(), 0);
         assert_eq!(q.record_flake("//a:a"), Some(3));
         assert_eq!(q.quarantined().collect::<Vec<_>>(), [&"//a:a"]);
         // Further flakes count but do not re-announce.
         assert_eq!(q.record_flake("//a:a"), None);
-        assert_eq!(q.observations(&"//a:a"), 4);
+        assert_eq!(q.counts[&"//a:a"], 4);
         assert_eq!(q.len(), 1);
     }
 
@@ -140,10 +121,10 @@ mod tests {
         let mut q: QuarantineList<&str> = QuarantineList::new(3);
         q.restore("//flaky:t", 5);
         assert_eq!(q.quarantined().collect::<Vec<_>>(), [&"//flaky:t"]);
-        assert_eq!(q.observations(&"//flaky:t"), 5);
+        assert_eq!(q.counts[&"//flaky:t"], 5);
         // Already quarantined: further flakes never re-announce.
         assert_eq!(q.record_flake("//flaky:t"), None);
-        assert_eq!(q.observations(&"//flaky:t"), 6);
+        assert_eq!(q.counts[&"//flaky:t"], 6);
     }
 
     #[test]
@@ -151,18 +132,15 @@ mod tests {
         let mut q: QuarantineList<u32> = QuarantineList::new(2);
         q.record_flake(1);
         q.record_flake(2);
-        assert!(q.is_empty());
+        assert_eq!(q.len(), 0);
         q.record_flake(1);
         assert_eq!(q.quarantined().copied().collect::<Vec<_>>(), vec![1]);
     }
 
     #[test]
-    fn config_presets() {
+    fn disabled_recovery_never_retries() {
         let off = RecoveryConfig::disabled();
         assert_eq!(off.max_rebuilds, 0);
         assert!(!off.retry.should_retry(1));
-        let on = RecoveryConfig::standard(5);
-        assert!(on.retry.should_retry(1));
-        assert!(on.max_rebuilds > 0);
     }
 }

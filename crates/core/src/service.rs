@@ -56,6 +56,13 @@ pub enum TicketState {
     Rejected(String),
 }
 
+impl TicketState {
+    /// True for landed/rejected, false for queued.
+    pub fn is_terminal(&self) -> bool {
+        !matches!(self, TicketState::Queued)
+    }
+}
+
 /// A step action: decides the outcome of one build step given the
 /// snapshot it runs against. Runs on executor worker threads.
 pub type StepAction = dyn Fn(&BuildStep, &Tree) -> StepOutcome + Send + Sync;

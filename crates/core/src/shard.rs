@@ -24,12 +24,10 @@
 //!
 //! This module owns the shard *plan* (part → shard routing), the lane
 //! worker split, the planner's planning-cost model (what makes the
-//! single global window saturate), and the per-shard reporting that
-//! feeds sq-obs.
+//! single global window saturate), and the per-shard report.
 
 use crate::pending::ChangeOutcome;
 use crate::planner::SimResult;
-use sq_obs::MetricsRegistry;
 use sq_sim::SimDuration;
 use sq_workload::change::PartId;
 use sq_workload::{ChangeSpec, Workload};
@@ -58,11 +56,6 @@ impl ShardPlan {
             shard_of_part: (0..n_parts).map(|p| (p % n_shards) as u32).collect(),
             n_shards,
         }
-    }
-
-    /// Number of shards (excluding the arbiter lane).
-    pub fn n_shards(&self) -> usize {
-        self.n_shards
     }
 
     /// Number of planning lanes: one per shard plus the arbiter.
@@ -160,16 +153,6 @@ impl ShardSpec {
         }
         ShardSpec { plan, lane_workers }
     }
-
-    /// Number of lanes.
-    pub fn n_lanes(&self) -> usize {
-        self.plan.n_lanes()
-    }
-
-    /// Total workers across all lanes.
-    pub fn total_workers(&self) -> usize {
-        self.lane_workers.iter().sum()
-    }
 }
 
 /// Model of the planning step's own cost (paper Section 6: the planner
@@ -260,22 +243,6 @@ impl ShardReport {
     pub fn total_wrongful(&self) -> usize {
         self.lanes.iter().map(|l| l.wrongful).sum()
     }
-
-    /// Export the report idempotently: totals go through the
-    /// watermark-reconciling [`MetricsRegistry::record_total`] and
-    /// instantaneous values through gauges, so re-exporting against the
-    /// same registry never double-counts (the PR-8 discipline, guarded
-    /// by `sq_obs::check::assert_idempotent_export`).
-    pub fn record_into(&self, metrics: &mut MetricsRegistry) {
-        for l in &self.lanes {
-            metrics.record_total(&format!("shard.{}.routed", l.name), l.routed as u64);
-            metrics.record_total(&format!("shard.{}.committed", l.name), l.committed as u64);
-            metrics.record_total(&format!("shard.{}.rejected", l.name), l.rejected as u64);
-            metrics.set_gauge(&format!("shard.{}.wrongful", l.name), l.wrongful as f64);
-        }
-        metrics.set_gauge("shard.lanes", self.lanes.len() as f64);
-        metrics.set_gauge("shard.wrongful_total", self.total_wrongful() as f64);
-    }
 }
 
 #[cfg(test)]
@@ -283,7 +250,6 @@ mod tests {
     use super::*;
     use crate::planner::{run_simulation, PlannerConfig};
     use crate::strategy::{Strategy, StrategyKind};
-    use sq_obs::check::assert_idempotent_export;
     use sq_workload::{WorkloadBuilder, WorkloadParams};
 
     fn pid(p: u32) -> PartId {
@@ -293,7 +259,7 @@ mod tests {
     #[test]
     fn round_robin_routes_single_shard_footprints() {
         let plan = ShardPlan::round_robin(10, 3);
-        assert_eq!(plan.n_shards(), 3);
+        assert_eq!(plan.n_shards, 3);
         assert_eq!(plan.n_lanes(), 4);
         assert_eq!(plan.arbiter_lane(), 3);
         // Parts 0, 3, 6, 9 all live in shard 0.
@@ -319,7 +285,7 @@ mod tests {
         let spec = ShardSpec::even(ShardPlan::round_robin(20, 4), 103);
         assert_eq!(spec.lane_workers.len(), 5);
         assert!(spec.lane_workers.iter().all(|&w| w >= 1));
-        assert_eq!(spec.total_workers(), 103);
+        assert_eq!(spec.lane_workers.iter().sum::<usize>(), 103);
         // Tiny fleets still give every lane a worker.
         let tiny = ShardSpec::even(ShardPlan::round_robin(20, 4), 2);
         assert!(tiny.lane_workers.iter().all(|&w| w >= 1));
@@ -334,7 +300,7 @@ mod tests {
             .unwrap();
         let plan = ShardPlan::round_robin(300, 4);
         let spec = ShardSpec::proportional(plan.clone(), &w, 200);
-        assert_eq!(spec.total_workers(), 200);
+        assert_eq!(spec.lane_workers.iter().sum::<usize>(), 200);
         assert!(spec.lane_workers.iter().all(|&l| l >= 1));
         // The busiest lane by traffic gets the most workers (modulo the
         // arbiter's remainder bonus).
@@ -342,8 +308,8 @@ mod tests {
         for c in &w.changes {
             routed[plan.lane_of(c)] += 1;
         }
-        let busiest = (0..plan.n_shards()).max_by_key(|&l| routed[l]).unwrap();
-        let quietest = (0..plan.n_shards()).min_by_key(|&l| routed[l]).unwrap();
+        let busiest = (0..plan.n_shards).max_by_key(|&l| routed[l]).unwrap();
+        let quietest = (0..plan.n_shards).min_by_key(|&l| routed[l]).unwrap();
         assert!(spec.lane_workers[busiest] >= spec.lane_workers[quietest]);
     }
 
@@ -358,7 +324,7 @@ mod tests {
     }
 
     #[test]
-    fn shard_report_partitions_the_run_and_exports_idempotently() {
+    fn shard_report_partitions_the_run() {
         let w = WorkloadBuilder::new(WorkloadParams::ios().with_rate(150.0))
             .seed(41)
             .n_changes(120)
@@ -379,8 +345,5 @@ mod tests {
             r.committed()
         );
         assert_eq!(report.total_wrongful(), 0);
-        // Exporter idempotence: exporting the same report twice into one
-        // registry must not change any value (the PR-8 regression guard).
-        assert_idempotent_export(|m| report.record_into(m));
     }
 }

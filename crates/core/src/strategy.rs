@@ -28,7 +28,7 @@
 
 use crate::analyzer::ConflictGraph;
 use crate::fasthash::FastMap;
-use crate::lean::{BypassPolicy, LeanConfig, SKIP_MISS_BUDGET};
+use crate::lean::{bypass_eligible, LeanConfig, SKIP_MISS_BUDGET};
 use crate::predict::{
     LearnedPredictor, OraclePredictor, Predictor, Roster, SpeculationCounters, UniformPredictor,
 };
@@ -319,8 +319,7 @@ impl Strategy {
             let p_commit = SpeculationEngine::commit_probabilities(
                 roster, pending, graph, predictor, counters, fixed,
             );
-            let policy = BypassPolicy::standard();
-            for c in pending.iter().filter(|c| policy.eligible(c)).take(budget) {
+            for c in pending.iter().filter(|c| bypass_eligible(c)).take(budget) {
                 plan.bypassed.push(c.id);
                 let mut assumed = graph.earlier_conflicts(c.id);
                 assumed.retain(|d| p_commit.get(d).copied().unwrap_or(0.0) >= 0.5);

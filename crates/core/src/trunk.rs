@@ -10,37 +10,21 @@
 use sq_sim::{SimDuration, SimTime, Xoshiro256StarStar};
 use sq_workload::{ChangeSpec, Workload};
 
-/// Parameters of the post-submit pipeline.
-#[derive(Debug, Clone)]
-pub struct TrunkConfig {
-    /// Fraction of *individually failing* changes that slip past
-    /// pre-submit checks (pre-submit runs a reduced suite; integration
-    /// and UI failures surface post-submit).
-    pub presubmit_escape_rate: f64,
-    /// How far back a change's development window reaches: commits that
-    /// landed within this window are the ones it can really conflict
-    /// with (it was developed unaware of them).
-    pub dev_window: SimDuration,
-    /// Base time for the post-submit pipeline to flag a breakage.
-    pub detect_base: SimDuration,
-    /// Extra localization time per commit that landed since the breakage
-    /// (bisection and sheriff work scale with the pile-up).
-    pub localize_per_commit: SimDuration,
-    /// RNG seed for the escape coin.
-    pub seed: u64,
-}
-
-impl Default for TrunkConfig {
-    fn default() -> Self {
-        TrunkConfig {
-            presubmit_escape_rate: 0.35,
-            dev_window: SimDuration::from_mins(40),
-            detect_base: SimDuration::from_mins(25),
-            localize_per_commit: SimDuration::from_mins(3),
-            seed: 0x7A17,
-        }
-    }
-}
+/// Fraction of *individually failing* changes that slip past pre-submit
+/// checks (pre-submit runs a reduced suite; integration and UI failures
+/// surface post-submit).
+const PRESUBMIT_ESCAPE_RATE: f64 = 0.35;
+/// How far back a change's development window reaches: commits that
+/// landed within this window are the ones it can really conflict with
+/// (it was developed unaware of them).
+const DEV_WINDOW: SimDuration = SimDuration::from_mins(40);
+/// Base time for the post-submit pipeline to flag a breakage.
+const DETECT_BASE: SimDuration = SimDuration::from_mins(25);
+/// Extra localization time per commit that landed since the breakage
+/// (bisection and sheriff work scale with the pile-up).
+const LOCALIZE_PER_COMMIT: SimDuration = SimDuration::from_mins(3);
+/// RNG seed for the escape coin.
+const SEED: u64 = 0x7A17;
 
 /// Result of a trunk-based run.
 #[derive(Debug, Clone)]
@@ -55,9 +39,9 @@ pub struct TrunkResult {
 }
 
 /// Simulate trunk-based development over a workload.
-pub fn simulate_trunk(workload: &Workload, config: &TrunkConfig) -> TrunkResult {
+pub fn simulate_trunk(workload: &Workload) -> TrunkResult {
     let truth = workload.truth();
-    let mut rng = Xoshiro256StarStar::seed_from_u64(config.seed);
+    let mut rng = Xoshiro256StarStar::seed_from_u64(SEED);
     let mut red_intervals: Vec<(SimTime, SimTime)> = Vec::new();
     let mut committed: Vec<&ChangeSpec> = Vec::new();
     let mut breakages = 0usize;
@@ -66,13 +50,13 @@ pub fn simulate_trunk(workload: &Workload, config: &TrunkConfig) -> TrunkResult 
         let t = c.submit_time;
         // Which previously committed changes fall in the dev window?
         let window_start =
-            SimTime::from_micros(t.as_micros().saturating_sub(config.dev_window.as_micros()));
+            SimTime::from_micros(t.as_micros().saturating_sub(DEV_WINDOW.as_micros()));
         let conflicts_with_recent = committed
             .iter()
             .rev()
             .take_while(|d| d.submit_time >= window_start)
             .any(|d| truth.real_conflict(c, d));
-        let individual_escape = !c.intrinsic_success && rng.bernoulli(config.presubmit_escape_rate);
+        let individual_escape = !c.intrinsic_success && rng.bernoulli(PRESUBMIT_ESCAPE_RATE);
         committed.push(c);
         if conflicts_with_recent || individual_escape {
             breakages += 1;
@@ -87,7 +71,7 @@ pub fn simulate_trunk(workload: &Workload, config: &TrunkConfig) -> TrunkResult 
                 .rev()
                 .take_while(|d| d.submit_time >= hour_ago)
                 .count() as u64;
-            let red_until = t + config.detect_base + config.localize_per_commit * pile_up.min(20);
+            let red_until = t + DETECT_BASE + LOCALIZE_PER_COMMIT * pile_up.min(20);
             red_intervals.push((t, red_until));
         }
     }
@@ -149,7 +133,7 @@ mod tests {
     #[test]
     fn figure14_green_roughly_half_the_time() {
         let w = week_workload(61);
-        let r = simulate_trunk(&w, &TrunkConfig::default());
+        let r = simulate_trunk(&w);
         // Paper: 52% green. The synthetic model lands in the same band.
         assert!(
             (0.30..0.75).contains(&r.green_fraction),
@@ -166,7 +150,7 @@ mod tests {
     #[test]
     fn hourly_series_is_percentages() {
         let w = week_workload(62);
-        let r = simulate_trunk(&w, &TrunkConfig::default());
+        let r = simulate_trunk(&w);
         for &pct in &r.hourly_green_pct {
             assert!((0.0..=100.0).contains(&pct), "pct = {pct}");
         }
@@ -176,19 +160,16 @@ mod tests {
     }
 
     #[test]
-    fn no_escapes_and_no_conflicts_means_always_green() {
+    fn no_failures_and_no_conflicts_means_always_green() {
         let mut params = WorkloadParams::ios().with_rate(12.0);
         params.pairwise_conflict_prob = 0.0;
+        params.success_base_logit = 50.0; // no change fails on its own
         let w = WorkloadBuilder::new(params)
             .seed(63)
             .duration_hours(24.0)
             .build()
             .unwrap();
-        let config = TrunkConfig {
-            presubmit_escape_rate: 0.0,
-            ..TrunkConfig::default()
-        };
-        let r = simulate_trunk(&w, &config);
+        let r = simulate_trunk(&w);
         assert_eq!(r.breakages, 0);
         assert!((r.green_fraction - 1.0).abs() < 1e-9);
     }
@@ -205,8 +186,8 @@ mod tests {
             .duration_hours(72.0)
             .build()
             .unwrap();
-        let r_slow = simulate_trunk(&slow, &TrunkConfig::default());
-        let r_fast = simulate_trunk(&fast, &TrunkConfig::default());
+        let r_slow = simulate_trunk(&slow);
+        let r_fast = simulate_trunk(&fast);
         assert!(
             r_fast.green_fraction < r_slow.green_fraction,
             "fast {} vs slow {}",

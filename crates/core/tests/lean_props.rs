@@ -19,7 +19,7 @@ use sq_core::planner::{run_simulation_observed, PlannerConfig, SimFaults};
 use sq_core::predict::LearnedPredictor;
 use sq_core::shard::{ShardPlan, ShardSpec};
 use sq_core::strategy::Strategy as SqStrategy;
-use sq_core::{BypassPolicy, LeanConfig};
+use sq_core::{bypass_eligible, LeanConfig};
 use sq_obs::Observer;
 use sq_sim::{SimDuration, SimTime};
 use sq_workload::change::{DevId, PartId};
@@ -166,23 +166,22 @@ proptest! {
         (graph, presubmit, emergency) in (any::<bool>(), any::<bool>(), any::<bool>()),
         (shrink_files, shrink_targets, shrink_parts) in (0u32..20, 0u32..20, 0usize..4),
     ) {
-        let policy = BypassPolicy::standard();
         let mut c = spec(files, targets, n_parts, graph, presubmit);
         c.emergency = emergency;
         // Deterministic: same change, same verdict.
-        prop_assert_eq!(policy.eligible(&c), policy.eligible(&c.clone()));
+        prop_assert_eq!(bypass_eligible(&c), bypass_eligible(&c.clone()));
         // Monotone: a change differing only by a smaller footprint can
         // only gain eligibility, never lose it.
         let mut smaller = c.clone();
         smaller.files_changed = c.files_changed.min(shrink_files);
         smaller.affected_targets = c.affected_targets.min(shrink_targets);
         smaller.parts.truncate(c.parts.len().min(shrink_parts));
-        if policy.eligible(&c) {
-            prop_assert!(policy.eligible(&smaller), "shrinking revoked eligibility");
+        if bypass_eligible(&c) {
+            prop_assert!(bypass_eligible(&smaller), "shrinking revoked eligibility");
         }
         // Emergencies are always eligible, whatever the footprint.
         let mut e = spec(400, 900, 3, true, false);
         e.emergency = true;
-        prop_assert!(policy.eligible(&e));
+        prop_assert!(bypass_eligible(&e));
     }
 }

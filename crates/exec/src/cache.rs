@@ -44,19 +44,6 @@ impl CacheStats {
             self.hits as f64 / total as f64
         }
     }
-
-    /// Record these statistics into a metrics registry under the
-    /// `cache.` namespace (counters plus a hit-rate gauge). `hits` and
-    /// `misses` are cumulative lifetime totals, so they reconcile via
-    /// [`record_total`](sq_obs::MetricsRegistry::record_total) — a
-    /// periodic exporter handing the same snapshot over twice must not
-    /// double-count.
-    pub fn record_into(&self, metrics: &mut sq_obs::MetricsRegistry) {
-        metrics.record_total("cache.hits", self.hits);
-        metrics.record_total("cache.misses", self.misses);
-        metrics.set_gauge("cache.entries", self.entries as f64);
-        metrics.set_gauge("cache.hit_rate", self.hit_rate());
-    }
 }
 
 /// A content-keyed artifact cache.
@@ -86,11 +73,6 @@ impl ArtifactCache {
                 None
             }
         }
-    }
-
-    /// Peek without touching stats.
-    pub fn contains(&self, hash: TargetHash, kind: StepKind) -> bool {
-        self.map.contains_key(&(hash, kind))
     }
 
     /// Record a freshly built artifact, returning its id. Inserting an
@@ -129,12 +111,6 @@ impl ArtifactCache {
             misses: self.misses,
             entries: self.map.len(),
         }
-    }
-
-    /// Drop every entry (tests and long-running sims use this to bound
-    /// memory; production would evict by LRU instead).
-    pub fn clear(&mut self) {
-        self.map.clear();
     }
 }
 
@@ -206,27 +182,6 @@ mod tests {
     }
 
     #[test]
-    fn contains_does_not_affect_stats() {
-        let mut cache = ArtifactCache::new();
-        let h = hash_of("v1");
-        assert!(!cache.contains(h, StepKind::Compile));
-        cache.insert(h, StepKind::Compile);
-        assert!(cache.contains(h, StepKind::Compile));
-        let s = cache.stats();
-        assert_eq!((s.hits, s.misses), (0, 0));
-    }
-
-    #[test]
-    fn clear_empties() {
-        let mut cache = ArtifactCache::new();
-        let h = hash_of("v1");
-        cache.insert(h, StepKind::Compile);
-        cache.clear();
-        assert_eq!(cache.stats().entries, 0);
-        assert!(cache.lookup(h, StepKind::Compile).is_none());
-    }
-
-    #[test]
     fn empty_hit_rate_is_zero() {
         let cache = ArtifactCache::new();
         assert_eq!(cache.stats().hit_rate(), 0.0);
@@ -249,30 +204,10 @@ mod tests {
             .insert_if_success(h, StepKind::Compile, &failed)
             .is_none());
         assert_eq!(cache.stats().entries, 0);
-        assert!(!cache.contains(h, StepKind::Compile));
         // A final success does insert.
         assert!(cache
             .insert_if_success(h, StepKind::Compile, &StepOutcome::Success)
             .is_some());
         assert_eq!(cache.stats().entries, 1);
-    }
-
-    #[test]
-    fn stats_export_is_idempotent_across_repeated_exports() {
-        // Regression for the cumulative-total-into-counter bug class:
-        // hits/misses are lifetime totals, so exporting the same
-        // snapshot twice must equal exporting it once.
-        let mut cache = ArtifactCache::new();
-        let h = hash_of("v1");
-        cache.lookup(h, StepKind::Compile); // miss
-        cache.insert(h, StepKind::Compile);
-        cache.lookup(h, StepKind::Compile); // hit
-        let stats = cache.stats();
-        sq_obs::assert_idempotent_export(|m| stats.record_into(m));
-        let mut m = sq_obs::MetricsRegistry::new();
-        stats.record_into(&mut m);
-        stats.record_into(&mut m);
-        assert_eq!(m.counter("cache.hits"), 1);
-        assert_eq!(m.counter("cache.misses"), 1);
     }
 }

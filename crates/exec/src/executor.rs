@@ -37,14 +37,12 @@
 
 use crate::cache::ArtifactCache;
 use crate::fault::{InfraFault, RetryPolicy};
-use crate::step::{steps_for, BuildStep, StepKind};
+use crate::step::{steps_for, BuildStep};
 use parking_lot::Mutex;
 use sq_build::{BuildGraph, TargetHashes, TargetName};
-use sq_obs::MetricsRegistry;
 use sq_sim::SimDuration;
 use std::collections::{HashMap, HashSet};
 use std::sync::Condvar;
-use std::time::{Duration, Instant};
 
 /// Result of one step action.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -85,14 +83,6 @@ pub struct ExecReport {
     pub infra_retries: u64,
     /// Total deterministic backoff charged as build time by retries.
     pub charged_backoff: SimDuration,
-    /// Wall-clock latency of every step attempt, in completion order.
-    /// Wall-clock data is real-time (not simulated), so it varies run to
-    /// run — export it through histograms, never into deterministic
-    /// fixtures.
-    pub step_wall: Vec<(StepKind, Duration)>,
-    /// Wall-clock time each executor thread spent inside step actions
-    /// (index = thread index; length = thread count).
-    pub worker_busy: Vec<Duration>,
     /// Times a parked worker woke and found neither a ready target nor
     /// a reason to exit. Exact, not a timing: a dependency chain costs
     /// none, however many workers wait beside it.
@@ -105,22 +95,6 @@ impl ExecReport {
         self.failure.is_none() && self.infra_failure.is_none()
     }
 
-    /// Wall-clock utilization of each executor thread over `wall` (the
-    /// run's total wall time): busy-in-action / wall, clamped to [0, 1].
-    pub fn worker_utilization(&self, wall: Duration) -> Vec<f64> {
-        let total = wall.as_secs_f64();
-        self.worker_busy
-            .iter()
-            .map(|b| {
-                if total <= 0.0 {
-                    0.0
-                } else {
-                    (b.as_secs_f64() / total).min(1.0)
-                }
-            })
-            .collect()
-    }
-
     /// Append what one target's pipeline produced, in completion order.
     /// Only the first failure of each color is kept.
     fn absorb(&mut self, done: ExecReport) {
@@ -129,39 +103,11 @@ impl ExecReport {
         self.infra_events.extend(done.infra_events);
         self.infra_retries += done.infra_retries;
         self.charged_backoff += done.charged_backoff;
-        self.step_wall.extend(done.step_wall);
         if self.failure.is_none() {
             self.failure = done.failure;
         }
         if self.infra_failure.is_none() {
             self.infra_failure = done.infra_failure;
-        }
-    }
-
-    /// Record this report into a metrics registry under the `exec.`
-    /// namespace: step/cache/retry counters, per-kind step-latency
-    /// histograms (milliseconds), and a per-thread busy-time histogram.
-    pub fn record_into(&self, metrics: &mut MetricsRegistry) {
-        metrics.add("exec.steps_executed", self.executed.len() as u64);
-        metrics.add("exec.cache_hits", self.cache_hits as u64);
-        metrics.add("exec.infra_events", self.infra_events.len() as u64);
-        metrics.add("exec.infra_retries", self.infra_retries);
-        metrics.add("exec.idle_wakeups", self.idle_wakeups);
-        if self.failure.is_some() {
-            metrics.inc("exec.failures");
-        }
-        if self.infra_failure.is_some() {
-            metrics.inc("exec.infra_red");
-        }
-        metrics.observe(
-            "exec.charged_backoff_secs",
-            self.charged_backoff.as_secs_f64(),
-        );
-        for (kind, dt) in &self.step_wall {
-            metrics.observe(&format!("exec.step_wall_ms.{kind}"), dt.as_secs_f64() * 1e3);
-        }
-        for busy in &self.worker_busy {
-            metrics.observe("exec.worker_busy_ms", busy.as_secs_f64() * 1e3);
         }
     }
 }
@@ -252,10 +198,7 @@ impl RealExecutor {
                 in_flight: 0,
                 parked: 0,
                 aborted: false,
-                report: ExecReport {
-                    worker_busy: vec![Duration::ZERO; self.threads],
-                    ..ExecReport::default()
-                },
+                report: ExecReport::default(),
             }),
             wake: Condvar::new(),
             dependents,
@@ -267,11 +210,11 @@ impl RealExecutor {
         // requested target could never claim anything.
         let helpers = (self.threads - 1).min(targets.len().saturating_sub(1));
         crossbeam::scope(|scope| {
-            for widx in 1..=helpers {
+            for _ in 0..helpers {
                 let (sched, run_target) = (&sched, &run_target);
-                scope.spawn(move |_| sched.work(widx, run_target));
+                scope.spawn(move |_| sched.work(run_target));
             }
-            sched.work(0, &run_target);
+            sched.work(&run_target);
         })
         .expect("executor threads must not panic");
 
@@ -309,10 +252,7 @@ where
         }
         let mut attempt = 1u32;
         let outcome = loop {
-            let t0 = Instant::now();
-            let out = action(&step);
-            done.step_wall.push((kind, t0.elapsed()));
-            match out {
+            match action(&step) {
                 StepOutcome::InfraFailure(fault) => {
                     done.infra_events.push((step.clone(), fault.clone()));
                     if policy.should_retry(attempt) {
@@ -375,16 +315,13 @@ struct ExecState<'a> {
 impl<'a> Scheduler<'a> {
     /// One worker's life: claim a target, run it, hand it back for the
     /// next, until the run is over.
-    fn work(&self, widx: usize, run_target: &impl Fn(&TargetName) -> ExecReport) {
+    fn work(&self, run_target: &impl Fn(&TargetName) -> ExecReport) {
         let _unpark_on_panic = AbortOnPanic(self);
-        let mut busy = Duration::ZERO;
         let mut claimed = self.next(None);
         while let Some(target) = claimed {
             let done = run_target(target);
-            busy += done.step_wall.iter().map(|(_, dt)| *dt).sum::<Duration>();
             claimed = self.next(Some((target, done)));
         }
-        self.state.lock().expect(POISONED).report.worker_busy[widx] = busy;
     }
 
     /// Record the target this worker just `finished` (if any), release
@@ -721,12 +658,12 @@ mod tests {
             },
         );
         assert!(!report.is_success());
-        let cache = cache.lock();
+        let mut cache = cache.lock();
         for (target, must_be_absent) in [("//b:b", true), ("//d:d", true)] {
             let h = hashes.get(&n(target)).unwrap();
             for &kind in steps_for(graph.get(&n(target)).unwrap().kind) {
                 assert!(
-                    !cache.contains(h, kind),
+                    cache.lookup(h, kind).is_none(),
                     "{target} {kind} cached despite non-success final outcome \
                      (must_be_absent={must_be_absent})"
                 );
@@ -827,42 +764,6 @@ mod tests {
             .executed
             .iter()
             .all(|s| s.target != n("//p1:p1") && s.target != n("//p2:p2")));
-    }
-
-    #[test]
-    fn instrumentation_records_step_latency_and_worker_busy_time() {
-        let (graph, hashes, targets) = fixture();
-        let cache = Mutex::new(ArtifactCache::new());
-        let report = RealExecutor::new(2).execute(&graph, &targets, &hashes, &cache, |_| {
-            std::thread::sleep(Duration::from_millis(2));
-            StepOutcome::Success
-        });
-        assert!(report.is_success());
-        // One latency sample per step attempt, one busy slot per thread.
-        assert_eq!(report.step_wall.len(), 5);
-        assert_eq!(report.worker_busy.len(), 2);
-        let total_busy: Duration = report.worker_busy.iter().sum();
-        assert!(
-            total_busy >= Duration::from_millis(10),
-            "5 steps × 2ms must be attributed: {total_busy:?}"
-        );
-        let util = report.worker_utilization(Duration::from_secs(1));
-        assert_eq!(util.len(), 2);
-        assert!(util.iter().all(|&u| (0.0..=1.0).contains(&u)));
-
-        let mut metrics = MetricsRegistry::new();
-        report.record_into(&mut metrics);
-        assert_eq!(metrics.counter("exec.steps_executed"), 5);
-        assert_eq!(metrics.counter("exec.cache_hits"), 0);
-        assert_eq!(metrics.counter("exec.idle_wakeups"), report.idle_wakeups);
-        let h = metrics
-            .histogram("exec.step_wall_ms.compile")
-            .expect("compile latency histogram");
-        assert_eq!(h.count(), 4); // a, b, d compile + c compile
-        assert_eq!(
-            metrics.histogram("exec.worker_busy_ms").map(|h| h.count()),
-            Some(2)
-        );
     }
 
     #[test]

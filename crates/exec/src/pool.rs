@@ -50,11 +50,6 @@ impl WorkerPool {
         self.slots.len()
     }
 
-    /// Currently occupied workers.
-    pub fn busy(&self) -> usize {
-        self.busy
-    }
-
     fn advance(&mut self, now: SimTime) {
         let dt = now.since(self.last_update);
         self.busy_integral += dt.as_micros() as u128 * self.busy as u128;
@@ -143,9 +138,9 @@ mod tests {
         assert!(p.acquire_worker(t0).is_some());
         let w = p.acquire_worker(t0).unwrap();
         assert!(p.acquire_worker(t0).is_none(), "saturated");
-        assert_eq!(p.busy(), 2);
+        assert_eq!(p.busy, 2);
         p.release_worker(w, SimTime::from_secs(10));
-        assert_eq!(p.busy(), 1);
+        assert_eq!(p.busy, 1);
         assert_eq!(p.acquire_worker(SimTime::from_secs(10)), Some(w));
     }
 
@@ -226,6 +221,6 @@ mod tests {
         let busy = p.per_worker_busy(SimTime::from_secs(10));
         assert_eq!(busy[0], SimDuration::from_secs(10));
         // Still busy; querying did not mutate anything.
-        assert_eq!(p.busy(), 1);
+        assert_eq!(p.busy, 1);
     }
 }

@@ -221,7 +221,6 @@ proptest! {
             .keys()
             .filter(|s| fates[index[&s.target]] == Fate::Red)
             .count();
-        prop_assert_eq!(report.step_wall.len(), calls as usize);
         prop_assert_eq!(
             report.executed.len() + report.infra_events.len() + red_calls,
             calls as usize
@@ -237,7 +236,6 @@ proptest! {
             .fold(SimDuration::ZERO, |sum, b| sum + b);
         prop_assert_eq!(report.charged_backoff, backoff);
         prop_assert_eq!(report.cache_hits, 0);
-        prop_assert_eq!(report.worker_busy.len(), threads);
 
         // Verdict: green iff no called step was red or dead; a green run
         // executed every requested step, a red one names a culprit.

@@ -191,13 +191,9 @@ impl GradientBoostedStumps {
     }
 
     /// Number of stumps in the ensemble.
+    #[allow(clippy::len_without_is_empty)]
     pub fn len(&self) -> usize {
         self.stumps.len()
-    }
-
-    /// True iff the ensemble is just the prior.
-    pub fn is_empty(&self) -> bool {
-        self.stumps.is_empty()
     }
 }
 
@@ -294,7 +290,7 @@ mod tests {
         let p1 = m1.predict(&train);
         let p2 = m2.predict(&train);
         assert_eq!(p1, p2);
-        assert!(!m1.is_empty());
+        assert!(!m1.stumps.is_empty());
         assert!(m1.len() <= BoostConfig::default().rounds);
     }
 

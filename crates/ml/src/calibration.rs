@@ -35,16 +35,6 @@ impl Calibration {
         Calibration { sorted }
     }
 
-    /// Number of labeled examples.
-    pub fn len(&self) -> usize {
-        self.sorted.len()
-    }
-
-    /// True when no examples were provided.
-    pub fn is_empty(&self) -> bool {
-        self.sorted.is_empty()
-    }
-
     /// Exact empirical positive rate among examples whose score is
     /// strictly below `threshold`; `None` when no example qualifies.
     pub fn empirical_rate_below(&self, threshold: f64) -> Option<f64> {
@@ -91,7 +81,7 @@ mod tests {
     fn empirical_rate_is_exact() {
         let (s, y) = ramp();
         let c = Calibration::fit(&s, &y);
-        assert_eq!(c.len(), 100);
+        assert_eq!(c.sorted.len(), 100);
         assert_eq!(c.empirical_rate_below(0.5), Some(0.0));
         // Below 0.6: 60 examples, 10 positives (0.50..0.59).
         let r = c.empirical_rate_below(0.6).unwrap();

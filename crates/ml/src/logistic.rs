@@ -147,16 +147,6 @@ impl LogisticRegression {
         crate::metrics::accuracy(&self.predict(data), data.labels(), 0.5)
     }
 
-    /// The learned weights (one per feature, in schema order).
-    pub fn weights(&self) -> &[f64] {
-        &self.weights
-    }
-
-    /// The learned intercept.
-    pub fn bias(&self) -> f64 {
-        self.bias
-    }
-
     /// Feature indices ranked by |weight| descending — the importance
     /// ranking RFE and the Section 7.2 feature report use. Only
     /// meaningful on standardized features.
@@ -237,7 +227,7 @@ mod tests {
         let scaler = Scaler::fit(&data);
         let z = scaler.transform(&data);
         let (model, _) = LogisticRegression::fit(&z, &TrainConfig::default());
-        let w = model.weights();
+        let w = &model.weights;
         assert!(w[0] > 0.0, "x0 enters positively");
         assert!(w[1] < 0.0, "x1 enters negatively");
         // On standardized features, the noise weight is far smaller.
@@ -258,8 +248,8 @@ mod tests {
         let data = separable(500, 5);
         let (m1, _) = LogisticRegression::fit(&data, &TrainConfig::default());
         let (m2, _) = LogisticRegression::fit(&data, &TrainConfig::default());
-        assert_eq!(m1.weights(), m2.weights());
-        assert_eq!(m1.bias(), m2.bias());
+        assert_eq!(m1.weights, m2.weights);
+        assert_eq!(m1.bias, m2.bias);
     }
 
     #[test]
@@ -289,9 +279,8 @@ mod tests {
         };
         let (m_weak, _) = LogisticRegression::fit(&data, &weak);
         let (m_strong, _) = LogisticRegression::fit(&data, &strong);
-        let norm = |m: &LogisticRegression| -> f64 {
-            m.weights().iter().map(|w| w * w).sum::<f64>().sqrt()
-        };
+        let norm =
+            |m: &LogisticRegression| -> f64 { m.weights.iter().map(|w| w * w).sum::<f64>().sqrt() };
         assert!(norm(&m_strong) < norm(&m_weak));
     }
 }

@@ -7,13 +7,16 @@
 //! cumulative lifetime total break this — each export doubles the
 //! counter — and the breakage is invisible in one-shot tests. The
 //! checker here is the shared regression harness: it runs an exporter
-//! twice against one registry and diffs the exports.
+//! twice against one registry and diffs the registry's maps before and
+//! after the second pass.
 
 use crate::metrics::MetricsRegistry;
+use std::collections::BTreeMap;
+use std::fmt::Debug;
 
 /// Run `export` twice against one registry and verify the second pass
 /// changed nothing. Returns `Err` naming every counter, gauge, and
-/// histogram field that drifted between the two passes.
+/// histogram that drifted between the two passes.
 ///
 /// `export` receives the registry each time, exactly like a periodic
 /// exporter handing over the latest stats snapshot; the snapshot is
@@ -22,13 +25,17 @@ use crate::metrics::MetricsRegistry;
 pub fn exporter_idempotence(mut export: impl FnMut(&mut MetricsRegistry)) -> Result<(), String> {
     let mut m = MetricsRegistry::new();
     export(&mut m);
-    let first = m.to_json();
+    let first = m.clone();
     export(&mut m);
-    let second = m.to_json();
-    if first == second {
-        return Ok(());
+    let mut drift = String::new();
+    diff("counters", &first.counters, &m.counters, &mut drift);
+    diff("gauges", &first.gauges, &m.gauges, &mut drift);
+    diff("histograms", &first.histograms, &m.histograms, &mut drift);
+    if drift.is_empty() {
+        Ok(())
+    } else {
+        Err(drift)
     }
-    Err(diff_exports(&first, &second))
 }
 
 /// Assert-flavoured wrapper over [`exporter_idempotence`] for tests.
@@ -42,134 +49,26 @@ pub fn assert_idempotent_export(export: impl FnMut(&mut MetricsRegistry)) {
     }
 }
 
-/// Drift report: every flattened scalar field that changed between the
-/// two exports, by dotted path (`counters.replication.ships`).
-fn diff_exports(first: &str, second: &str) -> String {
-    let a = flatten(first);
-    let b = flatten(second);
-    let mut out = String::new();
-    for (path, vb) in &b {
-        match a.iter().find(|(p, _)| p == path) {
-            Some((_, va)) if va == vb => {}
-            Some((_, va)) => {
-                out.push_str(&format!(
-                    "  {path}: first export {va} != second export {vb}\n"
-                ));
-            }
-            None => out.push_str(&format!("  {path}: appeared only in second export: {vb}\n")),
+/// Append one line per name of `second` whose value differs from
+/// `first`'s, as `<kind>.<name>` (`counters.replication.ships`). A
+/// registry never drops a name, so `second` holds every name of `first`.
+fn diff<V: PartialEq + Debug>(
+    kind: &str,
+    first: &BTreeMap<String, V>,
+    second: &BTreeMap<String, V>,
+    out: &mut String,
+) {
+    for (name, vb) in second {
+        match first.get(name) {
+            Some(va) if va == vb => {}
+            Some(va) => out.push_str(&format!(
+                "  {kind}.{name}: first export {va:?} != second export {vb:?}\n"
+            )),
+            None => out.push_str(&format!(
+                "  {kind}.{name}: appeared only in second export: {vb:?}\n"
+            )),
         }
     }
-    if out.is_empty() {
-        out.push_str(&format!("  first:  {first}\n  second: {second}\n"));
-    }
-    out
-}
-
-/// Flatten the registry's sorted-key JSON export into dotted-path
-/// scalar leaves. Objects nest into the path; arrays (histogram
-/// buckets) are kept whole as one leaf value. Only needs to understand
-/// the output of our own [`JsonWriter`](crate::json::JsonWriter) — no
-/// whitespace, keys always quoted.
-fn flatten(json: &str) -> Vec<(String, String)> {
-    let b = json.as_bytes();
-    let mut path: Vec<String> = Vec::new();
-    let mut out = Vec::new();
-    let mut i = 0;
-    while i < b.len() {
-        match b[i] {
-            b'"' => {
-                let (key, after) = read_string(json, i);
-                i = after;
-                if i >= b.len() || b[i] != b':' {
-                    continue; // a string value, already consumed
-                }
-                i += 1;
-                match b.get(i) {
-                    Some(b'{') => {
-                        path.push(key);
-                        i += 1;
-                    }
-                    Some(b'"') => {
-                        let (v, after) = read_string(json, i);
-                        out.push((joined(&path, &key), format!("\"{v}\"")));
-                        i = after;
-                    }
-                    Some(b'[') => {
-                        let (v, after) = consume_balanced(json, i);
-                        out.push((joined(&path, &key), v));
-                        i = after;
-                    }
-                    _ => {
-                        let start = i;
-                        while i < b.len() && !matches!(b[i], b',' | b'}' | b']') {
-                            i += 1;
-                        }
-                        out.push((joined(&path, &key), json[start..i].to_string()));
-                    }
-                }
-            }
-            b'}' => {
-                path.pop();
-                i += 1;
-            }
-            _ => i += 1,
-        }
-    }
-    out
-}
-
-fn joined(path: &[String], key: &str) -> String {
-    if path.is_empty() {
-        key.to_string()
-    } else {
-        format!("{}.{}", path.join("."), key)
-    }
-}
-
-/// Read the quoted string starting at `i` (which must point at `"`);
-/// returns (contents, index just past the closing quote).
-fn read_string(json: &str, i: usize) -> (String, usize) {
-    let b = json.as_bytes();
-    let start = i + 1;
-    let mut j = start;
-    while j < b.len() && b[j] != b'"' {
-        if b[j] == b'\\' {
-            j += 1;
-        }
-        j += 1;
-    }
-    (
-        json[start..j.min(json.len())].to_string(),
-        (j + 1).min(json.len()),
-    )
-}
-
-/// Consume a balanced `[...]` (or `{...}`) starting at `i`; returns
-/// (the raw slice, index just past it).
-fn consume_balanced(json: &str, i: usize) -> (String, usize) {
-    let b = json.as_bytes();
-    let mut depth = 0usize;
-    let mut j = i;
-    while j < b.len() {
-        match b[j] {
-            b'[' | b'{' => depth += 1,
-            b']' | b'}' => {
-                depth -= 1;
-                if depth == 0 {
-                    j += 1;
-                    break;
-                }
-            }
-            b'"' => {
-                let (_, after) = read_string(json, j);
-                j = after;
-                continue;
-            }
-            _ => {}
-        }
-        j += 1;
-    }
-    (json[i..j.min(json.len())].to_string(), j)
 }
 
 #[cfg(test)]
@@ -222,12 +121,21 @@ mod tests {
     }
 
     #[test]
-    fn flatten_paths_are_qualified() {
-        let mut m = MetricsRegistry::new();
-        m.add("a.x", 1);
-        m.set_gauge("a.x", 2.0);
-        let leaves = flatten(&m.to_json());
-        assert!(leaves.iter().any(|(p, v)| p == "counters.a.x" && v == "1"));
-        assert!(leaves.iter().any(|(p, v)| p == "gauges.a.x" && v == "2"));
+    fn drift_paths_are_qualified() {
+        let mut g = 0.0;
+        let err = exporter_idempotence(|m| {
+            m.add("a.x", 1);
+            g += 1.0;
+            m.set_gauge("a.x", g);
+            m.observe("a.x", 5.0);
+        })
+        .unwrap_err();
+        for path in ["counters.a.x", "gauges.a.x", "histograms.a.x"] {
+            assert!(err.contains(&format!("  {path}: ")), "drift report: {err}");
+        }
+        assert!(
+            err.contains("first export 1 != second export 2"),
+            "drift report: {err}"
+        );
     }
 }

@@ -79,38 +79,6 @@ impl LogHistogram {
         self.count
     }
 
-    /// Sum of recorded observations.
-    pub fn sum(&self) -> f64 {
-        self.sum
-    }
-
-    /// Exact mean; `None` when empty.
-    pub fn mean(&self) -> Option<f64> {
-        if self.count == 0 {
-            None
-        } else {
-            Some(self.sum / self.count as f64)
-        }
-    }
-
-    /// Smallest observation; `None` when empty.
-    pub fn min(&self) -> Option<f64> {
-        if self.count == 0 {
-            None
-        } else {
-            Some(self.min)
-        }
-    }
-
-    /// Largest observation; `None` when empty.
-    pub fn max(&self) -> Option<f64> {
-        if self.count == 0 {
-            None
-        } else {
-            Some(self.max)
-        }
-    }
-
     /// The `q`-quantile (`q` in `[0, 1]`) as a bucket upper bound:
     /// exact min/max at the extremes, otherwise correct to within the
     /// factor-of-two bucket width. `None` when empty.
@@ -175,9 +143,9 @@ impl LogHistogram {
 #[derive(Debug, Clone)]
 pub struct MetricsRegistry {
     enabled: bool,
-    counters: BTreeMap<String, u64>,
-    gauges: BTreeMap<String, f64>,
-    histograms: BTreeMap<String, LogHistogram>,
+    pub(crate) counters: BTreeMap<String, u64>,
+    pub(crate) gauges: BTreeMap<String, f64>,
+    pub(crate) histograms: BTreeMap<String, LogHistogram>,
 }
 
 impl Default for MetricsRegistry {
@@ -367,9 +335,8 @@ mod tests {
         }
         h.observe(f64::NAN); // ignored
         assert_eq!(h.count(), 5);
-        assert_eq!(h.mean(), Some(22.0));
-        assert_eq!(h.min(), Some(1.0));
-        assert_eq!(h.max(), Some(100.0));
+        assert_eq!(h.sum, 110.0);
+        assert_eq!((h.min, h.max), (1.0, 100.0));
         // p50: rank 3 → value 3.0 lives in (2,4] → upper bound 4.
         assert_eq!(h.quantile(0.5), Some(4.0));
         // Extremes are exact.
@@ -386,7 +353,7 @@ mod tests {
         h.observe(-5.0);
         h.observe(8.0);
         assert_eq!(h.count(), 3);
-        assert_eq!(h.min(), Some(-5.0));
+        assert_eq!(h.min, -5.0);
         assert_eq!(h.quantile(0.5), Some(0.0));
     }
 
@@ -394,9 +361,6 @@ mod tests {
     fn empty_histogram_has_no_stats() {
         let h = LogHistogram::new();
         assert_eq!(h.count(), 0);
-        assert_eq!(h.mean(), None);
-        assert_eq!(h.min(), None);
-        assert_eq!(h.max(), None);
         assert_eq!(h.quantile(0.5), None);
     }
 

@@ -30,6 +30,9 @@ pub mod server;
 pub use client::{Client, ClientError};
 pub use protocol::{
     decode_frame, encode_frame, ErrorCode, FrameError, FramePoll, FrameReadError, FrameReader,
-    Request, Response, WireError, WireTicketState, MAX_FRAME_BYTES,
+    Request, Response, WireError, MAX_FRAME_BYTES,
 };
 pub use server::{Endpoint, Server, ServerConfig};
+// The wall-clock benchmark (`benchmark/src/serve.rs`) still imports the
+// ticket state under its old wire name; nothing in this workspace does.
+pub use sq_core::TicketState as WireTicketState;

@@ -23,7 +23,10 @@
 //! flight" until the peer hangs up, at which point the partial frame is
 //! refused as torn.
 
-use sq_core::durable::{decode_commit, decode_patch, encode_commit, encode_patch};
+use sq_core::durable::{
+    decode_commit, decode_patch, decode_ticket_state, encode_commit, encode_patch,
+    encode_ticket_state,
+};
 use sq_core::{TicketId, TicketState};
 use sq_store::checksum::crc32;
 use sq_store::{CodecError, Decoder, Encoder, StoreError};
@@ -350,57 +353,6 @@ impl Request {
     }
 }
 
-/// Ticket state as it crosses the wire.
-#[derive(Debug, Clone, PartialEq)]
-pub enum WireTicketState {
-    /// Acked and waiting (or building).
-    Queued,
-    /// Landed on mainline as this commit.
-    Landed(CommitId),
-    /// Rejected with this reason.
-    Rejected(String),
-}
-
-impl From<TicketState> for WireTicketState {
-    fn from(s: TicketState) -> Self {
-        match s {
-            TicketState::Queued => WireTicketState::Queued,
-            TicketState::Landed(c) => WireTicketState::Landed(c),
-            TicketState::Rejected(r) => WireTicketState::Rejected(r),
-        }
-    }
-}
-
-impl WireTicketState {
-    /// True for landed/rejected, false for queued.
-    pub fn is_terminal(&self) -> bool {
-        !matches!(self, WireTicketState::Queued)
-    }
-
-    fn encode(&self, enc: &mut Encoder) {
-        match self {
-            WireTicketState::Queued => enc.put_u8(0),
-            WireTicketState::Landed(c) => {
-                enc.put_u8(1);
-                encode_commit(enc, *c);
-            }
-            WireTicketState::Rejected(reason) => {
-                enc.put_u8(2);
-                enc.put_str(reason);
-            }
-        }
-    }
-
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self, WireError> {
-        Ok(match dec.u8()? {
-            0 => WireTicketState::Queued,
-            1 => WireTicketState::Landed(decode_commit(dec)?),
-            2 => WireTicketState::Rejected(dec.str()?.to_string()),
-            tag => return Err(WireError::UnknownTag { tag }),
-        })
-    }
-}
-
 /// Protocol-level error classes, mirroring [`StoreError`] semantics so
 /// a client can tell a refused frame from a dying store from a fenced
 /// stale leader.
@@ -461,14 +413,14 @@ pub enum Response {
     /// Answer to `Status`; `None` when the ticket is unknown.
     StatusIs {
         /// The state, if the ticket exists.
-        state: Option<WireTicketState>,
+        state: Option<TicketState>,
     },
     /// Answer to `SubscribeVerdict`: the ticket reached this state.
     Verdict {
         /// The watched ticket.
         ticket: u64,
         /// Its (typically terminal) state.
-        state: WireTicketState,
+        state: TicketState,
     },
     /// Answer to `SubscribeVerdict`: the wait timed out first.
     VerdictTimeout {
@@ -523,14 +475,14 @@ impl Response {
                     None => enc.put_u8(0),
                     Some(s) => {
                         enc.put_u8(1);
-                        s.encode(&mut enc);
+                        encode_ticket_state(&mut enc, s);
                     }
                 }
             }
             Response::Verdict { ticket, state } => {
                 enc.put_u8(RESP_VERDICT);
                 enc.put_u64(*ticket);
-                state.encode(&mut enc);
+                encode_ticket_state(&mut enc, state);
             }
             Response::VerdictTimeout { ticket } => {
                 enc.put_u8(RESP_VERDICT_TIMEOUT);
@@ -565,13 +517,13 @@ impl Response {
             RESP_STATUS_IS => Response::StatusIs {
                 state: match dec.u8()? {
                     0 => None,
-                    1 => Some(WireTicketState::decode(&mut dec)?),
+                    1 => Some(decode_ticket_state(&mut dec)?),
                     tag => return Err(WireError::UnknownTag { tag }),
                 },
             },
             RESP_VERDICT => Response::Verdict {
                 ticket: dec.u64()?,
-                state: WireTicketState::decode(&mut dec)?,
+                state: decode_ticket_state(&mut dec)?,
             },
             RESP_VERDICT_TIMEOUT => Response::VerdictTimeout { ticket: dec.u64()? },
             RESP_STATS_JSON => Response::StatsJson {
@@ -595,13 +547,6 @@ impl Response {
             });
         }
         Ok(resp)
-    }
-}
-
-/// Convenience: the wire form of a ticket lookup against the queue.
-pub fn status_of(state: Option<TicketState>) -> Response {
-    Response::StatusIs {
-        state: state.map(WireTicketState::from),
     }
 }
 
@@ -700,15 +645,15 @@ mod tests {
             Response::Enqueued { ticket: 9 },
             Response::StatusIs { state: None },
             Response::StatusIs {
-                state: Some(WireTicketState::Queued),
+                state: Some(TicketState::Queued),
             },
             Response::Verdict {
                 ticket: 9,
-                state: WireTicketState::Landed(commit(3)),
+                state: TicketState::Landed(commit(3)),
             },
             Response::Verdict {
                 ticket: 9,
-                state: WireTicketState::Rejected("merge conflict".into()),
+                state: TicketState::Rejected("merge conflict".into()),
             },
             Response::VerdictTimeout { ticket: 9 },
             Response::StatsJson {
@@ -752,5 +697,28 @@ mod tests {
             Response::decode(&[0]),
             Err(WireError::UnknownTag { tag: 0 })
         ));
+    }
+
+    /// The ticket-state bytes inside `StatusIs` and `Verdict`, pinned:
+    /// tag 0 queued, 1 landed (a 32-byte length-prefixed commit id),
+    /// 2 rejected (a length-prefixed reason).
+    #[test]
+    fn ticket_state_payloads_are_pinned() {
+        let hex = |b: Vec<u8>| b.iter().map(|x| format!("{x:02x}")).collect::<String>();
+        let landed = format!("01{}{}", "20000000", "03".repeat(32));
+        let rejected = "02020000006e6f";
+        let states = [
+            (TicketState::Queued, "00".to_string()),
+            (TicketState::Landed(commit(3)), landed),
+            (TicketState::Rejected("no".into()), rejected.to_string()),
+        ];
+        for (state, body) in states {
+            let status = Response::StatusIs {
+                state: Some(state.clone()),
+            };
+            assert_eq!(hex(status.encode()), format!("0201{body}"));
+            let verdict = Response::Verdict { ticket: 9, state };
+            assert_eq!(hex(verdict.encode()), format!("030900000000000000{body}"));
+        }
     }
 }

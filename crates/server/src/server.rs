@@ -26,7 +26,7 @@
 //! Bounded at three layers, each with an explicit refusal instead of
 //! unbounded buffering:
 //!
-//! * **accept**: at most `max_pending_conns` connections may wait for a
+//! * **accept**: at most `MAX_PENDING_CONNS` connections may wait for a
 //!   free worker; beyond that the acceptor writes one `Busy` frame and
 //!   closes the socket.
 //! * **per connection**: one in-flight request at a time — pipelined
@@ -55,8 +55,8 @@
 //! lost across a drain/restart cycle (the `bench_server --smoke` gate).
 
 use crate::protocol::{
-    status_of, write_frame, ErrorCode, FramePoll, FrameReadError, FrameReader, Request, Response,
-    WireTicketState, MAX_FRAME_BYTES,
+    write_frame, ErrorCode, FramePoll, FrameReadError, FrameReader, Request, Response,
+    MAX_FRAME_BYTES,
 };
 use sq_core::durable::DurableSubmitQueue;
 use sq_core::service::StepAction;
@@ -92,11 +92,6 @@ pub struct ServerConfig {
     /// Enqueue admission bound: above this many acked-but-unlanded
     /// changes, `Enqueue` answers `Busy`.
     pub max_queue_depth: usize,
-    /// Accepted connections allowed to wait for a free worker before
-    /// the acceptor answers `Busy` and closes.
-    pub max_pending_conns: usize,
-    /// Per-frame payload cap (both directions).
-    pub max_frame_bytes: u32,
     /// Read-timeout granularity for shutdown polling.
     pub poll_interval: Duration,
     /// Run the processor thread that drives
@@ -112,8 +107,6 @@ impl Default for ServerConfig {
         ServerConfig {
             workers: cores.max(2),
             max_queue_depth: 256,
-            max_pending_conns: 64,
-            max_frame_bytes: MAX_FRAME_BYTES,
             poll_interval: Duration::from_millis(20),
             drive_queue: true,
         }
@@ -343,6 +336,10 @@ fn accept_loop<W: Wal>(shared: &Shared<W>, accept: impl Fn() -> io::Result<Conn>
     }
 }
 
+/// Accepted connections allowed to wait for a free worker before the
+/// acceptor answers `Busy` and closes.
+const MAX_PENDING_CONNS: usize = 64;
+
 /// Hand an accepted connection to the worker pool, or refuse it with
 /// one `Busy` frame when the pending queue is at its bound.
 fn admit<W: Wal>(shared: &Shared<W>, conn: Conn) {
@@ -357,7 +354,7 @@ fn admit<W: Wal>(shared: &Shared<W>, conn: Conn) {
         return;
     }
     let mut pending = shared.pending.lock().unwrap();
-    if pending.len() >= shared.cfg.max_pending_conns {
+    if pending.len() >= MAX_PENDING_CONNS {
         drop(pending);
         shared.metrics.lock().unwrap().inc("server.conns.refused");
         let mut conn = conn;
@@ -416,7 +413,7 @@ fn worker_loop<W: Wal>(shared: &Shared<W>) {
 /// arrival order, one in flight at a time.
 fn serve_conn<W: Wal>(shared: &Shared<W>, mut conn: Conn) {
     let _ = conn.set_read_timeout(Some(shared.cfg.poll_interval));
-    let mut reader = FrameReader::new(shared.cfg.max_frame_bytes);
+    let mut reader = FrameReader::new(MAX_FRAME_BYTES);
     loop {
         match reader.poll(&mut conn) {
             Ok(FramePoll::Frame(payload)) => {
@@ -521,7 +518,9 @@ fn handle<W: Wal>(shared: &Shared<W>, req: Request) -> Response {
         }
         Request::Status { ticket } => {
             shared.metrics.lock().unwrap().inc("server.requests.status");
-            status_of(shared.queue.status(TicketId(ticket)))
+            Response::StatusIs {
+                state: shared.queue.status(TicketId(ticket)),
+            }
         }
         Request::SubscribeVerdict { ticket, timeout_ms } => {
             shared
@@ -579,15 +578,10 @@ fn subscribe<W: Wal>(shared: &Shared<W>, ticket: u64, timeout_ms: u32) -> Respon
             None => {
                 return Response::StatusIs { state: None };
             }
-            Some(state) => {
-                let wire = WireTicketState::from(state);
-                if wire.is_terminal() {
-                    return Response::Verdict {
-                        ticket,
-                        state: wire,
-                    };
-                }
+            Some(state) if state.is_terminal() => {
+                return Response::Verdict { ticket, state };
             }
+            Some(_) => {}
         }
         if shared.draining() {
             return Response::Error {

@@ -6,9 +6,9 @@
 //! `FrameReader` under arbitrary read fragmentation.
 
 use proptest::prelude::*;
+use sq_core::TicketState;
 use sq_server::protocol::{
-    decode_frame, encode_frame, FramePoll, FrameReader, Request, Response, WireTicketState,
-    MAX_FRAME_BYTES,
+    decode_frame, encode_frame, FramePoll, FrameReader, Request, Response, MAX_FRAME_BYTES,
 };
 use sq_vcs::{CommitId, FileOp, ObjectId, Patch, RepoPath};
 use std::io::Read;
@@ -67,11 +67,11 @@ fn arb_request() -> impl Strategy<Value = Request> {
     ]
 }
 
-fn arb_state() -> impl Strategy<Value = WireTicketState> {
+fn arb_state() -> impl Strategy<Value = TicketState> {
     prop_oneof![
-        Just(WireTicketState::Queued),
-        arb_commit().prop_map(WireTicketState::Landed),
-        arb_string().prop_map(WireTicketState::Rejected),
+        Just(TicketState::Queued),
+        arb_commit().prop_map(TicketState::Landed),
+        arb_string().prop_map(TicketState::Rejected),
     ]
 }
 

@@ -8,9 +8,7 @@ use sq_core::service::StepAction;
 use sq_core::{RecoveryConfig, TicketState};
 use sq_exec::StepOutcome;
 use sq_server::protocol::encode_frame;
-use sq_server::{
-    Client, Endpoint, ErrorCode, Request, Response, Server, ServerConfig, WireTicketState,
-};
+use sq_server::{Client, Endpoint, ErrorCode, Request, Response, Server, ServerConfig};
 use sq_store::{DurableStore, DurableStoreConfig, MemStorage};
 use sq_vcs::{Patch, RepoPath, Repository};
 use std::sync::{Arc, Mutex};
@@ -113,7 +111,7 @@ fn enqueue_subscribe_status_over_tcp() {
         })
         .unwrap()
     {
-        Response::Verdict { state, .. } => assert!(matches!(state, WireTicketState::Landed(_))),
+        Response::Verdict { state, .. } => assert!(matches!(state, TicketState::Landed(_))),
         other => panic!("expected Verdict, got {other:?}"),
     }
     match client.call(&Request::Status { ticket }).unwrap() {
@@ -150,7 +148,7 @@ fn enqueue_lands_over_unix_socket() {
         })
         .unwrap()
     {
-        Response::Verdict { state, .. } => assert!(matches!(state, WireTicketState::Landed(_))),
+        Response::Verdict { state, .. } => assert!(matches!(state, TicketState::Landed(_))),
         other => panic!("expected Verdict, got {other:?}"),
     }
     server.shutdown();
@@ -245,7 +243,7 @@ fn malformed_frames_are_refused_whole_and_close_the_connection() {
         })
         .unwrap()
     {
-        Response::Verdict { state, .. } => assert!(matches!(state, WireTicketState::Landed(_))),
+        Response::Verdict { state, .. } => assert!(matches!(state, TicketState::Landed(_))),
         other => panic!("expected Verdict, got {other:?}"),
     }
     server.shutdown();
@@ -363,7 +361,7 @@ fn graceful_drain_loses_no_acked_enqueues_across_restart() {
             .unwrap()
         {
             Response::Verdict { state, .. } => assert!(
-                matches!(state, WireTicketState::Landed(_)),
+                matches!(state, TicketState::Landed(_)),
                 "acked ticket {t} must land after restart"
             ),
             other => panic!("expected Verdict, got {other:?}"),
@@ -510,7 +508,7 @@ fn an_enqueue_always_wakes_the_idle_processor() {
             .unwrap()
         {
             Response::Verdict { state, .. } => {
-                assert!(matches!(state, WireTicketState::Landed(_)))
+                assert!(matches!(state, TicketState::Landed(_)))
             }
             other => panic!("expected Verdict, got {other:?}"),
         }

@@ -39,11 +39,6 @@ impl Exponential {
     pub fn with_mean(mean: f64) -> Self {
         Self::new(1.0 / mean)
     }
-
-    /// The distribution mean.
-    pub fn mean(&self) -> f64 {
-        1.0 / self.lambda
-    }
 }
 
 impl Distribution for Exponential {
@@ -187,11 +182,6 @@ impl Poisson {
         Poisson { lambda }
     }
 
-    /// The distribution mean.
-    pub fn mean(&self) -> f64 {
-        self.lambda
-    }
-
     /// Draw a count directly.
     pub fn draw(&self, rng: &mut Xoshiro256StarStar) -> u64 {
         if self.lambda <= 0.0 {
@@ -279,16 +269,6 @@ impl AliasTable {
         Self::new(&weights)
     }
 
-    /// Number of categories.
-    pub fn len(&self) -> usize {
-        self.prob.len()
-    }
-
-    /// True iff the table has no categories (never: `new` panics on empty).
-    pub fn is_empty(&self) -> bool {
-        self.prob.is_empty()
-    }
-
     /// Draw a category index.
     pub fn sample(&self, rng: &mut Xoshiro256StarStar) -> usize {
         let i = rng.next_below(self.prob.len() as u64) as usize;
@@ -318,7 +298,6 @@ mod tests {
         let d = Exponential::with_mean(7.0);
         let m = sample_mean(&d, 200_000);
         assert!((m - 7.0).abs() < 0.1, "mean = {m}");
-        assert!((d.mean() - 7.0).abs() < 1e-12);
     }
 
     #[test]

@@ -6,25 +6,14 @@
 //! the clock or observe heap internals.
 
 use crate::event::EventQueue;
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimTime;
 
 /// Handle through which a simulation model schedules future events.
 pub struct Scheduler<'a, E> {
     queue: &'a mut EventQueue<E>,
-    now: SimTime,
 }
 
 impl<'a, E> Scheduler<'a, E> {
-    /// The current simulated time.
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// Schedule `event` after `delay` from now.
-    pub fn after(&mut self, delay: SimDuration, event: E) {
-        self.queue.schedule(self.now + delay, event);
-    }
-
     /// Schedule `event` at an absolute instant (clamped to now).
     pub fn at(&mut self, time: SimTime, event: E) {
         self.queue.schedule(time, event);
@@ -85,7 +74,7 @@ pub fn run<S: Simulation>(
             };
         }
         let (now, event) = queue.pop().expect("peeked event must pop");
-        let mut sched = Scheduler { queue, now };
+        let mut sched = Scheduler { queue };
         model.handle(now, event, &mut sched);
         handled += 1;
     }
@@ -99,6 +88,7 @@ pub fn run<S: Simulation>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::time::SimDuration;
 
     /// A model that counts down: each event schedules the next until zero.
     struct Countdown {
@@ -114,7 +104,7 @@ mod tests {
             self.fired_at.push(now);
             if self.remaining > 0 {
                 self.remaining -= 1;
-                sched.after(SimDuration::from_secs(1), ());
+                sched.at(now + SimDuration::from_secs(1), ());
             }
         }
 

@@ -87,16 +87,6 @@ impl<E> EventQueue<E> {
         self.now
     }
 
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// True iff no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
     /// Schedule `event` at absolute time `at`. Times earlier than `now()`
     /// are clamped to `now()` so the clock stays monotone.
     pub fn schedule(&mut self, at: SimTime, event: E) {
@@ -117,20 +107,6 @@ impl<E> EventQueue<E> {
         debug_assert!(entry.time >= self.now, "clock went backwards");
         self.now = entry.time;
         Some((entry.time, entry.event))
-    }
-
-    /// Discard every pending event for which `keep` returns `false`.
-    ///
-    /// O(n log n); used sparingly (e.g. when a simulation is reset).
-    /// Relative order of retained simultaneous events is preserved because
-    /// sequence numbers are retained.
-    pub fn retain<F: FnMut(&E) -> bool>(&mut self, mut keep: F) {
-        let entries: Vec<Entry<E>> = std::mem::take(&mut self.heap).into_vec();
-        for e in entries {
-            if keep(&e.event) {
-                self.heap.push(e);
-            }
-        }
     }
 }
 
@@ -188,19 +164,7 @@ mod tests {
         q.schedule(SimTime::from_secs(2), ());
         assert_eq!(q.peek_time(), Some(SimTime::from_secs(2)));
         assert_eq!(q.now(), SimTime::ZERO);
-        assert_eq!(q.len(), 1);
-    }
-
-    #[test]
-    fn retain_filters_and_preserves_order() {
-        let mut q = EventQueue::new();
-        let t = SimTime::from_secs(1);
-        for i in 0..10 {
-            q.schedule(t, i);
-        }
-        q.retain(|&i| i % 2 == 0);
-        let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-        assert_eq!(order, vec![0, 2, 4, 6, 8]);
+        assert_eq!(q.heap.len(), 1);
     }
 
     #[test]
@@ -212,6 +176,6 @@ mod tests {
         q.schedule(t1 + SimDuration::from_millis(500), 3);
         assert_eq!(q.pop().unwrap().1, 3);
         assert_eq!(q.pop().unwrap().1, 2);
-        assert!(q.is_empty());
+        assert!(q.pop().is_none());
     }
 }

@@ -142,12 +142,6 @@ impl Xoshiro256StarStar {
             xs.swap(i, j);
         }
     }
-
-    /// Choose a uniformly random element of a non-empty slice.
-    pub fn choose<'a, T>(&mut self, xs: &'a [T]) -> &'a T {
-        assert!(!xs.is_empty(), "choose from empty slice");
-        &xs[self.next_below(xs.len() as u64) as usize]
-    }
 }
 
 impl RngCore for Xoshiro256StarStar {
@@ -304,14 +298,5 @@ mod tests {
         let mut buf2 = [0u8; 13];
         r2.fill_bytes(&mut buf2);
         assert_eq!(buf, buf2);
-    }
-
-    #[test]
-    fn choose_returns_member() {
-        let mut r = Xoshiro256StarStar::seed_from_u64(12);
-        let xs = [1, 2, 3, 4, 5];
-        for _ in 0..100 {
-            assert!(xs.contains(r.choose(&xs)));
-        }
     }
 }

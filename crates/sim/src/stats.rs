@@ -18,14 +18,6 @@ pub struct Percentiles {
 }
 
 impl Percentiles {
-    /// An empty batch.
-    pub fn new() -> Self {
-        Percentiles {
-            sorted: Vec::new(),
-            dirty: false,
-        }
-    }
-
     /// Pre-sized empty batch.
     pub fn with_capacity(n: usize) -> Self {
         Percentiles {
@@ -41,16 +33,6 @@ impl Percentiles {
             self.sorted.push(x);
             self.dirty = true;
         }
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> usize {
-        self.sorted.len()
-    }
-
-    /// True iff no observations were recorded.
-    pub fn is_empty(&self) -> bool {
-        self.sorted.is_empty()
     }
 
     fn ensure_sorted(&mut self) {
@@ -82,23 +64,6 @@ impl Percentiles {
             self.percentile(99.0)?,
         ))
     }
-
-    /// Sample mean. `None` if empty.
-    pub fn mean(&self) -> Option<f64> {
-        if self.sorted.is_empty() {
-            None
-        } else {
-            Some(self.sorted.iter().sum::<f64>() / self.sorted.len() as f64)
-        }
-    }
-
-    /// Build an empirical CDF from this batch.
-    pub fn cdf(&mut self) -> Cdf {
-        self.ensure_sorted();
-        Cdf {
-            sorted: self.sorted.clone(),
-        }
-    }
 }
 
 /// An empirical cumulative distribution function.
@@ -113,11 +78,6 @@ impl Cdf {
         let mut sorted: Vec<f64> = samples.iter().copied().filter(|x| x.is_finite()).collect();
         sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite values compare"));
         Cdf { sorted }
-    }
-
-    /// Number of underlying samples.
-    pub fn count(&self) -> usize {
-        self.sorted.len()
     }
 
     /// `P(X <= x)` under the empirical distribution.
@@ -147,17 +107,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn percentiles_mean_empty_vs_filled() {
-        let mut p = Percentiles::new();
-        assert_eq!(p.mean(), None);
-        p.push(2.0);
-        p.push(4.0);
-        assert_eq!(p.mean(), Some(3.0));
-    }
-
-    #[test]
     fn percentiles_nearest_rank() {
-        let mut p = Percentiles::new();
+        let mut p = Percentiles::default();
         for x in 1..=100 {
             p.push(x as f64);
         }
@@ -170,23 +121,23 @@ mod tests {
 
     #[test]
     fn percentiles_reject_nan() {
-        let mut p = Percentiles::new();
+        let mut p = Percentiles::default();
         p.push(f64::NAN);
         p.push(1.0);
-        assert_eq!(p.count(), 1);
+        assert_eq!(p.sorted.len(), 1);
         assert_eq!(p.percentile(50.0), Some(1.0));
     }
 
     #[test]
     fn percentiles_empty() {
-        let mut p = Percentiles::new();
+        let mut p = Percentiles::default();
         assert_eq!(p.percentile(50.0), None);
         assert!(p.p50_p95_p99().is_none());
     }
 
     #[test]
     fn percentiles_interleaved_push_and_query() {
-        let mut p = Percentiles::new();
+        let mut p = Percentiles::default();
         p.push(10.0);
         assert_eq!(p.percentile(50.0), Some(10.0));
         p.push(20.0);

@@ -38,11 +38,6 @@ impl SimTime {
         SimTime(s * 1_000_000)
     }
 
-    /// Construct from whole minutes.
-    pub const fn from_mins(m: u64) -> Self {
-        SimTime(m * 60 * 1_000_000)
-    }
-
     /// Construct from whole hours.
     pub const fn from_hours(h: u64) -> Self {
         SimTime(h * 3_600 * 1_000_000)
@@ -58,11 +53,6 @@ impl SimTime {
         self.0 as f64 / 1e6
     }
 
-    /// Minutes since the origin, as a float (for reporting only).
-    pub fn as_mins_f64(self) -> f64 {
-        self.0 as f64 / 60e6
-    }
-
     /// Hours since the origin, as a float (for reporting only).
     pub fn as_hours_f64(self) -> f64 {
         self.0 as f64 / 3_600e6
@@ -74,11 +64,6 @@ impl SimTime {
     /// bookkeeping code total when events race on the same timestamp.
     pub fn since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
-    }
-
-    /// Checked addition of a duration; `None` on overflow.
-    pub fn checked_add(self, d: SimDuration) -> Option<SimTime> {
-        self.0.checked_add(d.0).map(SimTime)
     }
 }
 
@@ -140,16 +125,6 @@ impl SimDuration {
     /// Fractional minutes (for reporting only).
     pub fn as_mins_f64(self) -> f64 {
         self.0 as f64 / 60e6
-    }
-
-    /// Fractional hours (for reporting only).
-    pub fn as_hours_f64(self) -> f64 {
-        self.0 as f64 / 3_600e6
-    }
-
-    /// Saturating subtraction.
-    pub fn saturating_sub(self, other: SimDuration) -> SimDuration {
-        SimDuration(self.0.saturating_sub(other.0))
     }
 }
 
@@ -243,10 +218,9 @@ mod tests {
     #[test]
     fn construction_roundtrips() {
         assert_eq!(SimTime::from_secs(3).as_micros(), 3_000_000);
-        assert_eq!(SimTime::from_mins(2).as_micros(), 120_000_000);
         assert_eq!(SimTime::from_hours(1).as_micros(), 3_600_000_000);
         assert_eq!(SimDuration::from_millis(5).as_micros(), 5_000);
-        assert_eq!(SimDuration::from_hours(2).as_hours_f64(), 2.0);
+        assert_eq!(SimDuration::from_hours(2).as_mins_f64(), 120.0);
     }
 
     #[test]
@@ -265,15 +239,9 @@ mod tests {
     fn saturating_behaviour() {
         assert_eq!(SimTime::MAX + SimDuration::from_secs(1), SimTime::MAX);
         assert_eq!(
-            SimDuration::ZERO.saturating_sub(SimDuration::from_secs(1)),
+            SimDuration::ZERO - SimDuration::from_secs(1),
             SimDuration::ZERO
         );
-        assert!(SimTime::MAX
-            .checked_add(SimDuration::from_micros(1))
-            .is_none());
-        assert!(SimTime::ZERO
-            .checked_add(SimDuration::from_micros(1))
-            .is_some());
     }
 
     #[test]

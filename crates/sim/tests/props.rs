@@ -38,7 +38,7 @@ proptest! {
         xs in proptest::collection::vec(-1e6f64..1e6, 1..128),
         p in 0f64..100.0,
     ) {
-        let mut perc = Percentiles::new();
+        let mut perc = Percentiles::default();
         for &x in &xs {
             perc.push(x);
         }
@@ -58,7 +58,7 @@ proptest! {
         xs in proptest::collection::vec(prop_oneof![Just(1.0f64), Just(2.0), Just(2.0), Just(5.0)], 1..32),
         p in prop_oneof![Just(0.0f64), Just(100.0f64), 0f64..100.0],
     ) {
-        let mut perc = Percentiles::new();
+        let mut perc = Percentiles::default();
         for &x in &xs {
             perc.push(x);
         }

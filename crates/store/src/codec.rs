@@ -44,16 +44,6 @@ impl Encoder {
         self.buf
     }
 
-    /// Bytes written so far.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// True iff nothing has been written.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
     /// Write one byte.
     pub fn put_u8(&mut self, v: u8) {
         self.buf.push(v);

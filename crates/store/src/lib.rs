@@ -40,8 +40,7 @@ pub mod storage;
 pub use codec::{CodecError, Decoder, Encoder};
 pub use fault::{CrashKind, CrashPlan};
 pub use replicate::{
-    AckMode, Follower, Leader, LinkState, ReplicationConfig, ReplicationStats, ReplicationStatus,
-    ShipBatch,
+    AckMode, Follower, Leader, LinkState, ReplicationConfig, ReplicationStats, ShipBatch,
 };
 pub use storage::{FsStorage, MemStorage, Storage, StoreError};
 
@@ -67,13 +66,14 @@ pub trait Wal {
     fn stats(&self) -> &StoreStats;
 }
 
+/// Journal file name within the backend.
+const JOURNAL_FILE: &str = "journal.wal";
+/// Snapshot file name within the backend.
+const SNAPSHOT_FILE: &str = "snapshot.bin";
+
 /// Configuration of a [`DurableStore`].
 #[derive(Debug, Clone)]
 pub struct DurableStoreConfig {
-    /// Journal file name within the backend.
-    pub journal_file: String,
-    /// Snapshot file name within the backend.
-    pub snapshot_file: String,
     /// Take a snapshot after this many journal appends (and truncate
     /// the absorbed journal prefix). `u64::MAX` disables snapshotting.
     pub snapshot_every: u64,
@@ -81,21 +81,14 @@ pub struct DurableStoreConfig {
 
 impl Default for DurableStoreConfig {
     fn default() -> Self {
-        DurableStoreConfig {
-            journal_file: "journal.wal".to_string(),
-            snapshot_file: "snapshot.bin".to_string(),
-            snapshot_every: 64,
-        }
+        DurableStoreConfig { snapshot_every: 64 }
     }
 }
 
 impl DurableStoreConfig {
-    /// Default file names with an explicit snapshot cadence.
+    /// An explicit snapshot cadence.
     pub fn with_snapshot_every(snapshot_every: u64) -> Self {
-        DurableStoreConfig {
-            snapshot_every,
-            ..Self::default()
-        }
+        DurableStoreConfig { snapshot_every }
     }
 }
 
@@ -186,22 +179,22 @@ impl<S: Storage> DurableStore<S> {
         config: DurableStoreConfig,
     ) -> Result<(Self, Recovery), StoreError> {
         let started = std::time::Instant::now();
-        let (snapshot, snapshot_lsn) = match storage.read(&config.snapshot_file)? {
+        let (snapshot, snapshot_lsn) = match storage.read(SNAPSHOT_FILE)? {
             None => (None, 0),
             Some(bytes) => {
                 let (lsn, payload) = snapshot::decode(&bytes)?;
                 (Some(payload), lsn)
             }
         };
-        let journal_bytes = storage.read(&config.journal_file)?.unwrap_or_default();
+        let journal_bytes = storage.read(JOURNAL_FILE)?.unwrap_or_default();
         let scan = journal::scan(&journal_bytes)?;
         if scan.torn_bytes > 0 {
-            storage.truncate(&config.journal_file, scan.valid_len)?;
+            storage.truncate(JOURNAL_FILE, scan.valid_len)?;
         }
         if scan.valid_len == 0 {
             // Fresh (or torn-at-creation) journal: lay down the magic.
-            storage.append(&config.journal_file, journal::MAGIC)?;
-            storage.sync(&config.journal_file)?;
+            storage.append(JOURNAL_FILE, journal::MAGIC)?;
+            storage.sync(JOURNAL_FILE)?;
         }
         let max_lsn = scan
             .records
@@ -245,8 +238,8 @@ impl<S: Storage> DurableStore<S> {
     pub fn append(&mut self, payload: &[u8]) -> Result<u64, StoreError> {
         let lsn = self.next_lsn;
         let record = journal::encode_record(lsn, payload);
-        self.storage.append(&self.config.journal_file, &record)?;
-        self.storage.sync(&self.config.journal_file)?;
+        self.storage.append(JOURNAL_FILE, &record)?;
+        self.storage.sync(JOURNAL_FILE)?;
         self.next_lsn += 1;
         self.records_since_snapshot += 1;
         self.stats.appends += 1;
@@ -268,12 +261,11 @@ impl<S: Storage> DurableStore<S> {
     pub fn write_snapshot(&mut self, state: &[u8]) -> Result<(), StoreError> {
         let covered = self.next_lsn - 1;
         let encoded = snapshot::encode(covered, state);
-        self.storage
-            .write_atomic(&self.config.snapshot_file, &encoded)?;
-        self.storage.sync(&self.config.snapshot_file)?;
+        self.storage.write_atomic(SNAPSHOT_FILE, &encoded)?;
+        self.storage.sync(SNAPSHOT_FILE)?;
         self.stats.fsyncs += 1;
         self.storage
-            .truncate(&self.config.journal_file, journal::MAGIC.len() as u64)?;
+            .truncate(JOURNAL_FILE, journal::MAGIC.len() as u64)?;
         self.records_since_snapshot = 0;
         self.stats.snapshots += 1;
         self.stats.last_snapshot_bytes = encoded.len() as u64;
@@ -290,11 +282,6 @@ impl<S: Storage> DurableStore<S> {
         &self.stats
     }
 
-    /// The configuration this store was opened with.
-    pub fn config(&self) -> &DurableStoreConfig {
-        &self.config
-    }
-
     /// Append a record at an *exact* LSN — the replication path, where
     /// the leader (not this store) owns LSN assignment. Refuses gaps
     /// and replays: the record must be the next one in sequence.
@@ -306,8 +293,8 @@ impl<S: Storage> DurableStore<S> {
             });
         }
         let record = journal::encode_record(lsn, payload);
-        self.storage.append(&self.config.journal_file, &record)?;
-        self.storage.sync(&self.config.journal_file)?;
+        self.storage.append(JOURNAL_FILE, &record)?;
+        self.storage.sync(JOURNAL_FILE)?;
         self.next_lsn += 1;
         self.records_since_snapshot += 1;
         self.stats.appends += 1;
@@ -323,12 +310,11 @@ impl<S: Storage> DurableStore<S> {
     /// a rejoining deposed leader discards a divergent un-acked tail.
     pub fn install_snapshot(&mut self, lsn: u64, state: &[u8]) -> Result<(), StoreError> {
         let encoded = snapshot::encode(lsn, state);
-        self.storage
-            .write_atomic(&self.config.snapshot_file, &encoded)?;
-        self.storage.sync(&self.config.snapshot_file)?;
+        self.storage.write_atomic(SNAPSHOT_FILE, &encoded)?;
+        self.storage.sync(SNAPSHOT_FILE)?;
         self.stats.fsyncs += 1;
         self.storage
-            .truncate(&self.config.journal_file, journal::MAGIC.len() as u64)?;
+            .truncate(JOURNAL_FILE, journal::MAGIC.len() as u64)?;
         self.next_lsn = lsn + 1;
         self.records_since_snapshot = 0;
         self.stats.snapshots += 1;
@@ -344,10 +330,10 @@ impl<S: Storage> DurableStore<S> {
     /// never a journal replaying on top of the wrong base.
     pub fn reset(&mut self) -> Result<(), StoreError> {
         self.storage
-            .truncate(&self.config.journal_file, journal::MAGIC.len() as u64)?;
-        self.storage.sync(&self.config.journal_file)?;
+            .truncate(JOURNAL_FILE, journal::MAGIC.len() as u64)?;
+        self.storage.sync(JOURNAL_FILE)?;
         self.stats.fsyncs += 1;
-        self.storage.remove(&self.config.snapshot_file)?;
+        self.storage.remove(SNAPSHOT_FILE)?;
         self.next_lsn = 1;
         self.records_since_snapshot = 0;
         Ok(())
@@ -356,7 +342,7 @@ impl<S: Storage> DurableStore<S> {
     /// Read the current snapshot (covered LSN, payload) without
     /// mutating anything — what a leader ships to a lagging follower.
     pub fn read_snapshot(&mut self) -> Result<Option<(u64, Vec<u8>)>, StoreError> {
-        match self.storage.read(&self.config.snapshot_file)? {
+        match self.storage.read(SNAPSHOT_FILE)? {
             None => Ok(None),
             Some(bytes) => Ok(Some(snapshot::decode(&bytes)?)),
         }
@@ -365,10 +351,7 @@ impl<S: Storage> DurableStore<S> {
     /// Read every journal record with LSN strictly greater than `lsn` —
     /// the suffix a leader ships to catch a follower up.
     pub fn read_records_after(&mut self, lsn: u64) -> Result<Vec<journal::Record>, StoreError> {
-        let bytes = self
-            .storage
-            .read(&self.config.journal_file)?
-            .unwrap_or_default();
+        let bytes = self.storage.read(JOURNAL_FILE)?.unwrap_or_default();
         let scan = journal::scan(&bytes)?;
         Ok(scan.records.into_iter().filter(|r| r.lsn > lsn).collect())
     }

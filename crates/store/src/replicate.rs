@@ -42,7 +42,7 @@
 //! leader plus followers as voters and records whether each append was
 //! journaled on a majority before the caller was acked; when links are
 //! down the append still succeeds — the guarantee degrades *visibly*
-//! (`degraded_acks`, [`ReplicationStatus::Degraded`]) rather than
+//! (`degraded_acks`, [`Leader::link_states`]) rather than
 //! blocking the queue, matching the paper's always-on service bias.
 //! [`AckMode::Async`] is explicit best-effort. [`Leader::reconnect`] is
 //! one mechanical attempt; when to call it is the caller's decision.
@@ -58,6 +58,9 @@ pub const SHIP_MAGIC: &[u8; 8] = b"SQSHIP1\n";
 /// Replica meta-file magic (persisted epoch).
 pub const META_MAGIC: &[u8; 8] = b"SQMETA1\n";
 
+/// Name of the epoch meta file within the backend.
+const META_FILE: &str = "replica.meta";
+
 /// When does an append count as acknowledged?
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AckMode {
@@ -66,14 +69,9 @@ pub enum AckMode {
     Async,
     /// The append should be journaled on a majority of (leader +
     /// followers) before ack; shortfalls are recorded as
-    /// `degraded_acks` and surface in [`ReplicationStatus::Degraded`]
-    /// instead of blocking.
+    /// `degraded_acks` instead of blocking.
     Quorum,
 }
-
-/// A link whose durable LSN trails the leader by more than this counts
-/// as *lagging* in [`ReplicationStatus::Degraded`].
-const MAX_LAG: u64 = 64;
 
 /// Resync suffixes are shipped in chunks of at most this many records
 /// per frame.
@@ -84,15 +82,12 @@ const BATCH_MAX_RECORDS: usize = 32;
 pub struct ReplicationConfig {
     /// Acknowledgement discipline.
     pub ack_mode: AckMode,
-    /// Name of the epoch meta file within the backend.
-    pub meta_file: String,
 }
 
 impl Default for ReplicationConfig {
     fn default() -> Self {
         ReplicationConfig {
             ack_mode: AckMode::Quorum,
-            meta_file: "replica.meta".to_string(),
         }
     }
 }
@@ -100,10 +95,7 @@ impl Default for ReplicationConfig {
 impl ReplicationConfig {
     /// Defaults with an explicit ack mode.
     pub fn with_ack_mode(ack_mode: AckMode) -> Self {
-        ReplicationConfig {
-            ack_mode,
-            ..Self::default()
-        }
+        ReplicationConfig { ack_mode }
     }
 }
 
@@ -251,7 +243,6 @@ impl ShipBatch {
 pub struct Follower<S: Storage> {
     store: DurableStore<S>,
     epoch: u64,
-    meta_file: String,
 }
 
 impl<S: Storage> Follower<S> {
@@ -261,21 +252,13 @@ impl<S: Storage> Follower<S> {
     pub fn open(
         storage: S,
         store_config: DurableStoreConfig,
-        replication: &ReplicationConfig,
     ) -> Result<(Self, Recovery), StoreError> {
         let (mut store, recovery) = DurableStore::open(storage, store_config)?;
-        let epoch = match store.storage.read(&replication.meta_file)? {
+        let epoch = match store.storage.read(META_FILE)? {
             None => 0,
             Some(bytes) => decode_meta(&bytes)?,
         };
-        Ok((
-            Follower {
-                store,
-                epoch,
-                meta_file: replication.meta_file.clone(),
-            },
-            recovery,
-        ))
+        Ok((Follower { store, epoch }, recovery))
     }
 
     /// The persisted fencing epoch (0 = never led or followed anyone).
@@ -288,15 +271,10 @@ impl<S: Storage> Follower<S> {
         self.store.next_lsn() - 1
     }
 
-    /// The underlying store (read-only).
-    pub fn store(&self) -> &DurableStore<S> {
-        &self.store
-    }
-
     fn persist_epoch(&mut self, epoch: u64) -> Result<(), StoreError> {
         let bytes = encode_meta(epoch);
-        self.store.storage.write_atomic(&self.meta_file, &bytes)?;
-        self.store.storage.sync(&self.meta_file)?;
+        self.store.storage.write_atomic(META_FILE, &bytes)?;
+        self.store.storage.sync(META_FILE)?;
         self.epoch = epoch;
         Ok(())
     }
@@ -306,7 +284,7 @@ impl<S: Storage> Follower<S> {
     /// deposed-leader-still-holds-a-link case), so every receive path
     /// re-reads the persisted epoch before judging the sender's.
     fn refresh_epoch(&mut self) -> Result<(), StoreError> {
-        if let Some(bytes) = self.store.storage.read(&self.meta_file)? {
+        if let Some(bytes) = self.store.storage.read(META_FILE)? {
             self.epoch = self.epoch.max(decode_meta(&bytes)?);
         }
         Ok(())
@@ -407,14 +385,9 @@ impl<S: Storage> Follower<S> {
         self.persist_epoch(epoch)?;
         Ok(epoch)
     }
-
-    /// Claim leadership at our epoch + 1 (single-coordinator shortcut).
-    pub fn promote(&mut self) -> Result<u64, StoreError> {
-        self.promote_to(self.epoch + 1)
-    }
 }
 
-/// Per-link snapshot for status and observability.
+/// Per-link health, for repair and observability.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LinkState {
     /// True when the link is down (follower unreachable since the last
@@ -424,30 +397,6 @@ pub struct LinkState {
     pub durable_lsn: u64,
     /// LSN delta behind the leader.
     pub lag: u64,
-}
-
-/// Replication health, coarsest first.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReplicationStatus {
-    /// Every link up and within 64 records of the leader.
-    Healthy,
-    /// Serving, but the durability guarantee is weaker than configured.
-    Degraded {
-        /// Links currently down.
-        down: usize,
-        /// Links (up or down) trailing by more than 64 records.
-        lagging: usize,
-        /// Whether live replicas still form a majority of voters.
-        quorum_ok: bool,
-    },
-    /// A newer epoch exists: this leader is deposed and refuses all
-    /// appends until it rejoins as a follower.
-    Fenced {
-        /// Our (stale) epoch.
-        epoch: u64,
-        /// The newer epoch that refused us.
-        newer: u64,
-    },
 }
 
 /// Shipping and failover counters (plain integers).
@@ -514,12 +463,12 @@ impl<S: Storage + Clone> Leader<S> {
         config: ReplicationConfig,
     ) -> Result<(Self, Recovery), StoreError> {
         let (mut local, recovery) = DurableStore::open(storage, store_config)?;
-        let epoch = match local.storage.read(&config.meta_file)? {
+        let epoch = match local.storage.read(META_FILE)? {
             Some(bytes) => decode_meta(&bytes)?,
             None => {
                 let bytes = encode_meta(1);
-                local.storage.write_atomic(&config.meta_file, &bytes)?;
-                local.storage.sync(&config.meta_file)?;
+                local.storage.write_atomic(META_FILE, &bytes)?;
+                local.storage.sync(META_FILE)?;
                 1
             }
         };
@@ -539,16 +488,6 @@ impl<S: Storage + Clone> Leader<S> {
     /// Our fencing epoch.
     pub fn epoch(&self) -> u64 {
         self.epoch
-    }
-
-    /// The local store (read-only).
-    pub fn local(&self) -> &DurableStore<S> {
-        &self.local
-    }
-
-    /// Replication configuration.
-    pub fn config(&self) -> &ReplicationConfig {
-        &self.config
     }
 
     /// Shipping and failover counters.
@@ -582,8 +521,7 @@ impl<S: Storage + Clone> Leader<S> {
         storage: S,
         store_config: DurableStoreConfig,
     ) -> Result<usize, StoreError> {
-        let (mut follower, recovery) =
-            Follower::open(storage.clone(), store_config.clone(), &self.config)?;
+        let (mut follower, recovery) = Follower::open(storage.clone(), store_config.clone())?;
         self.stats.follower_truncated_bytes += recovery.truncated_tail_bytes;
         let durable = resync(&mut self.local, self.epoch, &mut self.stats, &mut follower)?;
         self.links.push(Link {
@@ -600,11 +538,8 @@ impl<S: Storage + Clone> Leader<S> {
     /// call is one attempt and errors if the medium is still dead.
     pub fn reconnect(&mut self, idx: usize) -> Result<(), StoreError> {
         let link = &mut self.links[idx];
-        let (mut follower, recovery) = Follower::open(
-            link.storage.clone(),
-            link.store_config.clone(),
-            &self.config,
-        )?;
+        let (mut follower, recovery) =
+            Follower::open(link.storage.clone(), link.store_config.clone())?;
         self.stats.follower_truncated_bytes += recovery.truncated_tail_bytes;
         let durable = resync(&mut self.local, self.epoch, &mut self.stats, &mut follower)?;
         let link = &mut self.links[idx];
@@ -612,37 +547,6 @@ impl<S: Storage + Clone> Leader<S> {
         link.last_durable = durable;
         self.stats.reconnects += 1;
         Ok(())
-    }
-
-    /// Current replication health.
-    pub fn status(&self) -> ReplicationStatus {
-        if let Some((epoch, newer)) = self.fenced {
-            return ReplicationStatus::Fenced { epoch, newer };
-        }
-        let durable = self.durable_lsn();
-        let mut down = 0usize;
-        let mut lagging = 0usize;
-        let mut live = 1usize; // the leader votes for itself
-        for link in &self.links {
-            if link.follower.is_none() {
-                down += 1;
-            } else {
-                live += 1;
-            }
-            if durable.saturating_sub(link.last_durable) > MAX_LAG {
-                lagging += 1;
-            }
-        }
-        if down == 0 && lagging == 0 {
-            ReplicationStatus::Healthy
-        } else {
-            let voters = 1 + self.links.len();
-            ReplicationStatus::Degraded {
-                down,
-                lagging,
-                quorum_ok: live > voters / 2,
-            }
-        }
     }
 
     fn ship_to_links(&mut self, lsn: u64, payload: &[u8]) -> Result<(), StoreError> {
@@ -938,7 +842,7 @@ mod tests {
         for i in 0..5u8 {
             assert_eq!(leader.append(&[i]).unwrap(), u64::from(i) + 1);
         }
-        assert_eq!(leader.status(), ReplicationStatus::Healthy);
+        assert!(leader.link_states().iter().all(|l| !l.down && l.lag == 0));
         assert_eq!(leader.replication_stats().acked_quorum, 5);
         assert_eq!(leader.replication_stats().degraded_acks, 0);
         let want: Vec<Vec<u8>> = (0..5u8).map(|i| vec![i]).collect();
@@ -1008,15 +912,7 @@ mod tests {
             .set_plan(CrashPlan::at_op(ops, CrashKind::Torn));
         leader.append(b"f2 dies here").unwrap();
         assert_eq!(leader.replication_stats().link_drops, 1);
-        match leader.status() {
-            ReplicationStatus::Degraded {
-                down, quorum_ok, ..
-            } => {
-                assert_eq!(down, 1);
-                assert!(quorum_ok);
-            }
-            other => panic!("expected degraded, got {other:?}"),
-        }
+        assert!(leader.link_states()[idx2].down);
         leader.append(b"still serving").unwrap();
         assert_eq!(leader.replication_stats().acked_quorum, 3);
         // Reconnect over the revived medium: the torn tail is repaired
@@ -1024,7 +920,7 @@ mod tests {
         f2.lock().unwrap().revive();
         f2.lock().unwrap().set_plan(CrashPlan::none());
         leader.reconnect(idx2).unwrap();
-        assert_eq!(leader.status(), ReplicationStatus::Healthy);
+        assert!(leader.link_states().iter().all(|l| !l.down && l.lag == 0));
         assert_eq!(replay_payloads(&f2), replay_payloads(&ls));
         assert!(leader.replication_stats().reconnects == 1);
     }
@@ -1041,10 +937,7 @@ mod tests {
         leader.append(b"follower lost").unwrap();
         leader.append(b"alone now").unwrap();
         assert_eq!(leader.replication_stats().degraded_acks, 2);
-        match leader.status() {
-            ReplicationStatus::Degraded { quorum_ok, .. } => assert!(!quorum_ok),
-            other => panic!("expected degraded, got {other:?}"),
-        }
+        assert!(leader.link_states()[0].down);
     }
 
     #[test]
@@ -1054,17 +947,12 @@ mod tests {
         old.attach_follower(fs.clone(), cfg(u64::MAX)).unwrap();
         old.append(b"acked before the coup").unwrap();
         // Promote the follower out-of-band (as failover would).
-        let (mut promoted, _) =
-            Follower::open(fs.clone(), cfg(u64::MAX), &ReplicationConfig::default()).unwrap();
+        let (mut promoted, _) = Follower::open(fs.clone(), cfg(u64::MAX)).unwrap();
         assert_eq!(promoted.epoch(), 1);
-        assert_eq!(promoted.promote().unwrap(), 2);
+        assert_eq!(promoted.promote_to(2).unwrap(), 2);
         // The old leader's next append is refused and deposes it.
         let err = old.append(b"split brain attempt").unwrap_err();
         assert!(matches!(err, StoreError::Fenced { ours: 2, theirs: 1 }));
-        assert!(matches!(
-            old.status(),
-            ReplicationStatus::Fenced { epoch: 1, newer: 2 }
-        ));
         // ... and it stays deposed even without touching the link.
         assert!(old.append(b"again").is_err());
         assert_eq!(old.replication_stats().fence_refusals, 1);
@@ -1085,9 +973,8 @@ mod tests {
         b.lock().unwrap().revive();
         b.lock().unwrap().set_plan(CrashPlan::none());
         // b is promoted and serves new writes; a's tail has diverged.
-        let (mut bf, _) =
-            Follower::open(b.clone(), cfg(u64::MAX), &ReplicationConfig::default()).unwrap();
-        bf.promote().unwrap();
+        let (mut bf, _) = Follower::open(b.clone(), cfg(u64::MAX)).unwrap();
+        bf.promote_to(2).unwrap();
         let mut new = Leader::open(b.clone(), cfg(u64::MAX), ReplicationConfig::default())
             .unwrap()
             .0;
@@ -1106,8 +993,7 @@ mod tests {
     #[test]
     fn follower_refuses_stale_epoch_and_gap_on_adoption() {
         let fs = shared();
-        let (mut f, _) =
-            Follower::open(fs.clone(), cfg(u64::MAX), &ReplicationConfig::default()).unwrap();
+        let (mut f, _) = Follower::open(fs.clone(), cfg(u64::MAX)).unwrap();
         // Adopt epoch 2 with a clean extension.
         let one = ShipBatch::new(
             2,
@@ -1166,16 +1052,14 @@ mod tests {
     #[test]
     fn promote_to_requires_a_strictly_newer_epoch() {
         let fs = shared();
-        let (mut f, _) =
-            Follower::open(fs.clone(), cfg(u64::MAX), &ReplicationConfig::default()).unwrap();
+        let (mut f, _) = Follower::open(fs.clone(), cfg(u64::MAX)).unwrap();
         f.promote_to(3).unwrap();
         assert!(matches!(f.promote_to(3), Err(StoreError::Fenced { .. })));
         assert!(matches!(f.promote_to(2), Err(StoreError::Fenced { .. })));
         assert_eq!(f.promote_to(7).unwrap(), 7);
         // The epoch survives a reopen.
         drop(f);
-        let (f2, _) =
-            Follower::open(fs.clone(), cfg(u64::MAX), &ReplicationConfig::default()).unwrap();
+        let (f2, _) = Follower::open(fs.clone(), cfg(u64::MAX)).unwrap();
         assert_eq!(f2.epoch(), 7);
     }
 

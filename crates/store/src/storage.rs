@@ -170,11 +170,6 @@ impl FsStorage {
         Ok(FsStorage { root })
     }
 
-    /// The root directory.
-    pub fn root(&self) -> &PathBuf {
-        &self.root
-    }
-
     fn path(&self, name: &str) -> PathBuf {
         self.root.join(name)
     }

@@ -71,7 +71,7 @@ proptest! {
 
         let storage = fresh();
         let (mut follower, _) =
-            Follower::open(storage.clone(), store_cfg(), &repl_cfg()).expect("open");
+            Follower::open(storage.clone(), store_cfg()).expect("open");
         for frame in &frames[..k] {
             follower.append_batch(frame).expect("apply prefix");
         }
@@ -83,7 +83,7 @@ proptest! {
 
         // The prefix is a valid resume point: the rest still applies.
         let (mut follower, _) =
-            Follower::open(storage.clone(), store_cfg(), &repl_cfg()).expect("reopen");
+            Follower::open(storage.clone(), store_cfg()).expect("reopen");
         for frame in &frames[k..] {
             follower.append_batch(frame).expect("apply suffix");
         }
@@ -160,7 +160,7 @@ proptest! {
                 .enumerate()
                 .filter(|(i, _)| *i != zombie_at)
                 .map(|(_, s)| {
-                    Follower::open(s.clone(), store_cfg(), &repl_cfg())
+                    Follower::open(s.clone(), store_cfg())
                         .expect("inspect")
                         .0
                         .epoch()
@@ -168,7 +168,7 @@ proptest! {
                 .max()
                 .unwrap();
             let (mut f, _) =
-                Follower::open(cluster[target].clone(), store_cfg(), &repl_cfg()).expect("open");
+                Follower::open(cluster[target].clone(), store_cfg()).expect("open");
             let claimed = f.promote_to(cluster_epoch + 1).expect("promote");
             drop(f);
             prop_assert!(claimed > *epochs.last().unwrap(), "epochs must strictly increase");

@@ -298,7 +298,7 @@ mod tests {
         let ours = Patch::write(path("f1"), "changed1");
         let theirs = Patch::write(path("f2"), "changed2");
         let merged = merge_patches(&base, &store, &ours, &theirs).unwrap();
-        assert_eq!(merged.len(), 2);
+        assert_eq!(merged.ops().count(), 2);
     }
 
     #[test]
@@ -318,7 +318,7 @@ mod tests {
     fn write_vs_delete_conflicts() {
         let (base, store) = setup();
         let ours = Patch::write(path("f1"), "modified");
-        let theirs = Patch::delete(path("f1"));
+        let theirs = Patch::from_ops([FileOp::Delete { path: path("f1") }]);
         let err = merge_patches(&base, &store, &ours, &theirs).unwrap_err();
         assert!(matches!(err, VcsError::MergeConflict { .. }));
     }
@@ -326,10 +326,10 @@ mod tests {
     #[test]
     fn both_delete_agrees() {
         let (base, store) = setup();
-        let ours = Patch::delete(path("f1"));
-        let theirs = Patch::delete(path("f1"));
+        let ours = Patch::from_ops([FileOp::Delete { path: path("f1") }]);
+        let theirs = Patch::from_ops([FileOp::Delete { path: path("f1") }]);
         let merged = merge_patches(&base, &store, &ours, &theirs).unwrap();
-        assert_eq!(merged.len(), 1);
+        assert_eq!(merged.ops().count(), 1);
     }
 
     #[test]

@@ -105,13 +105,9 @@ impl ObjectStore {
     }
 
     /// Number of distinct objects stored.
+    #[allow(clippy::len_without_is_empty)]
     pub fn len(&self) -> usize {
         self.objects.len()
-    }
-
-    /// True iff empty.
-    pub fn is_empty(&self) -> bool {
-        self.objects.len() == 0
     }
 
     /// Total stored bytes (after deduplication).

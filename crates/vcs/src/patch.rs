@@ -69,19 +69,9 @@ impl Patch {
         }])
     }
 
-    /// Convenience: a patch that deletes one file.
-    pub fn delete(path: RepoPath) -> Self {
-        Patch::from_ops([FileOp::Delete { path }])
-    }
-
     /// Add an operation, replacing any previous op on the same path.
     pub fn push(&mut self, op: FileOp) {
         self.ops.insert(op.path().clone(), op);
-    }
-
-    /// Number of touched paths.
-    pub fn len(&self) -> usize {
-        self.ops.len()
     }
 
     /// True iff the patch has no operations.
@@ -189,14 +179,16 @@ mod tests {
         );
         assert!(!out.contains(&path("b.rs")));
         assert!(out.contains(&path("new.rs")));
-        assert_eq!(out.len(), 3);
+        assert_eq!(out.iter().count(), 3);
     }
 
     #[test]
     fn delete_missing_path_errors() {
         let mut store = ObjectStore::new();
         let base = base_tree(&mut store);
-        let patch = Patch::delete(path("nope.rs"));
+        let patch = Patch::from_ops([FileOp::Delete {
+            path: path("nope.rs"),
+        }]);
         assert!(matches!(
             patch.apply(&base, &mut store),
             Err(VcsError::MissingPath(_))
@@ -215,7 +207,7 @@ mod tests {
                 content: "second".into(),
             },
         ]);
-        assert_eq!(patch.len(), 1);
+        assert_eq!(patch.ops().count(), 1);
         let mut store = ObjectStore::new();
         let out = patch.apply(&Tree::new(), &mut store).unwrap();
         assert_eq!(

@@ -62,11 +62,6 @@ impl RepoPath {
     pub fn file_name(&self) -> &str {
         self.0.rsplit_once('/').map_or(&self.0, |(_, f)| f)
     }
-
-    /// Join a child component onto this path.
-    pub fn join(&self, child: &str) -> Result<RepoPath, VcsError> {
-        RepoPath::new(format!("{}/{}", self.0, child))
-    }
 }
 
 impl fmt::Display for RepoPath {
@@ -115,13 +110,6 @@ mod tests {
         let top = RepoPath::new("README.md").unwrap();
         assert_eq!(top.parent(), None);
         assert_eq!(top.file_name(), "README.md");
-    }
-
-    #[test]
-    fn join_builds_children() {
-        let p = RepoPath::new("a/b").unwrap();
-        assert_eq!(p.join("c.rs").unwrap().as_str(), "a/b/c.rs");
-        assert!(p.join("..").is_err());
     }
 
     #[test]

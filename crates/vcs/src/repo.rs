@@ -41,7 +41,6 @@ pub struct Repository {
     store: ObjectStore,
     commits: SharedMap<CommitId, Commit>,
     branches: HashMap<String, CommitId>,
-    root: CommitId,
     /// Decoded trees of the last `RECENT_TREES` commits, oldest first.
     recent: VecDeque<(CommitId, Tree)>,
 }
@@ -91,7 +90,6 @@ impl Repository {
             store,
             commits,
             branches,
-            root: root_id,
             recent: VecDeque::from([(root_id, tree)]),
         })
     }
@@ -104,11 +102,6 @@ impl Repository {
     /// Mutable object store access (for staging blobs).
     pub fn store_mut(&mut self) -> &mut ObjectStore {
         &mut self.store
-    }
-
-    /// The root commit id.
-    pub fn root(&self) -> CommitId {
-        self.root
     }
 
     /// The mainline HEAD.
@@ -228,16 +221,17 @@ mod tests {
     #[test]
     fn init_creates_mainline_with_root() {
         let r = repo();
-        assert_eq!(r.head(), r.root());
-        assert_eq!(r.branch_tip(MAINLINE).unwrap(), r.root());
+        assert_eq!(r.log(r.head()).unwrap(), vec![r.head()]);
+        assert_eq!(r.branch_tip(MAINLINE).unwrap(), r.head());
         let tree = r.head_tree().unwrap();
-        assert_eq!(tree.len(), 2);
+        assert_eq!(tree.iter().count(), 2);
         assert_eq!(r.read_file(r.head(), &path("README.md")).unwrap(), "# repo");
     }
 
     #[test]
     fn commit_advances_head() {
         let mut r = repo();
+        let root = r.head();
         let patch = Patch::write(path("src/lib.rs"), "fn lib() { /* v2 */ }");
         let id = r.commit_patch(MAINLINE, &patch, meta("v2")).unwrap();
         assert_eq!(r.head(), id);
@@ -247,7 +241,7 @@ mod tests {
         );
         // Old commit still readable (history is immutable).
         assert_eq!(
-            r.read_file(r.root(), &path("src/lib.rs")).unwrap(),
+            r.read_file(root, &path("src/lib.rs")).unwrap(),
             "fn lib() {}"
         );
     }
@@ -270,6 +264,7 @@ mod tests {
     #[test]
     fn log_walks_history_newest_first() {
         let mut r = repo();
+        let root = r.head();
         let c1 = r
             .commit_patch(MAINLINE, &Patch::write(path("a"), "1"), meta("c1"))
             .unwrap();
@@ -277,7 +272,7 @@ mod tests {
             .commit_patch(MAINLINE, &Patch::write(path("a"), "2"), meta("c2"))
             .unwrap();
         let log = r.log(r.head()).unwrap();
-        assert_eq!(log, vec![c2, c1, r.root()]);
+        assert_eq!(log, vec![c2, c1, root]);
     }
 
     #[test]
@@ -300,6 +295,7 @@ mod tests {
     fn snapshot_cost_does_not_grow_with_history() {
         for commits in [33u64, 3_333] {
             let mut r = repo();
+            let root = r.head();
             let mut bases = VecDeque::new();
             for i in 0..commits {
                 let store = r.store().clone();
@@ -323,7 +319,7 @@ mod tests {
             assert_eq!(r.store().len() as u64, 5 + 3 * commits);
             assert_eq!(r.recent.len(), RECENT_TREES);
             // Older commits fall out of the window and still read.
-            assert_eq!(r.tree_at(r.root()).unwrap().len(), 2);
+            assert_eq!(r.tree_at(root).unwrap().iter().count(), 2);
         }
     }
 
@@ -350,7 +346,7 @@ mod tests {
                 Err(VcsError::CorruptObject { .. })
             ));
         }
-        assert_eq!(r.head_tree().unwrap().len(), 2);
+        assert_eq!(r.head_tree().unwrap().iter().count(), 2);
     }
 
     #[test]

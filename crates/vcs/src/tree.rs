@@ -81,16 +81,6 @@ impl Tree {
         Self::default()
     }
 
-    /// Number of files.
-    pub fn len(&self) -> usize {
-        self.root.files
-    }
-
-    /// True iff the snapshot has no files.
-    pub fn is_empty(&self) -> bool {
-        self.root.files == 0
-    }
-
     /// Blob id at `path`, if a file is there.
     pub fn get(&self, path: &RepoPath) -> Option<ObjectId> {
         let mut dir = &self.root;
@@ -534,10 +524,10 @@ mod tests {
         assert_eq!(t.get(&path("a/f.rs")), Some(id));
         assert!(t.contains(&path("a/f.rs")));
         assert!(!t.contains(&path("a")) && !t.contains(&path("a/f.rs/x")));
-        assert_eq!(t.len(), 1);
+        assert_eq!(t.iter().count(), 1);
         assert_eq!(t.remove(&path("a")), None);
         assert_eq!(t.remove(&path("a/f.rs")), Some(id));
-        assert!(t.is_empty());
+        assert!(t.iter().next().is_none());
         assert_eq!(t, Tree::new());
     }
 
@@ -594,7 +584,7 @@ mod tests {
         assert_eq!(t.store(&mut store), id);
         let loaded = Tree::load(&store, id).unwrap();
         assert_eq!(loaded, t);
-        assert_eq!(loaded.len(), 3);
+        assert_eq!(loaded.iter().count(), 3);
         assert_eq!(
             loaded.iter().collect::<Vec<_>>(),
             t.iter().collect::<Vec<_>>()
@@ -659,7 +649,7 @@ mod tests {
         copy.insert(path("b"), blob(&mut store, "b")).unwrap();
         copy.remove(&path("a"));
         assert!(!copy.shares_root_with(&original));
-        assert_eq!(original.len(), 1);
+        assert_eq!(original.iter().count(), 1);
         assert!(original.contains(&path("a")) && !original.contains(&path("b")));
         assert!(copy.contains(&path("b")) && !copy.contains(&path("a")));
     }
@@ -847,7 +837,7 @@ mod tests {
         for _ in 1..MAX_DEPTH {
             id = store.put(entry(DIR, id, "d"));
         }
-        assert_eq!(Tree::load(&store, id).unwrap().len(), 1);
+        assert_eq!(Tree::load(&store, id).unwrap().iter().count(), 1);
         let id = store.put(entry(DIR, id, "d"));
         assert!(matches!(
             Tree::load(&store, id),

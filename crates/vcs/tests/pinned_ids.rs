@@ -26,6 +26,7 @@ fn tree_and_commit_ids_of_the_three_commit_fixture_are_pinned() {
         ("README.md", "# pinned\n"),
     ])
     .unwrap();
+    let root = repo.head();
     let c1 = repo
         .commit_patch(
             MAINLINE,
@@ -62,7 +63,7 @@ fn tree_and_commit_ids_of_the_three_commit_fixture_are_pinned() {
             "e50a4a7aed74dd83404be6c8b07f5874134c3300db2d7667999172ea34ee0a59",
         ),
     ];
-    for (id, (tree_hex, commit_hex)) in [repo.root(), c1, c2].into_iter().zip(pinned) {
+    for (id, (tree_hex, commit_hex)) in [root, c1, c2].into_iter().zip(pinned) {
         assert_eq!(repo.commit(id).unwrap().tree.to_hex(), tree_hex);
         assert_eq!(id.0.to_hex(), commit_hex);
     }

@@ -110,7 +110,7 @@ proptest! {
         let id = tree.store(&mut store);
         let loaded = Tree::load(&store, id).unwrap();
         prop_assert_eq!(loaded.iter().collect::<Vec<_>>(), tree.iter().collect::<Vec<_>>());
-        prop_assert_eq!(loaded.len(), tree.len());
+        prop_assert_eq!(loaded.iter().count(), tree.iter().count());
         prop_assert_eq!(&loaded, &tree);
     }
 

@@ -151,8 +151,8 @@ proptest! {
         let mut earlier: Vec<(Tree, Model)> = vec![(tree.clone(), model.clone())];
         for (i, op) in ops.iter().enumerate() {
             step(&mut tree, &mut model, &mut store, op)?;
-            prop_assert_eq!(tree.len(), model.len());
-            prop_assert_eq!(tree.is_empty(), model.is_empty());
+            prop_assert_eq!(tree.iter().count(), model.len());
+            prop_assert_eq!(tree.iter().next().is_none(), model.is_empty());
             // `iter` is in `RepoPath` order, as the map's was.
             prop_assert_eq!(
                 tree.iter().map(|(p, id)| (p.clone(), *id)).collect::<Vec<_>>(),

@@ -140,7 +140,10 @@ mod tests {
         let tree = m.repo.head_tree().unwrap();
         let analysis = SnapshotAnalysis::analyze(&tree, m.repo.store()).unwrap();
         assert_eq!(analysis.graph.len(), 12);
-        assert!(analysis.graph.depth() >= 2, "layered deps expected");
+        assert!(
+            analysis.graph.targets().any(|t| !t.deps.is_empty()),
+            "layered deps expected"
+        );
     }
 
     #[test]
@@ -268,7 +271,7 @@ mod tests {
         let mut params = WorkloadParams::ios();
         params.n_parts = 300;
         let mut repo = MaterializedRepo::generate(&params).unwrap().repo;
-        assert_eq!(repo.head_tree().unwrap().len(), 1_500);
+        assert_eq!(repo.head_tree().unwrap().iter().count(), 1_500);
         for (i, file) in ["parts/p0007/src_2.rs", "parts/p0299/BUILD"]
             .iter()
             .enumerate()

@@ -183,11 +183,6 @@ impl ScenarioManifest {
         ]
     }
 
-    /// Look a named scenario up in the matrix.
-    pub fn by_name(name: &str) -> Option<ScenarioManifest> {
-        Self::matrix().into_iter().find(|m| m.name == name)
-    }
-
     /// Resolve the platform preset plus overrides into validated
     /// workload parameters.
     pub fn params(&self) -> Result<WorkloadParams, String> {
@@ -264,10 +259,6 @@ mod tests {
                 "shard-stress"
             ]
         );
-        for name in &names {
-            assert_eq!(ScenarioManifest::by_name(name).unwrap().name, name.as_str());
-        }
-        assert!(ScenarioManifest::by_name("nope").is_none());
     }
 
     #[test]

@@ -14,7 +14,7 @@
 use sq_core::audit::{audit_green, count_red_commits};
 use sq_core::planner::{run_simulation, PlannerConfig};
 use sq_core::strategy::{Strategy, StrategyKind};
-use sq_core::trunk::{simulate_trunk, TrunkConfig};
+use sq_core::trunk::simulate_trunk;
 use sq_workload::{WorkloadBuilder, WorkloadParams};
 
 fn main() {
@@ -32,7 +32,7 @@ fn main() {
     );
 
     // --- World 1: trunk-based development -------------------------------
-    let trunk = simulate_trunk(&workload, &TrunkConfig::default());
+    let trunk = simulate_trunk(&workload);
     let naive_log: Vec<_> = workload.changes.iter().map(|c| c.id).collect();
     let red_commits = count_red_commits(&workload, &naive_log);
     println!("WITHOUT SubmitQueue (trunk-based):");

@@ -87,11 +87,14 @@ step "crates/bench/src reads no clock outside suite.rs" \
 # `pub(crate)` fn|struct|enum|trait|const|type under crates/*/src or src
 # must occur more often than it is declared. Name-based, so a tripwire
 # and not a proof: `new` and `len` never trip it, and a type with an
-# `impl` block names itself. The exceptions are the names only tests
-# reach that (b) tests of other behaviour use as an oracle or to inject
-# a fault, or that detect or repair one, or (c) a ROADMAP item names as
-# its input; an exception that no longer needs excepting is an offender
-# too.
+# `impl` block names itself. That is its blind spot: a `len`, `record_into`
+# or `status` nothing calls hides behind every other function of its name.
+# rustc's dead-code pass has no such spot; EXPERIMENTS.md "PR 27" gives
+# the procedure that asks it and the keep-table of what it still prints.
+# The exceptions are the names only tests reach that (b) tests of other
+# behaviour use as an oracle or to inject a fault, or that detect or
+# repair one, or (c) a ROADMAP item names as its input; an exception
+# that no longer needs excepting is an offender too.
 census_exceptions=$(cat <<'EXCEPTIONS'
 advance_base              # (c) RealAnalyzer's input; ROADMAP item 1.3 serves through it
 register                  # (c) RealAnalyzer's input; ROADMAP item 1.3 serves through it

@@ -13,7 +13,7 @@ use sq_workload::{WorkloadBuilder, WorkloadParams};
 fn closed_form_twenty_days() {
     // 1000 changes × 30 minutes, strictly serialized.
     let serial = SimDuration::from_mins(30) * 1000;
-    let days = serial.as_hours_f64() / 24.0;
+    let days = serial.as_mins_f64() / (60.0 * 24.0);
     assert!(days > 20.0, "serial backlog is {days:.1} days");
     assert!((days - 20.8).abs() < 0.1);
 }
