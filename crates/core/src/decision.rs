@@ -7,7 +7,8 @@
 //! [`Action`]s in the order they must be carried out. It holds the
 //! pending specs and the committed ones they build on, the conflict
 //! graph, the running builds by identity (not by worker), the build
-//! results, and the rule that keeps the mainline green:
+//! results, one speculation `Table` per lane, and the rule that keeps
+//! the mainline green:
 //!
 //! * a change **resolves** once every earlier conflicting change has
 //!   resolved and the build against the exact committed prefix has
@@ -25,6 +26,15 @@
 //! worker runs it are the driver's — [`crate::planner`] is the first, on
 //! simulated time. Developers are read through a [`Roster`]. Every
 //! output is a function of the sequence of inputs alone.
+//!
+//! A round does not start from nothing. Each lane's table keeps, per
+//! pending change, the commit probability, the lean risk and the outcome
+//! patterns the engine derived, and each input marks only the rows it
+//! moved: an arrival adds one, a finished build moves counters, a
+//! resolution removes a row and moves its neighbours' `D_i` or
+//! committed prefix. The round refreshes those rows (and whatever their
+//! changed probabilities reach) and decides exactly as from scratch;
+//! it scans for contradicted builds only after a resolution.
 
 use crate::analyzer::{ConflictGraph, IndexedAnalyzer};
 use crate::fasthash::{FastMap, FastSet};
@@ -33,10 +43,10 @@ use crate::lean::LeanReport;
 use crate::planner::PlannerConfig;
 use crate::predict::{Roster, SpeculationCounters};
 use crate::recovery::QuarantineList;
-use crate::speculation::BuildKey;
+use crate::speculation::{BuildKey, Table};
 use crate::strategy::Strategy;
 use sq_workload::{ChangeId, ChangeSpec};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::rc::Rc;
 
 /// Infra-red attempts observed on one change before it is flagged in
@@ -118,11 +128,9 @@ pub struct Round {
 
 struct PendingChange {
     spec: Rc<ChangeSpec>,
-    /// Planning lane the change routed to (0 without sharding).
+    /// Planning lane the change routed to (0 without sharding); its row
+    /// is in that lane's table.
     lane: usize,
-    /// Committed neighbours to build on; the last holder frees a spec.
-    fixed_committed: Vec<Rc<ChangeSpec>>,
-    counters: SpeculationCounters,
     builds_scheduled: u32,
     builds_aborted: u32,
     /// Lean marks (sticky): a round skipped its speculation / bypassed it.
@@ -138,6 +146,13 @@ pub struct Core<'a> {
     analyzer: IndexedAnalyzer,
     graph: ConflictGraph,
     pending: BTreeMap<ChangeId, PendingChange>,
+    /// Per lane, the rows of its pending changes: counters, committed
+    /// prefix, and what the speculation engine derived from them, kept
+    /// from round to round. The last holder of a committed spec frees it.
+    tables: Vec<Table<Rc<ChangeSpec>>>,
+    /// Per lane, whether a resolution since its last round may have
+    /// contradicted one of its running builds.
+    resolved_near: Vec<bool>,
     /// Running builds by what they build, with identity and lane.
     running: FastMap<BuildKey, (BuildId, usize)>,
     keys: FastMap<BuildId, BuildKey>,
@@ -195,6 +210,8 @@ impl<'a> Core<'a> {
             analyzer,
             graph: ConflictGraph::new(),
             pending: BTreeMap::new(),
+            tables: budgets.iter().map(|_| Table::default()).collect(),
+            resolved_near: vec![false; budgets.len()],
             running: FastMap::default(),
             keys: FastMap::default(),
             build_results: FastMap::default(),
@@ -299,17 +316,18 @@ impl<'a> Core<'a> {
             .map(|(_, p)| &*p.spec)
             .collect();
         self.graph.admit(spec, &probe, &mut self.analyzer);
+        let spec = Rc::new(spec.clone());
+        let counters = SpeculationCounters::default();
+        self.tables[lane].arrive(Rc::clone(&spec), counters);
         let entry = PendingChange {
-            spec: Rc::new(spec.clone()),
+            spec,
             lane,
-            fixed_committed: Vec::new(),
-            counters: SpeculationCounters::default(),
             builds_scheduled: 0,
             builds_aborted: 0,
             skipped: false,
             bypassed: false,
         };
-        self.pending.insert(spec.id, entry);
+        self.pending.insert(entry.spec.id, entry);
         self.pending_count[lane] += 1;
     }
 
@@ -338,17 +356,13 @@ impl<'a> Core<'a> {
         // Dynamic speculation counters (Section 7.2): a finished
         // speculation is evidence for its subject and, on success, for
         // every change it stacked on.
-        if let Some(p) = self.pending.get_mut(&key.subject) {
-            if ok {
-                p.counters.succeeded += 1;
-            } else {
-                p.counters.failed += 1;
-            }
+        if let Some(p) = self.pending.get(&key.subject) {
+            self.tables[p.lane].counted(key.subject, ok);
         }
         if ok {
             for a in &key.assumed {
-                if let Some(p) = self.pending.get_mut(a) {
-                    p.counters.succeeded += 1;
+                if let Some(p) = self.pending.get(a) {
+                    self.tables[p.lane].counted(*a, true);
                 }
             }
         }
@@ -356,41 +370,26 @@ impl<'a> Core<'a> {
         self.try_resolve(out);
     }
 
-    /// The build that decides `id` right now: in submission-order mode,
-    /// only once every earlier conflict is resolved; in reorder mode
-    /// (Section 10), always — the gating build runs against whatever has
-    /// committed so far, and the change lands the moment it passes.
-    fn realized_key_of(&self, id: ChangeId) -> Option<BuildKey> {
+    /// The build that decides `id`, routed to `lane`, right now: in
+    /// submission-order mode, only once every earlier conflict is
+    /// resolved; in reorder mode (Section 10), always — the gating build
+    /// runs against whatever has committed so far, and the change lands
+    /// the moment it passes. `None` once the change has resolved.
+    fn realized_key_of(&self, id: ChangeId, lane: usize) -> Option<&BuildKey> {
         if !self.config.reorder && self.graph.has_earlier_conflicts(id) {
             return None;
         }
-        let p = self.pending.get(&id)?;
-        let mut assumed: Vec<ChangeId> = p.fixed_committed.iter().map(|c| c.id).collect();
-        assumed.sort_unstable();
-        assumed.dedup();
-        Some(BuildKey {
-            subject: id,
-            assumed,
-        })
-    }
-
-    /// Union a strategy pattern with the subject's committed prefix.
-    fn finalize_key(&self, mut key: BuildKey) -> BuildKey {
-        if let Some(p) = self.pending.get(&key.subject) {
-            key.assumed.extend(p.fixed_committed.iter().map(|c| c.id));
-            key.assumed.sort_unstable();
-            key.assumed.dedup();
-        }
-        key
+        self.tables[lane].get(id).map(|r| r.realized())
     }
 
     fn try_resolve(&mut self, out: &mut Vec<Action>) {
         loop {
-            let candidates: Vec<ChangeId> = self.pending.keys().copied().collect();
+            let candidates: Vec<(ChangeId, usize)> =
+                self.pending.iter().map(|(&id, p)| (id, p.lane)).collect();
             let mut resolved_any = false;
-            for id in candidates {
-                let key = self.realized_key_of(id);
-                if let Some(&ok) = key.and_then(|k| self.build_results.get(&k)) {
+            for (id, lane) in candidates {
+                let key = self.realized_key_of(id, lane);
+                if let Some(&ok) = key.and_then(|k| self.build_results.get(k)) {
                     self.resolve(id, ok, out);
                     resolved_any = true;
                 }
@@ -407,16 +406,26 @@ impl<'a> Core<'a> {
             .remove(&id)
             .expect("resolving a pending change");
         self.pending_count[p.lane] -= 1;
+        self.tables[p.lane].remove(id);
+        self.resolved_near[p.lane] = true;
         // In submission-order mode only later neighbours can still be
         // pending; in reorder mode an overtaken *earlier* neighbour must
-        // also rebase onto this commit.
-        if ok {
-            for n in self.graph.neighbors(id) {
-                if let Some(q) = self.pending.get_mut(&n) {
-                    q.fixed_committed.push(Rc::clone(&p.spec));
-                }
+        // also rebase onto this commit. A later neighbour loses a member
+        // of its `D_i` either way.
+        for n in self.graph.neighbors(id) {
+            let Some(q) = self.pending.get(&n) else {
+                continue;
+            };
+            self.resolved_near[q.lane] = true;
+            let table = &mut self.tables[q.lane];
+            if ok {
+                table.build_on(n, Rc::clone(&p.spec));
             }
-        } else {
+            if n > id {
+                table.lost_conflict(n);
+            }
+        }
+        if !ok {
             self.resolved_rejected.insert(id);
         }
         self.graph.remove(id);
@@ -454,9 +463,11 @@ impl<'a> Core<'a> {
         let Some(p) = self.pending.get(&key.subject) else {
             return true; // subject already resolved
         };
+        let row = self.tables[p.lane].get(key.subject).expect("pending row");
         let assumed_rejected = |d| self.resolved_rejected.contains(d);
-        let unassumed_commit = |d: &Rc<ChangeSpec>| !key.assumed.contains(&d.id);
-        key.assumed.iter().any(assumed_rejected) || p.fixed_committed.iter().any(unassumed_commit)
+        let unassumed_commit = |d| !key.assumed.contains(d);
+        key.assumed.iter().any(assumed_rejected)
+            || row.realized().assumed.iter().any(unassumed_commit)
     }
 
     fn abort(&mut self, key: &BuildKey, preempted: bool, out: &mut Vec<Action>) {
@@ -483,49 +494,38 @@ impl<'a> Core<'a> {
         out: &mut Vec<Action>,
     ) -> Round {
         let budget = self.budgets[lane];
-        // 1. Abort this lane's contradicted builds. Sorted: the action
-        // list must not depend on hash iteration order.
-        let mut dead: Vec<BuildKey> = self
-            .running
-            .iter()
-            .filter(|&(k, &(_, l))| l == lane && self.contradicted(k))
-            .map(|(k, _)| k.clone())
-            .collect();
-        dead.sort_unstable();
-        for key in dead {
-            self.abort(&key, false, out);
+        // 1. Abort this lane's contradicted builds. Only a resolution
+        // contradicts one (its subject left, an assumed change was
+        // rejected, or a commit it does not assume), so without one
+        // since the last round there is nothing to find. Sorted: the
+        // action list must not depend on hash iteration order.
+        if std::mem::take(&mut self.resolved_near[lane]) {
+            let mut dead: Vec<BuildKey> = self
+                .running
+                .iter()
+                .filter(|&(k, &(_, l))| l == lane && self.contradicted(k))
+                .map(|(k, _)| k.clone())
+                .collect();
+            dead.sort_unstable();
+            for key in dead {
+                self.abort(&key, false, out);
+            }
         }
 
         // 2. Desired list: gating builds first, then the strategy's picks
-        // over the lane's pending window.
-        let mut desired: Vec<BuildKey> = Vec::with_capacity(budget);
-        let mut must_run: FastSet<BuildKey> = FastSet::default();
-        let mut seen: FastSet<BuildKey> = FastSet::default();
-        let mut window: Vec<&ChangeSpec> = Vec::with_capacity(self.pending_count[lane]);
-        let mut counters: HashMap<ChangeId, SpeculationCounters> =
-            HashMap::with_capacity(self.pending_count[lane]);
-        let mut fixed: HashMap<ChangeId, Vec<&ChangeSpec>> = HashMap::new();
-        for (id, p) in self.in_lane(lane) {
-            if let Some(key) = self.realized_key_of(id) {
-                if !self.build_results.contains_key(&key) && seen.insert(key.clone()) {
-                    must_run.insert(key.clone());
-                    desired.push(key);
-                }
-            }
-            window.push(&p.spec);
-            counters.insert(id, p.counters);
-            if !p.fixed_committed.is_empty() {
-                fixed.insert(id, p.fixed_committed.iter().map(|c| &**c).collect());
-            }
-        }
-        let plan = self.strategy.desired_builds(
-            self.roster,
-            &window,
-            &self.graph,
-            &counters,
-            &fixed,
-            budget,
-        );
+        // over the lane's table. The table is lent out for the round.
+        let mut table = std::mem::take(&mut self.tables[lane]);
+        let gating: Vec<bool> = table
+            .rows()
+            .iter()
+            .map(|r| {
+                (self.config.reorder || !self.graph.has_earlier_conflicts(r.id()))
+                    && !self.build_results.contains_key(r.realized())
+            })
+            .collect();
+        let plan = self
+            .strategy
+            .desired_builds(self.roster, &self.graph, &mut table, budget);
         // The round's lean marks stick to the change until it resolves.
         for id in &plan.skipped {
             if let Some(p) = self.pending.get_mut(id) {
@@ -537,23 +537,46 @@ impl<'a> Core<'a> {
                 p.bypassed = true;
             }
         }
+        let rows = table.rows();
+        let mut desired: Vec<&BuildKey> = Vec::with_capacity(budget);
+        desired.extend(
+            rows.iter()
+                .zip(&gating)
+                .filter(|(_, &g)| g)
+                .map(|(r, _)| r.realized()),
+        );
+        let n_gating = desired.len();
+        let named = plan.builds.iter().map(|pb| {
+            let row = table
+                .position(pb.key.subject)
+                .expect("a planned subject has a row");
+            (row, &pb.key, pb.value)
+        });
+        let picked = plan.picks.iter().map(|p| (p.row, table.key(p), p.value));
         let round = Round {
             queue_depth: self.pending_count[lane],
             running: self.running_count[lane],
-            gating: must_run.len(),
-            tree_size: plan.builds.len(),
-            p_needed_mass: plan.builds.iter().map(|pb| pb.value).sum(),
+            gating: n_gating,
+            tree_size: plan.builds.len() + plan.picks.len(),
+            p_needed_mass: named.clone().chain(picked.clone()).map(|(_, _, v)| v).sum(),
         };
-        for pb in plan.builds {
+        for (row, key, _) in named.chain(picked) {
             if desired.len() >= budget {
                 break;
             }
-            let key = self.finalize_key(pb.key);
-            if !self.build_results.contains_key(&key) && seen.insert(key.clone()) {
+            // A gating build is desired already.
+            let gates = gating[row] && key == rows[row].realized();
+            if !gates && !self.build_results.contains_key(key) {
                 desired.push(key);
             }
         }
         desired.truncate(budget);
+        // A running build of the lane is gating iff it is the realized
+        // build of a change whose gating flag is up this round.
+        let is_gating = |key: &BuildKey| {
+            let row = table.position(key.subject);
+            row.is_some_and(|i| gating[i] && key == rows[i].realized())
+        };
         // Only a preemption consults it; most rounds never build it.
         let mut desired_set: Option<FastSet<&BuildKey>> = None;
 
@@ -562,22 +585,23 @@ impl<'a> Core<'a> {
         // build may preempt, and only victims outside the desired set or
         // non-gating (latest-subject first — the least valuable
         // speculation under submission-order fairness).
-        for key in &desired {
+        for (i, &key) in desired.iter().enumerate() {
             if self.running.contains_key(key) {
                 continue;
             }
-            let gating = must_run.contains(key);
+            let gating = i < n_gating;
             if self.running_count[lane] >= budget {
                 if !gating {
                     break;
                 }
-                let desired_set = desired_set.get_or_insert_with(|| desired.iter().collect());
+                let desired_set =
+                    desired_set.get_or_insert_with(|| desired.iter().copied().collect());
                 let guard = self.config.preemption_guard;
                 let victim = self
                     .running
                     .iter()
                     .filter(|&(k, &(b, l))| {
-                        l == lane && !must_run.contains(k) && guard.is_none_or(|g| progress(b) < g)
+                        l == lane && !is_gating(k) && guard.is_none_or(|g| progress(b) < g)
                     })
                     .max_by(|(a, _), (b, _)| {
                         let a_out = !desired_set.contains(*a);
@@ -603,6 +627,7 @@ impl<'a> Core<'a> {
                 gating,
             });
         }
+        self.tables[lane] = table;
         round
     }
 }
@@ -610,8 +635,13 @@ impl<'a> Core<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lean::{LeanConfig, SKIP_MISS_BUDGET};
+    use crate::planner::SimFaults;
+    use crate::predict::LearnedPredictor;
+    use crate::shard::{ShardPlan, ShardSpec};
     use crate::strategy::StrategyKind;
-    use sq_workload::{change::DevId, DevProfile, WorkloadBuilder, WorkloadParams};
+    use sq_sim::Xoshiro256StarStar;
+    use sq_workload::{change::DevId, DevProfile, Workload, WorkloadBuilder, WorkloadParams};
     use std::collections::VecDeque;
 
     /// The paper's Figure 5, fed by hand: C1, C2, C3 conflict with one
@@ -760,5 +790,100 @@ mod tests {
         }
         assert_eq!(resolved, w.changes.len(), "every change resolves");
         assert!(committed > 1, "committed prefixes were scored");
+    }
+
+    /// Two cores in lockstep under `decision_any_order.rs`'s driver
+    /// (arrivals and completions interleaved at random, one attempt in
+    /// ten infra-red), one of which forgets everything its tables derived
+    /// before every round. Nothing they decide may differ, and every row
+    /// the other keeps must hold, to the bit, the `p_commit` a table
+    /// filled from nothing holds. With the analyzer off `D_i` grows as
+    /// deep as the lane.
+    fn forgetting_core_decides_the_same(w: &Workload, strategy: &Strategy, config: &PlannerConfig) {
+        let truth = w.truth();
+        let spec = |id: ChangeId| &w.changes[id.0 as usize];
+        let mut kept = Core::new(w, strategy, config);
+        let mut forgetful = Core::new(w, strategy, config);
+        let mut rng = Xoshiro256StarStar::seed_from_u64(config.reorder as u64);
+        let (mut out, mut other) = (Vec::new(), Vec::new());
+        let mut live: Vec<(BuildId, BuildKey)> = Vec::new();
+        let mut next = 0;
+        for step in 0.. {
+            if next == w.changes.len() && live.is_empty() {
+                break;
+            }
+            if next < w.changes.len() && (live.is_empty() || rng.bernoulli(0.5)) {
+                kept.arrive(&w.changes[next]);
+                forgetful.arrive(&w.changes[next]);
+                next += 1;
+            } else {
+                let at = rng.next_below(live.len() as u64) as usize;
+                let (build, key) = live[at].clone();
+                let outcome = if rng.bernoulli(0.1) {
+                    Outcome::Infra
+                } else {
+                    live.swap_remove(at);
+                    let assumed = key.assumed.iter().map(|&a| spec(a));
+                    match truth.build_succeeds(spec(key.subject), assumed) {
+                        true => Outcome::Green,
+                        false => Outcome::Red,
+                    }
+                };
+                kept.finished(build, outcome, &mut out);
+                forgetful.finished(build, outcome, &mut other);
+            }
+            for lane in 0..kept.n_lanes() {
+                forgetful.tables.iter_mut().for_each(Table::forget);
+                let a = kept.plan(lane, &|_| 0.5, &mut out);
+                let b = forgetful.plan(lane, &|_| 0.5, &mut other);
+                assert_eq!(out, other, "step {step}, lane {lane}");
+                assert_eq!(a, b, "step {step}, lane {lane}");
+                assert_eq!(a.p_needed_mass.to_bits(), b.p_needed_mass.to_bits());
+            }
+            if let Some(predictor) = strategy.predictor() {
+                for table in &kept.tables {
+                    table.assert_fresh(w, &kept.graph, predictor);
+                }
+            }
+            other.clear();
+            for action in out.drain(..) {
+                match action {
+                    Action::Start { build, key, .. } => live.push((build, key)),
+                    Action::Abort { build, .. } => live.retain(|(b, _)| *b != build),
+                    Action::Retry { .. } | Action::Resolved { .. } => {}
+                }
+            }
+        }
+        assert_eq!(kept.pending.len(), 0, "every change resolves");
+    }
+
+    #[test]
+    fn a_core_that_forgets_its_tables_decides_the_same() {
+        let params = || WorkloadBuilder::new(WorkloadParams::ios().with_rate(400.0));
+        let w = params().seed(3).n_changes(60).build().unwrap();
+        let history = params().seed(0xA11CE).n_changes(1_000).build().unwrap();
+        let (predictor, _) = LearnedPredictor::train(&history, 0xFEED);
+        let threshold = predictor.calibrate_skip_threshold(&history, SKIP_MISS_BUDGET);
+        let mut strategies: Vec<Strategy> = StrategyKind::all()
+            .into_iter()
+            .map(|kind| Strategy::for_kind(kind, &w, || predictor.clone(), |_| threshold))
+            .collect();
+        strategies.push(Strategy::lean_with(
+            predictor.clone(),
+            LeanConfig::all_on(threshold),
+        ));
+        for reorder in [false, true] {
+            let config = PlannerConfig {
+                workers: 12,
+                conflict_analyzer: false,
+                reorder,
+                shards: Some(ShardSpec::even(ShardPlan::round_robin(300, 3), 12)),
+                faults: Some(SimFaults::at_rate(0.1, 3)),
+                ..PlannerConfig::default()
+            };
+            for strategy in &strategies {
+                forgetting_core_decides_the_same(&w, strategy, &config);
+            }
+        }
     }
 }

@@ -155,7 +155,7 @@ pub fn bypass_eligible(c: &ChangeSpec) -> bool {
 }
 
 /// Per-run accounting of lean decisions, resolved change by resolved
-/// change: the planner counts the marks [`crate::strategy::Plan`] put
+/// change: the planner counts the marks `strategy::Plan` put
 /// on each change while it was pending. A *hit* is a skipped change
 /// that landed without a single aborted build — the speculation we
 /// didn't run would have been waste. A *miss* is a skipped change that

@@ -25,9 +25,12 @@
 //! * [`speculation`] — the speculation engine (Section 4): build values
 //!   `V = B · P_needed` per Equations 1–5, and greedy best-first
 //!   selection of the most valuable builds in O(n) frontier space
-//!   (Section 7.1).
+//!   (Section 7.1), over a `Table` of per-change rows that the decision
+//!   core keeps between rounds and refreshes only where an event moved
+//!   an input (the one-shot entry points fill a fresh one).
 //! * [`strategy`] — one `Strategy` value (a kind, a predictor, optional
-//!   lean flags) whose `desired_builds` returns the round's `Plan`:
+//!   lean flags) whose `desired_builds` reads a lane's table and returns
+//!   the round's `Plan`:
 //!   SubmitQueue plus every baseline evaluated in Section 8 —
 //!   Speculate-all, Optimistic (Zuul), Single-Queue (Bors), and the
 //!   Oracle used for normalization — plus the lean variants.
@@ -38,7 +41,9 @@
 //!   4–6): events in (a change arrived, a build attempt finished),
 //!   actions out (start, abort, retry, resolved). The serializability
 //!   rule, the contradiction test and the preemption policy, with no
-//!   workload, clock, randomness, worker pool or observer inside.
+//!   workload, clock, randomness, worker pool or observer inside. It
+//!   keeps each lane's speculation table from round to round and marks
+//!   the rows each event touches.
 //! * [`planner`] — the core's first driver, a discrete-event
 //!   simulation: the clock, worker pools, ground truth, fault dice and
 //!   observer; measures turnaround and throughput.

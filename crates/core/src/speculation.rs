@@ -35,13 +35,23 @@
 //! enumeration: flip coordinates in decreasing probability-ratio order,
 //! children = extend-or-advance the last flip), merged across changes by
 //! a global heap. Space is O(flips emitted), never 2ⁿ.
+//!
+//! Both live in a `Table`: one row per pending change of a window,
+//! holding its `p_i`, its conflict risk, its pattern walk and the
+//! patterns the walk emitted so far. The decision core keeps one table
+//! per planning lane across rounds and marks the rows an event touched;
+//! `Table::refresh` recomputes exactly those, in submission order, and
+//! a row whose `p_i` changed by so much as a bit marks its later
+//! neighbours in turn. The one-shot [`SpeculationEngine`] functions fill
+//! a fresh table and select once, through the same code.
 
 use crate::analyzer::ConflictGraph;
-use crate::fasthash::FastMap;
 use crate::predict::{Predictor, Roster, SpeculationCounters};
 use sq_workload::{ChangeId, ChangeSpec};
 use std::cmp::Ordering;
+use std::collections::binary_heap::PeekMut;
 use std::collections::{BinaryHeap, HashMap};
+use std::ops::Deref;
 
 /// A build in the speculation graph: `B_{assumed ∪ {subject}}`.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -72,7 +82,8 @@ pub struct PlannedBuild {
     pub value: f64,
 }
 
-/// The speculation engine: stateless functions over the pending set.
+/// The speculation engine's one-shot entry points: each fills a fresh
+/// `Table` over the window it is given.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SpeculationEngine;
 
@@ -92,26 +103,9 @@ impl SpeculationEngine {
         counters: &HashMap<ChangeId, SpeculationCounters>,
         fixed: &HashMap<ChangeId, Vec<&ChangeSpec>>,
     ) -> HashMap<ChangeId, f64> {
-        let by_id: FastMap<ChangeId, &ChangeSpec> = pending.iter().map(|c| (c.id, *c)).collect();
-        let mut p_commit: HashMap<ChangeId, f64> = HashMap::with_capacity(pending.len());
-        for c in pending {
-            let k = counters.get(&c.id).copied().unwrap_or_default();
-            let p_succ = predictor.p_success(roster, c, k);
-            let mut survive = 1.0;
-            for d in graph.earlier_conflicts(c.id) {
-                let Some(dc) = by_id.get(&d) else { continue };
-                let pd = p_commit.get(&d).copied().unwrap_or(0.0);
-                survive *= 1.0 - pd * predictor.p_conflict(roster, dc, c);
-            }
-            // Already-committed conflicts contribute with probability 1.
-            if let Some(fixed_prefix) = fixed.get(&c.id) {
-                for e in fixed_prefix {
-                    survive *= 1.0 - predictor.p_conflict(roster, e, c);
-                }
-            }
-            p_commit.insert(c.id, (p_succ * survive).clamp(0.0, 1.0));
-        }
-        p_commit
+        let mut table = Table::window(pending, counters, fixed);
+        table.refresh(roster, graph, predictor);
+        table.rows.iter().map(|r| (r.id, r.p_commit)).collect()
     }
 
     /// Select up to `budget` builds with the highest `P_needed`, in
@@ -153,6 +147,9 @@ impl SpeculationEngine {
     /// skipping), and `0` removes the change from engine selection
     /// entirely (bypass lanes schedule it out of band). Capping never
     /// changes the order or value of the patterns that *are* emitted.
+    ///
+    /// A key lists the change's `fixed` prefix among its assumed
+    /// changes: the build is of the change on top of it.
     #[allow(clippy::too_many_arguments)]
     pub fn select_builds_configured<P, B, K>(
         roster: &dyn Roster,
@@ -170,48 +167,374 @@ impl SpeculationEngine {
         B: Fn(ChangeId) -> f64,
         K: Fn(ChangeId) -> usize,
     {
-        let p_commit =
-            Self::commit_probabilities(roster, pending, graph, predictor, counters, fixed);
-        // One lazy pattern generator per pending change, plus how many
-        // more patterns it may still emit.
-        let mut generators: FastMap<ChangeId, (PatternGen, usize)> = FastMap::default();
-        let mut global: BinaryHeap<Frontier> = BinaryHeap::new();
-        for c in pending {
-            let cap = pattern_cap(c.id);
+        let mut table = Table::window(pending, counters, fixed);
+        table.refresh(roster, graph, predictor);
+        let picks = table.select(budget, |r| benefit(r.id), |r| pattern_cap(r.id));
+        let planned = |p: Pick| PlannedBuild {
+            key: table.key(&p).clone(),
+            value: p.value,
+        };
+        picks.into_iter().map(planned).collect()
+    }
+}
+
+/// One pending change's row of a [`Table`].
+#[derive(Debug)]
+pub(crate) struct Row<S> {
+    id: ChangeId,
+    spec: S,
+    counters: SpeculationCounters,
+    /// `P_succ` under `counters`, once computed.
+    p_succ: Option<f64>,
+    /// Committed neighbours the change is built on, in commit order:
+    /// the order their conflict mass multiplies into `p_commit`.
+    fixed: Vec<S>,
+    /// The change on top of exactly its committed prefix.
+    realized: BuildKey,
+    p_commit: f64,
+    /// `1 − Π (1 − P_conf(d, i))` over the row's earlier conflicts in
+    /// the window: the score space of the lean skip threshold.
+    risk: f64,
+    /// `p_commit` and `risk` are out of date.
+    stale: bool,
+    /// `None` once the walk's inputs moved: `D_i`, a member's
+    /// `p_commit`, or the committed prefix its keys include.
+    walk: Option<Walk>,
+}
+
+/// A row's pattern walk and what it emitted so far: only what some
+/// round consumed, with the committed prefix already in each key.
+#[derive(Debug)]
+struct Walk {
+    gen: PatternGen,
+    emitted: Vec<PlannedBuild>,
+}
+
+impl<S: Deref<Target = ChangeSpec>> Row<S> {
+    fn new(spec: S, counters: SpeculationCounters) -> Self {
+        let id = spec.id;
+        Row {
+            id,
+            spec,
+            counters,
+            p_succ: None,
+            fixed: Vec::new(),
+            realized: BuildKey {
+                subject: id,
+                assumed: Vec::new(),
+            },
+            p_commit: f64::NAN,
+            risk: f64::NAN,
+            stale: true,
+            walk: None,
+        }
+    }
+
+    /// The change.
+    pub(crate) fn id(&self) -> ChangeId {
+        self.id
+    }
+
+    /// The change's spec.
+    pub(crate) fn spec(&self) -> &ChangeSpec {
+        &self.spec
+    }
+
+    /// Commit probability as of the last refresh.
+    pub(crate) fn p_commit(&self) -> f64 {
+        self.p_commit
+    }
+
+    /// Conflict risk as of the last refresh.
+    pub(crate) fn risk(&self) -> f64 {
+        self.risk
+    }
+
+    /// The build that decides the change against its committed prefix.
+    pub(crate) fn realized(&self) -> &BuildKey {
+        &self.realized
+    }
+
+    /// A build of the change assuming `assumed` on top of its committed
+    /// prefix.
+    pub(crate) fn key_with(&self, mut assumed: Vec<ChangeId>) -> BuildKey {
+        assumed.extend_from_slice(&self.realized.assumed);
+        assumed.sort_unstable();
+        assumed.dedup();
+        BuildKey {
+            subject: self.id,
+            assumed,
+        }
+    }
+
+    /// Value of the `pos`-th pattern, walking on as far as needed.
+    fn pattern(&mut self, pos: usize) -> Option<f64> {
+        let walk = self.walk.as_mut().expect("a refreshed row has a walk");
+        while walk.emitted.len() <= pos {
+            let next = walk.gen.next_pattern(self.id, &self.realized.assumed)?;
+            walk.emitted.push(next);
+        }
+        Some(walk.emitted[pos].value)
+    }
+
+    fn invalidate(&mut self) {
+        self.stale = true;
+        self.walk = None;
+    }
+}
+
+/// The rows of one window of pending changes, in submission order.
+///
+/// What a row derives is kept until an input of it moves, and exactly
+/// four events move one: the change arrives ([`Table::arrive`]), a build
+/// finishes and moves its counters ([`Table::counted`]), a neighbour
+/// resolves and leaves `D_i` ([`Table::lost_conflict`]) or commits under
+/// it ([`Table::build_on`]), and — found by [`Table::refresh`] itself —
+/// the `p_commit` of a member of `D_i` changes its bits.
+#[derive(Debug)]
+pub(crate) struct Table<S> {
+    /// The rows' ids, densely, for lookups.
+    ids: Vec<ChangeId>,
+    rows: Vec<Row<S>>,
+}
+
+impl<S> Default for Table<S> {
+    fn default() -> Self {
+        Table {
+            ids: Vec::new(),
+            rows: Vec::new(),
+        }
+    }
+}
+
+/// One selected pattern: the `pos`-th of row `row`, with its value
+/// `B · P_needed`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct Pick {
+    /// Index of the row in [`Table::rows`].
+    pub(crate) row: usize,
+    pos: usize,
+    /// `B(subject) · P_needed`.
+    pub(crate) value: f64,
+}
+
+impl<'a> Table<&'a ChangeSpec> {
+    /// A table over `pending` (id order), every row yet to compute.
+    fn window(
+        pending: &[&'a ChangeSpec],
+        counters: &HashMap<ChangeId, SpeculationCounters>,
+        fixed: &HashMap<ChangeId, Vec<&'a ChangeSpec>>,
+    ) -> Self {
+        let mut table = Table::default();
+        for &c in pending {
+            table.arrive(c, counters.get(&c.id).copied().unwrap_or_default());
+            for &e in fixed.get(&c.id).into_iter().flatten() {
+                table.build_on(c.id, e);
+            }
+        }
+        table
+    }
+}
+
+impl<S: Deref<Target = ChangeSpec>> Table<S> {
+    /// The rows, ascending by id.
+    pub(crate) fn rows(&self) -> &[Row<S>] {
+        &self.rows
+    }
+
+    /// Index of a change's row.
+    pub(crate) fn position(&self, id: ChangeId) -> Option<usize> {
+        self.ids.binary_search(&id).ok()
+    }
+
+    /// A change's row.
+    pub(crate) fn get(&self, id: ChangeId) -> Option<&Row<S>> {
+        self.position(id).map(|i| &self.rows[i])
+    }
+
+    fn row_mut(&mut self, id: ChangeId) -> &mut Row<S> {
+        let i = self.position(id).expect("the change has a row");
+        &mut self.rows[i]
+    }
+
+    /// A change joins the window. Ids ascend, so no existing row can
+    /// depend on it.
+    pub(crate) fn arrive(&mut self, spec: S, counters: SpeculationCounters) {
+        let row = Row::new(spec, counters);
+        assert!(
+            self.ids.last().is_none_or(|&id| id < row.id),
+            "rows arrive in id order"
+        );
+        self.ids.push(row.id);
+        self.rows.push(row);
+    }
+
+    /// A change leaves the window; its spec comes back.
+    pub(crate) fn remove(&mut self, id: ChangeId) -> S {
+        let i = self.position(id).expect("removing a row");
+        self.ids.remove(i);
+        self.rows.remove(i).spec
+    }
+
+    /// A finished build counts for (`ok`) or against the change.
+    pub(crate) fn counted(&mut self, id: ChangeId, ok: bool) {
+        let row = self.row_mut(id);
+        if ok {
+            row.counters.succeeded += 1;
+        } else {
+            row.counters.failed += 1;
+        }
+        row.p_succ = None;
+        row.stale = true;
+    }
+
+    /// A neighbour committed: the change is built on top of it from now.
+    pub(crate) fn build_on(&mut self, id: ChangeId, committed: S) {
+        let row = self.row_mut(id);
+        let at = row.realized.assumed.partition_point(|&a| a < committed.id);
+        if row.realized.assumed.get(at) != Some(&committed.id) {
+            row.realized.assumed.insert(at, committed.id);
+        }
+        row.fixed.push(committed);
+        row.invalidate();
+    }
+
+    /// An earlier neighbour resolved and left `D_i`.
+    pub(crate) fn lost_conflict(&mut self, id: ChangeId) {
+        self.row_mut(id).invalidate();
+    }
+
+    /// Recompute what is out of date, in submission order, so that every
+    /// `p_commit` is to the bit what a table filled from nothing holds.
+    /// Members of `D_i` outside the window take part in the pattern walk
+    /// at 50/50 and not in `p_commit`.
+    pub(crate) fn refresh<P: Predictor + ?Sized>(
+        &mut self,
+        roster: &dyn Roster,
+        graph: &ConflictGraph,
+        predictor: &P,
+    ) {
+        for i in 0..self.rows.len() {
+            if !self.rows[i].stale && self.rows[i].walk.is_some() {
+                continue;
+            }
+            let id = self.rows[i].id;
+            let d_i = graph.earlier_conflicts(id);
+            if self.rows[i].stale {
+                let row = &self.rows[i];
+                let c = &*row.spec;
+                let p_succ = row
+                    .p_succ
+                    .unwrap_or_else(|| predictor.p_success(roster, c, row.counters));
+                let (mut survive, mut clear) = (1.0, 1.0);
+                for &d in &d_i {
+                    let Some(j) = self.position(d) else { continue };
+                    let p_conf = predictor.p_conflict(roster, &self.rows[j].spec, c);
+                    survive *= 1.0 - self.rows[j].p_commit * p_conf;
+                    clear *= 1.0 - p_conf;
+                }
+                // Already-committed conflicts contribute with probability 1.
+                for e in &row.fixed {
+                    survive *= 1.0 - predictor.p_conflict(roster, e, c);
+                }
+                let p_commit = (p_succ * survive).clamp(0.0, 1.0);
+                let moved = p_commit.to_bits() != row.p_commit.to_bits();
+                let row = &mut self.rows[i];
+                row.p_succ = Some(p_succ);
+                row.p_commit = p_commit;
+                row.risk = (1.0 - clear).clamp(0.0, 1.0);
+                row.stale = false;
+                if moved {
+                    for n in graph.neighbors(id).filter(|&n| n > id) {
+                        if let Some(j) = self.position(n) {
+                            self.rows[j].invalidate();
+                        }
+                    }
+                }
+            }
+            if self.rows[i].walk.is_none() {
+                let p_of = |d| self.position(d).map_or(0.5, |j| self.rows[j].p_commit);
+                let gen = PatternGen::new(d_i.iter().map(|&d| (d, p_of(d))));
+                self.rows[i].walk = Some(Walk {
+                    gen,
+                    emitted: Vec::new(),
+                });
+            }
+        }
+    }
+
+    /// The key of a selected pattern.
+    pub(crate) fn key(&self, pick: &Pick) -> &BuildKey {
+        let walk = self.rows[pick.row]
+            .walk
+            .as_ref()
+            .expect("a picked row has a walk");
+        &walk.emitted[pick.pos].key
+    }
+
+    /// Up to `budget` patterns of the freshly refreshed rows with the
+    /// highest `benefit(row) · P_needed`, best first; zero-value ones
+    /// never. `cap(row)` bounds how many of a row's patterns may enter
+    /// (see [`SpeculationEngine::select_builds_configured`]).
+    ///
+    /// A k-way merge over the rows' pattern sequences, extended only as
+    /// far as it consumes them. A row has at most one pattern in the heap
+    /// at a time, so ordering the heap by value and then subject orders
+    /// it by value and then key.
+    pub(crate) fn select(
+        &mut self,
+        budget: usize,
+        benefit: impl Fn(&Row<S>) -> f64,
+        cap: impl Fn(&Row<S>) -> usize,
+    ) -> Vec<Pick> {
+        let weights: Vec<(f64, usize)> = self.rows.iter().map(|r| (benefit(r), cap(r))).collect();
+        let mut firsts = Vec::with_capacity(self.rows.len());
+        for (row, &(b, cap)) in weights.iter().enumerate() {
             if cap == 0 {
                 continue;
             }
-            let b = benefit(c.id);
             debug_assert!(b.is_finite() && b > 0.0, "benefit must be positive");
-            let d_i = graph.earlier_conflicts(c.id);
-            let mut g = PatternGen::new(c.id, &d_i, &p_commit);
-            if let Some(first) = g.next_pattern() {
-                global.push(Frontier {
-                    value: first.value * b,
-                    key: first.key,
+            if let Some(value) = self.rows[row].pattern(0) {
+                let subject = self.rows[row].id;
+                firsts.push(Head {
+                    value: value * b,
+                    subject,
+                    row,
+                    pos: 0,
                 });
-                generators.insert(c.id, (g, cap - 1));
             }
         }
+        let mut heads = BinaryHeap::from(firsts);
         let mut out = Vec::with_capacity(budget.min(64));
         while out.len() < budget {
-            let Some(Frontier { value, key }) = global.pop() else {
+            let Some(mut top) = heads.peek_mut() else {
                 break;
             };
-            if value <= 0.0 {
+            let head = *top;
+            if head.value <= 0.0 {
                 break; // heap is value-ordered: everything below is zero
             }
-            let subject = key.subject;
-            out.push(PlannedBuild { key, value });
-            if let Some((g, remaining)) = generators.get_mut(&subject) {
-                if *remaining > 0 {
-                    if let Some(next) = g.next_pattern() {
-                        *remaining -= 1;
-                        global.push(Frontier {
-                            value: next.value * benefit(subject),
-                            key: next.key,
-                        });
+            out.push(Pick {
+                row: head.row,
+                pos: head.pos,
+                value: head.value,
+            });
+            // The row's next pattern takes its place, if it has one.
+            let (b, cap) = weights[head.row];
+            let pos = head.pos + 1;
+            match (pos < cap)
+                .then(|| self.rows[head.row].pattern(pos))
+                .flatten()
+            {
+                Some(value) => {
+                    *top = Head {
+                        value: value * b,
+                        pos,
+                        ..head
                     }
+                }
+                None => {
+                    PeekMut::pop(top);
                 }
             }
         }
@@ -219,28 +542,30 @@ impl SpeculationEngine {
     }
 }
 
-/// Global frontier entry ordered by value (max-heap), tie-broken by key
-/// for determinism.
-#[derive(Debug, Clone)]
-struct Frontier {
+/// A row's next pattern in the merge, ordered by value (max-heap) and
+/// tie-broken by subject, lowest first, for determinism.
+#[derive(Debug, Clone, Copy)]
+struct Head {
     value: f64,
-    key: BuildKey,
+    subject: ChangeId,
+    row: usize,
+    pos: usize,
 }
 
-impl PartialEq for Frontier {
+impl PartialEq for Head {
     fn eq(&self, other: &Self) -> bool {
         self.cmp(other) == Ordering::Equal
     }
 }
-impl Eq for Frontier {}
-impl Ord for Frontier {
+impl Eq for Head {}
+impl Ord for Head {
     fn cmp(&self, other: &Self) -> Ordering {
         self.value
             .total_cmp(&other.value)
-            .then_with(|| other.key.cmp(&self.key))
+            .then_with(|| other.subject.cmp(&self.subject))
     }
 }
-impl PartialOrd for Frontier {
+impl PartialOrd for Head {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
@@ -261,8 +586,10 @@ struct Coord {
 /// Lazy best-first enumeration of outcome patterns for one change.
 #[derive(Debug)]
 struct PatternGen {
-    subject: ChangeId,
     coords: Vec<Coord>,
+    /// The most likely pattern's assumed changes, ascending: the
+    /// coordinates whose likely outcome is commit.
+    base_assumed: Vec<ChangeId>,
     base_value: f64,
     heap: BinaryHeap<PatternNode>,
     started: bool,
@@ -297,12 +624,13 @@ impl PartialOrd for PatternNode {
 }
 
 impl PatternGen {
-    fn new(subject: ChangeId, d_i: &[ChangeId], p_commit: &HashMap<ChangeId, f64>) -> Self {
+    /// A walk over `D_i`, given as each member with its commit
+    /// probability.
+    fn new(d_i: impl Iterator<Item = (ChangeId, f64)>) -> Self {
         let mut base_value = 1.0;
         let mut coords: Vec<Coord> = d_i
-            .iter()
-            .map(|&d| {
-                let p = p_commit.get(&d).copied().unwrap_or(0.5).clamp(0.0, 1.0);
+            .map(|(d, p)| {
+                let p = p.clamp(0.0, 1.0);
                 let base_commit = p >= 0.5;
                 let p_base = if base_commit { p } else { 1.0 - p };
                 base_value *= p_base;
@@ -324,31 +652,44 @@ impl PatternGen {
                 .total_cmp(&a.flip_ratio)
                 .then_with(|| a.id.cmp(&b.id))
         });
+        let mut base_assumed: Vec<ChangeId> = coords
+            .iter()
+            .filter(|c| c.base_commit)
+            .map(|c| c.id)
+            .collect();
+        base_assumed.sort_unstable();
         PatternGen {
-            subject,
             coords,
+            base_assumed,
             base_value,
             heap: BinaryHeap::new(),
             started: false,
         }
     }
 
-    fn key_for(&self, flips: &[usize]) -> BuildKey {
-        let mut assumed: Vec<ChangeId> = Vec::new();
-        for (i, c) in self.coords.iter().enumerate() {
-            let flipped = flips.contains(&i);
-            if c.base_commit != flipped {
-                assumed.push(c.id);
+    /// The build of `subject` on `prefix` under a flip set: the most
+    /// likely pattern with the flipped coordinates toggled.
+    fn key_for(&self, subject: ChangeId, flips: &[usize], prefix: &[ChangeId]) -> BuildKey {
+        let mut assumed = self.base_assumed.clone();
+        for &i in flips {
+            let id = self.coords[i].id;
+            match assumed.binary_search(&id) {
+                Ok(at) => {
+                    assumed.remove(at);
+                }
+                Err(at) => assumed.insert(at, id),
             }
         }
-        assumed.sort_unstable();
-        BuildKey {
-            subject: self.subject,
-            assumed,
+        if !prefix.is_empty() {
+            assumed.extend_from_slice(prefix);
+            assumed.sort_unstable();
+            assumed.dedup();
         }
+        BuildKey { subject, assumed }
     }
 
-    fn next_pattern(&mut self) -> Option<PlannedBuild> {
+    /// The next most likely pattern, as a build of `subject` on `prefix`.
+    fn next_pattern(&mut self, subject: ChangeId, prefix: &[ChangeId]) -> Option<PlannedBuild> {
         if !self.started {
             self.started = true;
             self.heap.push(PatternNode {
@@ -356,39 +697,34 @@ impl PatternGen {
                 flips: Vec::new(),
             });
         }
-        let node = self.heap.pop()?;
-        // Children: extend with the next coordinate after the last flip,
-        // or advance the last flip by one.
-        let last = node.flips.last().copied();
+        let PatternNode { value, mut flips } = self.heap.pop()?;
+        let key = self.key_for(subject, &flips, prefix);
+        // Children: advance the last flip by one, or extend with the
+        // next coordinate after it.
+        let last = flips.last().copied();
         let next_idx = last.map_or(0, |l| l + 1);
         if next_idx < self.coords.len() {
-            // Extend.
-            let mut flips = node.flips.clone();
-            flips.push(next_idx);
-            self.heap.push(PatternNode {
-                value: node.value * self.coords[next_idx].flip_ratio,
-                flips,
-            });
-            // Advance.
+            let ratio = self.coords[next_idx].flip_ratio;
             if let Some(l) = last {
-                let mut flips = node.flips.clone();
-                *flips.last_mut().expect("non-empty") = next_idx;
+                let mut advanced = flips.clone();
+                *advanced.last_mut().expect("non-empty") = next_idx;
                 let ratio_l = self.coords[l].flip_ratio;
-                let advanced = if ratio_l > 0.0 {
-                    node.value / ratio_l * self.coords[next_idx].flip_ratio
-                } else {
-                    0.0
-                };
                 self.heap.push(PatternNode {
-                    value: advanced,
-                    flips,
+                    value: if ratio_l > 0.0 {
+                        value / ratio_l * ratio
+                    } else {
+                        0.0
+                    },
+                    flips: advanced,
                 });
             }
+            flips.push(next_idx);
+            self.heap.push(PatternNode {
+                value: value * ratio,
+                flips,
+            });
         }
-        Some(PlannedBuild {
-            key: self.key_for(&node.flips),
-            value: node.value,
-        })
+        Some(PlannedBuild { key, value })
     }
 }
 
@@ -432,6 +768,118 @@ mod tests {
             subject: ChangeId(subject),
             assumed: assumed.iter().map(|&a| ChangeId(a)).collect(),
         }
+    }
+
+    impl<S: Deref<Target = ChangeSpec>> Table<S> {
+        /// Drop everything the rows derived, as if the table were filled
+        /// from nothing at the next refresh.
+        pub(crate) fn forget(&mut self) {
+            for row in &mut self.rows {
+                row.invalidate();
+                row.p_succ = None;
+                row.p_commit = f64::NAN;
+                row.risk = f64::NAN;
+            }
+        }
+
+        /// Every row's `p_commit` is, to the bit, what
+        /// [`SpeculationEngine::commit_probabilities`] computes over the
+        /// same window.
+        pub(crate) fn assert_fresh<P: Predictor + ?Sized>(
+            &self,
+            roster: &dyn Roster,
+            graph: &ConflictGraph,
+            predictor: &P,
+        ) {
+            let window: Vec<&ChangeSpec> = self.rows.iter().map(|r| &*r.spec).collect();
+            let counters = self.rows.iter().map(|r| (r.id, r.counters)).collect();
+            let fixed = self
+                .rows
+                .iter()
+                .map(|r| (r.id, r.fixed.iter().map(|e| &**e).collect()))
+                .collect();
+            let fresh = SpeculationEngine::commit_probabilities(
+                roster, &window, graph, predictor, &counters, &fixed,
+            );
+            for r in &self.rows {
+                assert_eq!(
+                    r.p_commit.to_bits(),
+                    fresh[&r.id].to_bits(),
+                    "{}: kept {} vs fresh {}",
+                    r.id,
+                    r.p_commit,
+                    fresh[&r.id]
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_kept_table_refreshes_to_what_a_fresh_one_holds() {
+        // Every change conflicts with every other: each event reaches
+        // every later row.
+        let w = workload(8);
+        let mut analyzer = crate::analyzer::IndexedAnalyzer::disabled();
+        let mut g = ConflictGraph::new();
+        let mut pending: Vec<&ChangeSpec> = Vec::new();
+        let mut kept = Table::default();
+        let select = |t: &mut Table<&ChangeSpec>| -> Vec<PlannedBuild> {
+            let picks = t.select(20, |_| 1.0, |_| usize::MAX);
+            let key = |p: &Pick| t.key(p).clone();
+            picks
+                .iter()
+                .map(|p| PlannedBuild {
+                    key: key(p),
+                    value: p.value,
+                })
+                .collect()
+        };
+        let check = |kept: &mut Table<&ChangeSpec>, pending: &[&ChangeSpec], g: &ConflictGraph| {
+            kept.refresh(&w, g, &UniformPredictor);
+            kept.assert_fresh(&w, g, &UniformPredictor);
+            let mut fresh = Table::default();
+            for &c in pending {
+                let row = kept.get(c.id).expect("kept row");
+                fresh.arrive(c, row.counters);
+                for &e in &row.fixed {
+                    fresh.build_on(c.id, e);
+                }
+            }
+            fresh.refresh(&w, g, &UniformPredictor);
+            assert_eq!(select(kept), select(&mut fresh));
+        };
+        for c in &w.changes[..6] {
+            g.admit(c, &pending, &mut analyzer);
+            pending.push(c);
+            kept.arrive(c, SpeculationCounters::default());
+            check(&mut kept, &pending, &g);
+        }
+        kept.counted(ChangeId(2), true);
+        kept.counted(ChangeId(3), false);
+        check(&mut kept, &pending, &g);
+        // C0 commits: every later row loses it from D_i and builds on it.
+        let c0 = kept.remove(ChangeId(0));
+        g.remove(ChangeId(0));
+        pending.remove(0);
+        for c in &pending {
+            kept.build_on(c.id, c0);
+            kept.lost_conflict(c.id);
+        }
+        check(&mut kept, &pending, &g);
+        // C3 is rejected: its later rows lose it.
+        kept.remove(ChangeId(3));
+        g.remove(ChangeId(3));
+        pending.retain(|c| c.id != ChangeId(3));
+        for c in pending.iter().filter(|c| c.id > ChangeId(3)) {
+            kept.lost_conflict(c.id);
+        }
+        check(&mut kept, &pending, &g);
+        for c in &w.changes[6..] {
+            g.admit(c, &pending, &mut analyzer);
+            pending.push(c);
+            kept.arrive(c, SpeculationCounters::default());
+        }
+        check(&mut kept, &pending, &g);
     }
 
     #[test]
@@ -705,12 +1153,10 @@ mod tests {
         // (non-uniform) commit probabilities.
         let probs = [0.9, 0.7, 0.55, 0.2, 0.31];
         let ids: Vec<ChangeId> = (0..probs.len() as u64).map(ChangeId).collect();
-        let p_commit: HashMap<ChangeId, f64> =
-            ids.iter().copied().zip(probs.iter().copied()).collect();
         let subject = ChangeId(99);
-        let mut gen = PatternGen::new(subject, &ids, &p_commit);
+        let mut gen = PatternGen::new(ids.iter().copied().zip(probs.iter().copied()));
         let mut emitted: Vec<(Vec<ChangeId>, f64)> = Vec::new();
-        while let Some(pb) = gen.next_pattern() {
+        while let Some(pb) = gen.next_pattern(subject, &[]) {
             emitted.push((pb.key.assumed, pb.value));
         }
         // Exactly 2^5 distinct patterns.

@@ -32,10 +32,10 @@ use crate::lean::{bypass_eligible, LeanConfig, SKIP_MISS_BUDGET};
 use crate::predict::{
     LearnedPredictor, OraclePredictor, Predictor, Roster, SpeculationCounters, UniformPredictor,
 };
-use crate::speculation::{BuildKey, PlannedBuild, SpeculationEngine};
+use crate::speculation::{Pick, PlannedBuild, Row, Table};
 use sq_workload::{ChangeId, ChangeSpec, Workload};
 use std::cell::RefCell;
-use std::collections::HashMap;
+use std::ops::Deref;
 
 /// Which scheduling policy a simulation runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -125,8 +125,8 @@ impl StrategyKind {
 }
 
 /// A strategy instance: an immutable value whose one question,
-/// [`Strategy::desired_builds`], is a pure function of the pending
-/// window it is shown.
+/// [`Strategy::desired_builds`], is a pure function of the lane's table
+/// it is shown.
 ///
 /// A `Strategy` is bound to one workload: the Oracle carries that
 /// workload's ground truth, and the learned model memoizes pair-conflict
@@ -146,16 +146,19 @@ pub struct Strategy {
     lean: Option<LeanConfig>,
 }
 
-/// What one planning round decided.
+/// What one planning round decided: `builds`, then `picks`, best first,
+/// at most `budget` entries in all.
 #[derive(Debug, Clone, Default, PartialEq)]
-pub struct Plan {
-    /// The desired builds, best first, at most `budget` entries.
-    pub builds: Vec<PlannedBuild>,
+pub(crate) struct Plan {
+    /// Builds named outright: a direct policy's, or the bypass lane's.
+    pub(crate) builds: Vec<PlannedBuild>,
+    /// The speculation engine's selection over the window's table.
+    pub(crate) picks: Vec<Pick>,
     /// Changes whose speculation was probability-gated down to their
     /// single most likely pattern this round, ascending.
-    pub skipped: Vec<ChangeId>,
+    pub(crate) skipped: Vec<ChangeId>,
     /// Changes routed through the bypass lane this round, ascending.
-    pub bypassed: Vec<ChangeId>,
+    pub(crate) bypassed: Vec<ChangeId>,
 }
 
 impl Strategy {
@@ -243,30 +246,29 @@ impl Strategy {
         self.lean.as_ref()
     }
 
-    /// The desired builds for the current pending set, with the lean
+    /// The desired builds for a lane's pending window, with the lean
     /// marks this round put on changes (none off the lean path).
     ///
-    /// `pending` is sorted by id; `roster` names their developers; `graph`
-    /// covers at least the pending set; `counters` holds dynamic
-    /// speculation counts; `fixed`, the committed specs each builds on.
+    /// `table` holds the window's rows (see [`Table`]); `roster` names
+    /// their developers; `graph` covers at least the pending set. Engine
+    /// strategies refresh the table first, so what they read is what a
+    /// table filled from nothing would hold. Every key already includes
+    /// its subject's committed prefix.
     ///
     /// On the engine path this is SubmitQueue's selection plus whichever
     /// of the three optimizations of the 2025 sequel the instance's
-    /// flags turn on; with none on, no table is built and the selector
-    /// runs with benefit 1 and no pattern cap. Safety argument (audited
-    /// in the `lean` bench suite and the lean proptests): nothing here
-    /// touches the planner's *gating* path. A change still commits or
-    /// rejects only through its realized build, so the worst a wrong
-    /// skip or bypass can do is schedule a build that later gets
-    /// contradicted and aborted — pure latency, never a wrongful
-    /// rejection and never a red mainline.
-    pub fn desired_builds(
+    /// flags turn on; with none on, the selector runs with benefit 1
+    /// and no pattern cap. Safety argument (audited in the `lean` bench
+    /// suite and the lean proptests): nothing here touches the planner's
+    /// *gating* path. A change still commits or rejects only through its
+    /// realized build, so the worst a wrong skip or bypass can do is
+    /// schedule a build that later gets contradicted and aborted — pure
+    /// latency, never a wrongful rejection and never a red mainline.
+    pub(crate) fn desired_builds<S: Deref<Target = ChangeSpec>>(
         &self,
         roster: &dyn Roster,
-        pending: &[&ChangeSpec],
         graph: &ConflictGraph,
-        counters: &HashMap<ChangeId, SpeculationCounters>,
-        fixed: &HashMap<ChangeId, Vec<&ChangeSpec>>,
+        table: &mut Table<S>,
         budget: usize,
     ) -> Plan {
         let mut plan = Plan::default();
@@ -276,58 +278,32 @@ impl Strategy {
             // most-optimistic path; a predictor certain of success would
             // produce the same keys through the engine). Optimistic does
             // so for every change; Single-Queue only once none is left,
-            // so it builds against the exact committed prefix (the
-            // planner unions that in).
+            // so it builds against the exact committed prefix.
             let optimistic = self.kind == StrategyKind::Optimistic;
-            let ready = pending
+            let ready = table
+                .rows()
                 .iter()
-                .filter(|c| optimistic || !graph.has_earlier_conflicts(c.id));
-            plan.builds.extend(ready.take(budget).map(|c| PlannedBuild {
-                key: BuildKey {
-                    subject: c.id,
-                    assumed: graph.earlier_conflicts(c.id),
-                },
+                .filter(|r| optimistic || !graph.has_earlier_conflicts(r.id()));
+            plan.builds.extend(ready.take(budget).map(|r| PlannedBuild {
+                key: r.key_with(graph.earlier_conflicts(r.id())),
                 value: 1.0,
             }));
             return plan;
         };
+        table.refresh(roster, graph, predictor);
         let flags = self.lean.unwrap_or_else(LeanConfig::baseline);
-
-        // Predicted conflict risk of each change against its earlier
-        // *pending* conflicters: `1 − Π (1 − P_conf(d, c))`. This is the
-        // score space the skip threshold was calibrated in (pairwise
-        // `P_conf` over potentially-conflicting pairs).
-        let mut risks: FastMap<ChangeId, f64> = FastMap::default();
-        if flags.prioritize || flags.skip_threshold.is_some() {
-            let by_id: FastMap<ChangeId, &ChangeSpec> =
-                pending.iter().map(|c| (c.id, *c)).collect();
-            for c in pending {
-                let mut survive = 1.0;
-                for d in graph.earlier_conflicts(c.id) {
-                    if let Some(dc) = by_id.get(&d) {
-                        survive *= 1.0 - predictor.p_conflict(roster, dc, c);
-                    }
-                }
-                risks.insert(c.id, (1.0 - survive).clamp(0.0, 1.0));
-            }
-        }
 
         // Bypass lane: policy-eligible changes get exactly one build —
         // their *expected-mainline* build (most-likely outcome pattern)
         // — placed ahead of all speculation.
         if flags.bypass {
-            let p_commit = SpeculationEngine::commit_probabilities(
-                roster, pending, graph, predictor, counters, fixed,
-            );
-            for c in pending.iter().filter(|c| bypass_eligible(c)).take(budget) {
-                plan.bypassed.push(c.id);
-                let mut assumed = graph.earlier_conflicts(c.id);
-                assumed.retain(|d| p_commit.get(d).copied().unwrap_or(0.0) >= 0.5);
+            let rows = table.rows().iter().filter(|r| bypass_eligible(r.spec()));
+            for r in rows.take(budget) {
+                plan.bypassed.push(r.id());
+                let mut assumed = graph.earlier_conflicts(r.id());
+                assumed.retain(|&d| table.get(d).is_some_and(|d| d.p_commit() >= 0.5));
                 plan.builds.push(PlannedBuild {
-                    key: BuildKey {
-                        subject: c.id,
-                        assumed,
-                    },
+                    key: r.key_with(assumed),
                     value: 1.0,
                 });
             }
@@ -337,44 +313,37 @@ impl Strategy {
         // single (most-likely) pattern instead of a fan-out. Only
         // changes that actually have earlier pending conflicters are
         // counted as skips — for everyone else there is nothing to skip.
-        // (`pending` is id-sorted, so both mark lists are too.)
+        // A row's risk is its predicted conflict risk against its
+        // earlier *pending* conflicters, `1 − Π (1 − P_conf(d, c))`: the
+        // score space the skip threshold was calibrated in. (Rows are
+        // id-sorted, so both mark lists are too.)
         if let Some(threshold) = flags.skip_threshold {
-            for c in pending {
-                if plan.bypassed.binary_search(&c.id).is_err()
-                    && graph.has_earlier_conflicts(c.id)
-                    && risks.get(&c.id).copied().unwrap_or(1.0) < threshold
+            for r in table.rows() {
+                if plan.bypassed.binary_search(&r.id()).is_err()
+                    && graph.has_earlier_conflicts(r.id())
+                    && r.risk() < threshold
                 {
-                    plan.skipped.push(c.id);
+                    plan.skipped.push(r.id());
                 }
             }
         }
 
-        let benefit = |id: ChangeId| {
+        let benefit = |r: &Row<S>| {
             if flags.prioritize {
-                1.0 + risks.get(&id).copied().unwrap_or(0.0)
+                1.0 + r.risk()
             } else {
                 1.0
             }
         };
-        let mut picks = SpeculationEngine::select_builds_configured(
-            roster,
-            pending,
-            graph,
-            predictor,
-            counters,
-            fixed,
-            budget.saturating_sub(plan.builds.len()),
-            benefit,
-            |id| {
-                if plan.bypassed.binary_search(&id).is_ok() {
-                    0
-                } else if plan.skipped.binary_search(&id).is_ok() {
-                    1
-                } else {
-                    usize::MAX
-                }
-            },
-        );
+        let mut picks = table.select(budget.saturating_sub(plan.builds.len()), benefit, |r| {
+            if plan.bypassed.binary_search(&r.id()).is_ok() {
+                0
+            } else if plan.skipped.binary_search(&r.id()).is_ok() {
+                1
+            } else {
+                usize::MAX
+            }
+        });
         // The build-granular half of probability-gated skipping: a
         // speculative pattern whose P_needed sits below the calibrated
         // threshold is dropped instead of letting it backfill the
@@ -384,9 +353,9 @@ impl Strategy {
         // skips just hand their slots to even less likely patterns of
         // other changes and the wasted-build count is conserved.
         if let Some(threshold) = flags.skip_threshold {
-            picks.retain(|pb| pb.value / benefit(pb.key.subject) >= threshold);
+            picks.retain(|p| p.value / benefit(&table.rows()[p.row]) >= threshold);
         }
-        plan.builds.extend(picks);
+        plan.picks = picks;
         plan
     }
 }
@@ -425,7 +394,9 @@ impl<P: Predictor> Predictor for Memoized<P> {
 mod tests {
     use super::*;
     use crate::analyzer::IndexedAnalyzer;
+    use crate::speculation::BuildKey;
     use sq_workload::{WorkloadBuilder, WorkloadParams};
+    use std::collections::HashMap;
 
     fn setup(n: usize) -> (Workload, ConflictGraph, Vec<usize>) {
         let w = WorkloadBuilder::new(WorkloadParams::ios())
@@ -443,13 +414,41 @@ mod tests {
         (w, g, (0..n).collect())
     }
 
+    impl Strategy {
+        /// The predictor of an engine strategy.
+        pub(crate) fn predictor(&self) -> Option<&(dyn Predictor + Send)> {
+            self.predictor.as_deref()
+        }
+    }
+
+    /// A round over a fresh table of `pending`: the plan, and every build
+    /// it names (`builds`, then the picks' keys) with its value.
+    fn plan_over(
+        s: &Strategy,
+        w: &Workload,
+        pending: &[&ChangeSpec],
+        g: &ConflictGraph,
+        budget: usize,
+    ) -> (Plan, Vec<PlannedBuild>) {
+        let mut table = Table::default();
+        for &c in pending {
+            table.arrive(c, SpeculationCounters::default());
+        }
+        let plan = s.desired_builds(w, g, &mut table, budget);
+        let picked = plan.picks.iter().map(|p| PlannedBuild {
+            key: table.key(p).clone(),
+            value: p.value,
+        });
+        let builds = plan.builds.iter().cloned().chain(picked).collect();
+        (plan, builds)
+    }
+
     #[test]
     fn optimistic_emits_one_build_per_change() {
         let (w, g, _) = setup(10);
         let pending: Vec<&ChangeSpec> = w.changes[..10].iter().collect();
-        let builds = Strategy::build(StrategyKind::Optimistic, &w, None)
-            .desired_builds(&w, &pending, &g, &HashMap::new(), &HashMap::new(), 100)
-            .builds;
+        let strategy = Strategy::build(StrategyKind::Optimistic, &w, None);
+        let (_, builds) = plan_over(&strategy, &w, &pending, &g, 100);
         assert_eq!(builds.len(), 10);
         for (b, c) in builds.iter().zip(&pending) {
             assert_eq!(b.key.subject, c.id);
@@ -461,9 +460,8 @@ mod tests {
     fn single_queue_serializes_conflict_chains() {
         let (w, g, _) = setup(20);
         let pending: Vec<&ChangeSpec> = w.changes[..20].iter().collect();
-        let builds = Strategy::build(StrategyKind::SingleQueue, &w, None)
-            .desired_builds(&w, &pending, &g, &HashMap::new(), &HashMap::new(), 100)
-            .builds;
+        let strategy = Strategy::build(StrategyKind::SingleQueue, &w, None);
+        let (_, builds) = plan_over(&strategy, &w, &pending, &g, 100);
         // Every scheduled change has no unresolved earlier conflicts.
         for b in &builds {
             assert!(g.earlier_conflicts(b.key.subject).is_empty());
@@ -483,9 +481,8 @@ mod tests {
     fn speculate_all_goes_wide() {
         let (w, g, _) = setup(8);
         let pending: Vec<&ChangeSpec> = w.changes[..8].iter().collect();
-        let builds = Strategy::build(StrategyKind::SpeculateAll, &w, None)
-            .desired_builds(&w, &pending, &g, &HashMap::new(), &HashMap::new(), 64)
-            .builds;
+        let strategy = Strategy::build(StrategyKind::SpeculateAll, &w, None);
+        let (_, builds) = plan_over(&strategy, &w, &pending, &g, 64);
         // Every pending change appears as a subject.
         let subjects: std::collections::HashSet<ChangeId> =
             builds.iter().map(|b| b.key.subject).collect();
@@ -497,9 +494,8 @@ mod tests {
         let (w, g, _) = setup(12);
         let pending: Vec<&ChangeSpec> = w.changes[..12].iter().collect();
         let strategy = Strategy::build(StrategyKind::Oracle, &w, None);
-        let plan =
-            strategy.desired_builds(&w, &pending, &g, &HashMap::new(), &HashMap::new(), 1000);
-        assert_eq!(plan.builds.len(), 12);
+        let (plan, builds) = plan_over(&strategy, &w, &pending, &g, 1000);
+        assert_eq!(builds.len(), 12);
         assert!(plan.skipped.is_empty() && plan.bypassed.is_empty());
     }
 
@@ -582,10 +578,10 @@ mod tests {
         let sq = Strategy::submit_queue_with(predictor.clone());
         let lean = Strategy::lean_with(predictor, LeanConfig::baseline());
         let pending: Vec<&ChangeSpec> = w.changes[..16].iter().collect();
-        let a = sq.desired_builds(&w, &pending, &g, &HashMap::new(), &HashMap::new(), 40);
-        let b = lean.desired_builds(&w, &pending, &g, &HashMap::new(), &HashMap::new(), 40);
+        let a = plan_over(&sq, &w, &pending, &g, 40);
+        let b = plan_over(&lean, &w, &pending, &g, 40);
         assert_eq!(a, b, "same keys, same values, no marks");
-        assert!(b.skipped.is_empty() && b.bypassed.is_empty());
+        assert!(b.0.skipped.is_empty() && b.0.bypassed.is_empty());
         assert_eq!(lean.kind(), StrategyKind::SubmitQueue);
         assert!(lean.lean().is_some() && sq.lean().is_none());
     }
@@ -602,9 +598,9 @@ mod tests {
         // Threshold 1.0 ⇒ every conflicted change is skip-eligible.
         let lean = Strategy::lean_with(predictor, LeanConfig::lean(1.0));
         let pending: Vec<&ChangeSpec> = w.changes[..16].iter().collect();
-        let plan = lean.desired_builds(&w, &pending, &g, &HashMap::new(), &HashMap::new(), 400);
+        let (plan, builds) = plan_over(&lean, &w, &pending, &g, 400);
         let mut per_subject: HashMap<ChangeId, usize> = HashMap::new();
-        for b in &plan.builds {
+        for b in &builds {
             *per_subject.entry(b.key.subject).or_default() += 1;
         }
         for (id, n) in &per_subject {
@@ -632,9 +628,7 @@ mod tests {
         // Flag one large change as an emergency.
         w2.changes[7].emergency = true;
         let pending: Vec<&ChangeSpec> = w2.changes[..16].iter().collect();
-        let Plan {
-            builds, bypassed, ..
-        } = lean.desired_builds(&w2, &pending, &g, &HashMap::new(), &HashMap::new(), 400);
+        let (Plan { bypassed, .. }, builds) = plan_over(&lean, &w2, &pending, &g, 400);
         assert!(bypassed.contains(&pending[7].id), "emergency must bypass");
         // Every bypassed change's build precedes every engine pick and
         // appears exactly once as a subject.
@@ -664,11 +658,11 @@ mod tests {
         let sq = Strategy::submit_queue_with(predictor.clone());
         let lean = Strategy::lean_with(predictor, LeanConfig::prioritized());
         let pending: Vec<&ChangeSpec> = w.changes[..16].iter().collect();
-        let a = sq.desired_builds(&w, &pending, &g, &HashMap::new(), &HashMap::new(), 1000);
-        let b = lean.desired_builds(&w, &pending, &g, &HashMap::new(), &HashMap::new(), 1000);
+        let a = plan_over(&sq, &w, &pending, &g, 1000);
+        let b = plan_over(&lean, &w, &pending, &g, 1000);
         // Unbounded budget: same build set (weights reorder, never drop).
-        let keys = |p: Plan| -> std::collections::HashSet<BuildKey> {
-            p.builds.into_iter().map(|x| x.key).collect()
+        let keys = |(_, builds): (Plan, Vec<PlannedBuild>)| -> std::collections::HashSet<BuildKey> {
+            builds.into_iter().map(|x| x.key).collect()
         };
         let (ka, kb) = (keys(a), keys(b));
         assert_eq!(ka, kb);

@@ -5,9 +5,11 @@
 //! infra faults *together*. This suite does: one fixed workload through
 //! every [`StrategyKind`] (and the all-on lean configuration) on a
 //! four-shard, 5 %-fault planner, each run folded into one `u64` and
-//! compared with a recorded constant. A refactor of `core::strategy`,
-//! `core::speculation` or the planner's lean accounting that changes any
-//! commit, verdict, resolution time, build count or lean counter moves a
+//! compared with a recorded constant. One more pin runs the shape of the
+//! benchmark's `plan_sim` workload: one wide lane, deep patterns. A
+//! refactor of `core::strategy`, `core::speculation`, the decision core's
+//! kept tables or the planner's lean accounting that changes any commit,
+//! verdict, resolution time, build count or lean counter moves a
 //! constant.
 
 use sq_core::planner::{run_simulation, PlannerConfig, SimFaults, SimResult};
@@ -162,6 +164,35 @@ fn every_kind_decides_what_it_decided_when_the_pins_were_recorded() {
     assert!(
         got == PINS,
         "planner decisions moved; this build folds to {got:#018X?}"
+    );
+}
+
+/// The shape of the benchmark's `plan_sim` workload: one lane of 300
+/// workers, 5 % infra faults, learned SubmitQueue, 500 iOS changes at
+/// 300 an hour. Its picks nearly fill the 300-build budget and reach deep
+/// outcome patterns, which the four-lane fixture above never does.
+const PLAN_SIM_PIN: u64 = 0xD852_403B_927A_2484;
+
+#[test]
+fn the_plan_sim_shape_decides_what_it_decided_when_its_pin_was_recorded() {
+    let f = fixture();
+    let workload = WorkloadBuilder::new(WorkloadParams::ios().with_rate(300.0))
+        .seed(SEED)
+        .n_changes(500)
+        .build()
+        .expect("valid workload params");
+    let config = PlannerConfig {
+        workers: 300,
+        faults: Some(SimFaults::at_rate(0.05, SEED)),
+        ..PlannerConfig::default()
+    };
+    let strategy = Strategy::submit_queue_with(f.predictor.clone());
+    let result = run_simulation(&workload, &strategy, &config);
+    assert_eq!(result.records.len(), 500, "all resolve");
+    let got = fingerprint(&result);
+    assert!(
+        got == PLAN_SIM_PIN,
+        "planner decisions moved; this build folds to {got:#018X}"
     );
 }
 

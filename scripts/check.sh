@@ -60,14 +60,16 @@ summary() {
 step "cargo build --release" \
   cargo build --release
 
-# Held by a grep and not by a comment: the decision core names no
-# workload, clock, RNG, worker pool or observer, so any driver can feed it.
+# Held by a grep and not by a comment: the decision core, and the
+# speculation table it keeps from round to round, name no workload,
+# clock, RNG, worker pool or observer, so any driver can feed them.
 core_is_sans_io() {
-  ! awk '/#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ": " $0 }' \
-      crates/core/src/decision.rs |
+  ! awk 'FNR == 1 { in_test = 0 } /#\[cfg\(test\)\]/ { in_test = 1 }
+         !in_test { print FILENAME ":" FNR ": " $0 }' \
+      crates/core/src/decision.rs crates/core/src/speculation.rs |
     grep -E 'Workload|sq_sim|sq_obs|WorkerPool|GroundTruth|std::time|Instant|thread::'
 }
-step "decision.rs names no workload, clock, RNG, pool or observer (non-test part)" \
+step "decision.rs and speculation.rs name no workload, clock, RNG, pool or observer (non-test parts)" \
   core_is_sans_io
 
 # The same way: no sq-bench suite reads a clock, so every document is a
