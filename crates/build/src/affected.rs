@@ -12,6 +12,7 @@ use crate::graph::{BuildGraph, TargetName};
 use crate::hash::{TargetHash, TargetHashes};
 use crate::parser::parse_workspace;
 use sq_vcs::{ObjectStore, Tree};
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
 
 /// Everything the conflict analyzer needs to know about one snapshot:
@@ -77,26 +78,40 @@ pub struct AffectedSet {
 }
 
 impl AffectedSet {
-    /// The affected set between a base analysis and a changed analysis.
+    /// The affected set between a base analysis and a changed analysis:
+    /// one merge-join over the two name-ordered hash lists.
     pub fn between(base: &SnapshotAnalysis, new: &SnapshotAnalysis) -> AffectedSet {
-        let mut map = BTreeMap::new();
-        for (name, hash) in new.hashes.iter() {
-            match base.hashes.get(name) {
-                None => {
-                    map.insert(name.clone(), AffectedState::Added(hash));
+        let mut affected: Vec<(TargetName, AffectedState)> = Vec::new();
+        let mut old = base.hashes.iter().peekable();
+        let mut now = new.hashes.iter().peekable();
+        loop {
+            let order = match (old.peek(), now.peek()) {
+                (None, None) => break,
+                (Some(_), None) => Ordering::Less,
+                (None, Some(_)) => Ordering::Greater,
+                (Some((o, _)), Some((n, _))) => o.cmp(n),
+            };
+            match order {
+                Ordering::Less => {
+                    let (name, _) = old.next().expect("peeked");
+                    affected.push((name.clone(), AffectedState::Deleted));
                 }
-                Some(old) if old != hash => {
-                    map.insert(name.clone(), AffectedState::Changed(hash));
+                Ordering::Greater => {
+                    let (name, hash) = now.next().expect("peeked");
+                    affected.push((name.clone(), AffectedState::Added(hash)));
                 }
-                Some(_) => {}
+                Ordering::Equal => {
+                    let (_, was) = old.next().expect("peeked");
+                    let (name, hash) = now.next().expect("peeked");
+                    if was != hash {
+                        affected.push((name.clone(), AffectedState::Changed(hash)));
+                    }
+                }
             }
         }
-        for (name, _) in base.hashes.iter() {
-            if new.hashes.get(name).is_none() {
-                map.insert(name.clone(), AffectedState::Deleted);
-            }
+        AffectedSet {
+            map: affected.into_iter().collect(),
         }
-        AffectedSet { map }
     }
 
     /// This target's state, if affected.

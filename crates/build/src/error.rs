@@ -30,7 +30,9 @@ pub enum BuildError {
         /// The label that resolves to nothing.
         dep: TargetName,
     },
-    /// The dependency relation has a cycle through these targets.
+    /// The dependency relation has a cycle through these targets: each
+    /// lies on a cycle or between two, in name order. Targets that only
+    /// depend on a cycle are not named.
     DependencyCycle(Vec<TargetName>),
     /// A rule's `srcs` references a file absent from the snapshot.
     MissingSource {

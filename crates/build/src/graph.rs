@@ -13,7 +13,8 @@ use crate::error::BuildError;
 use serde::de::Error as _;
 use serde::{Deserialize, Deserializer, Serialize, Serializer};
 use sq_vcs::RepoPath;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::fmt;
 use std::str::FromStr;
 
@@ -169,11 +170,21 @@ impl Target {
 }
 
 /// A validated target DAG with a precomputed topological order.
+///
+/// Targets are stored sorted by name, so a target's index in that order
+/// (its *position*) is a dense id: the topological order and each
+/// target's dependencies are kept as positions, and Algorithm 1 reads
+/// its dependencies' hashes by position instead of by name.
 #[derive(Debug, Clone, Default)]
 pub struct BuildGraph {
-    targets: BTreeMap<TargetName, Target>,
-    /// Dependencies strictly before dependents; ties broken by name.
-    topo: Vec<TargetName>,
+    /// Every target, in name order.
+    targets: Vec<Target>,
+    /// Positions, dependencies strictly before dependents; ties broken by
+    /// name.
+    topo: Vec<u32>,
+    /// Per position, the positions of the target's dependencies, in
+    /// declaration order.
+    deps: Vec<Vec<u32>>,
 }
 
 impl BuildGraph {
@@ -184,69 +195,125 @@ impl BuildGraph {
     pub fn from_targets(
         targets: impl IntoIterator<Item = Target>,
     ) -> Result<BuildGraph, BuildError> {
-        let mut map: BTreeMap<TargetName, Target> = BTreeMap::new();
-        for t in targets {
-            if map.contains_key(&t.name) {
-                return Err(BuildError::DuplicateTarget(t.name));
-            }
-            map.insert(t.name.clone(), t);
+        // A stable sort keeps equal names in input order, so the reported
+        // duplicate is the first target whose name was already declared.
+        let mut indexed: Vec<(usize, Target)> = targets.into_iter().enumerate().collect();
+        indexed.sort_by(|(_, a), (_, b)| a.name.cmp(&b.name));
+        if let Some((_, dup)) = indexed
+            .windows(2)
+            .filter(|w| w[0].1.name == w[1].1.name)
+            .map(|w| &w[1])
+            .min_by_key(|(input_index, _)| *input_index)
+        {
+            return Err(BuildError::DuplicateTarget(dup.name.clone()));
         }
-        // Dangling labels.
-        for t in map.values() {
-            for d in &t.deps {
-                if !map.contains_key(d) {
-                    return Err(BuildError::UnknownDependency {
-                        target: t.name.clone(),
-                        dep: d.clone(),
-                    });
+        let targets: Vec<Target> = indexed.into_iter().map(|(_, t)| t).collect();
+        let position = |name: &TargetName| {
+            targets
+                .binary_search_by(|t| t.name.cmp(name))
+                .ok()
+                .map(|i| i as u32)
+        };
+        // Dangling labels, in name order and then declaration order.
+        let deps = targets
+            .iter()
+            .map(|t| {
+                t.deps
+                    .iter()
+                    .map(|d| {
+                        position(d).ok_or_else(|| BuildError::UnknownDependency {
+                            target: t.name.clone(),
+                            dep: d.clone(),
+                        })
+                    })
+                    .collect()
+            })
+            .collect::<Result<Vec<Vec<u32>>, _>>()?;
+        let mut graph = BuildGraph {
+            targets,
+            topo: Vec::new(),
+            deps,
+        };
+        // Kahn's algorithm with a name-ordered frontier (the smallest
+        // ready position first): the order is a pure function of the
+        // target set, so two parses of the same snapshot hash and plan
+        // identically.
+        let n = graph.targets.len();
+        let mut unresolved: Vec<u32> = graph.deps.iter().map(|ds| ds.len() as u32).collect();
+        let mut dependents: Vec<Vec<u32>> = vec![Vec::new(); n];
+        for (i, ds) in graph.deps.iter().enumerate() {
+            for &d in ds {
+                dependents[d as usize].push(i as u32);
+            }
+        }
+        let mut ready: BinaryHeap<Reverse<u32>> = (0..n as u32)
+            .filter(|&i| unresolved[i as usize] == 0)
+            .map(Reverse)
+            .collect();
+        let mut topo: Vec<u32> = Vec::with_capacity(n);
+        while let Some(Reverse(i)) = ready.pop() {
+            topo.push(i);
+            for &j in &dependents[i as usize] {
+                unresolved[j as usize] -= 1;
+                if unresolved[j as usize] == 0 {
+                    ready.push(Reverse(j));
                 }
             }
         }
-        // Kahn's algorithm with a name-ordered frontier: the order is a
-        // pure function of the target set, so two parses of the same
-        // snapshot hash and plan identically.
-        let mut indegree: BTreeMap<&TargetName, usize> = BTreeMap::new();
-        let mut dependents: HashMap<&TargetName, Vec<&TargetName>> = HashMap::new();
-        for t in map.values() {
-            indegree.entry(&t.name).or_insert(0);
-            for d in &t.deps {
-                *indegree.entry(&t.name).or_insert(0) += 1;
-                dependents.entry(d).or_default().push(&t.name);
-            }
+        if topo.len() != n {
+            return Err(BuildError::DependencyCycle(
+                graph.cycle_members(&unresolved, &dependents),
+            ));
         }
-        let mut ready: BTreeSet<&TargetName> = indegree
-            .iter()
-            .filter(|(_, &n)| n == 0)
-            .map(|(&t, _)| t)
+        graph.topo = topo;
+        Ok(graph)
+    }
+
+    /// The targets Kahn left stuck (`unresolved` > 0) that lie on a cycle
+    /// or between two cycles, in name order. The stuck set also holds
+    /// every target that merely depends on a cycle; those are peeled from
+    /// the sink side: a stuck target no remaining stuck target depends
+    /// on goes, until none is left to peel.
+    fn cycle_members(&self, unresolved: &[u32], dependents: &[Vec<u32>]) -> Vec<TargetName> {
+        let stuck = |i: usize| unresolved[i] > 0;
+        let n = self.targets.len();
+        let mut stuck_dependents: Vec<u32> = (0..n)
+            .map(|i| {
+                if stuck(i) {
+                    dependents[i].iter().filter(|&&j| stuck(j as usize)).count() as u32
+                } else {
+                    0
+                }
+            })
             .collect();
-        let mut topo: Vec<TargetName> = Vec::with_capacity(map.len());
-        while let Some(&name) = ready.iter().next() {
-            ready.remove(name);
-            topo.push(name.clone());
-            if let Some(ds) = dependents.get(name) {
-                for &d in ds {
-                    let n = indegree.get_mut(d).expect("dependent tracked");
-                    *n -= 1;
-                    if *n == 0 {
-                        ready.insert(d);
+        let mut peeled = vec![false; n];
+        let mut sinks: Vec<usize> = (0..n)
+            .filter(|&i| stuck(i) && stuck_dependents[i] == 0)
+            .collect();
+        while let Some(i) = sinks.pop() {
+            peeled[i] = true;
+            for &d in &self.deps[i] {
+                let d = d as usize;
+                if stuck(d) {
+                    stuck_dependents[d] -= 1;
+                    if stuck_dependents[d] == 0 {
+                        sinks.push(d);
                     }
                 }
             }
         }
-        if topo.len() != map.len() {
-            let stuck: Vec<TargetName> = indegree
-                .iter()
-                .filter(|(_, &n)| n > 0)
-                .map(|(&t, _)| t.clone())
-                .collect();
-            return Err(BuildError::DependencyCycle(stuck));
-        }
-        Ok(BuildGraph { targets: map, topo })
+        (0..n)
+            .filter(|&i| stuck(i) && !peeled[i])
+            .map(|i| self.targets[i].name.clone())
+            .collect()
     }
 
     /// Look up a target by name.
     pub fn get(&self, name: &TargetName) -> Option<&Target> {
-        self.targets.get(name)
+        self.targets
+            .binary_search_by(|t| t.name.cmp(name))
+            .ok()
+            .map(|i| &self.targets[i])
     }
 
     /// Number of targets.
@@ -257,17 +324,27 @@ impl BuildGraph {
 
     /// Target names in name order.
     pub fn names(&self) -> impl Iterator<Item = &TargetName> {
-        self.targets.keys()
+        self.targets.iter().map(|t| &t.name)
     }
 
-    /// Targets in name order.
-    pub fn targets(&self) -> impl Iterator<Item = &Target> {
-        self.targets.values()
+    /// Targets in name order; `as_slice` indexes them by position.
+    pub fn targets(&self) -> std::slice::Iter<'_, Target> {
+        self.targets.iter()
     }
 
     /// Target names in topological order (dependencies first).
     pub fn topo_order(&self) -> impl Iterator<Item = &TargetName> {
-        self.topo.iter()
+        self.topo.iter().map(|&i| &self.targets[i as usize].name)
+    }
+
+    /// Positions in topological order (dependencies first).
+    pub(crate) fn topo_positions(&self) -> &[u32] {
+        &self.topo
+    }
+
+    /// The positions of target `i`'s dependencies, in declaration order.
+    pub(crate) fn deps_of(&self, i: usize) -> &[u32] {
+        &self.deps[i]
     }
 
     /// True iff both graphs declare the same targets with the same rule
@@ -385,6 +462,29 @@ mod tests {
             BuildGraph::from_targets([t("//a:a", &["//b:b"]), t("//b:b", &["//a:a"])]),
             Err(BuildError::DependencyCycle(_))
         ));
+    }
+
+    #[test]
+    fn a_cycle_names_its_members_not_its_dependents() {
+        assert_eq!(
+            BuildGraph::from_targets([
+                t("//a:a", &["//b:b"]),
+                t("//b:b", &["//a:a"]),
+                t("//c:c", &["//a:a"]),
+            ])
+            .unwrap_err(),
+            BuildError::DependencyCycle(vec![n("//a:a"), n("//b:b")])
+        );
+        // One self-dependency under a chain of 200 dependents.
+        let mut targets = vec![t("//loop:loop", &["//loop:loop"])];
+        targets.push(t("//up:u0", &["//loop:loop"]));
+        for i in 1..200 {
+            targets.push(t(&format!("//up:u{i}"), &[&format!("//up:u{}", i - 1)]));
+        }
+        assert_eq!(
+            BuildGraph::from_targets(targets).unwrap_err(),
+            BuildError::DependencyCycle(vec![n("//loop:loop")])
+        );
     }
 
     #[test]

@@ -14,7 +14,6 @@ use crate::error::BuildError;
 use crate::graph::{BuildGraph, TargetName};
 use serde::{Deserialize, Serialize};
 use sq_vcs::{ObjectStore, Sha256, Tree};
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// A target's Algorithm-1 hash: 32 bytes covering its transitive inputs.
@@ -53,7 +52,8 @@ impl fmt::Display for TargetHash {
 /// The Algorithm-1 hashes of every target in a snapshot.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TargetHashes {
-    hashes: BTreeMap<TargetName, TargetHash>,
+    /// Sorted by name, one entry per target.
+    hashes: Vec<(TargetName, TargetHash)>,
 }
 
 /// Absorb one field with a domain tag and a length prefix, keeping the
@@ -75,17 +75,30 @@ impl TargetHashes {
         tree: &Tree,
         store: &ObjectStore,
     ) -> Result<TargetHashes, BuildError> {
-        let mut hashes: BTreeMap<TargetName, TargetHash> = BTreeMap::new();
-        for name in graph.topo_order() {
-            let target = graph
-                .get(name)
-                .expect("topo order only lists graph targets");
+        let targets = graph.targets().as_slice();
+        // Every label in its `Display` form, rendered once into one
+        // buffer: target `i`'s is `labels[ends[i]..ends[i + 1]]`.
+        let mut labels = String::new();
+        let mut ends: Vec<usize> = Vec::with_capacity(targets.len() + 1);
+        ends.push(0);
+        for t in targets {
+            labels.push_str("//");
+            labels.push_str(t.name.package());
+            labels.push(':');
+            labels.push_str(t.name.short_name());
+            ends.push(labels.len());
+        }
+        let label = |i: usize| &labels.as_bytes()[ends[i]..ends[i + 1]];
+        let mut hashes = vec![TargetHash([0; 32]); targets.len()];
+        for &i in graph.topo_positions() {
+            let i = i as usize;
+            let target = &targets[i];
             let mut h = Sha256::new();
             feed(&mut h, b"kind", target.kind.rule_name().as_bytes());
-            feed(&mut h, b"name", name.to_string().as_bytes());
+            feed(&mut h, b"name", label(i));
             for src in &target.srcs {
                 let id = tree.get(src).ok_or_else(|| BuildError::MissingSource {
-                    target: name.clone(),
+                    target: target.name.clone(),
                     path: src.as_str().to_string(),
                 })?;
                 let content = store
@@ -94,26 +107,30 @@ impl TargetHashes {
                 feed(&mut h, b"src", src.as_str().as_bytes());
                 feed(&mut h, b"blob", content.as_ref());
             }
-            for dep in &target.deps {
-                let dep_hash = hashes
-                    .get(dep)
-                    .expect("topo order puts dependencies before dependents");
-                feed(&mut h, b"dep", dep.to_string().as_bytes());
-                feed(&mut h, b"dep-hash", dep_hash.as_bytes());
+            // The topological order put every dependency's hash in place.
+            for &d in graph.deps_of(i) {
+                let d = d as usize;
+                feed(&mut h, b"dep", label(d));
+                feed(&mut h, b"dep-hash", hashes[d].as_bytes());
             }
-            hashes.insert(name.clone(), TargetHash(h.finalize()));
+            hashes[i] = TargetHash(h.finalize());
         }
-        Ok(TargetHashes { hashes })
+        Ok(TargetHashes {
+            hashes: targets.iter().map(|t| t.name.clone()).zip(hashes).collect(),
+        })
     }
 
     /// The hash of one target, if it exists in the snapshot.
     pub fn get(&self, name: &TargetName) -> Option<TargetHash> {
-        self.hashes.get(name).copied()
+        self.hashes
+            .binary_search_by(|(n, _)| n.cmp(name))
+            .ok()
+            .map(|i| self.hashes[i].1)
     }
 
     /// Iterate `(name, hash)` pairs in name order.
     pub fn iter(&self) -> impl Iterator<Item = (&TargetName, TargetHash)> {
-        self.hashes.iter().map(|(n, &h)| (n, h))
+        self.hashes.iter().map(|(n, h)| (n, *h))
     }
 }
 

@@ -28,17 +28,24 @@ pub fn parse_workspace(tree: &Tree, store: &ObjectStore) -> Result<BuildGraph, B
         if path.file_name() != "BUILD" {
             continue;
         }
-        let text = store
-            .get_text(id)
+        let bytes = store
+            .get(id)
             .ok_or_else(|| BuildError::MissingObject(id.to_hex()))?;
+        // Borrowed unless the blob is not UTF-8; tokens borrow from it.
+        let text = String::from_utf8_lossy(bytes);
         let package = path.parent().unwrap_or("");
-        targets.extend(parse_build_file(path.as_str(), package, &text)?);
+        parse_build_file(path.as_str(), package, &text, &mut targets)?;
     }
     BuildGraph::from_targets(targets)
 }
 
 /// Parse one BUILD file's rule calls into targets of `package`.
-fn parse_build_file(path: &str, package: &str, text: &str) -> Result<Vec<Target>, BuildError> {
+fn parse_build_file(
+    path: &str,
+    package: &str,
+    text: &str,
+    out: &mut Vec<Target>,
+) -> Result<(), BuildError> {
     let tokens = tokenize(path, text)?;
     let mut p = Parser {
         path,
@@ -46,17 +53,17 @@ fn parse_build_file(path: &str, package: &str, text: &str) -> Result<Vec<Target>
         tokens: &tokens,
         pos: 0,
     };
-    let mut out = Vec::new();
     while !p.at_end() {
         out.push(p.rule()?);
     }
-    Ok(out)
+    Ok(())
 }
 
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum Token {
-    Ident(String),
-    Str(String),
+/// A token; identifiers and string literals borrow the file's text.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Token<'a> {
+    Ident(&'a str),
+    Str(&'a str),
     LParen,
     RParen,
     LBracket,
@@ -65,7 +72,7 @@ enum Token {
     Equals,
 }
 
-impl Token {
+impl Token<'_> {
     fn describe(&self) -> String {
         match self {
             Token::Ident(s) => format!("identifier '{s}'"),
@@ -80,94 +87,90 @@ impl Token {
     }
 }
 
-fn tokenize(path: &str, text: &str) -> Result<Vec<Token>, BuildError> {
+/// Split `text` into tokens. Every token but whitespace is ASCII, so the
+/// scan walks bytes and decodes a `char` only to skip non-ASCII
+/// whitespace or to name an unexpected character.
+fn tokenize<'a>(path: &str, text: &'a str) -> Result<Vec<Token<'a>>, BuildError> {
     let err = |message: String| BuildError::Parse {
         path: path.to_string(),
         message,
     };
-    let mut tokens = Vec::new();
-    let mut chars = text.chars().peekable();
-    while let Some(&c) = chars.peek() {
-        match c {
-            '#' => {
+    let bytes = text.as_bytes();
+    // The length of the run at `from` of bytes that `keep` accepts.
+    let run = |from: usize, keep: fn(u8) -> bool| {
+        bytes[from..]
+            .iter()
+            .position(|&b| !keep(b))
+            .unwrap_or(bytes.len() - from)
+    };
+    // BUILD files run about four bytes a token.
+    let mut tokens = Vec::with_capacity(bytes.len() / 4);
+    let mut i = 0;
+    while i < bytes.len() {
+        let token = match bytes[i] {
+            b'#' => {
                 // Comment to end of line.
-                for c in chars.by_ref() {
-                    if c == '\n' {
-                        break;
-                    }
+                i += run(i, |b| b != b'\n') + 1;
+                continue;
+            }
+            b' ' | b'\t' | b'\n' | b'\r' => {
+                i += 1;
+                continue;
+            }
+            b'(' => Token::LParen,
+            b')' => Token::RParen,
+            b'[' => Token::LBracket,
+            b']' => Token::RBracket,
+            b',' => Token::Comma,
+            b'=' => Token::Equals,
+            b'"' => {
+                let start = i + 1;
+                let end = start + run(start, |b| b != b'"' && b != b'\n');
+                if bytes.get(end) != Some(&b'"') {
+                    return Err(err("unterminated string literal".into()));
                 }
+                tokens.push(Token::Str(&text[start..end]));
+                i = end + 1;
+                continue;
             }
-            c if c.is_whitespace() => {
-                chars.next();
+            b if b.is_ascii_alphabetic() || b == b'_' => {
+                let end = i + run(i, |b| b.is_ascii_alphanumeric() || b == b'_');
+                tokens.push(Token::Ident(&text[i..end]));
+                i = end;
+                continue;
             }
-            '(' => {
-                chars.next();
-                tokens.push(Token::LParen);
-            }
-            ')' => {
-                chars.next();
-                tokens.push(Token::RParen);
-            }
-            '[' => {
-                chars.next();
-                tokens.push(Token::LBracket);
-            }
-            ']' => {
-                chars.next();
-                tokens.push(Token::RBracket);
-            }
-            ',' => {
-                chars.next();
-                tokens.push(Token::Comma);
-            }
-            '=' => {
-                chars.next();
-                tokens.push(Token::Equals);
-            }
-            '"' => {
-                chars.next();
-                let mut s = String::new();
-                loop {
-                    match chars.next() {
-                        Some('"') => break,
-                        Some('\n') | None => return Err(err("unterminated string literal".into())),
-                        Some(c) => s.push(c),
-                    }
+            _ => {
+                let c = text[i..]
+                    .chars()
+                    .next()
+                    .expect("the scan stops on char boundaries");
+                if c.is_whitespace() {
+                    i += c.len_utf8();
+                    continue;
                 }
-                tokens.push(Token::Str(s));
+                return Err(err(format!("unexpected character '{c}'")));
             }
-            c if c.is_ascii_alphabetic() || c == '_' => {
-                let mut s = String::new();
-                while let Some(&c) = chars.peek() {
-                    if c.is_ascii_alphanumeric() || c == '_' {
-                        s.push(c);
-                        chars.next();
-                    } else {
-                        break;
-                    }
-                }
-                tokens.push(Token::Ident(s));
-            }
-            other => return Err(err(format!("unexpected character '{other}'"))),
-        }
+        };
+        tokens.push(token);
+        i += 1;
     }
     Ok(tokens)
 }
 
-struct Parser<'a> {
+struct Parser<'t, 'a> {
     path: &'a str,
     package: &'a str,
-    tokens: &'a [Token],
+    tokens: &'t [Token<'a>],
     pos: usize,
 }
 
 /// An attribute value: a string or a list of strings.
-enum Value {
-    Str(String),
-    List(Vec<String>),
+enum Value<'a> {
+    Str(&'a str),
+    List(Vec<&'a str>),
 }
 
-impl<'a> Parser<'a> {
+impl<'a> Parser<'_, 'a> {
     fn err(&self, message: String) -> BuildError {
         BuildError::Parse {
             path: self.path.to_string(),
@@ -179,8 +182,8 @@ impl<'a> Parser<'a> {
         self.pos >= self.tokens.len()
     }
 
-    fn next(&mut self, wanted: &str) -> Result<&'a Token, BuildError> {
-        let t = self
+    fn next(&mut self, wanted: &str) -> Result<Token<'a>, BuildError> {
+        let t = *self
             .tokens
             .get(self.pos)
             .ok_or_else(|| self.err(format!("expected {wanted}, found end of file")))?;
@@ -190,7 +193,7 @@ impl<'a> Parser<'a> {
 
     fn expect(&mut self, token: Token) -> Result<(), BuildError> {
         let found = self.next(&token.describe())?;
-        if *found == token {
+        if found == token {
             Ok(())
         } else {
             Err(self.err(format!(
@@ -201,8 +204,8 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn peek_is(&self, token: &Token) -> bool {
-        self.tokens.get(self.pos) == Some(token)
+    fn peek_is(&self, token: Token) -> bool {
+        self.tokens.get(self.pos) == Some(&token)
     }
 
     /// `kind ( name = "...", srcs = [...], deps = [...] )`
@@ -215,12 +218,12 @@ impl<'a> Parser<'a> {
             }
         };
         self.expect(Token::LParen)?;
-        let mut name: Option<String> = None;
-        let mut srcs: Vec<String> = Vec::new();
-        let mut deps: Vec<String> = Vec::new();
-        while !self.peek_is(&Token::RParen) {
+        let mut name: Option<&str> = None;
+        let mut srcs: Vec<&str> = Vec::new();
+        let mut deps: Vec<&str> = Vec::new();
+        while !self.peek_is(Token::RParen) {
             let attr = match self.next("an attribute name")? {
-                Token::Ident(s) => s.clone(),
+                Token::Ident(s) => s,
                 other => {
                     return Err(
                         self.err(format!("expected an attribute, found {}", other.describe()))
@@ -229,7 +232,7 @@ impl<'a> Parser<'a> {
             };
             self.expect(Token::Equals)?;
             let value = self.value()?;
-            match (attr.as_str(), value) {
+            match (attr, value) {
                 ("name", Value::Str(s)) => name = Some(s),
                 ("name", Value::List(_)) => return Err(self.err("'name' must be a string".into())),
                 ("srcs", Value::List(l)) => srcs = l,
@@ -240,7 +243,7 @@ impl<'a> Parser<'a> {
                 // and ignored, as in Buck.
                 _ => {}
             }
-            if self.peek_is(&Token::Comma) {
+            if self.peek_is(Token::Comma) {
                 self.pos += 1;
             } else {
                 break;
@@ -249,15 +252,20 @@ impl<'a> Parser<'a> {
         self.expect(Token::RParen)?;
         let name = name.ok_or_else(|| self.err("rule is missing the 'name' attribute".into()))?;
         let target_name = TargetName::resolve(&format!(":{name}"), self.package)?;
+        let mut full = String::new();
         let srcs = srcs
             .iter()
-            .map(|s| {
-                let full = if self.package.is_empty() {
-                    s.clone()
+            .map(|&s| {
+                let path = if self.package.is_empty() {
+                    s
                 } else {
-                    format!("{}/{}", self.package, s)
+                    full.clear();
+                    full.push_str(self.package);
+                    full.push('/');
+                    full.push_str(s);
+                    &full
                 };
-                RepoPath::new(&full).map_err(|_| self.err(format!("invalid source path '{s}'")))
+                RepoPath::new(path).map_err(|_| self.err(format!("invalid source path '{s}'")))
             })
             .collect::<Result<Vec<_>, _>>()?;
         let deps = deps
@@ -267,14 +275,14 @@ impl<'a> Parser<'a> {
         Ok(Target::new(target_name, kind, srcs, deps))
     }
 
-    fn value(&mut self) -> Result<Value, BuildError> {
+    fn value(&mut self) -> Result<Value<'a>, BuildError> {
         match self.next("a value")? {
-            Token::Str(s) => Ok(Value::Str(s.clone())),
+            Token::Str(s) => Ok(Value::Str(s)),
             Token::LBracket => {
                 let mut items = Vec::new();
-                while !self.peek_is(&Token::RBracket) {
+                while !self.peek_is(Token::RBracket) {
                     match self.next("a string")? {
-                        Token::Str(s) => items.push(s.clone()),
+                        Token::Str(s) => items.push(s),
                         other => {
                             return Err(self.err(format!(
                                 "expected a string in list, found {}",
@@ -282,7 +290,7 @@ impl<'a> Parser<'a> {
                             )))
                         }
                     }
-                    if self.peek_is(&Token::Comma) {
+                    if self.peek_is(Token::Comma) {
                         self.pos += 1;
                     } else {
                         break;

@@ -64,13 +64,11 @@ impl Sha256 {
             }
         }
         // Whole blocks straight from the input.
-        while data.len() >= 64 {
-            let (block, rest) = data.split_at(64);
-            let mut arr = [0u8; 64];
-            arr.copy_from_slice(block);
-            self.compress(&arr);
-            data = rest;
+        let mut blocks = data.chunks_exact(64);
+        for block in blocks.by_ref() {
+            self.compress(block.try_into().expect("chunks_exact yields 64 bytes"));
         }
+        data = blocks.remainder();
         // Stash the tail.
         if !data.is_empty() {
             self.buf[..data.len()].copy_from_slice(data);
@@ -81,19 +79,16 @@ impl Sha256 {
     /// Finish and produce the 32-byte digest.
     pub fn finalize(mut self) -> [u8; 32] {
         let bit_len = self.total_len.wrapping_mul(8);
-        // Padding: 0x80, zeros, 64-bit big-endian length.
-        self.update_padding(0x80);
-        while self.buf_len != 56 {
-            self.update_padding(0x00);
-        }
-        let len_bytes = bit_len.to_be_bytes();
-        for &b in &len_bytes {
-            self.update_padding(b);
-        }
+        // Padding: 0x80, zeros up to 56 mod 64, 64-bit big-endian length.
+        let zeros = (119 - self.buf_len) % 64;
+        let mut pad = [0u8; 72];
+        pad[0] = 0x80;
+        pad[1 + zeros..9 + zeros].copy_from_slice(&bit_len.to_be_bytes());
+        self.update(&pad[..9 + zeros]);
         debug_assert_eq!(self.buf_len, 0);
         let mut out = [0u8; 32];
-        for (i, word) in self.state.iter().enumerate() {
-            out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
+        for (chunk, word) in out.chunks_exact_mut(4).zip(self.state) {
+            chunk.copy_from_slice(&word.to_be_bytes());
         }
         out
     }
@@ -105,59 +100,65 @@ impl Sha256 {
         h.finalize()
     }
 
-    /// Append a padding byte without counting it in `total_len`.
-    fn update_padding(&mut self, byte: u8) {
-        self.buf[self.buf_len] = byte;
-        self.buf_len += 1;
-        if self.buf_len == 64 {
-            let block = self.buf;
-            self.compress(&block);
-            self.buf_len = 0;
-        }
-    }
-
+    /// One 64-byte block. The message schedule lives in a 16-word ring
+    /// (`w[i & 15]` holds word `i`, computed just before round `i` uses
+    /// it), and the rounds are unrolled eight at a time with the working
+    /// variables renamed instead of shifted.
     fn compress(&mut self, block: &[u8; 64]) {
-        let mut w = [0u32; 64];
-        for (i, chunk) in block.chunks_exact(4).enumerate() {
-            w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
-        }
-        for i in 16..64 {
-            let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
-            let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
-            w[i] = w[i - 16]
-                .wrapping_add(s0)
-                .wrapping_add(w[i - 7])
-                .wrapping_add(s1);
+        let mut w = [0u32; 16];
+        for (word, chunk) in w.iter_mut().zip(block.chunks_exact(4)) {
+            *word = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
         }
         let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
-        for i in 0..64 {
-            let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
-            let ch = (e & f) ^ (!e & g);
-            let t1 = h
-                .wrapping_add(s1)
-                .wrapping_add(ch)
-                .wrapping_add(K[i])
-                .wrapping_add(w[i]);
-            let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
-            let maj = (a & b) ^ (a & c) ^ (b & c);
-            let t2 = s0.wrapping_add(maj);
-            h = g;
-            g = f;
-            f = e;
-            e = d.wrapping_add(t1);
-            d = c;
-            c = b;
-            b = a;
-            a = t1.wrapping_add(t2);
+        // Round `i` over the working variables in their current roles;
+        // from round 16 on it first extends the schedule by word `i`.
+        macro_rules! round {
+            ($a:ident, $b:ident, $c:ident, $d:ident, $e:ident, $f:ident, $g:ident, $h:ident,
+             $i:expr, $extend:literal) => {{
+                let i = $i;
+                if $extend {
+                    let w15 = w[(i + 1) & 15];
+                    let w2 = w[(i + 14) & 15];
+                    let s0 = w15.rotate_right(7) ^ w15.rotate_right(18) ^ (w15 >> 3);
+                    let s1 = w2.rotate_right(17) ^ w2.rotate_right(19) ^ (w2 >> 10);
+                    w[i & 15] = w[i & 15]
+                        .wrapping_add(s0)
+                        .wrapping_add(w[(i + 9) & 15])
+                        .wrapping_add(s1);
+                }
+                let s1 = $e.rotate_right(6) ^ $e.rotate_right(11) ^ $e.rotate_right(25);
+                let ch = ($e & $f) ^ (!$e & $g);
+                let t1 = $h
+                    .wrapping_add(s1)
+                    .wrapping_add(ch)
+                    .wrapping_add(K[i])
+                    .wrapping_add(w[i & 15]);
+                let s0 = $a.rotate_right(2) ^ $a.rotate_right(13) ^ $a.rotate_right(22);
+                let maj = ($a & $b) ^ ($a & $c) ^ ($b & $c);
+                $d = $d.wrapping_add(t1);
+                $h = t1.wrapping_add(s0.wrapping_add(maj));
+            }};
         }
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-        self.state[5] = self.state[5].wrapping_add(f);
-        self.state[6] = self.state[6].wrapping_add(g);
-        self.state[7] = self.state[7].wrapping_add(h);
+        macro_rules! eight_rounds {
+            ($i:expr, $extend:literal) => {{
+                round!(a, b, c, d, e, f, g, h, $i, $extend);
+                round!(h, a, b, c, d, e, f, g, $i + 1, $extend);
+                round!(g, h, a, b, c, d, e, f, $i + 2, $extend);
+                round!(f, g, h, a, b, c, d, e, $i + 3, $extend);
+                round!(e, f, g, h, a, b, c, d, $i + 4, $extend);
+                round!(d, e, f, g, h, a, b, c, $i + 5, $extend);
+                round!(c, d, e, f, g, h, a, b, $i + 6, $extend);
+                round!(b, c, d, e, f, g, h, a, $i + 7, $extend);
+            }};
+        }
+        eight_rounds!(0, false);
+        eight_rounds!(8, false);
+        for i in (16..64).step_by(8) {
+            eight_rounds!(i, true);
+        }
+        for (s, v) in self.state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+            *s = s.wrapping_add(v);
+        }
     }
 }
 

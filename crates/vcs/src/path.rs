@@ -28,17 +28,22 @@ impl RepoPath {
     /// directory.
     pub fn new(s: impl AsRef<str>) -> Result<Self, VcsError> {
         let raw = s.as_ref();
-        let mut parts: Vec<&str> = Vec::new();
+        let mut depth = 0;
+        let mut normal = true;
         for part in raw.split('/') {
             match part {
-                "" => continue, // collapse '//' and strip leading '/'
+                "" => normal = false, // '//' or a leading '/', collapsed below
                 "." | ".." => return Err(VcsError::InvalidPath(raw.to_string())),
-                p => parts.push(p),
+                _ => depth += 1,
             }
         }
-        if parts.is_empty() || parts.len() > MAX_DEPTH || raw.ends_with('/') {
+        if depth == 0 || depth > MAX_DEPTH || raw.ends_with('/') {
             return Err(VcsError::InvalidPath(raw.to_string()));
         }
+        if normal {
+            return Ok(RepoPath(raw.to_string()));
+        }
+        let parts: Vec<&str> = raw.split('/').filter(|p| !p.is_empty()).collect();
         Ok(RepoPath(parts.join("/")))
     }
 

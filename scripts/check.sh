@@ -82,6 +82,17 @@ bench_reads_no_clock() {
 step "crates/bench/src reads no clock outside suite.rs" \
   bench_reads_no_clock
 
+# And once more: every crate forbids `unsafe`. The SHA-256 and BUILD
+# tokenizer kernels invite intrinsics and unchecked indexing; a gain
+# that needs either is a change to this row, argued on its own.
+crates_forbid_unsafe() {
+  local missing
+  missing=$(grep -L '^#!\[forbid(unsafe_code)\]' crates/*/src/lib.rs || true)
+  [[ -z "$missing" ]] || { echo "$missing"; return 1; }
+}
+step "every crates/*/src/lib.rs keeps #![forbid(unsafe_code)]" \
+  crates_forbid_unsafe
+
 # ROADMAP item 6, held the same way: no capability without a caller. Over
 # the non-test part of every .rs under crates/*/src, src, examples and
 # benchmark/src (lines before the file's first #[cfg(test)]; comment
@@ -115,6 +126,7 @@ apply_hunks               # (b) the oracle of the diff tests and properties
 total_bytes               # (b) the measure of the stores-its-spine tests in tree.rs and repo_model.rs
 commit_count              # (b) the snapshot-isolation oracle of tests/service_concurrency.rs
 integral_multiplier       # (b) the analytic oracle scenario_props.rs holds the thinned arrivals to
+topo_order                # (b) analysis_pin.rs pins and graph_oracle.rs checks the order by name; Algorithm 1 walks it by position
 EXCEPTIONS
 )
 no_capability_without_a_caller() {
