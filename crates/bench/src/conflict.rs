@@ -19,7 +19,7 @@
 //! other suite's. What the index costs in wall time is
 //! `core.index.matrix_us_w256` in `benchmark/`.
 
-use crate::suite::{no_flags, pick, Report, Suite};
+use crate::suite::{pick, Report, Suite};
 use sq_build::{AffectedSet, BitSet, Interner, SnapshotAnalysis, TargetName};
 use sq_core::index::{ConflictIndex, ConflictMatrix, TrunkHash};
 use sq_obs::JsonWriter;
@@ -206,10 +206,9 @@ pub const SUITE: Suite = Suite {
         "params: seed n_parts",
         "windows: n pairs conflicts matrices_identical",
     ],
-    run: |smoke, flags| {
-        no_flags(flags)?;
+    run: |smoke| {
         let params = pick(smoke, ConflictParams::smoke, ConflictParams::standard);
-        Ok(Box::new(run_conflict(&params)))
+        Box::new(run_conflict(&params))
     },
 };
 

@@ -9,13 +9,13 @@
 //! same-seed runs emit byte-identical files and a diff between two
 //! commits is a genuine performance diff.
 
-use crate::suite::{no_flags, pick, Report, Suite};
+use crate::suite::{pick, Report, Suite};
 use sq_core::planner::{run_simulation_observed, PlannerConfig, SimFaults};
 use sq_core::predict::LearnedPredictor;
 use sq_core::strategy::Strategy;
 use sq_exec::{ArtifactCache, RealExecutor, StepOutcome};
 use sq_obs::{JsonWriter, Observer};
-use sq_workload::{WorkloadBuilder, WorkloadParams};
+use sq_workload::{Workload, WorkloadBuilder, WorkloadParams};
 use std::collections::HashSet;
 use std::str::FromStr;
 
@@ -63,11 +63,12 @@ impl E2eParams {
     }
 }
 
-/// Run the end-to-end benchmark and return the JSON document.
-pub fn run_e2e(params: &E2eParams) -> String {
-    // Phase 1: the full planning pipeline under observation — train the
-    // predictor on a disjoint history, replay the workload through the
-    // SubmitQueue strategy with infra faults enabled.
+/// What the `e2e` and `lean` suites build alike from their params: the
+/// replayed workload, the training history, the predictor trained on
+/// it, and the planner configuration with the infra-fault model.
+pub(crate) fn planned_run(
+    params: &E2eParams,
+) -> (Workload, Workload, LearnedPredictor, PlannerConfig) {
     let workload = WorkloadBuilder::new(WorkloadParams::ios().with_rate(params.rate))
         .seed(params.seed)
         .n_changes(params.n_changes)
@@ -79,12 +80,21 @@ pub fn run_e2e(params: &E2eParams) -> String {
         .build()
         .expect("valid history params");
     let (predictor, _) = LearnedPredictor::train(&history, params.seed);
-    let strategy = Strategy::submit_queue_with(predictor);
     let config = PlannerConfig {
         workers: params.workers,
         faults: Some(SimFaults::at_rate(params.fault_rate, params.seed)),
         ..PlannerConfig::default()
     };
+    (workload, history, predictor, config)
+}
+
+/// Run the end-to-end benchmark and return the JSON document.
+pub fn run_e2e(params: &E2eParams) -> String {
+    // Phase 1: the full planning pipeline under observation — train the
+    // predictor on a disjoint history, replay the workload through the
+    // SubmitQueue strategy with infra faults enabled.
+    let (workload, _, predictor, config) = planned_run(params);
+    let strategy = Strategy::submit_queue_with(predictor);
     let mut obs = Observer::new();
     let result = run_simulation_observed(&workload, &strategy, &config, &mut obs);
 
@@ -228,11 +238,10 @@ pub const SUITE: Suite = Suite {
         "cache: hits misses hit_rate",
         "builds: started aborted needed wasted",
     ],
-    run: |smoke, flags| {
-        no_flags(flags)?;
+    run: |smoke| {
         let params = pick(smoke, E2eParams::smoke, E2eParams::standard);
         let json = run_e2e(&params);
-        Ok(Box::new(E2eRun { params, json }))
+        Box::new(E2eRun { params, json })
     },
 };
 

@@ -8,62 +8,18 @@
 //! always-green must hold and wrongful rejections must be zero (a wrong
 //! skip or bypass may only cost latency, never a rejection). Like the
 //! other committed benchmark documents, the JSON is a pure function of
-//! [`LeanBenchParams`] — simulated time only, sorted metric keys,
+//! its [`E2eParams`] — simulated time only, sorted metric keys,
 //! shortest-round-trip floats — so same-seed reruns are byte-identical.
 
-use crate::suite::{no_flags, pick, Report, Suite};
+use crate::e2e::{planned_run, E2eParams};
+use crate::suite::{pick, Report, Suite};
 use sq_core::audit::{audit_green, count_wrongful_rejections};
-use sq_core::planner::{run_simulation_observed, PlannerConfig, SimFaults, SimResult};
+use sq_core::planner::{run_simulation_observed, PlannerConfig, SimResult};
 use sq_core::predict::LearnedPredictor;
 use sq_core::strategy::Strategy;
 use sq_core::{LeanConfig, LeanReport, SKIP_MISS_BUDGET};
 use sq_obs::{JsonWriter, Observer};
-use sq_workload::{Workload, WorkloadBuilder, WorkloadParams};
-
-/// Parameters of one ablation-matrix run. Mirrors `E2eParams` so the
-/// baseline cell is directly comparable to `BENCH_e2e.json`.
-#[derive(Debug, Clone)]
-pub struct LeanBenchParams {
-    /// Master seed (workload, training history, fault model).
-    pub seed: u64,
-    /// Number of changes in the replayed workload.
-    pub n_changes: usize,
-    /// Ingestion rate in changes/hour.
-    pub rate: f64,
-    /// Worker fleet size.
-    pub workers: usize,
-    /// Per-attempt infra-fault probability in `[0, 1]`.
-    pub fault_rate: f64,
-    /// Training-history size for the predictor and calibration.
-    pub history_changes: usize,
-}
-
-impl LeanBenchParams {
-    /// The recorded configuration (what `BENCH_lean.json` at the repo
-    /// root reports) — identical to `E2eParams::standard`.
-    pub fn standard() -> Self {
-        LeanBenchParams {
-            seed: crate::BENCH_SEED,
-            n_changes: 400,
-            rate: 250.0,
-            workers: 150,
-            fault_rate: 0.05,
-            history_changes: 4_000,
-        }
-    }
-
-    /// A small configuration for CI smoke runs.
-    pub fn smoke() -> Self {
-        LeanBenchParams {
-            seed: crate::BENCH_SEED,
-            n_changes: 60,
-            rate: 200.0,
-            workers: 40,
-            fault_rate: 0.1,
-            history_changes: 800,
-        }
-    }
-}
+use sq_workload::Workload;
 
 /// One audited ablation cell.
 #[derive(Debug)]
@@ -97,8 +53,9 @@ impl LeanCell {
 /// A finished ablation matrix.
 #[derive(Debug)]
 pub struct LeanMatrix {
-    /// The parameters that produced it.
-    pub params: LeanBenchParams,
+    /// The parameters that produced it: the `e2e` suite's, so the
+    /// baseline cell is directly comparable to `BENCH_e2e.json`.
+    pub params: E2eParams,
     /// The calibrated skip threshold shared by the skip-enabled cells.
     pub skip_threshold: f64,
     /// One cell per ablation row, baseline first.
@@ -130,26 +87,12 @@ fn ablation_cells(threshold: f64) -> Vec<LeanConfig> {
 
 /// Run the full ablation matrix: train and calibrate once, then replay
 /// the same workload through every cell.
-pub fn run_matrix(params: &LeanBenchParams) -> LeanMatrix {
-    let workload = WorkloadBuilder::new(WorkloadParams::ios().with_rate(params.rate))
-        .seed(params.seed)
-        .n_changes(params.n_changes)
-        .build()
-        .expect("valid workload params");
-    let history = WorkloadBuilder::new(WorkloadParams::ios())
-        .seed(params.seed ^ 0xA11CE)
-        .n_changes(params.history_changes)
-        .build()
-        .expect("valid history params");
-    // Same training seed as the e2e suite, so the baseline cell's planner
-    // decisions match the committed BENCH_e2e.json run bit for bit.
-    let (predictor, _) = LearnedPredictor::train(&history, params.seed);
+pub fn run_matrix(params: &E2eParams) -> LeanMatrix {
+    // The e2e suite's workload, predictor and planner, so the baseline
+    // cell's planner decisions match the committed BENCH_e2e.json run bit
+    // for bit.
+    let (workload, history, predictor, config) = planned_run(params);
     let skip_threshold = predictor.calibrate_skip_threshold(&history, SKIP_MISS_BUDGET);
-    let config = PlannerConfig {
-        workers: params.workers,
-        faults: Some(SimFaults::at_rate(params.fault_rate, params.seed)),
-        ..PlannerConfig::default()
-    };
     let cells = ablation_cells(skip_threshold)
         .into_iter()
         .map(|cfg| run_cell(&workload, &predictor, cfg, &config))
@@ -353,10 +296,9 @@ pub const SUITE: Suite = Suite {
         "cells: cell strategy flags green wrongful_rejections commits turnaround_mins builds lean",
         "cells.builds: started aborted needed wasted",
     ],
-    run: |smoke, flags| {
-        no_flags(flags)?;
-        let params = pick(smoke, LeanBenchParams::smoke, LeanBenchParams::standard);
-        Ok(Box::new(run_matrix(&params)))
+    run: |smoke| {
+        let params = pick(smoke, E2eParams::smoke, E2eParams::standard);
+        Box::new(run_matrix(&params))
     },
 };
 

@@ -12,7 +12,6 @@
 //! | `shard`       | `BENCH_shard.json`       | sharded vs single-queue planner           |
 //! | `scenarios`   | `BENCH_scenarios.json`   | adversarial scenario × strategy matrix    |
 //! | `replication` | `BENCH_replication.json` | WAL shipping + fenced failover            |
-//! | `server`      | `BENCH_server.json`      | live-socket serving layer (`--uds`)               |
 //! | `conflict`    | `BENCH_conflict.json`    | §5.2 index vs name-set reference: counts  |
 //!
 //! Every document is a pure function of its params and is compared byte
@@ -48,7 +47,6 @@ pub mod figures;
 pub mod lean;
 pub mod replication;
 pub mod scenarios;
-pub mod server;
 pub mod shard;
 pub mod suite;
 

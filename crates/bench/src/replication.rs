@@ -18,7 +18,7 @@
 //!   byte-identical to an uncrashed twin — the zero-loss gate, enforced
 //!   in every mode.
 
-use crate::suite::{no_flags, pick, Report, Suite};
+use crate::suite::{pick, Report, Suite};
 use sq_core::durable::DurableSubmitQueue;
 use sq_core::failover::{best_promotion_candidate, open_leader, promote_from_follower};
 use sq_core::service::TicketId;
@@ -506,10 +506,9 @@ pub const SUITE: Suite = Suite {
         "failover: mode followers kill_after crashes epoch durable_lsn replayed_records",
         "failover: truncated_bytes landed export_identical",
     ],
-    run: |smoke, flags| {
-        no_flags(flags)?;
+    run: |smoke| {
         let params = pick(smoke, ReplicationParams::smoke, ReplicationParams::standard);
-        Ok(Box::new(run_replication(&params)))
+        Box::new(run_replication(&params))
     },
 };
 

@@ -9,7 +9,7 @@
 //! metric keys, shortest-round-trip floats — so same-seed reruns emit
 //! byte-identical files, which `--smoke` asserts.
 
-use crate::suite::{no_flags, pick, Report, Suite};
+use crate::suite::{pick, Report, Suite};
 use sq_core::scenario::{run_scenario, ScenarioRun};
 use sq_core::strategy::StrategyKind;
 use sq_obs::JsonWriter;
@@ -248,15 +248,14 @@ pub const SUITE: Suite = Suite {
         "scenarios.strategies: strategy green rejections_justified wrongful_rejections",
         "scenarios.strategies: commits turnaround_mins",
     ],
-    run: |smoke, flags| {
-        no_flags(flags)?;
+    run: |smoke| {
         let params = pick(
             smoke,
             ScenarioBenchParams::smoke,
             ScenarioBenchParams::standard,
         );
         let runs = run_matrix(&params);
-        Ok(Box::new(ScenarioMatrix { params, runs }))
+        Box::new(ScenarioMatrix { params, runs })
     },
 };
 

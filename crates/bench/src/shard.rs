@@ -25,7 +25,7 @@
 //! sharded sustains ≥ 10k changes/hour where single-queue saturates
 //! below.
 
-use crate::suite::{no_flags, pick, Report, Suite};
+use crate::suite::{pick, Report, Suite};
 use sq_core::audit;
 use sq_core::planner::{run_simulation, PlannerConfig, SimResult};
 use sq_core::shard::{PlanningCost, ShardPlan, ShardReport, ShardSpec};
@@ -438,10 +438,9 @@ pub const SUITE: Suite = Suite {
         "sharded: builds_started builds_aborted makespan_hours",
         "lanes: name workers routed committed rejected wrongful",
     ],
-    run: |smoke, flags| {
-        no_flags(flags)?;
+    run: |smoke| {
         let params = pick(smoke, ShardBenchParams::smoke, ShardBenchParams::standard);
-        Ok(Box::new(run_shard_bench(&params)))
+        Box::new(run_shard_bench(&params))
     },
 };
 

@@ -56,9 +56,8 @@ pub struct Suite {
     pub run: Run,
 }
 
-/// Build smoke or standard params (suite flags pass through; `Err` is a
-/// usage error) and run.
-pub type Run = fn(smoke: bool, flags: &[String]) -> Result<Box<dyn Report>, String>;
+/// Build smoke or standard params and run.
+pub type Run = fn(smoke: bool) -> Box<dyn Report>;
 
 /// The suite table, in the order `all` runs it.
 pub const SUITES: &[Suite] = &[
@@ -67,7 +66,6 @@ pub const SUITES: &[Suite] = &[
     crate::shard::SUITE,
     crate::scenarios::SUITE,
     crate::replication::SUITE,
-    crate::server::SUITE,
     crate::conflict::SUITE,
 ];
 
@@ -77,14 +75,6 @@ pub(crate) fn pick<P>(smoke: bool, small: fn() -> P, standard: fn() -> P) -> P {
         small()
     } else {
         standard()
-    }
-}
-
-/// For the suites that take no flags of their own.
-pub(crate) fn no_flags(flags: &[String]) -> Result<(), String> {
-    match flags.first() {
-        None => Ok(()),
-        Some(flag) => Err(format!("unknown flag {flag:?}")),
     }
 }
 
@@ -175,7 +165,7 @@ fn write(path: &Path, content: &str) -> Result<(), String> {
 
 /// Everything after `run`: summary, gate, key check, rerun, files, and
 /// the comparison with (or overwrite of) the committed document.
-fn finish(suite: &Suite, mode: Mode, flags: &[String], report: &dyn Report) -> Result<(), String> {
+fn finish(suite: &Suite, mode: Mode, report: &dyn Report) -> Result<(), String> {
     for line in report.summary() {
         println!("  {line}");
     }
@@ -188,7 +178,7 @@ fn finish(suite: &Suite, mode: Mode, flags: &[String], report: &dyn Report) -> R
         .map_err(|e| format!("emitted document is invalid: {e}"))?;
     let smoke = mode == Mode::Smoke;
     if smoke {
-        if (suite.run)(true, flags)?.doc() != doc {
+        if (suite.run)(true).doc() != doc {
             return Err("same-seed rerun diverged from the first run".to_string());
         }
         println!("  same-seed rerun is byte-identical");
@@ -214,7 +204,7 @@ fn finish(suite: &Suite, mode: Mode, flags: &[String], report: &dyn Report) -> R
     Ok(())
 }
 
-const USAGE: &str = "usage: sq-bench <suite>...|all [--smoke|--write] [suite flags]
+const USAGE: &str = "usage: sq-bench <suite>...|all [--smoke|--write]
        sq-bench fig <figure>...|all [--smoke]";
 
 /// Rows of `table` by name, or every row for `all`.
@@ -244,56 +234,47 @@ pub fn cli(args: &[String]) -> i32 {
         eprintln!("{message}");
         2
     };
-    if args.first().is_some_and(|a| a == "fig") {
-        let (flags, names): (Vec<&String>, Vec<&String>) =
-            args[1..].iter().partition(|a| a.starts_with("--"));
+    let fig = args.first().is_some_and(|a| a == "fig");
+    let (flags, names): (Vec<&String>, Vec<&String>) = args[usize::from(fig)..]
+        .iter()
+        .partition(|a| a.starts_with("--"));
+    let has = |flag: &str| flags.iter().any(|a| *a == flag);
+    if fig {
         if let Some(flag) = flags.iter().find(|f| **f != "--smoke") {
             return usage(format!(
                 "{USAGE}\nfig takes no flag but --smoke, got {flag:?}"
             ));
         }
-        let smoke = !flags.is_empty(); // only --smoke got this far
         let figures = match select("figure", &names, FIGURES, |f| f.0) {
             Ok(figures) => figures,
             Err(e) => return usage(e),
         };
         for (name, run) in figures {
             println!("\n━━━━━━━━━━━━━━━━ {name} ━━━━━━━━━━━━━━━━");
-            run(smoke);
+            run(has("--smoke"));
         }
         return 0;
     }
-    let has = |flag: &str| args.iter().any(|a| a == flag);
+    if let Some(flag) = flags.iter().find(|f| **f != "--smoke" && **f != "--write") {
+        return usage(format!("{USAGE}\nunknown flag {flag:?}"));
+    }
     let mode = match (has("--smoke"), has("--write")) {
         (true, true) => return usage("--smoke and --write do not combine".to_string()),
         (true, false) => Mode::Smoke,
         (false, true) => Mode::Write,
         (false, false) => Mode::Check,
     };
-    let is_mode = |a: &&String| *a == "--smoke" || *a == "--write";
-    let rest: Vec<&String> = args.iter().filter(|a| !is_mode(a)).collect();
-    let n_names = rest.iter().position(|a| a.starts_with("--"));
-    let (names, flags) = rest.split_at(n_names.unwrap_or(rest.len()));
-    let flags: Vec<String> = flags.iter().map(|f| f.to_string()).collect();
-    let suites = match select("suite", names, SUITES, |s| s.name) {
+    let suites = match select("suite", &names, SUITES, |s| s.name) {
         Ok(suites) => suites,
         Err(e) => return usage(e),
     };
-    if !flags.is_empty() && suites.len() != 1 {
-        return usage(format!(
-            "{USAGE}\nsuite flags go with exactly one named suite"
-        ));
-    }
     let smoke = mode == Mode::Smoke;
     let label = if smoke { "smoke" } else { "standard" };
     let mut failed = Vec::new();
     for suite in suites {
         let start = Instant::now();
         println!("[{}] {label} run", suite.name);
-        let outcome = match (suite.run)(smoke, &flags) {
-            Ok(report) => finish(suite, mode, &flags, report.as_ref()),
-            Err(e) => return usage(format!("[{}] {e}", suite.name)),
-        };
+        let outcome = finish(suite, mode, (suite.run)(smoke).as_ref());
         let secs = start.elapsed().as_secs_f64();
         match outcome {
             Ok(()) => println!("[{}] ok ({secs:.1}s)", suite.name),

@@ -9,7 +9,7 @@ use std::process::Command;
 fn every_smoke_run_is_clean_keyed_and_reproducible() {
     for suite in SUITES {
         let name = suite.name;
-        let report = (suite.run)(true, &[]).expect("a suite runs without flags");
+        let report = (suite.run)(true);
         assert_eq!(report.gate(), Vec::<String>::new(), "{name}: gate");
         let doc = report.doc();
         check_doc(&doc, suite.schema, suite.keys).unwrap_or_else(|e| panic!("{name}: {e}"));
@@ -17,7 +17,7 @@ fn every_smoke_run_is_clean_keyed_and_reproducible() {
             let parsed = serde_json::from_str::<serde::__private::Value>(&extra);
             assert!(parsed.is_ok(), "{name}: {path} is not JSON");
         }
-        let rerun = (suite.run)(true, &[]).expect("same flags").doc();
+        let rerun = (suite.run)(true).doc();
         assert_eq!(rerun, doc, "{name}: same-seed rerun diverged");
     }
 }
@@ -35,17 +35,18 @@ fn committed_documents_carry_every_required_key() {
 
 #[test]
 fn one_changed_byte_fails_the_comparison_and_names_the_line() {
-    let path = sq_bench::repo_root().join("BENCH_server.json");
+    let path = sq_bench::repo_root().join("BENCH_replication.json");
     let committed = std::fs::read_to_string(path).expect("committed document");
     assert_eq!(first_difference(&committed, &committed), None);
-    let at = committed.find("\"lost\":0").expect("the lost counter") + 7;
+    let key = "\"truncated_bytes\":";
+    let at = committed.find(key).expect("the truncated-bytes counter") + key.len();
     let mut changed = committed.clone().into_bytes();
     changed[at] = b'1';
     let changed = String::from_utf8(changed).expect("still ASCII");
     let diff = first_difference(&committed, &changed).expect("documents differ");
     assert!(diff.starts_with(&format!("line 1, byte {at}:")), "{diff}");
     assert!(
-        diff.contains("\"lost\":0") && diff.contains("\"lost\":1"),
+        diff.contains("\"truncated_bytes\":0") && diff.contains("\"truncated_bytes\":1"),
         "{diff}"
     );
     // A truncated document differs where it ends.
@@ -58,14 +59,14 @@ fn usage_errors_exit_2_and_list_the_valid_names() {
     for (args, expected) in [
         (
             &["nope"][..],
-            "valid: all e2e lean shard scenarios replication server conflict",
+            "valid: all e2e lean shard scenarios replication conflict",
         ),
         (
             &["fig", "fig99"][..],
             "valid: all fig01 fig02 fig05_08 fig09",
         ),
         (&[][..], "no suite named; valid: all e2e"),
-        // A flag the named suite does not take fails before any run.
+        // A flag the driver does not take fails before any run.
         (&["e2e", "--smoke", "--uds"][..], "unknown flag \"--uds\""),
         // The figure table has no committed documents to write.
         (&["fig", "all", "--write"][..], "no flag but --smoke"),

@@ -1133,8 +1133,11 @@ mod tests {
         dq.run_until_idle(&always_pass()).unwrap();
         let mut metrics = MetricsRegistry::new();
         dq.record_into(&mut metrics);
-        assert!(metrics.counter("store.journal.appends") >= 2);
-        assert!(metrics.counter("store.journal.fsyncs") >= 2);
+        // One landed change costs the three appends of the op-ordinal
+        // table above (Enqueue, SpeculationStarted, verdict batch), each
+        // synced once; the journal magic is laid down before counting.
+        assert_eq!(metrics.counter("store.journal.appends"), 3);
+        assert_eq!(metrics.counter("store.journal.fsyncs"), 3);
         assert!(metrics.gauge("store.recovery.replay_micros").is_some());
     }
 

@@ -14,11 +14,11 @@
 //!   replies, journal-before-ack enqueues, graceful drain that loses
 //!   zero acked work across a restart.
 //! * [`client`] — a blocking client with an explicit pipelining split,
-//!   used by the `bench_server` load generator and the tests.
+//!   used by the tests and by `benchmark/`'s load generator.
 //!
-//! The companion load generator lives in `sq-bench` as `bench_server`;
-//! its `--smoke` gate (zero lost acks across a drain/restart,
-//! byte-identical deterministic metrics subset) runs in CI.
+//! Zero lost acks across a drain/restart is held by
+//! `tests/server_loop.rs`; what the path costs on the wall clock is
+//! `benchmark/`'s.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

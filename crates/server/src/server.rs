@@ -52,7 +52,8 @@
 //! `Error { code: Draining }`, stops the processor after its current
 //! build, and joins all threads. Acked-but-unprocessed enqueues stay
 //! in the journal and resume on the next open — zero acked work is
-//! lost across a drain/restart cycle (the `bench_server --smoke` gate).
+//! lost across a drain/restart cycle (`tests/server_loop.rs` holds it,
+//! with the drain before the processor starts and in mid-queue).
 
 use crate::protocol::{
     write_frame, ErrorCode, FramePoll, FrameReadError, FrameReader, Request, Response,

@@ -11,8 +11,10 @@ use sq_server::protocol::encode_frame;
 use sq_server::{Client, Endpoint, ErrorCode, Request, Response, Server, ServerConfig};
 use sq_store::{DurableStore, DurableStoreConfig, MemStorage};
 use sq_vcs::{Patch, RepoPath, Repository};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::thread;
+use std::time::{Duration, Instant};
 
 type Shared = Arc<Mutex<MemStorage>>;
 type Queue = DurableSubmitQueue<DurableStore<Shared>>;
@@ -36,12 +38,28 @@ fn lib_patch(v: u32) -> Patch {
     )
 }
 
-/// Per-ticket disjoint patches: same-base submissions that don't
-/// conflict, so every acked enqueue can land.
+/// `n` one-file library packages: `disjoint_patch(v)` edits package
+/// `v`'s source, so same-base submissions don't conflict (every acked
+/// enqueue can land) and each build has a step.
+fn packages_repo(n: u32) -> Repository {
+    let files: Vec<(String, String)> = (0..n)
+        .flat_map(|v| {
+            [
+                (
+                    format!("pkg{v}/BUILD"),
+                    format!("library(name = \"pkg{v}\", srcs = [\"lib.rs\"])"),
+                ),
+                (format!("pkg{v}/lib.rs"), format!("pub fn f{v}() {{}}")),
+            ]
+        })
+        .collect();
+    Repository::init(files.iter().map(|(p, c)| (p.as_str(), c.as_str()))).unwrap()
+}
+
 fn disjoint_patch(v: u32) -> Patch {
     Patch::write(
-        RepoPath::new(format!("lib/gen_{v}.rs")).unwrap(),
-        format!("pub fn gen_{v}() {{}}"),
+        RepoPath::new(format!("pkg{v}/lib.rs")).unwrap(),
+        format!("pub fn f{v}() {{ /* acked */ }}"),
     )
 }
 
@@ -301,79 +319,136 @@ fn stats_export_is_idempotent_over_the_wire() {
 
 #[test]
 fn graceful_drain_loses_no_acked_enqueues_across_restart() {
-    let storage = shared();
-    let repo = demo_repo();
-    let server = Server::start(
-        open_queue(repo.clone(), &storage),
-        always_pass(),
-        // No processor: every ack is still queued at drain time, the
-        // worst case for durability.
-        ServerConfig {
-            drive_queue: false,
-            ..fast_config()
-        },
-        &[Endpoint::Tcp("127.0.0.1:0".into())],
-    )
-    .unwrap();
-    let mut client = Client::connect_tcp(server.tcp_addr().unwrap()).unwrap();
-    let base = head_of(&mut client);
-    let mut tickets = Vec::new();
-    for v in 0..3 {
-        match client
-            .call(&Request::Enqueue {
-                author: "frank".into(),
-                description: format!("v{v}"),
-                base,
-                patch: disjoint_patch(v),
+    // First pass: no processor and one round trip per enqueue, so every
+    // ack is still queued at drain time, the worst case for durability.
+    // Second pass: the enqueues are pipelined (every send before any
+    // recv) while the processor runs, and the drain comes mid-queue:
+    // builds park until a subscriber has been told the drain began.
+    for pipelined in [false, true] {
+        let n: u32 = if pipelined { 8 } else { 3 };
+        let storage = shared();
+        let parked = Arc::new(AtomicBool::new(pipelined));
+        let action: Box<StepAction> = {
+            let parked = Arc::clone(&parked);
+            Box::new(move |_step, _tree| {
+                // The bound only limits a failure: nobody released us.
+                let start = Instant::now();
+                while parked.load(Ordering::SeqCst) && start.elapsed() < Duration::from_secs(10) {
+                    thread::sleep(Duration::from_millis(1));
+                }
+                StepOutcome::Success
             })
-            .unwrap()
-        {
-            Response::Enqueued { ticket } => tickets.push(ticket),
+        };
+        let server = Server::start(
+            open_queue(packages_repo(n), &storage),
+            action,
+            ServerConfig {
+                drive_queue: pipelined,
+                ..fast_config()
+            },
+            &[Endpoint::Tcp("127.0.0.1:0".into())],
+        )
+        .unwrap();
+        let mut client = Client::connect_tcp(server.tcp_addr().unwrap()).unwrap();
+        let base = head_of(&mut client);
+        let request = |v| Request::Enqueue {
+            author: "frank".into(),
+            description: format!("v{v}"),
+            base,
+            patch: disjoint_patch(v),
+        };
+        let acked = |reply| match reply {
+            Response::Enqueued { ticket } => ticket,
             other => panic!("expected Enqueued, got {other:?}"),
-        }
-    }
-    let (queue, _) = server.shutdown();
-    let exported = queue.export_state_json();
-    let repo_after = queue.repository();
-    drop(queue);
-
-    // "Restart": recover from the same storage, serve again.
-    let recovered = open_queue(repo_after, &storage);
-    assert_eq!(
-        recovered.export_state_json(),
-        exported,
-        "recovery is byte-identical to the drained state"
-    );
-    let server = Server::start(
-        recovered,
-        always_pass(),
-        fast_config(),
-        &[Endpoint::Tcp("127.0.0.1:0".into())],
-    )
-    .unwrap();
-    let mut client = Client::connect_tcp(server.tcp_addr().unwrap()).unwrap();
-    for &t in &tickets {
-        match client
-            .call(&Request::SubscribeVerdict {
-                ticket: t,
+        };
+        let tickets: Vec<u64> = if pipelined {
+            for v in 0..n {
+                client.send(&request(v)).unwrap();
+            }
+            (0..n).map(|_| acked(client.recv().unwrap())).collect()
+        } else {
+            (0..n)
+                .map(|v| acked(client.call(&request(v)).unwrap()))
+                .collect()
+        };
+        // Any reply to a subscription on the last ticket (it cannot land
+        // while the builds are parked) means the drain has begun.
+        let watcher = pipelined.then(|| {
+            let mut watcher = Client::connect_tcp(server.tcp_addr().unwrap()).unwrap();
+            // A round trip first: a worker serves this connection
+            // before the drain begins.
+            head_of(&mut watcher);
+            let ticket = *tickets.last().unwrap();
+            let subscribe = Request::SubscribeVerdict {
+                ticket,
                 timeout_ms: 10_000,
+            };
+            watcher.send(&subscribe).unwrap();
+            let parked = Arc::clone(&parked);
+            thread::spawn(move || {
+                let _ = watcher.recv();
+                parked.store(false, Ordering::SeqCst);
             })
-            .unwrap()
-        {
-            Response::Verdict { state, .. } => assert!(
-                matches!(state, TicketState::Landed(_)),
-                "acked ticket {t} must land after restart"
-            ),
-            other => panic!("expected Verdict, got {other:?}"),
+        });
+        let (queue, _) = server.shutdown();
+        if let Some(watcher) = watcher {
+            watcher.join().unwrap();
+            // Mid-queue: the parked build let at most the first land.
+            for &t in &tickets[1..] {
+                assert_eq!(
+                    queue.status(sq_core::TicketId(t)),
+                    Some(TicketState::Queued),
+                    "acked ticket {t} is queued at the drain"
+                );
+            }
         }
-    }
-    let (queue, _) = server.shutdown();
-    assert_eq!(queue.queue_depth(), 0);
-    for &t in &tickets {
-        assert!(matches!(
-            queue.status(sq_core::TicketId(t)),
-            Some(TicketState::Landed(_))
-        ));
+        let exported = queue.export_state_json();
+        let repo_after = queue.repository();
+        drop(queue);
+
+        // "Restart": recover from the same storage, serve again.
+        let recovered = open_queue(repo_after, &storage);
+        assert_eq!(
+            recovered.export_state_json(),
+            exported,
+            "recovery is byte-identical to the drained state"
+        );
+        let server = Server::start(
+            recovered,
+            always_pass(),
+            fast_config(),
+            &[Endpoint::Tcp("127.0.0.1:0".into())],
+        )
+        .unwrap();
+        let mut client = Client::connect_tcp(server.tcp_addr().unwrap()).unwrap();
+        for &t in &tickets {
+            match client
+                .call(&Request::SubscribeVerdict {
+                    ticket: t,
+                    timeout_ms: 10_000,
+                })
+                .unwrap()
+            {
+                Response::Verdict { state, .. } => assert!(
+                    matches!(state, TicketState::Landed(_)),
+                    "acked ticket {t} must land after restart"
+                ),
+                other => panic!("expected Verdict, got {other:?}"),
+            }
+        }
+        let (queue, _) = server.shutdown();
+        assert_eq!(queue.queue_depth(), 0);
+        for &t in &tickets {
+            assert!(matches!(
+                queue.status(sq_core::TicketId(t)),
+                Some(TicketState::Landed(_))
+            ));
+        }
+        let landed = queue.service().stats().landed;
+        assert_eq!(landed, u64::from(n), "pipelined: {pipelined}");
+        let repo = queue.repository();
+        let commits = repo.log(repo.head()).unwrap().len() as u64;
+        assert_eq!(commits, landed + 1, "one commit per landing, plus the root");
     }
 }
 

@@ -237,14 +237,7 @@ impl<S: Storage> DurableStore<S> {
     /// only a fresh [`DurableStore::open`] can tell.
     pub fn append(&mut self, payload: &[u8]) -> Result<u64, StoreError> {
         let lsn = self.next_lsn;
-        let record = journal::encode_record(lsn, payload);
-        self.storage.append(JOURNAL_FILE, &record)?;
-        self.storage.sync(JOURNAL_FILE)?;
-        self.next_lsn += 1;
-        self.records_since_snapshot += 1;
-        self.stats.appends += 1;
-        self.stats.appended_bytes += record.len() as u64;
-        self.stats.fsyncs += 1;
+        self.append_at(lsn, payload)?;
         Ok(lsn)
     }
 
@@ -259,17 +252,7 @@ impl<S: Storage> DurableStore<S> {
     /// first; records up to its LSN that linger in the journal after a
     /// crash-before-truncate are skipped on replay by their LSN stamp.
     pub fn write_snapshot(&mut self, state: &[u8]) -> Result<(), StoreError> {
-        let covered = self.next_lsn - 1;
-        let encoded = snapshot::encode(covered, state);
-        self.storage.write_atomic(SNAPSHOT_FILE, &encoded)?;
-        self.storage.sync(SNAPSHOT_FILE)?;
-        self.stats.fsyncs += 1;
-        self.storage
-            .truncate(JOURNAL_FILE, journal::MAGIC.len() as u64)?;
-        self.records_since_snapshot = 0;
-        self.stats.snapshots += 1;
-        self.stats.last_snapshot_bytes = encoded.len() as u64;
-        Ok(())
+        self.install_snapshot(self.next_lsn - 1, state)
     }
 
     /// The LSN the next append will carry.

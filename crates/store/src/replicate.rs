@@ -279,13 +279,21 @@ impl<S: Storage> Follower<S> {
         Ok(())
     }
 
-    /// The fence lives on the *medium*, not in this handle: a promotion
-    /// may have gone through another handle over the same storage (the
+    /// Refuse a sender at `epoch` with [`StoreError::Fenced`] when it is
+    /// older than ours or, with `strictly_newer`, not newer. The fence
+    /// lives on the *medium*, not in this handle: a promotion may have
+    /// gone through another handle over the same storage (the
     /// deposed-leader-still-holds-a-link case), so every receive path
     /// re-reads the persisted epoch before judging the sender's.
-    fn refresh_epoch(&mut self) -> Result<(), StoreError> {
+    fn fence(&mut self, epoch: u64, strictly_newer: bool) -> Result<(), StoreError> {
         if let Some(bytes) = self.store.storage.read(META_FILE)? {
             self.epoch = self.epoch.max(decode_meta(&bytes)?);
+        }
+        if epoch < self.epoch || (strictly_newer && epoch == self.epoch) {
+            return Err(StoreError::Fenced {
+                ours: self.epoch,
+                theirs: epoch,
+            });
         }
         Ok(())
     }
@@ -301,13 +309,7 @@ impl<S: Storage> Follower<S> {
     /// exactly (anything else needs a leader-driven resync); re-shipped
     /// records at or below our durable LSN are skipped idempotently.
     pub fn append_batch(&mut self, batch: &ShipBatch) -> Result<u64, StoreError> {
-        self.refresh_epoch()?;
-        if batch.epoch < self.epoch {
-            return Err(StoreError::Fenced {
-                ours: self.epoch,
-                theirs: batch.epoch,
-            });
-        }
+        self.fence(batch.epoch, false)?;
         let durable = self.durable_lsn();
         if batch.epoch > self.epoch {
             if !batch.records.is_empty() && batch.first_lsn != durable + 1 {
@@ -340,13 +342,7 @@ impl<S: Storage> Follower<S> {
         lsn: u64,
         state: &[u8],
     ) -> Result<(), StoreError> {
-        self.refresh_epoch()?;
-        if epoch < self.epoch {
-            return Err(StoreError::Fenced {
-                ours: self.epoch,
-                theirs: epoch,
-            });
-        }
+        self.fence(epoch, false)?;
         if epoch > self.epoch {
             self.persist_epoch(epoch)?;
         }
@@ -356,13 +352,7 @@ impl<S: Storage> Follower<S> {
     /// Erase local state and adopt `epoch`, ahead of a full resync from
     /// a leader with no snapshot to ship.
     pub(crate) fn reset_to_epoch(&mut self, epoch: u64) -> Result<(), StoreError> {
-        self.refresh_epoch()?;
-        if epoch < self.epoch {
-            return Err(StoreError::Fenced {
-                ours: self.epoch,
-                theirs: epoch,
-            });
-        }
+        self.fence(epoch, false)?;
         self.store.reset()?;
         if epoch > self.epoch {
             self.persist_epoch(epoch)?;
@@ -375,13 +365,7 @@ impl<S: Storage> Follower<S> {
     /// leader accepts any work. The coordinator (`core::failover`)
     /// passes max-known-epoch + 1 so successive leaders never collide.
     pub fn promote_to(&mut self, epoch: u64) -> Result<u64, StoreError> {
-        self.refresh_epoch()?;
-        if epoch <= self.epoch {
-            return Err(StoreError::Fenced {
-                ours: self.epoch,
-                theirs: epoch,
-            });
-        }
+        self.fence(epoch, true)?;
         self.persist_epoch(epoch)?;
         Ok(epoch)
     }
@@ -549,6 +533,17 @@ impl<S: Storage + Clone> Leader<S> {
         Ok(())
     }
 
+    /// A deposed leader refuses every append and snapshot.
+    fn refuse_if_fenced(&self) -> Result<(), StoreError> {
+        match self.fenced {
+            Some((epoch, newer)) => Err(StoreError::Fenced {
+                ours: newer,
+                theirs: epoch,
+            }),
+            None => Ok(()),
+        }
+    }
+
     fn ship_to_links(&mut self, lsn: u64, payload: &[u8]) -> Result<(), StoreError> {
         let batch = ShipBatch::new(
             self.epoch,
@@ -649,12 +644,7 @@ impl<S: Storage + Clone> crate::Wal for Leader<S> {
     /// [`DurableStore`]; link failures degrade, they never fail the
     /// append — except a fence, which deposes us.
     fn append(&mut self, payload: &[u8]) -> Result<u64, StoreError> {
-        if let Some((epoch, newer)) = self.fenced {
-            return Err(StoreError::Fenced {
-                ours: newer,
-                theirs: epoch,
-            });
-        }
+        self.refuse_if_fenced()?;
         let lsn = self.local.append(payload)?;
         self.ship_to_links(lsn, payload)?;
         Ok(lsn)
@@ -667,12 +657,7 @@ impl<S: Storage + Clone> crate::Wal for Leader<S> {
     /// Snapshot locally, then install it on every live follower so
     /// their journals compact in step with ours.
     fn write_snapshot(&mut self, state: &[u8]) -> Result<(), StoreError> {
-        if let Some((epoch, newer)) = self.fenced {
-            return Err(StoreError::Fenced {
-                ours: newer,
-                theirs: epoch,
-            });
-        }
+        self.refuse_if_fenced()?;
         let covered = self.local.next_lsn() - 1;
         self.local.write_snapshot(state)?;
         for link in &mut self.links {
