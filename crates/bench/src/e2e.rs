@@ -1,23 +1,19 @@
 //! The machine-readable end-to-end benchmark: the `e2e` suite.
 //!
-//! One seeded run of the whole system — workload synthesis, predictor
-//! training, SubmitQueue planning under an infra-fault model, plus a
-//! real threaded-executor pass for artifact-cache behaviour — distilled
-//! into a single JSON document (`BENCH_e2e.json`). The document is a
-//! pure function of [`E2eParams`]: timestamps are simulated, map keys
-//! are sorted, floats use shortest round-trip formatting, so two
-//! same-seed runs emit byte-identical files and a diff between two
-//! commits is a genuine performance diff.
+//! One seeded run of the whole planner stack — workload synthesis,
+//! predictor training, SubmitQueue planning under an infra-fault model
+//! — distilled into a single JSON document (`BENCH_e2e.json`). The
+//! document is a pure function of [`E2eParams`]: timestamps are
+//! simulated, map keys are sorted, floats use shortest round-trip
+//! formatting, so two same-seed runs emit byte-identical files and a
+//! diff between two commits is a genuine performance diff.
 
 use crate::suite::{pick, Report, Suite};
 use sq_core::planner::{run_simulation_observed, PlannerConfig, SimFaults};
 use sq_core::predict::LearnedPredictor;
 use sq_core::strategy::Strategy;
-use sq_exec::{ArtifactCache, RealExecutor, StepOutcome};
 use sq_obs::{JsonWriter, Observer};
 use sq_workload::{Workload, WorkloadBuilder, WorkloadParams};
-use std::collections::HashSet;
-use std::str::FromStr;
 
 /// Parameters of one end-to-end benchmark run.
 #[derive(Debug, Clone)]
@@ -90,21 +86,14 @@ pub(crate) fn planned_run(
 
 /// Run the end-to-end benchmark and return the JSON document.
 pub fn run_e2e(params: &E2eParams) -> String {
-    // Phase 1: the full planning pipeline under observation — train the
-    // predictor on a disjoint history, replay the workload through the
-    // SubmitQueue strategy with infra faults enabled.
+    // The full planning pipeline under observation: train the predictor
+    // on a disjoint history, replay the workload through the SubmitQueue
+    // strategy with infra faults enabled.
     let (workload, _, predictor, config) = planned_run(params);
     let strategy = Strategy::submit_queue_with(predictor);
     let mut obs = Observer::new();
     let result = run_simulation_observed(&workload, &strategy, &config, &mut obs);
 
-    // Phase 2: the real executor over a small dependency chain, run
-    // twice against one artifact cache: the first pass is all misses,
-    // the second all hits. Only *counts* go into the document — wall
-    // clock never does.
-    let (exec_first, exec_second, cache_stats) = executor_cache_pass();
-
-    // Compose the document.
     let changes = result.records.len().max(1) as f64;
     let (p50, p95, p99) = result.turnaround_p50_p95_p99();
     let needed = obs.metrics.counter("planner.builds_needed");
@@ -150,81 +139,10 @@ pub fn run_e2e(params: &E2eParams) -> String {
     w.field_f64("backoff_mins", result.infra_backoff.as_mins_f64());
     w.field_u64("quarantined", result.quarantined.len() as u64);
     w.end_object();
-    w.key("cache");
-    w.begin_object();
-    w.field_u64("hits", cache_stats.hits);
-    w.field_u64("misses", cache_stats.misses);
-    w.field_f64("hit_rate", cache_stats.hit_rate());
-    w.field_u64("entries", cache_stats.entries as u64);
-    w.field_u64("first_pass_executed", exec_first as u64);
-    w.field_u64("second_pass_cache_hits", exec_second as u64);
-    w.end_object();
     w.key("metrics");
     obs.metrics.write_json(&mut w);
     w.end_object();
     w.finish()
-}
-
-/// Drive the threaded executor over a diamond-shaped build graph twice
-/// against one artifact cache. Returns (steps executed on the first
-/// pass, cache hits on the second pass, final cache statistics) — all
-/// deterministic counts regardless of thread interleaving.
-fn executor_cache_pass() -> (usize, usize, sq_exec::CacheStats) {
-    use sq_build::{BuildGraph, RuleKind, Target, TargetHashes, TargetName};
-    use sq_vcs::{ObjectStore, RepoPath, Tree};
-    let name = |s: &str| TargetName::from_str(s).expect("valid target name");
-    let path = |s: &str| RepoPath::new(s).expect("valid repo path");
-    let mut store = ObjectStore::new();
-    let mut tree = Tree::new();
-    for (p, content) in [
-        ("base/s.rs", "base"),
-        ("left/s.rs", "left"),
-        ("right/s.rs", "right"),
-        ("app/s.rs", "app"),
-    ] {
-        let id = store.put(content.as_bytes().to_vec());
-        tree.insert(path(p), id)
-            .expect("no file is another's directory");
-    }
-    let graph = BuildGraph::from_targets([
-        Target::new(
-            name("//base:base"),
-            RuleKind::Library,
-            vec![path("base/s.rs")],
-            vec![],
-        ),
-        Target::new(
-            name("//left:left"),
-            RuleKind::Library,
-            vec![path("left/s.rs")],
-            vec![name("//base:base")],
-        ),
-        Target::new(
-            name("//right:right"),
-            RuleKind::Library,
-            vec![path("right/s.rs")],
-            vec![name("//base:base")],
-        ),
-        Target::new(
-            name("//app:app"),
-            RuleKind::Test,
-            vec![path("app/s.rs")],
-            vec![name("//left:left"), name("//right:right")],
-        ),
-    ])
-    .expect("acyclic graph");
-    let hashes = TargetHashes::compute(&graph, &tree, &store).expect("hashable");
-    let targets: HashSet<TargetName> = ["//base:base", "//left:left", "//right:right", "//app:app"]
-        .iter()
-        .map(|s| name(s))
-        .collect();
-    let cache = parking_lot::Mutex::new(ArtifactCache::new());
-    let executor = RealExecutor::new(4);
-    let first = executor.execute(&graph, &targets, &hashes, &cache, |_| StepOutcome::Success);
-    let second = executor.execute(&graph, &targets, &hashes, &cache, |_| StepOutcome::Success);
-    assert!(first.is_success() && second.is_success());
-    let stats = cache.lock().stats();
-    (first.executed.len(), second.cache_hits, stats)
 }
 
 /// The `e2e` row of the suite table.
@@ -233,9 +151,8 @@ pub const SUITE: Suite = Suite {
     schema: "sq-bench-e2e/v1",
     keys: &[
         ": params throughput_changes_per_hour sustained_throughput_per_hour",
-        ": turnaround_mins builds_per_change worker_utilization builds infra cache metrics",
+        ": turnaround_mins builds_per_change worker_utilization builds infra metrics",
         "turnaround_mins: mean p50 p95 p99",
-        "cache: hits misses hit_rate",
         "builds: started aborted needed wasted",
     ],
     run: |smoke| {
@@ -269,16 +186,6 @@ impl Report for E2eRun {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn executor_cache_pass_is_deterministic() {
-        let (first, second, stats) = executor_cache_pass();
-        // base/left/right compile + app compile/run-tests = 5 steps.
-        assert_eq!(first, 5);
-        assert_eq!(second, 5);
-        assert_eq!((stats.hits, stats.misses), (5, 5));
-        assert!((stats.hit_rate() - 0.5).abs() < 1e-12);
-    }
 
     #[test]
     fn different_seeds_change_the_document() {

@@ -5,18 +5,17 @@
 //! [`suite`]); `sq-bench fig <figure>...|all [--smoke]` runs rows of the
 //! figure table ([`figures::FIGURES`]).
 //!
-//! | suite         | document (repo root)     | what it measures                          |
-//! |---------------|--------------------------|-------------------------------------------|
-//! | `e2e`         | `BENCH_e2e.json`         | one seeded run of the whole planner stack |
-//! | `lean`        | `BENCH_lean.json`        | lean-speculation ablation matrix          |
-//! | `shard`       | `BENCH_shard.json`       | sharded vs single-queue planner           |
-//! | `scenarios`   | `BENCH_scenarios.json`   | adversarial scenario × strategy matrix    |
-//! | `replication` | `BENCH_replication.json` | WAL shipping + fenced failover            |
-//! | `conflict`    | `BENCH_conflict.json`    | §5.2 index vs name-set reference: counts  |
+//! | suite       | document (repo root)   | what it measures                          |
+//! |-------------|------------------------|-------------------------------------------|
+//! | `e2e`       | `BENCH_e2e.json`       | one seeded run of the whole planner stack |
+//! | `lean`      | `BENCH_lean.json`      | lean-speculation ablation matrix          |
+//! | `shard`     | `BENCH_shard.json`     | sharded vs single-queue planner           |
+//! | `scenarios` | `BENCH_scenarios.json` | adversarial scenario × strategy matrix    |
 //!
-//! Every document is a pure function of its params and is compared byte
-//! for byte with the committed copy; wall-clock numbers live in
-//! `benchmark/`.
+//! Every suite runs the simulator on its simulated clock: no store,
+//! executor or thread. Every document is a pure function of its params
+//! and is compared byte for byte with the committed copy; wall-clock
+//! numbers live in `benchmark/`.
 //!
 //! | figure              | paper figure/claim                                  |
 //! |---------------------|-----------------------------------------------------|
@@ -41,11 +40,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod conflict;
 pub mod e2e;
 pub mod figures;
 pub mod lean;
-pub mod replication;
 pub mod scenarios;
 pub mod shard;
 pub mod suite;
@@ -159,12 +156,6 @@ pub fn strategy_for(
             trained.calibrate_skip_threshold(&training_history(smoke), sq_core::SKIP_MISS_BUDGET)
         },
     )
-}
-
-/// The build action of the suites that measure the queue, not builds:
-/// every step succeeds.
-pub(crate) fn always_pass() -> Box<sq_core::service::StepAction> {
-    Box::new(|_step, _tree| sq_exec::StepOutcome::Success)
 }
 
 /// Run one grid cell.

@@ -65,8 +65,6 @@ pub const SUITES: &[Suite] = &[
     crate::lean::SUITE,
     crate::shard::SUITE,
     crate::scenarios::SUITE,
-    crate::replication::SUITE,
-    crate::conflict::SUITE,
 ];
 
 /// Smoke or standard params.

@@ -35,18 +35,18 @@ fn committed_documents_carry_every_required_key() {
 
 #[test]
 fn one_changed_byte_fails_the_comparison_and_names_the_line() {
-    let path = sq_bench::repo_root().join("BENCH_replication.json");
+    let path = sq_bench::repo_root().join("BENCH_lean.json");
     let committed = std::fs::read_to_string(path).expect("committed document");
     assert_eq!(first_difference(&committed, &committed), None);
-    let key = "\"truncated_bytes\":";
-    let at = committed.find(key).expect("the truncated-bytes counter") + key.len();
+    let key = "\"wrongful_rejections\":";
+    let at = committed.find(key).expect("the wrongful-rejection counter") + key.len();
     let mut changed = committed.clone().into_bytes();
     changed[at] = b'1';
     let changed = String::from_utf8(changed).expect("still ASCII");
     let diff = first_difference(&committed, &changed).expect("documents differ");
     assert!(diff.starts_with(&format!("line 1, byte {at}:")), "{diff}");
     assert!(
-        diff.contains("\"truncated_bytes\":0") && diff.contains("\"truncated_bytes\":1"),
+        diff.contains("\"wrongful_rejections\":0") && diff.contains("\"wrongful_rejections\":1"),
         "{diff}"
     );
     // A truncated document differs where it ends.
@@ -57,10 +57,7 @@ fn one_changed_byte_fails_the_comparison_and_names_the_line() {
 #[test]
 fn usage_errors_exit_2_and_list_the_valid_names() {
     for (args, expected) in [
-        (
-            &["nope"][..],
-            "valid: all e2e lean shard scenarios replication conflict",
-        ),
+        (&["nope"][..], "valid: all e2e lean shard scenarios"),
         (
             &["fig", "fig99"][..],
             "valid: all fig01 fig02 fig05_08 fig09",

@@ -750,15 +750,6 @@ impl<W: Wal> DurableSubmitQueue<W> {
         Ok(())
     }
 
-    /// Drain the queue. Returns how many process steps ran.
-    pub fn run_until_idle(&self, action: &StepAction) -> Result<usize, StoreError> {
-        let mut processed = 0;
-        while self.process_next(action)?.is_some() {
-            processed += 1;
-        }
-        Ok(processed)
-    }
-
     /// The state of a change.
     pub fn status(&self, ticket: TicketId) -> Option<TicketState> {
         self.service.status(ticket)
@@ -867,6 +858,11 @@ mod tests {
 
     fn always_pass() -> Box<StepAction> {
         Box::new(|_step, _tree| StepOutcome::Success)
+    }
+
+    fn drain<W: Wal>(dq: &DurableSubmitQueue<W>) {
+        let action = always_pass();
+        while dq.process_next(&action).unwrap().is_some() {}
     }
 
     fn demo_repo() -> Repository {
@@ -984,7 +980,7 @@ mod tests {
         let storage = shared(CrashPlan::none());
         let dq = open(demo_repo(), &storage);
         let t = dq.submit("alice", "v1", dq.head(), lib_patch(1)).unwrap();
-        dq.run_until_idle(&always_pass()).unwrap();
+        drain(&dq);
         assert!(matches!(dq.status(t), Some(TicketState::Landed(_))));
         let exported = dq.export_state_json();
         let repo = dq.repository();
@@ -1004,7 +1000,7 @@ mod tests {
         drop(dq);
         let dq2 = open(repo, &storage);
         assert_eq!(dq2.status(t), Some(TicketState::Queued));
-        dq2.run_until_idle(&always_pass()).unwrap();
+        drain(&dq2);
         match dq2.status(t) {
             Some(TicketState::Landed(c)) => assert_eq!(dq2.head(), c),
             other => panic!("expected landed, got {other:?}"),
@@ -1033,7 +1029,7 @@ mod tests {
         storage.lock().unwrap().revive();
         let dq2 = open(repo, &storage);
         assert_eq!(dq2.status(t), Some(TicketState::Queued));
-        dq2.run_until_idle(&always_pass()).unwrap();
+        drain(&dq2);
         match dq2.status(t) {
             // EmptyCommit path: landed at the existing commit.
             Some(TicketState::Landed(c)) => assert_eq!(c, dq2.head()),
@@ -1094,7 +1090,7 @@ mod tests {
         let dq2 = open(repo, &storage);
         // Journaled-but-unacked: the submission IS durable.
         assert_eq!(dq2.status(TicketId(1)), Some(TicketState::Queued));
-        dq2.run_until_idle(&always_pass()).unwrap();
+        drain(&dq2);
         assert!(matches!(
             dq2.status(TicketId(1)),
             Some(TicketState::Landed(_))
@@ -1109,20 +1105,23 @@ mod tests {
             2,
             RecoveryConfig::disabled(),
             storage.clone(),
-            DurableStoreConfig::with_snapshot_every(3),
+            // Not a multiple of a change's three appends, so the cadence
+            // comes due at submits and at verdicts alike.
+            DurableStoreConfig { snapshot_every: 4 },
         )
         .unwrap();
         for v in 0..4 {
             dq.submit("alice", format!("v{v}"), dq.head(), lib_patch(v))
                 .unwrap();
-            dq.run_until_idle(&always_pass()).unwrap();
+            drain(&dq);
         }
-        assert!(dq.store_stats().snapshots >= 1);
+        assert_eq!(dq.store_stats().snapshots, 2);
         let exported = dq.export_state_json();
         let repo = dq.repository();
         drop(dq);
         let dq2 = open(repo, &storage);
         assert_eq!(dq2.export_state_json(), exported);
+        assert_eq!(dq2.store_stats().replayed_records, 3);
     }
 
     #[test]
@@ -1130,7 +1129,7 @@ mod tests {
         let storage = shared(CrashPlan::none());
         let dq = open(demo_repo(), &storage);
         dq.submit("alice", "v1", dq.head(), lib_patch(1)).unwrap();
-        dq.run_until_idle(&always_pass()).unwrap();
+        drain(&dq);
         let mut metrics = MetricsRegistry::new();
         dq.record_into(&mut metrics);
         // One landed change costs the three appends of the op-ordinal
@@ -1149,7 +1148,7 @@ mod tests {
         let storage = shared(CrashPlan::none());
         let dq = open(demo_repo(), &storage);
         dq.submit("alice", "v1", dq.head(), lib_patch(1)).unwrap();
-        dq.run_until_idle(&always_pass()).unwrap();
+        drain(&dq);
         sq_obs::assert_idempotent_export(|m| dq.record_into(m));
     }
 }

@@ -188,6 +188,11 @@ mod tests {
         Box::new(|_step, _tree| StepOutcome::Success)
     }
 
+    fn drain(dq: &DurableSubmitQueue<Leader<Shared>>) {
+        let action = always_pass();
+        while dq.process_next(&action).unwrap().is_some() {}
+    }
+
     fn demo_repo() -> Repository {
         Repository::init([
             ("lib/BUILD", "library(name = \"lib\", srcs = [\"l.rs\"])"),
@@ -204,11 +209,13 @@ mod tests {
     }
 
     fn cfg() -> DurableStoreConfig {
-        DurableStoreConfig::with_snapshot_every(u64::MAX)
+        DurableStoreConfig {
+            snapshot_every: u64::MAX,
+        }
     }
 
-    fn repl(mode: AckMode) -> ReplicationConfig {
-        ReplicationConfig::with_ack_mode(mode)
+    fn repl(ack_mode: AckMode) -> ReplicationConfig {
+        ReplicationConfig { ack_mode }
     }
 
     fn open_two_follower_leader(
@@ -231,21 +238,30 @@ mod tests {
 
     #[test]
     fn replicated_queue_lands_changes_and_stays_healthy() {
-        let (dq, _ls, _f1, _f2) = open_two_follower_leader(AckMode::Quorum);
-        let t = dq.submit("alice", "v1", dq.head(), lib_patch(1)).unwrap();
-        dq.run_until_idle(&always_pass()).unwrap();
-        assert!(matches!(dq.status(t), Some(TicketState::Landed(_))));
-        assert_eq!(dq.epoch(), 1);
-        let stats = dq.replication_stats();
-        assert!(stats.ships >= 6, "3 batches x 2 followers, got {stats:?}");
-        assert_eq!((stats.degraded_acks, stats.link_drops), (0, 0));
+        for mode in [AckMode::Async, AckMode::Quorum] {
+            let (dq, _ls, _f1, _f2) = open_two_follower_leader(mode);
+            let t = dq.submit("alice", "v1", dq.head(), lib_patch(1)).unwrap();
+            drain(&dq);
+            assert!(matches!(dq.status(t), Some(TicketState::Landed(_))));
+            assert_eq!(dq.epoch(), 1);
+            let stats = dq.replication_stats();
+            // One frame per journal batch (enqueue, speculation start,
+            // verdict) to each of two followers, in either ack mode; the
+            // bytes pin the ship frame's size.
+            assert_eq!(
+                (stats.ships, stats.shipped_records, stats.shipped_bytes),
+                (6, 6, 704),
+                "{mode:?}"
+            );
+            assert_eq!((stats.degraded_acks, stats.link_drops), (0, 0));
+        }
     }
 
     #[test]
     fn promoted_follower_serves_identical_state_and_fences_the_dead_leader() {
         let (dq, ls, f1, f2) = open_two_follower_leader(AckMode::Quorum);
         let t1 = dq.submit("alice", "v1", dq.head(), lib_patch(1)).unwrap();
-        dq.run_until_idle(&always_pass()).unwrap();
+        drain(&dq);
         let t2 = dq.submit("bob", "v2", dq.head(), lib_patch(2)).unwrap();
         let exported = dq.export_state_json();
         let repo = dq.repository();
@@ -269,13 +285,14 @@ mod tests {
         .unwrap();
         assert_eq!(report.epoch, 2);
         assert_eq!(report.durable_lsn, candidate.durable_lsn);
+        assert_eq!((report.durable_lsn, report.replayed_records), (4, 4));
         assert_eq!(report.truncated_bytes, 0);
         // Zero acked enqueues lost: the promoted replica's export is
         // byte-identical to the dead leader's last acknowledged state.
         assert_eq!(promoted.export_state_json(), exported);
         assert!(matches!(promoted.status(t1), Some(TicketState::Landed(_))));
         assert_eq!(promoted.status(t2), Some(TicketState::Queued));
-        promoted.run_until_idle(&always_pass()).unwrap();
+        drain(&promoted);
         assert!(matches!(promoted.status(t2), Some(TicketState::Landed(_))));
 
         // The dead leader restarts at its old epoch and tries to serve:
@@ -338,7 +355,7 @@ mod tests {
                 .set_plan(CrashPlan::at_op(ops, CrashKind::Torn));
         }
         let t = dq.submit("alice", "v1", dq.head(), lib_patch(1)).unwrap();
-        dq.run_until_idle(&always_pass()).unwrap();
+        drain(&dq);
         assert!(matches!(dq.status(t), Some(TicketState::Landed(_))));
         let stats = dq.replication_stats();
         assert_eq!(stats.link_drops, 2);
@@ -385,7 +402,7 @@ mod tests {
         .unwrap();
         assert_eq!(report.epoch, 2);
         assert_eq!(promoted.status(t), Some(TicketState::Queued));
-        promoted.run_until_idle(&always_pass()).unwrap();
+        drain(&promoted);
         match promoted.status(t) {
             Some(TicketState::Landed(c)) => assert_eq!(c, promoted.head()),
             other => panic!("expected landed, got {other:?}"),

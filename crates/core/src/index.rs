@@ -151,24 +151,6 @@ impl ConflictMatrix {
         debug_assert!(i < j && j < self.n);
         self.words[i * self.words_per_row + j / 64] |= 1u64 << (j % 64);
     }
-
-    /// Number of conflicting pairs.
-    pub fn conflict_count(&self) -> u64 {
-        self.words.iter().map(|w| u64::from(w.count_ones())).sum()
-    }
-
-    /// Canonical byte serialization: the window size followed by the
-    /// packed rows, little-endian. Two matrices over the same window are
-    /// equal iff their bytes are equal — this is what the `conflict`
-    /// suite's reference-vs-index gate compares.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(8 + self.words.len() * 8);
-        out.extend_from_slice(&(self.n as u64).to_le_bytes());
-        for w in &self.words {
-            out.extend_from_slice(&w.to_le_bytes());
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -182,6 +164,10 @@ mod tests {
     /// Change k's bitset: parts {k, k+1} — consecutive ids conflict.
     fn chain_bits(id: ChangeId) -> BitSet {
         [id.0 as u32, id.0 as u32 + 1].into_iter().collect()
+    }
+
+    fn conflicts(m: &ConflictMatrix) -> u64 {
+        m.words.iter().map(|w| u64::from(w.count_ones())).sum()
     }
 
     fn ensured_index(n: u64) -> ConflictIndex {
@@ -223,7 +209,7 @@ mod tests {
         let mut ix = ensured_index(n);
         let serial = ix.matrix_serial(&ids(n));
         // The chain structure: exactly n-1 conflicting pairs.
-        assert_eq!(serial.conflict_count(), n - 1);
+        assert_eq!(conflicts(&serial), n - 1);
         // Row 0 holds exactly the pair (0, 1).
         assert_eq!(serial.words[0], 1 << 1);
         assert_eq!(
@@ -237,10 +223,66 @@ mod tests {
     fn empty_and_single_windows_are_fine() {
         let mut ix = ensured_index(1);
         let m0 = ix.matrix_serial(&[]);
-        assert_eq!(m0.to_bytes(), ConflictMatrix::new(0).to_bytes());
+        assert_eq!(m0, ConflictMatrix::new(0));
         let m1 = ix.matrix_serial(&ids(1));
-        assert_eq!(m1.n, 1);
-        assert_eq!(m1.conflict_count(), 0);
+        assert_eq!(m1, ConflictMatrix::new(1));
+    }
+
+    /// The §5.2 Step-2 relation by its definition, on a generated
+    /// workload: a pair conflicts iff the two changes' affected target
+    /// names overlap. Fed interned bitsets, the index must build the
+    /// same matrix as the name sets; the conflicting pairs are pinned.
+    #[test]
+    fn matrix_serial_equals_the_name_set_reference_on_generated_windows() {
+        use sq_build::{AffectedSet, Interner, SnapshotAnalysis, TargetName};
+        use sq_workload::repo_model::MaterializedRepo;
+        use sq_workload::{WorkloadBuilder, WorkloadParams};
+        use std::collections::HashSet;
+
+        let windows = [(64, 430), (256, 7_894)];
+        let mut params = WorkloadParams::ios();
+        params.n_parts = 128;
+        let m = MaterializedRepo::generate(&params).unwrap();
+        let workload = WorkloadBuilder::new(params)
+            .seed(0x5EED)
+            .n_changes(1024)
+            .build()
+            .unwrap();
+        // One affected set per change against the materialised mainline.
+        let mut store = m.repo.store().clone();
+        let base_tree = m.repo.head_tree().unwrap();
+        let base = SnapshotAnalysis::analyze(&base_tree, &store).unwrap();
+        let changes = &workload.changes[..256];
+        let affected: Vec<AffectedSet> = changes
+            .iter()
+            .map(|c| {
+                let tree = m.patch_for(c).apply(&base_tree, &mut store).unwrap();
+                AffectedSet::between(&base, &SnapshotAnalysis::analyze(&tree, &store).unwrap())
+            })
+            .collect();
+        let names: Vec<HashSet<&TargetName>> = affected
+            .iter()
+            .map(|set| set.iter().map(|(t, _)| t).collect())
+            .collect();
+        let mut interner = Interner::new();
+        let mut ix = ConflictIndex::new(TrunkHash(1));
+        for (c, set) in changes.iter().zip(&affected) {
+            let bits = set.iter().map(|(t, _)| interner.intern(t)).collect();
+            ix.ensure_with(c.id, || bits);
+        }
+        let ids: Vec<ChangeId> = changes.iter().map(|c| c.id).collect();
+        for (n, pinned) in windows {
+            let mut reference = ConflictMatrix::new(n);
+            for i in 0..n {
+                for j in (i + 1)..n {
+                    if !names[i].is_disjoint(&names[j]) {
+                        reference.set(i, j);
+                    }
+                }
+            }
+            assert_eq!(ix.matrix_serial(&ids[..n]), reference, "window {n}");
+            assert_eq!(conflicts(&reference), pinned, "window {n}");
+        }
     }
 
     #[test]

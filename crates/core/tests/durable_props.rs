@@ -338,7 +338,7 @@ proptest! {
             script_recovery(),
         ));
         let storage: Shared = Arc::new(Mutex::new(MemStorage::new()));
-        let config = DurableStoreConfig::with_snapshot_every(snapshot_every);
+        let config = DurableStoreConfig { snapshot_every };
         let durable = Arc::new(
             DurableSubmitQueue::open(
                 script_repo(),

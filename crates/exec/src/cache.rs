@@ -34,18 +34,6 @@ pub struct CacheStats {
     pub entries: usize,
 }
 
-impl CacheStats {
-    /// Hit rate in [0, 1]; 0 when no lookups happened.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
 /// A content-keyed artifact cache.
 #[derive(Debug, Clone, Default)]
 pub struct ArtifactCache {
@@ -149,7 +137,6 @@ mod tests {
         assert_eq!(cache.lookup(h, StepKind::Compile), Some(id));
         let s = cache.stats();
         assert_eq!((s.hits, s.misses, s.entries), (1, 1, 1));
-        assert!((s.hit_rate() - 0.5).abs() < 1e-12);
     }
 
     #[test]
@@ -179,12 +166,6 @@ mod tests {
         let b = cache.insert(h, StepKind::Compile);
         assert_eq!(a, b);
         assert_eq!(cache.stats().entries, 1);
-    }
-
-    #[test]
-    fn empty_hit_rate_is_zero() {
-        let cache = ArtifactCache::new();
-        assert_eq!(cache.stats().hit_rate(), 0.0);
     }
 
     #[test]

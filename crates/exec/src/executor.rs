@@ -135,31 +135,12 @@ impl RealExecutor {
     /// * `action` runs each step; it must be thread-safe. Steps of one
     ///   target run sequentially; distinct ready targets run in parallel.
     /// * Steps whose `(target hash, step kind)` is cached are skipped.
-    ///
-    /// Infra failures are not retried (policy bound 1); use
-    /// [`Self::execute_with_recovery`] to tolerate flaky steps.
-    pub fn execute<F>(
-        &self,
-        graph: &BuildGraph,
-        targets: &HashSet<TargetName>,
-        hashes: &TargetHashes,
-        cache: &Mutex<ArtifactCache>,
-        action: F,
-    ) -> ExecReport
-    where
-        F: Fn(&BuildStep) -> StepOutcome + Sync,
-    {
-        self.execute_with_recovery(graph, targets, hashes, cache, &RetryPolicy::none(), action)
-    }
-
-    /// [`Self::execute`], retrying infra-failed steps under `policy`.
-    ///
-    /// A step that returns [`StepOutcome::InfraFailure`] is re-run up
-    /// to the policy's attempt bound, with each retry's deterministic
-    /// backoff charged to the report (not slept — wall clock stays
-    /// fast; the simulator accounts the latency). Genuine failures are
-    /// never retried. A step whose final outcome is not success never
-    /// reaches the artifact cache.
+    /// * A step that returns [`StepOutcome::InfraFailure`] is re-run up
+    ///   to `policy`'s attempt bound ([`RetryPolicy::none`]: never),
+    ///   with each retry's deterministic backoff charged to the report
+    ///   (not slept — wall clock stays fast; the simulator accounts the
+    ///   latency). Genuine failures are never retried. A step whose
+    ///   final outcome is not success never reaches the artifact cache.
     pub fn execute_with_recovery<F>(
         &self,
         graph: &BuildGraph,
@@ -452,8 +433,14 @@ mod tests {
     fn executes_all_steps_in_dependency_order() {
         let (graph, hashes, targets) = fixture();
         let cache = Mutex::new(ArtifactCache::new());
-        let report = RealExecutor::new(4)
-            .execute(&graph, &targets, &hashes, &cache, |_| StepOutcome::Success);
+        let report = RealExecutor::new(4).execute_with_recovery(
+            &graph,
+            &targets,
+            &hashes,
+            &cache,
+            &RetryPolicy::none(),
+            |_| StepOutcome::Success,
+        );
         assert!(report.is_success());
         // a, b, d: 1 compile each; c: compile + run-tests = 5 steps.
         assert_eq!(report.executed.len(), 5);
@@ -488,17 +475,24 @@ mod tests {
         let targets: HashSet<TargetName> = [n("//a:a"), n("//b:b")].into_iter().collect();
         let cache = Mutex::new(ArtifactCache::new());
         let started = AtomicUsize::new(0);
-        let report = RealExecutor::new(2).execute(&graph, &targets, &hashes, &cache, |_| {
-            started.fetch_add(1, Ordering::SeqCst);
-            // Wait (bounded) for the sibling to start too.
-            for _ in 0..10_000 {
-                if started.load(Ordering::SeqCst) >= 2 {
-                    return StepOutcome::Success;
+        let report = RealExecutor::new(2).execute_with_recovery(
+            &graph,
+            &targets,
+            &hashes,
+            &cache,
+            &RetryPolicy::none(),
+            |_| {
+                started.fetch_add(1, Ordering::SeqCst);
+                // Wait (bounded) for the sibling to start too.
+                for _ in 0..10_000 {
+                    if started.load(Ordering::SeqCst) >= 2 {
+                        return StepOutcome::Success;
+                    }
+                    std::thread::yield_now();
                 }
-                std::thread::yield_now();
-            }
-            StepOutcome::Failure("sibling never started: no parallelism".into())
-        });
+                StepOutcome::Failure("sibling never started: no parallelism".into())
+            },
+        );
         assert!(report.is_success(), "failure: {:?}", report.failure);
     }
 
@@ -506,13 +500,20 @@ mod tests {
     fn failure_stops_dependents() {
         let (graph, hashes, targets) = fixture();
         let cache = Mutex::new(ArtifactCache::new());
-        let report = RealExecutor::new(2).execute(&graph, &targets, &hashes, &cache, |step| {
-            if step.target == n("//b:b") {
-                StepOutcome::Failure("compile error".into())
-            } else {
-                StepOutcome::Success
-            }
-        });
+        let report = RealExecutor::new(2).execute_with_recovery(
+            &graph,
+            &targets,
+            &hashes,
+            &cache,
+            &RetryPolicy::none(),
+            |step| {
+                if step.target == n("//b:b") {
+                    StepOutcome::Failure("compile error".into())
+                } else {
+                    StepOutcome::Success
+                }
+            },
+        );
         assert!(!report.is_success());
         let (failed_step, reason) = report.failure.as_ref().unwrap();
         assert_eq!(failed_step.target, n("//b:b"));
@@ -525,12 +526,24 @@ mod tests {
     fn cache_skips_previously_built_targets() {
         let (graph, hashes, targets) = fixture();
         let cache = Mutex::new(ArtifactCache::new());
-        let r1 = RealExecutor::new(2)
-            .execute(&graph, &targets, &hashes, &cache, |_| StepOutcome::Success);
+        let r1 = RealExecutor::new(2).execute_with_recovery(
+            &graph,
+            &targets,
+            &hashes,
+            &cache,
+            &RetryPolicy::none(),
+            |_| StepOutcome::Success,
+        );
         assert_eq!(r1.executed.len(), 5);
         // Second run: everything cached.
-        let r2 = RealExecutor::new(2)
-            .execute(&graph, &targets, &hashes, &cache, |_| StepOutcome::Success);
+        let r2 = RealExecutor::new(2).execute_with_recovery(
+            &graph,
+            &targets,
+            &hashes,
+            &cache,
+            &RetryPolicy::none(),
+            |_| StepOutcome::Success,
+        );
         assert_eq!(r2.executed.len(), 0);
         assert_eq!(r2.cache_hits, 5);
     }
@@ -542,8 +555,14 @@ mod tests {
         // immediately ready (the caller vouches b is up to date).
         let targets: HashSet<TargetName> = [n("//c:c")].into_iter().collect();
         let cache = Mutex::new(ArtifactCache::new());
-        let report = RealExecutor::new(1)
-            .execute(&graph, &targets, &hashes, &cache, |_| StepOutcome::Success);
+        let report = RealExecutor::new(1).execute_with_recovery(
+            &graph,
+            &targets,
+            &hashes,
+            &cache,
+            &RetryPolicy::none(),
+            |_| StepOutcome::Success,
+        );
         assert!(report.is_success());
         assert_eq!(report.executed.len(), 2); // compile + run-tests
     }
@@ -716,40 +735,47 @@ mod tests {
         let s_started = AtomicBool::new(false);
         let f_failed = AtomicBool::new(false);
         let dispatched_after_failure = AtomicUsize::new(0);
-        let report = RealExecutor::new(2).execute(&graph, &targets, &hashes, &cache, |step| {
-            if step.target == n("//f:f") {
-                // Wait until the sibling is genuinely in flight, then fail.
-                for _ in 0..100_000 {
-                    if s_started.load(Ordering::SeqCst) {
-                        break;
+        let report = RealExecutor::new(2).execute_with_recovery(
+            &graph,
+            &targets,
+            &hashes,
+            &cache,
+            &RetryPolicy::none(),
+            |step| {
+                if step.target == n("//f:f") {
+                    // Wait until the sibling is genuinely in flight, then fail.
+                    for _ in 0..100_000 {
+                        if s_started.load(Ordering::SeqCst) {
+                            break;
+                        }
+                        std::thread::yield_now();
                     }
-                    std::thread::yield_now();
-                }
-                f_failed.store(true, Ordering::SeqCst);
-                StepOutcome::Failure("first failure".into())
-            } else if step.target == n("//s:s") {
-                s_started.store(true, Ordering::SeqCst);
-                // Drain window: linger until the failure has been
-                // delivered, giving a buggy scheduler every chance to
-                // dispatch p1/p2 behind our back.
-                for _ in 0..100_000 {
+                    f_failed.store(true, Ordering::SeqCst);
+                    StepOutcome::Failure("first failure".into())
+                } else if step.target == n("//s:s") {
+                    s_started.store(true, Ordering::SeqCst);
+                    // Drain window: linger until the failure has been
+                    // delivered, giving a buggy scheduler every chance to
+                    // dispatch p1/p2 behind our back.
+                    for _ in 0..100_000 {
+                        if f_failed.load(Ordering::SeqCst) {
+                            break;
+                        }
+                        std::thread::yield_now();
+                    }
+                    for _ in 0..1_000 {
+                        std::thread::yield_now();
+                    }
+                    StepOutcome::Success
+                } else {
+                    // p1/p2 must never be dispatched.
                     if f_failed.load(Ordering::SeqCst) {
-                        break;
+                        dispatched_after_failure.fetch_add(1, Ordering::SeqCst);
                     }
-                    std::thread::yield_now();
+                    StepOutcome::Success
                 }
-                for _ in 0..1_000 {
-                    std::thread::yield_now();
-                }
-                StepOutcome::Success
-            } else {
-                // p1/p2 must never be dispatched.
-                if f_failed.load(Ordering::SeqCst) {
-                    dispatched_after_failure.fetch_add(1, Ordering::SeqCst);
-                }
-                StepOutcome::Success
-            }
-        });
+            },
+        );
         assert!(!report.is_success());
         assert_eq!(report.failure.as_ref().unwrap().0.target, n("//f:f"));
         // The in-flight target drained to completion...
@@ -770,9 +796,14 @@ mod tests {
     fn empty_target_set() {
         let (graph, hashes, _) = fixture();
         let cache = Mutex::new(ArtifactCache::new());
-        let report = RealExecutor::new(2).execute(&graph, &HashSet::new(), &hashes, &cache, |_| {
-            StepOutcome::Success
-        });
+        let report = RealExecutor::new(2).execute_with_recovery(
+            &graph,
+            &HashSet::new(),
+            &hashes,
+            &cache,
+            &RetryPolicy::none(),
+            |_| StepOutcome::Success,
+        );
         assert!(report.is_success());
         assert!(report.executed.is_empty());
     }

@@ -251,7 +251,7 @@ proptest! {
         // exactly the steps the first one executed and runs the rest.
         prop_assert_eq!(cache.lock().stats().entries, report.executed.len());
         let rerun = RealExecutor::new(threads)
-            .execute(&graph, &targets, &hashes, &cache, |_| StepOutcome::Success);
+            .execute_with_recovery(&graph, &targets, &hashes, &cache, &RetryPolicy::none(), |_| StepOutcome::Success);
         prop_assert!(rerun.is_success());
         prop_assert_eq!(rerun.cache_hits, report.executed.len());
         prop_assert_eq!(rerun.executed.len(), total - report.executed.len());
@@ -272,10 +272,17 @@ fn a_chain_runs_on_one_worker_without_waking_the_others() {
     for run in 0..25 {
         let cache = Mutex::new(ArtifactCache::new());
         let ran_on: Mutex<HashSet<ThreadId>> = Mutex::new(HashSet::new());
-        let report = RealExecutor::new(THREADS).execute(&graph, &targets, &hashes, &cache, |_| {
-            ran_on.lock().insert(std::thread::current().id());
-            StepOutcome::Success
-        });
+        let report = RealExecutor::new(THREADS).execute_with_recovery(
+            &graph,
+            &targets,
+            &hashes,
+            &cache,
+            &RetryPolicy::none(),
+            |_| {
+                ran_on.lock().insert(std::thread::current().id());
+                StepOutcome::Success
+            },
+        );
         assert!(report.is_success());
         assert_eq!(report.executed.len(), LINKS);
         for (i, step) in report.executed.iter().enumerate() {
@@ -306,17 +313,26 @@ fn a_fan_out_wakes_one_worker_per_surplus_target() {
     let (graph, hashes, targets) = libraries(&deps);
     let cache = Mutex::new(ArtifactCache::new());
     let leaves = Rendezvous::new(LEAVES);
-    let report = RealExecutor::new(LEAVES).execute(&graph, &targets, &hashes, &cache, |step| {
-        if step.target == name(0) {
-            // Give the seven helpers time to find nothing and park.
-            std::thread::sleep(Duration::from_millis(20));
-            StepOutcome::Success
-        } else if leaves.meet() {
-            StepOutcome::Success
-        } else {
-            StepOutcome::Failure("a leaf's siblings never started: a worker stayed parked".into())
-        }
-    });
+    let report = RealExecutor::new(LEAVES).execute_with_recovery(
+        &graph,
+        &targets,
+        &hashes,
+        &cache,
+        &RetryPolicy::none(),
+        |step| {
+            if step.target == name(0) {
+                // Give the seven helpers time to find nothing and park.
+                std::thread::sleep(Duration::from_millis(20));
+                StepOutcome::Success
+            } else if leaves.meet() {
+                StepOutcome::Success
+            } else {
+                StepOutcome::Failure(
+                    "a leaf's siblings never started: a worker stayed parked".into(),
+                )
+            }
+        },
+    );
     assert!(report.is_success(), "failure: {:?}", report.failure);
     assert_eq!(report.executed.len(), LEAVES + 1);
     assert_eq!(report.executed[0].target, name(0));
@@ -331,18 +347,25 @@ fn a_failure_wakes_every_parked_worker() {
     for red in [true, false] {
         let cache = Mutex::new(ArtifactCache::new());
         let started = Instant::now();
-        let report = RealExecutor::new(4).execute(&graph, &targets, &hashes, &cache, |step| {
-            assert_eq!(step.target, name(0), "a dependent of the failed target ran");
-            std::thread::sleep(Duration::from_millis(20));
-            if red {
-                StepOutcome::Failure("red".into())
-            } else {
-                StepOutcome::InfraFailure(InfraFault {
-                    kind: InfraFaultKind::WorkerCrash,
-                    attempt: 1,
-                })
-            }
-        });
+        let report = RealExecutor::new(4).execute_with_recovery(
+            &graph,
+            &targets,
+            &hashes,
+            &cache,
+            &RetryPolicy::none(),
+            |step| {
+                assert_eq!(step.target, name(0), "a dependent of the failed target ran");
+                std::thread::sleep(Duration::from_millis(20));
+                if red {
+                    StepOutcome::Failure("red".into())
+                } else {
+                    StepOutcome::InfraFailure(InfraFault {
+                        kind: InfraFaultKind::WorkerCrash,
+                        attempt: 1,
+                    })
+                }
+            },
+        );
         assert_eq!(report.failure.is_some(), red);
         assert_eq!(report.infra_failure.is_some(), !red);
         assert!(report.executed.is_empty());
@@ -358,10 +381,17 @@ fn a_panicking_action_unparks_the_workers_and_reaches_the_caller() {
     let (graph, hashes, targets) = libraries(&[vec![], vec![0], vec![0]]);
     let cache = Mutex::new(ArtifactCache::new());
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        RealExecutor::new(3).execute(&graph, &targets, &hashes, &cache, |_| {
-            std::thread::sleep(Duration::from_millis(20));
-            panic!("step action panicked (expected by this test)")
-        })
+        RealExecutor::new(3).execute_with_recovery(
+            &graph,
+            &targets,
+            &hashes,
+            &cache,
+            &RetryPolicy::none(),
+            |_| {
+                std::thread::sleep(Duration::from_millis(20));
+                panic!("step action panicked (expected by this test)")
+            },
+        )
     }));
     assert!(outcome.is_err());
 }

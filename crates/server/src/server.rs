@@ -675,7 +675,9 @@ mod tests {
             1,
             RecoveryConfig::disabled(),
             Arc::new(Mutex::new(MemStorage::new())),
-            DurableStoreConfig::with_snapshot_every(u64::MAX),
+            DurableStoreConfig {
+                snapshot_every: u64::MAX,
+            },
         )
         .unwrap();
         let shared = Shared::new(

@@ -69,7 +69,9 @@ fn open_queue(repo: Repository, storage: &Shared) -> Queue {
         2,
         RecoveryConfig::disabled(),
         storage.clone(),
-        DurableStoreConfig::with_snapshot_every(u64::MAX),
+        DurableStoreConfig {
+            snapshot_every: u64::MAX,
+        },
     )
     .unwrap()
 }

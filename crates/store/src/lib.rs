@@ -85,13 +85,6 @@ impl Default for DurableStoreConfig {
     }
 }
 
-impl DurableStoreConfig {
-    /// An explicit snapshot cadence.
-    pub fn with_snapshot_every(snapshot_every: u64) -> Self {
-        DurableStoreConfig { snapshot_every }
-    }
-}
-
 /// Everything recovered by [`DurableStore::open`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Recovery {
@@ -369,8 +362,8 @@ mod tests {
         Arc::new(Mutex::new(MemStorage::with_crashes(plan)))
     }
 
-    fn open(s: &Shared, every: u64) -> (DurableStore<Shared>, Recovery) {
-        DurableStore::open(s.clone(), DurableStoreConfig::with_snapshot_every(every)).unwrap()
+    fn open(s: &Shared, snapshot_every: u64) -> (DurableStore<Shared>, Recovery) {
+        DurableStore::open(s.clone(), DurableStoreConfig { snapshot_every }).unwrap()
     }
 
     #[test]
@@ -513,7 +506,7 @@ mod tests {
         {
             let fs = FsStorage::open(&root).unwrap();
             let (mut store, _) =
-                DurableStore::open(fs, DurableStoreConfig::with_snapshot_every(2)).unwrap();
+                DurableStore::open(fs, DurableStoreConfig { snapshot_every: 2 }).unwrap();
             store.append(b"one").unwrap();
             store.append(b"two").unwrap();
             assert!(store.should_snapshot());

@@ -92,13 +92,6 @@ impl Default for ReplicationConfig {
     }
 }
 
-impl ReplicationConfig {
-    /// Defaults with an explicit ack mode.
-    pub fn with_ack_mode(ack_mode: AckMode) -> Self {
-        ReplicationConfig { ack_mode }
-    }
-}
-
 fn encode_meta(epoch: u64) -> Vec<u8> {
     let mut out = Vec::with_capacity(META_MAGIC.len() + 12);
     out.extend_from_slice(META_MAGIC);
@@ -703,18 +696,14 @@ mod tests {
         Arc::new(Mutex::new(MemStorage::new()))
     }
 
-    fn cfg(every: u64) -> DurableStoreConfig {
-        DurableStoreConfig::with_snapshot_every(every)
+    fn cfg(snapshot_every: u64) -> DurableStoreConfig {
+        DurableStoreConfig { snapshot_every }
     }
 
     fn leader(s: &Shared, every: u64, mode: AckMode) -> Leader<Shared> {
-        Leader::open(
-            s.clone(),
-            cfg(every),
-            ReplicationConfig::with_ack_mode(mode),
-        )
-        .unwrap()
-        .0
+        Leader::open(s.clone(), cfg(every), ReplicationConfig { ack_mode: mode })
+            .unwrap()
+            .0
     }
 
     fn replay_payloads(s: &Shared) -> Vec<Vec<u8>> {

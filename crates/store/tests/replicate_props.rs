@@ -19,11 +19,15 @@ fn fresh() -> Shared {
 }
 
 fn store_cfg() -> DurableStoreConfig {
-    DurableStoreConfig::with_snapshot_every(u64::MAX)
+    DurableStoreConfig {
+        snapshot_every: u64::MAX,
+    }
 }
 
 fn repl_cfg() -> ReplicationConfig {
-    ReplicationConfig::with_ack_mode(AckMode::Quorum)
+    ReplicationConfig {
+        ack_mode: AckMode::Quorum,
+    }
 }
 
 /// Replay a replica's journal from scratch and return the payloads.

@@ -72,15 +72,20 @@ core_is_sans_io() {
 step "decision.rs and speculation.rs name no workload, clock, RNG, pool or observer (non-test parts)" \
   core_is_sans_io
 
-# The same way: no sq-bench suite reads a clock, so every document is a
-# pure function of its params and wall-clock numbers live in benchmark/
-# only. suite.rs alone may name one, for the seconds the driver prints
-# per suite.
-bench_reads_no_clock() {
-  ! grep -rlE '\bInstant\b|SystemTime' crates/bench/src | grep -v '^crates/bench/src/suite\.rs$'
+# The same way: no sq-bench suite reads a clock or runs a store, an
+# executor or a thread, so every document is a simulator's pure function
+# of its params and wall-clock numbers live in benchmark/ only. suite.rs
+# alone may name a clock, for the seconds the driver prints per suite.
+bench_is_sim_only() {
+  local found
+  found=$({
+    grep -rlE '\bInstant\b|SystemTime' crates/bench/src | grep -v '^crates/bench/src/suite\.rs$'
+    grep -rlE 'sq_store|sq_exec|sq_server|thread::' crates/bench/src
+  } || true)
+  [[ -z "$found" ]] || { echo "$found"; return 1; }
 }
-step "crates/bench/src reads no clock outside suite.rs" \
-  bench_reads_no_clock
+step "crates/bench/src reads no clock (outside suite.rs) and runs no store, executor or thread" \
+  bench_is_sim_only
 
 # And once more: every crate forbids `unsafe`. The SHA-256 and BUILD
 # tokenizer kernels invite intrinsics and unchecked indexing; a gain
@@ -127,6 +132,10 @@ total_bytes               # (b) the measure of the stores-its-spine tests in tre
 commit_count              # (b) the snapshot-isolation oracle of tests/service_concurrency.rs
 integral_multiplier       # (b) the analytic oracle scenario_props.rs holds the thinned arrivals to
 topo_order                # (b) analysis_pin.rs pins and graph_oracle.rs checks the order by name; Algorithm 1 walks it by position
+open_leader               # (c) ROADMAP item 8's 3-replica crash-exhaustive run and item 4's cluster harness open through it
+at_op                     # (b) fault injection: a crash plan that fires at one storage op
+revive                    # (b) repairs a crashed medium so the deposed leader rejoins (chaos_recovery.rs)
+set_plan                  # (b) fault injection: arms a crash plan on a live medium
 EXCEPTIONS
 )
 no_capability_without_a_caller() {
@@ -194,12 +203,12 @@ step "cargo clippy --workspace --all-targets -- -D warnings (vendor stand-ins ex
     -- -D warnings
 
 # One driver (crates/bench/src/suite.rs): every suite's smoke gate, then
-# all six documents regenerated at full size and compared byte for
+# all four documents regenerated at full size and compared byte for
 # byte with the committed BENCH_*.json. The driver prints each suite's
 # own seconds.
 step "sq-bench all --smoke (every suite: gate, required keys, byte-identical same-seed rerun)" \
   cargo run --release -p sq-bench -- all --smoke
-step "sq-bench all (six suites, fresh == committed, byte for byte)" \
+step "sq-bench all (four suites, fresh == committed, byte for byte)" \
   cargo run --release -p sq-bench -- all
 
 # The wall-clock benchmark is a cargo package of its own (see

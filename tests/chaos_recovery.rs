@@ -237,7 +237,7 @@ fn recover(
         3,
         RecoveryConfig::disabled(),
         storage.clone(),
-        DurableStoreConfig::with_snapshot_every(8),
+        DurableStoreConfig { snapshot_every: 8 },
     )
     .expect("reopen after crash")
 }
@@ -258,7 +258,7 @@ fn durable_run(workload_seed: u64, plan: CrashPlan) -> DurableRun {
         3,
         RecoveryConfig::disabled(),
         storage.clone(),
-        DurableStoreConfig::with_snapshot_every(8),
+        DurableStoreConfig { snapshot_every: 8 },
     )
     .expect("open fresh store");
     let action: Box<StepAction> = Box::new(truth_outcome);
@@ -395,7 +395,7 @@ const N_REPL_CHANGES: usize = 12;
 type ReplQueue = DurableSubmitQueue<Leader<SharedStorage>>;
 
 fn repl_store_cfg() -> DurableStoreConfig {
-    DurableStoreConfig::with_snapshot_every(8)
+    DurableStoreConfig { snapshot_every: 8 }
 }
 
 struct ReplicatedRun {
@@ -464,7 +464,7 @@ fn failover_replicated(
 }
 
 fn repl_cfg(mode: AckMode) -> ReplicationConfig {
-    ReplicationConfig::with_ack_mode(mode)
+    ReplicationConfig { ack_mode: mode }
 }
 
 /// Run the workload through a replicated durable service whose leader
