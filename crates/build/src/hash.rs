@@ -11,10 +11,12 @@
 //! two different input closures can only collide if SHA-256 itself does.
 
 use crate::error::BuildError;
-use crate::graph::{BuildGraph, TargetName};
+use crate::graph::{BuildGraph, Target, TargetName};
+use crate::parser::Package;
 use serde::{Deserialize, Serialize};
-use sq_vcs::{ObjectStore, Sha256, Tree};
+use sq_vcs::{ObjectId, ObjectStore, Sha256, Tree};
 use std::fmt;
+use std::ops::Range;
 
 /// A target's Algorithm-1 hash: 32 bytes covering its transitive inputs.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -64,12 +66,105 @@ fn feed(h: &mut Sha256, tag: &[u8], bytes: &[u8]) {
     h.update(bytes);
 }
 
+/// Each target's Algorithm-1 state after its kind, label and sources,
+/// kept on its package directory ([`Package`]) by the first hash over the
+/// directory as it is.
+pub(crate) struct Sources {
+    /// One per target of the package, in name order.
+    states: Vec<Sha256>,
+    /// Every source blob the states absorbed.
+    blobs: Vec<ObjectId>,
+}
+
+/// Start a target's hash: its kind, its label, then each source's path
+/// and content.
+fn absorb(
+    target: &Target,
+    label: &[u8],
+    tree: &Tree,
+    store: &ObjectStore,
+) -> Result<Sha256, BuildError> {
+    let mut h = Sha256::new();
+    feed(&mut h, b"kind", target.kind.rule_name().as_bytes());
+    feed(&mut h, b"name", label);
+    for src in &target.srcs {
+        let id = tree.get(src).ok_or_else(|| BuildError::MissingSource {
+            target: target.name.clone(),
+            path: src.as_str().to_string(),
+        })?;
+        let content = store
+            .get(&id)
+            .ok_or_else(|| BuildError::MissingObject(id.to_hex()))?;
+        feed(&mut h, b"src", src.as_str().as_bytes());
+        feed(&mut h, b"blob", content.as_ref());
+    }
+    crate::work::sources_absorbed(target.srcs.len());
+    Ok(h)
+}
+
+/// What the package directories of a tree keep for a graph's targets.
+struct Kept<'a> {
+    /// Per position, the state after sources of every package whose kept
+    /// definitions are the graph's and whose source blobs are all in the
+    /// store.
+    states: Vec<Option<&'a Sha256>>,
+    /// Each package whose definitions are the graph's but that keeps no
+    /// states yet, with its positions.
+    unkept: Vec<(Range<usize>, &'a Package)>,
+}
+
+fn kept_states<'a>(targets: &[Target], tree: &'a Tree, store: &ObjectStore) -> Kept<'a> {
+    let mut packages: Vec<&Package> = tree
+        .files_named("BUILD")
+        .filter_map(|(path, blob, slot)| {
+            let package = slot.get::<Package>()?;
+            package
+                .parsed_from(blob, path.parent().unwrap_or(""))
+                .then_some(package)
+        })
+        .collect();
+    // Targets are in name order, so each package's are one run, in
+    // package order.
+    packages.sort_unstable_by(|a, b| a.package().cmp(b.package()));
+    let mut packages = packages.into_iter().peekable();
+    let mut states = vec![None; targets.len()];
+    let mut unkept = Vec::new();
+    let mut lo = 0;
+    while lo < targets.len() {
+        let package = targets[lo].name.package();
+        let hi = targets[lo..]
+            .iter()
+            .position(|t| t.name.package() != package)
+            .map_or(targets.len(), |n| lo + n);
+        while packages.next_if(|p| p.package() < package).is_some() {}
+        let run = &targets[lo..hi];
+        if let Some(p) = packages.next_if(|p| p.package() == package && p.declares(run)) {
+            match p.sources.get() {
+                None => unkept.push((lo..hi, p)),
+                Some(s) if s.blobs.iter().all(|b| store.contains(b)) => {
+                    for (at, state) in states[lo..hi].iter_mut().zip(&s.states) {
+                        *at = Some(state);
+                    }
+                }
+                // A blob is gone: hashing from the sources names it.
+                Some(_) => {}
+            }
+        }
+        lo = hi;
+    }
+    Kept { states, unkept }
+}
+
 impl TargetHashes {
     /// Compute every target's hash over a snapshot (Algorithm 1).
     ///
     /// Fails if a declared source is absent from the tree or its blob is
     /// absent from the store — a hash over unknown content would not be
     /// hermetic.
+    ///
+    /// A package directory that [`crate::parse_workspace`] parsed keeps
+    /// its targets' states after their sources; a later call over a tree
+    /// sharing the directory feeds only the dependencies.
     pub fn compute(
         graph: &BuildGraph,
         tree: &Tree,
@@ -89,24 +184,19 @@ impl TargetHashes {
             ends.push(labels.len());
         }
         let label = |i: usize| &labels.as_bytes()[ends[i]..ends[i + 1]];
+        let Kept { states, unkept } = kept_states(targets, tree, store);
+        let mut absorbed: Vec<Option<Sha256>> = vec![None; targets.len()];
         let mut hashes = vec![TargetHash([0; 32]); targets.len()];
         for &i in graph.topo_positions() {
             let i = i as usize;
-            let target = &targets[i];
-            let mut h = Sha256::new();
-            feed(&mut h, b"kind", target.kind.rule_name().as_bytes());
-            feed(&mut h, b"name", label(i));
-            for src in &target.srcs {
-                let id = tree.get(src).ok_or_else(|| BuildError::MissingSource {
-                    target: target.name.clone(),
-                    path: src.as_str().to_string(),
-                })?;
-                let content = store
-                    .get(&id)
-                    .ok_or_else(|| BuildError::MissingObject(id.to_hex()))?;
-                feed(&mut h, b"src", src.as_str().as_bytes());
-                feed(&mut h, b"blob", content.as_ref());
-            }
+            let mut h = match states[i] {
+                Some(state) => state.clone(),
+                None => {
+                    let h = absorb(&targets[i], label(i), tree, store)?;
+                    absorbed[i] = Some(h.clone());
+                    h
+                }
+            };
             // The topological order put every dependency's hash in place.
             for &d in graph.deps_of(i) {
                 let d = d as usize;
@@ -114,6 +204,19 @@ impl TargetHashes {
                 feed(&mut h, b"dep-hash", hashes[d].as_bytes());
             }
             hashes[i] = TargetHash(h.finalize());
+        }
+        for (run, package) in unkept {
+            let states = absorbed[run.clone()]
+                .iter_mut()
+                .map(|s| s.take().expect("a target kept nothing for is absorbed"))
+                .collect();
+            let blobs = targets[run]
+                .iter()
+                .flat_map(|t| &t.srcs)
+                .map(|src| tree.get(src).expect("an absorbed source is in the tree"))
+                .collect();
+            // A concurrent hash over the directory kept the same states.
+            let _ = package.sources.set(Sources { states, blobs });
         }
         Ok(TargetHashes {
             hashes: targets.iter().map(|t| t.name.clone()).zip(hashes).collect(),
@@ -138,6 +241,7 @@ impl TargetHashes {
 mod tests {
     use super::*;
     use crate::parser::parse_workspace;
+    use crate::SnapshotAnalysis;
     use sq_vcs::RepoPath;
     use std::str::FromStr;
 
@@ -280,5 +384,136 @@ mod tests {
         assert_eq!(one.short().len(), 12);
         assert!(one.to_hex().starts_with(&one.short()));
         assert!(h.get(&n("//nope:nope")).is_none());
+    }
+
+    fn files(files: &[(&str, &str)]) -> (Tree, ObjectStore) {
+        let mut store = ObjectStore::new();
+        let mut tree = Tree::new();
+        for (path, content) in files {
+            let id = store.put(content.as_bytes().to_vec());
+            tree.insert(RepoPath::new(path).unwrap(), id).unwrap();
+        }
+        (tree, store)
+    }
+
+    fn write(tree: &Tree, store: &mut ObjectStore, path: &str, content: &str) -> Tree {
+        sq_vcs::Patch::write(RepoPath::new(path).unwrap(), content)
+            .apply(tree, store)
+            .unwrap()
+    }
+
+    /// The same snapshot in fresh directories, which keep nothing.
+    fn cold(tree: &Tree, store: &mut ObjectStore) -> Tree {
+        let root = tree.store(store);
+        Tree::load(store, root).unwrap()
+    }
+
+    #[test]
+    fn a_change_parses_and_absorbs_only_the_package_it_touched() {
+        let (h, mut store) = files(&[
+            ("base/BUILD", "library(name = \"base\", srcs = [\"b.rs\"])"),
+            ("base/b.rs", "base"),
+            (
+                "mid/BUILD",
+                "library(name = \"mid\", srcs = [\"m.rs\", \"n.rs\"], deps = [\"//base\"])\n\
+                 test(name = \"mid_test\", srcs = [\"t.rs\"], deps = [\":mid\"])",
+            ),
+            ("mid/m.rs", "m"),
+            ("mid/n.rs", "n"),
+            ("mid/t.rs", "t"),
+            (
+                "top/BUILD",
+                "binary(name = \"top\", srcs = [\"t.rs\"], deps = [\"//mid\"])",
+            ),
+            ("top/t.rs", "top"),
+        ]);
+        let analyze = |tree: &Tree, store: &mut ObjectStore| {
+            crate::work::take();
+            let kept = hashes_of(tree, store);
+            let counts = crate::work::take();
+            assert_eq!(kept, hashes_of(&cold(tree, store), store));
+            crate::work::take();
+            counts
+        };
+        // Three BUILD files, five sources over four targets.
+        assert_eq!(analyze(&h, &mut store), (3, 5));
+        // A source edit in `mid`: its three sources, no BUILD file, and
+        // `top`'s hash changes from its kept state.
+        let edited = write(&h, &mut store, "mid/n.rs", "n, edited");
+        assert_eq!(analyze(&edited, &mut store), (0, 3));
+        let rewritten = write(
+            &h,
+            &mut store,
+            "mid/BUILD",
+            "library(name = \"mid\", srcs = [\"m.rs\"], deps = [\"//base\"])",
+        );
+        assert_eq!(analyze(&rewritten, &mut store), (1, 1));
+        assert_eq!(analyze(&h, &mut store), (0, 0));
+    }
+
+    #[test]
+    fn a_graph_unlike_the_build_files_is_hashed_from_its_sources() {
+        let (tree, mut store) = workspace("base-v1");
+        let analysis = SnapshotAnalysis::analyze(&tree, &store).unwrap();
+        // `mid` declares another source than mid/BUILD does.
+        let graph = BuildGraph::from_targets(analysis.graph.targets().cloned().map(|mut t| {
+            if t.name == n("//mid:mid") {
+                t.srcs = vec![RepoPath::new("base/b.rs").unwrap()];
+            }
+            t
+        }))
+        .unwrap();
+        let over_kept = TargetHashes::compute(&graph, &tree, &store).unwrap();
+        assert_ne!(
+            over_kept.get(&n("//mid:mid")),
+            analysis.hashes.get(&n("//mid:mid"))
+        );
+        let cold = cold(&tree, &mut store);
+        assert_eq!(
+            over_kept,
+            TargetHashes::compute(&graph, &cold, &store).unwrap()
+        );
+    }
+
+    #[test]
+    fn a_kept_state_is_used_only_while_the_store_holds_its_sources() {
+        let (tree, store) = workspace("base-v1");
+        let analysis = SnapshotAnalysis::analyze(&tree, &store).unwrap();
+        let m = tree.get(&RepoPath::new("mid/m.rs").unwrap()).unwrap();
+        // Every object of the snapshot but `mid`'s source.
+        let mut lacking = ObjectStore::new();
+        for (_, id) in tree.iter().filter(|(_, id)| **id != m) {
+            lacking.put(store.get(id).unwrap().clone());
+        }
+        assert_eq!(
+            TargetHashes::compute(&analysis.graph, &tree, &lacking),
+            Err(BuildError::MissingObject(m.to_hex()))
+        );
+    }
+
+    #[test]
+    fn the_first_missing_source_in_topological_order_is_reported() {
+        // `a` depends on `z`: `z` is first in topological order, last by name.
+        let (tree, mut store) = files(&[
+            (
+                "a/BUILD",
+                "library(name = \"a\", srcs = [\"a.rs\"], deps = [\"//z\"])",
+            ),
+            ("a/a.rs", "a"),
+            ("z/BUILD", "library(name = \"z\", srcs = [\"z.rs\"])"),
+            ("z/z.rs", "z"),
+        ]);
+        SnapshotAnalysis::analyze(&tree, &store).unwrap();
+        let mut pruned = tree.clone();
+        pruned.remove(&RepoPath::new("a/a.rs").unwrap());
+        pruned.remove(&RepoPath::new("z/z.rs").unwrap());
+        let graph = parse_workspace(&pruned, &store).unwrap();
+        let missing = Err(BuildError::MissingSource {
+            target: n("//z:z"),
+            path: "z/z.rs".into(),
+        });
+        assert_eq!(TargetHashes::compute(&graph, &pruned, &store), missing);
+        let cold = cold(&pruned, &mut store);
+        assert_eq!(TargetHashes::compute(&graph, &cold, &store), missing);
     }
 }

@@ -42,3 +42,36 @@ pub use parser::parse_workspace;
 
 /// Crate-wide result type.
 pub type Result<T> = std::result::Result<T, BuildError>;
+
+/// The work an analysis does, counted for the tests of what a package
+/// directory keeps; nothing is counted outside them.
+#[cfg(not(test))]
+mod work {
+    /// One BUILD file was tokenized and parsed.
+    pub(crate) fn build_parsed() {}
+    /// Algorithm 1 read `n` sources of one target.
+    pub(crate) fn sources_absorbed(_n: usize) {}
+}
+
+#[cfg(test)]
+mod work {
+    use std::cell::Cell;
+
+    thread_local! {
+        /// BUILD files parsed and sources absorbed on this test's thread.
+        static COUNTS: Cell<(usize, usize)> = const { Cell::new((0, 0)) };
+    }
+
+    pub(crate) fn build_parsed() {
+        COUNTS.with(|c| c.set((c.get().0 + 1, c.get().1)));
+    }
+
+    pub(crate) fn sources_absorbed(n: usize) {
+        COUNTS.with(|c| c.set((c.get().0, c.get().1 + n)));
+    }
+
+    /// `(BUILD files parsed, sources absorbed)` since the last call.
+    pub(crate) fn take() -> (usize, usize) {
+        COUNTS.with(|c| c.replace((0, 0)))
+    }
+}

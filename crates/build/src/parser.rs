@@ -19,33 +19,112 @@
 
 use crate::error::BuildError;
 use crate::graph::{BuildGraph, RuleKind, Target, TargetName};
-use sq_vcs::{ObjectStore, RepoPath, Tree};
+use crate::hash::Sources;
+use sq_vcs::{ObjectId, ObjectStore, RepoPath, Tree};
+use std::sync::{Arc, OnceLock};
 
 /// Parse all BUILD files in the snapshot into a validated target graph.
+///
+/// Each package directory keeps the targets its BUILD file declares, so
+/// a later call over a tree sharing the directory parses nothing there,
+/// and neither does one over a tree written from it that left the BUILD
+/// blob as it was, while the tree written from lives.
 pub fn parse_workspace(tree: &Tree, store: &ObjectStore) -> Result<BuildGraph, BuildError> {
     let mut targets: Vec<Target> = Vec::new();
-    for (path, id) in tree.iter() {
-        if path.file_name() != "BUILD" {
+    for (path, blob, slot) in tree.files_named("BUILD") {
+        let package = path.parent().unwrap_or("");
+        // Reused only for the blob parsed and while the store holds it,
+        // which a parse from nothing would have read.
+        let parsed_here = |kept: &Package| kept.parsed_from(blob, package) && store.contains(&blob);
+        if let Some(kept) = slot.get::<Package>().filter(|kept| parsed_here(kept)) {
+            targets.extend_from_slice(&kept.declared.targets);
             continue;
         }
-        let bytes = store
-            .get(id)
-            .ok_or_else(|| BuildError::MissingObject(id.to_hex()))?;
-        // Borrowed unless the blob is not UTF-8; tokens borrow from it.
-        let text = String::from_utf8_lossy(bytes);
-        let package = path.parent().unwrap_or("");
-        parse_build_file(path.as_str(), package, &text, &mut targets)?;
+        let declared = match slot.stale::<Package>().filter(|stale| parsed_here(stale)) {
+            Some(stale) => Arc::clone(&stale.declared),
+            None => {
+                let bytes = store
+                    .get(&blob)
+                    .ok_or_else(|| BuildError::MissingObject(blob.to_hex()))?;
+                // Borrowed unless the blob is not UTF-8; tokens borrow from it.
+                let text = String::from_utf8_lossy(bytes);
+                crate::work::build_parsed();
+                Arc::new(Declared::new(parse_build_file(
+                    path.as_str(),
+                    package,
+                    &text,
+                )?))
+            }
+        };
+        targets.extend_from_slice(&declared.targets);
+        slot.keep(Package {
+            build: blob,
+            package: package.into(),
+            declared,
+            sources: OnceLock::new(),
+        });
     }
     BuildGraph::from_targets(targets)
 }
 
+/// What a package directory keeps of its analysis in its
+/// [`sq_vcs::tree::Derived`] slot: the targets its BUILD file declares,
+/// and, once a hash has run over the directory as it is, each target's
+/// Algorithm-1 state after its sources ([`Sources`]). A write at or below
+/// the directory leaves it stale, and [`parse_workspace`] then reuses
+/// only the targets, and only if the BUILD blob is the one they came
+/// from.
+pub(crate) struct Package {
+    /// The BUILD blob and the package the targets were parsed from.
+    build: ObjectId,
+    package: Box<str>,
+    declared: Arc<Declared>,
+    /// Kept by the first [`crate::TargetHashes::compute`] over the
+    /// directory as it is.
+    pub(crate) sources: OnceLock<Sources>,
+}
+
+/// One BUILD file's targets.
+struct Declared {
+    /// In declaration order, which decides the duplicate a graph reports.
+    targets: Vec<Target>,
+    /// The positions of `targets` in name order, the graph's order.
+    by_name: Vec<u32>,
+}
+
+impl Declared {
+    fn new(targets: Vec<Target>) -> Declared {
+        let mut by_name: Vec<u32> = (0..targets.len() as u32).collect();
+        by_name.sort_by(|&a, &b| targets[a as usize].name.cmp(&targets[b as usize].name));
+        Declared { targets, by_name }
+    }
+}
+
+impl Package {
+    /// True iff this was parsed from BUILD blob `build` of `package`.
+    pub(crate) fn parsed_from(&self, build: ObjectId, package: &str) -> bool {
+        self.build == build && *self.package == *package
+    }
+
+    /// The package directory, relative to the root.
+    pub(crate) fn package(&self) -> &str {
+        &self.package
+    }
+
+    /// True iff `run`, one package's targets in name order, is exactly
+    /// what the BUILD file declares.
+    pub(crate) fn declares(&self, run: &[Target]) -> bool {
+        let Declared { targets, by_name } = &*self.declared;
+        run.len() == by_name.len()
+            && run
+                .iter()
+                .zip(by_name)
+                .all(|(t, &i)| *t == targets[i as usize])
+    }
+}
+
 /// Parse one BUILD file's rule calls into targets of `package`.
-fn parse_build_file(
-    path: &str,
-    package: &str,
-    text: &str,
-    out: &mut Vec<Target>,
-) -> Result<(), BuildError> {
+fn parse_build_file(path: &str, package: &str, text: &str) -> Result<Vec<Target>, BuildError> {
     let tokens = tokenize(path, text)?;
     let mut p = Parser {
         path,
@@ -53,10 +132,11 @@ fn parse_build_file(
         tokens: &tokens,
         pos: 0,
     };
+    let mut targets = Vec::new();
     while !p.at_end() {
-        out.push(p.rule()?);
+        targets.push(p.rule()?);
     }
-    Ok(())
+    Ok(targets)
 }
 
 /// A token; identifiers and string literals borrow the file's text.

@@ -4,7 +4,8 @@
 //! package, dependencies on earlier layers) plus a test target per third
 //! package and a binary per top-layer package. Any change to the parser,
 //! the graph's order, Algorithm 1's byte stream or SHA-256 moves the
-//! digest; a rewrite of those kernels must leave it where it is.
+//! digest; a rewrite of those kernels must leave it where it is, and so
+//! must what a package directory keeps between analyses.
 
 use sq_build::{parse_workspace, TargetHashes};
 use sq_vcs::{hash::to_hex, ObjectStore, RepoPath, Sha256, Tree};
@@ -77,11 +78,11 @@ fn workspace() -> (Tree, ObjectStore) {
     (tree, store)
 }
 
-#[test]
-fn hashes_and_topological_order_of_a_layered_workspace_are_pinned() {
-    let (tree, store) = workspace();
-    let graph = parse_workspace(&tree, &store).unwrap();
-    let hashes = TargetHashes::compute(&graph, &tree, &store).unwrap();
+/// The digest of one analysis: every `(label, hash)` pair, then the
+/// topological order.
+fn digest(tree: &Tree, store: &ObjectStore) -> String {
+    let graph = parse_workspace(tree, store).unwrap();
+    let hashes = TargetHashes::compute(&graph, tree, store).unwrap();
     assert_eq!(graph.len(), 60 + 24 + 10);
     let mut digest = Sha256::new();
     for (name, hash) in hashes.iter() {
@@ -94,8 +95,18 @@ fn hashes_and_topological_order_of_a_layered_workspace_are_pinned() {
         digest.update(name.to_string().as_bytes());
         digest.update(b"\0");
     }
-    assert_eq!(
-        to_hex(&digest.finalize()),
-        "4d5a97deedd46fdcf934a13d2e02bb4d95457dc14a1359816fe775181a3a39a4"
-    );
+    to_hex(&digest.finalize())
+}
+
+/// Pinned on a first call, on a second over the same tree (where every
+/// package directory keeps its targets and source states) and over a
+/// `Tree::load` copy (where none keeps anything).
+#[test]
+fn hashes_and_topological_order_of_a_layered_workspace_are_pinned() {
+    let pinned = "4d5a97deedd46fdcf934a13d2e02bb4d95457dc14a1359816fe775181a3a39a4";
+    let (tree, mut store) = workspace();
+    assert_eq!(digest(&tree, &store), pinned);
+    assert_eq!(digest(&tree, &store), pinned);
+    let root = tree.store(&mut store);
+    assert_eq!(digest(&Tree::load(&store, root).unwrap(), &store), pinned);
 }

@@ -21,9 +21,11 @@
 use crate::error::VcsError;
 use crate::object::{ObjectId, ObjectStore};
 use crate::path::{RepoPath, MAX_DEPTH};
+use std::any::Any;
 use std::cmp::Ordering;
 use std::collections::{btree_map, BTreeMap};
-use std::sync::{Arc, OnceLock};
+use std::fmt;
+use std::sync::{Arc, OnceLock, Weak};
 
 /// A snapshot of the repository: every file path mapped to its blob id.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -44,6 +46,61 @@ struct Dir {
     /// Content address of this directory's object, once known. Every
     /// write to the directory or below it clears it ([`Dir::spine_mut`]).
     id: OnceLock<ObjectId>,
+    /// What a consumer derived from the content, cleared with `id`.
+    derived: Derived,
+}
+
+/// One directory's slot for a value a consumer derives from the files at
+/// or below it, such as the parsed targets of a package. The value lives
+/// with the directory node, so every tree sharing the node shares it and
+/// nothing outlives the trees.
+///
+/// A write at or below the directory clears the slot in the writing tree
+/// (with the directory's id). What was kept stays readable there as
+/// *stale* for as long as another tree still holds it: a consumer may
+/// reuse from it what it re-keys by content it checks itself, such as a
+/// file's blob id.
+#[derive(Clone, Default)]
+pub struct Derived {
+    kept: OnceLock<Arc<dyn Any + Send + Sync>>,
+    stale: Option<Weak<dyn Any + Send + Sync>>,
+}
+
+impl Derived {
+    /// The value derived from the directory as it is, if it is a `T`.
+    pub fn get<T: Any>(&self) -> Option<&T> {
+        self.kept.get()?.downcast_ref()
+    }
+
+    /// What was kept before the last write at or below the directory that
+    /// followed a kept value, if it is a `T` and a tree still holds it. It
+    /// may be out of date.
+    pub fn stale<T: Any + Send + Sync>(&self) -> Option<Arc<T>> {
+        self.stale.as_ref()?.upgrade()?.downcast().ok()
+    }
+
+    /// Keep `value` as derived from the directory as it is, unless a value
+    /// is kept already.
+    pub fn keep<T: Any + Send + Sync>(&self, value: T) {
+        // A concurrent keeper derived the same value from the same content.
+        let _ = self.kept.set(Arc::new(value));
+    }
+
+    /// The directory is being written: what was kept becomes stale.
+    fn clear(&mut self) {
+        if let Some(kept) = self.kept.take() {
+            self.stale = Some(Arc::downgrade(&kept));
+        }
+    }
+}
+
+impl fmt::Debug for Derived {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Derived")
+            .field("kept", &self.kept.get().is_some())
+            .field("stale", &self.stale.is_some())
+            .finish()
+    }
 }
 
 #[derive(Debug, Clone)]
@@ -178,6 +235,29 @@ impl Tree {
         Files::below(&self.root)
     }
 
+    /// Every file called `name`, in path order, with the slot of the
+    /// directory holding it.
+    pub fn files_named<'a>(
+        &'a self,
+        name: &'a str,
+    ) -> impl Iterator<Item = (&'a RepoPath, ObjectId, &'a Derived)> + 'a {
+        let mut stack = vec![(&*self.root, self.root.entries.iter())];
+        std::iter::from_fn(move || loop {
+            let (dir, entries) = stack.last_mut()?;
+            let dir = *dir;
+            match entries.next() {
+                Some((key, Node::File { path, blob })) if **key == *name => {
+                    return Some((&**path, *blob, &dir.derived))
+                }
+                Some((_, Node::Dir(sub))) => stack.push((sub, sub.entries.iter())),
+                Some(_) => {}
+                None => {
+                    stack.pop();
+                }
+            }
+        })
+    }
+
     /// Paths under a directory prefix, in order.
     pub fn paths_under<'a>(&'a self, dir: &'a str) -> impl Iterator<Item = &'a RepoPath> + 'a {
         self.find_dir(dir)
@@ -255,10 +335,11 @@ impl Dir {
     }
 
     /// This directory for writing: copied first if another tree shares
-    /// it, and with its id forgotten either way.
+    /// it, and with its id and derived value forgotten either way.
     fn spine_mut(this: &mut Arc<Dir>) -> &mut Dir {
         let dir = Arc::make_mut(this);
         dir.id.take();
+        dir.derived.clear();
         dir
     }
 
@@ -712,6 +793,65 @@ mod tests {
             paths(parent.changed_paths(&child)),
             ["parts/p0007/src_2.rs"]
         );
+    }
+
+    #[test]
+    fn files_named_yields_each_file_of_a_name_in_path_order() {
+        let mut store = ObjectStore::new();
+        let b = blob(&mut store, "x");
+        let mut t = Tree::new();
+        for p in [
+            "a/BUILD",
+            "a-b/BUILD",
+            "a/b/BUILD",
+            "a/b/BUILD.bak",
+            "BUILD",
+            "c/d.rs",
+        ] {
+            t.insert(path(p), b).unwrap();
+        }
+        let found: Vec<&str> = t.files_named("BUILD").map(|(p, ..)| p.as_str()).collect();
+        assert_eq!(found, ["BUILD", "a-b/BUILD", "a/BUILD", "a/b/BUILD"]);
+        let by_iter = t.iter().filter(|(p, _)| p.file_name() == "BUILD");
+        assert!(by_iter.map(|(p, _)| p.as_str()).eq(found));
+    }
+
+    /// The slot of the directory holding `file`.
+    fn slot<'a>(t: &'a Tree, file: &'a str) -> &'a Derived {
+        t.files_named(file).next().unwrap().2
+    }
+
+    #[test]
+    fn a_derived_value_lives_with_its_directory_node() {
+        let mut store = ObjectStore::new();
+        let mut parent = Tree::new();
+        parent.insert(path("p/f"), blob(&mut store, "f")).unwrap();
+        parent.insert(path("q/g"), blob(&mut store, "g")).unwrap();
+        slot(&parent, "f").keep(1u32);
+        slot(&parent, "f").keep(2u32);
+        assert_eq!(slot(&parent, "f").get::<u32>(), Some(&1));
+        assert_eq!(slot(&parent, "f").get::<u64>(), None);
+
+        // A clone shares it; a write clears it in the writing tree only,
+        // where it stays readable as stale while the parent lives.
+        let mut child = parent.clone();
+        assert_eq!(slot(&child, "f").get::<u32>(), Some(&1));
+        child.insert(path("p/h"), blob(&mut store, "h")).unwrap();
+        assert_eq!(slot(&child, "f").get::<u32>(), None);
+        assert_eq!(slot(&child, "f").stale::<u32>().as_deref(), Some(&1));
+        assert_eq!(slot(&parent, "f").get::<u32>(), Some(&1));
+        slot(&parent, "g").keep(3u32);
+        assert_eq!(slot(&child, "g").get::<u32>(), Some(&3));
+        // The stale reference never keeps the value alive.
+        drop(parent);
+        assert_eq!(slot(&child, "f").stale::<u32>(), None);
+
+        // A loaded tree's directories keep nothing.
+        let root = child.store(&mut store);
+        let loaded = Tree::load(&store, root).unwrap();
+        assert_eq!(slot(&child, "g").get::<u32>(), Some(&3));
+        assert_eq!(slot(&loaded, "g").get::<u32>(), None);
+        assert_eq!(loaded, child);
     }
 
     fn entry(kind: u8, id: ObjectId, name: &str) -> Vec<u8> {

@@ -98,6 +98,21 @@ crates_forbid_unsafe() {
 step "every crates/*/src/lib.rs keeps #![forbid(unsafe_code)]" \
   crates_forbid_unsafe
 
+# No ambient state: what a computation derives lives on the data it was
+# derived from (a package's parsed targets and source hash states on its
+# directory of the tree, DESIGN.md §13), so it is shared exactly as far as
+# that data is and dies with it. Over the non-test part of every
+# crates/*/src file (comment lines dropped): no thread_local! and no
+# static of a lock, cell, atomic or lazy value.
+no_ambient_state() {
+  ! find crates/*/src -name '*.rs' | sort |
+    xargs awk 'FNR == 1 { in_test = 0 } /#\[cfg\(test\)\]/ { in_test = 1 }
+               !in_test && !/^[ \t]*\/\// { print FILENAME ":" FNR ": " $0 }' |
+    grep -E "thread_local!|(^|[^'[:alnum:]_])static[[:space:]].*\b(Mutex|RwLock|RefCell|Cell|Atomic[A-Za-z0-9]*|OnceLock|LazyLock)\b"
+}
+step "crates/*/src declare no thread_local! and no static lock, cell, atomic or lazy value (non-test parts)" \
+  no_ambient_state
+
 # ROADMAP item 6, held the same way: no capability without a caller. Over
 # the non-test part of every .rs under crates/*/src, src, examples and
 # benchmark/src (lines before the file's first #[cfg(test)]; comment
