@@ -16,16 +16,19 @@ use sq_vcs::RepoPath;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::fmt;
+use std::ops::Range;
 use std::str::FromStr;
+use std::sync::Arc;
 
 /// A fully-qualified target label: `//package:name`.
 ///
 /// Labels resolve the way Buck's do: `//a/b:t` is absolute, `:t` is
 /// relative to the current package, and `//a/b` abbreviates `//a/b:b`.
+/// Both parts are shared, so a clone allocates nothing.
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TargetName {
-    package: String,
-    name: String,
+    package: Arc<str>,
+    name: Arc<str>,
 }
 
 impl TargetName {
@@ -33,23 +36,26 @@ impl TargetName {
     pub fn resolve(label: &str, current_package: &str) -> Result<TargetName, BuildError> {
         let (package, name) = if let Some(rest) = label.strip_prefix("//") {
             match rest.split_once(':') {
-                Some((pkg, name)) => (pkg.to_string(), name.to_string()),
+                Some((pkg, name)) => (pkg, name),
                 None if rest.is_empty() => return Err(BuildError::InvalidLabel(label.to_string())),
                 None => {
                     // `//a/b` abbreviates `//a/b:b`.
                     let last = rest.rsplit('/').next().unwrap_or(rest);
-                    (rest.to_string(), last.to_string())
+                    (rest, last)
                 }
             }
         } else if let Some(name) = label.strip_prefix(':') {
-            (current_package.to_string(), name.to_string())
+            (current_package, name)
         } else {
             return Err(BuildError::InvalidLabel(label.to_string()));
         };
         if name.is_empty() || name.contains([':', '/']) || package.contains(':') {
             return Err(BuildError::InvalidLabel(label.to_string()));
         }
-        Ok(TargetName { package, name })
+        Ok(TargetName {
+            package: package.into(),
+            name: name.into(),
+        })
     }
 
     /// The package directory (may be empty for the repository root).
@@ -174,9 +180,15 @@ impl Target {
 /// Targets are stored sorted by name, so a target's index in that order
 /// (its *position*) is a dense id: the topological order and each
 /// target's dependencies are kept as positions, and Algorithm 1 reads
-/// its dependencies' hashes by position instead of by name.
+/// its dependencies' hashes by position instead of by name. The graph
+/// is immutable and shared: a clone is a pointer copy.
 #[derive(Debug, Clone, Default)]
 pub struct BuildGraph {
+    inner: Arc<Graph>,
+}
+
+#[derive(Debug, Default)]
+struct Graph {
     /// Every target, in name order.
     targets: Vec<Target>,
     /// Positions, dependencies strictly before dependents; ties broken by
@@ -229,7 +241,7 @@ impl BuildGraph {
                     .collect()
             })
             .collect::<Result<Vec<Vec<u32>>, _>>()?;
-        let mut graph = BuildGraph {
+        let mut graph = Graph {
             targets,
             topo: Vec::new(),
             deps,
@@ -266,9 +278,13 @@ impl BuildGraph {
             ));
         }
         graph.topo = topo;
-        Ok(graph)
+        Ok(BuildGraph {
+            inner: Arc::new(graph),
+        })
     }
+}
 
+impl Graph {
     /// The targets Kahn left stuck (`unresolved` > 0) that lie on a cycle
     /// or between two cycles, in name order. The stuck set also holds
     /// every target that merely depends on a cycle; those are peeled from
@@ -307,51 +323,74 @@ impl BuildGraph {
             .map(|i| self.targets[i].name.clone())
             .collect()
     }
+}
 
+impl BuildGraph {
     /// Look up a target by name.
     pub fn get(&self, name: &TargetName) -> Option<&Target> {
-        self.targets
-            .binary_search_by(|t| t.name.cmp(name))
-            .ok()
-            .map(|i| &self.targets[i])
+        self.position(name).map(|i| &self.inner.targets[i])
     }
 
     /// Number of targets.
     #[allow(clippy::len_without_is_empty)]
     pub fn len(&self) -> usize {
-        self.targets.len()
+        self.inner.targets.len()
     }
 
     /// Target names in name order.
     pub fn names(&self) -> impl Iterator<Item = &TargetName> {
-        self.targets.iter().map(|t| &t.name)
+        self.inner.targets.iter().map(|t| &t.name)
     }
 
     /// Targets in name order; `as_slice` indexes them by position.
     pub fn targets(&self) -> std::slice::Iter<'_, Target> {
-        self.targets.iter()
+        self.inner.targets.iter()
     }
 
     /// Target names in topological order (dependencies first).
     pub fn topo_order(&self) -> impl Iterator<Item = &TargetName> {
-        self.topo.iter().map(|&i| &self.targets[i as usize].name)
+        self.inner
+            .topo
+            .iter()
+            .map(|&i| &self.inner.targets[i as usize].name)
     }
 
     /// Positions in topological order (dependencies first).
     pub(crate) fn topo_positions(&self) -> &[u32] {
-        &self.topo
+        &self.inner.topo
     }
 
     /// The positions of target `i`'s dependencies, in declaration order.
     pub(crate) fn deps_of(&self, i: usize) -> &[u32] {
-        &self.deps[i]
+        &self.inner.deps[i]
+    }
+
+    /// The position of a target, if it is in the graph.
+    pub(crate) fn position(&self, name: &TargetName) -> Option<usize> {
+        self.inner
+            .targets
+            .binary_search_by(|t| t.name.cmp(name))
+            .ok()
+    }
+
+    /// The positions of one package's targets, which name order keeps
+    /// together.
+    pub(crate) fn package_run(&self, package: &str) -> Range<usize> {
+        let targets = &self.inner.targets;
+        let lo = targets.partition_point(|t| t.name.package() < package);
+        lo..lo + targets[lo..].partition_point(|t| t.name.package() == package)
+    }
+
+    /// True iff both are clones of one graph.
+    pub(crate) fn ptr_eq(&self, other: &BuildGraph) -> bool {
+        Arc::ptr_eq(&self.inner, &other.inner)
     }
 
     /// True iff both graphs declare the same targets with the same rule
     /// kinds, sources and dependencies — the *structure* Algorithm 1's
     /// fast path keys on; file contents are deliberately not compared.
     pub fn same_structure(&self, other: &BuildGraph) -> bool {
-        self.targets == other.targets
+        self.ptr_eq(other) || self.inner.targets == other.inner.targets
     }
 }
 

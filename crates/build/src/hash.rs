@@ -12,11 +12,12 @@
 
 use crate::error::BuildError;
 use crate::graph::{BuildGraph, Target, TargetName};
-use crate::parser::Package;
+use crate::parser::{Kept, Package};
 use serde::{Deserialize, Serialize};
 use sq_vcs::{ObjectId, ObjectStore, Sha256, Tree};
 use std::fmt;
 use std::ops::Range;
+use std::sync::Arc;
 
 /// A target's Algorithm-1 hash: 32 bytes covering its transitive inputs.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -51,11 +52,32 @@ impl fmt::Display for TargetHash {
     }
 }
 
-/// The Algorithm-1 hashes of every target in a snapshot.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+/// The Algorithm-1 hashes of every target in a snapshot. A clone is a
+/// pointer copy.
+#[derive(Clone, Default)]
 pub struct TargetHashes {
-    /// Sorted by name, one entry per target.
-    hashes: Vec<(TargetName, TargetHash)>,
+    /// The graph hashed, which names the targets.
+    graph: BuildGraph,
+    /// Per position of `graph`.
+    hashes: Arc<[TargetHash]>,
+}
+
+impl PartialEq for TargetHashes {
+    /// Equal iff both hash the same targets to the same hashes.
+    fn eq(&self, other: &TargetHashes) -> bool {
+        if self.graph.ptr_eq(&other.graph) {
+            return self.hashes == other.hashes;
+        }
+        self.hashes.len() == other.hashes.len() && self.iter().eq(other.iter())
+    }
+}
+
+impl Eq for TargetHashes {}
+
+impl fmt::Debug for TargetHashes {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_map().entries(self.iter()).finish()
+    }
 }
 
 /// Absorb one field with a domain tag and a length prefix, keeping the
@@ -64,6 +86,27 @@ fn feed(h: &mut Sha256, tag: &[u8], bytes: &[u8]) {
     h.update(tag);
     h.update(&(bytes.len() as u64).to_le_bytes());
     h.update(bytes);
+}
+
+/// Append one field as [`feed`] absorbs it, its bytes given in parts,
+/// so that several small fields reach the hash in one update.
+fn field(out: &mut Vec<u8>, tag: &[u8], parts: &[&[u8]]) {
+    let len: usize = parts.iter().map(|part| part.len()).sum();
+    out.extend_from_slice(tag);
+    out.extend_from_slice(&(len as u64).to_le_bytes());
+    for part in parts {
+        out.extend_from_slice(part);
+    }
+}
+
+/// A label in its `Display` form, `//package:name`, in parts.
+fn label(name: &TargetName) -> [&[u8]; 4] {
+    [
+        b"//",
+        name.package().as_bytes(),
+        b":",
+        name.short_name().as_bytes(),
+    ]
 }
 
 /// Each target's Algorithm-1 state after its kind, label and sources,
@@ -78,15 +121,12 @@ pub(crate) struct Sources {
 
 /// Start a target's hash: its kind, its label, then each source's path
 /// and content.
-fn absorb(
-    target: &Target,
-    label: &[u8],
-    tree: &Tree,
-    store: &ObjectStore,
-) -> Result<Sha256, BuildError> {
+fn absorb(target: &Target, tree: &Tree, store: &ObjectStore) -> Result<Sha256, BuildError> {
+    let mut head = Vec::new();
+    field(&mut head, b"kind", &[target.kind.rule_name().as_bytes()]);
+    field(&mut head, b"name", &label(&target.name));
     let mut h = Sha256::new();
-    feed(&mut h, b"kind", target.kind.rule_name().as_bytes());
-    feed(&mut h, b"name", label);
+    h.update(&head);
     for src in &target.srcs {
         let id = tree.get(src).ok_or_else(|| BuildError::MissingSource {
             target: target.name.clone(),
@@ -102,57 +142,62 @@ fn absorb(
     Ok(h)
 }
 
+/// What the root directory keeps of the last hash of its graph: enough
+/// to tell, per target, whether its inputs are the ones its hash was
+/// finalized from.
+pub(crate) struct Hashed {
+    /// Per position, the state after kind, label and sources that the
+    /// target's hash was finalized from.
+    states: Vec<Sha256>,
+    hashes: TargetHashes,
+}
+
 /// What the package directories of a tree keep for a graph's targets.
-struct Kept<'a> {
-    /// Per position, the state after sources of every package whose kept
-    /// definitions are the graph's and whose source blobs are all in the
-    /// store.
+struct KeptStates<'a> {
+    /// Per position, the state after sources of every package whose
+    /// source blobs are all in the store.
     states: Vec<Option<&'a Sha256>>,
-    /// Each package whose definitions are the graph's but that keeps no
-    /// states yet, with its positions.
+    /// Each package that keeps no states yet, with its positions.
     unkept: Vec<(Range<usize>, &'a Package)>,
 }
 
-fn kept_states<'a>(targets: &[Target], tree: &'a Tree, store: &ObjectStore) -> Kept<'a> {
-    let mut packages: Vec<&Package> = tree
-        .files_named("BUILD")
-        .filter_map(|(path, blob, slot)| {
-            let package = slot.get::<Package>()?;
-            package
-                .parsed_from(blob, path.parent().unwrap_or(""))
-                .then_some(package)
-        })
-        .collect();
-    // Targets are in name order, so each package's are one run, in
-    // package order.
-    packages.sort_unstable_by(|a, b| a.package().cmp(b.package()));
-    let mut packages = packages.into_iter().peekable();
-    let mut states = vec![None; targets.len()];
+/// What `packages`, each with the positions of its targets, keep for a
+/// graph of `len` targets.
+fn kept_states<'a>(
+    packages: impl Iterator<Item = (Range<usize>, &'a Package)>,
+    len: usize,
+    store: &ObjectStore,
+) -> KeptStates<'a> {
+    let mut states = vec![None; len];
     let mut unkept = Vec::new();
-    let mut lo = 0;
-    while lo < targets.len() {
-        let package = targets[lo].name.package();
-        let hi = targets[lo..]
-            .iter()
-            .position(|t| t.name.package() != package)
-            .map_or(targets.len(), |n| lo + n);
-        while packages.next_if(|p| p.package() < package).is_some() {}
-        let run = &targets[lo..hi];
-        if let Some(p) = packages.next_if(|p| p.package() == package && p.declares(run)) {
-            match p.sources.get() {
-                None => unkept.push((lo..hi, p)),
-                Some(s) if s.blobs.iter().all(|b| store.contains(b)) => {
-                    for (at, state) in states[lo..hi].iter_mut().zip(&s.states) {
-                        *at = Some(state);
-                    }
+    for (run, p) in packages {
+        match p.sources.get() {
+            None => unkept.push((run, p)),
+            Some(s) if s.blobs.iter().all(|b| store.contains(b)) => {
+                for (at, state) in states[run].iter_mut().zip(&s.states) {
+                    *at = Some(state);
                 }
-                // A blob is gone: hashing from the sources names it.
-                Some(_) => {}
             }
+            // A blob is gone: hashing from the sources names it.
+            Some(_) => {}
         }
-        lo = hi;
     }
-    Kept { states, unkept }
+    KeptStates { states, unkept }
+}
+
+/// Per position of `targets`, the position of the same name in `was`;
+/// both are in name order.
+fn positions_by_name(targets: &[Target], was: &[Target]) -> Vec<Option<usize>> {
+    let mut j = 0;
+    targets
+        .iter()
+        .map(|t| {
+            while j < was.len() && was[j].name < t.name {
+                j += 1;
+            }
+            (j < was.len() && was[j].name == t.name).then_some(j)
+        })
+        .collect()
 }
 
 impl TargetHashes {
@@ -162,48 +207,100 @@ impl TargetHashes {
     /// absent from the store — a hash over unknown content would not be
     /// hermetic.
     ///
-    /// A package directory that [`crate::parse_workspace`] parsed keeps
-    /// its targets' states after their sources; a later call over a tree
-    /// sharing the directory feeds only the dependencies.
+    /// For the graph [`crate::parse_workspace`] kept on the tree's root,
+    /// each package directory keeps its targets' states after their
+    /// sources, so a later call over a tree sharing the directory absorbs
+    /// no source there. The root keeps the hashes, and a later call over
+    /// the same tree or one written from it applies the early cutoff: a
+    /// target whose state after sources, dependency labels and dependency
+    /// hashes are the ones a kept hash was finalized from takes that hash
+    /// without finalizing.
     pub fn compute(
         graph: &BuildGraph,
         tree: &Tree,
         store: &ObjectStore,
     ) -> Result<TargetHashes, BuildError> {
         let targets = graph.targets().as_slice();
-        // Every label in its `Display` form, rendered once into one
-        // buffer: target `i`'s is `labels[ends[i]..ends[i + 1]]`.
-        let mut labels = String::new();
-        let mut ends: Vec<usize> = Vec::with_capacity(targets.len() + 1);
-        ends.push(0);
-        for t in targets {
-            labels.push_str("//");
-            labels.push_str(t.name.package());
-            labels.push(':');
-            labels.push_str(t.name.short_name());
-            ends.push(labels.len());
-        }
-        let label = |i: usize| &labels.as_bytes()[ends[i]..ends[i + 1]];
-        let Kept { states, unkept } = kept_states(targets, tree, store);
+        // The root's workspace if it holds this graph.
+        let root = tree.root_slot();
+        let here = root.get::<Kept>().and_then(|k| k.workspace_of(graph));
+        // A graph the root does not keep, such as a hand-built one, may
+        // declare other targets than the packages do: it is hashed from
+        // its sources.
+        let packages = here.into_iter().flat_map(|w| w.packages());
+        let KeptStates { states, unkept } = kept_states(packages, targets.len(), store);
+        // The last hash kept on this tree's root, or else on the root of
+        // the tree it was written from. Its graph may be another, whose
+        // targets are then found by name.
+        let stale = root.stale::<Kept>();
+        let last = root
+            .get::<Kept>()
+            .and_then(Kept::hashed)
+            .or_else(|| stale.as_deref()?.hashed());
+        let moved = last
+            .filter(|last| !last.hashes.graph.ptr_eq(graph))
+            .map(|last| positions_by_name(targets, last.hashes.graph.targets().as_slice()));
+        let was_at = |i: usize| match &moved {
+            None => Some(i),
+            Some(moved) => moved[i],
+        };
         let mut absorbed: Vec<Option<Sha256>> = vec![None; targets.len()];
         let mut hashes = vec![TargetHash([0; 32]); targets.len()];
+        // One target's dependency fields.
+        let mut fed = Vec::new();
         for &i in graph.topo_positions() {
             let i = i as usize;
-            let mut h = match states[i] {
-                Some(state) => state.clone(),
-                None => {
-                    let h = absorb(&targets[i], label(i), tree, store)?;
-                    absorbed[i] = Some(h.clone());
-                    h
-                }
+            let state = match states[i] {
+                Some(state) => state,
+                None => absorbed[i].insert(absorb(&targets[i], tree, store)?),
             };
             // The topological order put every dependency's hash in place.
-            for &d in graph.deps_of(i) {
-                let d = d as usize;
-                feed(&mut h, b"dep", label(d));
-                feed(&mut h, b"dep-hash", hashes[d].as_bytes());
+            let deps = graph.deps_of(i);
+            // The early cutoff: the same state, dependency labels and
+            // dependency hashes as the kept hash was finalized from.
+            let kept = last.and_then(|last| {
+                let j = was_at(i)?;
+                let was = &last.hashes;
+                let same = last.states[j] == *state
+                    && (moved.is_none()
+                        || targets[i].deps == was.graph.targets().as_slice()[j].deps)
+                    && deps.iter().all(|&d| {
+                        was_at(d as usize).is_some_and(|e| hashes[d as usize] == was.hashes[e])
+                    });
+                same.then(|| was.hashes[j])
+            });
+            if let Some(kept) = kept {
+                hashes[i] = kept;
+                continue;
             }
+            fed.clear();
+            for &d in deps {
+                let d = d as usize;
+                field(&mut fed, b"dep", &label(&targets[d].name));
+                field(&mut fed, b"dep-hash", &[hashes[d].as_bytes()]);
+            }
+            let mut h = state.clone();
+            h.update(&fed);
+            crate::work::target_finalized();
             hashes[i] = TargetHash(h.finalize());
+        }
+        let hashes = TargetHashes {
+            graph: graph.clone(),
+            hashes: hashes.into(),
+        };
+        if let Some(workspace) = here {
+            workspace.hashed.get_or_init(|| Hashed {
+                states: states
+                    .iter()
+                    .zip(&absorbed)
+                    .map(|(kept, absorbed)| {
+                        kept.or(absorbed.as_ref())
+                            .expect("every target has a state")
+                            .clone()
+                    })
+                    .collect(),
+                hashes: hashes.clone(),
+            });
         }
         for (run, package) in unkept {
             let states = absorbed[run.clone()]
@@ -218,22 +315,17 @@ impl TargetHashes {
             // A concurrent hash over the directory kept the same states.
             let _ = package.sources.set(Sources { states, blobs });
         }
-        Ok(TargetHashes {
-            hashes: targets.iter().map(|t| t.name.clone()).zip(hashes).collect(),
-        })
+        Ok(hashes)
     }
 
     /// The hash of one target, if it exists in the snapshot.
     pub fn get(&self, name: &TargetName) -> Option<TargetHash> {
-        self.hashes
-            .binary_search_by(|(n, _)| n.cmp(name))
-            .ok()
-            .map(|i| self.hashes[i].1)
+        self.graph.position(name).map(|i| self.hashes[i])
     }
 
     /// Iterate `(name, hash)` pairs in name order.
     pub fn iter(&self) -> impl Iterator<Item = (&TargetName, TargetHash)> {
-        self.hashes.iter().map(|(n, h)| (n, *h))
+        self.graph.names().zip(self.hashes.iter().copied())
     }
 }
 
@@ -241,6 +333,7 @@ impl TargetHashes {
 mod tests {
     use super::*;
     use crate::parser::parse_workspace;
+    use crate::work::Work;
     use crate::SnapshotAnalysis;
     use sq_vcs::RepoPath;
     use std::str::FromStr;
@@ -408,6 +501,28 @@ mod tests {
         Tree::load(store, root).unwrap()
     }
 
+    /// The work of one analysis of `tree`, which must equal the analysis
+    /// of its cold twin: the same order and the same hashes.
+    fn counted(tree: &Tree, store: &mut ObjectStore) -> Work {
+        crate::work::take();
+        let kept = SnapshotAnalysis::analyze(tree, store).unwrap();
+        let work = crate::work::take();
+        let cold = SnapshotAnalysis::analyze(&cold(tree, store), store).unwrap();
+        assert!(kept.graph.topo_order().eq(cold.graph.topo_order()));
+        assert_eq!(kept.hashes, cold.hashes);
+        crate::work::take();
+        work
+    }
+
+    fn work(parsed: usize, absorbed: usize, finalized: usize, graphs: usize) -> Work {
+        Work {
+            parsed,
+            absorbed,
+            finalized,
+            graphs,
+        }
+    }
+
     #[test]
     fn a_change_parses_and_absorbs_only_the_package_it_touched() {
         let (h, mut store) = files(&[
@@ -427,28 +542,124 @@ mod tests {
             ),
             ("top/t.rs", "top"),
         ]);
-        let analyze = |tree: &Tree, store: &mut ObjectStore| {
-            crate::work::take();
-            let kept = hashes_of(tree, store);
-            let counts = crate::work::take();
-            assert_eq!(kept, hashes_of(&cold(tree, store), store));
-            crate::work::take();
-            counts
-        };
         // Three BUILD files, five sources over four targets.
-        assert_eq!(analyze(&h, &mut store), (3, 5));
+        assert_eq!(counted(&h, &mut store), work(3, 5, 4, 1));
         // A source edit in `mid`: its three sources, no BUILD file, and
         // `top`'s hash changes from its kept state.
         let edited = write(&h, &mut store, "mid/n.rs", "n, edited");
-        assert_eq!(analyze(&edited, &mut store), (0, 3));
+        assert_eq!(counted(&edited, &mut store), work(0, 3, 3, 0));
         let rewritten = write(
             &h,
             &mut store,
             "mid/BUILD",
             "library(name = \"mid\", srcs = [\"m.rs\"], deps = [\"//base\"])",
         );
-        assert_eq!(analyze(&rewritten, &mut store), (1, 1));
-        assert_eq!(analyze(&h, &mut store), (0, 0));
+        // Its rewrite: one BUILD file, one graph, and the two targets
+        // whose inputs changed, found by name in the last graph.
+        assert_eq!(counted(&rewritten, &mut store), work(1, 1, 2, 1));
+        assert_eq!(counted(&h, &mut store), work(0, 0, 0, 0));
+    }
+
+    #[test]
+    fn the_early_cutoff_finalizes_only_targets_whose_inputs_changed() {
+        let (h, mut store) = workspace("base-v1");
+        // Four BUILD files, four sources, four targets, one graph.
+        assert_eq!(counted(&h, &mut store), work(4, 4, 4, 1));
+        // `other` stands alone: its own hash, and nothing depends on it.
+        let other = write(&h, &mut store, "other/o.rs", "other-v2");
+        assert_eq!(counted(&other, &mut store), work(0, 1, 1, 0));
+        // `base`'s new hash reaches `mid`, and `mid`'s reaches `top`.
+        let base = write(&h, &mut store, "base/b.rs", "base-v2");
+        assert_eq!(counted(&base, &mut store), work(0, 1, 3, 0));
+        // A second edit, derived from the first: the same three again.
+        let again = write(&base, &mut store, "base/b.rs", "base-v3");
+        assert_eq!(counted(&again, &mut store), work(0, 1, 3, 0));
+        // A BUILD rewrite builds a new graph; the kept hashes of the old
+        // one are found by name, and only the rewired target finalizes.
+        let rewired = write(
+            &h,
+            &mut store,
+            "other/BUILD",
+            "library(name = \"other\", srcs = [\"o.rs\"], deps = [\"//base:base\"])",
+        );
+        assert_eq!(counted(&rewired, &mut store), work(1, 1, 1, 1));
+        // The same tree again: every value as it was kept.
+        assert_eq!(counted(&h, &mut store), work(0, 0, 0, 0));
+        assert_eq!(counted(&rewired, &mut store), work(0, 0, 0, 0));
+    }
+
+    #[test]
+    fn a_root_package_and_the_whole_tree_share_the_root_slot() {
+        let (h, mut store) = workspace("base-v1");
+        let h = write(&h, &mut store, "cfg", "root config");
+        let h = write(
+            &h,
+            &mut store,
+            "BUILD",
+            "config(name = \"root\", srcs = [\"cfg\"], deps = [\"//top\"])",
+        );
+        assert_eq!(counted(&h, &mut store), work(5, 5, 5, 1));
+        // Every write goes through the root, whose package is re-absorbed;
+        // its hash and the graph are reused.
+        let other = write(&h, &mut store, "other/o.rs", "other-v2");
+        assert_eq!(counted(&other, &mut store), work(0, 2, 1, 0));
+        // `base`'s new hash reaches the root target through `top`.
+        let base = write(&h, &mut store, "base/b.rs", "base-v2");
+        assert_eq!(counted(&base, &mut store), work(0, 2, 4, 0));
+        let cfg = write(&h, &mut store, "cfg", "root config v2");
+        assert_eq!(counted(&cfg, &mut store), work(0, 1, 1, 0));
+        assert_eq!(counted(&h, &mut store), work(0, 0, 0, 0));
+    }
+
+    #[test]
+    fn what_a_root_package_keeps_dies_with_its_tree() {
+        let (h, mut store) = workspace("base-v1");
+        let h = write(&h, &mut store, "cfg", "root config");
+        let h = write(
+            &h,
+            &mut store,
+            "BUILD",
+            "config(name = \"root\", srcs = [\"cfg\"])",
+        );
+        SnapshotAnalysis::analyze(&h, &store).unwrap();
+        let child = write(&h, &mut store, "cfg", "root config v2");
+        assert!(child.root_slot().stale::<Kept>().is_some());
+        // The root keeps its own package among the tree's: no cycle holds
+        // it once the tree is gone.
+        drop(h);
+        assert!(child.root_slot().stale::<Kept>().is_none());
+    }
+
+    #[test]
+    fn a_hand_built_graph_reuses_a_kept_hash_only_where_its_inputs_match() {
+        let (h, mut store) = workspace("base-v1");
+        let analysis = SnapshotAnalysis::analyze(&h, &store).unwrap();
+        // The same targets in a graph of their own: hashed from their
+        // sources, as no package keeps states for a graph the root does
+        // not keep, and every hash is found by name, so none finalizes.
+        let twin = BuildGraph::from_targets(analysis.graph.targets().cloned()).unwrap();
+        crate::work::take();
+        assert_eq!(
+            TargetHashes::compute(&twin, &h, &store).unwrap(),
+            analysis.hashes
+        );
+        assert_eq!(crate::work::take(), work(0, 4, 0, 0));
+        // `mid` reads `base`'s source instead: its state and `top`'s
+        // dependency hash differ, so those two finalize.
+        let unlike = BuildGraph::from_targets(analysis.graph.targets().cloned().map(|mut t| {
+            if t.name == n("//mid:mid") {
+                t.srcs = vec![RepoPath::new("base/b.rs").unwrap()];
+            }
+            t
+        }))
+        .unwrap();
+        let over_kept = TargetHashes::compute(&unlike, &h, &store).unwrap();
+        assert_eq!(crate::work::take(), work(0, 4, 2, 0));
+        let cold = cold(&h, &mut store);
+        assert_eq!(
+            over_kept,
+            TargetHashes::compute(&unlike, &cold, &store).unwrap()
+        );
     }
 
     #[test]

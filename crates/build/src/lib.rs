@@ -43,35 +43,67 @@ pub use parser::parse_workspace;
 /// Crate-wide result type.
 pub type Result<T> = std::result::Result<T, BuildError>;
 
-/// The work an analysis does, counted for the tests of what a package
-/// directory keeps; nothing is counted outside them.
+/// The work an analysis does, counted for the tests of what a directory
+/// keeps; nothing is counted outside them.
 #[cfg(not(test))]
 mod work {
     /// One BUILD file was tokenized and parsed.
     pub(crate) fn build_parsed() {}
     /// Algorithm 1 read `n` sources of one target.
     pub(crate) fn sources_absorbed(_n: usize) {}
+    /// Algorithm 1 fed one target's dependencies and finalized its hash.
+    pub(crate) fn target_finalized() {}
+    /// `parse_workspace` built a graph from the declared targets.
+    pub(crate) fn graph_built() {}
 }
 
 #[cfg(test)]
 mod work {
     use std::cell::Cell;
 
+    /// The work done on one test's thread.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub(crate) struct Work {
+        /// BUILD files parsed.
+        pub(crate) parsed: usize,
+        /// Sources absorbed.
+        pub(crate) absorbed: usize,
+        /// Targets finalized.
+        pub(crate) finalized: usize,
+        /// Graphs built.
+        pub(crate) graphs: usize,
+    }
+
     thread_local! {
-        /// BUILD files parsed and sources absorbed on this test's thread.
-        static COUNTS: Cell<(usize, usize)> = const { Cell::new((0, 0)) };
+        static WORK: Cell<Work> = const { Cell::new(Work { parsed: 0, absorbed: 0, finalized: 0, graphs: 0 }) };
+    }
+
+    fn count(add: impl FnOnce(&mut Work)) {
+        WORK.with(|w| {
+            let mut work = w.get();
+            add(&mut work);
+            w.set(work);
+        });
     }
 
     pub(crate) fn build_parsed() {
-        COUNTS.with(|c| c.set((c.get().0 + 1, c.get().1)));
+        count(|w| w.parsed += 1);
     }
 
     pub(crate) fn sources_absorbed(n: usize) {
-        COUNTS.with(|c| c.set((c.get().0, c.get().1 + n)));
+        count(|w| w.absorbed += n);
     }
 
-    /// `(BUILD files parsed, sources absorbed)` since the last call.
-    pub(crate) fn take() -> (usize, usize) {
-        COUNTS.with(|c| c.replace((0, 0)))
+    pub(crate) fn target_finalized() {
+        count(|w| w.finalized += 1);
+    }
+
+    pub(crate) fn graph_built() {
+        count(|w| w.graphs += 1);
+    }
+
+    /// The work done since the last call.
+    pub(crate) fn take() -> Work {
+        WORK.with(|w| w.take())
     }
 }

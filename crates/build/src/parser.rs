@@ -19,8 +19,9 @@
 
 use crate::error::BuildError;
 use crate::graph::{BuildGraph, RuleKind, Target, TargetName};
-use crate::hash::Sources;
+use crate::hash::{Hashed, Sources};
 use sq_vcs::{ObjectId, ObjectStore, RepoPath, Tree};
+use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 
 /// Parse all BUILD files in the snapshot into a validated target graph.
@@ -28,98 +29,160 @@ use std::sync::{Arc, OnceLock};
 /// Each package directory keeps the targets its BUILD file declares, so
 /// a later call over a tree sharing the directory parses nothing there,
 /// and neither does one over a tree written from it that left the BUILD
-/// blob as it was, while the tree written from lives.
+/// blob as it was, while the tree written from lives. The root directory
+/// keeps the graph, so a later call over the same tree, or over one
+/// written from it whose packages all keep the targets the graph was
+/// built from, builds no graph either.
 pub fn parse_workspace(tree: &Tree, store: &ObjectStore) -> Result<BuildGraph, BuildError> {
-    let mut targets: Vec<Target> = Vec::new();
+    let root = tree.root_slot();
+    let here = root.get::<Kept>().and_then(|k| k.workspace.get());
+    let stale = root.stale::<Kept>();
+    // The graph this tree keeps, or else the one the tree it was written
+    // from keeps.
+    let reusable = here.or_else(|| stale.as_deref()?.workspace.get());
+    let mut same = true;
+    let mut packages: Vec<Arc<Package>> = Vec::new();
     for (path, blob, slot) in tree.files_named("BUILD") {
-        let package = path.parent().unwrap_or("");
-        // Reused only for the blob parsed and while the store holds it,
-        // which a parse from nothing would have read.
-        let parsed_here = |kept: &Package| kept.parsed_from(blob, package) && store.contains(&blob);
-        if let Some(kept) = slot.get::<Package>().filter(|kept| parsed_here(kept)) {
-            targets.extend_from_slice(&kept.declared.targets);
-            continue;
-        }
-        let declared = match slot.stale::<Package>().filter(|stale| parsed_here(stale)) {
-            Some(stale) => Arc::clone(&stale.declared),
+        // Reused only for the same BUILD file and blob, and while the
+        // store holds the blob, which a parse from nothing would read. A
+        // directory kept as it is shares its path with the tree.
+        let parsed_here = |kept: &&Arc<Package>| {
+            kept.build == blob
+                && (std::ptr::eq(&*kept.path, &**path) || kept.path == *path)
+                && store.contains(&blob)
+        };
+        let kept = &slot.get_or_keep(Kept::default).package;
+        let package = match kept.get().filter(parsed_here) {
+            Some(package) => Arc::clone(package),
             None => {
-                let bytes = store
-                    .get(&blob)
-                    .ok_or_else(|| BuildError::MissingObject(blob.to_hex()))?;
-                // Borrowed unless the blob is not UTF-8; tokens borrow from it.
-                let text = String::from_utf8_lossy(bytes);
-                crate::work::build_parsed();
-                Arc::new(Declared::new(parse_build_file(
-                    path.as_str(),
-                    package,
-                    &text,
-                )?))
+                let stale = slot.stale::<Kept>();
+                let targets = match stale
+                    .as_deref()
+                    .and_then(|k| k.package.get())
+                    .filter(parsed_here)
+                {
+                    Some(stale) => Arc::clone(&stale.targets),
+                    None => {
+                        let bytes = store
+                            .get(&blob)
+                            .ok_or_else(|| BuildError::MissingObject(blob.to_hex()))?;
+                        // Borrowed unless the blob is not UTF-8; tokens borrow from it.
+                        let text = String::from_utf8_lossy(bytes);
+                        crate::work::build_parsed();
+                        let package = path.parent().unwrap_or("");
+                        parse_build_file(path.as_str(), package, &text)?.into()
+                    }
+                };
+                // A concurrent call may have kept its own parse first.
+                let package = kept.get_or_init(|| {
+                    Arc::new(Package {
+                        build: blob,
+                        path: Arc::clone(path),
+                        targets,
+                        sources: OnceLock::new(),
+                    })
+                });
+                Arc::clone(package)
             }
         };
-        targets.extend_from_slice(&declared.targets);
-        slot.keep(Package {
-            build: blob,
-            package: package.into(),
-            declared,
-            sources: OnceLock::new(),
-        });
+        // Compared by identity: the workspace holds what it compares.
+        same = same
+            && reusable
+                .and_then(|w| w.packages.get(packages.len()))
+                .is_some_and(|was| {
+                    Arc::ptr_eq(was, &package) || Arc::ptr_eq(&was.targets, &package.targets)
+                });
+        packages.push(package);
     }
-    BuildGraph::from_targets(targets)
+    let (graph, runs) = match reusable.filter(|w| same && w.packages.len() == packages.len()) {
+        Some(kept) if here.is_some() => return Ok(kept.graph.clone()),
+        Some(stale) => (stale.graph.clone(), Arc::clone(&stale.runs)),
+        None => {
+            crate::work::graph_built();
+            let targets = packages.iter().flat_map(|p| p.targets.iter().cloned());
+            let graph = BuildGraph::from_targets(targets)?;
+            let runs = packages
+                .iter()
+                .map(|p| graph.package_run(p.path.parent().unwrap_or("")))
+                .collect();
+            (graph, runs)
+        }
+    };
+    // A concurrent call may have kept a graph of the same targets first.
+    root.get_or_keep(Kept::default)
+        .workspace
+        .get_or_init(|| Workspace {
+            packages,
+            runs,
+            graph: graph.clone(),
+            hashed: OnceLock::new(),
+        });
+    Ok(graph)
 }
 
-/// What a package directory keeps of its analysis in its
-/// [`sq_vcs::tree::Derived`] slot: the targets its BUILD file declares,
+/// What a directory keeps of an analysis in its [`sq_vcs::tree::Derived`]
+/// slot: its package's, if it holds a BUILD file, and on the root, the
+/// whole tree's. The root may be a package too, so both have a place.
+#[derive(Default)]
+pub(crate) struct Kept {
+    pub(crate) package: OnceLock<Arc<Package>>,
+    pub(crate) workspace: OnceLock<Workspace>,
+}
+
+/// What a package directory keeps: the targets its BUILD file declares,
 /// and, once a hash has run over the directory as it is, each target's
 /// Algorithm-1 state after its sources ([`Sources`]). A write at or below
 /// the directory leaves it stale, and [`parse_workspace`] then reuses
 /// only the targets, and only if the BUILD blob is the one they came
 /// from.
 pub(crate) struct Package {
-    /// The BUILD blob and the package the targets were parsed from.
+    /// The BUILD blob and file the targets were parsed from.
     build: ObjectId,
-    package: Box<str>,
-    declared: Arc<Declared>,
+    path: Arc<RepoPath>,
+    /// In declaration order, which decides the duplicate a graph reports.
+    targets: Arc<[Target]>,
     /// Kept by the first [`crate::TargetHashes::compute`] over the
     /// directory as it is.
     pub(crate) sources: OnceLock<Sources>,
 }
 
-/// One BUILD file's targets.
-struct Declared {
-    /// In declaration order, which decides the duplicate a graph reports.
-    targets: Vec<Target>,
-    /// The positions of `targets` in name order, the graph's order.
-    by_name: Vec<u32>,
+/// What the root directory keeps of the whole tree: the graph, each
+/// package directory's package, and once hashed over the tree as it is,
+/// the hashes ([`Hashed`]). A write anywhere leaves it stale:
+/// [`parse_workspace`] then reuses the graph only when every package
+/// still keeps the very targets it was built from, and
+/// [`crate::TargetHashes::compute`] reuses a hash only where its inputs
+/// are the ones it was finalized from.
+pub(crate) struct Workspace {
+    /// Each BUILD file's, in path order: the tree's own, which live as
+    /// long as its root. A package holds nothing of the workspace, so
+    /// the root's own, if it is a package, makes no cycle.
+    packages: Vec<Arc<Package>>,
+    /// Per package, the positions of its targets in `graph`.
+    runs: Arc<[Range<usize>]>,
+    graph: BuildGraph,
+    pub(crate) hashed: OnceLock<Hashed>,
 }
 
-impl Declared {
-    fn new(targets: Vec<Target>) -> Declared {
-        let mut by_name: Vec<u32> = (0..targets.len() as u32).collect();
-        by_name.sort_by(|&a, &b| targets[a as usize].name.cmp(&targets[b as usize].name));
-        Declared { targets, by_name }
+impl Kept {
+    /// The workspace kept here, if it holds `graph`.
+    pub(crate) fn workspace_of(&self, graph: &BuildGraph) -> Option<&Workspace> {
+        self.workspace.get().filter(|w| w.graph.ptr_eq(graph))
+    }
+
+    /// The last hash of the workspace kept here.
+    pub(crate) fn hashed(&self) -> Option<&Hashed> {
+        self.workspace.get()?.hashed.get()
     }
 }
 
-impl Package {
-    /// True iff this was parsed from BUILD blob `build` of `package`.
-    pub(crate) fn parsed_from(&self, build: ObjectId, package: &str) -> bool {
-        self.build == build && *self.package == *package
-    }
-
-    /// The package directory, relative to the root.
-    pub(crate) fn package(&self) -> &str {
-        &self.package
-    }
-
-    /// True iff `run`, one package's targets in name order, is exactly
-    /// what the BUILD file declares.
-    pub(crate) fn declares(&self, run: &[Target]) -> bool {
-        let Declared { targets, by_name } = &*self.declared;
-        run.len() == by_name.len()
-            && run
-                .iter()
-                .zip(by_name)
-                .all(|(t, &i)| *t == targets[i as usize])
+impl Workspace {
+    /// Each package of the tree, with the positions of its targets.
+    pub(crate) fn packages(&self) -> impl Iterator<Item = (Range<usize>, &Package)> {
+        self.runs
+            .iter()
+            .cloned()
+            .zip(self.packages.iter().map(|p| &**p))
     }
 }
 

@@ -8,8 +8,13 @@
 //! derived, equals the analysis of a cold copy of it (`Tree::load` builds
 //! fresh directories that keep nothing): the same topological order, the
 //! same hashes and the same affected set against the previous step, or
-//! the same error. A twin of the step, the same patch applied to the same
-//! parent once more, and a second call over the same tree agree too.
+//! the same error. The patched tree's root directory was written from the
+//! parent's, so its analysis starts from the graph and hashes the parent
+//! kept there (the early cutoff) as well as from the untouched package
+//! directories. A twin of the step, the same patch applied to the same
+//! parent once more, a call over the same tree with a store that lost one
+//! blob (against the cold copy over that store), and a second call over
+//! the same tree agree too.
 
 use proptest::prelude::*;
 use sq_build::{AffectedSet, BuildError, SnapshotAnalysis, TargetName};
@@ -295,6 +300,16 @@ proptest! {
             );
             prop_assert_eq!(affected(&warm, &now), affected(&cold, &now_cold), "step {} {:?}", n, step);
             prop_assert!(same(&analyze(&twin, &ws.store), &now_cold), "step {n}: twin");
+            // The same tree over a store that lost one blob: nothing kept
+            // is reused once the store lacks what it was derived from.
+            let files = ws.tree.iter().count();
+            let lost = *ws.tree.iter().nth((step.1 + 3 * step.2 + n) % files).unwrap().1;
+            let mut lacking = ObjectStore::new();
+            for (_, id) in ws.tree.iter().filter(|(_, id)| **id != lost) {
+                lacking.put(ws.store.get(id).unwrap().clone());
+            }
+            let lacking_cold = analyze(&Tree::load(&ws.store, root).unwrap(), &lacking);
+            prop_assert!(same(&analyze(&ws.tree, &lacking), &lacking_cold), "step {n}: without {lost:?}");
             prop_assert!(same(&analyze(&ws.tree, &ws.store), &now_cold), "step {n}: again");
             (warm, cold) = (now, now_cold);
         }

@@ -8,7 +8,7 @@
 //! must what a package directory keeps between analyses.
 
 use sq_build::{parse_workspace, TargetHashes};
-use sq_vcs::{hash::to_hex, ObjectStore, RepoPath, Sha256, Tree};
+use sq_vcs::{hash::to_hex, ObjectStore, Patch, RepoPath, Sha256, Tree};
 
 const LAYERS: usize = 6;
 const PER_LAYER: usize = 10;
@@ -99,14 +99,26 @@ fn digest(tree: &Tree, store: &ObjectStore) -> String {
 }
 
 /// Pinned on a first call, on a second over the same tree (where every
-/// package directory keeps its targets and source states) and over a
-/// `Tree::load` copy (where none keeps anything).
+/// package directory keeps its targets and source states, and the root
+/// the graph and its hashes), over a `Tree::load` copy (where none keeps
+/// anything), and over the same content in other directory nodes: the
+/// tree after a patch and its inverse, analysed from what the first tree
+/// kept (a source edit keeps its graph; a BUILD edit builds a new one).
 #[test]
 fn hashes_and_topological_order_of_a_layered_workspace_are_pinned() {
     let pinned = "4d5a97deedd46fdcf934a13d2e02bb4d95457dc14a1359816fe775181a3a39a4";
     let (tree, mut store) = workspace();
     assert_eq!(digest(&tree, &store), pinned);
     assert_eq!(digest(&tree, &store), pinned);
+    for file in ["layer2/pkg04/src_1.rs", "layer3/pkg05/BUILD"] {
+        let path = RepoPath::new(file).unwrap();
+        let was = store.get_text(&tree.get(&path).unwrap()).unwrap();
+        let edited = Patch::write(path.clone(), "# edited\n")
+            .apply(&tree, &mut store)
+            .unwrap();
+        let restored = Patch::write(path, was).apply(&edited, &mut store).unwrap();
+        assert_eq!(digest(&restored, &store), pinned, "{file}");
+    }
     let root = tree.store(&mut store);
     assert_eq!(digest(&Tree::load(&store, root).unwrap(), &store), pinned);
 }

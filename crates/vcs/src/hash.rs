@@ -7,6 +7,10 @@
 //! crate set has none, and 32-bit word arithmetic is all that's needed.
 
 /// Streaming SHA-256 hasher.
+///
+/// Two hashers are equal when they are in the same state: the same
+/// chaining words, message length and unprocessed bytes, so that the same
+/// input from here on gives both the same digest.
 #[derive(Debug, Clone)]
 pub struct Sha256 {
     state: [u32; 8],
@@ -29,6 +33,17 @@ const K: [u32; 64] = [
 const H0: [u32; 8] = [
     0x6A09E667, 0xBB67AE85, 0x3C6EF372, 0xA54FF53A, 0x510E527F, 0x9B05688C, 0x1F83D9AB, 0x5BE0CD19,
 ];
+
+impl PartialEq for Sha256 {
+    fn eq(&self, other: &Sha256) -> bool {
+        // The buffer past `buf_len` holds leftovers of earlier blocks.
+        self.state == other.state
+            && self.total_len == other.total_len
+            && self.buf[..self.buf_len] == other.buf[..other.buf_len]
+    }
+}
+
+impl Eq for Sha256 {}
 
 impl Default for Sha256 {
     fn default() -> Self {
@@ -191,6 +206,22 @@ mod tests {
             to_hex(&Sha256::digest(b"")),
             "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
         );
+    }
+
+    #[test]
+    fn equal_states_are_equal_whatever_their_buffers_held() {
+        // The same input in different pieces; the second also left the
+        // bytes of a whole block behind in its buffer.
+        let mut a = Sha256::new();
+        a.update(&[7u8; 70]);
+        let mut b = Sha256::new();
+        b.update(&[7u8; 60]);
+        b.update(&[7u8; 10]);
+        assert_eq!(a, b);
+        b.update(b"x");
+        assert_ne!(a, b);
+        a.update(b"x");
+        assert_eq!(a.finalize(), b.finalize());
     }
 
     #[test]

@@ -6,18 +6,19 @@
 //! compare paths with plain string equality.
 
 use crate::error::VcsError;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Deserializer, Serialize, Serializer};
 use std::fmt;
+use std::sync::Arc;
 
 /// The most components a path may have. Directory trees recurse once per
 /// level (encoding, decoding, dropping), so the bound keeps a path that
 /// arrives in a frame or a journal from choosing the stack depth.
 pub const MAX_DEPTH: usize = 128;
 
-/// A validated, normalized repository-relative path.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-#[serde(transparent)]
-pub struct RepoPath(String);
+/// A validated, normalized repository-relative path. The text is shared,
+/// so a clone allocates nothing.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct RepoPath(Arc<str>);
 
 impl RepoPath {
     /// Normalize and validate a path string.
@@ -41,10 +42,10 @@ impl RepoPath {
             return Err(VcsError::InvalidPath(raw.to_string()));
         }
         if normal {
-            return Ok(RepoPath(raw.to_string()));
+            return Ok(RepoPath(raw.into()));
         }
         let parts: Vec<&str> = raw.split('/').filter(|p| !p.is_empty()).collect();
-        Ok(RepoPath(parts.join("/")))
+        Ok(RepoPath(parts.join("/").into()))
     }
 
     /// The normalized string form.
@@ -65,13 +66,26 @@ impl RepoPath {
 
     /// The final component.
     pub fn file_name(&self) -> &str {
-        self.0.rsplit_once('/').map_or(&self.0, |(_, f)| f)
+        self.0.rsplit_once('/').map_or(&*self.0, |(_, f)| f)
     }
 }
 
 impl fmt::Display for RepoPath {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(&self.0)
+    }
+}
+
+// The bare string, written and read as `#[serde(transparent)]` would.
+impl Serialize for RepoPath {
+    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
+        serializer.serialize_str(&self.0)
+    }
+}
+
+impl<'de> Deserialize<'de> for RepoPath {
+    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
+        String::deserialize(deserializer).map(|s| RepoPath(s.into()))
     }
 }
 

@@ -7,10 +7,57 @@
 //! Those later inserts go to a small overlay that is copied on the first
 //! write after a clone, so a clone never sees the original's later
 //! writes, nor the original the clone's.
+//!
+//! Every key is a SHA-256 digest, so the maps hash it with a keyed
+//! multiply per 8-byte word ([`IdHasher`]) instead of SipHash, which cost
+//! two thirds of a look-up. The key is drawn per map, as `RandomState`
+//! draws its own, so content chosen by an outside party still cannot
+//! choose where its ids land.
 
-use std::collections::HashMap;
-use std::hash::Hash;
+use std::collections::hash_map::RandomState;
+use std::collections::HashMap as StdHashMap;
+use std::hash::{BuildHasher, Hash, Hasher};
 use std::sync::Arc;
+
+type HashMap<K, V> = StdHashMap<K, V, KeyedIds>;
+
+/// Builds [`IdHasher`]s that start from a key `RandomState` draws.
+#[derive(Debug, Clone)]
+pub(crate) struct KeyedIds(u64);
+
+impl Default for KeyedIds {
+    fn default() -> Self {
+        KeyedIds(RandomState::new().hash_one(0u8))
+    }
+}
+
+impl BuildHasher for KeyedIds {
+    type Hasher = IdHasher;
+
+    fn build_hasher(&self) -> IdHasher {
+        IdHasher(self.0)
+    }
+}
+
+/// Folds each 8-byte word into the state by a 64 × 64 → 128-bit multiply
+/// whose halves are XORed, so every bit of the word reaches every bit of
+/// the state.
+pub(crate) struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            let product = u128::from(self.0 ^ u64::from_le_bytes(word)) * 0x9E37_79B9_7F4A_7C15;
+            self.0 = (product as u64) ^ ((product >> 64) as u64);
+        }
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
 
 /// Overlay size at which a co-owned frozen part is copied rather than
 /// left shared. Bounds what the first write after a clone copies, whether
@@ -120,6 +167,18 @@ mod tests {
             m.insert(k, k);
         }
         m
+    }
+
+    #[test]
+    fn ids_differing_in_any_bit_hash_apart_and_each_map_draws_its_key() {
+        let keyed = KeyedIds::default();
+        let id = [0x5au8; 32];
+        for bit in 0..256 {
+            let mut other = id;
+            other[bit / 8] ^= 1 << (bit % 8);
+            assert_ne!(keyed.hash_one(id), keyed.hash_one(other), "bit {bit}");
+        }
+        assert_ne!(KeyedIds::default().hash_one(id), keyed.hash_one(id));
     }
 
     #[test]

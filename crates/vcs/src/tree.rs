@@ -79,11 +79,20 @@ impl Derived {
         self.stale.as_ref()?.upgrade()?.downcast().ok()
     }
 
-    /// Keep `value` as derived from the directory as it is, unless a value
-    /// is kept already.
-    pub fn keep<T: Any + Send + Sync>(&self, value: T) {
+    /// The value derived from the directory as it is, made by `make` and
+    /// kept if none is kept yet. A consumer keeps everything it derives
+    /// from one directory in one value, so a slot holds one type.
+    ///
+    /// # Panics
+    ///
+    /// If the slot keeps a value of another type, which is never dropped
+    /// to make room.
+    pub fn get_or_keep<T: Any + Send + Sync>(&self, make: impl FnOnce() -> T) -> &T {
         // A concurrent keeper derived the same value from the same content.
-        let _ = self.kept.set(Arc::new(value));
+        self.kept
+            .get_or_init(|| Arc::new(make()))
+            .downcast_ref()
+            .expect("a directory's slot keeps one type")
     }
 
     /// The directory is being written: what was kept becomes stale.
@@ -235,19 +244,27 @@ impl Tree {
         Files::below(&self.root)
     }
 
+    /// The root directory's slot, for a value derived from the whole
+    /// tree. The root is on the way to every file, so any write leaves
+    /// what it kept stale.
+    pub fn root_slot(&self) -> &Derived {
+        &self.root.derived
+    }
+
     /// Every file called `name`, in path order, with the slot of the
-    /// directory holding it.
+    /// directory holding it. The path is the one the tree shares with
+    /// every tree holding the directory, so a consumer can key on it.
     pub fn files_named<'a>(
         &'a self,
         name: &'a str,
-    ) -> impl Iterator<Item = (&'a RepoPath, ObjectId, &'a Derived)> + 'a {
+    ) -> impl Iterator<Item = (&'a Arc<RepoPath>, ObjectId, &'a Derived)> + 'a {
         let mut stack = vec![(&*self.root, self.root.entries.iter())];
         std::iter::from_fn(move || loop {
             let (dir, entries) = stack.last_mut()?;
             let dir = *dir;
             match entries.next() {
                 Some((key, Node::File { path, blob })) if **key == *name => {
-                    return Some((&**path, *blob, &dir.derived))
+                    return Some((path, *blob, &dir.derived))
                 }
                 Some((_, Node::Dir(sub))) => stack.push((sub, sub.entries.iter())),
                 Some(_) => {}
@@ -827,8 +844,8 @@ mod tests {
         let mut parent = Tree::new();
         parent.insert(path("p/f"), blob(&mut store, "f")).unwrap();
         parent.insert(path("q/g"), blob(&mut store, "g")).unwrap();
-        slot(&parent, "f").keep(1u32);
-        slot(&parent, "f").keep(2u32);
+        assert_eq!(slot(&parent, "f").get_or_keep(|| 1u32), &1);
+        assert_eq!(slot(&parent, "f").get_or_keep(|| 2u32), &1);
         assert_eq!(slot(&parent, "f").get::<u32>(), Some(&1));
         assert_eq!(slot(&parent, "f").get::<u64>(), None);
 
@@ -840,7 +857,7 @@ mod tests {
         assert_eq!(slot(&child, "f").get::<u32>(), None);
         assert_eq!(slot(&child, "f").stale::<u32>().as_deref(), Some(&1));
         assert_eq!(slot(&parent, "f").get::<u32>(), Some(&1));
-        slot(&parent, "g").keep(3u32);
+        slot(&parent, "g").get_or_keep(|| 3u32);
         assert_eq!(slot(&child, "g").get::<u32>(), Some(&3));
         // The stale reference never keeps the value alive.
         drop(parent);
@@ -852,6 +869,29 @@ mod tests {
         assert_eq!(slot(&child, "g").get::<u32>(), Some(&3));
         assert_eq!(slot(&loaded, "g").get::<u32>(), None);
         assert_eq!(loaded, child);
+    }
+
+    #[test]
+    fn the_root_slot_goes_stale_on_any_write() {
+        let mut store = ObjectStore::new();
+        let mut parent = Tree::new();
+        parent.insert(path("p/f"), blob(&mut store, "f")).unwrap();
+        parent.root_slot().get_or_keep(|| 1u32);
+        let mut child = parent.clone();
+        child.insert(path("q/g"), blob(&mut store, "g")).unwrap();
+        assert_eq!(child.root_slot().get::<u32>(), None);
+        assert_eq!(child.root_slot().stale::<u32>().as_deref(), Some(&1));
+        assert_eq!(parent.root_slot().get::<u32>(), Some(&1));
+    }
+
+    #[test]
+    #[should_panic(expected = "one type")]
+    fn a_slot_never_drops_a_value_for_one_of_another_type() {
+        let mut store = ObjectStore::new();
+        let mut t = Tree::new();
+        t.insert(path("f"), blob(&mut store, "f")).unwrap();
+        t.root_slot().get_or_keep(|| 1u32);
+        t.root_slot().get_or_keep(|| 1u64);
     }
 
     fn entry(kind: u8, id: ObjectId, name: &str) -> Vec<u8> {
