@@ -1,61 +1,91 @@
 //! The lean-speculation ablation matrix: the `lean` suite.
 //!
-//! One seeded workload replayed through five [`LeanConfig`] cells —
-//! baseline (decision-identical to plain SubmitQueue), each lean
-//! optimization alone, and all three together — under the same planner
-//! configuration as the `e2e` suite, so the baseline cell reproduces the
-//! committed `BENCH_e2e.json` build counts. Every cell is audited:
-//! always-green must hold and wrongful rejections must be zero (a wrong
-//! skip or bypass may only cost latency, never a rejection). Like the
-//! other committed benchmark documents, the JSON is a pure function of
-//! its [`E2eParams`] — simulated time only, sorted metric keys,
-//! shortest-round-trip floats — so same-seed reruns are byte-identical.
+//! One seeded run of the whole planner stack — workload synthesis,
+//! predictor training, planning under an infra-fault model — replayed
+//! through five [`LeanConfig`] cells: baseline (decision-identical to
+//! plain SubmitQueue), each lean optimization alone, and all three
+//! together. Every cell is audited: always-green must hold and wrongful
+//! rejections must be zero (a wrong skip or bypass may only cost
+//! latency, never a rejection). Each cell also carries its observer's
+//! metrics export. The JSON is a pure function of its [`LeanParams`] —
+//! simulated time only, sorted metric keys, shortest-round-trip floats
+//! — so same-seed reruns are byte-identical.
 
-use crate::e2e::{planned_run, E2eParams};
-use crate::suite::{pick, Report, Suite};
-use sq_core::audit::{audit_green, count_wrongful_rejections};
-use sq_core::planner::{run_simulation_observed, PlannerConfig, SimResult};
+use crate::suite::{pick, write_record, Report, Suite};
+use sq_core::audit::AuditedRun;
+use sq_core::planner::{run_simulation_observed, PlannerConfig, SimFaults};
 use sq_core::predict::LearnedPredictor;
 use sq_core::strategy::Strategy;
 use sq_core::{LeanConfig, LeanReport, SKIP_MISS_BUDGET};
-use sq_obs::{JsonWriter, Observer};
-use sq_workload::Workload;
+use sq_obs::{JsonWriter, MetricsRegistry, Observer};
+use sq_workload::{Workload, WorkloadBuilder, WorkloadParams};
 
-/// One audited ablation cell.
+/// Parameters of one ablation matrix.
+#[derive(Debug, Clone)]
+pub struct LeanParams {
+    /// Master seed (workload, training history, fault model).
+    pub seed: u64,
+    /// Number of changes in the replayed workload.
+    pub n_changes: usize,
+    /// Ingestion rate in changes/hour.
+    pub rate: f64,
+    /// Worker fleet size.
+    pub workers: usize,
+    /// Per-attempt infra-fault probability in `[0, 1]`.
+    pub fault_rate: f64,
+    /// Training-history size for the SubmitQueue predictor.
+    pub history_changes: usize,
+}
+
+impl LeanParams {
+    /// The recorded configuration (what `BENCH_lean.json` reports).
+    pub fn standard() -> Self {
+        LeanParams {
+            seed: crate::BENCH_SEED,
+            n_changes: 400,
+            rate: 250.0,
+            workers: 150,
+            fault_rate: 0.05,
+            history_changes: 4_000,
+        }
+    }
+
+    /// A small configuration for CI smoke runs (seconds, not minutes).
+    pub fn smoke() -> Self {
+        LeanParams {
+            seed: crate::BENCH_SEED,
+            n_changes: 60,
+            rate: 200.0,
+            workers: 40,
+            fault_rate: 0.1,
+            history_changes: 800,
+        }
+    }
+}
+
+/// One ablation cell: its flags, its audited run and its metrics.
 #[derive(Debug)]
 pub struct LeanCell {
     /// Which lean flags were active.
     pub config: LeanConfig,
-    /// Stable cell label ("baseline", "skip", …, "skip+prioritize+bypass").
-    pub label: String,
-    /// The finished simulation.
-    pub result: SimResult,
-    /// Gating builds actually required (`planner.builds_needed`).
-    pub needed: u64,
-    /// Always-green audit verdict.
-    pub green: Result<(), String>,
-    /// Wrongful-rejection count (must be zero in every cell).
-    pub wrongful: usize,
+    /// The audited simulation.
+    pub run: AuditedRun,
+    /// The observer's metrics export of the run.
+    pub metrics: MetricsRegistry,
 }
 
 impl LeanCell {
-    /// Builds started beyond the needed gating builds.
-    pub fn wasted(&self) -> u64 {
-        self.result.builds_started.saturating_sub(self.needed)
-    }
-
     /// The per-run lean accounting (present for every lean strategy).
     pub fn lean_report(&self) -> LeanReport {
-        self.result.lean.unwrap_or_default()
+        self.run.result.lean.unwrap_or_default()
     }
 }
 
 /// A finished ablation matrix.
 #[derive(Debug)]
 pub struct LeanMatrix {
-    /// The parameters that produced it: the `e2e` suite's, so the
-    /// baseline cell is directly comparable to `BENCH_e2e.json`.
-    pub params: E2eParams,
+    /// The parameters that produced it.
+    pub params: LeanParams,
     /// The calibrated skip threshold shared by the skip-enabled cells.
     pub skip_threshold: f64,
     /// One cell per ablation row, baseline first.
@@ -85,13 +115,26 @@ fn ablation_cells(threshold: f64) -> Vec<LeanConfig> {
     ]
 }
 
-/// Run the full ablation matrix: train and calibrate once, then replay
-/// the same workload through every cell.
-pub fn run_matrix(params: &E2eParams) -> LeanMatrix {
-    // The e2e suite's workload, predictor and planner, so the baseline
-    // cell's planner decisions match the committed BENCH_e2e.json run bit
-    // for bit.
-    let (workload, history, predictor, config) = planned_run(params);
+/// Run the full ablation matrix: build the workload, train the
+/// predictor on a disjoint history and calibrate it once, then replay
+/// the same workload through every cell under the infra-fault model.
+pub fn run_matrix(params: &LeanParams) -> LeanMatrix {
+    let workload = WorkloadBuilder::new(WorkloadParams::ios().with_rate(params.rate))
+        .seed(params.seed)
+        .n_changes(params.n_changes)
+        .build()
+        .expect("valid workload params");
+    let history = WorkloadBuilder::new(WorkloadParams::ios())
+        .seed(params.seed ^ 0xA11CE)
+        .n_changes(params.history_changes)
+        .build()
+        .expect("valid history params");
+    let (predictor, _) = LearnedPredictor::train(&history, params.seed);
+    let config = PlannerConfig {
+        workers: params.workers,
+        faults: Some(SimFaults::at_rate(params.fault_rate, params.seed)),
+        ..PlannerConfig::default()
+    };
     let skip_threshold = predictor.calibrate_skip_threshold(&history, SKIP_MISS_BUDGET);
     let cells = ablation_cells(skip_threshold)
         .into_iter()
@@ -107,78 +150,45 @@ pub fn run_matrix(params: &E2eParams) -> LeanMatrix {
 fn run_cell(
     workload: &Workload,
     predictor: &LearnedPredictor,
-    cfg: LeanConfig,
-    config: &PlannerConfig,
+    config: LeanConfig,
+    planner: &PlannerConfig,
 ) -> LeanCell {
-    let strategy = Strategy::lean_with(predictor.clone(), cfg);
+    let strategy = Strategy::lean_with(predictor.clone(), config);
     let mut obs = Observer::new();
-    let result = run_simulation_observed(workload, &strategy, config, &mut obs);
-    let needed = obs.metrics.counter("planner.builds_needed");
-    let green = audit_green(workload, &result);
-    let wrongful = count_wrongful_rejections(workload, &result);
+    let result = run_simulation_observed(workload, &strategy, planner, &mut obs);
     LeanCell {
-        config: cfg,
-        label: cfg.label(),
-        result,
-        needed,
-        green,
-        wrongful,
+        config,
+        run: AuditedRun::new(workload, result, None),
+        metrics: obs.metrics,
     }
 }
 
 /// Gate a finished matrix. The cells must be the ablation rows in
-/// order; every cell must resolve every change, need the same gating
-/// builds as the baseline, and be always-green with zero
-/// wrongful rejections and a non-empty commit log; the all-on cell must
-/// not start more wasted builds than the baseline, and must sustain at
-/// least the baseline throughput (the headline claim: waste drops, the
-/// queue does not slow down). Returns every violation found.
+/// order; every cell must pass [`AuditedRun::problems`] and keep its
+/// skip accounting consistent; the all-on cell must not start more
+/// wasted builds than the baseline, and must sustain at least the
+/// baseline throughput (the headline claim: waste drops, the queue does
+/// not slow down). Returns every violation found.
 pub fn violations(matrix: &LeanMatrix) -> Vec<String> {
     let mut problems = Vec::new();
     // `baseline()` and `all_on()` below read the first and last cell.
     let expected = ablation_cells(matrix.skip_threshold);
-    if !(matrix.cells.iter().map(|c| c.label.as_str())).eq(expected.iter().map(|c| c.label())) {
+    let labels = matrix.cells.iter().map(|c| c.config.label());
+    if !labels.eq(expected.iter().map(|c| c.label())) {
         problems.push("cells are not the ablation rows in order".to_string());
     }
     for cell in &matrix.cells {
-        if let Err(e) = &cell.green {
-            problems.push(format!("{}: always-green violated: {e}", cell.label));
-        }
-        if cell.wrongful > 0 {
-            problems.push(format!(
-                "{}: {} wrongful rejection(s)",
-                cell.label, cell.wrongful
-            ));
-        }
-        if cell.result.committed() == 0 {
-            problems.push(format!("{}: nothing committed", cell.label));
-        }
-        if cell.result.records.len() != matrix.params.n_changes {
-            problems.push(format!(
-                "{}: {} of {} changes resolved",
-                cell.label,
-                cell.result.records.len(),
-                matrix.params.n_changes
-            ));
-        }
-        // A wrong skip may delay, never inflate the gating-build count.
-        if cell.needed != matrix.baseline().needed {
-            problems.push(format!(
-                "{}: {} gating builds needed, baseline needed {}",
-                cell.label,
-                cell.needed,
-                matrix.baseline().needed
-            ));
-        }
+        let label = cell.config.label();
+        problems.extend(cell.run.problems(&label));
         let report = cell.lean_report();
         if report.skip_hits + report.skip_misses != report.skipped {
             problems.push(format!(
-                "{}: skip accounting does not add up ({} + {} != {})",
-                cell.label, report.skip_hits, report.skip_misses, report.skipped
+                "{label}: skip accounting does not add up ({} + {} != {})",
+                report.skip_hits, report.skip_misses, report.skipped
             ));
         }
     }
-    let (baseline, all_on) = (matrix.baseline(), matrix.all_on());
+    let (baseline, all_on) = (&matrix.baseline().run, &matrix.all_on().run);
     if all_on.wasted() > baseline.wasted() {
         problems.push(format!(
             "all-on wasted {} builds, baseline wasted {}",
@@ -201,8 +211,8 @@ pub fn violations(matrix: &LeanMatrix) -> Vec<String> {
 /// The combined matrix document (`BENCH_lean.json`).
 pub fn matrix_json(matrix: &LeanMatrix) -> String {
     let params = &matrix.params;
-    let baseline_wasted = matrix.baseline().wasted();
-    let all_on_wasted = matrix.all_on().wasted();
+    let baseline_wasted = matrix.baseline().run.wasted();
+    let all_on_wasted = matrix.all_on().run.wasted();
     let mut w = JsonWriter::new();
     w.begin_object();
     w.field_str("schema", "sq-bench-lean/v1");
@@ -220,11 +230,9 @@ pub fn matrix_json(matrix: &LeanMatrix) -> String {
     w.key("cells");
     w.begin_array();
     for cell in &matrix.cells {
-        let (p50, p95, p99) = cell.result.turnaround_p50_p95_p99();
         let report = cell.lean_report();
         w.begin_object();
-        w.field_str("cell", &cell.label);
-        w.field_str("strategy", cell.config.canonical_kind().name());
+        w.field_str("cell", &cell.config.label());
         w.key("flags");
         w.begin_object();
         w.key("skip");
@@ -234,30 +242,7 @@ pub fn matrix_json(matrix: &LeanMatrix) -> String {
         w.key("bypass");
         w.value_bool(cell.config.bypass);
         w.end_object();
-        w.key("green");
-        w.value_bool(cell.green.is_ok());
-        w.field_u64("wrongful_rejections", cell.wrongful as u64);
-        w.field_u64("commits", cell.result.committed() as u64);
-        w.field_u64("rejects", cell.result.rejected() as u64);
-        w.field_f64("throughput_per_hour", cell.result.throughput_per_hour());
-        w.field_f64(
-            "sustained_throughput_per_hour",
-            cell.result.sustained_throughput_per_hour(),
-        );
-        w.key("turnaround_mins");
-        w.begin_object();
-        w.field_f64("mean", cell.result.mean_turnaround_mins());
-        w.field_f64("p50", p50);
-        w.field_f64("p95", p95);
-        w.field_f64("p99", p99);
-        w.end_object();
-        w.key("builds");
-        w.begin_object();
-        w.field_u64("started", cell.result.builds_started);
-        w.field_u64("aborted", cell.result.builds_aborted);
-        w.field_u64("needed", cell.needed);
-        w.field_u64("wasted", cell.wasted());
-        w.end_object();
+        write_record(&mut w, &cell.run);
         w.key("lean");
         w.begin_object();
         w.field_u64("skipped", report.skipped);
@@ -266,7 +251,8 @@ pub fn matrix_json(matrix: &LeanMatrix) -> String {
         w.field_f64("skip_miss_rate", report.miss_rate());
         w.field_u64("bypassed", report.bypassed);
         w.end_object();
-        w.field_u64("infra_retries", cell.result.infra_retries);
+        w.key("metrics");
+        cell.metrics.write_json(&mut w);
         w.end_object();
     }
     w.end_array();
@@ -274,12 +260,15 @@ pub fn matrix_json(matrix: &LeanMatrix) -> String {
     w.begin_object();
     w.field_u64("baseline_wasted", baseline_wasted);
     w.field_u64("all_on_wasted", all_on_wasted);
+    // Signed: the gate's own failure case is an all-on cell that wastes
+    // more than the baseline.
+    let saved = baseline_wasted as f64 - all_on_wasted as f64;
     w.field_f64(
         "wasted_reduction_pct",
         if baseline_wasted == 0 {
             0.0
         } else {
-            100.0 * (baseline_wasted - all_on_wasted) as f64 / baseline_wasted as f64
+            100.0 * saved / baseline_wasted as f64
         },
     );
     w.end_object();
@@ -291,13 +280,10 @@ pub fn matrix_json(matrix: &LeanMatrix) -> String {
 pub const SUITE: Suite = Suite {
     name: "lean",
     schema: "sq-bench-lean/v1",
-    keys: &[
-        ": params cells summary",
-        "cells: cell strategy flags green wrongful_rejections commits turnaround_mins builds lean",
-        "cells.builds: started aborted needed wasted",
-    ],
+    keys: &[": params cells summary", "cells: cell flags lean metrics"],
+    records: &["cells"],
     run: |smoke| {
-        let params = pick(smoke, E2eParams::smoke, E2eParams::standard);
+        let params = pick(smoke, LeanParams::smoke, LeanParams::standard);
         Box::new(run_matrix(&params))
     },
 };
@@ -313,10 +299,10 @@ impl Report for LeanMatrix {
             format!(
                 "  {:22} started={:4} wasted={:4} sustained={:8.3}/h \
                  skipped={:3} (hits={} misses={}) bypassed={:3}",
-                cell.label,
-                cell.result.builds_started,
-                cell.wasted(),
-                cell.result.sustained_throughput_per_hour(),
+                cell.config.label(),
+                cell.run.result.builds_started,
+                cell.run.wasted(),
+                cell.run.result.sustained_throughput_per_hour(),
                 report.skipped,
                 report.skip_hits,
                 report.skip_misses,
@@ -332,5 +318,42 @@ impl Report for LeanMatrix {
 
     fn doc(&self) -> String {
         matrix_json(self)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn summary_pct(json: &str) -> f64 {
+        let key = "\"wasted_reduction_pct\":";
+        let at = json.find(key).expect("summary field") + key.len();
+        let end = json[at..].find('}').expect("summary closes") + at;
+        json[at..end].parse().expect("a number")
+    }
+
+    #[test]
+    fn a_matrix_whose_all_on_cell_wastes_more_reads_a_negative_reduction() {
+        let mut matrix = run_matrix(&LeanParams::smoke());
+        assert!(summary_pct(&matrix_json(&matrix)) > 0.0);
+        let last = matrix.cells.len() - 1;
+        matrix.cells.swap(0, last);
+        assert!(summary_pct(&matrix_json(&matrix)) < 0.0);
+        let problems = violations(&matrix);
+        assert!(problems.iter().any(|p| p.starts_with("all-on wasted")));
+    }
+
+    #[test]
+    fn different_seeds_change_the_document() {
+        let tiny = |seed| LeanParams {
+            seed,
+            n_changes: 25,
+            rate: 150.0,
+            workers: 30,
+            fault_rate: 0.1,
+            history_changes: 400,
+        };
+        let doc = |seed| matrix_json(&run_matrix(&tiny(seed)));
+        assert_ne!(doc(7), doc(8));
     }
 }

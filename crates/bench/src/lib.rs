@@ -7,15 +7,16 @@
 //!
 //! | suite       | document (repo root)   | what it measures                          |
 //! |-------------|------------------------|-------------------------------------------|
-//! | `e2e`       | `BENCH_e2e.json`       | one seeded run of the whole planner stack |
-//! | `lean`      | `BENCH_lean.json`      | lean-speculation ablation matrix          |
+//! | `lean`      | `BENCH_lean.json`      | lean-speculation ablation matrix; its baseline cell is the recorded run of the whole planner stack |
 //! | `shard`     | `BENCH_shard.json`     | sharded vs single-queue planner           |
 //! | `scenarios` | `BENCH_scenarios.json` | adversarial scenario × strategy matrix    |
 //!
 //! Every suite runs the simulator on its simulated clock: no store,
-//! executor or thread. Every document is a pure function of its params
-//! and is compared byte for byte with the committed copy; wall-clock
-//! numbers live in `benchmark/`.
+//! executor or thread. Every run is an audited record
+//! ([`sq_core::audit::AuditedRun`]), gated by its one `problems()` and
+//! written by the one [`suite::write_record`]. Every document is a pure
+//! function of its params and is compared byte for byte with the
+//! committed copy; wall-clock numbers live in `benchmark/`.
 //!
 //! | figure              | paper figure/claim                                  |
 //! |---------------------|-----------------------------------------------------|
@@ -40,7 +41,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod e2e;
 pub mod figures;
 pub mod lean;
 pub mod scenarios;

@@ -4,12 +4,13 @@
 //! every strategy in `StrategyKind::all()` (one source of truth for both
 //! axes), audits each run, and distills the results into JSON documents:
 //! one per scenario, plus a combined matrix document (the committed
-//! trajectory `BENCH_scenarios.json`). Like the `e2e` suite's, the documents
+//! trajectory `BENCH_scenarios.json`). Like every suite's, the documents
 //! are pure functions of the parameters — simulated time only, sorted
 //! metric keys, shortest-round-trip floats — so same-seed reruns emit
 //! byte-identical files, which `--smoke` asserts.
 
-use crate::suite::{pick, Report, Suite};
+use crate::suite::{pick, write_record, Report, Suite};
+use sq_core::audit::AuditedRun;
 use sq_core::scenario::{run_scenario, ScenarioRun};
 use sq_core::strategy::StrategyKind;
 use sq_obs::JsonWriter;
@@ -65,8 +66,8 @@ pub fn run_matrix(params: &ScenarioBenchParams) -> Vec<ScenarioRun> {
 
 /// Audit-gate a finished matrix: every named scenario in order, each
 /// with every strategy in `all()` order, and every scenario × strategy
-/// always-green with zero wrongful rejections and a non-empty commit
-/// log. Returns every violation found (empty = pass).
+/// passing [`AuditedRun::problems`]. Returns every violation found
+/// (empty = pass).
 pub fn violations(runs: &[ScenarioRun]) -> Vec<String> {
     let mut problems = Vec::new();
     let expected = ScenarioManifest::matrix();
@@ -79,42 +80,21 @@ pub fn violations(runs: &[ScenarioRun]) -> Vec<String> {
     for run in runs {
         // The census check: a kind added to the enum that never
         // reaches the matrix fails here.
-        if !(run.outcomes.iter().map(|o| o.kind)).eq(StrategyKind::all()) {
+        if !(run.outcomes.iter().map(|o| o.result.strategy)).eq(StrategyKind::all()) {
             problems.push(format!(
                 "{}: strategy rows are not StrategyKind::all() in order",
                 run.manifest.name
             ));
         }
         for o in &run.outcomes {
-            let cell = format!("{} / {}", run.manifest.name, o.kind.name());
-            if let Err(e) = &o.green {
-                problems.push(format!("{cell}: always-green violated: {e}"));
-            }
-            if let Err(e) = &o.rejections_justified {
-                problems.push(format!("{cell}: unjustified rejection: {e}"));
-            }
-            if o.wrongful_rejections > 0 {
-                problems.push(format!(
-                    "{cell}: {} wrongful rejection(s)",
-                    o.wrongful_rejections
-                ));
-            }
-            if let Some(report) = &o.shard_report {
-                for lane in &report.lanes {
-                    if lane.wrongful > 0 {
-                        problems.push(format!(
-                            "{cell}: lane {} has {} wrongful rejection(s)",
-                            lane.name, lane.wrongful
-                        ));
-                    }
-                }
-            }
-            if o.result.committed() == 0 {
-                problems.push(format!("{cell}: nothing committed"));
-            }
+            problems.extend(o.problems(&cell(run, o)));
         }
     }
     problems
+}
+
+fn cell(run: &ScenarioRun, o: &AuditedRun) -> String {
+    format!("{} / {}", run.manifest.name, o.result.strategy.name())
 }
 
 fn arrival_kind(curve: &ArrivalCurve) -> &'static str {
@@ -159,46 +139,8 @@ fn write_scenario(w: &mut JsonWriter, run: &ScenarioRun) {
     w.key("strategies");
     w.begin_array();
     for o in &run.outcomes {
-        let (p50, p95, p99) = o.result.turnaround_p50_p95_p99();
         w.begin_object();
-        w.field_str("strategy", o.kind.name());
-        w.key("green");
-        w.value_bool(o.green.is_ok());
-        w.key("rejections_justified");
-        w.value_bool(o.rejections_justified.is_ok());
-        w.field_u64("wrongful_rejections", o.wrongful_rejections as u64);
-        w.field_u64("commits", o.result.committed() as u64);
-        w.field_u64("rejects", o.result.rejected() as u64);
-        w.field_f64("throughput_per_hour", o.result.throughput_per_hour());
-        w.field_f64(
-            "sustained_throughput_per_hour",
-            o.result.sustained_throughput_per_hour(),
-        );
-        w.key("turnaround_mins");
-        w.begin_object();
-        w.field_f64("mean", o.result.mean_turnaround_mins());
-        w.field_f64("p50", p50);
-        w.field_f64("p95", p95);
-        w.field_f64("p99", p99);
-        w.end_object();
-        w.field_u64("builds_started", o.result.builds_started);
-        w.field_u64("builds_aborted", o.result.builds_aborted);
-        w.field_u64("infra_retries", o.result.infra_retries);
-        w.field_u64("quarantined", o.result.quarantined.len() as u64);
-        if let Some(report) = &o.shard_report {
-            w.key("lanes");
-            w.begin_array();
-            for lane in &report.lanes {
-                w.begin_object();
-                w.field_str("name", &lane.name);
-                w.field_u64("routed", lane.routed as u64);
-                w.field_u64("committed", lane.committed as u64);
-                w.field_u64("rejected", lane.rejected as u64);
-                w.field_u64("wrongful", lane.wrongful as u64);
-                w.end_object();
-            }
-            w.end_array();
-        }
+        write_record(w, o);
         w.end_object();
     }
     w.end_array();
@@ -245,9 +187,8 @@ pub const SUITE: Suite = Suite {
     keys: &[
         ": scenario_count strategy_count",
         "scenarios: scenario params",
-        "scenarios.strategies: strategy green rejections_justified wrongful_rejections",
-        "scenarios.strategies: commits turnaround_mins",
     ],
+    records: &["scenarios.strategies"],
     run: |smoke| {
         let params = pick(
             smoke,
@@ -268,7 +209,7 @@ impl Report for ScenarioMatrix {
     fn summary(&self) -> Vec<String> {
         let mut lines = vec![format!("{:?}", self.params)];
         lines.extend(self.runs.iter().map(|run| {
-            let clean = run.outcomes.iter().all(|o| o.clean());
+            let clean = (run.outcomes.iter()).all(|o| o.problems(&cell(run, o)).is_empty());
             format!(
                 "  {:14} {} strategies, {}",
                 run.manifest.name,

@@ -25,14 +25,14 @@
 //! sharded sustains ≥ 10k changes/hour where single-queue saturates
 //! below.
 
-use crate::suite::{pick, Report, Suite};
-use sq_core::audit;
-use sq_core::planner::{run_simulation, PlannerConfig, SimResult};
-use sq_core::shard::{PlanningCost, ShardPlan, ShardReport, ShardSpec};
+use crate::suite::{pick, write_record, Report, Suite};
+use sq_core::audit::AuditedRun;
+use sq_core::planner::{run_simulation, PlannerConfig};
+use sq_core::shard::{PlanningCost, ShardPlan, ShardSpec};
 use sq_core::strategy::{Strategy, StrategyKind};
 use sq_obs::JsonWriter;
 use sq_sim::SimDuration;
-use sq_workload::{Workload, WorkloadBuilder, WorkloadParams};
+use sq_workload::{WorkloadBuilder, WorkloadParams};
 
 /// Salt for the predictor-training history (mirrors the scenario
 /// runner's convention: same statistics, disjoint trace).
@@ -135,98 +135,23 @@ impl ShardBenchParams {
     }
 }
 
-/// One configuration's outcome (single-queue or sharded).
-#[derive(Debug, Clone)]
-pub struct QueueCell {
-    /// `"single-queue"` or `"sharded"`.
-    pub label: String,
-    /// Changes replayed.
-    pub changes: u64,
-    /// Changes that resolved (must equal `changes`).
-    pub resolved: u64,
-    /// Commits on the merged trunk.
-    pub commits: u64,
-    /// Rejections.
-    pub rejects: u64,
-    /// Whether the merged trunk passed `audit_green`.
-    pub green: bool,
-    /// Whether every rejection had a ground-truth justification.
-    pub rejections_justified: bool,
-    /// Wrongful rejections (must be 0).
-    pub wrongful: u64,
-    /// Sustained commit throughput (inter-quartile window), changes/h.
-    pub sustained_per_hour: f64,
-    /// Average throughput over the makespan, changes/h.
-    pub throughput_per_hour: f64,
-    /// Turnaround P50 in minutes.
-    pub p50_mins: f64,
-    /// Turnaround P95 in minutes.
-    pub p95_mins: f64,
-    /// Turnaround P99 in minutes.
-    pub p99_mins: f64,
-    /// Builds started.
-    pub builds_started: u64,
-    /// Builds aborted.
-    pub builds_aborted: u64,
-    /// Makespan in hours.
-    pub makespan_hours: f64,
-}
-
-impl QueueCell {
-    fn from_result(label: &str, workload: &Workload, r: &SimResult) -> QueueCell {
-        let (p50, p95, p99) = r.turnaround_p50_p95_p99();
-        QueueCell {
-            label: label.to_string(),
-            changes: workload.changes.len() as u64,
-            resolved: r.records.len() as u64,
-            commits: r.committed() as u64,
-            rejects: r.rejected() as u64,
-            green: audit::audit_green(workload, r).is_ok(),
-            rejections_justified: audit::audit_rejections_justified(workload, r).is_ok(),
-            wrongful: audit::count_wrongful_rejections(workload, r) as u64,
-            sustained_per_hour: r.sustained_throughput_per_hour(),
-            throughput_per_hour: r.throughput_per_hour(),
-            p50_mins: p50,
-            p95_mins: p95,
-            p99_mins: p99,
-            builds_started: r.builds_started,
-            builds_aborted: r.builds_aborted,
-            makespan_hours: r.makespan.as_hours_f64(),
-        }
-    }
-}
-
-/// One lane's slice of the sharded run.
-#[derive(Debug, Clone)]
-pub struct LaneCell {
-    /// Lane name (`s00`…, `arbiter`).
-    pub name: String,
-    /// Workers allotted to the lane.
-    pub workers: u64,
-    /// Changes routed to the lane.
-    pub routed: u64,
-    /// Commits from the lane.
-    pub committed: u64,
-    /// Rejections from the lane.
-    pub rejected: u64,
-    /// Wrongful rejections attributed to the lane (must be 0).
-    pub wrongful: u64,
-}
-
-/// A full benchmark report.
-#[derive(Debug, Clone)]
+/// A full benchmark report: one workload, two planner configurations.
+#[derive(Debug)]
 pub struct ShardBenchReport {
     /// The parameters the run used.
     pub params: ShardBenchParams,
     /// The single-global-window configuration.
-    pub single: QueueCell,
-    /// The sharded multi-lane configuration.
-    pub sharded: QueueCell,
-    /// Per-lane breakdown of the sharded run.
-    pub lanes: Vec<LaneCell>,
+    pub single: AuditedRun,
+    /// The sharded multi-lane configuration, with its per-lane report.
+    pub sharded: AuditedRun,
 }
 
 impl ShardBenchReport {
+    /// The two runs under their document keys.
+    fn runs(&self) -> [(&'static str, &AuditedRun); 2] {
+        [("single-queue", &self.single), ("sharded", &self.sharded)]
+    }
+
     /// Render the committed machine-readable document. Every field is a
     /// pure function of the parameters (simulated time only), so reruns
     /// are byte-identical.
@@ -251,119 +176,64 @@ impl ShardBenchReport {
         w.field_u64("history_changes", self.params.history_changes as u64);
         w.field_f64("throughput_floor", self.params.throughput_floor);
         w.end_object();
-        for cell in [&self.single, &self.sharded] {
-            w.key(&cell.label);
+        for (label, run) in self.runs() {
+            w.key(label);
             w.begin_object();
-            w.field_u64("changes", cell.changes);
-            w.field_u64("resolved", cell.resolved);
-            w.field_u64("commits", cell.commits);
-            w.field_u64("rejects", cell.rejects);
-            w.key("green");
-            w.value_bool(cell.green);
-            w.key("rejections_justified");
-            w.value_bool(cell.rejections_justified);
-            w.field_u64("wrongful_rejections", cell.wrongful);
-            w.field_f64("sustained_per_hour", cell.sustained_per_hour);
-            w.field_f64("throughput_per_hour", cell.throughput_per_hour);
-            w.key("turnaround_mins");
-            w.begin_object();
-            w.field_f64("p50", cell.p50_mins);
-            w.field_f64("p95", cell.p95_mins);
-            w.field_f64("p99", cell.p99_mins);
-            w.end_object();
-            w.field_u64("builds_started", cell.builds_started);
-            w.field_u64("builds_aborted", cell.builds_aborted);
-            w.field_f64("makespan_hours", cell.makespan_hours);
+            write_record(&mut w, run);
             w.end_object();
         }
-        w.key("lanes");
-        w.begin_array();
-        for l in &self.lanes {
-            w.begin_object();
-            w.field_str("name", &l.name);
-            w.field_u64("workers", l.workers);
-            w.field_u64("routed", l.routed);
-            w.field_u64("committed", l.committed);
-            w.field_u64("rejected", l.rejected);
-            w.field_u64("wrongful", l.wrongful);
-            w.end_object();
-        }
-        w.end_array();
         w.end_object();
         w.finish()
     }
 
-    /// The CI gate: both configurations resolve everything and keep the
-    /// merged trunk green with zero wrongful rejections (globally and
-    /// per lane), the lanes are one per shard plus the arbiter and
-    /// account for every change, and sharding never loses throughput. With a
-    /// `throughput_floor`, the headline claim is gated too: sharded
-    /// sustains at least the floor while single-queue saturates below.
-    pub fn smoke_gate(&self) -> Result<(), String> {
-        for cell in [&self.single, &self.sharded] {
-            if cell.resolved != cell.changes {
-                return Err(format!(
-                    "{}: only {} of {} changes resolved",
-                    cell.label, cell.resolved, cell.changes
-                ));
-            }
-            if !cell.green {
-                return Err(format!("{}: merged trunk is not always-green", cell.label));
-            }
-            if !cell.rejections_justified {
-                return Err(format!("{}: a rejection lacks justification", cell.label));
-            }
-            if cell.wrongful != 0 {
-                return Err(format!(
-                    "{}: {} wrongful rejection(s)",
-                    cell.label, cell.wrongful
-                ));
-            }
-        }
-        for l in &self.lanes {
-            if l.wrongful != 0 {
-                return Err(format!(
-                    "lane {}: {} wrongful rejection(s)",
-                    l.name, l.wrongful
-                ));
-            }
-        }
-        if self.lanes.len() != self.params.n_shards + 1 {
-            return Err(format!(
+    /// The CI gate: both configurations pass [`AuditedRun::problems`]
+    /// (wrongful rejections gated per lane too), the lanes are one per
+    /// shard plus the arbiter and account for every change, and sharding
+    /// never loses throughput. With a `throughput_floor`, the headline
+    /// claim is gated too: sharded sustains at least the floor while
+    /// single-queue saturates below. Returns every violation found.
+    pub fn violations(&self) -> Vec<String> {
+        let mut problems: Vec<String> = (self.runs().iter())
+            .flat_map(|(label, run)| run.problems(label))
+            .collect();
+        let lanes = self
+            .sharded
+            .lanes
+            .as_ref()
+            .map_or(&[][..], |r| &r.lanes[..]);
+        if lanes.len() != self.params.n_shards + 1 {
+            problems.push(format!(
                 "{} lanes for {} shards and one arbiter",
-                self.lanes.len(),
+                lanes.len(),
                 self.params.n_shards
             ));
         }
-        let routed: u64 = self.lanes.iter().map(|l| l.routed).sum();
-        if routed != self.sharded.resolved {
-            return Err(format!(
-                "lanes account for {routed} of {} resolved changes",
-                self.sharded.resolved
+        let routed: usize = lanes.iter().map(|l| l.routed).sum();
+        let resolved = self.sharded.result.records.len();
+        if routed != resolved {
+            problems.push(format!(
+                "lanes account for {routed} of {resolved} resolved changes"
             ));
         }
-        if self.sharded.sustained_per_hour < self.single.sustained_per_hour {
-            return Err(format!(
-                "sharded sustained {:.0}/h below single-queue {:.0}/h",
-                self.sharded.sustained_per_hour, self.single.sustained_per_hour
+        let single = self.single.result.sustained_throughput_per_hour();
+        let sharded = self.sharded.result.sustained_throughput_per_hour();
+        if sharded < single {
+            problems.push(format!(
+                "sharded sustained {sharded:.0}/h below single-queue {single:.0}/h"
             ));
         }
         let floor = self.params.throughput_floor;
-        if floor > 0.0 {
-            if self.sharded.sustained_per_hour < floor {
-                return Err(format!(
-                    "sharded sustained {:.0}/h misses the {floor:.0}/h floor",
-                    self.sharded.sustained_per_hour
-                ));
-            }
-            if self.single.sustained_per_hour >= floor {
-                return Err(format!(
-                    "single-queue sustained {:.0}/h did not saturate below {floor:.0}/h",
-                    self.single.sustained_per_hour
-                ));
-            }
+        if floor > 0.0 && sharded < floor {
+            problems.push(format!(
+                "sharded sustained {sharded:.0}/h misses the {floor:.0}/h floor"
+            ));
         }
-        Ok(())
+        if floor > 0.0 && single >= floor {
+            problems.push(format!(
+                "single-queue sustained {single:.0}/h did not saturate below {floor:.0}/h"
+            ));
+        }
+        problems
     }
 }
 
@@ -390,8 +260,7 @@ pub fn run_shard_bench(params: &ShardBenchParams) -> ShardBenchReport {
         ..PlannerConfig::default()
     };
     let plan = ShardPlan::round_robin(params.n_parts, params.n_shards);
-    let spec = ShardSpec::proportional(plan.clone(), &w, params.total_workers);
-    let lane_workers = spec.lane_workers.clone();
+    let spec = ShardSpec::proportional(plan, &w, params.total_workers);
     let sharded_cfg = PlannerConfig {
         shards: Some(spec),
         planning_cost: Some(cost),
@@ -400,26 +269,10 @@ pub fn run_shard_bench(params: &ShardBenchParams) -> ShardBenchReport {
 
     let r_single = run_simulation(&w, &strategy, &single_cfg);
     let r_sharded = run_simulation(&w, &strategy, &sharded_cfg);
-
-    let report = ShardReport::from_result(&w, &r_sharded, &plan);
-    let lanes = report
-        .lanes
-        .iter()
-        .map(|l| LaneCell {
-            name: l.name.clone(),
-            workers: lane_workers[l.lane] as u64,
-            routed: l.routed as u64,
-            committed: l.committed as u64,
-            rejected: l.rejected as u64,
-            wrongful: l.wrongful as u64,
-        })
-        .collect();
-
     ShardBenchReport {
         params: params.clone(),
-        single: QueueCell::from_result("single-queue", &w, &r_single),
-        sharded: QueueCell::from_result("sharded", &w, &r_sharded),
-        lanes,
+        single: AuditedRun::new(&w, r_single, None),
+        sharded: AuditedRun::new(&w, r_sharded, sharded_cfg.shards.as_ref()),
     }
 }
 
@@ -430,14 +283,9 @@ pub const SUITE: Suite = Suite {
     keys: &[
         "params: seed rate_per_hour hours n_changes n_parts n_shards total_workers",
         "params: planning_base_ms planning_per_pending_ms history_changes throughput_floor",
-        "single-queue: changes resolved commits rejects green rejections_justified",
-        "single-queue: wrongful_rejections sustained_per_hour throughput_per_hour turnaround_mins",
-        "single-queue: builds_started builds_aborted makespan_hours",
-        "sharded: changes resolved commits rejects green rejections_justified",
-        "sharded: wrongful_rejections sustained_per_hour throughput_per_hour turnaround_mins",
-        "sharded: builds_started builds_aborted makespan_hours",
-        "lanes: name workers routed committed rejected wrongful",
+        "sharded: lanes",
     ],
+    records: &["single-queue", "sharded"],
     run: |smoke| {
         let params = pick(smoke, ShardBenchParams::smoke, ShardBenchParams::standard);
         Box::new(run_shard_bench(&params))
@@ -447,21 +295,20 @@ pub const SUITE: Suite = Suite {
 impl Report for ShardBenchReport {
     fn summary(&self) -> Vec<String> {
         let mut lines = vec![format!("{:?}", self.params)];
-        lines.extend([&self.single, &self.sharded].map(|cell| {
+        lines.extend(self.runs().map(|(label, run)| {
+            let r = &run.result;
+            let (p50, p95, _) = r.turnaround_p50_p95_p99();
             format!(
-                "{:<12} sustained {:>8.0}/h | commits {:>5} | rejects {:>4} | \
-                 P50 {:>7.1}m P95 {:>7.1}m | green={} wrongful={}",
-                cell.label,
-                cell.sustained_per_hour,
-                cell.commits,
-                cell.rejects,
-                cell.p50_mins,
-                cell.p95_mins,
-                cell.green,
-                cell.wrongful,
+                "{label:<12} sustained {:>8.0}/h | commits {:>5} | rejects {:>4} | \
+                 P50 {p50:>7.1}m P95 {p95:>7.1}m | green={} wrongful={}",
+                r.sustained_throughput_per_hour(),
+                r.committed(),
+                r.rejected(),
+                run.green.is_ok(),
+                run.wrongful,
             )
         }));
-        lines.extend(self.lanes.iter().map(|l| {
+        lines.extend(self.sharded.lanes.iter().flat_map(|r| &r.lanes).map(|l| {
             format!(
                 "  lane {:<8} workers {:>4} | routed {:>5} | committed {:>5} | \
                  rejected {:>4} | wrongful {}",
@@ -472,7 +319,7 @@ impl Report for ShardBenchReport {
     }
 
     fn gate(&self) -> Vec<String> {
-        self.smoke_gate().err().into_iter().collect()
+        self.violations()
     }
 
     fn doc(&self) -> String {

@@ -1,5 +1,5 @@
 //! The one bench driver: the suite table, the protocol every suite
-//! runs under, and the one document checker.
+//! runs under, the one run-record writer and the one document checker.
 //!
 //! `sq-bench <suite>...|all [--smoke|--write]` runs each named row of
 //! [`SUITES`] through the same steps: run → print the summary → gate
@@ -20,14 +20,87 @@
 
 use crate::figures::FIGURES;
 use serde::__private::Value;
+use sq_core::audit::AuditedRun;
+use sq_obs::JsonWriter;
 use std::path::Path;
 use std::time::Instant;
 
 /// Required keys of a document, each entry `"<dotted path>: <keys>"`:
 /// the object at the path (empty for the top level; a path that crosses
 /// an array applies to every element, and the array must not be empty)
-/// has every one of the space-separated keys.
+/// has every one of the space-separated keys. A path step ending in `?`
+/// may be absent.
 pub type KeyPaths = &'static [&'static str];
+
+/// The keys of every run record ([`write_record`]), relative to the
+/// record; a sharded run's record adds its lanes.
+pub const RECORD_KEYS: KeyPaths = &[
+    ": strategy green rejections_justified wrongful_rejections commits rejects",
+    ": throughput_per_hour sustained_throughput_per_hour turnaround_mins builds infra",
+    ": worker_utilization makespan_hours",
+    "turnaround_mins: mean p50 p95 p99",
+    "builds: started aborted needed wasted",
+    "infra: retries backoff_mins quarantined",
+    "lanes?: name workers routed committed rejected wrongful",
+];
+
+/// Write one audited run's fields into the open object of its record:
+/// the only place a record key is spelled. Suites add their own fields
+/// around it.
+pub fn write_record(w: &mut JsonWriter, run: &AuditedRun) {
+    let r = &run.result;
+    let (p50, p95, p99) = r.turnaround_p50_p95_p99();
+    w.field_str("strategy", r.strategy.name());
+    w.key("green");
+    w.value_bool(run.green.is_ok());
+    w.key("rejections_justified");
+    w.value_bool(run.rejections_justified.is_ok());
+    w.field_u64("wrongful_rejections", run.wrongful as u64);
+    w.field_u64("commits", r.committed() as u64);
+    w.field_u64("rejects", r.rejected() as u64);
+    w.field_f64("throughput_per_hour", r.throughput_per_hour());
+    w.field_f64(
+        "sustained_throughput_per_hour",
+        r.sustained_throughput_per_hour(),
+    );
+    w.key("turnaround_mins");
+    w.begin_object();
+    w.field_f64("mean", r.mean_turnaround_mins());
+    w.field_f64("p50", p50);
+    w.field_f64("p95", p95);
+    w.field_f64("p99", p99);
+    w.end_object();
+    w.key("builds");
+    w.begin_object();
+    w.field_u64("started", r.builds_started);
+    w.field_u64("aborted", r.builds_aborted);
+    w.field_u64("needed", run.needed());
+    w.field_u64("wasted", run.wasted());
+    w.end_object();
+    w.key("infra");
+    w.begin_object();
+    w.field_u64("retries", r.infra_retries);
+    w.field_f64("backoff_mins", r.infra_backoff.as_mins_f64());
+    w.field_u64("quarantined", r.quarantined.len() as u64);
+    w.end_object();
+    w.field_f64("worker_utilization", r.utilization);
+    w.field_f64("makespan_hours", r.makespan.as_hours_f64());
+    if let Some(report) = &run.lanes {
+        w.key("lanes");
+        w.begin_array();
+        for lane in &report.lanes {
+            w.begin_object();
+            w.field_str("name", &lane.name);
+            w.field_u64("workers", lane.workers as u64);
+            w.field_u64("routed", lane.routed as u64);
+            w.field_u64("committed", lane.committed as u64);
+            w.field_u64("rejected", lane.rejected as u64);
+            w.field_u64("wrongful", lane.wrongful as u64);
+            w.end_object();
+        }
+        w.end_array();
+    }
+}
 
 /// What a finished run answers to the driver.
 pub trait Report {
@@ -52,6 +125,9 @@ pub struct Suite {
     pub schema: &'static str,
     /// The keys the document must contain.
     pub keys: KeyPaths,
+    /// Where its run records are (dotted paths, as in `keys`): each
+    /// carries [`RECORD_KEYS`].
+    pub records: &'static [&'static str],
     /// Build the params and run.
     pub run: Run,
 }
@@ -61,7 +137,6 @@ pub type Run = fn(smoke: bool) -> Box<dyn Report>;
 
 /// The suite table, in the order `all` runs it.
 pub const SUITES: &[Suite] = &[
-    crate::e2e::SUITE,
     crate::lean::SUITE,
     crate::shard::SUITE,
     crate::scenarios::SUITE,
@@ -76,21 +151,26 @@ pub(crate) fn pick<P>(smoke: bool, small: fn() -> P, standard: fn() -> P) -> P {
     }
 }
 
-/// Check a document: it parses as a JSON object, carries the schema,
-/// and contains every required key. Returns the first problem found.
-pub fn check_doc(json: &str, schema: &str, keys: KeyPaths) -> Result<(), String> {
+/// Check a suite's document: it parses as a JSON object, carries the
+/// schema, contains every required key, and every record carries
+/// [`RECORD_KEYS`]. Returns the first problem found.
+pub fn check_doc(json: &str, suite: &Suite) -> Result<(), String> {
     let value: Value = serde_json::from_str(json).map_err(|e| format!("not valid JSON: {e}"))?;
     let Value::Map(top) = &value else {
         return Err("top level is not an object".to_string());
     };
     match top.iter().find(|(k, _)| k == "schema") {
-        Some((_, Value::Str(s))) if s == schema => {}
-        other => return Err(format!("schema is {other:?}, expected {schema:?}")),
+        Some((_, Value::Str(s))) if s == suite.schema => {}
+        other => return Err(format!("schema is {other:?}, expected {:?}", suite.schema)),
     }
-    keys.iter().try_for_each(|entry| {
+    let check = |at: &str, entry: &str| {
         let (path, required) = entry.split_once(": ").expect("entries are `path: keys`");
-        require(&value, "", path, required)
-    })
+        let path = [at, path].into_iter().filter(|p| !p.is_empty());
+        require(&value, "", &path.collect::<Vec<_>>().join("."), required)
+    };
+    suite.keys.iter().try_for_each(|entry| check("", entry))?;
+    (suite.records.iter())
+        .try_for_each(|at| RECORD_KEYS.iter().try_for_each(|entry| check(at, entry)))
 }
 
 fn require(value: &Value, at: &str, path: &str, keys: &str) -> Result<(), String> {
@@ -113,7 +193,13 @@ fn require(value: &Value, at: &str, path: &str, keys: &str) -> Result<(), String
                 return (keys.split_whitespace()).try_for_each(|key| get(key).map(|_| ()));
             }
             let (first, rest) = path.split_once('.').unwrap_or((path, ""));
-            require(&get(first)?.1, &child(first), rest, keys)
+            let (first, optional) = first
+                .strip_suffix('?')
+                .map_or((first, false), |f| (f, true));
+            match get(first) {
+                Err(_) if optional => Ok(()),
+                found => require(&found?.1, &child(first), rest, keys),
+            }
         }
         other => Err(format!("{at} is {}, expected an object", other.kind())),
     }
@@ -172,8 +258,7 @@ fn finish(suite: &Suite, mode: Mode, report: &dyn Report) -> Result<(), String> 
         return Err(format!("gate: {}", problems.join("; ")));
     }
     let doc = report.doc();
-    check_doc(&doc, suite.schema, suite.keys)
-        .map_err(|e| format!("emitted document is invalid: {e}"))?;
+    check_doc(&doc, suite).map_err(|e| format!("emitted document is invalid: {e}"))?;
     let smoke = mode == Mode::Smoke;
     if smoke {
         if (suite.run)(true).doc() != doc {
@@ -294,11 +379,22 @@ pub fn cli(args: &[String]) -> i32 {
 mod tests {
     use super::*;
 
-    const KEYS: KeyPaths = &[": params", "params: seed", "cells.builds: started wasted"];
+    const SUITE: Suite = Suite {
+        name: "s",
+        schema: "s/v1",
+        keys: &[
+            ": params",
+            "params: seed",
+            "cells.builds: started wasted",
+            "cells.lanes?: name",
+        ],
+        records: &[],
+        run: |_| unreachable!("the checker runs nothing"),
+    };
 
     #[test]
     fn check_doc_names_the_first_problem() {
-        let check = |json: &str| check_doc(json, "s/v1", KEYS);
+        let check = |json: &str| check_doc(json, &SUITE);
         let ok = r#"{"schema":"s/v1","params":{"seed":1},
             "cells":[{"builds":{"started":2,"wasted":1}},{"builds":{"started":3,"wasted":0}}]}"#;
         assert_eq!(check(ok), Ok(()));
@@ -321,6 +417,12 @@ mod tests {
         // An array on a path must have elements, and a path ends in an object.
         let empty = r#"{"schema":"s/v1","params":{"seed":1},"cells":[]}"#;
         assert_eq!(check(empty).unwrap_err(), "cells is empty");
+        // An optional step may be absent, but what is there is checked.
+        let lanes = ok.replace(r#""wasted":0}"#, r#""wasted":0},"lanes":[{"nom":"a"}]"#);
+        assert_eq!(
+            check(&lanes).unwrap_err(),
+            "missing key cells[1].lanes[0].name"
+        );
         let scalar = r#"{"schema":"s/v1","params":{"seed":1},"cells":[{"builds":7}]}"#;
         assert!(check(scalar)
             .unwrap_err()

@@ -12,7 +12,7 @@ fn every_smoke_run_is_clean_keyed_and_reproducible() {
         let report = (suite.run)(true);
         assert_eq!(report.gate(), Vec::<String>::new(), "{name}: gate");
         let doc = report.doc();
-        check_doc(&doc, suite.schema, suite.keys).unwrap_or_else(|e| panic!("{name}: {e}"));
+        check_doc(&doc, suite).unwrap_or_else(|e| panic!("{name}: {e}"));
         for (path, extra) in report.extras() {
             let parsed = serde_json::from_str::<serde::__private::Value>(&extra);
             assert!(parsed.is_ok(), "{name}: {path} is not JSON");
@@ -28,8 +28,7 @@ fn committed_documents_carry_every_required_key() {
         let path = sq_bench::repo_root().join(format!("BENCH_{}.json", suite.name));
         let json = std::fs::read_to_string(&path)
             .unwrap_or_else(|e| panic!("{}: no committed document: {e}", path.display()));
-        check_doc(&json, suite.schema, suite.keys)
-            .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+        check_doc(&json, suite).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
     }
 }
 
@@ -57,14 +56,14 @@ fn one_changed_byte_fails_the_comparison_and_names_the_line() {
 #[test]
 fn usage_errors_exit_2_and_list_the_valid_names() {
     for (args, expected) in [
-        (&["nope"][..], "valid: all e2e lean shard scenarios"),
+        (&["nope"][..], "valid: all lean shard scenarios"),
         (
             &["fig", "fig99"][..],
             "valid: all fig01 fig02 fig05_08 fig09",
         ),
-        (&[][..], "no suite named; valid: all e2e"),
+        (&[][..], "no suite named; valid: all lean"),
         // A flag the driver does not take fails before any run.
-        (&["e2e", "--smoke", "--uds"][..], "unknown flag \"--uds\""),
+        (&["lean", "--smoke", "--uds"][..], "unknown flag \"--uds\""),
         // The figure table has no committed documents to write.
         (&["fig", "all", "--write"][..], "no flag but --smoke"),
     ] {

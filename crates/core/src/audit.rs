@@ -12,6 +12,7 @@
 //!    overlapping windows can break a commit point).
 
 use crate::planner::SimResult;
+use crate::shard::{ShardReport, ShardSpec};
 use sq_sim::SimTime;
 use sq_workload::{ChangeId, Workload};
 use std::collections::{HashMap, HashSet};
@@ -72,7 +73,7 @@ pub fn audit_rejections_justified(workload: &Workload, result: &SimResult) -> Re
 /// Count the wrongful rejections in a finished run: changes that pass
 /// alone and conflict with nothing that landed in their window, yet were
 /// rejected anyway. [`audit_rejections_justified`] is the all-or-nothing
-/// form; the scenario matrix reports (and gates on) this count.
+/// form; every [`AuditedRun`] records (and is gated on) this count.
 pub fn count_wrongful_rejections(workload: &Workload, result: &SimResult) -> usize {
     wrongful_rejections(workload, result).len()
 }
@@ -101,6 +102,83 @@ pub fn wrongful_rejections(workload: &Workload, result: &SimResult) -> Vec<Chang
         })
         .map(|rec| rec.id)
         .collect()
+}
+
+/// One finished run with its audits: what every benchmark document
+/// records of a run, and what every suite gates it by ([`Self::problems`]).
+#[derive(Debug)]
+pub struct AuditedRun {
+    /// The finished simulation.
+    pub result: SimResult,
+    /// Changes the run replayed: every one must resolve.
+    pub changes: usize,
+    /// The [`audit_green`] verdict.
+    pub green: Result<(), String>,
+    /// The [`audit_rejections_justified`] verdict.
+    pub rejections_justified: Result<(), String>,
+    /// Wrongful rejections ([`count_wrongful_rejections`]).
+    pub wrongful: usize,
+    /// For a sharded run, the per-lane report with each lane's workers.
+    pub lanes: Option<ShardReport>,
+}
+
+impl AuditedRun {
+    /// Audit `result`, a run of `workload` planned under `shards` (the
+    /// config's; `None` for one global lane).
+    pub fn new(workload: &Workload, result: SimResult, shards: Option<&ShardSpec>) -> AuditedRun {
+        AuditedRun {
+            changes: workload.changes.len(),
+            green: audit_green(workload, &result),
+            rejections_justified: audit_rejections_justified(workload, &result),
+            wrongful: count_wrongful_rejections(workload, &result),
+            lanes: shards.map(|spec| ShardReport::from_result(workload, &result, spec)),
+            result,
+        }
+    }
+
+    /// Builds needed: a change resolves on exactly one build's result.
+    pub fn needed(&self) -> u64 {
+        self.result.records.len() as u64
+    }
+
+    /// Builds started beyond the needed ones.
+    pub fn wasted(&self) -> u64 {
+        self.result.builds_started.saturating_sub(self.needed())
+    }
+
+    /// Every rule a run answers to, each violation prefixed by `label`:
+    /// always-green, every rejection justified, zero wrongful rejections
+    /// in total and in every lane, every change resolved, and something
+    /// committed. Empty means clean.
+    pub fn problems(&self, label: &str) -> Vec<String> {
+        let mut problems = Vec::new();
+        if let Err(e) = &self.green {
+            problems.push(format!("{label}: always-green violated: {e}"));
+        }
+        if let Err(e) = &self.rejections_justified {
+            problems.push(format!("{label}: unjustified rejection: {e}"));
+        }
+        if self.wrongful > 0 {
+            problems.push(format!("{label}: {} wrongful rejection(s)", self.wrongful));
+        }
+        for lane in self.lanes.iter().flat_map(|r| &r.lanes) {
+            if lane.wrongful > 0 {
+                let (name, n) = (&lane.name, lane.wrongful);
+                problems.push(format!("{label}: lane {name}: {n} wrongful rejection(s)"));
+            }
+        }
+        let resolved = self.result.records.len();
+        if resolved != self.changes {
+            problems.push(format!(
+                "{label}: {resolved} of {} changes resolved",
+                self.changes
+            ));
+        }
+        if self.result.committed() == 0 {
+            problems.push(format!("{label}: nothing committed"));
+        }
+        problems
+    }
 }
 
 /// Surface a run's recovery picture next to the greenness audits: infra
@@ -143,7 +221,9 @@ pub fn count_red_commits(workload: &Workload, commit_log: &[ChangeId]) -> usize 
 mod tests {
     use super::*;
     use crate::pending::{ChangeOutcome, ChangeRecord};
-    use crate::strategy::StrategyKind;
+    use crate::planner::{run_simulation, PlannerConfig};
+    use crate::shard::ShardPlan;
+    use crate::strategy::{Strategy, StrategyKind};
     use sq_workload::{WorkloadBuilder, WorkloadParams};
 
     fn workload(n: usize, seed: u64) -> Workload {
@@ -308,5 +388,96 @@ mod tests {
             .collect();
         assert!(count_red_commits(&w, &bad) >= 3);
         assert_eq!(count_red_commits(&w, &[]), 0);
+    }
+
+    /// A clean Oracle run, sharded or not, and the spec it ran under.
+    fn smoke_run(sharded: bool) -> (Workload, SimResult, Option<ShardSpec>) {
+        let w = WorkloadBuilder::new(WorkloadParams::ios().with_rate(150.0))
+            .seed(41)
+            .n_changes(120)
+            .build()
+            .unwrap();
+        let spec = sharded.then(|| ShardSpec::even(ShardPlan::round_robin(300, 4), 100));
+        let config = PlannerConfig {
+            shards: spec.clone(),
+            ..PlannerConfig::default()
+        };
+        let strategy = Strategy::build(StrategyKind::Oracle, &w, None);
+        let r = run_simulation(&w, &strategy, &config);
+        (w, r, spec)
+    }
+
+    /// The rules `problems()` reports broken, in its order.
+    fn broken(w: &Workload, r: SimResult, spec: Option<&ShardSpec>) -> Vec<&'static str> {
+        const RULES: [&str; 6] = [
+            "always-green",
+            "unjustified",
+            "lane",
+            "wrongful",
+            "resolved",
+            "nothing committed",
+        ];
+        let problems = AuditedRun::new(w, r, spec).problems("run");
+        let rule = |p: &String| RULES.into_iter().find(|rule| p.contains(rule));
+        (problems.iter())
+            .map(|p| rule(p).expect("a known rule"))
+            .collect()
+    }
+
+    #[test]
+    fn a_smoke_run_breaks_no_rule() {
+        let (w, r, _) = smoke_run(false);
+        assert!(r.committed() > 0 && r.rejected() > 0);
+        assert_eq!(broken(&w, r, None), Vec::<&str>::new());
+        let (w, r, spec) = smoke_run(true);
+        assert_eq!(broken(&w, r, spec.as_ref()), Vec::<&str>::new());
+    }
+
+    #[test]
+    fn a_red_change_in_the_commit_log_breaks_always_green() {
+        let (w, mut r, _) = smoke_run(false);
+        let truth = w.truth();
+        let red = w.changes.iter().find(|c| !truth.succeeds_alone(c));
+        r.commit_log.push(red.expect("a change fails alone").id);
+        assert_eq!(broken(&w, r, None), ["always-green"]);
+    }
+
+    #[test]
+    fn a_rejection_without_a_ground_truth_reason_is_unjustified() {
+        // The last commit passes alone and conflicts with nothing that
+        // landed in its window: rejected instead, nothing justifies it.
+        let (w, mut r, _) = smoke_run(false);
+        r.commit_log.pop();
+        assert_eq!(broken(&w, r, None), ["unjustified", "wrongful"]);
+    }
+
+    #[test]
+    fn a_wrongful_rejection_is_charged_to_its_lane() {
+        let (w, mut r, spec) = smoke_run(true);
+        r.commit_log.pop();
+        assert_eq!(
+            broken(&w, r, spec.as_ref()),
+            ["unjustified", "wrongful", "lane"]
+        );
+    }
+
+    #[test]
+    fn a_dropped_record_leaves_a_change_unresolved() {
+        let (w, mut r, _) = smoke_run(false);
+        let rejected = r
+            .records
+            .iter()
+            .position(|rec| !r.commit_log.contains(&rec.id));
+        r.records
+            .remove(rejected.expect("the run rejects a change"));
+        assert_eq!(broken(&w, r, None), ["resolved"]);
+    }
+
+    #[test]
+    fn an_empty_commit_log_commits_nothing() {
+        let (w, mut r, _) = smoke_run(false);
+        r.commit_log.clear();
+        let rules = broken(&w, r, None);
+        assert_eq!(rules, ["unjustified", "wrongful", "nothing committed"]);
     }
 }

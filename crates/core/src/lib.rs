@@ -106,7 +106,7 @@ pub use pending::{ChangeOutcome, ChangeRecord};
 pub use planner::{run_simulation, PlannerConfig, SimResult};
 pub use predict::{LearnedPredictor, OraclePredictor, Predictor};
 pub use recovery::{QuarantineList, RecoveryConfig};
-pub use scenario::{run_scenario, ScenarioRun, StrategyOutcome};
+pub use scenario::{run_scenario, ScenarioRun};
 pub use service::{HistoryViolation, SubmitQueueService, TicketId, TicketState};
 pub use shard::{LaneStats, PlanningCost, ShardPlan, ShardReport, ShardSpec};
 pub use speculation::{BuildKey, SpeculationEngine};

@@ -25,9 +25,9 @@ use crate::pending::{ChangeOutcome, ChangeRecord};
 use crate::shard::{PlanningCost, ShardSpec};
 use crate::speculation::BuildKey;
 use crate::strategy::{Strategy, StrategyKind};
-use sq_exec::fault::{fraction, mix64};
 use sq_exec::{RetryPolicy, WorkerPool};
 use sq_obs::{Observer, SpanId};
+use sq_sim::rng::{fraction, mix64};
 use sq_sim::{run as run_des, EventQueue, Scheduler, SimDuration, SimTime};
 use sq_workload::{ChangeId, ChangeSpec, GroundTruth, Workload};
 
@@ -1289,11 +1289,11 @@ mod tests {
         use crate::shard::{ShardPlan, ShardReport, ShardSpec};
         let w = workload(300.0, 200, 40);
         let history = workload(100.0, 3000, 91);
-        let plan = ShardPlan::round_robin(300, 4);
+        let spec = ShardSpec::proportional(ShardPlan::round_robin(300, 4), &w, 200);
         for kind in [StrategyKind::Oracle, StrategyKind::SubmitQueue] {
             let strategy = Strategy::build(kind, &w, Some(&history));
             let cfg = PlannerConfig {
-                shards: Some(ShardSpec::proportional(plan.clone(), &w, 200)),
+                shards: Some(spec.clone()),
                 ..PlannerConfig::default()
             };
             let r = run_simulation(&w, &strategy, &cfg);
@@ -1305,12 +1305,16 @@ mod tests {
                 .unwrap_or_else(|e| panic!("{}: {e}", kind.name()));
             // Per-lane attribution: every record in exactly one lane,
             // zero wrongful rejections in each.
-            let report = ShardReport::from_result(&w, &r, &plan);
+            let report = ShardReport::from_result(&w, &r, &spec);
             assert_eq!(
                 report.lanes.iter().map(|l| l.routed).sum::<usize>(),
                 r.records.len()
             );
-            assert_eq!(report.total_wrongful(), 0, "{}", kind.name());
+            assert!(
+                report.lanes.iter().all(|l| l.wrongful == 0),
+                "{}",
+                kind.name()
+            );
         }
     }
 

@@ -185,10 +185,10 @@ impl PlanningCost {
 /// Per-lane outcome statistics extracted from a finished run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LaneStats {
-    /// Lane index (the last lane is the arbiter).
-    pub lane: usize,
     /// Display name (`s00`…, `arbiter`).
     pub name: String,
+    /// Workers allotted to this lane.
+    pub workers: usize,
     /// Changes routed to this lane.
     pub routed: usize,
     /// Commits from this lane.
@@ -209,15 +209,16 @@ pub struct ShardReport {
 
 impl ShardReport {
     /// Build the report by routing every record of `result` through
-    /// `plan`. Wrongful rejections are judged against the *full* run
-    /// (a rejection can be justified by a commit in another lane), then
-    /// attributed to the rejected change's lane.
-    pub fn from_result(workload: &Workload, result: &SimResult, plan: &ShardPlan) -> ShardReport {
+    /// `spec`'s plan. Wrongful rejections are judged against the *full*
+    /// run (a rejection can be justified by a commit in another lane),
+    /// then attributed to the rejected change's lane.
+    pub fn from_result(workload: &Workload, result: &SimResult, spec: &ShardSpec) -> ShardReport {
+        let plan = &spec.plan;
         let wrongful = crate::audit::wrongful_rejections(workload, result);
         let mut lanes: Vec<LaneStats> = (0..plan.n_lanes())
             .map(|lane| LaneStats {
-                lane,
                 name: plan.lane_name(lane),
+                workers: spec.lane_workers[lane],
                 routed: 0,
                 committed: 0,
                 rejected: 0,
@@ -237,11 +238,6 @@ impl ShardReport {
             lanes[lane].wrongful += 1;
         }
         ShardReport { lanes }
-    }
-
-    /// Total wrongful rejections across all lanes.
-    pub fn total_wrongful(&self) -> usize {
-        self.lanes.iter().map(|l| l.wrongful).sum()
     }
 }
 
@@ -332,9 +328,10 @@ mod tests {
             .unwrap();
         let strategy = Strategy::build(StrategyKind::Oracle, &w, None);
         let r = run_simulation(&w, &strategy, &PlannerConfig::default());
-        let plan = ShardPlan::round_robin(300, 4);
-        let report = ShardReport::from_result(&w, &r, &plan);
+        let spec = ShardSpec::even(ShardPlan::round_robin(300, 4), 20);
+        let report = ShardReport::from_result(&w, &r, &spec);
         assert_eq!(report.lanes.len(), 5);
+        assert_eq!(report.lanes.iter().map(|l| l.workers).sum::<usize>(), 20);
         // Every record lands in exactly one lane.
         assert_eq!(
             report.lanes.iter().map(|l| l.routed).sum::<usize>(),
@@ -344,6 +341,6 @@ mod tests {
             report.lanes.iter().map(|l| l.committed).sum::<usize>(),
             r.committed()
         );
-        assert_eq!(report.total_wrongful(), 0);
+        assert!(report.lanes.iter().all(|l| l.wrongful == 0));
     }
 }

@@ -30,7 +30,7 @@ fn flaky_clusters_reject_offenders_never_bystanders() {
             "seed {seed}: no flake victims — the scenario would be vacuous"
         );
         for o in &run.outcomes {
-            let cell = format!("seed {seed} / {}", o.kind.name());
+            let cell = format!("seed {seed} / {}", o.result.strategy.name());
             // The always-green invariant survives the adversary…
             o.green.as_ref().unwrap_or_else(|e| panic!("{cell}: {e}"));
             // …and every rejection is justified: flaky offenders and
@@ -38,7 +38,7 @@ fn flaky_clusters_reject_offenders_never_bystanders() {
             o.rejections_justified
                 .as_ref()
                 .unwrap_or_else(|e| panic!("{cell}: {e}"));
-            assert_eq!(o.wrongful_rejections, 0, "{cell}");
+            assert_eq!(o.wrongful, 0, "{cell}");
             // The offenders themselves can never land: their flaky
             // failures are deterministic, not retry-away infra faults.
             for c in &offenders {
@@ -87,8 +87,8 @@ fn scenario_runner_is_deterministic() {
     let a = run_scenario(&m, 9, 50, 300).unwrap();
     let b = run_scenario(&m, 9, 50, 300).unwrap();
     for (x, y) in a.outcomes.iter().zip(&b.outcomes) {
-        assert_eq!(x.kind, y.kind);
+        assert_eq!(x.result.strategy, y.result.strategy);
         assert_eq!(x.result.commit_log, y.result.commit_log);
-        assert_eq!(x.wrongful_rejections, y.wrongful_rejections);
+        assert_eq!(x.wrongful, y.wrongful);
     }
 }

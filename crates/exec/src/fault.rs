@@ -26,6 +26,7 @@
 use crate::executor::StepOutcome;
 use crate::step::BuildStep;
 use parking_lot::Mutex;
+use sq_sim::rng::{fraction, mix64};
 use sq_sim::SimDuration;
 use std::collections::HashMap;
 use std::fmt;
@@ -76,17 +77,6 @@ impl fmt::Display for InfraFault {
     }
 }
 
-/// SplitMix64 finalizer: a strong 64-bit mixer, the same one the sim
-/// crate uses for RNG seeding. Pure function — safe under concurrency.
-/// Public so other fault models (e.g. the simulator's) draw decisions
-/// from the same deterministic primitive.
-pub fn mix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E3779B97F4A7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-    z ^ (z >> 31)
-}
-
 /// Fold a step identity into a 64-bit hash (FNV-1a over the target name
 /// plus the step-kind discriminant).
 fn step_hash(step: &BuildStep) -> u64 {
@@ -95,11 +85,6 @@ fn step_hash(step: &BuildStep) -> u64 {
         h = (h ^ u64::from(b)).wrapping_mul(0x100000001b3);
     }
     h ^ mix64(step.kind as u64)
-}
-
-/// Map a 64-bit hash to a uniform fraction in `[0, 1)`.
-pub fn fraction(h: u64) -> f64 {
-    (h >> 11) as f64 / (1u64 << 53) as f64
 }
 
 /// A seeded plan of infrastructure faults: every attempt of every step

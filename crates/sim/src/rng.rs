@@ -31,12 +31,25 @@ impl SplitMix64 {
 
     /// Produce the next 64-bit output.
     pub fn next_u64(&mut self) -> u64 {
+        let out = mix64(self.state);
         self.state = self.state.wrapping_add(0x9E3779B97F4A7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-        z ^ (z >> 31)
+        out
     }
+}
+
+/// One SplitMix64 step as a pure function: the output of a stream whose
+/// state is `z`. Seeded fault models draw every decision from it, so a
+/// decision depends only on what is hashed, never on draw order.
+pub fn mix64(mut z: u64) -> u64 {
+    z = z.wrapping_add(0x9E3779B97F4A7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
+    z ^ (z >> 31)
+}
+
+/// Map a 64-bit hash to a uniform fraction in `[0, 1)`.
+pub fn fraction(h: u64) -> f64 {
+    (h >> 11) as f64 / (1u64 << 53) as f64
 }
 
 /// xoshiro256**: a fast, high-quality 64-bit PRNG with 256 bits of state

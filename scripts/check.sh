@@ -218,12 +218,12 @@ step "cargo clippy --workspace --all-targets -- -D warnings (vendor stand-ins ex
     -- -D warnings
 
 # One driver (crates/bench/src/suite.rs): every suite's smoke gate, then
-# all four documents regenerated at full size and compared byte for
+# all three documents regenerated at full size and compared byte for
 # byte with the committed BENCH_*.json. The driver prints each suite's
 # own seconds.
 step "sq-bench all --smoke (every suite: gate, required keys, byte-identical same-seed rerun)" \
   cargo run --release -p sq-bench -- all --smoke
-step "sq-bench all (four suites, fresh == committed, byte for byte)" \
+step "sq-bench all (three suites, fresh == committed, byte for byte)" \
   cargo run --release -p sq-bench -- all
 
 # The wall-clock benchmark is a cargo package of its own (see
