@@ -1,45 +1,30 @@
-//! Durable SubmitQueue: every externally visible state transition is
-//! journaled to `sq-store` *before* it is applied or acknowledged, so a
-//! process death at any instant loses nothing that was acked and
-//! half-applies nothing that was torn.
+//! What the SubmitQueue journals: every externally visible state
+//! transition is written to `sq-store` *before* it is applied or
+//! acknowledged, so a process death at any instant loses nothing that
+//! was acked and half-applies nothing that was torn.
 //!
 //! The paper's SubmitQueue is a long-running service; its value is a
 //! standing guarantee about mainline state, which a restart must not
 //! void. This module holds:
 //!
-//! * [`ServiceEvent`] — what [`SubmitQueueService`] emits and the
-//!   journal carries: enqueue, speculation start/abort, build verdict,
-//!   commit, reject, quarantine. One journal record carries one *batch*
-//!   of events (a whole transition), so a torn append loses the
-//!   transition atomically rather than leaving a half-recorded verdict.
-//! * [`DurableState`] — the service's tickets, queue and counters: the
+//! * [`ServiceEvent`] — what the queue emits and the journal carries:
+//!   enqueue, speculation start/abort, build verdict, commit, reject,
+//!   quarantine. One journal record carries one *batch* of events (a
+//!   whole transition), so a torn append loses the transition
+//!   atomically rather than leaving a half-recorded verdict.
+//! * [`DurableState`] — the queue's tickets, queue and counters: the
 //!   fold of all events, snapshotted between batches and reconstructed
-//!   on open as `snapshot ⊕ journal suffix`. The service owns the only
-//!   live copy.
-//! * [`DurableSubmitQueue`] — the service plus a [`Wal`]: the same
-//!   `submit` and `process_next`, with the `Wal` as the sink every
-//!   batch is appended to before the service applies it, and a
-//!   snapshot when the `Wal`'s cadence asks for one.
+//!   on open as `snapshot ⊕ journal suffix`. The queue owns the only
+//!   live copy; two queues are in the same state iff their
+//!   `DurableState`s are equal.
 //!
-//! Crash consistency around the one external side effect — the VCS
-//! commit — leans on idempotence rather than two-phase commit: if the
-//! process dies after `commit_patch` but before the verdict batch is
-//! journaled, the ticket never left `Queued`, recovery finds the change
-//! still pending and reprocesses it; the rebase then absorbs the patch
-//! (it is already in HEAD), the repository reports
-//! [`VcsError::EmptyCommit`](sq_vcs::VcsError), and the service lands
-//! the ticket at the existing commit — converging to byte-identical
-//! state with no double commit.
+//! The queue that journals them, [`DurableSubmitQueue`], lives in
+//! [`service`](crate::service) and is re-exported here.
 
-use crate::recovery::RecoveryConfig;
-use crate::service::{JournalSink, StepAction, SubmitQueueService, TicketId, TicketState};
-use parking_lot::Mutex;
-use sq_obs::{JsonWriter, MetricsRegistry};
-use sq_store::{
-    CodecError, Decoder, DurableStore, DurableStoreConfig, Encoder, Recovery, Storage, StoreError,
-    Wal,
-};
-use sq_vcs::{CommitId, FileOp, ObjectId, Patch, RepoPath, Repository};
+pub use crate::service::DurableSubmitQueue;
+use crate::service::TicketState;
+use sq_store::{CodecError, Decoder, Encoder, Recovery, StoreError};
+use sq_vcs::{CommitId, FileOp, ObjectId, Patch, RepoPath};
 use std::collections::{BTreeMap, VecDeque};
 
 /// Outcome class of a speculation build, as journaled.
@@ -390,9 +375,9 @@ pub struct QueuedChange {
     pub patch: Patch,
 }
 
-/// The tickets, queue and counters of [`SubmitQueueService`]: the fold
+/// The tickets, queue and counters of [`DurableSubmitQueue`]: the fold
 /// of every [`ServiceEvent`] since the beginning of time. This is what
-/// the service reads and applies to, what snapshots serialize and what
+/// the queue reads and applies to, what snapshots serialize and what
 /// recovery rebuilds.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct DurableState {
@@ -556,298 +541,36 @@ impl DurableState {
         Ok(state)
     }
 
-    /// Deterministic sorted-key JSON export, for byte-exact comparison
-    /// of recovered state against an uncrashed run.
-    pub fn export_json(&self) -> String {
-        let mut w = JsonWriter::new();
-        w.begin_object();
-        w.key("head");
-        match self.head {
-            Some(c) => w.value_str(&c.0.to_hex()),
-            None => w.value_null(),
-        }
-        w.field_u64("infra_rejected", self.infra_rejected);
-        w.field_u64("landed", self.landed);
-        w.field_u64("next_ticket", self.next_ticket);
-        w.key("queue");
-        w.begin_array();
-        for q in &self.queue {
-            w.begin_object();
-            w.field_str("author", &q.author);
-            w.field_str("base", &q.base.0.to_hex());
-            w.field_str("description", &q.description);
-            w.key("ops");
-            w.begin_array();
-            for op in q.patch.ops() {
-                w.begin_object();
-                match op {
-                    FileOp::Write { path, content } => {
-                        w.field_str("content", content);
-                        w.field_str("kind", "write");
-                        w.field_str("path", path.as_str());
-                    }
-                    FileOp::Delete { path } => {
-                        w.field_str("kind", "delete");
-                        w.field_str("path", path.as_str());
-                    }
-                }
-                w.end_object();
-            }
-            w.end_array();
-            w.field_u64("ticket", q.ticket);
-            w.end_object();
-        }
-        w.end_array();
-        w.key("quarantined");
-        w.begin_object();
-        for (target, observations) in &self.quarantined {
-            w.field_u64(target, u64::from(*observations));
-        }
-        w.end_object();
-        w.field_u64("rejected", self.rejected);
-        w.key("states");
-        w.begin_object();
-        for (ticket, state) in &self.states {
-            w.key(&ticket.to_string());
-            w.begin_object();
-            match state {
-                TicketState::Queued => w.field_str("state", "queued"),
-                TicketState::Landed(c) => {
-                    w.field_str("commit", &c.0.to_hex());
-                    w.field_str("state", "landed");
-                }
-                TicketState::Rejected(reason) => {
-                    w.field_str("reason", reason);
-                    w.field_str("state", "rejected");
-                }
-            }
-            w.end_object();
-        }
-        w.end_object();
-        w.end_object();
-        w.finish()
-    }
-}
-
-fn corrupt_snapshot(e: CodecError) -> StoreError {
-    StoreError::CorruptSnapshot {
-        detail: format!("undecodable durable state: {e}"),
-    }
-}
-
-fn corrupt_record(e: CodecError) -> StoreError {
-    StoreError::CorruptJournal {
-        offset: 0,
-        detail: format!("undecodable event batch: {e}"),
-    }
-}
-
-impl<W: Wal> JournalSink for W {
-    fn append(&mut self, batch: &[ServiceEvent]) -> Result<(), StoreError> {
-        Wal::append(self, &encode_batch(batch)).map(|_lsn| ())
-    }
-}
-
-/// [`SubmitQueueService`] with its state journaled through any
-/// [`Wal`] — the single-node [`DurableStore`] or the replicating
-/// [`Leader`](sq_store::Leader): submissions are acked only once
-/// durable per the WAL's ack discipline, and [`DurableSubmitQueue::open`]
-/// (or [`failover::promote_from_follower`](crate::failover)) reconstructs
-/// the exact acknowledged state after a crash.
-///
-/// Every mutating call returns `Result`: a [`StoreError`] means the
-/// backing medium failed (or, under fault injection, the simulated
-/// process died) and the handle must be abandoned — reopen to recover.
-/// A [`StoreError::Fenced`] additionally means a newer leader exists
-/// and this node must never serve again under its current epoch.
-pub struct DurableSubmitQueue<W: Wal> {
-    service: SubmitQueueService,
-    /// The store lock: appends serialise on it, and a batch is applied
-    /// to the service's state before it is released. Never held across
-    /// a build.
-    pub(crate) store: Mutex<W>,
-}
-
-impl<S: Storage> DurableSubmitQueue<DurableStore<S>> {
-    /// Open the durable service: recover `snapshot ⊕ journal suffix`
-    /// from `storage`, then start the service from exactly that state
-    /// over `repo` (the VCS is the system of record for commits and
-    /// survives independently of this store).
-    pub fn open(
-        repo: Repository,
-        threads: usize,
-        recovery: RecoveryConfig,
-        storage: S,
-        config: DurableStoreConfig,
-    ) -> Result<Self, StoreError> {
-        let (store, recovered) = DurableStore::open(storage, config)?;
-        Self::from_recovered(repo, threads, recovery, store, &recovered)
-    }
-}
-
-impl<W: Wal> DurableSubmitQueue<W> {
-    /// Fold a recovery (`snapshot ⊕ journal suffix`) and start the
-    /// service from exactly that state — the shared tail of every open
-    /// path (single-node, leader, promotion).
-    pub(crate) fn from_recovered(
-        repo: Repository,
-        threads: usize,
-        recovery: RecoveryConfig,
-        store: W,
-        recovered: &Recovery,
-    ) -> Result<Self, StoreError> {
+    /// The state a recovery (`snapshot ⊕ journal suffix`) folds to.
+    pub(crate) fn recovered(recovered: &Recovery) -> Result<Self, StoreError> {
         let mut state = match &recovered.snapshot {
-            Some(payload) => DurableState::decode(payload).map_err(corrupt_snapshot)?,
+            Some(payload) => {
+                DurableState::decode(payload).map_err(|e| StoreError::CorruptSnapshot {
+                    detail: format!("undecodable durable state: {e}"),
+                })?
+            }
             None => DurableState::new(),
         };
         for payload in &recovered.events {
-            for ev in decode_batch(payload).map_err(corrupt_record)? {
-                state.apply(&ev);
-            }
+            let batch = decode_batch(payload).map_err(|e| StoreError::CorruptJournal {
+                offset: 0,
+                detail: format!("undecodable event batch: {e}"),
+            })?;
+            batch.iter().for_each(|ev| state.apply(ev));
         }
-        Ok(DurableSubmitQueue {
-            service: SubmitQueueService::recovered(repo, threads, recovery, state),
-            store: Mutex::new(store),
-        })
-    }
-
-    /// Submit a change. The returned ticket is the durable ack: the
-    /// enqueue event is journaled and synced before this returns.
-    pub fn submit(
-        &self,
-        author: impl Into<String>,
-        description: impl Into<String>,
-        base: CommitId,
-        patch: Patch,
-    ) -> Result<TicketId, StoreError> {
-        let ticket = self
-            .service
-            .submit_through(&self.store, author, description, base, patch)?;
-        self.checkpoint()?;
-        Ok(ticket)
-    }
-
-    /// Process one queued change end to end, journaling the speculation
-    /// start before the build and the terminal verdict after it.
-    /// Returns the ticket handled, or `None` on an empty queue.
-    pub fn process_next(&self, action: &StepAction) -> Result<Option<TicketId>, StoreError> {
-        let processed = self.service.process_next_through(&self.store, action)?;
-        if processed.is_some() {
-            self.checkpoint()?;
-        }
-        Ok(processed)
-    }
-
-    /// Snapshot and compact the journal if the cadence says so. Runs
-    /// where a ticket was just acked or judged, not at a speculation
-    /// start. Under the store lock the service's state is exactly the
-    /// fold of the journal, so this is a critical section of its own.
-    fn checkpoint(&self) -> Result<(), StoreError> {
-        let mut store = self.store.lock();
-        if store.should_snapshot() {
-            store.write_snapshot(&self.service.read_state(DurableState::encode))?;
-        }
-        Ok(())
-    }
-
-    /// The state of a change.
-    pub fn status(&self, ticket: TicketId) -> Option<TicketState> {
-        self.service.status(ticket)
-    }
-
-    /// Number of changes waiting in the speculation queue (acked but
-    /// not yet landed or rejected). The serving layer uses this as its
-    /// admission-control signal: past a configured bound it answers
-    /// `Busy` instead of journaling another enqueue.
-    pub fn queue_depth(&self) -> usize {
-        self.service.read_state(|state| state.queue.len())
-    }
-
-    /// Per-shard view of the speculation queue: queued submissions
-    /// grouped by the top-level directory their patch touches — the
-    /// serving layer's approximation of the planner's part → shard
-    /// routing. A submission whose ops span several top-level
-    /// directories has a cross-shard footprint and groups under
-    /// `"(cross)"`; an empty patch groups under `"(none)"`; a file at
-    /// the repository root counts as its own directory. Keys are sorted,
-    /// so the export is deterministic.
-    pub fn queue_depth_by_dir(&self) -> Vec<(String, usize)> {
-        self.service.read_state(|state| {
-            let mut counts: BTreeMap<String, usize> = BTreeMap::new();
-            for q in &state.queue {
-                let mut dirs: std::collections::BTreeSet<&str> = Default::default();
-                for op in q.patch.ops() {
-                    let path = op.path();
-                    dirs.insert(path.components().next().unwrap_or(path.as_str()));
-                }
-                let key = match dirs.len() {
-                    0 => "(none)".to_string(),
-                    1 => dirs.into_iter().next().unwrap().to_string(),
-                    _ => "(cross)".to_string(),
-                };
-                *counts.entry(key).or_default() += 1;
-            }
-            counts.into_iter().collect()
-        })
-    }
-
-    /// Current mainline HEAD.
-    pub fn head(&self) -> CommitId {
-        self.service.head()
-    }
-
-    /// The wrapped service (read-only access to stats and history
-    /// verification).
-    pub fn service(&self) -> &SubmitQueueService {
-        &self.service
-    }
-
-    /// A clone of the underlying repository. The VCS is external state:
-    /// a crash-recovery harness extracts it from a dead handle the way
-    /// a real deployment's repository survives a service restart.
-    pub fn repository(&self) -> Repository {
-        self.service.repository()
-    }
-
-    /// Deterministic sorted-key JSON export of the service's state, for
-    /// byte-exact state comparison across crash/recovery boundaries.
-    pub fn export_state_json(&self) -> String {
-        self.service.export_state_json()
-    }
-
-    /// Storage-layer counters (appends, fsyncs, snapshots, replay).
-    pub fn store_stats(&self) -> sq_store::StoreStats {
-        *self.store.lock().stats()
-    }
-
-    /// Record storage counters and recovery gauges into a metrics
-    /// registry (under `store.*`). `StoreStats` carries cumulative
-    /// lifetime totals, so counters are reconciled via
-    /// [`MetricsRegistry::record_total`] and the point-in-time values
-    /// (last snapshot size, recovery replay cost) are gauges — the
-    /// export is idempotent under the periodic re-export a serving
-    /// process performs.
-    pub fn record_into(&self, metrics: &mut MetricsRegistry) {
-        let st = self.store_stats();
-        metrics.record_total("store.journal.appends", st.appends);
-        metrics.record_total("store.journal.appended_bytes", st.appended_bytes);
-        metrics.record_total("store.journal.fsyncs", st.fsyncs);
-        metrics.record_total("store.snapshot.writes", st.snapshots);
-        metrics.record_total("store.recovery.replayed_records", st.replayed_records);
-        metrics.record_total(
-            "store.recovery.truncated_tail_bytes",
-            st.truncated_tail_bytes,
-        );
-        metrics.set_gauge("store.snapshot.bytes", st.last_snapshot_bytes as f64);
-        metrics.set_gauge("store.recovery.replay_micros", st.replay_micros as f64);
+        Ok(state)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::recovery::RecoveryConfig;
+    use crate::service::{StepAction, TicketId};
     use sq_exec::StepOutcome;
-    use sq_store::{CrashKind, CrashPlan, MemStorage};
+    use sq_obs::MetricsRegistry;
+    use sq_store::{CrashKind, CrashPlan, DurableStore, DurableStoreConfig, MemStorage, Wal};
+    use sq_vcs::Repository;
     use std::sync::{Arc, Mutex as StdMutex};
 
     type Shared = Arc<StdMutex<MemStorage>>;
@@ -972,7 +695,6 @@ mod tests {
         });
         let decoded = DurableState::decode(&state.encode()).unwrap();
         assert_eq!(decoded, state);
-        assert_eq!(decoded.export_json(), state.export_json());
     }
 
     #[test]
@@ -982,11 +704,11 @@ mod tests {
         let t = dq.submit("alice", "v1", dq.head(), lib_patch(1)).unwrap();
         drain(&dq);
         assert!(matches!(dq.status(t), Some(TicketState::Landed(_))));
-        let exported = dq.export_state_json();
+        let state = dq.state();
         let repo = dq.repository();
         drop(dq);
         let dq2 = open(repo, &storage);
-        assert_eq!(dq2.export_state_json(), exported);
+        assert_eq!(dq2.state(), state);
         assert!(matches!(dq2.status(t), Some(TicketState::Landed(_))));
     }
 
@@ -1116,11 +838,11 @@ mod tests {
             drain(&dq);
         }
         assert_eq!(dq.store_stats().snapshots, 2);
-        let exported = dq.export_state_json();
+        let state = dq.state();
         let repo = dq.repository();
         drop(dq);
         let dq2 = open(repo, &storage);
-        assert_eq!(dq2.export_state_json(), exported);
+        assert_eq!(dq2.state(), state);
         assert_eq!(dq2.store_stats().replayed_records, 3);
     }
 

@@ -6,11 +6,11 @@
 //! into an operable service:
 //!
 //! * [`open_leader`] — a [`DurableSubmitQueue`] journaling through a
-//!   replicating [`Leader`] instead of a single-node store; the service
-//!   layer is otherwise identical (the [`Wal`](sq_store::Wal) seam).
+//!   replicating [`Leader`] instead of a single-node store; the queue
+//!   is otherwise the same one (the [`Wal`](sq_store::Wal) seam).
 //! * [`promote_from_follower`] — fenced promotion: claim a strictly
 //!   newer epoch (durably, *before* serving), replay the replica's
-//!   journal to its last durable LSN and start the service from that
+//!   journal to its last durable LSN and start the queue from that
 //!   state. Returns a [`PromotionReport`] with what recovery had to do.
 //! * [`best_promotion_candidate`] — pick the replica with the highest
 //!   (epoch, durable LSN); under synchronous shipping that replica
@@ -73,7 +73,7 @@ pub struct PromotionReport {
 /// *before* any state is served, so a stale leader returning from the
 /// dead is refused by every replica that has seen the new epoch.
 /// Recovery then replays `snapshot ⊕ journal suffix` to the last
-/// durable LSN and starts the service from that state.
+/// durable LSN and starts the queue from that state.
 pub fn promote_from_follower<S: Storage + Clone>(
     repo: Repository,
     threads: usize,
@@ -263,7 +263,7 @@ mod tests {
         let t1 = dq.submit("alice", "v1", dq.head(), lib_patch(1)).unwrap();
         drain(&dq);
         let t2 = dq.submit("bob", "v2", dq.head(), lib_patch(2)).unwrap();
-        let exported = dq.export_state_json();
+        let state = dq.state();
         let repo = dq.repository();
         drop(dq); // leader process dies
 
@@ -287,9 +287,9 @@ mod tests {
         assert_eq!(report.durable_lsn, candidate.durable_lsn);
         assert_eq!((report.durable_lsn, report.replayed_records), (4, 4));
         assert_eq!(report.truncated_bytes, 0);
-        // Zero acked enqueues lost: the promoted replica's export is
-        // byte-identical to the dead leader's last acknowledged state.
-        assert_eq!(promoted.export_state_json(), exported);
+        // Zero acked enqueues lost: the promoted replica's state is the
+        // dead leader's last acknowledged state.
+        assert_eq!(promoted.state(), state);
         assert!(matches!(promoted.status(t1), Some(TicketState::Landed(_))));
         assert_eq!(promoted.status(t2), Some(TicketState::Queued));
         drain(&promoted);

@@ -60,13 +60,15 @@
 //!   plans, per-lane worker splits, the planning-cost model that makes
 //!   one global window saturate, and per-shard reports/audits over the
 //!   merged trunk.
-//! * [`service`] — an embeddable `SubmitQueueService`: a serial queue
-//!   over a materialized repository (rebase, target-hash affected set,
-//!   real executor, commit if green). It names no conflict analyzer.
-//! * [`durable`] — the crash-consistent service: every state transition
-//!   is journaled through `sq-store` before it is acknowledged, and
-//!   `DurableSubmitQueue::open` reconstructs the exact acked state from
-//!   snapshot + journal-suffix replay.
+//! * [`service`] — the one queue type, `DurableSubmitQueue`: a serial
+//!   queue over a materialized repository (rebase, target-hash affected
+//!   set, real executor, commit if green) whose every state transition
+//!   is journaled through a `Wal` before it is acknowledged, and whose
+//!   `open` reconstructs the exact acked state from snapshot +
+//!   journal-suffix replay. `SubmitQueueService` is that queue over an
+//!   in-memory journal. It names no conflict analyzer.
+//! * [`durable`] — what the queue journals: the `ServiceEvent` wire
+//!   format and `DurableState`, the fold of every event.
 //! * [`failover`] — replicated operation on top of `durable`: leaders
 //!   that ship every journal record to followers, fenced follower
 //!   promotion with zero acked-work loss, and candidate selection.

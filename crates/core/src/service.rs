@@ -1,4 +1,5 @@
-//! An embeddable SubmitQueue service over a real repository.
+//! The SubmitQueue service over a real repository, and its one queue
+//! type, [`DurableSubmitQueue`].
 //!
 //! The simulations measure *scheduling policy*; this module wires the
 //! full concrete stack together the way the paper's production system
@@ -14,25 +15,26 @@
 //!
 //! Tickets, the queue and the counters exist once, as a
 //! [`DurableState`], and change only by applying the [`ServiceEvent`]s
-//! the service emits where it decides: enqueue, speculation start,
+//! the queue emits where it decides: enqueue, speculation start,
 //! abort, quarantine, verdict, commit, reject. Every batch goes through
-//! `transition`, which hands it to a journal sink first and applies it
-//! second. The sink writes nothing for the in-memory service and
-//! appends to a `Wal` for
-//! [`DurableSubmitQueue`](crate::durable::DurableSubmitQueue), so a
-//! recovered service, a replica and the live one all read the same
-//! stream.
+//! `transition`, which appends it to the queue's [`Wal`] first and
+//! applies it second, so a recovered queue, a replica and the live one
+//! all read the same stream. [`SubmitQueueService`] is the queue over
+//! an in-memory journal; `sq-server` serves it over files.
 
-use crate::durable::{DurableState, QueuedChange, ServiceEvent, Verdict};
+use crate::durable::{encode_batch, DurableState, QueuedChange, ServiceEvent, Verdict};
 use crate::recovery::{QuarantineList, RecoveryConfig};
 use parking_lot::Mutex;
 use sq_build::affected::SnapshotAnalysis;
 use sq_build::{AffectedSet, TargetName};
 use sq_exec::{ArtifactCache, BuildController, BuildStep, ExecReport, RealExecutor, StepOutcome};
-use sq_store::StoreError;
+use sq_obs::MetricsRegistry;
+use sq_store::{
+    DurableStore, DurableStoreConfig, MemStorage, Recovery, Storage, StoreError, StoreStats, Wal,
+};
 use sq_vcs::merge::merge_patches;
 use sq_vcs::{CommitId, CommitMeta, Patch, Repository, Tree, VcsError};
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::fmt;
 
 /// Ticket identifying a submitted change.
@@ -67,22 +69,6 @@ impl TicketState {
 /// snapshot it runs against. Runs on executor worker threads.
 pub type StepAction = dyn Fn(&BuildStep, &Tree) -> StepOutcome + Send + Sync;
 
-/// Where an event batch goes before it is applied. Its mutex is the
-/// store lock: whoever holds it is the only one appending and applying.
-pub(crate) trait JournalSink {
-    /// Make `batch` durable. After an `Err` nothing is applied.
-    fn append(&mut self, batch: &[ServiceEvent]) -> Result<(), StoreError>;
-}
-
-/// The in-memory service's sink: nothing is written, nothing can fail.
-struct Unjournaled;
-
-impl JournalSink for Unjournaled {
-    fn append(&mut self, _batch: &[ServiceEvent]) -> Result<(), StoreError> {
-        Ok(())
-    }
-}
-
 struct Inner {
     repo: Repository,
     /// Tickets, queue and counters: the fold of every event applied.
@@ -99,13 +85,36 @@ struct Inner {
     infra_rebuilds: u64,
 }
 
-/// The service.
-pub struct SubmitQueueService {
+/// The SubmitQueue, with its state journaled through any [`Wal`] — an
+/// in-memory or file-backed [`DurableStore`], or the replicating
+/// [`Leader`](sq_store::Leader): a submission is acked only once its
+/// enqueue is durable per the `Wal`'s ack discipline, and
+/// [`DurableSubmitQueue::open`] (or
+/// [`failover::promote_from_follower`](crate::failover)) reconstructs
+/// the exact acknowledged state after a crash.
+///
+/// Every mutating call returns `Result`: a [`StoreError`] means the
+/// backing medium failed (or, under fault injection, the simulated
+/// process died) and the handle must be abandoned — reopen to recover.
+/// A [`StoreError::Fenced`] additionally means a newer leader exists
+/// and this node must never serve again under its current epoch.
+///
+/// Crash consistency around the one external side effect — the VCS
+/// commit — leans on idempotence rather than two-phase commit: if the
+/// process dies after `commit_patch` but before the verdict batch is
+/// journaled, the ticket never left `Queued`, recovery finds the change
+/// still pending and reprocesses it; the rebase then absorbs the patch
+/// (it is already in HEAD), the repository reports
+/// [`VcsError::EmptyCommit`], and the queue lands the ticket at the
+/// existing commit — converging to identical state with no double
+/// commit.
+pub struct DurableSubmitQueue<W: Wal> {
     /// The state lock: held for a read, a decision or an `apply`, never
     /// across a build or a journal append.
     inner: Mutex<Inner>,
-    /// The in-memory service's store lock.
-    unjournaled: Mutex<Unjournaled>,
+    /// The store lock: appends serialise on it, and a batch is applied
+    /// to the state before it is released. Never held across a build.
+    pub(crate) store: Mutex<W>,
     /// Incremental builds for landing changes (persistent artifact
     /// cache — the paper's Section 6 controller).
     controller: BuildController,
@@ -117,7 +126,11 @@ pub struct SubmitQueueService {
     recovery: RecoveryConfig,
 }
 
-/// A red commit found by [`SubmitQueueService::verify_history`]: which
+/// The queue over an in-memory journal: nothing survives the process,
+/// and nothing but an injected crash can fail.
+pub type SubmitQueueService = DurableSubmitQueue<DurableStore<MemStorage>>;
+
+/// A red commit found by [`DurableSubmitQueue::verify_history`]: which
 /// commit broke the audit, at which step, and why.
 #[derive(Debug, Clone)]
 pub struct HistoryViolation {
@@ -181,33 +194,53 @@ pub struct ServiceStats {
 
 impl SubmitQueueService {
     /// Wrap a repository; `threads` sizes the build executor. Infra
-    /// failures are not retried (the change sees them directly); use
-    /// [`SubmitQueueService::with_recovery`] for the failure-aware
-    /// service.
+    /// failures are not retried (the change sees them directly); open a
+    /// queue with a [`RecoveryConfig`] for the failure-aware one.
     pub fn new(repo: Repository, threads: usize) -> Self {
-        Self::with_recovery(repo, threads, RecoveryConfig::disabled())
+        let (storage, config) = (MemStorage::new(), DurableStoreConfig::default());
+        Self::open(repo, threads, RecoveryConfig::disabled(), storage, config)
+            .expect("a fresh in-memory journal opens")
     }
+}
 
-    /// Wrap a repository with an infra-failure recovery policy: steps
-    /// retry under `recovery.retry`, infra-red builds are redone up to
+impl<S: Storage> DurableSubmitQueue<DurableStore<S>> {
+    /// Open the queue: recover `snapshot ⊕ journal suffix` from
+    /// `storage`, then start from exactly that state over `repo` (the
+    /// VCS is the system of record for commits and survives
+    /// independently of this store).
+    ///
+    /// `recovery` is the infra-failure policy: steps retry under
+    /// `recovery.retry`, infra-red builds are redone up to
     /// `recovery.max_rebuilds` times before the change is rejected with
     /// an explicit infrastructure reason, and chronically flaky targets
     /// are quarantined (advisorily — they keep gating, so the always-
-    /// green invariant is never weakened; the list is the `quarantined`
-    /// map of the exported state, journaled as `Quarantined` events).
-    pub fn with_recovery(repo: Repository, threads: usize, recovery: RecoveryConfig) -> Self {
-        Self::recovered(repo, threads, recovery, DurableState::new())
-    }
-
-    /// The service as of `state`, the fold of a recovered journal —
-    /// the restore half of crash recovery. The repository is taken as
-    /// it is: commits live in the VCS, which recovers independently.
-    pub(crate) fn recovered(
+    /// green invariant is never weakened; the list is the state's
+    /// `quarantined` map, journaled as `Quarantined` events).
+    pub fn open(
         repo: Repository,
         threads: usize,
         recovery: RecoveryConfig,
-        state: DurableState,
-    ) -> Self {
+        storage: S,
+        config: DurableStoreConfig,
+    ) -> Result<Self, StoreError> {
+        let (store, recovered) = DurableStore::open(storage, config)?;
+        Self::from_recovered(repo, threads, recovery, store, &recovered)
+    }
+}
+
+impl<W: Wal> DurableSubmitQueue<W> {
+    /// Fold a recovery (`snapshot ⊕ journal suffix`) and start the
+    /// queue from exactly that state — the shared tail of every open
+    /// path (single-node, leader, promotion). The repository is taken
+    /// as it is: commits live in the VCS, which recovers independently.
+    pub(crate) fn from_recovered(
+        repo: Repository,
+        threads: usize,
+        recovery: RecoveryConfig,
+        store: W,
+        recovered: &Recovery,
+    ) -> Result<Self, StoreError> {
+        let state = DurableState::recovered(recovered)?;
         let mut quarantine = QuarantineList::new(recovery.quarantine_threshold);
         for (target, observations) in &state.quarantined {
             // Quarantined events journal canonical `//pkg:name` labels,
@@ -217,7 +250,7 @@ impl SubmitQueueService {
                 quarantine.restore(name, *observations);
             }
         }
-        SubmitQueueService {
+        Ok(DurableSubmitQueue {
             inner: Mutex::new(Inner {
                 repo,
                 state,
@@ -226,11 +259,18 @@ impl SubmitQueueService {
                 step_retries: 0,
                 infra_rebuilds: 0,
             }),
-            unjournaled: Mutex::new(Unjournaled),
+            store: Mutex::new(store),
             controller: BuildController::with_retry_policy(threads, recovery.retry),
             executor: RealExecutor::new(threads),
             recovery,
-        }
+        })
+    }
+
+    /// The queue itself: `benchmark/` reaches `stats` and
+    /// `verify_history` through this call, and it goes once that
+    /// harness calls the queue directly.
+    pub fn service(&self) -> &Self {
+        self
     }
 
     /// The current mainline HEAD.
@@ -239,11 +279,19 @@ impl SubmitQueueService {
     }
 
     /// A clone of the underlying repository. The VCS is the system of
-    /// record for commits: a durability layer (or a crash-recovery
-    /// harness) extracts it from a dead service instance the way a real
-    /// deployment's repository survives a service restart.
+    /// record for commits: a crash-recovery harness extracts it from a
+    /// dead queue the way a real deployment's repository survives a
+    /// service restart.
     pub fn repository(&self) -> Repository {
         self.inner.lock().repo.clone()
+    }
+
+    /// A copy of tickets, queue and counters, taken under the state
+    /// lock: two queues (a live one and a recovered one, a dead leader
+    /// and a promoted replica) are in the same state iff these are
+    /// equal.
+    pub fn state(&self) -> DurableState {
+        self.inner.lock().state.clone()
     }
 
     /// The one place tickets, queue and counters change. `decide` runs
@@ -251,46 +299,47 @@ impl SubmitQueueService {
     /// (none: nothing happened). They are journaled with the state lock
     /// released, so readers never wait for an fsync, and applied only
     /// once the append has returned, so nothing shows before it is
-    /// durable.
+    /// durable. After an `Err` nothing is applied.
     fn transition<T>(
         &self,
-        sink: &Mutex<dyn JournalSink + '_>,
         decide: impl FnOnce(&mut Inner) -> (T, Vec<ServiceEvent>),
     ) -> Result<T, StoreError> {
-        let mut sink = sink.lock();
+        let mut store = self.store.lock();
         let (decided, batch) = decide(&mut self.inner.lock());
         if !batch.is_empty() {
-            sink.append(&batch)?;
+            store.append(&encode_batch(&batch))?;
             let mut inner = self.inner.lock();
             batch.iter().for_each(|ev| inner.state.apply(ev));
         }
         Ok(decided)
     }
 
+    /// Snapshot and compact the journal if the cadence says so. Runs
+    /// where a ticket was just acked or judged, not at a speculation
+    /// start. Under the store lock the state is exactly the fold of the
+    /// journal, so this is a critical section of its own.
+    fn checkpoint(&self) -> Result<(), StoreError> {
+        let mut store = self.store.lock();
+        if store.should_snapshot() {
+            // Encoded under the state lock, written outside it.
+            let snapshot = self.inner.lock().state.encode();
+            store.write_snapshot(&snapshot)?;
+        }
+        Ok(())
+    }
+
     /// Submit a change: a patch made against `base` (usually the HEAD the
-    /// developer branched from — step 5 of the Figure 3 life cycle).
+    /// developer branched from — step 5 of the Figure 3 life cycle). The
+    /// returned ticket is the durable ack: the enqueue event is
+    /// journaled and synced before this returns.
     pub fn submit(
         &self,
         author: impl Into<String>,
         description: impl Into<String>,
         base: CommitId,
         patch: Patch,
-    ) -> TicketId {
-        self.submit_through(&self.unjournaled, author, description, base, patch)
-            .expect("nothing is written, so nothing fails")
-    }
-
-    /// [`Self::submit`], journaled through `sink` before the ticket is
-    /// handed out.
-    pub(crate) fn submit_through(
-        &self,
-        sink: &Mutex<dyn JournalSink + '_>,
-        author: impl Into<String>,
-        description: impl Into<String>,
-        base: CommitId,
-        patch: Patch,
     ) -> Result<TicketId, StoreError> {
-        self.transition(sink, |inner| {
+        let ticket = self.transition(|inner| {
             let ticket = inner.state.next_ticket;
             let enqueue = ServiceEvent::Enqueue {
                 ticket,
@@ -300,47 +349,61 @@ impl SubmitQueueService {
                 patch,
             };
             (TicketId(ticket), vec![enqueue])
-        })
+        })?;
+        self.checkpoint()?;
+        Ok(ticket)
     }
 
     /// The state of a change (the service's second API call).
     pub fn status(&self, ticket: TicketId) -> Option<TicketState> {
-        self.read_state(|state| state.states.get(&ticket.0).cloned())
+        self.inner.lock().state.states.get(&ticket.0).cloned()
     }
 
-    /// Read tickets, queue and counters under the state lock.
-    pub(crate) fn read_state<T>(&self, read: impl FnOnce(&DurableState) -> T) -> T {
-        read(&self.inner.lock().state)
+    /// Number of changes waiting in the speculation queue (acked but
+    /// not yet landed or rejected). The serving layer uses this as its
+    /// admission-control signal: past a configured bound it answers
+    /// `Busy` instead of journaling another enqueue.
+    pub fn queue_depth(&self) -> usize {
+        self.inner.lock().state.queue.len()
     }
 
-    /// Deterministic sorted-key JSON export of tickets, queue and
-    /// counters, for byte-exact state comparison across services and
-    /// across crash/recovery boundaries.
-    pub fn export_state_json(&self) -> String {
-        self.read_state(DurableState::export_json)
+    /// Per-shard view of the speculation queue: queued submissions
+    /// grouped by the top-level directory their patch touches — the
+    /// serving layer's approximation of the planner's part → shard
+    /// routing. A submission whose ops span several top-level
+    /// directories has a cross-shard footprint and groups under
+    /// `"(cross)"`; an empty patch groups under `"(none)"`; a file at
+    /// the repository root counts as its own directory. Keys are sorted,
+    /// so the export is deterministic.
+    pub fn queue_depth_by_dir(&self) -> Vec<(String, usize)> {
+        let mut counts: BTreeMap<String, usize> = BTreeMap::new();
+        for q in &self.inner.lock().state.queue {
+            let mut dirs: BTreeSet<&str> = BTreeSet::new();
+            for op in q.patch.ops() {
+                let path = op.path();
+                dirs.insert(path.components().next().unwrap_or(path.as_str()));
+            }
+            let key = match dirs.len() {
+                0 => "(none)".to_string(),
+                1 => dirs.into_iter().next().unwrap().to_string(),
+                _ => "(cross)".to_string(),
+            };
+            *counts.entry(key).or_default() += 1;
+        }
+        counts.into_iter().collect()
     }
 
-    /// Process one queued change end to end. Returns the ticket handled,
-    /// or `None` if the queue was empty.
+    /// Process one queued change end to end, journaling the speculation
+    /// start before the build and the verdict batch after it. Returns
+    /// the ticket handled, or `None` if the queue was empty.
     ///
     /// Pipeline: rebase (three-way merge onto the current HEAD) →
     /// affected-target analysis → real builds of every affected target →
     /// commit on success.
-    pub fn process_next(&self, action: &StepAction) -> Option<TicketId> {
-        self.process_next_through(&self.unjournaled, action)
-            .expect("nothing is written, so nothing fails")
-    }
-
-    /// [`Self::process_next`], journaled through `sink`: the speculation
-    /// start before the build, the verdict batch after it.
-    pub(crate) fn process_next_through(
-        &self,
-        sink: &Mutex<dyn JournalSink + '_>,
-        action: &StepAction,
-    ) -> Result<Option<TicketId>, StoreError> {
+    pub fn process_next(&self, action: &StepAction) -> Result<Option<TicketId>, StoreError> {
         // Take what the build reads under the lock, then build outside
         // both locks so submissions and status queries stay responsive.
-        let started = self.transition(sink, |inner| {
+        let started = self.transition(|inner| {
             let Some(change) = inner.state.queue.front().cloned() else {
                 return (None, Vec::new());
             };
@@ -361,19 +424,18 @@ impl SubmitQueueService {
         // and takes the commit's in place. What was staged for a
         // rejected change goes with the snapshot.
         let built = self.build(&change.patch, base_tree, head_tree, store, action);
-        self.transition(sink, |inner| {
-            ((), self.conclude(inner, &change, head, built))
-        })?;
+        self.transition(|inner| ((), self.conclude(inner, &change, head, built)))?;
+        self.checkpoint()?;
         Ok(Some(TicketId(change.ticket)))
     }
 
-    /// Drain the queue.
-    pub fn run_until_idle(&self, action: &StepAction) -> usize {
+    /// Drain the queue; returns how many changes were processed.
+    pub fn run_until_idle(&self, action: &StepAction) -> Result<usize, StoreError> {
         let mut processed = 0;
-        while self.process_next(action).is_some() {
+        while self.process_next(action)?.is_some() {
             processed += 1;
         }
-        processed
+        Ok(processed)
     }
 
     /// Rebase, analyze and build one patch against the snapshot taken
@@ -633,6 +695,33 @@ impl SubmitQueueService {
         }
         Ok(verified)
     }
+
+    /// Storage-layer counters (appends, fsyncs, snapshots, replay).
+    pub fn store_stats(&self) -> StoreStats {
+        *self.store.lock().stats()
+    }
+
+    /// Record storage counters and recovery gauges into a metrics
+    /// registry (under `store.*`). `StoreStats` carries cumulative
+    /// lifetime totals, so counters are reconciled via
+    /// [`MetricsRegistry::record_total`] and the point-in-time values
+    /// (last snapshot size, recovery replay cost) are gauges — the
+    /// export is idempotent under the periodic re-export a serving
+    /// process performs.
+    pub fn record_into(&self, metrics: &mut MetricsRegistry) {
+        let st = self.store_stats();
+        metrics.record_total("store.journal.appends", st.appends);
+        metrics.record_total("store.journal.appended_bytes", st.appended_bytes);
+        metrics.record_total("store.journal.fsyncs", st.fsyncs);
+        metrics.record_total("store.snapshot.writes", st.snapshots);
+        metrics.record_total("store.recovery.replayed_records", st.replayed_records);
+        metrics.record_total(
+            "store.recovery.truncated_tail_bytes",
+            st.truncated_tail_bytes,
+        );
+        metrics.set_gauge("store.snapshot.bytes", st.last_snapshot_bytes as f64);
+        metrics.set_gauge("store.recovery.replay_micros", st.replay_micros as f64);
+    }
 }
 
 /// The developer's patch as it applies on `head_tree`: merged with what
@@ -706,22 +795,30 @@ mod tests {
         .unwrap()
     }
 
+    /// The queue over an in-memory journal, under an infra-failure policy.
+    fn with_recovery(recovery: RecoveryConfig) -> SubmitQueueService {
+        let config = DurableStoreConfig::default();
+        DurableSubmitQueue::open(demo_repo(), 2, recovery, MemStorage::new(), config).unwrap()
+    }
+
     #[test]
     fn land_a_clean_change() {
         let service = SubmitQueueService::new(demo_repo(), 2);
         let base = service.head();
-        let t = service.submit(
-            "alice",
-            "improve lib",
-            base,
-            Patch::write(
-                RepoPath::new("lib/l.rs").unwrap(),
-                "pub fn l() { /* v2 */ }",
-            ),
-        );
+        let t = service
+            .submit(
+                "alice",
+                "improve lib",
+                base,
+                Patch::write(
+                    RepoPath::new("lib/l.rs").unwrap(),
+                    "pub fn l() { /* v2 */ }",
+                ),
+            )
+            .unwrap();
         assert_eq!(service.status(t), Some(TicketState::Queued));
         let action = always_pass();
-        service.run_until_idle(&action);
+        service.run_until_idle(&action).unwrap();
         match service.status(t) {
             Some(TicketState::Landed(commit)) => assert_eq!(service.head(), commit),
             other => panic!("expected landed, got {other:?}"),
@@ -756,14 +853,16 @@ mod tests {
         let service = SubmitQueueService::new(repo, 2);
         let head_before = service.head();
         let objects_before = service.repository().store().len();
-        let t = service.submit(
-            "bob",
-            "touch the buggy package",
-            head_before,
-            Patch::write(RepoPath::new("buggy/b.rs").unwrap(), "edited"),
-        );
+        let t = service
+            .submit(
+                "bob",
+                "touch the buggy package",
+                head_before,
+                Patch::write(RepoPath::new("buggy/b.rs").unwrap(), "edited"),
+            )
+            .unwrap();
         let action = fail_on_bug();
-        service.run_until_idle(&action);
+        service.run_until_idle(&action).unwrap();
         match service.status(t) {
             Some(TicketState::Rejected(reason)) => {
                 assert!(reason.contains("intentional bug"), "reason = {reason}");
@@ -785,13 +884,15 @@ mod tests {
         let objects_before = service.repository().store().len();
         let action = always_pass();
         for colliding in ["lib/l.rs/nested.rs", "lib"] {
-            let t = service.submit(
-                "mallory",
-                "shadow a path",
-                head_before,
-                Patch::write(RepoPath::new(colliding).unwrap(), "x"),
-            );
-            assert_eq!(service.process_next(&action), Some(t));
+            let t = service
+                .submit(
+                    "mallory",
+                    "shadow a path",
+                    head_before,
+                    Patch::write(RepoPath::new(colliding).unwrap(), "x"),
+                )
+                .unwrap();
+            assert_eq!(service.process_next(&action).unwrap(), Some(t));
             let expected = sq_vcs::VcsError::PathConflict(RepoPath::new(colliding).unwrap());
             match service.status(t) {
                 Some(TicketState::Rejected(reason)) => {
@@ -811,24 +912,28 @@ mod tests {
         let old_base = service.head();
         let action = always_pass();
         // First change lands, moving HEAD.
-        service.submit(
-            "alice",
-            "edit app",
-            old_base,
-            Patch::write(RepoPath::new("app/m.rs").unwrap(), "fn main() { /* a */ }"),
-        );
-        service.run_until_idle(&action);
+        service
+            .submit(
+                "alice",
+                "edit app",
+                old_base,
+                Patch::write(RepoPath::new("app/m.rs").unwrap(), "fn main() { /* a */ }"),
+            )
+            .unwrap();
+        service.run_until_idle(&action).unwrap();
         let mid = service.head();
         assert_ne!(mid, old_base);
         // Second change was developed against the *old* base but touches
         // a different file: the rebase integrates it.
-        let t2 = service.submit(
-            "bob",
-            "edit lib from a stale branch",
-            old_base,
-            Patch::write(RepoPath::new("lib/l.rs").unwrap(), "pub fn l() { /* b */ }"),
-        );
-        service.run_until_idle(&action);
+        let t2 = service
+            .submit(
+                "bob",
+                "edit lib from a stale branch",
+                old_base,
+                Patch::write(RepoPath::new("lib/l.rs").unwrap(), "pub fn l() { /* b */ }"),
+            )
+            .unwrap();
+        service.run_until_idle(&action).unwrap();
         assert!(matches!(service.status(t2), Some(TicketState::Landed(_))));
         // Both edits are present at HEAD.
         assert_eq!(
@@ -846,20 +951,24 @@ mod tests {
         let service = SubmitQueueService::new(demo_repo(), 2);
         let base = service.head();
         let action = always_pass();
-        service.submit(
-            "alice",
-            "first writer",
-            base,
-            Patch::write(RepoPath::new("lib/l.rs").unwrap(), "alice version"),
-        );
-        service.run_until_idle(&action);
-        let t2 = service.submit(
-            "bob",
-            "second writer, same file, stale base",
-            base,
-            Patch::write(RepoPath::new("lib/l.rs").unwrap(), "bob version"),
-        );
-        service.run_until_idle(&action);
+        service
+            .submit(
+                "alice",
+                "first writer",
+                base,
+                Patch::write(RepoPath::new("lib/l.rs").unwrap(), "alice version"),
+            )
+            .unwrap();
+        service.run_until_idle(&action).unwrap();
+        let t2 = service
+            .submit(
+                "bob",
+                "second writer, same file, stale base",
+                base,
+                Patch::write(RepoPath::new("lib/l.rs").unwrap(), "bob version"),
+            )
+            .unwrap();
+        service.run_until_idle(&action).unwrap();
         match service.status(t2) {
             Some(TicketState::Rejected(reason)) => {
                 assert!(reason.contains("merge conflict"), "reason = {reason}");
@@ -875,16 +984,18 @@ mod tests {
         let action = always_pass();
         for i in 0..3 {
             let base = service.head();
-            service.submit(
-                "alice",
-                format!("lib v{i}"),
-                base,
-                Patch::write(
-                    RepoPath::new("lib/l.rs").unwrap(),
-                    format!("pub fn l() {{ /* v{i} */ }}"),
-                ),
-            );
-            service.run_until_idle(&action);
+            service
+                .submit(
+                    "alice",
+                    format!("lib v{i}"),
+                    base,
+                    Patch::write(
+                        RepoPath::new("lib/l.rs").unwrap(),
+                        format!("pub fn l() {{ /* v{i} */ }}"),
+                    ),
+                )
+                .unwrap();
+            service.run_until_idle(&action).unwrap();
         }
         let stats = service.stats();
         assert_eq!(stats.landed, 3);
@@ -897,16 +1008,18 @@ mod tests {
         let action = always_pass();
         for i in 0..3 {
             let base = service.head();
-            service.submit(
-                "alice",
-                format!("v{i}"),
-                base,
-                Patch::write(
-                    RepoPath::new("app/m.rs").unwrap(),
-                    format!("fn main() {{ /* {i} */ }}"),
-                ),
-            );
-            service.run_until_idle(&action);
+            service
+                .submit(
+                    "alice",
+                    format!("v{i}"),
+                    base,
+                    Patch::write(
+                        RepoPath::new("app/m.rs").unwrap(),
+                        format!("fn main() {{ /* {i} */ }}"),
+                    ),
+                )
+                .unwrap();
+            service.run_until_idle(&action).unwrap();
         }
         let verified = service.verify_history(&action).unwrap();
         assert_eq!(verified, 4); // root + 3 commits
@@ -936,18 +1049,20 @@ mod tests {
         let service = SubmitQueueService::new(repo, 2);
         // A good change lands on top of the planted commit.
         let base = service.head();
-        service.submit(
-            "alice",
-            "innocent lib edit",
-            base,
-            Patch::write(
-                RepoPath::new("lib/l.rs").unwrap(),
-                "pub fn l() { /* ok */ }",
-            ),
-        );
+        service
+            .submit(
+                "alice",
+                "innocent lib edit",
+                base,
+                Patch::write(
+                    RepoPath::new("lib/l.rs").unwrap(),
+                    "pub fn l() { /* ok */ }",
+                ),
+            )
+            .unwrap();
         // Landing succeeds: the gate only rebuilds *affected* targets,
         // and the lib edit does not touch the planted red target.
-        service.run_until_idle(&always_pass());
+        service.run_until_idle(&always_pass()).unwrap();
         // The from-scratch audit rebuilds everything and catches it.
         let violation = service.verify_history(&fail_on_bug()).unwrap_err();
         assert_eq!(violation.commit, planted);
@@ -970,12 +1085,14 @@ mod tests {
         use std::sync::{mpsc, Arc, Barrier};
         use std::time::Duration;
         let service = SubmitQueueService::new(demo_repo(), 2);
-        let queued = service.submit(
-            "alice",
-            "waits in the queue",
-            service.head(),
-            Patch::write(RepoPath::new("lib/l.rs").unwrap(), "pub fn l() { /* q */ }"),
-        );
+        let queued = service
+            .submit(
+                "alice",
+                "waits in the queue",
+                service.head(),
+                Patch::write(RepoPath::new("lib/l.rs").unwrap(), "pub fn l() { /* q */ }"),
+            )
+            .unwrap();
         let parked = Arc::new(Barrier::new(2));
         let resume = Arc::new(Barrier::new(2));
         let first_step = AtomicBool::new(true);
@@ -997,7 +1114,9 @@ mod tests {
             scope.spawn(move || {
                 let status = service.status(queued);
                 let head = service.head();
-                let ticket = service.submit("bob", "mid-audit", head, Patch::new());
+                let ticket = service
+                    .submit("bob", "mid-audit", head, Patch::new())
+                    .unwrap();
                 let _ = answered.send((status, ticket));
             });
             // The wait only bounds the failure: with the lock held the
@@ -1020,14 +1139,16 @@ mod tests {
             max_rebuilds: 2,
             quarantine_threshold: u32::MAX,
         };
-        let service = SubmitQueueService::with_recovery(demo_repo(), 2, config);
+        let service = with_recovery(config);
         let base = service.head();
-        let t = service.submit(
-            "alice",
-            "lands despite a crashed worker",
-            base,
-            Patch::write(RepoPath::new("lib/l.rs").unwrap(), "pub fn l() { /* r */ }"),
-        );
+        let t = service
+            .submit(
+                "alice",
+                "lands despite a crashed worker",
+                base,
+                Patch::write(RepoPath::new("lib/l.rs").unwrap(), "pub fn l() { /* r */ }"),
+            )
+            .unwrap();
         // The very first step call crashes; every later call succeeds.
         let calls = AtomicU32::new(0);
         let action: Box<StepAction> = Box::new(move |_step, _tree| {
@@ -1040,7 +1161,7 @@ mod tests {
                 StepOutcome::Success
             }
         });
-        service.run_until_idle(&action);
+        service.run_until_idle(&action).unwrap();
         assert!(matches!(service.status(t), Some(TicketState::Landed(_))));
         let stats = service.stats();
         assert_eq!((stats.landed, stats.rejected), (1, 0));
@@ -1057,7 +1178,7 @@ mod tests {
             max_rebuilds: 1,
             quarantine_threshold: u32::MAX,
         };
-        let service = SubmitQueueService::with_recovery(demo_repo(), 2, config);
+        let service = with_recovery(config);
         // Armed before each change: exactly one step of its first build
         // crashes, so every ticket gets a rebuild count of one.
         let armed = Arc::new(AtomicBool::new(false));
@@ -1073,17 +1194,19 @@ mod tests {
             }
         });
         for i in 0..50 {
-            service.submit(
-                "alice",
-                format!("change {i}"),
-                service.head(),
-                Patch::write(
-                    RepoPath::new("lib/l.rs").unwrap(),
-                    format!("pub fn l() {{ /* rev {i} */ }}"),
-                ),
-            );
+            service
+                .submit(
+                    "alice",
+                    format!("change {i}"),
+                    service.head(),
+                    Patch::write(
+                        RepoPath::new("lib/l.rs").unwrap(),
+                        format!("pub fn l() {{ /* rev {i} */ }}"),
+                    ),
+                )
+                .unwrap();
             armed.store(true, Ordering::SeqCst);
-            service.run_until_idle(&action);
+            service.run_until_idle(&action).unwrap();
         }
         let stats = service.stats();
         assert_eq!((stats.landed, stats.rejected), (50, 0));
@@ -1099,21 +1222,23 @@ mod tests {
             max_rebuilds: 1,
             quarantine_threshold: u32::MAX,
         };
-        let service = SubmitQueueService::with_recovery(demo_repo(), 2, config);
+        let service = with_recovery(config);
         let head_before = service.head();
-        let t = service.submit(
-            "bob",
-            "doomed by the cluster",
-            head_before,
-            Patch::write(RepoPath::new("app/m.rs").unwrap(), "fn main() { /* x */ }"),
-        );
+        let t = service
+            .submit(
+                "bob",
+                "doomed by the cluster",
+                head_before,
+                Patch::write(RepoPath::new("app/m.rs").unwrap(), "fn main() { /* x */ }"),
+            )
+            .unwrap();
         let action: Box<StepAction> = Box::new(|_step, _tree| {
             StepOutcome::InfraFailure(InfraFault {
                 kind: InfraFaultKind::Timeout,
                 attempt: 1,
             })
         });
-        service.run_until_idle(&action);
+        service.run_until_idle(&action).unwrap();
         match service.status(t) {
             Some(TicketState::Rejected(reason)) => {
                 assert!(reason.contains("infrastructure"), "reason = {reason}");
@@ -1136,7 +1261,7 @@ mod tests {
             max_rebuilds: 2,
             quarantine_threshold: 2,
         };
-        let service = SubmitQueueService::with_recovery(demo_repo(), 2, config);
+        let service = with_recovery(config);
         // The lib compile flakes on every odd-numbered call (so: once
         // per landing, since each flake is retried to success); retries
         // absorb each flake and every change still lands.
@@ -1158,23 +1283,25 @@ mod tests {
         });
         for i in 0..2 {
             let base = service.head();
-            service.submit(
-                "alice",
-                format!("lib v{i}"),
-                base,
-                Patch::write(
-                    RepoPath::new("lib/l.rs").unwrap(),
-                    format!("pub fn l() {{ /* q{i} */ }}"),
-                ),
-            );
-            service.run_until_idle(&action);
+            service
+                .submit(
+                    "alice",
+                    format!("lib v{i}"),
+                    base,
+                    Patch::write(
+                        RepoPath::new("lib/l.rs").unwrap(),
+                        format!("pub fn l() {{ /* q{i} */ }}"),
+                    ),
+                )
+                .unwrap();
+            service.run_until_idle(&action).unwrap();
         }
         let stats = service.stats();
         assert_eq!((stats.landed, stats.rejected), (2, 0));
         assert_eq!(stats.step_retries, 2);
         // Two observed flakes on //lib:lib crossed the threshold.
         assert_eq!(stats.quarantined, 1);
-        let quarantined = service.read_state(|state| state.quarantined.clone());
+        let quarantined = service.state().quarantined;
         assert_eq!(
             quarantined.into_iter().collect::<Vec<_>>(),
             [("//lib:lib".to_string(), 2)]

@@ -7,9 +7,10 @@
 //! `snapshot ⊕ journal-suffix` recovery correct at every cut point.
 //!
 //! The last property is differential: one script of submissions run
-//! through the in-memory service and through a `DurableSubmitQueue`
-//! ends in the same state, and the journal the durable one wrote folds
-//! to that state too — one event stream, three readers.
+//! through the queue over an in-memory journal and through one over a
+//! shared medium with its own snapshot cadence ends in the same state,
+//! and the journal the second one wrote folds to that state too — one
+//! event stream, three readers.
 
 use proptest::prelude::*;
 use sq_core::durable::{
@@ -18,7 +19,7 @@ use sq_core::durable::{
 use sq_core::service::{StepAction, SubmitQueueService};
 use sq_core::{RecoveryConfig, TicketId, TicketState};
 use sq_exec::{InfraFault, InfraFaultKind, RetryPolicy, StepOutcome};
-use sq_store::{DurableStore, DurableStoreConfig, MemStorage};
+use sq_store::{DurableStore, DurableStoreConfig, MemStorage, Wal};
 use sq_vcs::{CommitId, FileOp, ObjectId, Patch, RepoPath, Repository};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -191,50 +192,15 @@ fn script_recovery() -> RecoveryConfig {
 
 type Shared = Arc<Mutex<MemStorage>>;
 
-/// The two queues a script runs through.
-trait Twin: Send + Sync + 'static {
-    fn service(&self) -> &SubmitQueueService;
-    fn submit(&self, base: CommitId, patch: Patch) -> TicketId;
-    fn step(&self, action: &StepAction) -> Option<TicketId>;
-    fn depth(&self) -> usize;
-}
-
-impl Twin for SubmitQueueService {
-    fn service(&self) -> &SubmitQueueService {
-        self
-    }
-    fn submit(&self, base: CommitId, patch: Patch) -> TicketId {
-        SubmitQueueService::submit(self, "dev", "change", base, patch)
-    }
-    fn step(&self, action: &StepAction) -> Option<TicketId> {
-        self.process_next(action)
-    }
-    fn depth(&self) -> usize {
-        self.stats().queued
-    }
-}
-
-impl Twin for DurableSubmitQueue<DurableStore<Shared>> {
-    fn service(&self) -> &SubmitQueueService {
-        DurableSubmitQueue::service(self)
-    }
-    fn submit(&self, base: CommitId, patch: Patch) -> TicketId {
-        DurableSubmitQueue::submit(self, "dev", "change", base, patch).unwrap()
-    }
-    fn step(&self, action: &StepAction) -> Option<TicketId> {
-        self.process_next(action).unwrap()
-    }
-    fn depth(&self) -> usize {
-        self.queue_depth()
-    }
-}
-
 const NOT_BUILT: usize = usize::MAX;
 
 /// Run `script` through `queue`. Returns the tickets in submission
 /// order. Checks on the way that the change being built stays counted
 /// as queued, and that the two depth readings agree after every step.
-fn drive<Q: Twin>(queue: Arc<Q>, script: &[Vec<Submission>]) -> Vec<TicketId> {
+fn drive<W: Wal + Send + 'static>(
+    queue: Arc<DurableSubmitQueue<W>>,
+    script: &[Vec<Submission>],
+) -> Vec<TicketId> {
     let fate = Arc::new(Mutex::new(Fate::Pass));
     let seen_in_flight = Arc::new(AtomicUsize::new(NOT_BUILT));
     let action: Box<StepAction> = {
@@ -244,7 +210,7 @@ fn drive<Q: Twin>(queue: Arc<Q>, script: &[Vec<Submission>]) -> Vec<TicketId> {
             Arc::clone(&seen_in_flight),
         );
         Box::new(move |_step, _tree| {
-            seen.store(queue.service().stats().queued, Ordering::SeqCst);
+            seen.store(queue.stats().queued, Ordering::SeqCst);
             match *fate.lock().unwrap() {
                 Fate::Pass => StepOutcome::Success,
                 Fate::Red => StepOutcome::Failure("scripted red step".into()),
@@ -257,7 +223,7 @@ fn drive<Q: Twin>(queue: Arc<Q>, script: &[Vec<Submission>]) -> Vec<TicketId> {
     };
     let mut tickets = Vec::new();
     for round in script {
-        let head = queue.service().head();
+        let head = queue.head();
         let submitted: Vec<_> = round
             .iter()
             .map(|s| {
@@ -268,29 +234,31 @@ fn drive<Q: Twin>(queue: Arc<Q>, script: &[Vec<Submission>]) -> Vec<TicketId> {
                 };
                 let path = RepoPath::new(format!("pkg{}/lib.rs", s.pkg)).unwrap();
                 let content = format!("pub fn f() {{ /* v{} */ }}", s.version);
-                queue.submit(base, Patch::write(path, content))
+                queue
+                    .submit("dev", "change", base, Patch::write(path, content))
+                    .unwrap()
             })
             .collect();
         for (ticket, s) in submitted.iter().zip(round) {
             let mut builds = 0;
-            while queue.service().status(*ticket) == Some(TicketState::Queued) {
+            while queue.status(*ticket) == Some(TicketState::Queued) {
                 *fate.lock().unwrap() = match s.fate {
                     Fate::Infra(n) if builds >= n => Fate::Pass,
                     fate => fate,
                 };
-                let depth = queue.depth();
+                let depth = queue.queue_depth();
                 seen_in_flight.store(NOT_BUILT, Ordering::SeqCst);
-                assert_eq!(queue.step(&action), Some(*ticket));
+                assert_eq!(queue.process_next(&action).unwrap(), Some(*ticket));
                 builds += 1;
                 let seen = seen_in_flight.load(Ordering::SeqCst);
                 assert!(
                     seen == NOT_BUILT || seen == depth,
                     "{ticket} left the queue while it was built: {seen} of {depth} queued"
                 );
-                assert_eq!(queue.service().stats().queued, queue.depth());
+                assert_eq!(queue.stats().queued, queue.queue_depth());
             }
         }
-        assert_eq!(queue.step(&action), None);
+        assert_eq!(queue.process_next(&action).unwrap(), None);
         tickets.extend(submitted);
     }
     tickets
@@ -327,16 +295,20 @@ proptest! {
             resumed.apply(ev);
         }
         prop_assert_eq!(&resumed, &direct);
-        prop_assert_eq!(resumed.export_json(), direct.export_json());
     }
 
     #[test]
     fn one_event_stream_three_readers(script in arb_script(), snapshot_every in 2u64..12) {
-        let memory = Arc::new(SubmitQueueService::with_recovery(
-            script_repo(),
-            2,
-            script_recovery(),
-        ));
+        let memory = Arc::new(
+            SubmitQueueService::open(
+                script_repo(),
+                2,
+                script_recovery(),
+                MemStorage::new(),
+                DurableStoreConfig::default(),
+            )
+            .expect("fresh store"),
+        );
         let storage: Shared = Arc::new(Mutex::new(MemStorage::new()));
         let config = DurableStoreConfig { snapshot_every };
         let durable = Arc::new(
@@ -356,10 +328,10 @@ proptest! {
         for ticket in &tickets {
             prop_assert_eq!(memory.status(*ticket), durable.status(*ticket));
         }
-        prop_assert_eq!(memory.stats(), durable.service().stats());
+        prop_assert_eq!(memory.stats(), durable.stats());
         prop_assert_eq!(memory.head(), durable.head());
-        let export = durable.export_state_json();
-        prop_assert_eq!(&memory.export_state_json(), &export);
+        let state = durable.state();
+        prop_assert_eq!(&memory.state(), &state);
 
         // Reader three: the journal, folded as recovery folds it.
         let (_store, recovered) = DurableStore::open(storage, config).expect("clean journal");
@@ -372,6 +344,6 @@ proptest! {
                 folded.apply(&event);
             }
         }
-        prop_assert_eq!(folded.export_json(), export);
+        prop_assert_eq!(folded, state);
     }
 }

@@ -154,6 +154,10 @@ impl Write for Conn {
     }
 }
 
+/// A bound listener's accept call; its thread starts only once every
+/// endpoint is bound.
+type Acceptor = Box<dyn Fn() -> io::Result<Conn> + Send>;
+
 struct Shared<W: Wal> {
     queue: DurableSubmitQueue<W>,
     action: Box<StepAction>,
@@ -226,33 +230,48 @@ impl<W: Wal + Send + 'static> Server<W> {
         cfg: ServerConfig,
         endpoints: &[Endpoint],
     ) -> io::Result<Server<W>> {
-        let shared = Arc::new(Shared::new(queue, action, cfg.clone()));
-        let mut threads = Vec::new();
+        // Bind every endpoint before anything is spawned: a bind that
+        // fails then leaves no acceptor running and no socket file behind.
+        let mut acceptors: Vec<Acceptor> = Vec::new();
         let mut tcp_addr = None;
-        let mut uds_path = None;
-        for ep in endpoints {
+        let mut uds_paths = Vec::new();
+        let bound = endpoints.iter().try_for_each(|ep| -> io::Result<()> {
             match ep {
                 Endpoint::Tcp(addr) => {
                     let listener = TcpListener::bind(addr)?;
                     listener.set_nonblocking(true)?;
                     tcp_addr = Some(listener.local_addr()?);
-                    let s = Arc::clone(&shared);
-                    threads.push(thread::spawn(move || {
-                        accept_loop(&s, || listener.accept().map(|(c, _)| Conn::Tcp(c)))
+                    acceptors.push(Box::new(move || {
+                        listener.accept().map(|(c, _)| Conn::Tcp(c))
                     }));
                 }
                 Endpoint::Uds(path) => {
                     let _ = std::fs::remove_file(path);
                     let listener = UnixListener::bind(path)?;
+                    uds_paths.push(path.clone());
                     listener.set_nonblocking(true)?;
-                    uds_path = Some(path.clone());
-                    let s = Arc::clone(&shared);
-                    threads.push(thread::spawn(move || {
-                        accept_loop(&s, || listener.accept().map(|(c, _)| Conn::Uds(c)))
+                    acceptors.push(Box::new(move || {
+                        listener.accept().map(|(c, _)| Conn::Uds(c))
                     }));
                 }
             }
+            Ok(())
+        });
+        if let Err(e) = bound {
+            for path in &uds_paths {
+                let _ = std::fs::remove_file(path);
+            }
+            return Err(e);
         }
+        let uds_path = uds_paths.pop();
+        let shared = Arc::new(Shared::new(queue, action, cfg.clone()));
+        let mut threads: Vec<JoinHandle<()>> = acceptors
+            .into_iter()
+            .map(|accept| {
+                let s = Arc::clone(&shared);
+                thread::spawn(move || accept_loop(&s, accept))
+            })
+            .collect();
         for _ in 0..cfg.workers.max(1) {
             let s = Arc::clone(&shared);
             threads.push(thread::spawn(move || worker_loop(&s)));

@@ -404,16 +404,16 @@ fn graceful_drain_loses_no_acked_enqueues_across_restart() {
                 );
             }
         }
-        let exported = queue.export_state_json();
+        let drained = queue.state();
         let repo_after = queue.repository();
         drop(queue);
 
         // "Restart": recover from the same storage, serve again.
         let recovered = open_queue(repo_after, &storage);
         assert_eq!(
-            recovered.export_state_json(),
-            exported,
-            "recovery is byte-identical to the drained state"
+            recovered.state(),
+            drained,
+            "recovery is identical to the drained state"
         );
         let server = Server::start(
             recovered,
@@ -446,7 +446,7 @@ fn graceful_drain_loses_no_acked_enqueues_across_restart() {
                 Some(TicketState::Landed(_))
             ));
         }
-        let landed = queue.service().stats().landed;
+        let landed = queue.stats().landed;
         assert_eq!(landed, u64::from(n), "pipelined: {pipelined}");
         let repo = queue.repository();
         let commits = repo.log(repo.head()).unwrap().len() as u64;
@@ -598,4 +598,24 @@ fn an_enqueue_always_wakes_the_idle_processor() {
         "300 round trips and a drain took {:?}: something slept out a {interval:?} poll interval",
         started.elapsed()
     );
+}
+
+/// A failed bind leaves nothing running: the TCP endpoint binds, the
+/// Unix socket under a missing directory does not, and `start` hands
+/// back the error with no acceptor left holding the queue (and through
+/// it the journal's storage).
+#[test]
+fn a_failed_bind_leaves_no_acceptor_holding_the_queue() {
+    let storage = shared();
+    let missing = std::env::temp_dir()
+        .join(format!("sq-server-missing-{}", std::process::id()))
+        .join("sq.sock");
+    let started = Server::start(
+        open_queue(demo_repo(), &storage),
+        always_pass(),
+        fast_config(),
+        &[Endpoint::Tcp("127.0.0.1:0".into()), Endpoint::Uds(missing)],
+    );
+    assert!(started.is_err());
+    assert_eq!(Arc::strong_count(&storage), 1);
 }

@@ -50,38 +50,42 @@ fn main() {
 
     // 1. A good change lands.
     let base = service.head();
-    let good = service.submit(
-        "alice",
-        "make distance real",
-        base,
-        Patch::write(
-            RepoPath::new("libs/geo/geo.rs").unwrap(),
-            "pub fn distance() -> f64 { 42.0 }",
-        ),
-    );
-    service.run_until_idle(&action);
+    let good = service
+        .submit(
+            "alice",
+            "make distance real",
+            base,
+            Patch::write(
+                RepoPath::new("libs/geo/geo.rs").unwrap(),
+                "pub fn distance() -> f64 { 42.0 }",
+            ),
+        )
+        .unwrap();
+    service.run_until_idle(&action).unwrap();
     println!("good change:  {:?}", service.status(good).unwrap());
     assert!(matches!(service.status(good), Some(TicketState::Landed(_))));
 
     // 2. A bad change (adds a broken file to geo) is rejected; the
     //    mainline never sees it.
     let head_before = service.head();
-    let bad = service.submit(
-        "bob",
-        "sneak in a broken file",
-        head_before,
-        Patch::from_ops([
-            sq_vcs::FileOp::Write {
-                path: RepoPath::new("libs/geo/broken.rs").unwrap(),
-                content: "BUG".into(),
-            },
-            sq_vcs::FileOp::Write {
-                path: RepoPath::new("libs/geo/BUILD").unwrap(),
-                content: "library(name = \"geo\", srcs = [\"geo.rs\", \"broken.rs\"])".into(),
-            },
-        ]),
-    );
-    service.run_until_idle(&action);
+    let bad = service
+        .submit(
+            "bob",
+            "sneak in a broken file",
+            head_before,
+            Patch::from_ops([
+                sq_vcs::FileOp::Write {
+                    path: RepoPath::new("libs/geo/broken.rs").unwrap(),
+                    content: "BUG".into(),
+                },
+                sq_vcs::FileOp::Write {
+                    path: RepoPath::new("libs/geo/BUILD").unwrap(),
+                    content: "library(name = \"geo\", srcs = [\"geo.rs\", \"broken.rs\"])".into(),
+                },
+            ]),
+        )
+        .unwrap();
+    service.run_until_idle(&action).unwrap();
     println!("bad change:   {:?}", service.status(bad).unwrap());
     assert!(matches!(
         service.status(bad),

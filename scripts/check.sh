@@ -207,6 +207,12 @@ step "timeout 300 cargo test --release -p sq-exec (a lost wake-up fails here, ne
 step "cargo test --workspace -q (every crate, including vendor shims)" \
   cargo test --workspace -q
 
+# The README's example, run rather than only compiled: it asserts that a
+# good change lands, a bad one is rejected, and verify_history finds the
+# mainline green.
+step "cargo run --example quickstart (the README's example, its asserts run)" \
+  cargo run --release --offline --example quickstart
+
 step "cargo fmt --check" \
   cargo fmt --check
 

@@ -1,7 +1,7 @@
 //! Command interpreter for `sqctl` — a minimal operator console over a
-//! [`SubmitQueueService`], playing the role of the paper's API service +
-//! web UI (Section 7.1: "landing a change, and getting the state of a
-//! change").
+//! [`SubmitQueueService`] (the one queue type, journaling in memory),
+//! playing the role of the paper's API service + web UI (Section 7.1:
+//! "landing a change, and getting the state of a change").
 //!
 //! The interpreter is a plain function from command line to response
 //! string so it can be unit-tested without a terminal; `src/bin/sqctl.rs`
@@ -101,21 +101,22 @@ impl Console {
                 };
                 let content: String = parts.collect::<Vec<_>>().join(" ");
                 let base = self.service.head();
-                let ticket = self.service.submit(
-                    author,
-                    format!("console edit of {path}"),
-                    base,
-                    Patch::write(path, content),
-                );
-                Reply::Text(format!("queued as {ticket}"))
+                let description = format!("console edit of {path}");
+                match self
+                    .service
+                    .submit(author, description, base, Patch::write(path, content))
+                {
+                    Ok(ticket) => Reply::Text(format!("queued as {ticket}")),
+                    Err(e) => Reply::Text(format!("journal error: {e}")),
+                }
             }
-            "process" => {
-                let n = self.service.run_until_idle(&Self::action);
-                Reply::Text(format!(
+            "process" => match self.service.run_until_idle(&Self::action) {
+                Ok(n) => Reply::Text(format!(
                     "processed {n} change(s); HEAD = {}",
                     self.service.head()
-                ))
-            }
+                )),
+                Err(e) => Reply::Text(format!("journal error: {e}")),
+            },
             "status" => {
                 let Some(raw) = parts.next() else {
                     return Reply::Text("usage: status <ticket>".into());

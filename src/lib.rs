@@ -18,8 +18,8 @@
 //! * [`store`] — durable state: CRC-checksummed write-ahead journal,
 //!   snapshots, crash-consistent recovery.
 //! * [`core`] — SubmitQueue itself: speculation engine, conflict
-//!   analyzer, planner, baselines, service API (including the durable
-//!   `DurableSubmitQueue` wrapper).
+//!   analyzer, planner, baselines, and the service API: one queue type,
+//!   `DurableSubmitQueue`, whose in-memory form is `SubmitQueueService`.
 //!
 //! ```
 //! use keeping_master_green::core::service::SubmitQueueService;
@@ -37,8 +37,8 @@
 //!     "first change",
 //!     base,
 //!     Patch::write(RepoPath::new("pkg/lib.rs").unwrap(), "pub fn f() { /* v2 */ }"),
-//! );
-//! service.run_until_idle(&|_step, _tree| StepOutcome::Success);
+//! ).unwrap();
+//! service.run_until_idle(&|_step, _tree| StepOutcome::Success).unwrap();
 //! assert!(matches!(
 //!     service.status(ticket),
 //!     Some(keeping_master_green::core::service::TicketState::Landed(_))

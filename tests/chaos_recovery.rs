@@ -94,7 +94,9 @@ fn chaos_run(seed: u64, rate: f64) -> ChaosRun {
         max_rebuilds: 3,
         quarantine_threshold: 3,
     };
-    let service = SubmitQueueService::with_recovery(m.repo.clone(), 3, recovery);
+    let config = DurableStoreConfig::default();
+    let service =
+        SubmitQueueService::open(m.repo.clone(), 3, recovery, MemStorage::new(), config).unwrap();
     let injector = FaultInjector::new(FaultPlan::uniform(seed ^ 0xC4A05, rate));
     let action: Box<StepAction> =
         Box::new(move |step, tree| injector.run(step, |s| truth_outcome(s, tree)));
@@ -108,13 +110,15 @@ fn chaos_run(seed: u64, rate: f64) -> ChaosRun {
             bad.push(c.id.0);
         }
         let base = service.head();
-        let ticket = service.submit(
-            format!("dev{}", c.developer.0),
-            format!("change {}", c.id),
-            base,
-            patch_with_truth(&m, c),
-        );
-        service.run_until_idle(&action);
+        let ticket = service
+            .submit(
+                format!("dev{}", c.developer.0),
+                format!("change {}", c.id),
+                base,
+                patch_with_truth(&m, c),
+            )
+            .unwrap();
+        service.run_until_idle(&action).unwrap();
         let state = match service.status(ticket).unwrap() {
             TicketState::Landed(commit) => format!("landed {commit}"),
             TicketState::Rejected(reason) => format!("rejected: {reason}"),
@@ -200,12 +204,12 @@ fn chaos_faults_never_reject_good_changes_and_history_is_reproducible() {
 // and its acknowledgement — at rate 0.1. After every death the harness
 // does what an operator does: keeps the VCS (external state), revives
 // the storage medium, and reopens the service from snapshot + journal.
-// The recovered run must converge to byte-identical exported state with
+// The recovered run must converge to state identical to that of
 // an uncrashed twin, never double-commit, and never lose an
 // acknowledged enqueue.
 // ---------------------------------------------------------------------
 
-use keeping_master_green::core::durable::DurableSubmitQueue;
+use keeping_master_green::core::durable::{DurableState, DurableSubmitQueue};
 use keeping_master_green::core::service::TicketId;
 use keeping_master_green::store::{CrashPlan, DurableStore, DurableStoreConfig, MemStorage};
 use std::sync::{Arc, Mutex as StdMutex};
@@ -216,7 +220,7 @@ const CRASH_SEEDS: [u64; 3] = [11, 12, 13];
 type SharedStorage = Arc<StdMutex<MemStorage>>;
 
 struct DurableRun {
-    export: String,
+    state: DurableState,
     landed: u64,
     commits: usize,
     crashes: u32,
@@ -308,8 +312,8 @@ fn durable_run(workload_seed: u64, plan: CrashPlan) -> DurableRun {
     }
     let repo = dq.repository();
     DurableRun {
-        export: dq.export_state_json(),
-        landed: dq.service().stats().landed,
+        state: dq.state(),
+        landed: dq.stats().landed,
         commits: repo.log(repo.head()).unwrap().len(),
         crashes,
         acked,
@@ -328,9 +332,9 @@ fn chaos_crash_points_recover_to_identical_state() {
         assert_eq!(clean.crashes, 0);
 
         // Snapshot + journal replay reconstructs service state
-        // byte-identically to the run that never died.
+        // identical to that of the run that never died.
         assert_eq!(
-            crashed.export, clean.export,
+            crashed.state, clean.state,
             "seed {seed}: recovered state diverged from uncrashed run"
         );
 
@@ -345,22 +349,15 @@ fn chaos_crash_points_recover_to_identical_state() {
 
         // Zero acked-then-lost events: every acknowledged enqueue
         // reached a terminal state.
-        let states: Vec<String> = crashed
-            .acked
-            .iter()
-            .map(|t| {
-                let json = &crashed.export;
-                let key = format!("\"{t}\":");
-                assert!(
-                    json.contains(&key),
-                    "seed {seed}: acked ticket {t} missing from recovered state"
-                );
-                key
-            })
-            .collect();
-        assert_eq!(states.len(), N_CHANGES);
+        for t in &crashed.acked {
+            assert!(
+                crashed.state.states.contains_key(t),
+                "seed {seed}: acked ticket {t} missing from recovered state"
+            );
+        }
+        assert_eq!(crashed.acked.len(), N_CHANGES);
         assert!(
-            !crashed.export.contains("\"state\":\"queued\""),
+            crashed.state.states.values().all(TicketState::is_terminal),
             "seed {seed}: drained run left a ticket queued"
         );
     }
@@ -377,7 +374,7 @@ fn chaos_crash_points_recover_to_identical_state() {
 // (`best_promotion_candidate`), promotes it above the cluster-max epoch
 // (`promote_from_follower`), revives the deposed leader's medium, and
 // reattaches it as a follower (resync discards its divergent unacked
-// tail). The run must converge to byte-identical exported state with an
+// tail). The run must converge to state identical to that of an
 // uncrashed replicated twin — zero lost acked enqueues, zero double
 // commits — for every seed, in both Async and Quorum ack modes, with
 // promotion epochs strictly increasing.
@@ -399,7 +396,7 @@ fn repl_store_cfg() -> DurableStoreConfig {
 }
 
 struct ReplicatedRun {
-    export: String,
+    state: DurableState,
     landed: u64,
     commits: usize,
     crashes: u32,
@@ -558,8 +555,8 @@ fn replicated_run(workload_seed: u64, mode: AckMode, crashy: bool) -> Replicated
     }
     let repo = dq.repository();
     ReplicatedRun {
-        export: dq.export_state_json(),
-        landed: dq.service().stats().landed,
+        state: dq.state(),
+        landed: dq.stats().landed,
         commits: repo.log(repo.head()).unwrap().len(),
         crashes,
         failovers,
@@ -603,9 +600,9 @@ fn chaos_leader_deaths_fail_over_with_zero_loss_in_both_ack_modes() {
 
             // Zero lost acked enqueues: the promoted replicas carried
             // every acknowledged record, so the final state is
-            // byte-identical to the run where the leader never died.
+            // identical to that of the run where the leader never died.
             assert_eq!(
-                crashed.export, clean.export,
+                crashed.state, clean.state,
                 "seed {seed} {mode:?}: failover diverged from uncrashed run"
             );
 
@@ -621,12 +618,12 @@ fn chaos_leader_deaths_fail_over_with_zero_loss_in_both_ack_modes() {
             // Every acked ticket reached a terminal state.
             for t in &crashed.acked {
                 assert!(
-                    crashed.export.contains(&format!("\"{t}\":")),
+                    crashed.state.states.contains_key(t),
                     "seed {seed} {mode:?}: acked ticket {t} missing after failovers"
                 );
             }
             assert!(
-                !crashed.export.contains("\"state\":\"queued\""),
+                crashed.state.states.values().all(TicketState::is_terminal),
                 "seed {seed} {mode:?}: drained run left a ticket queued"
             );
         }

@@ -60,13 +60,15 @@ fn workload_through_the_full_stack_keeps_master_green() {
     let mut rejected = 0;
     for c in &w.changes {
         let base = service.head(); // developer syncs before submitting
-        let ticket = service.submit(
-            format!("dev{}", c.developer.0),
-            format!("change {}", c.id),
-            base,
-            patch_with_truth(&m, c),
-        );
-        service.run_until_idle(&truth_action);
+        let ticket = service
+            .submit(
+                format!("dev{}", c.developer.0),
+                format!("change {}", c.id),
+                base,
+                patch_with_truth(&m, c),
+            )
+            .unwrap();
+        service.run_until_idle(&truth_action).unwrap();
         match service.status(ticket).unwrap() {
             TicketState::Landed(_) => {
                 landed += 1;
@@ -117,16 +119,18 @@ fn stale_submissions_race_and_the_loser_is_rebased_or_rejected() {
         .map(|c| {
             (
                 c.id,
-                service.submit(
-                    format!("dev{}", c.developer.0),
-                    format!("change {}", c.id),
-                    base,
-                    patch_with_truth(&m, c),
-                ),
+                service
+                    .submit(
+                        format!("dev{}", c.developer.0),
+                        format!("change {}", c.id),
+                        base,
+                        patch_with_truth(&m, c),
+                    )
+                    .unwrap(),
             )
         })
         .collect();
-    service.run_until_idle(&truth_action);
+    service.run_until_idle(&truth_action).unwrap();
     let mut landed = 0;
     let mut merge_rejected = 0;
     for (id, t) in tickets {
@@ -165,8 +169,10 @@ fn artifact_cache_makes_incremental_builds_cheap() {
         .unwrap();
     for c in w.changes.iter().filter(|c| c.intrinsic_success).take(8) {
         let base = service.head();
-        service.submit("dev", format!("{}", c.id), base, patch_with_truth(&m, c));
-        service.run_until_idle(&truth_action);
+        service
+            .submit("dev", format!("{}", c.id), base, patch_with_truth(&m, c))
+            .unwrap();
+        service.run_until_idle(&truth_action).unwrap();
     }
     let stats = service.stats();
     // The whole repo has 16 packages; if caching failed, every change

@@ -43,12 +43,14 @@ fn concurrent_submitters_and_one_processor() {
                     // of the service itself, not of the patches.
                     let base = service.head();
                     let path = RepoPath::new(format!("pkg{t}/note_{k}.rs")).unwrap();
-                    let ticket = service.submit(
-                        format!("dev{t}"),
-                        format!("edit {k} from thread {t}"),
-                        base,
-                        Patch::write(path, format!("// note {k} from thread {t}\n")),
-                    );
+                    let ticket = service
+                        .submit(
+                            format!("dev{t}"),
+                            format!("edit {k} from thread {t}"),
+                            base,
+                            Patch::write(path, format!("// note {k} from thread {t}\n")),
+                        )
+                        .unwrap();
                     mine.push(ticket);
                 }
                 mine
@@ -75,7 +77,7 @@ fn concurrent_submitters_and_one_processor() {
         let readers_done_ref = &readers_done;
         let tickets_ref = &tickets;
         scope.spawn(move |_| {
-            svc.run_until_idle(&|_s, _t| StepOutcome::Success);
+            svc.run_until_idle(&|_s, _t| StepOutcome::Success).unwrap();
             readers_done_ref.store(true, std::sync::atomic::Ordering::SeqCst);
         });
         let svc2 = Arc::clone(&service);
@@ -125,12 +127,14 @@ fn readers_take_snapshots_while_two_hundred_changes_land() {
     let tickets: Vec<_> = (0..200)
         .map(|k| {
             let path = RepoPath::new(format!("pkg{}/note_{k}.rs", k % 8)).unwrap();
-            service.submit(
-                "dev",
-                format!("change {k}"),
-                root,
-                Patch::write(path, format!("// {k}\n")),
-            )
+            service
+                .submit(
+                    "dev",
+                    format!("change {k}"),
+                    root,
+                    Patch::write(path, format!("// {k}\n")),
+                )
+                .unwrap()
         })
         .collect();
     let done = std::sync::atomic::AtomicBool::new(false);
@@ -167,7 +171,12 @@ fn readers_take_snapshots_while_two_hundred_changes_land() {
                 })
             })
             .collect();
-        assert_eq!(service.run_until_idle(&|_s, _t| StepOutcome::Success), 200);
+        assert_eq!(
+            service
+                .run_until_idle(&|_s, _t| StepOutcome::Success)
+                .unwrap(),
+            200
+        );
         done.store(true, std::sync::atomic::Ordering::SeqCst);
         for reader in readers {
             assert_eq!(reader.join().unwrap(), 201);
@@ -230,7 +239,7 @@ fn durable_queue_answers_while_a_build_is_parked() {
                 queue.queue_depth(),
                 queue.queue_depth_by_dir(),
                 queue.store_stats().appends,
-                queue.export_state_json(),
+                queue.state(),
                 queue.status(building),
                 queue.head(),
             );
@@ -241,7 +250,7 @@ fn durable_queue_answers_while_a_build_is_parked() {
         let got = answer.recv_timeout(Duration::from_secs(10));
         resume.wait();
         assert_eq!(processor.join().unwrap().unwrap(), Some(building));
-        let (submitted, depth, by_dir, appends, export, status, head) =
+        let (submitted, depth, by_dir, appends, state, status, head) =
             got.expect("a call on the durable queue stalled behind the build");
         let submitted = submitted.unwrap();
         // Mid-build: the change being built is still queued and counted,
@@ -250,7 +259,7 @@ fn durable_queue_answers_while_a_build_is_parked() {
         assert_eq!(depth, 2);
         assert_eq!(by_dir, vec![("pkg0".into(), 1), ("pkg1".into(), 1)]);
         assert_eq!(appends, 3);
-        assert!(export.contains("\"landed\":0"), "export: {export}");
+        assert_eq!(state.landed, 0, "state: {state:?}");
         assert_eq!(status, Some(TicketState::Queued));
         assert_eq!(head, root);
         assert!(matches!(
