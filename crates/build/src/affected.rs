@@ -79,8 +79,16 @@ pub struct AffectedSet {
 
 impl AffectedSet {
     /// The affected set between a base analysis and a changed analysis:
+    /// the cone the changed hashes recorded, if they were derived from the
+    /// base's over the same graph ([`TargetHashes::compute`]), and else
     /// one merge-join over the two name-ordered hash lists.
     pub fn between(base: &SnapshotAnalysis, new: &SnapshotAnalysis) -> AffectedSet {
+        if let Some(cone) = new.hashes.changed_from(&base.hashes) {
+            let changed = cone.map(|(name, hash)| (name.clone(), AffectedState::Changed(hash)));
+            return AffectedSet {
+                map: changed.collect(),
+            };
+        }
         let mut affected: Vec<(TargetName, AffectedState)> = Vec::new();
         let mut old = base.hashes.iter().peekable();
         let mut now = new.hashes.iter().peekable();

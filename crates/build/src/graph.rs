@@ -197,6 +197,10 @@ struct Graph {
     /// Per position, the positions of the target's dependencies, in
     /// declaration order.
     deps: Vec<Vec<u32>>,
+    /// Per position, the positions that depend on it, in name order.
+    dependents: Vec<Vec<u32>>,
+    /// Per position, its index in `topo`.
+    rank: Vec<u32>,
 }
 
 impl BuildGraph {
@@ -243,8 +247,8 @@ impl BuildGraph {
             .collect::<Result<Vec<Vec<u32>>, _>>()?;
         let mut graph = Graph {
             targets,
-            topo: Vec::new(),
             deps,
+            ..Graph::default()
         };
         // Kahn's algorithm with a name-ordered frontier (the smallest
         // ready position first): the order is a pure function of the
@@ -277,7 +281,12 @@ impl BuildGraph {
                 graph.cycle_members(&unresolved, &dependents),
             ));
         }
+        graph.rank = vec![0; n];
+        for (r, &i) in topo.iter().enumerate() {
+            graph.rank[i as usize] = r as u32;
+        }
         graph.topo = topo;
+        graph.dependents = dependents;
         Ok(BuildGraph {
             inner: Arc::new(graph),
         })
@@ -363,6 +372,16 @@ impl BuildGraph {
     /// The positions of target `i`'s dependencies, in declaration order.
     pub(crate) fn deps_of(&self, i: usize) -> &[u32] {
         &self.inner.deps[i]
+    }
+
+    /// The positions of the targets that depend on target `i`.
+    pub(crate) fn dependents_of(&self, i: usize) -> &[u32] {
+        &self.inner.dependents[i]
+    }
+
+    /// Target `i`'s index in the topological order.
+    pub(crate) fn rank_of(&self, i: usize) -> u32 {
+        self.inner.rank[i]
     }
 
     /// The position of a target, if it is in the graph.

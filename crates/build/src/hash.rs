@@ -12,11 +12,12 @@
 
 use crate::error::BuildError;
 use crate::graph::{BuildGraph, Target, TargetName};
-use crate::parser::{Kept, Package};
+use crate::parser::{holds, mark_of, Workspace};
 use serde::{Deserialize, Serialize};
-use sq_vcs::{ObjectId, ObjectStore, Sha256, Tree};
+use sq_vcs::{Mark, ObjectId, ObjectStore, Sha256, Tree};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::fmt;
-use std::ops::Range;
 use std::sync::Arc;
 
 /// A target's Algorithm-1 hash: 32 bytes covering its transitive inputs.
@@ -60,6 +61,16 @@ pub struct TargetHashes {
     graph: BuildGraph,
     /// Per position of `graph`.
     hashes: Arc<[TargetHash]>,
+    /// Where these hashes differ from the ones of the same graph they were
+    /// derived from, if any.
+    cone: Option<Arc<Cone>>,
+}
+
+/// The positions whose hash differs from `from`'s.
+struct Cone {
+    from: Arc<[TargetHash]>,
+    /// In the order the walk finalized them.
+    changed: Vec<u32>,
 }
 
 impl PartialEq for TargetHashes {
@@ -109,19 +120,14 @@ fn label(name: &TargetName) -> [&[u8]; 4] {
     ]
 }
 
-/// Each target's Algorithm-1 state after its kind, label and sources,
-/// kept on its package directory ([`Package`]) by the first hash over the
-/// directory as it is.
-pub(crate) struct Sources {
-    /// One per target of the package, in name order.
-    states: Vec<Sha256>,
-    /// Every source blob the states absorbed.
-    blobs: Vec<ObjectId>,
-}
-
 /// Start a target's hash: its kind, its label, then each source's path
-/// and content.
-fn absorb(target: &Target, tree: &Tree, store: &ObjectStore) -> Result<Sha256, BuildError> {
+/// and content. Appends each source's blob to `blobs`.
+fn absorb(
+    target: &Target,
+    tree: &Tree,
+    store: &ObjectStore,
+    blobs: &mut Vec<ObjectId>,
+) -> Result<Sha256, BuildError> {
     let mut head = Vec::new();
     field(&mut head, b"kind", &[target.kind.rule_name().as_bytes()]);
     field(&mut head, b"name", &label(&target.name));
@@ -132,11 +138,13 @@ fn absorb(target: &Target, tree: &Tree, store: &ObjectStore) -> Result<Sha256, B
             target: target.name.clone(),
             path: src.as_str().to_string(),
         })?;
+        crate::work::looked_up(1);
         let content = store
             .get(&id)
             .ok_or_else(|| BuildError::MissingObject(id.to_hex()))?;
         feed(&mut h, b"src", src.as_str().as_bytes());
         feed(&mut h, b"blob", content.as_ref());
+        blobs.push(id);
     }
     crate::work::sources_absorbed(target.srcs.len());
     Ok(h)
@@ -150,39 +158,8 @@ pub(crate) struct Hashed {
     /// target's hash was finalized from.
     states: Vec<Sha256>,
     hashes: TargetHashes,
-}
-
-/// What the package directories of a tree keep for a graph's targets.
-struct KeptStates<'a> {
-    /// Per position, the state after sources of every package whose
-    /// source blobs are all in the store.
-    states: Vec<Option<&'a Sha256>>,
-    /// Each package that keeps no states yet, with its positions.
-    unkept: Vec<(Range<usize>, &'a Package)>,
-}
-
-/// What `packages`, each with the positions of its targets, keep for a
-/// graph of `len` targets.
-fn kept_states<'a>(
-    packages: impl Iterator<Item = (Range<usize>, &'a Package)>,
-    len: usize,
-    store: &ObjectStore,
-) -> KeptStates<'a> {
-    let mut states = vec![None; len];
-    let mut unkept = Vec::new();
-    for (run, p) in packages {
-        match p.sources.get() {
-            None => unkept.push((run, p)),
-            Some(s) if s.blobs.iter().all(|b| store.contains(b)) => {
-                for (at, state) in states[run].iter_mut().zip(&s.states) {
-                    *at = Some(state);
-                }
-            }
-            // A blob is gone: hashing from the sources names it.
-            Some(_) => {}
-        }
-    }
-    KeptStates { states, unkept }
+    /// Taken over every source blob the states absorbed.
+    mark: Mark,
 }
 
 /// Per position of `targets`, the position of the same name in `was`;
@@ -208,35 +185,47 @@ impl TargetHashes {
     /// hermetic.
     ///
     /// For the graph [`crate::parse_workspace`] kept on the tree's root,
-    /// each package directory keeps its targets' states after their
-    /// sources, so a later call over a tree sharing the directory absorbs
-    /// no source there. The root keeps the hashes, and a later call over
-    /// the same tree or one written from it applies the early cutoff: a
-    /// target whose state after sources, dependency labels and dependency
-    /// hashes are the ones a kept hash was finalized from takes that hash
-    /// without finalizing.
+    /// the root keeps the hashes, so a later call over the same tree
+    /// hashes nothing. A call over a tree written from one that keeps its
+    /// hashes re-finalizes only the cone of the write: the targets of the
+    /// packages whose directory changed are absorbed again, and a target
+    /// is visited, in topological order, only if it is one of those or a
+    /// dependency's hash moved. A visited target whose state after
+    /// sources, dependency labels and dependency hashes are the ones its
+    /// kept hash was finalized from takes that hash without finalizing
+    /// (the early cutoff). Kept states are used only while the store
+    /// provably holds the blobs they absorbed; otherwise every target is
+    /// absorbed from the store, as by a call from nothing.
     pub fn compute(
         graph: &BuildGraph,
         tree: &Tree,
         store: &ObjectStore,
     ) -> Result<TargetHashes, BuildError> {
         let targets = graph.targets().as_slice();
-        // The root's workspace if it holds this graph.
+        let n = targets.len();
         let root = tree.root_slot();
-        let here = root.get::<Kept>().and_then(|k| k.workspace_of(graph));
-        // A graph the root does not keep, such as a hand-built one, may
-        // declare other targets than the packages do: it is hashed from
-        // its sources.
-        let packages = here.into_iter().flat_map(|w| w.packages());
-        let KeptStates { states, unkept } = kept_states(packages, targets.len(), store);
+        let kept = root.get::<Workspace>();
+        // The root's workspace if it holds this graph. A graph the root
+        // does not keep, such as a hand-built one, may declare other
+        // targets than the packages do: it is hashed from its sources.
+        let here = kept.filter(|w| w.graph.ptr_eq(graph));
+        let own = kept.and_then(|w| w.hashed.get());
+        if let Some(hashed) = own.filter(|h| here.is_some() && holds(store, &h.mark)) {
+            return Ok(hashed.hashes.clone());
+        }
         // The last hash kept on this tree's root, or else on the root of
         // the tree it was written from. Its graph may be another, whose
         // targets are then found by name.
-        let stale = root.stale::<Kept>();
-        let last = root
-            .get::<Kept>()
-            .and_then(Kept::hashed)
-            .or_else(|| stale.as_deref()?.hashed());
+        let stale = root.stale::<Workspace>();
+        let last = own.or_else(|| stale.as_deref()?.hashed.get());
+        // The packages whose directory the write changed, if the last
+        // hash is the stale root's and the store holds what it absorbed.
+        let fresh = match (here, own, last) {
+            (Some(w), None, Some(last)) if holds(store, &last.mark) => {
+                w.fresh.as_deref().map(|fresh| (fresh, last))
+            }
+            _ => None,
+        };
         let moved = last
             .filter(|last| !last.hashes.graph.ptr_eq(graph))
             .map(|last| positions_by_name(targets, last.hashes.graph.targets().as_slice()));
@@ -244,33 +233,54 @@ impl TargetHashes {
             None => Some(i),
             Some(moved) => moved[i],
         };
-        let mut absorbed: Vec<Option<Sha256>> = vec![None; targets.len()];
-        let mut hashes = vec![TargetHash([0; 32]); targets.len()];
+        let kept_hash = |i: usize| Some(last?.hashes.hashes[was_at(i)?]);
+        // The seeds: every target, or those of the changed packages and
+        // those the last hash has no counterpart for.
+        let mut seed: Vec<bool> = (0..n)
+            .map(|i| fresh.is_none() || kept_hash(i).is_none())
+            .collect();
+        for run in fresh.map_or(&[][..], |(fresh, _)| fresh) {
+            seed[run.clone()].fill(true);
+        }
+        let mut hashes: Vec<TargetHash> = (0..n)
+            .map(|i| kept_hash(i).unwrap_or(TargetHash([0; 32])))
+            .collect();
+        let mut states: Vec<Sha256> = (0..n)
+            .map(|i| match (seed[i], fresh) {
+                (false, Some((_, last))) => last.states[was_at(i).expect("kept")].clone(),
+                // Absorbed when the walk reaches it.
+                _ => Sha256::new(),
+            })
+            .collect();
+        let mut queued = seed.clone();
+        let mut ready: BinaryHeap<Reverse<u32>> = (0..n)
+            .filter(|&i| seed[i])
+            .map(|i| Reverse(graph.rank_of(i)))
+            .collect();
+        let mut blobs = Vec::new();
+        let mut changed = Vec::new();
         // One target's dependency fields.
         let mut fed = Vec::new();
-        for &i in graph.topo_positions() {
-            let i = i as usize;
-            let state = match states[i] {
-                Some(state) => state,
-                None => absorbed[i].insert(absorb(&targets[i], tree, store)?),
-            };
+        while let Some(Reverse(rank)) = ready.pop() {
+            let i = graph.topo_positions()[rank as usize] as usize;
+            crate::work::target_compared();
+            if seed[i] {
+                states[i] = absorb(&targets[i], tree, store, &mut blobs)?;
+            }
             // The topological order put every dependency's hash in place.
             let deps = graph.deps_of(i);
             // The early cutoff: the same state, dependency labels and
             // dependency hashes as the kept hash was finalized from.
-            let kept = last.and_then(|last| {
-                let j = was_at(i)?;
+            let same = last.zip(was_at(i)).is_some_and(|(last, j)| {
                 let was = &last.hashes;
-                let same = last.states[j] == *state
+                last.states[j] == states[i]
                     && (moved.is_none()
                         || targets[i].deps == was.graph.targets().as_slice()[j].deps)
                     && deps.iter().all(|&d| {
                         was_at(d as usize).is_some_and(|e| hashes[d as usize] == was.hashes[e])
-                    });
-                same.then(|| was.hashes[j])
+                    })
             });
-            if let Some(kept) = kept {
-                hashes[i] = kept;
+            if same {
                 continue;
             }
             fed.clear();
@@ -279,43 +289,56 @@ impl TargetHashes {
                 field(&mut fed, b"dep", &label(&targets[d].name));
                 field(&mut fed, b"dep-hash", &[hashes[d].as_bytes()]);
             }
-            let mut h = state.clone();
+            let mut h = states[i].clone();
             h.update(&fed);
             crate::work::target_finalized();
             hashes[i] = TargetHash(h.finalize());
+            if Some(hashes[i]) == kept_hash(i) {
+                continue;
+            }
+            changed.push(i as u32);
+            for &j in graph.dependents_of(i) {
+                if !std::mem::replace(&mut queued[j as usize], true) {
+                    ready.push(Reverse(graph.rank_of(j as usize)));
+                }
+            }
         }
         let hashes = TargetHashes {
             graph: graph.clone(),
             hashes: hashes.into(),
+            cone: last.filter(|_| moved.is_none()).map(|last| {
+                let from = Arc::clone(&last.hashes.hashes);
+                Arc::new(Cone { from, changed })
+            }),
         };
         if let Some(workspace) = here {
             workspace.hashed.get_or_init(|| Hashed {
-                states: states
-                    .iter()
-                    .zip(&absorbed)
-                    .map(|(kept, absorbed)| {
-                        kept.or(absorbed.as_ref())
-                            .expect("every target has a state")
-                            .clone()
-                    })
-                    .collect(),
+                // The last hash's mark covers what the seeds did not absorb.
+                mark: match fresh {
+                    Some((_, last)) => mark_of(store, last.mark.loose().iter().chain(&blobs)),
+                    None => mark_of(store, &blobs),
+                },
+                states,
                 hashes: hashes.clone(),
             });
         }
-        for (run, package) in unkept {
-            let states = absorbed[run.clone()]
-                .iter_mut()
-                .map(|s| s.take().expect("a target kept nothing for is absorbed"))
-                .collect();
-            let blobs = targets[run]
-                .iter()
-                .flat_map(|t| &t.srcs)
-                .map(|src| tree.get(src).expect("an absorbed source is in the tree"))
-                .collect();
-            // A concurrent hash over the directory kept the same states.
-            let _ = package.sources.set(Sources { states, blobs });
-        }
         Ok(hashes)
+    }
+
+    /// The targets whose hash differs from `base`'s, in the order found,
+    /// if these hashes were derived from `base`'s over the same graph.
+    pub(crate) fn changed_from<'a>(
+        &'a self,
+        base: &TargetHashes,
+    ) -> Option<impl Iterator<Item = (&'a TargetName, TargetHash)> + 'a> {
+        let cone = self.cone.as_ref().filter(|cone| {
+            self.graph.ptr_eq(&base.graph) && Arc::ptr_eq(&cone.from, &base.hashes)
+        })?;
+        let targets = self.graph.targets().as_slice();
+        Some(cone.changed.iter().map(move |&i| {
+            let i = i as usize;
+            (&targets[i].name, self.hashes[i])
+        }))
     }
 
     /// The hash of one target, if it exists in the snapshot.
@@ -334,7 +357,7 @@ mod tests {
     use super::*;
     use crate::parser::parse_workspace;
     use crate::work::Work;
-    use crate::SnapshotAnalysis;
+    use crate::{AffectedSet, SnapshotAnalysis};
     use sq_vcs::RepoPath;
     use std::str::FromStr;
 
@@ -611,6 +634,62 @@ mod tests {
         assert_eq!(counted(&h, &mut store), work(0, 0, 0, 0));
     }
 
+    /// `packages` packages under `parts/`, in chains of four: each but a
+    /// chain's first depends on the one before it.
+    fn chains(packages: usize) -> (Tree, ObjectStore) {
+        let mut files = Vec::new();
+        for k in 0..packages {
+            let deps = match k % 4 {
+                0 => String::new(),
+                _ => format!("\"//parts/p{:04}\"", k - 1),
+            };
+            let build = format!(
+                "library(name = \"p{k:04}\", srcs = [\"a.rs\", \"b.rs\"], deps = [{deps}])"
+            );
+            files.push((format!("parts/p{k:04}/BUILD"), build));
+            for src in ["a.rs", "b.rs"] {
+                files.push((format!("parts/p{k:04}/{src}"), format!("{k} {src}")));
+            }
+        }
+        let files: Vec<(&str, &str)> = files
+            .iter()
+            .map(|(p, c)| (p.as_str(), c.as_str()))
+            .collect();
+        self::files(&files)
+    }
+
+    #[test]
+    fn an_edit_costs_what_its_cone_costs_at_any_size() {
+        let mut at_size = Vec::new();
+        for packages in [30, 300] {
+            let (h, mut store) = chains(packages);
+            SnapshotAnalysis::analyze(&h, &store).unwrap();
+            let mut costs = Vec::new();
+            // A chain's last package, whose cone is its own target, and a
+            // chain's first, whose cone holds its three dependents too.
+            for (edit, cone) in [("parts/p0003/a.rs", 1), ("parts/p0004/a.rs", 4)] {
+                let edited = write(&h, &mut store, edit, "edited");
+                crate::work::take();
+                crate::work::take_looked();
+                // The served path's two calls and the affected set.
+                let base = SnapshotAnalysis::analyze(&h, &store).unwrap();
+                let new = SnapshotAnalysis::analyze(&edited, &store).unwrap();
+                let delta = AffectedSet::between(&base, &new);
+                let (work, looked) = (crate::work::take(), crate::work::take_looked());
+                assert_eq!((work.finalized, delta.len()), (cone, cone), "{edit}");
+                // One package, the cone, and the two sources read and marked.
+                let looked_at = (looked.visited, looked.compared, looked.looked_up);
+                assert_eq!(looked_at, (1, cone, 4), "{edit}");
+                let cold = SnapshotAnalysis::analyze(&cold(&edited, &mut store), &store).unwrap();
+                assert_eq!(new.hashes, cold.hashes);
+                assert_eq!(delta, AffectedSet::between(&base, &cold));
+                costs.push((work, looked));
+            }
+            at_size.push(costs);
+        }
+        assert_eq!(at_size[0], at_size[1]);
+    }
+
     #[test]
     fn what_a_root_package_keeps_dies_with_its_tree() {
         let (h, mut store) = workspace("base-v1");
@@ -623,11 +702,11 @@ mod tests {
         );
         SnapshotAnalysis::analyze(&h, &store).unwrap();
         let child = write(&h, &mut store, "cfg", "root config v2");
-        assert!(child.root_slot().stale::<Kept>().is_some());
+        assert!(child.root_slot().stale::<Workspace>().is_some());
         // The root keeps its own package among the tree's: no cycle holds
         // it once the tree is gone.
         drop(h);
-        assert!(child.root_slot().stale::<Kept>().is_none());
+        assert!(child.root_slot().stale::<Workspace>().is_none());
     }
 
     #[test]

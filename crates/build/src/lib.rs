@@ -43,8 +43,8 @@ pub use parser::parse_workspace;
 /// Crate-wide result type.
 pub type Result<T> = std::result::Result<T, BuildError>;
 
-/// The work an analysis does, counted for the tests of what a directory
-/// keeps; nothing is counted outside them.
+/// The work an analysis does, and what it looks at to find it, counted
+/// for the tests of what a tree keeps; nothing is counted outside them.
 #[cfg(not(test))]
 mod work {
     /// One BUILD file was tokenized and parsed.
@@ -55,6 +55,12 @@ mod work {
     pub(crate) fn target_finalized() {}
     /// `parse_workspace` built a graph from the declared targets.
     pub(crate) fn graph_built() {}
+    /// `parse_workspace` looked at one package's BUILD file.
+    pub(crate) fn package_visited() {}
+    /// Algorithm 1 compared one target's inputs with its kept hash's.
+    pub(crate) fn target_compared() {}
+    /// A kernel looked `n` objects up in the store.
+    pub(crate) fn looked_up(_n: usize) {}
 }
 
 #[cfg(test)]
@@ -74,36 +80,72 @@ mod work {
         pub(crate) graphs: usize,
     }
 
-    thread_local! {
-        static WORK: Cell<Work> = const { Cell::new(Work { parsed: 0, absorbed: 0, finalized: 0, graphs: 0 }) };
+    /// What the kernels looked at on one test's thread to find the work.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub(crate) struct Looked {
+        /// Package directories visited.
+        pub(crate) visited: usize,
+        /// Targets compared.
+        pub(crate) compared: usize,
+        /// Store look-ups.
+        pub(crate) looked_up: usize,
     }
 
-    fn count(add: impl FnOnce(&mut Work)) {
+    thread_local! {
+        static WORK: Cell<(Work, Looked)> = Cell::default();
+    }
+
+    fn count(add: impl FnOnce(&mut Work, &mut Looked)) {
         WORK.with(|w| {
-            let mut work = w.get();
-            add(&mut work);
-            w.set(work);
+            let (mut work, mut looked) = w.get();
+            add(&mut work, &mut looked);
+            w.set((work, looked));
         });
     }
 
     pub(crate) fn build_parsed() {
-        count(|w| w.parsed += 1);
+        count(|w, _| w.parsed += 1);
     }
 
     pub(crate) fn sources_absorbed(n: usize) {
-        count(|w| w.absorbed += n);
+        count(|w, _| w.absorbed += n);
     }
 
     pub(crate) fn target_finalized() {
-        count(|w| w.finalized += 1);
+        count(|w, _| w.finalized += 1);
     }
 
     pub(crate) fn graph_built() {
-        count(|w| w.graphs += 1);
+        count(|w, _| w.graphs += 1);
+    }
+
+    pub(crate) fn package_visited() {
+        count(|_, l| l.visited += 1);
+    }
+
+    pub(crate) fn target_compared() {
+        count(|_, l| l.compared += 1);
+    }
+
+    pub(crate) fn looked_up(n: usize) {
+        count(|_, l| l.looked_up += n);
     }
 
     /// The work done since the last call.
     pub(crate) fn take() -> Work {
-        WORK.with(|w| w.take())
+        WORK.with(|w| {
+            let (work, looked) = w.get();
+            w.set((Work::default(), looked));
+            work
+        })
+    }
+
+    /// What was looked at since the last call.
+    pub(crate) fn take_looked() -> Looked {
+        WORK.with(|w| {
+            let (work, looked) = w.get();
+            w.set((work, Looked::default()));
+            looked
+        })
     }
 }

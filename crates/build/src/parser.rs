@@ -19,171 +19,159 @@
 
 use crate::error::BuildError;
 use crate::graph::{BuildGraph, RuleKind, Target, TargetName};
-use crate::hash::{Hashed, Sources};
-use sq_vcs::{ObjectId, ObjectStore, RepoPath, Tree};
+use crate::hash::Hashed;
+use sq_vcs::{Mark, ObjectId, ObjectStore, RepoPath, Tree, WeakTree};
 use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 
 /// Parse all BUILD files in the snapshot into a validated target graph.
 ///
-/// Each package directory keeps the targets its BUILD file declares, so
-/// a later call over a tree sharing the directory parses nothing there,
-/// and neither does one over a tree written from it that left the BUILD
-/// blob as it was, while the tree written from lives. The root directory
-/// keeps the graph, so a later call over the same tree, or over one
-/// written from it whose packages all keep the targets the graph was
-/// built from, builds no graph either.
+/// The tree's root keeps the graph ([`Workspace`]), so a later call over
+/// the same tree parses nothing. A call over a tree written from one that
+/// keeps it (while that tree lives) visits only the BUILD files of the
+/// directories the write changed, found by [`Tree::named_changes`], and
+/// takes every other package from the kept workspace; it builds a graph
+/// only if a BUILD file was added, removed or rewritten. What was kept is
+/// used only while the store provably holds every BUILD blob a parse from
+/// nothing would read ([`Mark`]); else the parse starts from nothing.
 pub fn parse_workspace(tree: &Tree, store: &ObjectStore) -> Result<BuildGraph, BuildError> {
     let root = tree.root_slot();
-    let here = root.get::<Kept>().and_then(|k| k.workspace.get());
-    let stale = root.stale::<Kept>();
-    // The graph this tree keeps, or else the one the tree it was written
-    // from keeps.
-    let reusable = here.or_else(|| stale.as_deref()?.workspace.get());
-    let mut same = true;
-    let mut packages: Vec<Arc<Package>> = Vec::new();
-    for (path, blob, slot) in tree.files_named("BUILD") {
-        // Reused only for the same BUILD file and blob, and while the
-        // store holds the blob, which a parse from nothing would read. A
-        // directory kept as it is shares its path with the tree.
-        let parsed_here = |kept: &&Arc<Package>| {
-            kept.build == blob
-                && (std::ptr::eq(&*kept.path, &**path) || kept.path == *path)
-                && store.contains(&blob)
-        };
-        let kept = &slot.get_or_keep(Kept::default).package;
-        let package = match kept.get().filter(parsed_here) {
-            Some(package) => Arc::clone(package),
-            None => {
-                let stale = slot.stale::<Kept>();
-                let targets = match stale
-                    .as_deref()
-                    .and_then(|k| k.package.get())
-                    .filter(parsed_here)
-                {
-                    Some(stale) => Arc::clone(&stale.targets),
-                    None => {
-                        let bytes = store
-                            .get(&blob)
-                            .ok_or_else(|| BuildError::MissingObject(blob.to_hex()))?;
-                        // Borrowed unless the blob is not UTF-8; tokens borrow from it.
-                        let text = String::from_utf8_lossy(bytes);
-                        crate::work::build_parsed();
-                        let package = path.parent().unwrap_or("");
-                        parse_build_file(path.as_str(), package, &text)?.into()
-                    }
-                };
-                // A concurrent call may have kept its own parse first.
-                let package = kept.get_or_init(|| {
-                    Arc::new(Package {
-                        build: blob,
-                        path: Arc::clone(path),
-                        targets,
-                        sources: OnceLock::new(),
-                    })
-                });
-                Arc::clone(package)
-            }
-        };
-        // Compared by identity: the workspace holds what it compares.
-        same = same
-            && reusable
-                .and_then(|w| w.packages.get(packages.len()))
-                .is_some_and(|was| {
-                    Arc::ptr_eq(was, &package) || Arc::ptr_eq(&was.targets, &package.targets)
-                });
-        packages.push(package);
+    if let Some(here) = root.get::<Workspace>().filter(|w| holds(store, &w.mark)) {
+        return Ok(here.graph.clone());
     }
-    let (graph, runs) = match reusable.filter(|w| same && w.packages.len() == packages.len()) {
-        Some(kept) if here.is_some() => return Ok(kept.graph.clone()),
-        Some(stale) => (stale.graph.clone(), Arc::clone(&stale.runs)),
+    // The workspace of the tree this one was written from, while that
+    // tree lives and the store holds its BUILD blobs; else nothing's.
+    let stale = root.stale::<Workspace>();
+    let was = stale.as_deref().filter(|w| holds(store, &w.mark));
+    let (was, base_tree) = match was.and_then(|w| Some((w, w.tree.upgrade()?))) {
+        Some((was, tree)) => (Some(was), tree),
+        None => (None, Tree::new()),
+    };
+    let changes = tree.named_changes(&base_tree, "BUILD");
+    // The packages of the directories that changed.
+    let fresh: Vec<&str> = changes
+        .iter()
+        .filter(|(_, now, _)| now.is_some())
+        .inspect(|_| crate::work::package_visited())
+        .map(|(path, ..)| path.parent().unwrap_or(""))
+        .collect();
+    let unchanged = changes
+        .iter()
+        .all(|(_, now, then)| now.is_some() && now == then);
+    let (packages, graph, mark) = match was.filter(|_| unchanged) {
+        // No BUILD file changed: the same packages and graph. The mark is
+        // taken anew, so it names the store's frozen part as it is.
+        Some(was) => {
+            let mark = mark_of(store, was.mark.loose());
+            (Arc::clone(&was.packages), was.graph.clone(), mark)
+        }
         None => {
+            let old: &[Arc<Package>] = was.map_or(&[], |w| &w.packages);
+            let mut packages: Vec<Arc<Package>> = Vec::with_capacity(old.len() + changes.len());
+            let mut kept = old.iter().peekable();
+            let mut parsed = Vec::new();
+            for (path, now, _) in changes {
+                // Every package before this file is kept as it was.
+                while let Some(p) = kept.next_if(|p| p.path < *path) {
+                    packages.push(Arc::clone(p));
+                }
+                let was = kept.next_if(|p| p.path == *path);
+                let Some(blob) = now else { continue };
+                packages.push(match was.filter(|p| p.build == blob) {
+                    Some(same) => Arc::clone(same),
+                    None => {
+                        parsed.push(blob);
+                        Arc::new(Package::parse(path, blob, store)?)
+                    }
+                });
+            }
+            packages.extend(kept.cloned());
             crate::work::graph_built();
             let targets = packages.iter().flat_map(|p| p.targets.iter().cloned());
             let graph = BuildGraph::from_targets(targets)?;
-            let runs = packages
-                .iter()
-                .map(|p| graph.package_run(p.path.parent().unwrap_or("")))
-                .collect();
-            (graph, runs)
+            let mark = match was {
+                Some(was) => mark_of(store, was.mark.loose().iter().chain(&parsed)),
+                None => mark_of(store, packages.iter().map(|p| &p.build)),
+            };
+            (packages.into(), graph, mark)
         }
     };
+    let workspace = Workspace {
+        tree: tree.downgrade(),
+        packages,
+        fresh: was.map(|_| fresh.iter().map(|p| graph.package_run(p)).collect()),
+        graph,
+        mark,
+        hashed: OnceLock::new(),
+    };
     // A concurrent call may have kept a graph of the same targets first.
-    root.get_or_keep(Kept::default)
-        .workspace
-        .get_or_init(|| Workspace {
-            packages,
-            runs,
-            graph: graph.clone(),
-            hashed: OnceLock::new(),
-        });
-    Ok(graph)
+    Ok(root.get_or_keep(|| workspace).graph.clone())
 }
 
-/// What a directory keeps of an analysis in its [`sq_vcs::tree::Derived`]
-/// slot: its package's, if it holds a BUILD file, and on the root, the
-/// whole tree's. The root may be a package too, so both have a place.
-#[derive(Default)]
-pub(crate) struct Kept {
-    pub(crate) package: OnceLock<Arc<Package>>,
-    pub(crate) workspace: OnceLock<Workspace>,
+/// True if `store` provably holds what `mark` was taken over.
+pub(crate) fn holds(store: &ObjectStore, mark: &Mark) -> bool {
+    crate::work::looked_up(mark.loose().len());
+    store.holds(mark)
 }
 
-/// What a package directory keeps: the targets its BUILD file declares,
-/// and, once a hash has run over the directory as it is, each target's
-/// Algorithm-1 state after its sources ([`Sources`]). A write at or below
-/// the directory leaves it stale, and [`parse_workspace`] then reuses
-/// only the targets, and only if the BUILD blob is the one they came
-/// from.
+/// A mark of `ids` on `store`.
+pub(crate) fn mark_of<'a>(
+    store: &ObjectStore,
+    ids: impl IntoIterator<Item = &'a ObjectId>,
+) -> Mark {
+    store.mark(ids.into_iter().inspect(|_| crate::work::looked_up(1)))
+}
+
+/// One BUILD file and the targets it declares. A package holds nothing of
+/// the tree it was parsed in, so the workspaces of every tree whose BUILD
+/// file at its path is the same blob share it.
 pub(crate) struct Package {
-    /// The BUILD blob and file the targets were parsed from.
     build: ObjectId,
     path: Arc<RepoPath>,
     /// In declaration order, which decides the duplicate a graph reports.
     targets: Arc<[Target]>,
-    /// Kept by the first [`crate::TargetHashes::compute`] over the
-    /// directory as it is.
-    pub(crate) sources: OnceLock<Sources>,
 }
 
-/// What the root directory keeps of the whole tree: the graph, each
-/// package directory's package, and once hashed over the tree as it is,
-/// the hashes ([`Hashed`]). A write anywhere leaves it stale:
-/// [`parse_workspace`] then reuses the graph only when every package
-/// still keeps the very targets it was built from, and
-/// [`crate::TargetHashes::compute`] reuses a hash only where its inputs
-/// are the ones it was finalized from.
+impl Package {
+    fn parse(
+        path: &Arc<RepoPath>,
+        blob: ObjectId,
+        store: &ObjectStore,
+    ) -> Result<Package, BuildError> {
+        crate::work::looked_up(1);
+        let bytes = store
+            .get(&blob)
+            .ok_or_else(|| BuildError::MissingObject(blob.to_hex()))?;
+        // Borrowed unless the blob is not UTF-8; tokens borrow from it.
+        let text = String::from_utf8_lossy(bytes);
+        crate::work::build_parsed();
+        let package = path.parent().unwrap_or("");
+        Ok(Package {
+            build: blob,
+            path: Arc::clone(path),
+            targets: parse_build_file(path.as_str(), package, &text)?.into(),
+        })
+    }
+}
+
+/// What the root directory of a tree keeps of its analysis, in the
+/// tree's [`sq_vcs::tree::Derived`] root slot: each package, the graph,
+/// and once hashed over the tree as it is, the hashes ([`Hashed`]). A
+/// write anywhere leaves it stale, and the next [`parse_workspace`] and
+/// [`crate::TargetHashes::compute`] over the written tree start from it.
 pub(crate) struct Workspace {
-    /// Each BUILD file's, in path order: the tree's own, which live as
-    /// long as its root. A package holds nothing of the workspace, so
-    /// the root's own, if it is a package, makes no cycle.
-    packages: Vec<Arc<Package>>,
-    /// Per package, the positions of its targets in `graph`.
-    runs: Arc<[Range<usize>]>,
-    graph: BuildGraph,
+    /// The tree parsed: held weakly, as the workspace lives in its root.
+    tree: WeakTree,
+    /// Each BUILD file's, in path order.
+    packages: Arc<[Arc<Package>]>,
+    /// The positions of the targets of each package whose directory
+    /// differs from the tree this one was written from, or `None` for
+    /// every target.
+    pub(crate) fresh: Option<Vec<Range<usize>>>,
+    pub(crate) graph: BuildGraph,
+    /// Taken over every package's BUILD blob.
+    mark: Mark,
     pub(crate) hashed: OnceLock<Hashed>,
-}
-
-impl Kept {
-    /// The workspace kept here, if it holds `graph`.
-    pub(crate) fn workspace_of(&self, graph: &BuildGraph) -> Option<&Workspace> {
-        self.workspace.get().filter(|w| w.graph.ptr_eq(graph))
-    }
-
-    /// The last hash of the workspace kept here.
-    pub(crate) fn hashed(&self) -> Option<&Hashed> {
-        self.workspace.get()?.hashed.get()
-    }
-}
-
-impl Workspace {
-    /// Each package of the tree, with the positions of its targets.
-    pub(crate) fn packages(&self) -> impl Iterator<Item = (Range<usize>, &Package)> {
-        self.runs
-            .iter()
-            .cloned()
-            .zip(self.packages.iter().map(|p| &**p))
-    }
 }
 
 /// Parse one BUILD file's rule calls into targets of `package`.

@@ -14,11 +14,15 @@
 //! directories. A twin of the step, the same patch applied to the same
 //! parent once more, a call over the same tree with a store that lost one
 //! blob (against the cold copy over that store), and a second call over
-//! the same tree agree too.
+//! the same tree agree too. So do the calls of the served path's shape:
+//! the step's patch applied once more into a clone of the store, which
+//! alone gets its new blobs, and analysed there; then the same tree over
+//! a sibling clone that never got them, which fails with the blob a cold
+//! call misses first.
 
 use proptest::prelude::*;
 use sq_build::{AffectedSet, BuildError, SnapshotAnalysis, TargetName};
-use sq_vcs::{FileOp, ObjectStore, Patch, RepoPath, Tree};
+use sq_vcs::{FileOp, ObjectId, ObjectStore, Patch, RepoPath, Tree};
 
 const LAYERS: usize = 3;
 const PER_LAYER: usize = 3;
@@ -263,6 +267,20 @@ fn same(a: &Outcome, b: &Outcome) -> bool {
     }
 }
 
+/// Every blob an analysis of `tree` reads: each BUILD file's and each
+/// declared source's.
+fn read(tree: &Tree, outcome: &Outcome) -> Vec<ObjectId> {
+    let Ok((_, analysis)) = outcome else {
+        return Vec::new();
+    };
+    let builds = tree.iter().filter(|(p, _)| p.file_name() == "BUILD");
+    let sources = analysis.graph.targets().flat_map(|t| &t.srcs);
+    builds
+        .map(|(_, id)| *id)
+        .chain(sources.filter_map(|src| tree.get(src)))
+        .collect()
+}
+
 fn affected(before: &Outcome, now: &Outcome) -> Option<AffectedSet> {
     match (before, now) {
         (Ok((_, before)), Ok((_, now))) => Some(AffectedSet::between(before, now)),
@@ -286,6 +304,7 @@ proptest! {
         for (n, &step) in steps.iter().enumerate() {
             let patch = ws.patch(step);
             let parent = ws.tree.clone();
+            let (mut staged, sibling) = (ws.store.clone(), ws.store.clone());
             ws.tree = patch.apply(&parent, &mut ws.store).unwrap();
             let twin = patch.apply(&parent, &mut ws.store).unwrap();
 
@@ -311,6 +330,18 @@ proptest! {
             let lacking_cold = analyze(&Tree::load(&ws.store, root).unwrap(), &lacking);
             prop_assert!(same(&analyze(&ws.tree, &lacking), &lacking_cold), "step {n}: without {lost:?}");
             prop_assert!(same(&analyze(&ws.tree, &ws.store), &now_cold), "step {n}: again");
+            // The served path's shape: the patch staged in a clone of the
+            // store, then the same tree over a sibling clone without it.
+            let tree = patch.apply(&parent, &mut staged).unwrap();
+            let on_staged = analyze(&tree, &staged);
+            let root = tree.store(&mut staged);
+            let from_nothing = |store: &ObjectStore| analyze(&Tree::load(&staged, root).unwrap(), store);
+            prop_assert!(same(&on_staged, &from_nothing(&staged)), "step {n}: staged");
+            let on_sibling = analyze(&tree, &sibling);
+            prop_assert!(same(&on_sibling, &from_nothing(&sibling)), "step {n}: sibling");
+            if read(&tree, &on_staged).iter().any(|id| !sibling.contains(id)) {
+                prop_assert!(matches!(on_sibling, Err(BuildError::MissingObject(_))), "step {n}: sibling");
+            }
             (warm, cold) = (now, now_cold);
         }
     }

@@ -40,11 +40,11 @@ pub mod tree;
 pub use commit::{Commit, CommitId, CommitMeta};
 pub use error::VcsError;
 pub use hash::Sha256;
-pub use object::{ObjectId, ObjectStore};
+pub use object::{Mark, ObjectId, ObjectStore};
 pub use patch::{FileOp, Patch};
 pub use path::RepoPath;
 pub use repo::Repository;
-pub use tree::Tree;
+pub use tree::{Tree, WeakTree};
 
 /// Crate-wide result type.
 pub type Result<T> = std::result::Result<T, VcsError>;

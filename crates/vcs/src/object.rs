@@ -6,7 +6,7 @@
 //! create tens of thousands of snapshots that share almost all files.
 
 use crate::hash::{to_hex, Sha256};
-use crate::shared::SharedMap;
+use crate::shared::{FrozenAt, SharedMap};
 use bytes::Bytes;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -52,6 +52,23 @@ impl fmt::Debug for ObjectId {
 impl fmt::Display for ObjectId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(&self.short())
+    }
+}
+
+/// Proof that a store held a set of objects ([`ObjectStore::mark`]): the
+/// state of the store's frozen part, and the ids outside it. A mark over
+/// the [`Mark::loose`] ids of a mark a store holds, and more, covers that
+/// mark's ids too.
+#[derive(Debug, Clone)]
+pub struct Mark {
+    frozen: FrozenAt,
+    loose: Box<[ObjectId]>,
+}
+
+impl Mark {
+    /// The ids a check looks up.
+    pub fn loose(&self) -> &[ObjectId] {
+        &self.loose
     }
 }
 
@@ -102,6 +119,24 @@ impl ObjectStore {
     /// True iff the store holds this address.
     pub fn contains(&self, id: &ObjectId) -> bool {
         self.objects.contains_key(id)
+    }
+
+    /// A mark of `ids`, which [`ObjectStore::holds`] checks later.
+    /// Taking it looks each id up once.
+    pub fn mark<'a>(&self, ids: impl IntoIterator<Item = &'a ObjectId>) -> Mark {
+        let loose = ids.into_iter().filter(|id| !self.objects.is_frozen(id));
+        Mark {
+            frozen: self.objects.frozen_at(),
+            loose: loose.copied().collect(),
+        }
+    }
+
+    /// True if this store provably holds every object `mark` was taken
+    /// over: its frozen part, which only grows, is the mark's or a copy of
+    /// a later state of it, and each loose id is looked up. False says
+    /// nothing either way.
+    pub fn holds(&self, mark: &Mark) -> bool {
+        self.objects.holds_frozen(&mark.frozen) && mark.loose.iter().all(|id| self.contains(id))
     }
 
     /// Number of distinct objects stored.

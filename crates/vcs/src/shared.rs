@@ -67,11 +67,15 @@ impl Hasher for IdHasher {
 const OVERLAY_MAX: usize = 64;
 
 /// The map: a large frozen part and a small overlay, both shared with
-/// clones until written. `clone` is two pointer copies.
+/// clones until written. `clone` copies pointers only.
 #[derive(Debug)]
 pub(crate) struct SharedMap<K, V> {
     /// Written only while this map is its sole owner.
     frozen: Arc<HashMap<K, V>>,
+    /// Shared by every map reading `frozen`'s allocation.
+    epoch: Arc<()>,
+    /// The state `frozen` was copied from, if it was.
+    copied_from: Option<FrozenAt>,
     /// Inserted while a clone could still read `frozen`. At most
     /// `OVERLAY_MAX` entries, disjoint from `frozen`; copied before it is
     /// written if a clone shares it.
@@ -82,6 +86,8 @@ impl<K, V> Clone for SharedMap<K, V> {
     fn clone(&self) -> Self {
         SharedMap {
             frozen: Arc::clone(&self.frozen),
+            epoch: Arc::clone(&self.epoch),
+            copied_from: self.copied_from.clone(),
             overlay: Arc::clone(&self.overlay),
         }
     }
@@ -91,6 +97,8 @@ impl<K, V> Default for SharedMap<K, V> {
     fn default() -> Self {
         SharedMap {
             frozen: Arc::default(),
+            epoch: Arc::default(),
+            copied_from: None,
             overlay: Arc::default(),
         }
     }
@@ -121,6 +129,12 @@ impl<K: Eq + Hash + Clone, V: Clone> SharedMap<K, V> {
             Arc::make_mut(&mut self.overlay).insert(key, value);
             return;
         }
+        if Arc::get_mut(&mut self.frozen).is_none() {
+            // The copy holds what the shared part holds now, and grows
+            // apart from it.
+            let epoch = std::mem::take(&mut self.epoch);
+            self.copied_from = Some(FrozenAt(epoch, self.frozen.len()));
+        }
         let frozen = Arc::make_mut(&mut self.frozen);
         if !self.overlay.is_empty() {
             let overlay = std::mem::take(&mut self.overlay);
@@ -136,7 +150,30 @@ impl<K: Eq + Hash + Clone, V: Clone> SharedMap<K, V> {
     pub(crate) fn values(&self) -> impl Iterator<Item = &V> {
         self.frozen.values().chain(self.overlay.values())
     }
+
+    /// True iff `key` is in the frozen part.
+    pub(crate) fn is_frozen(&self, key: &K) -> bool {
+        self.frozen.contains_key(key)
+    }
+
+    /// The frozen part's state now.
+    pub(crate) fn frozen_at(&self) -> FrozenAt {
+        FrozenAt(Arc::clone(&self.epoch), self.frozen.len())
+    }
+
+    /// True iff the frozen part holds every key it held in the given
+    /// state: it is that state's epoch, or a copy of a later state of it.
+    pub(crate) fn holds_frozen(&self, FrozenAt(epoch, len): &FrozenAt) -> bool {
+        Arc::ptr_eq(&self.epoch, epoch)
+            || matches!(&self.copied_from, Some(FrozenAt(from, at)) if Arc::ptr_eq(from, epoch) && len <= at)
+    }
 }
+
+/// A state of a frozen part: its epoch and its length then. The part
+/// only grows, so each later state of the epoch holds it. Holding the
+/// token keeps its address from naming a later epoch.
+#[derive(Debug, Clone)]
+pub(crate) struct FrozenAt(Arc<()>, usize);
 
 #[cfg(test)]
 impl<K, V> SharedMap<K, V> {

@@ -50,8 +50,9 @@ struct Dir {
     derived: Derived,
 }
 
-/// One directory's slot for a value a consumer derives from the files at
-/// or below it, such as the parsed targets of a package. The value lives
+/// A directory's slot for a value a consumer derives from the files at or
+/// below it; [`Tree::root_slot`] hands out the root's, for a value derived
+/// from the whole tree, such as its parsed build graph. The value lives
 /// with the directory node, so every tree sharing the node shares it and
 /// nothing outlives the trees.
 ///
@@ -251,30 +252,6 @@ impl Tree {
         &self.root.derived
     }
 
-    /// Every file called `name`, in path order, with the slot of the
-    /// directory holding it. The path is the one the tree shares with
-    /// every tree holding the directory, so a consumer can key on it.
-    pub fn files_named<'a>(
-        &'a self,
-        name: &'a str,
-    ) -> impl Iterator<Item = (&'a Arc<RepoPath>, ObjectId, &'a Derived)> + 'a {
-        let mut stack = vec![(&*self.root, self.root.entries.iter())];
-        std::iter::from_fn(move || loop {
-            let (dir, entries) = stack.last_mut()?;
-            let dir = *dir;
-            match entries.next() {
-                Some((key, Node::File { path, blob })) if **key == *name => {
-                    return Some((path, *blob, &dir.derived))
-                }
-                Some((_, Node::Dir(sub))) => stack.push((sub, sub.entries.iter())),
-                Some(_) => {}
-                None => {
-                    stack.pop();
-                }
-            }
-        })
-    }
-
     /// Paths under a directory prefix, in order.
     pub fn paths_under<'a>(&'a self, dir: &'a str) -> impl Iterator<Item = &'a RepoPath> + 'a {
         self.find_dir(dir)
@@ -331,24 +308,67 @@ impl Tree {
     /// ids are known and equal, are skipped whole.
     pub fn changed_paths<'a>(&'a self, other: &'a Tree) -> Vec<&'a RepoPath> {
         let mut changed = Vec::new();
-        self.root.diff(&other.root, &mut changed);
+        self.diff(other, &mut |_, ours, theirs| {
+            if ours.map(|(_, blob)| blob) != theirs.map(|(_, blob)| blob) {
+                changed.push(&**ours.or(theirs).expect("a file is on one side").0);
+            }
+        });
         changed
+    }
+
+    /// Every file called `name` in a directory that `self` and `base` do
+    /// not share, in path order, with its blob in each (`None` where it is
+    /// absent): what a consumer keyed on the directories holding such
+    /// files looks at again, whether or not the file itself changed. The
+    /// walk skips shared directories as [`Tree::changed_paths`] does, and
+    /// against the empty tree it finds every file called `name`.
+    pub fn named_changes<'a>(
+        &'a self,
+        base: &'a Tree,
+        name: &str,
+    ) -> Vec<(&'a Arc<RepoPath>, Option<ObjectId>, Option<ObjectId>)> {
+        let mut found = Vec::new();
+        self.diff(base, &mut |key, ours, theirs| {
+            if key == name {
+                let path = ours.or(theirs).expect("a file is on one side").0;
+                found.push((path, ours.map(|(_, b)| b), theirs.map(|(_, b)| b)));
+            }
+        });
+        found
+    }
+
+    fn diff<'a>(&'a self, other: &'a Tree, file: &mut impl FnMut(&str, Side<'a>, Side<'a>)) {
+        Dir::diff(Some(&self.root), Some(&other.root), file);
+    }
+
+    /// A handle that does not keep the tree's directories alive, for a
+    /// value kept in the tree's own root slot that needs the tree back.
+    pub fn downgrade(&self) -> WeakTree {
+        WeakTree(Arc::downgrade(&self.root))
     }
 }
 
+/// A tree held weakly ([`Tree::downgrade`]).
+#[derive(Debug, Clone)]
+pub struct WeakTree(Weak<Dir>);
+
+impl WeakTree {
+    /// The tree, if a handle still holds its root directory.
+    pub fn upgrade(&self) -> Option<Tree> {
+        self.0.upgrade().map(|root| Tree { root })
+    }
+}
+
+/// A file on one side of a diff: its path and blob.
+type Side<'a> = Option<(&'a Arc<RepoPath>, ObjectId)>;
+
 impl Dir {
     fn subdir(&self, key: &str) -> Option<&Arc<Dir>> {
-        match self.entries.get(key)? {
-            Node::Dir(dir) => Some(dir),
-            Node::File { .. } => None,
-        }
+        self.entries.get(key)?.dir()
     }
 
     fn file(&self, name: &str) -> Option<ObjectId> {
-        match self.entries.get(name)? {
-            Node::File { blob, .. } => Some(*blob),
-            Node::Dir(_) => None,
-        }
+        Some(self.entries.get(name)?.file()?.1)
     }
 
     /// This directory for writing: copied first if another tree shares
@@ -382,36 +402,43 @@ impl Dir {
             || matches!((self.id.get(), other.id.get()), (Some(a), Some(b)) if a == b)
     }
 
-    fn diff<'a>(self: &'a Arc<Dir>, other: &'a Arc<Dir>, changed: &mut Vec<&'a RepoPath>) {
-        if self.same_as(other) {
-            return;
+    /// Call `file` with the key of every file in a directory of `ours`
+    /// or `theirs` that the two do not share, in path order, with the file
+    /// on each side. A directory on one side only is walked whole.
+    fn diff<'a>(
+        ours: Option<&'a Arc<Dir>>,
+        theirs: Option<&'a Arc<Dir>>,
+        file: &mut impl FnMut(&str, Side<'a>, Side<'a>),
+    ) {
+        if let (Some(a), Some(b)) = (ours, theirs) {
+            if a.same_as(b) {
+                return;
+            }
         }
-        let mut ours = self.entries.iter().peekable();
-        let mut theirs = other.entries.iter().peekable();
+        let mut a = ours.into_iter().flat_map(|d| &d.entries).peekable();
+        let mut b = theirs.into_iter().flat_map(|d| &d.entries).peekable();
         loop {
-            let order = match (ours.peek(), theirs.peek()) {
+            // A directory written from another shares its keys' names.
+            let order = match (a.peek(), b.peek()) {
                 (None, None) => return,
                 (Some(_), None) => Ordering::Less,
                 (None, Some(_)) => Ordering::Greater,
-                (Some((ours, _)), Some((theirs, _))) => ours.cmp(theirs),
+                (Some((x, _)), Some((y, _))) if Arc::ptr_eq(x, y) => Ordering::Equal,
+                (Some((x, _)), Some((y, _))) => x.cmp(y),
             };
-            match order {
-                Ordering::Less => ours.next().expect("peeked").1.files_into(changed),
-                Ordering::Greater => theirs.next().expect("peeked").1.files_into(changed),
-                Ordering::Equal => match (ours.next(), theirs.next()) {
-                    (Some((_, Node::Dir(ours))), Some((_, Node::Dir(theirs)))) => {
-                        ours.diff(theirs, changed)
-                    }
-                    (
-                        Some((_, Node::File { path, blob })),
-                        Some((_, Node::File { blob: b, .. })),
-                    ) => {
-                        if blob != b {
-                            changed.push(path);
-                        }
-                    }
-                    _ => unreachable!("one key, one kind of node"),
-                },
+            let (key, ours, theirs) = match order {
+                Ordering::Less => a.next().map(|(k, n)| (k, Some(n), None)),
+                Ordering::Greater => b.next().map(|(k, n)| (k, None, Some(n))),
+                Ordering::Equal => a
+                    .next()
+                    .zip(b.next())
+                    .map(|((k, x), (_, y))| (k, Some(x), Some(y))),
+            }
+            .expect("peeked");
+            if key.ends_with('/') {
+                Dir::diff(ours.and_then(Node::dir), theirs.and_then(Node::dir), file);
+            } else {
+                file(key, ours.and_then(Node::file), theirs.and_then(Node::file));
             }
         }
     }
@@ -543,12 +570,17 @@ impl PartialEq for Node {
 }
 
 impl Node {
-    /// Append the path of this file, or of every file below this
-    /// directory.
-    fn files_into<'a>(&'a self, paths: &mut Vec<&'a RepoPath>) {
+    fn dir(&self) -> Option<&Arc<Dir>> {
         match self {
-            Node::File { path, .. } => paths.push(path),
-            Node::Dir(dir) => paths.extend(Files::below(dir).map(|(path, _)| path)),
+            Node::Dir(dir) => Some(dir),
+            Node::File { .. } => None,
+        }
+    }
+
+    fn file(&self) -> Option<(&Arc<RepoPath>, ObjectId)> {
+        match self {
+            Node::File { path, blob } => Some((path, *blob)),
+            Node::Dir(_) => None,
         }
     }
 }
@@ -813,7 +845,7 @@ mod tests {
     }
 
     #[test]
-    fn files_named_yields_each_file_of_a_name_in_path_order() {
+    fn named_changes_finds_each_file_of_a_name_in_a_directory_that_changed() {
         let mut store = ObjectStore::new();
         let b = blob(&mut store, "x");
         let mut t = Tree::new();
@@ -827,61 +859,67 @@ mod tests {
         ] {
             t.insert(path(p), b).unwrap();
         }
-        let found: Vec<&str> = t.files_named("BUILD").map(|(p, ..)| p.as_str()).collect();
-        assert_eq!(found, ["BUILD", "a-b/BUILD", "a/BUILD", "a/b/BUILD"]);
-        let by_iter = t.iter().filter(|(p, _)| p.file_name() == "BUILD");
-        assert!(by_iter.map(|(p, _)| p.as_str()).eq(found));
-    }
-
-    /// The slot of the directory holding `file`.
-    fn slot<'a>(t: &'a Tree, file: &'a str) -> &'a Derived {
-        t.files_named(file).next().unwrap().2
-    }
-
-    #[test]
-    fn a_derived_value_lives_with_its_directory_node() {
-        let mut store = ObjectStore::new();
-        let mut parent = Tree::new();
-        parent.insert(path("p/f"), blob(&mut store, "f")).unwrap();
-        parent.insert(path("q/g"), blob(&mut store, "g")).unwrap();
-        assert_eq!(slot(&parent, "f").get_or_keep(|| 1u32), &1);
-        assert_eq!(slot(&parent, "f").get_or_keep(|| 2u32), &1);
-        assert_eq!(slot(&parent, "f").get::<u32>(), Some(&1));
-        assert_eq!(slot(&parent, "f").get::<u64>(), None);
-
-        // A clone shares it; a write clears it in the writing tree only,
-        // where it stays readable as stale while the parent lives.
-        let mut child = parent.clone();
-        assert_eq!(slot(&child, "f").get::<u32>(), Some(&1));
-        child.insert(path("p/h"), blob(&mut store, "h")).unwrap();
-        assert_eq!(slot(&child, "f").get::<u32>(), None);
-        assert_eq!(slot(&child, "f").stale::<u32>().as_deref(), Some(&1));
-        assert_eq!(slot(&parent, "f").get::<u32>(), Some(&1));
-        slot(&parent, "g").get_or_keep(|| 3u32);
-        assert_eq!(slot(&child, "g").get::<u32>(), Some(&3));
-        // The stale reference never keeps the value alive.
-        drop(parent);
-        assert_eq!(slot(&child, "f").stale::<u32>(), None);
-
-        // A loaded tree's directories keep nothing.
-        let root = child.store(&mut store);
-        let loaded = Tree::load(&store, root).unwrap();
-        assert_eq!(slot(&child, "g").get::<u32>(), Some(&3));
-        assert_eq!(slot(&loaded, "g").get::<u32>(), None);
-        assert_eq!(loaded, child);
+        let named = |t: &Tree, base: &Tree| -> Vec<(String, Option<ObjectId>, Option<ObjectId>)> {
+            let found = t.named_changes(base, "BUILD").into_iter();
+            found
+                .map(|(p, ours, theirs)| (p.to_string(), ours, theirs))
+                .collect()
+        };
+        let all: Vec<_> = named(&t, &Tree::new());
+        let every = ["BUILD", "a-b/BUILD", "a/BUILD", "a/b/BUILD"];
+        assert!(all.iter().map(|(p, ..)| p.as_str()).eq(every));
+        assert!(all
+            .iter()
+            .all(|(_, ours, theirs)| (*ours, *theirs) == (Some(b), None)));
+        assert!(named(&t, &t).is_empty());
+        // A write below `a/` but beside `a/b/`: the root and `a/` hold a
+        // BUILD file each and changed; `a/b/` and `a-b/` are shared.
+        let mut child = t.clone();
+        child.insert(path("a/x.rs"), b).unwrap();
+        let both = |p: &str| (p.to_string(), Some(b), Some(b));
+        assert_eq!(named(&child, &t), [both("BUILD"), both("a/BUILD")]);
+        child.remove(&path("a/b/BUILD"));
+        let gone = ("a/b/BUILD".to_string(), None, Some(b));
+        assert_eq!(named(&child, &t), [both("BUILD"), both("a/BUILD"), gone]);
+        let by_iter = child.iter().filter(|(p, _)| p.file_name() == "BUILD");
+        assert!(by_iter
+            .map(|(p, _)| p.as_str())
+            .eq(named(&child, &Tree::new()).iter().map(|(p, ..)| p.as_str())));
     }
 
     #[test]
-    fn the_root_slot_goes_stale_on_any_write() {
+    fn a_derived_value_lives_with_its_root_node() {
         let mut store = ObjectStore::new();
         let mut parent = Tree::new();
         parent.insert(path("p/f"), blob(&mut store, "f")).unwrap();
-        parent.root_slot().get_or_keep(|| 1u32);
+        assert_eq!(parent.root_slot().get_or_keep(|| 1u32), &1);
+        assert_eq!(parent.root_slot().get_or_keep(|| 2u32), &1);
+        assert_eq!(parent.root_slot().get::<u32>(), Some(&1));
+        assert_eq!(parent.root_slot().get::<u64>(), None);
+
+        // A clone shares it; a write anywhere clears it in the writing
+        // tree only, where it stays readable as stale while the parent
+        // lives.
         let mut child = parent.clone();
+        assert_eq!(child.root_slot().get::<u32>(), Some(&1));
         child.insert(path("q/g"), blob(&mut store, "g")).unwrap();
         assert_eq!(child.root_slot().get::<u32>(), None);
         assert_eq!(child.root_slot().stale::<u32>().as_deref(), Some(&1));
         assert_eq!(parent.root_slot().get::<u32>(), Some(&1));
+        // The stale reference never keeps the value alive, and neither
+        // does a weak handle keep the tree.
+        let weak = parent.downgrade();
+        assert_eq!(weak.upgrade(), Some(parent.clone()));
+        drop(parent);
+        assert_eq!(child.root_slot().stale::<u32>(), None);
+        assert_eq!(weak.upgrade(), None);
+
+        // A loaded tree's directories keep nothing.
+        child.root_slot().get_or_keep(|| 3u32);
+        let root = child.store(&mut store);
+        let loaded = Tree::load(&store, root).unwrap();
+        assert_eq!(loaded.root_slot().get::<u32>(), None);
+        assert_eq!(loaded, child);
     }
 
     #[test]

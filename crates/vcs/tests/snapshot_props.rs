@@ -1,11 +1,16 @@
 //! Property tests for the sharing behind O(1) snapshots: the object
 //! store's shared map, trees that share their directories and the
 //! repository's window of decoded recent trees must be invisible — every read answers what a
-//! deep copy taken at the same moment would have answered.
+//! deep copy taken at the same moment would have answered. A store's
+//! mark, the O(1) proof that it still holds a set of objects, is never
+//! accepted by a store that lacks one of them.
 
 use proptest::prelude::*;
 use sq_vcs::repo::{MAINLINE, RECENT_TREES};
-use sq_vcs::{CommitId, CommitMeta, FileOp, ObjectId, Patch, RepoPath, Repository, Tree};
+use sq_vcs::{
+    CommitId, CommitMeta, FileOp, Mark, ObjectId, ObjectStore, Patch, RepoPath, Repository, Tree,
+};
+use std::collections::BTreeSet;
 
 fn arb_path() -> impl proptest::strategy::Strategy<Value = RepoPath> {
     (0u8..4, 0u8..4).prop_map(|(d, f)| RepoPath::new(format!("d{d}/f{f}.rs")).unwrap())
@@ -214,5 +219,75 @@ proptest! {
                 prop_assert_eq!(repo.tree_at(*id).unwrap(), decoded_from_store(repo, *id));
             }
         }
+    }
+
+    #[test]
+    fn a_mark_is_accepted_only_by_a_store_holding_its_objects(
+        ops in proptest::collection::vec((0u8..5, 0usize..4, 0usize..4, 0u16..400, 0usize..90), 1..40),
+    ) {
+        let object = |v: u16| format!("object {v}").into_bytes();
+        // Up to four stores, each with what it holds, and every mark
+        // taken with the objects it was taken over.
+        let mut stores: Vec<Option<(ObjectStore, BTreeSet<ObjectId>)>> = vec![None; 4];
+        stores[0] = Some((ObjectStore::new(), BTreeSet::new()));
+        let mut marks: Vec<(Mark, BTreeSet<ObjectId>)> = Vec::new();
+        for (op, a, b, v, k) in ops {
+            let live = stores.iter().flatten().count();
+            if stores[a].is_none() {
+                stores[a] = stores.iter().flatten().next().cloned();
+                continue;
+            }
+            match op {
+                1 => stores[b] = stores[a].clone(),
+                2 if live > 1 => stores[a] = None,
+                _ => {
+                    let (store, held) = stores[a].as_mut().unwrap();
+                    if op == 0 {
+                        // Enough objects to fill an overlay while shared.
+                        for i in 0..k as u16 {
+                            held.insert(store.put(object(v.wrapping_add(i))));
+                        }
+                        continue;
+                    }
+                    // A mark over some of what the store holds, and over
+                    // what a mark it holds covers.
+                    let mut covered: BTreeSet<ObjectId> =
+                        held.iter().copied().skip(k).step_by(b + 1).collect();
+                    let prior = marks.iter().filter(|(m, _)| store.holds(m)).nth(v as usize % 3);
+                    let mark = match prior {
+                        Some((prior, ids)) if op == 4 => {
+                            covered.extend(ids);
+                            store.mark(prior.loose().iter().chain(&covered))
+                        }
+                        _ => store.mark(&covered),
+                    };
+                    marks.push((mark, covered));
+                }
+            }
+            for (store, held) in stores.iter().flatten() {
+                for (mark, covered) in &marks {
+                    prop_assert!(!store.holds(mark) || covered.is_subset(held));
+                }
+            }
+        }
+        // The served path: a mark taken on a store, and one taken on the
+        // snapshot a change is then staged in, over what the store holds.
+        // The commit lands while the snapshot lives, enough to copy the
+        // store's frozen part; the clones go, and the store goes on
+        // taking objects in place.
+        let at = stores.iter().position(Option::is_some).unwrap();
+        let (mut store, held) = stores[at].take().unwrap();
+        let on_store = store.mark(&held);
+        let mut staged = store.clone();
+        let on_staged = staged.mark(&held);
+        staged.put(object(400));
+        for v in 401..480 {
+            store.put(object(v));
+        }
+        drop((staged, stores, marks));
+        for v in 480..500 {
+            store.put(object(v));
+        }
+        prop_assert!(store.holds(&on_store) && store.holds(&on_staged));
     }
 }

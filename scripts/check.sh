@@ -99,9 +99,9 @@ step "every crates/*/src/lib.rs keeps #![forbid(unsafe_code)]" \
   crates_forbid_unsafe
 
 # No ambient state: what a computation derives lives on the data it was
-# derived from (a package's parsed targets and source hash states on its
-# directory of the tree, DESIGN.md §13), so it is shared exactly as far as
-# that data is and dies with it. Over the non-test part of every
+# derived from (a tree's parsed graph and hashes on its root directory,
+# and a store mark's epoch on the store's map, DESIGN.md §13), so it is
+# shared exactly as far as that data is and dies with it. Over the non-test part of every
 # crates/*/src file (comment lines dropped): no thread_local! and no
 # static of a lock, cell, atomic or lazy value.
 no_ambient_state() {
