@@ -121,19 +121,14 @@ impl Client {
 
     /// Read the next reply (in request order).
     pub fn recv(&mut self) -> Result<Response, ClientError> {
-        loop {
-            match self.reader.poll(&mut self.transport) {
-                Ok(FramePoll::Frame(payload)) => return Ok(Response::decode(&payload)?),
-                Ok(FramePoll::Idle) => {} // blocking socket: spurious
-                Ok(FramePoll::Eof) => {
-                    return Err(ClientError::Io(io::Error::new(
-                        io::ErrorKind::UnexpectedEof,
-                        "server closed the connection",
-                    )));
-                }
-                Err(FrameReadError::Frame(e)) => return Err(ClientError::Frame(e.to_string())),
-                Err(FrameReadError::Io(e)) => return Err(ClientError::Io(e)),
-            }
+        match self.reader.poll(&mut self.transport) {
+            Ok(FramePoll::Frame(payload)) => Ok(Response::decode(&payload)?),
+            Ok(FramePoll::Eof) => Err(ClientError::Io(io::Error::new(
+                io::ErrorKind::UnexpectedEof,
+                "server closed the connection",
+            ))),
+            Err(FrameReadError::Frame(e)) => Err(ClientError::Frame(e.to_string())),
+            Err(FrameReadError::Io(e)) => Err(ClientError::Io(e)),
         }
     }
 

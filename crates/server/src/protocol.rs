@@ -116,9 +116,6 @@ pub fn decode_frame(buf: &[u8], max: u32) -> Result<Option<(Vec<u8>, usize)>, Fr
 pub enum FramePoll {
     /// A complete frame's payload.
     Frame(Vec<u8>),
-    /// The read timed out with no complete frame; check for shutdown
-    /// and poll again.
-    Idle,
     /// The peer closed cleanly on a frame boundary.
     Eof,
 }
@@ -149,8 +146,8 @@ impl std::fmt::Display for FrameReadError {
 
 /// Incremental frame reader over any blocking `Read`.
 ///
-/// Buffers partial frames across reads, so it works with read timeouts
-/// (the server's shutdown poll) and with pipelined peers that pack many
+/// Buffers partial frames across reads, so it works with slow peers
+/// that send a frame in pieces and with pipelined peers that pack many
 /// frames into one TCP segment.
 #[derive(Debug)]
 pub struct FrameReader {
@@ -167,12 +164,7 @@ impl FrameReader {
         }
     }
 
-    /// Bytes buffered but not yet returned as frames.
-    pub fn buffered(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Read until one complete frame, a timeout, EOF, or an error.
+    /// Read until one complete frame, EOF, or an error.
     pub fn poll(&mut self, r: &mut impl Read) -> Result<FramePoll, FrameReadError> {
         loop {
             if let Some((payload, consumed)) = decode_frame(&self.buf, self.max)? {
@@ -193,14 +185,6 @@ impl FrameReader {
                 }
                 Ok(n) => self.buf.extend_from_slice(&chunk[..n]),
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                    ) =>
-                {
-                    return Ok(FramePoll::Idle);
-                }
                 Err(e) => return Err(FrameReadError::Io(e)),
             }
         }

@@ -13,13 +13,14 @@
 //! which is the point — the paper's queue is the throughput governor,
 //! not the socket layer.
 //!
-//! Nothing waits by spinning. The processor, the verdict subscribers
-//! and the idle connection workers each sleep on a condvar whose
-//! condition is written under its mutex by whoever changes it (an
-//! enqueue bumps the `work` generation, a verdict the `verdicts` one),
-//! so no wake-up is lost and `poll_interval` is only a fallback; the
-//! acceptors are the one polling loop, and they sleep after *every*
-//! failed `accept`, `WouldBlock` or not.
+//! No thread wakes on a timer. The processor, the verdict subscribers
+//! and the idle workers each sleep on a condvar whose condition is
+//! written under its mutex by whoever changes it (an enqueue bumps the
+//! `work` generation, a verdict the `verdicts` one), so no wake-up is
+//! lost. Acceptors block in `accept` and workers in `read`: drain
+//! shuts down each listener, which wakes its `accept` with `EINVAL`
+//! (Linux), and then the read half of every admitted connection. Only
+//! a failing `accept` backs off, by 5 ms.
 //!
 //! ## Backpressure
 //!
@@ -48,7 +49,9 @@
 //! ## Graceful drain
 //!
 //! [`Server::shutdown`] stops the acceptors, lets every in-flight
-//! request finish, answers outstanding verdict subscriptions with
+//! request finish, answers the frames each connection had already sent
+//! (a half-sent one is a torn tail and does not hold the drain),
+//! answers outstanding verdict subscriptions with
 //! `Error { code: Draining }`, stops the processor after its current
 //! build, and joins all threads. Acked-but-unprocessed enqueues stay
 //! in the journal and resume on the next open — zero acked work is
@@ -64,13 +67,14 @@ use sq_core::service::StepAction;
 use sq_core::TicketId;
 use sq_obs::MetricsRegistry;
 use sq_store::Wal;
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::os::fd::OwnedFd;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
@@ -93,8 +97,6 @@ pub struct ServerConfig {
     /// Enqueue admission bound: above this many acked-but-unlanded
     /// changes, `Enqueue` answers `Busy`.
     pub max_queue_depth: usize,
-    /// Read-timeout granularity for shutdown polling.
-    pub poll_interval: Duration,
     /// Run the processor thread that drives
     /// [`DurableSubmitQueue::process_next`]. `false` serves a queue
     /// something else drives (maintenance mode, admission-control
@@ -108,7 +110,6 @@ impl Default for ServerConfig {
         ServerConfig {
             workers: cores.max(2),
             max_queue_depth: 256,
-            poll_interval: Duration::from_millis(20),
             drive_queue: true,
         }
     }
@@ -121,11 +122,20 @@ enum Conn {
 }
 
 impl Conn {
-    fn set_read_timeout(&self, t: Option<Duration>) -> io::Result<()> {
+    fn try_clone(&self) -> io::Result<Conn> {
         match self {
-            Conn::Tcp(s) => s.set_read_timeout(t),
-            Conn::Uds(s) => s.set_read_timeout(t),
+            Conn::Tcp(s) => s.try_clone().map(Conn::Tcp),
+            Conn::Uds(s) => s.try_clone().map(Conn::Uds),
         }
+    }
+
+    /// Wake a worker blocked reading this connection: bytes that have
+    /// already arrived are still read, then EOF.
+    fn shutdown_read(&self) {
+        let _ = match self {
+            Conn::Tcp(s) => s.shutdown(Shutdown::Read),
+            Conn::Uds(s) => s.shutdown(Shutdown::Read),
+        };
     }
 }
 
@@ -158,6 +168,19 @@ impl Write for Conn {
 /// endpoint is bound.
 type Acceptor = Box<dyn Fn() -> io::Result<Conn> + Send>;
 
+/// Admitted connections. Drain joins every acceptor before it shuts
+/// down the registered clones, so no connection `admit` registers can
+/// be missed.
+#[derive(Default)]
+struct Conns {
+    /// Waiting for a free worker, with their admission numbers.
+    waiting: VecDeque<(u64, Conn)>,
+    /// A clone of every connection not yet served to its end, by
+    /// admission number: drain shuts down their read halves.
+    open: HashMap<u64, Conn>,
+    admitted: u64,
+}
+
 struct Shared<W: Wal> {
     queue: DurableSubmitQueue<W>,
     action: Box<StepAction>,
@@ -165,8 +188,8 @@ struct Shared<W: Wal> {
     shutdown: AtomicBool,
     /// Set when the processor hit a store error; enqueues then refuse.
     store_failed: AtomicBool,
-    pending: Mutex<VecDeque<Conn>>,
-    pending_cv: Condvar,
+    conns: Mutex<Conns>,
+    conns_cv: Condvar,
     /// Bumped by the processor after every landed/rejected ticket;
     /// verdict subscribers wait on it instead of busy-polling.
     verdicts: Mutex<u64>,
@@ -192,8 +215,8 @@ impl<W: Wal> Shared<W> {
             cfg,
             shutdown: AtomicBool::new(false),
             store_failed: AtomicBool::new(false),
-            pending: Mutex::new(VecDeque::new()),
-            pending_cv: Condvar::new(),
+            conns: Mutex::default(),
+            conns_cv: Condvar::new(),
             verdicts: Mutex::new(0),
             verdicts_cv: Condvar::new(),
             work: Mutex::new(0),
@@ -213,9 +236,13 @@ impl<W: Wal> Shared<W> {
 /// by `Drop`), so prefer an explicit shutdown.
 pub struct Server<W: Wal + Send + 'static> {
     shared: Arc<Shared<W>>,
+    /// Each acceptor with a descriptor of its listener: drain shuts
+    /// the listener down through it, which wakes a blocked `accept`.
+    acceptors: Vec<(JoinHandle<()>, OwnedFd)>,
     threads: Vec<JoinHandle<()>>,
     tcp_addr: Option<SocketAddr>,
-    uds_path: Option<PathBuf>,
+    /// Every bound UDS path, unlinked on drain.
+    uds_paths: Vec<PathBuf>,
 }
 
 impl<W: Wal + Send + 'static> Server<W> {
@@ -232,27 +259,29 @@ impl<W: Wal + Send + 'static> Server<W> {
     ) -> io::Result<Server<W>> {
         // Bind every endpoint before anything is spawned: a bind that
         // fails then leaves no acceptor running and no socket file behind.
-        let mut acceptors: Vec<Acceptor> = Vec::new();
+        let mut acceptors: Vec<(Acceptor, OwnedFd)> = Vec::new();
         let mut tcp_addr = None;
         let mut uds_paths = Vec::new();
         let bound = endpoints.iter().try_for_each(|ep| -> io::Result<()> {
             match ep {
                 Endpoint::Tcp(addr) => {
                     let listener = TcpListener::bind(addr)?;
-                    listener.set_nonblocking(true)?;
                     tcp_addr = Some(listener.local_addr()?);
-                    acceptors.push(Box::new(move || {
-                        listener.accept().map(|(c, _)| Conn::Tcp(c))
-                    }));
+                    let wake = listener.try_clone()?.into();
+                    acceptors.push((
+                        Box::new(move || listener.accept().map(|(c, _)| Conn::Tcp(c))),
+                        wake,
+                    ));
                 }
                 Endpoint::Uds(path) => {
                     let _ = std::fs::remove_file(path);
                     let listener = UnixListener::bind(path)?;
                     uds_paths.push(path.clone());
-                    listener.set_nonblocking(true)?;
-                    acceptors.push(Box::new(move || {
-                        listener.accept().map(|(c, _)| Conn::Uds(c))
-                    }));
+                    let wake = listener.try_clone()?.into();
+                    acceptors.push((
+                        Box::new(move || listener.accept().map(|(c, _)| Conn::Uds(c))),
+                        wake,
+                    ));
                 }
             }
             Ok(())
@@ -263,15 +292,15 @@ impl<W: Wal + Send + 'static> Server<W> {
             }
             return Err(e);
         }
-        let uds_path = uds_paths.pop();
         let shared = Arc::new(Shared::new(queue, action, cfg.clone()));
-        let mut threads: Vec<JoinHandle<()>> = acceptors
+        let acceptors = acceptors
             .into_iter()
-            .map(|accept| {
+            .map(|(accept, wake)| {
                 let s = Arc::clone(&shared);
-                thread::spawn(move || accept_loop(&s, accept))
+                (thread::spawn(move || accept_loop(&s, accept)), wake)
             })
             .collect();
+        let mut threads = Vec::new();
         for _ in 0..cfg.workers.max(1) {
             let s = Arc::clone(&shared);
             threads.push(thread::spawn(move || worker_loop(&s)));
@@ -282,9 +311,10 @@ impl<W: Wal + Send + 'static> Server<W> {
         }
         Ok(Server {
             shared,
+            acceptors,
             threads,
             tcp_addr,
-            uds_path,
+            uds_paths,
         })
     }
 
@@ -293,9 +323,10 @@ impl<W: Wal + Send + 'static> Server<W> {
         self.tcp_addr
     }
 
-    /// The bound Unix-socket path, when a UDS endpoint was requested.
+    /// The last bound Unix-socket path, when a UDS endpoint was
+    /// requested.
     pub fn uds_path(&self) -> Option<&Path> {
-        self.uds_path.as_deref()
+        self.uds_paths.last().map(PathBuf::as_path)
     }
 
     /// Graceful drain: stop accepting, finish in-flight requests,
@@ -306,7 +337,8 @@ impl<W: Wal + Send + 'static> Server<W> {
     pub fn shutdown(self) -> (DurableSubmitQueue<W>, MetricsRegistry) {
         let shared = Arc::clone(&self.shared);
         // Drop performs the actual drain: sets the flag, wakes every
-        // condvar, joins all threads, unlinks the UDS path.
+        // acceptor, connection and condvar, joins all threads, unlinks
+        // the UDS paths.
         drop(self);
         match Arc::try_unwrap(shared) {
             Ok(s) => (s.queue, s.metrics.into_inner().unwrap()),
@@ -318,10 +350,26 @@ impl<W: Wal + Send + 'static> Server<W> {
 impl<W: Wal + Send + 'static> Drop for Server<W> {
     fn drop(&mut self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
-        // Each waiter reads the flag under its lock: taking that lock
-        // before notifying means none can miss both flag and notify.
-        drop(self.shared.pending.lock());
-        self.shared.pending_cv.notify_all();
+        // On Linux, shutting a listener down makes its `accept` fail
+        // at once (`EINVAL`), even when its path was unlinked or now
+        // names another server's socket. `shutdown(2)` is one call for
+        // any socket; `UnixStream` is only the safe handle exposing it.
+        for (acceptor, wake) in self.acceptors.drain(..) {
+            let _ = UnixStream::from(wake).shutdown(Shutdown::Read);
+            let _ = acceptor.join();
+        }
+        for path in &self.uds_paths {
+            let _ = std::fs::remove_file(path);
+        }
+        // Every acceptor is joined, so no `admit` registers a
+        // connection after this pass. Each waiter reads the flag under
+        // its lock: taking that lock before notifying means none can
+        // miss both flag and notify.
+        let conns = self.shared.conns.lock();
+        for conn in conns.unwrap_or_else(PoisonError::into_inner).open.values() {
+            conn.shutdown_read();
+        }
+        self.shared.conns_cv.notify_all();
         drop(self.shared.work.lock());
         self.shared.work_cv.notify_all();
         drop(self.shared.verdicts.lock());
@@ -329,28 +377,23 @@ impl<W: Wal + Send + 'static> Drop for Server<W> {
         for t in self.threads.drain(..) {
             let _ = t.join();
         }
-        if let Some(path) = &self.uds_path {
-            let _ = std::fs::remove_file(path);
-        }
     }
 }
 
-/// Accept on one non-blocking listener until drain. Any failed
-/// `accept` backs off before the next: `WouldBlock` is the idle case,
-/// and anything else (`EMFILE`, say) may persist, so it is counted and
-/// must not spin either.
+/// How long an acceptor waits after a failed `accept`.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(5);
+
+/// Accept on one blocking listener until drain shuts it down. A
+/// failed `accept` (`EMFILE`, say) may persist, so it is counted and
+/// backs off before the next.
 fn accept_loop<W: Wal>(shared: &Shared<W>, accept: impl Fn() -> io::Result<Conn>) {
-    loop {
+    while !shared.draining() {
         match accept() {
             Ok(conn) => admit(shared, conn),
-            Err(e) => {
-                if shared.draining() {
-                    return;
-                }
-                if e.kind() != io::ErrorKind::WouldBlock {
-                    shared.metrics.lock().unwrap().inc("server.accept_errors");
-                }
-                thread::sleep(shared.cfg.poll_interval.min(Duration::from_millis(5)));
+            Err(_) if shared.draining() => {}
+            Err(_) => {
+                shared.metrics.lock().unwrap().inc("server.accept_errors");
+                thread::sleep(ACCEPT_BACKOFF);
             }
         }
     }
@@ -361,36 +404,39 @@ fn accept_loop<W: Wal>(shared: &Shared<W>, accept: impl Fn() -> io::Result<Conn>
 const MAX_PENDING_CONNS: usize = 64;
 
 /// Hand an accepted connection to the worker pool, or refuse it with
-/// one `Busy` frame when the pending queue is at its bound.
+/// one frame: `Draining` once drain has begun, `Busy` when the waiting
+/// queue is at its bound (or no descriptor is left for the clone drain
+/// needs).
 fn admit<W: Wal>(shared: &Shared<W>, conn: Conn) {
-    // The listener is non-blocking and accepted sockets inherit that
-    // on some platforms; workers want blocking reads with a timeout.
-    let _ = match &conn {
-        Conn::Tcp(s) => s.set_nonblocking(false),
-        Conn::Uds(s) => s.set_nonblocking(false),
-    };
     if shared.draining() {
         refuse(conn, ErrorCode::Draining, "server is draining");
         return;
     }
-    let mut pending = shared.pending.lock().unwrap();
-    if pending.len() >= MAX_PENDING_CONNS {
-        drop(pending);
-        shared.metrics.lock().unwrap().inc("server.conns.refused");
-        let mut conn = conn;
-        let _ = write_frame(
-            &mut conn,
-            &Response::Busy {
-                queue_depth: shared.queue.queue_depth() as u64,
-            }
-            .encode(),
-        );
-        return;
+    let clone = conn.try_clone();
+    let mut conns = shared.conns.lock().unwrap();
+    match clone {
+        Ok(clone) if conns.waiting.len() < MAX_PENDING_CONNS => {
+            let id = conns.admitted;
+            conns.admitted += 1;
+            conns.open.insert(id, clone);
+            conns.waiting.push_back((id, conn));
+            drop(conns);
+            shared.metrics.lock().unwrap().inc("server.conns.accepted");
+            shared.conns_cv.notify_one();
+        }
+        _ => {
+            drop(conns);
+            shared.metrics.lock().unwrap().inc("server.conns.refused");
+            let mut conn = conn;
+            let _ = write_frame(
+                &mut conn,
+                &Response::Busy {
+                    queue_depth: shared.queue.queue_depth() as u64,
+                }
+                .encode(),
+            );
+        }
     }
-    pending.push_back(conn);
-    drop(pending);
-    shared.metrics.lock().unwrap().inc("server.conns.accepted");
-    shared.pending_cv.notify_one();
 }
 
 fn refuse(mut conn: Conn, code: ErrorCode, detail: &str) {
@@ -406,33 +452,28 @@ fn refuse(mut conn: Conn, code: ErrorCode, detail: &str) {
 
 fn worker_loop<W: Wal>(shared: &Shared<W>) {
     loop {
-        let conn = {
-            let mut pending = shared.pending.lock().unwrap();
+        let (id, conn) = {
+            let mut conns = shared.conns.lock().unwrap();
             loop {
-                if let Some(c) = pending.pop_front() {
-                    break Some(c);
+                if let Some(c) = conns.waiting.pop_front() {
+                    break c;
                 }
                 if shared.draining() {
-                    break None;
+                    return;
                 }
-                let (guard, _) = shared
-                    .pending_cv
-                    .wait_timeout(pending, shared.cfg.poll_interval)
-                    .unwrap();
-                pending = guard;
+                conns = shared.conns_cv.wait(conns).unwrap();
             }
         };
-        match conn {
-            Some(c) => serve_conn(shared, c),
-            None => return,
-        }
+        serve_conn(shared, conn);
+        // The clone holds the socket open: the peer sees EOF only once
+        // it is gone too.
+        shared.conns.lock().unwrap().open.remove(&id);
     }
 }
 
 /// Serve one connection to completion: frames are answered strictly in
 /// arrival order, one in flight at a time.
 fn serve_conn<W: Wal>(shared: &Shared<W>, mut conn: Conn) {
-    let _ = conn.set_read_timeout(Some(shared.cfg.poll_interval));
     let mut reader = FrameReader::new(MAX_FRAME_BYTES);
     loop {
         match reader.poll(&mut conn) {
@@ -458,14 +499,6 @@ fn serve_conn<W: Wal>(shared: &Shared<W>, mut conn: Conn) {
                     return;
                 }
                 let _ = conn.flush();
-            }
-            Ok(FramePoll::Idle) => {
-                // Between frames (or mid-frame on a slow peer): drain
-                // closes idle connections; in-flight requests already
-                // finished above.
-                if shared.draining() && reader.buffered() == 0 {
-                    return;
-                }
             }
             Ok(FramePoll::Eof) => return,
             Err(FrameReadError::Frame(e)) => {
@@ -620,11 +653,13 @@ fn subscribe<W: Wal>(shared: &Shared<W>, ticket: u64, timeout_ms: u32) -> Respon
                 return Response::VerdictTimeout { ticket };
             }
         }
-        let (guard, _) = shared
-            .verdicts_cv
-            .wait_timeout(gen, shared.cfg.poll_interval)
-            .unwrap();
-        gen = guard;
+        gen = match deadline {
+            None => shared.verdicts_cv.wait(gen).unwrap(),
+            Some(d) => {
+                let left = d.saturating_duration_since(Instant::now());
+                shared.verdicts_cv.wait_timeout(gen, left).unwrap().0
+            }
+        };
     }
 }
 
@@ -651,24 +686,25 @@ fn processor_loop<W: Wal>(shared: &Shared<W>) {
             }
             Ok(None) => {
                 let work = shared.work.lock().unwrap();
-                let _ = shared
-                    .work_cv
-                    .wait_timeout_while(work, shared.cfg.poll_interval, |work| {
-                        *work == seen && !shared.draining()
-                    })
-                    .unwrap();
+                drop(
+                    shared
+                        .work_cv
+                        .wait_while(work, |work| *work == seen && !shared.draining())
+                        .unwrap(),
+                );
             }
-            Err(e) => {
+            Err(_) => {
+                // Written under `verdicts`, where subscribers read it:
+                // they would otherwise wait forever on a dead processor.
+                let verdicts = shared.verdicts.lock().unwrap();
                 shared.store_failed.store(true, Ordering::SeqCst);
+                drop(verdicts);
+                shared.verdicts_cv.notify_all();
                 shared
                     .metrics
                     .lock()
                     .unwrap()
                     .set_gauge("server.store_failed", 1.0);
-                // Subscribers would otherwise wait forever on a dead
-                // processor.
-                shared.verdicts_cv.notify_all();
-                let _ = e;
                 return;
             }
         }
@@ -683,9 +719,9 @@ mod tests {
     use sq_store::{DurableStoreConfig, MemStorage};
     use sq_vcs::Repository;
 
-    /// `accept` failing with something other than `WouldBlock` for as
-    /// long as it is called (a process out of descriptors): the acceptor
-    /// sleeps between attempts like the idle case, and counts each one.
+    /// `accept` failing for as long as it is called (a process out of
+    /// descriptors): the acceptor sleeps between attempts, and counts
+    /// each one.
     #[test]
     fn a_persistent_accept_error_backs_off_and_is_counted() {
         let repo = Repository::init([("lib/BUILD", "library(name = \"lib\", srcs = [])")]).unwrap();

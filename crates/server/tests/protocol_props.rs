@@ -184,12 +184,8 @@ proptest! {
         let mut rd = ChunkedReader { data: wire, pos: 0, chunk };
         let mut reader = FrameReader::new(MAX_FRAME_BYTES);
         let mut decoded = Vec::new();
-        loop {
-            match reader.poll(&mut rd).expect("clean stream") {
-                FramePoll::Frame(payload) => decoded.push(Request::decode(&payload).unwrap()),
-                FramePoll::Eof => break,
-                FramePoll::Idle => unreachable!("ChunkedReader never times out"),
-            }
+        while let FramePoll::Frame(payload) = reader.poll(&mut rd).expect("clean stream") {
+            decoded.push(Request::decode(&payload).unwrap());
         }
         prop_assert_eq!(decoded, reqs);
     }

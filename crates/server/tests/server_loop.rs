@@ -12,6 +12,7 @@ use sq_server::{Client, Endpoint, ErrorCode, Request, Response, Server, ServerCo
 use sq_store::{DurableStore, DurableStoreConfig, MemStorage};
 use sq_vcs::{Patch, RepoPath, Repository};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::RecvTimeoutError;
 use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
@@ -80,13 +81,6 @@ fn always_pass() -> Box<StepAction> {
     Box::new(|_step, _tree| StepOutcome::Success)
 }
 
-fn fast_config() -> ServerConfig {
-    ServerConfig {
-        poll_interval: Duration::from_millis(5),
-        ..ServerConfig::default()
-    }
-}
-
 fn head_of(client: &mut Client) -> sq_vcs::CommitId {
     match client.call(&Request::Head).unwrap() {
         Response::HeadIs { commit } => commit,
@@ -116,7 +110,7 @@ fn enqueue_subscribe_status_over_tcp() {
     let server = Server::start(
         open_queue(demo_repo(), &storage),
         always_pass(),
-        fast_config(),
+        ServerConfig::default(),
         &[Endpoint::Tcp("127.0.0.1:0".into())],
     )
     .unwrap();
@@ -155,7 +149,7 @@ fn enqueue_lands_over_unix_socket() {
     let server = Server::start(
         open_queue(demo_repo(), &storage),
         always_pass(),
-        fast_config(),
+        ServerConfig::default(),
         &[Endpoint::Uds(path.clone())],
     )
     .unwrap();
@@ -186,7 +180,7 @@ fn admission_control_answers_busy_at_the_queue_bound() {
         ServerConfig {
             max_queue_depth: 2,
             drive_queue: false,
-            ..fast_config()
+            ..ServerConfig::default()
         },
         &[Endpoint::Tcp("127.0.0.1:0".into())],
     )
@@ -227,7 +221,7 @@ fn malformed_frames_are_refused_whole_and_close_the_connection() {
     let server = Server::start(
         open_queue(demo_repo(), &storage),
         always_pass(),
-        fast_config(),
+        ServerConfig::default(),
         &[Endpoint::Tcp("127.0.0.1:0".into())],
     )
     .unwrap();
@@ -275,7 +269,7 @@ fn stats_export_is_idempotent_over_the_wire() {
     let server = Server::start(
         open_queue(demo_repo(), &storage),
         always_pass(),
-        fast_config(),
+        ServerConfig::default(),
         &[Endpoint::Tcp("127.0.0.1:0".into())],
     )
     .unwrap();
@@ -346,7 +340,7 @@ fn graceful_drain_loses_no_acked_enqueues_across_restart() {
             action,
             ServerConfig {
                 drive_queue: pipelined,
-                ..fast_config()
+                ..ServerConfig::default()
             },
             &[Endpoint::Tcp("127.0.0.1:0".into())],
         )
@@ -418,7 +412,7 @@ fn graceful_drain_loses_no_acked_enqueues_across_restart() {
         let server = Server::start(
             recovered,
             always_pass(),
-            fast_config(),
+            ServerConfig::default(),
             &[Endpoint::Tcp("127.0.0.1:0".into())],
         )
         .unwrap();
@@ -462,7 +456,7 @@ fn subscribe_honours_its_timeout_when_nothing_lands() {
         always_pass(),
         ServerConfig {
             drive_queue: false,
-            ..fast_config()
+            ..ServerConfig::default()
         },
         &[Endpoint::Tcp("127.0.0.1:0".into())],
     )
@@ -508,7 +502,7 @@ fn subscribers_learn_of_a_store_failure() {
     let server = Server::start(
         open_queue(demo_repo(), &storage),
         always_pass(),
-        fast_config(),
+        ServerConfig::default(),
         &[Endpoint::Tcp("127.0.0.1:0".into())],
     )
     .unwrap();
@@ -553,23 +547,19 @@ fn subscribers_learn_of_a_store_failure() {
     );
 }
 
-/// With a poll interval of seconds, the only thing that can wake the
-/// idle processor in time is the enqueue itself. Three hundred
-/// enqueue → verdict round trips, one after the other, each finding the
-/// processor idle: had a single enqueue slipped between the processor's
-/// "queue is empty" and its wait, that trip alone would cost a whole
-/// interval. The drain at the end is held to the same standard.
+/// The idle processor waits with no time-out, so the only thing that
+/// can wake it is the enqueue itself. Three hundred enqueue → verdict
+/// round trips, one after the other, each finding the processor idle:
+/// had a single enqueue slipped between the processor's "queue is
+/// empty" and its wait, that trip would never end. The drain at the
+/// end is held to the same standard.
 #[test]
 fn an_enqueue_always_wakes_the_idle_processor() {
-    let interval = Duration::from_secs(4);
     let storage = shared();
     let server = Server::start(
         open_queue(demo_repo(), &storage),
         always_pass(),
-        ServerConfig {
-            poll_interval: interval,
-            ..ServerConfig::default()
-        },
+        ServerConfig::default(),
         &[Endpoint::Tcp("127.0.0.1:0".into())],
     )
     .unwrap();
@@ -594,8 +584,8 @@ fn an_enqueue_always_wakes_the_idle_processor() {
     let (queue, _) = server.shutdown();
     assert_eq!(queue.queue_depth(), 0);
     assert!(
-        started.elapsed() < interval / 2,
-        "300 round trips and a drain took {:?}: something slept out a {interval:?} poll interval",
+        started.elapsed() < Duration::from_secs(2),
+        "300 round trips and a drain took {:?}: something waited for more than a peer",
         started.elapsed()
     );
 }
@@ -613,9 +603,110 @@ fn a_failed_bind_leaves_no_acceptor_holding_the_queue() {
     let started = Server::start(
         open_queue(demo_repo(), &storage),
         always_pass(),
-        fast_config(),
+        ServerConfig::default(),
         &[Endpoint::Tcp("127.0.0.1:0".into()), Endpoint::Uds(missing)],
     );
     assert!(started.is_err());
     assert_eq!(Arc::strong_count(&storage), 1);
+}
+
+/// A peer that sends part of a frame and then stops, on either
+/// transport: drain ends its connection anyway (the part is a torn
+/// tail), so `shutdown` returns. The tail goes out in one write with a
+/// whole `Head` frame, so the `Head` reply shows the server has read it.
+#[test]
+fn a_half_sent_frame_does_not_hold_the_drain() {
+    let path = std::env::temp_dir().join(format!("sq-server-half-{}.sock", std::process::id()));
+    for endpoint in [
+        Endpoint::Tcp("127.0.0.1:0".into()),
+        Endpoint::Uds(path.clone()),
+    ] {
+        let storage = shared();
+        let server = Server::start(
+            open_queue(demo_repo(), &storage),
+            always_pass(),
+            ServerConfig::default(),
+            std::slice::from_ref(&endpoint),
+        )
+        .unwrap();
+        let mut client = match &endpoint {
+            Endpoint::Tcp(_) => Client::connect_tcp(server.tcp_addr().unwrap()),
+            Endpoint::Uds(path) => Client::connect_uds(path),
+        }
+        .unwrap();
+        let mut bytes = encode_frame(&Request::Head.encode());
+        bytes.extend_from_slice(&encode_frame(&Request::Stats.encode())[..3]);
+        client.send_raw(&bytes).unwrap();
+        assert!(matches!(client.recv().unwrap(), Response::HeadIs { .. }));
+        drains_within_10s(server, &format!("a half-sent frame on {endpoint:?}"));
+    }
+}
+
+/// Run `shutdown` on its own thread and fail, not hang, if it has not
+/// returned within 10 s.
+fn drains_within_10s(server: Server<DurableStore<Shared>>, held_by: &str) {
+    let (drained, done) = std::sync::mpsc::channel();
+    let drain = thread::spawn(move || {
+        server.shutdown();
+        let _ = drained.send(());
+    });
+    if let Err(RecvTimeoutError::Timeout) = done.recv_timeout(Duration::from_secs(10)) {
+        panic!("{held_by} held the drain for 10 s");
+    }
+    drain.join().expect("shutdown panicked");
+}
+
+/// Drain wakes an acceptor through its listener, not its path: a
+/// socket file unlinked while the server runs does not hold the drain.
+#[test]
+fn an_unlinked_socket_path_does_not_hold_the_drain() {
+    let path = std::env::temp_dir().join(format!("sq-server-gone-{}.sock", std::process::id()));
+    let storage = shared();
+    let server = Server::start(
+        open_queue(demo_repo(), &storage),
+        always_pass(),
+        ServerConfig::default(),
+        &[Endpoint::Uds(path.clone())],
+    )
+    .unwrap();
+    let mut client = Client::connect_uds(&path).unwrap();
+    assert!(matches!(
+        client.call(&Request::Head).unwrap(),
+        Response::HeadIs { .. }
+    ));
+    std::fs::remove_file(&path).unwrap();
+    drains_within_10s(server, "an unlinked socket path");
+}
+
+/// `start` unlinks and rebinds a path another server holds. Draining the
+/// first server must not depend on the path reaching it, and neither
+/// server's drain holds the other's.
+#[test]
+fn a_second_server_on_the_same_path_does_not_hold_the_first_drain() {
+    let path = std::env::temp_dir().join(format!("sq-server-twice-{}.sock", std::process::id()));
+    let (first_storage, second_storage) = (shared(), shared());
+    let start = |storage| {
+        Server::start(
+            open_queue(demo_repo(), storage),
+            always_pass(),
+            ServerConfig::default(),
+            &[Endpoint::Uds(path.clone())],
+        )
+        .unwrap()
+    };
+    let first = start(&first_storage);
+    let second = start(&second_storage);
+    let mut client = Client::connect_uds(&path).unwrap();
+    drains_within_10s(first, "a second server on the same path");
+    assert!(
+        matches!(
+            client.call(&Request::Head).unwrap(),
+            Response::HeadIs { .. }
+        ),
+        "the second server's connection outlives the first server's drain"
+    );
+    drop(client);
+    drains_within_10s(second, "the first server's drained listener");
+    assert_eq!(Arc::strong_count(&first_storage), 1);
+    assert_eq!(Arc::strong_count(&second_storage), 1);
 }

@@ -12,7 +12,6 @@ use sq_server::{Client, Endpoint, Request, Response, Server, ServerConfig};
 use sq_store::{DurableStore, DurableStoreConfig, MemStorage};
 use sq_vcs::{FileOp, Patch, RepoPath, Repository};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
 
 type Shared = Arc<Mutex<MemStorage>>;
 type Queue = DurableSubmitQueue<DurableStore<Shared>>;
@@ -101,7 +100,6 @@ fn stats_surface_per_shard_queue_depth_over_the_wire() {
         open_queue(demo_repo(), &storage),
         always_pass(),
         ServerConfig {
-            poll_interval: Duration::from_millis(5),
             drive_queue: false,
             ..ServerConfig::default()
         },
@@ -162,10 +160,7 @@ fn drained_shards_re_export_as_zero_not_stale_depths() {
     let server = Server::start(
         open_queue(demo_repo(), &storage),
         always_pass(),
-        ServerConfig {
-            poll_interval: Duration::from_millis(5),
-            ..ServerConfig::default()
-        },
+        ServerConfig::default(),
         &[Endpoint::Tcp("127.0.0.1:0".into())],
     )
     .unwrap();

@@ -267,7 +267,6 @@ impl<S: Storage> Follower<S> {
     fn persist_epoch(&mut self, epoch: u64) -> Result<(), StoreError> {
         let bytes = encode_meta(epoch);
         self.store.storage.write_atomic(META_FILE, &bytes)?;
-        self.store.storage.sync(META_FILE)?;
         self.epoch = epoch;
         Ok(())
     }
@@ -445,7 +444,6 @@ impl<S: Storage + Clone> Leader<S> {
             None => {
                 let bytes = encode_meta(1);
                 local.storage.write_atomic(META_FILE, &bytes)?;
-                local.storage.sync(META_FILE)?;
                 1
             }
         };

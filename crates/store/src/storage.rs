@@ -120,8 +120,9 @@ pub trait Storage {
     fn append(&mut self, name: &str, bytes: &[u8]) -> Result<(), StoreError>;
     /// Truncate `name` to `len` bytes (no-op if already shorter).
     fn truncate(&mut self, name: &str, len: u64) -> Result<(), StoreError>;
-    /// Replace `name` with `bytes` atomically: afterwards the file holds
-    /// either the old contents or the new, never a mixture.
+    /// Replace `name` with `bytes` atomically and durably: a crash
+    /// leaves the old contents or the new, never a mixture, and once
+    /// this returns, the new. No `sync` need follow.
     fn write_atomic(&mut self, name: &str, bytes: &[u8]) -> Result<(), StoreError>;
     /// Delete `name` (no-op if it does not exist). Removal is atomic:
     /// after a crash the file is either fully present or fully gone.
@@ -203,11 +204,14 @@ impl Storage for FsStorage {
         Ok(())
     }
 
+    /// The bytes are synced before the rename, and the directory after
+    /// it: that second sync is what makes the rename itself durable.
     fn write_atomic(&mut self, name: &str, bytes: &[u8]) -> Result<(), StoreError> {
         let tmp = self.path(&format!("{name}.tmp"));
         std::fs::write(&tmp, bytes)?;
         std::fs::File::open(&tmp)?.sync_all()?;
         std::fs::rename(&tmp, self.path(name))?;
+        std::fs::File::open(&self.root)?.sync_all()?;
         Ok(())
     }
 

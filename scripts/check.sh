@@ -194,12 +194,16 @@ if [[ "$quick" == 1 ]]; then
   exit 0
 fi
 
-# The executor parks its idle workers on a condvar, so a lost wake-up is
-# a test that never returns. This row runs before the workspace tests
-# (which run the same suite again, untimed) and under `timeout`: a red
-# row within minutes instead of a hung job.
+# The executor parks its idle workers on a condvar, and no sq-server
+# thread waits with a time-out (acceptors block in `accept`, connection
+# workers in `read`, the processor on its condvar), so in either crate a
+# lost wake-up is a test that never returns. These rows run before the
+# workspace tests (which run the same suites again, untimed) and under
+# `timeout`: a red row within minutes instead of a hung job.
 step "timeout 300 cargo test --release -p sq-exec (a lost wake-up fails here, never hangs)" \
   timeout 300 cargo test --release -p sq-exec
+step "timeout 300 cargo test --release -p sq-server (a lost wake-up fails here, never hangs)" \
+  timeout 300 cargo test --release -p sq-server
 
 # The workspace run already covers the root package (unit, integration
 # including chaos_recovery, property and doc tests) — running
