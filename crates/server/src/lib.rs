@@ -9,7 +9,7 @@
 //!   (`Enqueue`, `Status`, `SubscribeVerdict`, `Stats`, `Head`),
 //!   reusing the journal's codec and checksum so a frame arrives
 //!   exactly as framed or is refused whole.
-//! * [`server`] — the thread-per-core request loop over TCP and
+//! * [`server`] — the thread-per-connection request loop over TCP and
 //!   Unix-domain listeners: bounded backpressure with explicit `Busy`
 //!   replies, journal-before-ack enqueues, graceful drain that loses
 //!   zero acked work across a restart.

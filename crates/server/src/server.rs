@@ -1,35 +1,35 @@
 //! The request loop: accept connections on TCP and Unix-domain
-//! listeners, serve framed requests from a fixed worker pool, and land
-//! changes through a background processor thread.
+//! listeners, serve each admitted connection on a thread of its own,
+//! and land changes through a background processor thread.
 //!
 //! ## Threading model
 //!
 //! No async runtime (the build is fully vendored, so no tokio): the
-//! server runs `workers` connection threads — defaulting to one per
-//! core with a floor of two — plus one acceptor thread per listener
-//! and one processor thread that drives
-//! [`DurableSubmitQueue::process_next`]. A connection occupies one
-//! worker for its lifetime; concurrency is bounded by the pool size,
-//! which is the point — the paper's queue is the throughput governor,
-//! not the socket layer.
+//! server runs one acceptor thread per listener, one processor thread
+//! that drives [`DurableSubmitQueue::process_next`], and one thread per
+//! admitted connection, spawned by its acceptor in a `thread::scope`
+//! that joins it. A connection that sends nothing holds only its own
+//! thread, so it cannot keep another from being answered; at most
+//! `MAX_CONNS` are open at once. The paper's queue, not the socket
+//! layer, is the throughput governor.
 //!
-//! No thread wakes on a timer. The processor, the verdict subscribers
-//! and the idle workers each sleep on a condvar whose condition is
-//! written under its mutex by whoever changes it (an enqueue bumps the
-//! `work` generation, a verdict the `verdicts` one), so no wake-up is
-//! lost. Acceptors block in `accept` and workers in `read`: drain
-//! shuts down each listener, which wakes its `accept` with `EINVAL`
-//! (Linux), and then the read half of every admitted connection. Only
-//! a failing `accept` backs off, by 5 ms.
+//! No thread wakes on a timer. The processor and the verdict
+//! subscribers each sleep on a condvar whose condition is written
+//! under its mutex by whoever changes it (an enqueue bumps the `work`
+//! generation, a verdict the `verdicts` one), so no wake-up is lost.
+//! Acceptors block in `accept` and connections in `read`: drain shuts
+//! down each listener, which wakes its `accept` with `EINVAL` (Linux),
+//! and then the read half of every admitted connection. Only a failing
+//! `accept` backs off, by 5 ms.
 //!
 //! ## Backpressure
 //!
 //! Bounded at three layers, each with an explicit refusal instead of
 //! unbounded buffering:
 //!
-//! * **accept**: at most `MAX_PENDING_CONNS` connections may wait for a
-//!   free worker; beyond that the acceptor writes one `Busy` frame and
-//!   closes the socket.
+//! * **accept**: at most `MAX_CONNS` connections are open at once;
+//!   beyond that (or when no thread or descriptor is left for one) the
+//!   acceptor writes one `Busy` frame and closes the socket.
 //! * **per connection**: one in-flight request at a time — pipelined
 //!   frames wait in the reader buffer and are answered in order, so
 //!   frame boundaries and reply order are preserved exactly.
@@ -67,15 +67,16 @@ use sq_core::service::StepAction;
 use sq_core::TicketId;
 use sq_obs::MetricsRegistry;
 use sq_store::Wal;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::os::fd::OwnedFd;
+use std::os::unix::fs::MetadataExt;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
-use std::thread::{self, JoinHandle};
+use std::thread::{self, JoinHandle, Scope};
 use std::time::{Duration, Instant};
 
 /// Where the server listens.
@@ -83,17 +84,14 @@ use std::time::{Duration, Instant};
 pub enum Endpoint {
     /// A TCP address, e.g. `127.0.0.1:0` (0 = ephemeral port).
     Tcp(String),
-    /// A Unix-domain socket path (unlinked before bind and on drain).
+    /// A Unix-domain socket path (unlinked before bind, and on drain
+    /// while it still names the socket this server bound).
     Uds(PathBuf),
 }
 
 /// Tunables for the request loop.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Connection worker threads. Defaults to one per core with a
-    /// floor of two so a single-core host still overlaps a slow
-    /// subscriber with an active submitter.
-    pub workers: usize,
     /// Enqueue admission bound: above this many acked-but-unlanded
     /// changes, `Enqueue` answers `Busy`.
     pub max_queue_depth: usize,
@@ -106,9 +104,7 @@ pub struct ServerConfig {
 
 impl Default for ServerConfig {
     fn default() -> Self {
-        let cores = thread::available_parallelism().map_or(1, |n| n.get());
         ServerConfig {
-            workers: cores.max(2),
             max_queue_depth: 256,
             drive_queue: true,
         }
@@ -168,13 +164,11 @@ impl Write for Conn {
 /// endpoint is bound.
 type Acceptor = Box<dyn Fn() -> io::Result<Conn> + Send>;
 
-/// Admitted connections. Drain joins every acceptor before it shuts
-/// down the registered clones, so no connection `admit` registers can
-/// be missed.
+/// Open connections. `admit` reads the drain flag under this lock and
+/// drain shuts the registered clones down under it, so every
+/// connection is either refused as draining or shut down by drain.
 #[derive(Default)]
 struct Conns {
-    /// Waiting for a free worker, with their admission numbers.
-    waiting: VecDeque<(u64, Conn)>,
     /// A clone of every connection not yet served to its end, by
     /// admission number: drain shuts down their read halves.
     open: HashMap<u64, Conn>,
@@ -189,7 +183,6 @@ struct Shared<W: Wal> {
     /// Set when the processor hit a store error; enqueues then refuse.
     store_failed: AtomicBool,
     conns: Mutex<Conns>,
-    conns_cv: Condvar,
     /// Bumped by the processor after every landed/rejected ticket;
     /// verdict subscribers wait on it instead of busy-polling.
     verdicts: Mutex<u64>,
@@ -216,7 +209,6 @@ impl<W: Wal> Shared<W> {
             shutdown: AtomicBool::new(false),
             store_failed: AtomicBool::new(false),
             conns: Mutex::default(),
-            conns_cv: Condvar::new(),
             verdicts: Mutex::new(0),
             verdicts_cv: Condvar::new(),
             work: Mutex::new(0),
@@ -231,22 +223,42 @@ impl<W: Wal> Shared<W> {
     }
 }
 
+/// The device and inode of the file at `path`, not following a symlink.
+fn file_id(path: &Path) -> Option<(u64, u64)> {
+    std::fs::symlink_metadata(path)
+        .ok()
+        .map(|m| (m.dev(), m.ino()))
+}
+
+/// Unlink a socket file this server bound (`id` as recorded after its
+/// `bind`), but not one a later server bound at the same path after
+/// unlinking ours. A server that rebinds the path between the check
+/// and the unlink still loses it: that window remains.
+fn unlink_own(path: &Path, id: Option<(u64, u64)>) {
+    if file_id(path) == id {
+        let _ = std::fs::remove_file(path);
+    }
+}
+
 /// A running server. Dropping without [`Server::shutdown`] aborts the
 /// threads less gracefully (they still exit on the shutdown flag set
 /// by `Drop`), so prefer an explicit shutdown.
 pub struct Server<W: Wal + Send + 'static> {
     shared: Arc<Shared<W>>,
-    /// Each acceptor with a descriptor of its listener: drain shuts
-    /// the listener down through it, which wakes a blocked `accept`.
-    acceptors: Vec<(JoinHandle<()>, OwnedFd)>,
-    threads: Vec<JoinHandle<()>>,
+    /// Each acceptor joins the connections it admitted before it ends.
+    acceptors: Vec<JoinHandle<()>>,
+    /// A descriptor of each listener: drain shuts the listener down
+    /// through it, which wakes a blocked `accept`.
+    listeners: Vec<OwnedFd>,
+    processor: Option<JoinHandle<()>>,
     tcp_addr: Option<SocketAddr>,
-    /// Every bound UDS path, unlinked on drain.
-    uds_paths: Vec<PathBuf>,
+    /// Every bound UDS path, with the socket file's device and inode.
+    uds_paths: Vec<(PathBuf, Option<(u64, u64)>)>,
 }
 
 impl<W: Wal + Send + 'static> Server<W> {
-    /// Bind every endpoint, spawn the thread pool, and serve.
+    /// Bind every endpoint, spawn the acceptors and the processor, and
+    /// serve.
     ///
     /// `action` is the build-step oracle handed to
     /// [`DurableSubmitQueue::process_next`] — tests pass a stub, a real
@@ -259,7 +271,8 @@ impl<W: Wal + Send + 'static> Server<W> {
     ) -> io::Result<Server<W>> {
         // Bind every endpoint before anything is spawned: a bind that
         // fails then leaves no acceptor running and no socket file behind.
-        let mut acceptors: Vec<(Acceptor, OwnedFd)> = Vec::new();
+        let mut accepts: Vec<Acceptor> = Vec::new();
+        let mut listeners = Vec::new();
         let mut tcp_addr = None;
         let mut uds_paths = Vec::new();
         let bound = endpoints.iter().try_for_each(|ep| -> io::Result<()> {
@@ -267,52 +280,46 @@ impl<W: Wal + Send + 'static> Server<W> {
                 Endpoint::Tcp(addr) => {
                     let listener = TcpListener::bind(addr)?;
                     tcp_addr = Some(listener.local_addr()?);
-                    let wake = listener.try_clone()?.into();
-                    acceptors.push((
-                        Box::new(move || listener.accept().map(|(c, _)| Conn::Tcp(c))),
-                        wake,
-                    ));
+                    listeners.push(listener.try_clone()?.into());
+                    accepts.push(Box::new(move || {
+                        listener.accept().map(|(c, _)| Conn::Tcp(c))
+                    }));
                 }
                 Endpoint::Uds(path) => {
                     let _ = std::fs::remove_file(path);
                     let listener = UnixListener::bind(path)?;
-                    uds_paths.push(path.clone());
-                    let wake = listener.try_clone()?.into();
-                    acceptors.push((
-                        Box::new(move || listener.accept().map(|(c, _)| Conn::Uds(c))),
-                        wake,
-                    ));
+                    uds_paths.push((path.clone(), file_id(path)));
+                    listeners.push(listener.try_clone()?.into());
+                    accepts.push(Box::new(move || {
+                        listener.accept().map(|(c, _)| Conn::Uds(c))
+                    }));
                 }
             }
             Ok(())
         });
         if let Err(e) = bound {
-            for path in &uds_paths {
-                let _ = std::fs::remove_file(path);
+            for (path, id) in &uds_paths {
+                unlink_own(path, *id);
             }
             return Err(e);
         }
-        let shared = Arc::new(Shared::new(queue, action, cfg.clone()));
-        let acceptors = acceptors
+        let shared = Arc::new(Shared::new(queue, action, cfg));
+        let acceptors = accepts
             .into_iter()
-            .map(|(accept, wake)| {
+            .map(|accept| {
                 let s = Arc::clone(&shared);
-                (thread::spawn(move || accept_loop(&s, accept)), wake)
+                thread::spawn(move || accept_loop(&s, accept))
             })
             .collect();
-        let mut threads = Vec::new();
-        for _ in 0..cfg.workers.max(1) {
+        let processor = shared.cfg.drive_queue.then(|| {
             let s = Arc::clone(&shared);
-            threads.push(thread::spawn(move || worker_loop(&s)));
-        }
-        if cfg.drive_queue {
-            let s = Arc::clone(&shared);
-            threads.push(thread::spawn(move || processor_loop(&s)));
-        }
+            thread::spawn(move || processor_loop(&s))
+        });
         Ok(Server {
             shared,
             acceptors,
-            threads,
+            listeners,
+            processor,
             tcp_addr,
             uds_paths,
         })
@@ -326,7 +333,7 @@ impl<W: Wal + Send + 'static> Server<W> {
     /// The last bound Unix-socket path, when a UDS endpoint was
     /// requested.
     pub fn uds_path(&self) -> Option<&Path> {
-        self.uds_paths.last().map(PathBuf::as_path)
+        self.uds_paths.last().map(|(path, _)| path.as_path())
     }
 
     /// Graceful drain: stop accepting, finish in-flight requests,
@@ -354,28 +361,30 @@ impl<W: Wal + Send + 'static> Drop for Server<W> {
         // at once (`EINVAL`), even when its path was unlinked or now
         // names another server's socket. `shutdown(2)` is one call for
         // any socket; `UnixStream` is only the safe handle exposing it.
-        for (acceptor, wake) in self.acceptors.drain(..) {
-            let _ = UnixStream::from(wake).shutdown(Shutdown::Read);
-            let _ = acceptor.join();
+        for listener in self.listeners.drain(..) {
+            let _ = UnixStream::from(listener).shutdown(Shutdown::Read);
         }
-        for path in &self.uds_paths {
-            let _ = std::fs::remove_file(path);
-        }
-        // Every acceptor is joined, so no `admit` registers a
-        // connection after this pass. Each waiter reads the flag under
-        // its lock: taking that lock before notifying means none can
-        // miss both flag and notify.
+        // `admit` reads the flag under this lock: a connection it
+        // registered before this pass is shut down here, and one it
+        // sees after is refused. Each condvar waiter reads the flag
+        // under its lock: taking that lock before notifying means none
+        // can miss both flag and notify.
         let conns = self.shared.conns.lock();
         for conn in conns.unwrap_or_else(PoisonError::into_inner).open.values() {
             conn.shutdown_read();
         }
-        self.shared.conns_cv.notify_all();
         drop(self.shared.work.lock());
         self.shared.work_cv.notify_all();
         drop(self.shared.verdicts.lock());
         self.shared.verdicts_cv.notify_all();
-        for t in self.threads.drain(..) {
-            let _ = t.join();
+        for acceptor in self.acceptors.drain(..) {
+            let _ = acceptor.join();
+        }
+        for (path, id) in &self.uds_paths {
+            unlink_own(path, *id);
+        }
+        if let Some(processor) = self.processor.take() {
+            let _ = processor.join();
         }
     }
 }
@@ -383,91 +392,83 @@ impl<W: Wal + Send + 'static> Drop for Server<W> {
 /// How long an acceptor waits after a failed `accept`.
 const ACCEPT_BACKOFF: Duration = Duration::from_millis(5);
 
-/// Accept on one blocking listener until drain shuts it down. A
-/// failed `accept` (`EMFILE`, say) may persist, so it is counted and
-/// backs off before the next.
-fn accept_loop<W: Wal>(shared: &Shared<W>, accept: impl Fn() -> io::Result<Conn>) {
-    while !shared.draining() {
-        match accept() {
-            Ok(conn) => admit(shared, conn),
-            Err(_) if shared.draining() => {}
-            Err(_) => {
-                shared.metrics.lock().unwrap().inc("server.accept_errors");
-                thread::sleep(ACCEPT_BACKOFF);
+/// Accept on one blocking listener until drain shuts it down, then
+/// join every connection admitted here. A failed `accept` (`EMFILE`,
+/// say) may persist, so it is counted and backs off before the next.
+fn accept_loop<W: Wal + Send>(shared: &Shared<W>, accept: impl Fn() -> io::Result<Conn>) {
+    thread::scope(|scope| {
+        while !shared.draining() {
+            match accept() {
+                Ok(conn) => admit(shared, scope, conn),
+                Err(_) if shared.draining() => {}
+                Err(_) => {
+                    shared.metrics.lock().unwrap().inc("server.accept_errors");
+                    thread::sleep(ACCEPT_BACKOFF);
+                }
             }
         }
-    }
+    });
 }
 
-/// Accepted connections allowed to wait for a free worker before the
-/// acceptor answers `Busy` and closes.
-const MAX_PENDING_CONNS: usize = 64;
+/// Connections open at once; the acceptor answers one more `Busy` and
+/// closes it.
+const MAX_CONNS: usize = 64;
 
-/// Hand an accepted connection to the worker pool, or refuse it with
-/// one frame: `Draining` once drain has begun, `Busy` when the waiting
-/// queue is at its bound (or no descriptor is left for the clone drain
-/// needs).
-fn admit<W: Wal>(shared: &Shared<W>, conn: Conn) {
-    if shared.draining() {
-        refuse(conn, ErrorCode::Draining, "server is draining");
-        return;
-    }
+/// Serve an accepted connection on a thread of its own in `scope`, or
+/// refuse it with one frame: `Draining` once drain has begun, `Busy`
+/// when `MAX_CONNS` are open or no thread or descriptor is left for it.
+fn admit<'scope, W: Wal + Send>(
+    shared: &'scope Shared<W>,
+    scope: &'scope Scope<'scope, '_>,
+    conn: Conn,
+) {
     let clone = conn.try_clone();
     let mut conns = shared.conns.lock().unwrap();
-    match clone {
-        Ok(clone) if conns.waiting.len() < MAX_PENDING_CONNS => {
-            let id = conns.admitted;
-            conns.admitted += 1;
-            conns.open.insert(id, clone);
-            conns.waiting.push_back((id, conn));
-            drop(conns);
-            shared.metrics.lock().unwrap().inc("server.conns.accepted");
-            shared.conns_cv.notify_one();
-        }
-        _ => {
-            drop(conns);
-            shared.metrics.lock().unwrap().inc("server.conns.refused");
-            let mut conn = conn;
-            let _ = write_frame(
-                &mut conn,
-                &Response::Busy {
-                    queue_depth: shared.queue.queue_depth() as u64,
-                }
-                .encode(),
-            );
-        }
+    if shared.draining() {
+        drop(conns);
+        return refuse(conn, error(ErrorCode::Draining, "server is draining"));
     }
-}
-
-fn refuse(mut conn: Conn, code: ErrorCode, detail: &str) {
-    let _ = write_frame(
-        &mut conn,
-        &Response::Error {
-            code,
-            detail: detail.to_string(),
-        }
-        .encode(),
-    );
-}
-
-fn worker_loop<W: Wal>(shared: &Shared<W>) {
-    loop {
-        let (id, conn) = {
-            let mut conns = shared.conns.lock().unwrap();
-            loop {
-                if let Some(c) = conns.waiting.pop_front() {
-                    break c;
-                }
-                if shared.draining() {
-                    return;
-                }
-                conns = shared.conns_cv.wait(conns).unwrap();
-            }
-        };
+    let (Ok(clone), true) = (clone, conns.open.len() < MAX_CONNS) else {
+        drop(conns);
+        return busy(shared, conn);
+    };
+    let id = conns.admitted;
+    let serve = move || {
         serve_conn(shared, conn);
         // The clone holds the socket open: the peer sees EOF only once
         // it is gone too.
         shared.conns.lock().unwrap().open.remove(&id);
+    };
+    // Spawned under the lock, so the thread cannot remove its clone
+    // before it is registered. A failed spawn dropped `conn`; its
+    // clone answers.
+    if thread::Builder::new().spawn_scoped(scope, serve).is_err() {
+        drop(conns);
+        return busy(shared, clone);
+    }
+    conns.admitted += 1;
+    conns.open.insert(id, clone);
+    drop(conns);
+    shared.metrics.lock().unwrap().inc("server.conns.accepted");
+}
+
+/// Count a refused connection and answer it `Busy`.
+fn busy<W: Wal>(shared: &Shared<W>, conn: Conn) {
+    shared.metrics.lock().unwrap().inc("server.conns.refused");
+    let queue_depth = shared.queue.queue_depth() as u64;
+    refuse(conn, Response::Busy { queue_depth });
+}
+
+/// Answer with one last frame and close.
+fn refuse(mut conn: Conn, reply: Response) {
+    let _ = write_frame(&mut conn, &reply.encode());
+}
+
+/// An `Error` reply.
+fn error(code: ErrorCode, detail: impl ToString) -> Response {
+    Response::Error {
+        code,
+        detail: detail.to_string(),
     }
 }
 
@@ -484,15 +485,7 @@ fn serve_conn<W: Wal>(shared: &Shared<W>, mut conn: Conn) {
                         // Refused whole; the stream is no longer
                         // trustworthy, so answer and hang up.
                         shared.metrics.lock().unwrap().inc("server.frames.refused");
-                        let _ = write_frame(
-                            &mut conn,
-                            &Response::Error {
-                                code: ErrorCode::Malformed,
-                                detail: e.to_string(),
-                            }
-                            .encode(),
-                        );
-                        return;
+                        return refuse(conn, error(ErrorCode::Malformed, e));
                     }
                 };
                 if write_frame(&mut conn, &reply.encode()).is_err() {
@@ -507,15 +500,7 @@ fn serve_conn<W: Wal>(shared: &Shared<W>, mut conn: Conn) {
                     crate::protocol::FrameError::TooLarge { .. } => ErrorCode::TooLarge,
                     crate::protocol::FrameError::Corrupt { .. } => ErrorCode::Malformed,
                 };
-                let _ = write_frame(
-                    &mut conn,
-                    &Response::Error {
-                        code,
-                        detail: e.to_string(),
-                    }
-                    .encode(),
-                );
-                return;
+                return refuse(conn, error(code, e));
             }
             Err(FrameReadError::Io(_)) => return,
         }
@@ -536,16 +521,13 @@ fn handle<W: Wal>(shared: &Shared<W>, req: Request) -> Response {
                 .unwrap()
                 .inc("server.requests.enqueue");
             if shared.draining() {
-                return Response::Error {
-                    code: ErrorCode::Draining,
-                    detail: "server is draining".into(),
-                };
+                return error(ErrorCode::Draining, "server is draining");
             }
             if shared.store_failed.load(Ordering::SeqCst) {
-                return Response::Error {
-                    code: ErrorCode::Store,
-                    detail: "durable store previously failed; restart required".into(),
-                };
+                return error(
+                    ErrorCode::Store,
+                    "durable store previously failed; restart required",
+                );
             }
             let depth = shared.queue.queue_depth();
             if depth >= shared.cfg.max_queue_depth {
@@ -563,10 +545,7 @@ fn handle<W: Wal>(shared: &Shared<W>, req: Request) -> Response {
                     shared.work_cv.notify_one();
                     crate::protocol::enqueued(ticket)
                 }
-                Err(e) => Response::Error {
-                    code: ErrorCode::for_store_error(&e),
-                    detail: e.to_string(),
-                },
+                Err(e) => error(ErrorCode::for_store_error(&e), e),
             }
         }
         Request::Status { ticket } => {
@@ -637,16 +616,13 @@ fn subscribe<W: Wal>(shared: &Shared<W>, ticket: u64, timeout_ms: u32) -> Respon
             Some(_) => {}
         }
         if shared.draining() {
-            return Response::Error {
-                code: ErrorCode::Draining,
-                detail: "server draining before verdict".into(),
-            };
+            return error(ErrorCode::Draining, "server draining before verdict");
         }
         if shared.store_failed.load(Ordering::SeqCst) {
-            return Response::Error {
-                code: ErrorCode::Store,
-                detail: "durable store failed before verdict; restart required".into(),
-            };
+            return error(
+                ErrorCode::Store,
+                "durable store failed before verdict; restart required",
+            );
         }
         if let Some(d) = deadline {
             if Instant::now() >= d {
@@ -716,14 +692,11 @@ mod tests {
     use super::*;
     use sq_core::RecoveryConfig;
     use sq_exec::StepOutcome;
-    use sq_store::{DurableStoreConfig, MemStorage};
+    use sq_store::{DurableStore, DurableStoreConfig, MemStorage};
     use sq_vcs::Repository;
 
-    /// `accept` failing for as long as it is called (a process out of
-    /// descriptors): the acceptor sleeps between attempts, and counts
-    /// each one.
-    #[test]
-    fn a_persistent_accept_error_backs_off_and_is_counted() {
+    /// Server state over an in-memory journal, with no thread running.
+    fn idle_shared() -> Shared<DurableStore<Arc<Mutex<MemStorage>>>> {
         let repo = Repository::init([("lib/BUILD", "library(name = \"lib\", srcs = [])")]).unwrap();
         let queue = DurableSubmitQueue::open(
             repo,
@@ -735,11 +708,19 @@ mod tests {
             },
         )
         .unwrap();
-        let shared = Shared::new(
+        Shared::new(
             queue,
             Box::new(|_, _| StepOutcome::Success),
             ServerConfig::default(),
-        );
+        )
+    }
+
+    /// `accept` failing for as long as it is called (a process out of
+    /// descriptors): the acceptor sleeps between attempts, and counts
+    /// each one.
+    #[test]
+    fn a_persistent_accept_error_backs_off_and_is_counted() {
+        let shared = idle_shared();
         const EMFILE: i32 = 24;
         let started = Instant::now();
         thread::scope(|scope| {
@@ -757,5 +738,32 @@ mod tests {
             (1..=at_most).contains(&errors),
             "{errors} accept attempts, at most {at_most} fit a 5 ms back-off"
         );
+    }
+
+    /// With `MAX_CONNS` connections open, the next one is answered with
+    /// one `Busy` frame, counted, and closed; it gets no thread.
+    #[test]
+    fn the_connection_past_the_bound_gets_busy() {
+        let shared = idle_shared();
+        {
+            let mut conns = shared.conns.lock().unwrap();
+            for id in 0..MAX_CONNS as u64 {
+                let (open, _peer) = UnixStream::pair().unwrap();
+                conns.open.insert(id, Conn::Uds(open));
+            }
+        }
+        let (conn, mut peer) = UnixStream::pair().unwrap();
+        thread::scope(|scope| admit(&shared, scope, Conn::Uds(conn)));
+        match FrameReader::new(MAX_FRAME_BYTES).poll(&mut peer) {
+            Ok(FramePoll::Frame(payload)) => assert!(matches!(
+                Response::decode(&payload),
+                Ok(Response::Busy { .. })
+            )),
+            other => panic!("expected one Busy frame, got {other:?}"),
+        }
+        let metrics = shared.metrics.lock().unwrap();
+        assert_eq!(metrics.counter("server.conns.refused"), 1);
+        assert_eq!(metrics.counter("server.conns.accepted"), 0);
+        assert_eq!(shared.conns.lock().unwrap().open.len(), MAX_CONNS);
     }
 }

@@ -54,8 +54,8 @@ fn an_idle_server_sleeps() {
         &[Endpoint::Tcp("127.0.0.1:0".into()), Endpoint::Uds(path)],
     )
     .unwrap();
-    // A round trip on each connection: when the window opens, a worker
-    // is blocked reading each one.
+    // A round trip on each connection: when the window opens, each
+    // connection's thread is blocked reading it.
     let mut tcp = Client::connect_tcp(server.tcp_addr().unwrap()).unwrap();
     let mut uds = Client::connect_uds(server.uds_path().unwrap()).unwrap();
     for client in [&mut tcp, &mut uds] {

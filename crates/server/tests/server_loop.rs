@@ -180,7 +180,6 @@ fn admission_control_answers_busy_at_the_queue_bound() {
         ServerConfig {
             max_queue_depth: 2,
             drive_queue: false,
-            ..ServerConfig::default()
         },
         &[Endpoint::Tcp("127.0.0.1:0".into())],
     )
@@ -590,6 +589,40 @@ fn an_enqueue_always_wakes_the_idle_processor() {
     );
 }
 
+/// Connections that send nothing do not stop the server answering
+/// another: each holds only its own thread. There are as many silent
+/// ones as the host has cores, and at least two.
+#[test]
+fn silent_clients_do_not_starve_a_third() {
+    let storage = shared();
+    let server = Server::start(
+        open_queue(demo_repo(), &storage),
+        always_pass(),
+        ServerConfig::default(),
+        &[Endpoint::Tcp("127.0.0.1:0".into())],
+    )
+    .unwrap();
+    let addr = server.tcp_addr().unwrap();
+    let silent = thread::available_parallelism().map_or(2, |n| n.get().max(2));
+    let silent: Vec<Client> = (0..silent)
+        .map(|_| Client::connect_tcp(addr).unwrap())
+        .collect();
+    let (answered, answer) = std::sync::mpsc::channel();
+    thread::spawn(move || {
+        let mut client = Client::connect_tcp(addr).unwrap();
+        let _ = answered.send(client.call(&Request::Head));
+    });
+    match answer.recv_timeout(Duration::from_secs(5)) {
+        Ok(Ok(Response::HeadIs { .. })) => {}
+        other => panic!(
+            "{} silent connections: expected HeadIs within 5 s, got {other:?}",
+            silent.len()
+        ),
+    }
+    drop(silent);
+    drains_within_10s(server, "silent connections");
+}
+
 /// A failed bind leaves nothing running: the TCP endpoint binds, the
 /// Unix socket under a missing directory does not, and `start` hands
 /// back the error with no acceptor left holding the queue (and through
@@ -679,8 +712,9 @@ fn an_unlinked_socket_path_does_not_hold_the_drain() {
 }
 
 /// `start` unlinks and rebinds a path another server holds. Draining the
-/// first server must not depend on the path reaching it, and neither
-/// server's drain holds the other's.
+/// first server must not depend on the path reaching it, must not unlink
+/// the second server's socket file, and neither server's drain holds the
+/// other's.
 #[test]
 fn a_second_server_on_the_same_path_does_not_hold_the_first_drain() {
     let path = std::env::temp_dir().join(format!("sq-server-twice-{}.sock", std::process::id()));
@@ -705,7 +739,13 @@ fn a_second_server_on_the_same_path_does_not_hold_the_first_drain() {
         ),
         "the second server's connection outlives the first server's drain"
     );
-    drop(client);
+    // The first drain left the path alone: it names the second socket.
+    let mut fresh = Client::connect_uds(&path).expect("the path still reaches the second server");
+    assert!(matches!(
+        fresh.call(&Request::Head).unwrap(),
+        Response::HeadIs { .. }
+    ));
+    drop((client, fresh));
     drains_within_10s(second, "the first server's drained listener");
     assert_eq!(Arc::strong_count(&first_storage), 1);
     assert_eq!(Arc::strong_count(&second_storage), 1);

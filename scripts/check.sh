@@ -195,9 +195,9 @@ if [[ "$quick" == 1 ]]; then
 fi
 
 # The executor parks its idle workers on a condvar, and no sq-server
-# thread waits with a time-out (acceptors block in `accept`, connection
-# workers in `read`, the processor on its condvar), so in either crate a
-# lost wake-up is a test that never returns. These rows run before the
+# thread waits with a time-out (acceptors block in `accept`, each
+# connection's own thread in `read`, the processor on its condvar), so
+# in either crate a lost wake-up is a test that never returns. These rows run before the
 # workspace tests (which run the same suites again, untimed) and under
 # `timeout`: a red row within minutes instead of a hung job.
 step "timeout 300 cargo test --release -p sq-exec (a lost wake-up fails here, never hangs)" \
