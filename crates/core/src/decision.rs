@@ -24,8 +24,10 @@
 //! observer (`scripts/check.sh` greps for them): which changes exist and
 //! when, how long a build takes, whether an attempt flakes and which
 //! worker runs it are the driver's — [`crate::planner`] is the first, on
-//! simulated time. Developers are read through a [`Roster`]. Every
-//! output is a function of the sequence of inputs alone.
+//! simulated time. Developers are read through the [`Roster`] handed
+//! to [`Core::plan`]. Every output is a function of the sequence of
+//! inputs alone. The core owns what it holds (copies of its strategy and
+//! config, the specs), so it is `Send`, and a clone decides as it does.
 //!
 //! A round does not start from nothing. Each lane's table keeps, per
 //! pending change, the commit probability, the lean risk and the outcome
@@ -47,7 +49,7 @@ use crate::speculation::{BuildKey, Table};
 use crate::strategy::Strategy;
 use sq_workload::{ChangeId, ChangeSpec};
 use std::collections::BTreeMap;
-use std::rc::Rc;
+use std::sync::Arc;
 
 /// Infra-red attempts observed on one change before it is flagged in
 /// the quarantine list (retrying continues regardless).
@@ -126,8 +128,9 @@ pub struct Round {
     pub p_needed_mass: f64,
 }
 
+#[derive(Clone)]
 struct PendingChange {
-    spec: Rc<ChangeSpec>,
+    spec: Arc<ChangeSpec>,
     /// Planning lane the change routed to (0 without sharding); its row
     /// is in that lane's table.
     lane: usize,
@@ -139,17 +142,17 @@ struct PendingChange {
 }
 
 /// The decision core. See the module documentation.
-pub struct Core<'a> {
-    roster: &'a dyn Roster,
-    strategy: &'a Strategy,
-    config: &'a PlannerConfig,
+#[derive(Clone)]
+pub struct Core {
+    strategy: Strategy,
+    config: PlannerConfig,
     analyzer: IndexedAnalyzer,
     graph: ConflictGraph,
     pending: BTreeMap<ChangeId, PendingChange>,
     /// Per lane, the rows of its pending changes: counters, committed
     /// prefix, and what the speculation engine derived from them, kept
     /// from round to round. The last holder of a committed spec frees it.
-    tables: Vec<Table<Rc<ChangeSpec>>>,
+    tables: Vec<Table<Arc<ChangeSpec>>>,
     /// Per lane, whether a resolution since its last round may have
     /// contradicted one of its running builds.
     resolved_near: Vec<bool>,
@@ -170,12 +173,16 @@ pub struct Core<'a> {
     lean: Option<LeanReport>,
 }
 
-impl<'a> Core<'a> {
-    /// A core with nothing pending. Of `config` it reads
-    /// `conflict_analyzer`, `reorder`, `preemption_guard`, the lanes
-    /// (`shards`, or one lane of `workers`) and whether `faults` is set;
-    /// the rest is the driver's.
-    pub fn new(roster: &'a dyn Roster, strategy: &'a Strategy, config: &'a PlannerConfig) -> Self {
+/// A core moves between threads, and a clone of it decides as it does.
+const _: () = owned::<Core>();
+const fn owned<T: Send + Clone>() {}
+
+impl Core {
+    /// A core with nothing pending, holding its own copies of `strategy`
+    /// and `config`. Of `config` it reads `conflict_analyzer`, `reorder`,
+    /// `preemption_guard`, the lanes (`shards`, or one lane of
+    /// `workers`) and whether `faults` is set; the rest is the driver's.
+    pub fn new(strategy: &Strategy, config: &PlannerConfig) -> Self {
         let analyzer = if config.conflict_analyzer {
             IndexedAnalyzer::new()
         } else {
@@ -204,9 +211,8 @@ impl<'a> Core<'a> {
             u32::MAX
         };
         Core {
-            roster,
-            strategy,
-            config,
+            strategy: strategy.clone(),
+            config: config.clone(),
             analyzer,
             graph: ConflictGraph::new(),
             pending: BTreeMap::new(),
@@ -316,9 +322,9 @@ impl<'a> Core<'a> {
             .map(|(_, p)| &*p.spec)
             .collect();
         self.graph.admit(spec, &probe, &mut self.analyzer);
-        let spec = Rc::new(spec.clone());
+        let spec = Arc::new(spec.clone());
         let counters = SpeculationCounters::default();
-        self.tables[lane].arrive(Rc::clone(&spec), counters);
+        self.tables[lane].arrive(Arc::clone(&spec), counters);
         let entry = PendingChange {
             spec,
             lane,
@@ -419,7 +425,7 @@ impl<'a> Core<'a> {
             self.resolved_near[q.lane] = true;
             let table = &mut self.tables[q.lane];
             if ok {
-                table.build_on(n, Rc::clone(&p.spec));
+                table.build_on(n, Arc::clone(&p.spec));
             }
             if n > id {
                 table.lost_conflict(n);
@@ -489,6 +495,7 @@ impl<'a> Core<'a> {
     /// it) is asked only under a `preemption_guard`.
     pub fn plan(
         &mut self,
+        roster: &dyn Roster,
         lane: usize,
         progress: &dyn Fn(BuildId) -> f64,
         out: &mut Vec<Action>,
@@ -525,7 +532,7 @@ impl<'a> Core<'a> {
             .collect();
         let plan = self
             .strategy
-            .desired_builds(self.roster, &self.graph, &mut table, budget);
+            .desired_builds(roster, &self.graph, &mut table, budget);
         // The round's lean marks stick to the change until it resolves.
         for id in &plan.skipped {
             if let Some(p) = self.pending.get_mut(id) {
@@ -659,7 +666,7 @@ mod tests {
             conflict_analyzer: false,
             ..PlannerConfig::default()
         };
-        let mut core = Core::new(&w, &strategy, &config);
+        let mut core = Core::new(&strategy, &config);
         let mut out = Vec::new();
         for c in &w.changes {
             core.arrive(c);
@@ -670,7 +677,7 @@ mod tests {
         };
         // Round one: B1 gates C1; everything else is speculation, in
         // the engine's order (ids 0, 1, 2 are the paper's C1, C2, C3).
-        let round = core.plan(0, &|_| 0.0, &mut out);
+        let round = core.plan(&w, 0, &|_| 0.0, &mut out);
         assert_eq!((round.queue_depth, round.running, round.gating), (3, 0, 1));
         let started: Vec<(BuildId, BuildKey, bool)> = out
             .drain(..)
@@ -708,7 +715,7 @@ mod tests {
 
         // Round two aborts exactly the builds that assumed C1, in key
         // order; B2 now gates C2, and B3 / B2.3 keep running.
-        let round = core.plan(0, &|_| 0.0, &mut out);
+        let round = core.plan(&w, 0, &|_| 0.0, &mut out);
         let assumed_c1 = started
             .iter()
             .filter(|(_, k, _)| k.assumed.contains(&ChangeId(0)));
@@ -749,8 +756,8 @@ mod tests {
             ..PlannerConfig::default()
         };
         let devs = Devs(w.developers.clone());
-        let mut by_workload = Core::new(&w, &strategy, &config);
-        let mut by_roster = Core::new(&devs, &strategy, &config);
+        let mut by_workload = Core::new(&strategy, &config);
+        let mut by_roster = Core::new(&strategy, &config);
         let truth = w.truth();
         let spec = |id: ChangeId| &w.changes[id.0 as usize];
         let (mut out, mut other) = (Vec::new(), Vec::new());
@@ -772,8 +779,8 @@ mod tests {
             } else {
                 break;
             }
-            by_workload.plan(0, &|_| 0.0, &mut out);
-            by_roster.plan(0, &|_| 0.0, &mut other);
+            by_workload.plan(&w, 0, &|_| 0.0, &mut out);
+            by_roster.plan(&devs, 0, &|_| 0.0, &mut other);
             assert_eq!(out, other, "step {step}");
             other.clear();
             for action in out.drain(..) {
@@ -798,14 +805,17 @@ mod tests {
     /// before every round. Nothing they decide may differ, and every row
     /// the other keeps must hold, to the bit, the `p_commit` a table
     /// filled from nothing holds. With the analyzer off `D_i` grows as
-    /// deep as the lane.
+    /// deep as the lane. A clone of the keeping core, taken once half the
+    /// changes have arrived, joins the lockstep from there and decides
+    /// the same too.
     fn forgetting_core_decides_the_same(w: &Workload, strategy: &Strategy, config: &PlannerConfig) {
         let truth = w.truth();
         let spec = |id: ChangeId| &w.changes[id.0 as usize];
-        let mut kept = Core::new(w, strategy, config);
-        let mut forgetful = Core::new(w, strategy, config);
+        let mut kept = Core::new(strategy, config);
+        let mut forgetful = Core::new(strategy, config);
+        let mut fork: Option<Core> = None;
         let mut rng = Xoshiro256StarStar::seed_from_u64(config.reorder as u64);
-        let (mut out, mut other) = (Vec::new(), Vec::new());
+        let (mut out, mut other, mut forked) = (Vec::new(), Vec::new(), Vec::new());
         let mut live: Vec<(BuildId, BuildKey)> = Vec::new();
         let mut next = 0;
         for step in 0.. {
@@ -815,7 +825,13 @@ mod tests {
             if next < w.changes.len() && (live.is_empty() || rng.bernoulli(0.5)) {
                 kept.arrive(&w.changes[next]);
                 forgetful.arrive(&w.changes[next]);
+                if let Some(fork) = fork.as_mut() {
+                    fork.arrive(&w.changes[next]);
+                }
                 next += 1;
+                if next == w.changes.len() / 2 {
+                    fork = Some(kept.clone());
+                }
             } else {
                 let at = rng.next_below(live.len() as u64) as usize;
                 let (build, key) = live[at].clone();
@@ -831,14 +847,23 @@ mod tests {
                 };
                 kept.finished(build, outcome, &mut out);
                 forgetful.finished(build, outcome, &mut other);
+                if let Some(fork) = fork.as_mut() {
+                    fork.finished(build, outcome, &mut forked);
+                }
             }
             for lane in 0..kept.n_lanes() {
                 forgetful.tables.iter_mut().for_each(Table::forget);
-                let a = kept.plan(lane, &|_| 0.5, &mut out);
-                let b = forgetful.plan(lane, &|_| 0.5, &mut other);
+                let a = kept.plan(w, lane, &|_| 0.5, &mut out);
+                let b = forgetful.plan(w, lane, &|_| 0.5, &mut other);
                 assert_eq!(out, other, "step {step}, lane {lane}");
                 assert_eq!(a, b, "step {step}, lane {lane}");
                 assert_eq!(a.p_needed_mass.to_bits(), b.p_needed_mass.to_bits());
+                if let Some(fork) = fork.as_mut() {
+                    let f = fork.plan(w, lane, &|_| 0.5, &mut forked);
+                    assert_eq!(out, forked, "clone: step {step}, lane {lane}");
+                    assert_eq!(a, f, "clone: step {step}, lane {lane}");
+                    assert_eq!(a.p_needed_mass.to_bits(), f.p_needed_mass.to_bits());
+                }
             }
             if let Some(predictor) = strategy.predictor() {
                 for table in &kept.tables {
@@ -846,6 +871,7 @@ mod tests {
                 }
             }
             other.clear();
+            forked.clear();
             for action in out.drain(..) {
                 match action {
                     Action::Start { build, key, .. } => live.push((build, key)),
@@ -855,6 +881,7 @@ mod tests {
             }
         }
         assert_eq!(kept.pending.len(), 0, "every change resolves");
+        assert_eq!(fork.map(|f| f.pending.len()), Some(0), "the clone too");
     }
 
     #[test]

@@ -294,7 +294,7 @@ fn run_capped(
     obs: &mut Observer,
     max_events: u64,
 ) -> SimResult {
-    let core = Core::new(workload, strategy, config);
+    let core = Core::new(strategy, config);
     let mut sim = Driver {
         workload,
         truth: workload.truth(),
@@ -413,7 +413,7 @@ struct Driver<'a> {
     workload: &'a Workload,
     truth: GroundTruth,
     config: &'a PlannerConfig,
-    core: Core<'a>,
+    core: Core,
     /// One worker pool per lane (a single pool without sharding).
     pools: Vec<WorkerPool>,
     /// Display label per lane (empty without sharding — the single-lane
@@ -601,7 +601,9 @@ impl<'a> Driver<'a> {
                 0.0
             }
         };
-        let round = self.core.plan(lane, &progress, &mut self.actions);
+        let round = self
+            .core
+            .plan(self.workload, lane, &progress, &mut self.actions);
         if self.obs.is_enabled() {
             // Speculation pressure per planning round: how deep the queue
             // is, how wide the strategy's speculation tree grew, and how
@@ -702,6 +704,7 @@ impl<'a> sq_sim::Simulation for Driver<'a> {
 mod tests {
     use super::*;
     use crate::audit::audit_green;
+    use crate::predict::LearnedPredictor;
     use sq_workload::{WorkloadBuilder, WorkloadParams};
 
     fn workload(rate: f64, n: usize, seed: u64) -> Workload {
@@ -751,6 +754,26 @@ mod tests {
         // Perfect prediction: every started build is the realized one.
         assert_eq!(r.builds_aborted, 0, "oracle aborted builds");
         assert_eq!(r.builds_started as usize, 150);
+    }
+
+    /// Nothing a strategy instance scored on one workload carries into
+    /// the next: the same learned instance, run on workload A and then
+    /// on B (whose change ids are A's), plans B as a fresh one does.
+    #[test]
+    fn a_reused_strategy_plans_like_a_fresh_one() {
+        let (a, b) = (workload(300.0, 300, 1), workload(300.0, 300, 2));
+        let (predictor, _) = LearnedPredictor::train(&workload(100.0, 4000, 99), 0xFEED);
+        let reused = Strategy::submit_queue_with(predictor.clone());
+        run_simulation(&a, &reused, &config(300));
+        let again = run_simulation(&b, &reused, &config(300));
+        let fresh = Strategy::submit_queue_with(predictor);
+        let fresh = run_simulation(&b, &fresh, &config(300));
+        assert_eq!(
+            (again.builds_started, again.builds_aborted),
+            (fresh.builds_started, fresh.builds_aborted)
+        );
+        assert_eq!(again.commit_log, fresh.commit_log);
+        assert_eq!(again.makespan, fresh.makespan);
     }
 
     #[test]

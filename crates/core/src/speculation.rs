@@ -37,13 +37,14 @@
 //! a global heap. Space is O(flips emitted), never 2ⁿ.
 //!
 //! Both live in a `Table`: one row per pending change of a window,
-//! holding its `p_i`, its conflict risk, its pattern walk and the
-//! patterns the walk emitted so far. The decision core keeps one table
-//! per planning lane across rounds and marks the rows an event touched;
-//! `Table::refresh` recomputes exactly those, in submission order, and
-//! a row whose `p_i` changed by so much as a bit marks its later
-//! neighbours in turn. The one-shot [`SpeculationEngine`] functions fill
-//! a fresh table and select once, through the same code.
+//! holding its `p_i`, its conflict risk, the `P_conf` scores it asked
+//! for, its pattern walk and the patterns the walk emitted so far. The
+//! decision core keeps one table per planning lane across rounds and
+//! marks the rows an event touched; `Table::refresh` recomputes exactly
+//! those, in submission order, and a row whose `p_i` changed by so much
+//! as a bit marks its later neighbours in turn. The one-shot
+//! [`SpeculationEngine`] functions fill a fresh table and select once,
+//! through the same code.
 
 use crate::analyzer::ConflictGraph;
 use crate::predict::{Predictor, Roster, SpeculationCounters};
@@ -179,7 +180,7 @@ impl SpeculationEngine {
 }
 
 /// One pending change's row of a [`Table`].
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub(crate) struct Row<S> {
     id: ChangeId,
     spec: S,
@@ -195,6 +196,10 @@ pub(crate) struct Row<S> {
     /// `1 − Π (1 − P_conf(d, i))` over the row's earlier conflicts in
     /// the window: the score space of the lean skip threshold.
     risk: f64,
+    /// `P_conf(d, i)` for each earlier pending or committed neighbour
+    /// `d` a refresh has asked about: the predictor scores a pair once
+    /// in the row's life, and the memo goes with the row.
+    p_conf: Vec<(ChangeId, f64)>,
     /// `p_commit` and `risk` are out of date.
     stale: bool,
     /// `None` once the walk's inputs moved: `D_i`, a member's
@@ -204,7 +209,7 @@ pub(crate) struct Row<S> {
 
 /// A row's pattern walk and what it emitted so far: only what some
 /// round consumed, with the committed prefix already in each key.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct Walk {
     gen: PatternGen,
     emitted: Vec<PlannedBuild>,
@@ -225,6 +230,7 @@ impl<S: Deref<Target = ChangeSpec>> Row<S> {
             },
             p_commit: f64::NAN,
             risk: f64::NAN,
+            p_conf: Vec::new(),
             stale: true,
             walk: None,
         }
@@ -291,7 +297,7 @@ impl<S: Deref<Target = ChangeSpec>> Row<S> {
 /// resolves and leaves `D_i` ([`Table::lost_conflict`]) or commits under
 /// it ([`Table::build_on`]), and — found by [`Table::refresh`] itself —
 /// the `p_commit` of a member of `D_i` changes its bits.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub(crate) struct Table<S> {
     /// The rows' ids, densely, for lookups.
     ids: Vec<ChangeId>,
@@ -421,25 +427,34 @@ impl<S: Deref<Target = ChangeSpec>> Table<S> {
             let id = self.rows[i].id;
             let d_i = graph.earlier_conflicts(id);
             if self.rows[i].stale {
-                let row = &self.rows[i];
+                let (earlier, rest) = self.rows.split_at_mut(i);
+                let row = &mut rest[0];
                 let c = &*row.spec;
+                let memo = &mut row.p_conf;
+                let mut conf = |e: &ChangeSpec| {
+                    let at = memo.iter().position(|m| m.0 == e.id).unwrap_or_else(|| {
+                        memo.push((e.id, predictor.p_conflict(roster, e, c)));
+                        memo.len() - 1
+                    });
+                    memo[at].1
+                };
+                let position = |d| self.ids.binary_search(&d).ok();
                 let p_succ = row
                     .p_succ
                     .unwrap_or_else(|| predictor.p_success(roster, c, row.counters));
                 let (mut survive, mut clear) = (1.0, 1.0);
                 for &d in &d_i {
-                    let Some(j) = self.position(d) else { continue };
-                    let p_conf = predictor.p_conflict(roster, &self.rows[j].spec, c);
-                    survive *= 1.0 - self.rows[j].p_commit * p_conf;
+                    let Some(j) = position(d) else { continue };
+                    let p_conf = conf(&earlier[j].spec);
+                    survive *= 1.0 - earlier[j].p_commit * p_conf;
                     clear *= 1.0 - p_conf;
                 }
                 // Already-committed conflicts contribute with probability 1.
                 for e in &row.fixed {
-                    survive *= 1.0 - predictor.p_conflict(roster, e, c);
+                    survive *= 1.0 - conf(e);
                 }
                 let p_commit = (p_succ * survive).clamp(0.0, 1.0);
                 let moved = p_commit.to_bits() != row.p_commit.to_bits();
-                let row = &mut self.rows[i];
                 row.p_succ = Some(p_succ);
                 row.p_commit = p_commit;
                 row.risk = (1.0 - clear).clamp(0.0, 1.0);
@@ -584,7 +599,7 @@ struct Coord {
 }
 
 /// Lazy best-first enumeration of outcome patterns for one change.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct PatternGen {
     coords: Vec<Coord>,
     /// The most likely pattern's assumed changes, ascending: the
@@ -779,6 +794,7 @@ mod tests {
                 row.p_succ = None;
                 row.p_commit = f64::NAN;
                 row.risk = f64::NAN;
+                row.p_conf.clear();
             }
         }
 

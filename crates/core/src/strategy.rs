@@ -27,15 +27,12 @@
 //!   changes land after a single front-of-queue verify.
 
 use crate::analyzer::ConflictGraph;
-use crate::fasthash::FastMap;
 use crate::lean::{bypass_eligible, LeanConfig, SKIP_MISS_BUDGET};
-use crate::predict::{
-    LearnedPredictor, OraclePredictor, Predictor, Roster, SpeculationCounters, UniformPredictor,
-};
+use crate::predict::{LearnedPredictor, OraclePredictor, Predictor, Roster, UniformPredictor};
 use crate::speculation::{Pick, PlannedBuild, Row, Table};
 use sq_workload::{ChangeId, ChangeSpec, Workload};
-use std::cell::RefCell;
 use std::ops::Deref;
+use std::sync::Arc;
 
 /// Which scheduling policy a simulation runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -126,21 +123,21 @@ impl StrategyKind {
 
 /// A strategy instance: an immutable value whose one question,
 /// [`Strategy::desired_builds`], is a pure function of the lane's table
-/// it is shown.
+/// it is shown. Cloning one shares its predictor.
 ///
-/// A `Strategy` is bound to one workload: the Oracle carries that
-/// workload's ground truth, and the learned model memoizes pair-conflict
-/// probabilities by change id for as long as the instance lives. Build a
-/// fresh instance per workload (different replay *rates* of the same
-/// trace share change identities and may share an instance).
+/// Only the Oracle is bound to a workload, through that workload's
+/// ground truth; every other instance may plan any workload, one after
+/// another or at once. What a round derives from the predictor lives in
+/// the table's rows, not here.
+#[derive(Clone)]
 pub struct Strategy {
     /// The kind this instance reports as.
     kind: StrategyKind,
     /// Where the speculation engine's probabilities come from: the
-    /// trained models with `P_conf` memoized across planning rounds, one
-    /// workload's ground truth, or 50/50 on everything. `None`:
-    /// Optimistic and Single-Queue list their keys directly.
-    predictor: Option<Box<dyn Predictor + Send>>,
+    /// trained models, one workload's ground truth, or 50/50 on
+    /// everything. `None`: Optimistic and Single-Queue list their keys
+    /// directly.
+    predictor: Option<Arc<dyn Predictor + Send + Sync>>,
     /// The flags of a lean instance (the three lean kinds are canonical
     /// single-flag configs; benches also run combined configs).
     lean: Option<LeanConfig>,
@@ -193,8 +190,8 @@ impl Strategy {
             lean: None,
         };
         match kind {
-            StrategyKind::Oracle => baseline(Some(Box::new(OraclePredictor::new(workload)))),
-            StrategyKind::SpeculateAll => baseline(Some(Box::new(UniformPredictor))),
+            StrategyKind::Oracle => baseline(Some(Arc::new(OraclePredictor::new(workload)))),
+            StrategyKind::SpeculateAll => baseline(Some(Arc::new(UniformPredictor))),
             StrategyKind::Optimistic | StrategyKind::SingleQueue => baseline(None),
             StrategyKind::SubmitQueue => Strategy::submit_queue_with(trained()),
             StrategyKind::LeanSpeculation => {
@@ -214,10 +211,7 @@ impl Strategy {
     pub fn submit_queue_with(predictor: LearnedPredictor) -> Strategy {
         Strategy {
             kind: StrategyKind::SubmitQueue,
-            predictor: Some(Box::new(Memoized {
-                inner: predictor,
-                conflict_cache: RefCell::default(),
-            })),
+            predictor: Some(Arc::new(predictor)),
             lean: None,
         }
     }
@@ -360,40 +354,11 @@ impl Strategy {
     }
 }
 
-/// `P_conf` memoization around a predictor: pair-conflict probabilities
-/// are pure functions of the two changes, and the planner replans on
-/// every event, so caching eliminates the dominant prediction cost (an
-/// O(pending²) model evaluation per round without the analyzer). Bound
-/// to one workload's change-id space.
-struct Memoized<P> {
-    inner: P,
-    conflict_cache: RefCell<FastMap<(ChangeId, ChangeId), f64>>,
-}
-
-impl<P: Predictor> Predictor for Memoized<P> {
-    fn p_success(&self, w: &dyn Roster, c: &ChangeSpec, k: SpeculationCounters) -> f64 {
-        self.inner.p_success(w, c, k)
-    }
-
-    fn p_conflict(&self, w: &dyn Roster, a: &ChangeSpec, b: &ChangeSpec) -> f64 {
-        let key = if a.id.0 <= b.id.0 {
-            (a.id, b.id)
-        } else {
-            (b.id, a.id)
-        };
-        if let Some(&v) = self.conflict_cache.borrow().get(&key) {
-            return v;
-        }
-        let v = self.inner.p_conflict(w, a, b);
-        self.conflict_cache.borrow_mut().insert(key, v);
-        v
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::analyzer::IndexedAnalyzer;
+    use crate::predict::SpeculationCounters;
     use crate::speculation::BuildKey;
     use sq_workload::{WorkloadBuilder, WorkloadParams};
     use std::collections::HashMap;
@@ -416,7 +381,7 @@ mod tests {
 
     impl Strategy {
         /// The predictor of an engine strategy.
-        pub(crate) fn predictor(&self) -> Option<&(dyn Predictor + Send)> {
+        pub(crate) fn predictor(&self) -> Option<&(dyn Predictor + Send + Sync)> {
             self.predictor.as_deref()
         }
     }
@@ -497,24 +462,6 @@ mod tests {
         let (plan, builds) = plan_over(&strategy, &w, &pending, &g, 1000);
         assert_eq!(builds.len(), 12);
         assert!(plan.skipped.is_empty() && plan.bypassed.is_empty());
-    }
-
-    #[test]
-    fn memoized_predictor_agrees_with_inner() {
-        let (w, _, _) = setup(6);
-        let oracle = OraclePredictor::new(&w);
-        let cached = Memoized {
-            inner: oracle.clone(),
-            conflict_cache: RefCell::default(),
-        };
-        for i in 0..5 {
-            let (a, b) = (&w.changes[i], &w.changes[i + 1]);
-            let direct = oracle.p_conflict(&w, a, b);
-            assert_eq!(cached.p_conflict(&w, a, b), direct);
-            assert_eq!(cached.p_conflict(&w, a, b), direct); // cache hit
-            assert_eq!(cached.p_conflict(&w, b, a), direct); // symmetric key
-        }
-        assert_eq!(cached.conflict_cache.borrow().len(), 5);
     }
 
     #[test]

@@ -40,7 +40,7 @@ struct Trace {
 fn drive(w: &Workload, strategy: &Strategy, config: &PlannerConfig, seed: u64) -> Trace {
     let truth = w.truth();
     let spec = |id: ChangeId| -> &ChangeSpec { &w.changes[id.0 as usize] };
-    let mut core = Core::new(w, strategy, config);
+    let mut core = Core::new(strategy, config);
     let mut rng = Xoshiro256StarStar::seed_from_u64(seed);
     let mut trace = Trace::default();
     let mut live: Vec<(BuildId, BuildKey, usize)> = Vec::new();
@@ -71,7 +71,7 @@ fn drive(w: &Workload, strategy: &Strategy, config: &PlannerConfig, seed: u64) -
             core.finished(build, outcome, &mut out);
         }
         for lane in 0..core.n_lanes() {
-            core.plan(lane, &|_| 0.5, &mut out);
+            core.plan(w, lane, &|_| 0.5, &mut out);
         }
         for action in out.drain(..) {
             match &action {

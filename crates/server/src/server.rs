@@ -20,7 +20,7 @@
 //! Acceptors block in `accept` and connections in `read`: drain shuts
 //! down each listener, which wakes its `accept` with `EINVAL` (Linux),
 //! and then the read half of every admitted connection. Only a failing
-//! `accept` backs off, by 5 ms.
+//! `accept` backs off, by 5 ms, and a blocked write times out.
 //!
 //! ## Backpressure
 //!
@@ -414,6 +414,10 @@ fn accept_loop<W: Wal + Send>(shared: &Shared<W>, accept: impl Fn() -> io::Resul
 /// closes it.
 const MAX_CONNS: usize = 64;
 
+/// How long one write may block before its connection ends: a peer that
+/// never reads its replies holds a slot, and the drain, no longer.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(2);
+
 /// Serve an accepted connection on a thread of its own in `scope`, or
 /// refuse it with one frame: `Draining` once drain has begun, `Busy`
 /// when `MAX_CONNS` are open or no thread or descriptor is left for it.
@@ -422,6 +426,11 @@ fn admit<'scope, W: Wal + Send>(
     scope: &'scope Scope<'scope, '_>,
     conn: Conn,
 ) {
+    // Set here: set at drain, it would not wake a write already blocked.
+    let _ = match &conn {
+        Conn::Tcp(s) => s.set_write_timeout(Some(WRITE_TIMEOUT)),
+        Conn::Uds(s) => s.set_write_timeout(Some(WRITE_TIMEOUT)),
+    };
     let clone = conn.try_clone();
     let mut conns = shared.conns.lock().unwrap();
     if shared.draining() {

@@ -11,7 +11,7 @@ use sq_server::protocol::encode_frame;
 use sq_server::{Client, Endpoint, ErrorCode, Request, Response, Server, ServerConfig};
 use sq_store::{DurableStore, DurableStoreConfig, MemStorage};
 use sq_vcs::{Patch, RepoPath, Repository};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::RecvTimeoutError;
 use std::sync::{Arc, Mutex};
 use std::thread;
@@ -673,6 +673,44 @@ fn a_half_sent_frame_does_not_hold_the_drain() {
         assert!(matches!(client.recv().unwrap(), Response::HeadIs { .. }));
         drains_within_10s(server, &format!("a half-sent frame on {endpoint:?}"));
     }
+}
+
+/// A peer that pipelines `Stats` requests and never reads a reply:
+/// once the socket buffers fill, the connection's thread blocks writing
+/// a reply, and drain must end the connection anyway. The peer sends
+/// until a send has blocked for 200 ms, so drain starts with the server
+/// blocked; one reply can block twice, so `shutdown` may take about
+/// twice the write time-out.
+#[test]
+fn a_peer_that_never_reads_does_not_hold_the_drain() {
+    let storage = shared();
+    let server = Server::start(
+        open_queue(demo_repo(), &storage),
+        always_pass(),
+        ServerConfig::default(),
+        &[Endpoint::Tcp("127.0.0.1:0".into())],
+    )
+    .unwrap();
+    let mut client = Client::connect_tcp(server.tcp_addr().unwrap()).unwrap();
+    let sent = Arc::new(AtomicU64::new(0));
+    let counter = Arc::clone(&sent);
+    let peer = thread::spawn(move || {
+        while client.send(&Request::Stats).is_ok() {
+            counter.fetch_add(1, Ordering::SeqCst);
+        }
+    });
+    let mut last = u64::MAX;
+    for _ in 0..50 {
+        thread::sleep(Duration::from_millis(200));
+        let now = sent.load(Ordering::SeqCst);
+        if now == last {
+            break;
+        }
+        last = now;
+    }
+    drains_within_10s(server, "a peer that never reads");
+    peer.join()
+        .expect("the peer's sends end with its connection");
 }
 
 /// Run `shutdown` on its own thread and fail, not hang, if it has not
