@@ -26,7 +26,7 @@ use crate::shard::{PlanningCost, ShardSpec};
 use crate::speculation::BuildKey;
 use crate::strategy::{Strategy, StrategyKind};
 use sq_exec::{RetryPolicy, WorkerPool};
-use sq_obs::{Observer, SpanId};
+use sq_obs::Observer;
 use sq_sim::rng::{fraction, mix64};
 use sq_sim::{run as run_des, EventQueue, Scheduler, SimDuration, SimTime};
 use sq_workload::{ChangeId, ChangeSpec, GroundTruth, Workload};
@@ -270,12 +270,13 @@ pub fn run_simulation(
 }
 
 /// [`run_simulation`] with observability: planner decisions, speculation
-/// pressure, build spans, and recovery events are recorded into `obs`
-/// as the simulation runs.
+/// pressure, build times and recovery counts are recorded into
+/// `obs.metrics` as the simulation runs.
 ///
 /// Everything recorded is a pure function of `(workload, strategy,
-/// config)` — timestamps are simulated, names are sorted at export — so
-/// two same-seed runs produce byte-identical `obs.to_json()` output.
+/// config)` — durations are simulated, names are sorted at export — so
+/// two same-seed runs produce byte-identical `obs.metrics.to_json()`
+/// output.
 /// Passing [`Observer::disabled`] makes every hook a no-op;
 /// [`run_simulation`] is exactly that.
 pub fn run_simulation_observed(
@@ -405,8 +406,6 @@ struct LiveBuild {
     /// The worker it occupies: pool (by lane) and slot there.
     lane: usize,
     slot: usize,
-    /// Trace span opened at the first start, closed at finish/abort.
-    span: SpanId,
 }
 
 struct Driver<'a> {
@@ -458,11 +457,6 @@ impl<'a> Driver<'a> {
                         .expect("the core starts no build beyond a lane's budget");
                     let duration = self.spec(key.subject).build_duration + BUILD_OVERHEAD;
                     sched.at(now + duration, Event::BuildDone(build));
-                    let tracer = &mut self.obs.tracer;
-                    let span = tracer.start_span("build", now);
-                    tracer.span_field(span, "subject", key.subject.0 as f64);
-                    tracer.span_field(span, "assumed", key.assumed.len() as f64);
-                    tracer.span_field(span, "worker", slot as f64);
                     self.obs.metrics.inc("planner.builds_started");
                     if gating {
                         self.obs.metrics.inc("planner.gating_builds_started");
@@ -473,7 +467,6 @@ impl<'a> Driver<'a> {
                         finish,
                         lane,
                         slot,
-                        span,
                     };
                     self.live.insert(build, b);
                     self.builds_started += 1;
@@ -483,8 +476,6 @@ impl<'a> Driver<'a> {
                     self.pools[b.lane].release_worker(b.slot, now);
                     self.builds_aborted += 1;
                     self.obs.metrics.inc("planner.builds_aborted");
-                    self.obs.tracer.span_field(b.span, "aborted", 1.0);
-                    self.obs.tracer.end_span(b.span, now);
                     if preempted {
                         self.obs.metrics.inc("planner.preemptions");
                     }
@@ -497,8 +488,6 @@ impl<'a> Driver<'a> {
                     let faults = self.config.faults.as_ref().expect("only the dice retry");
                     if quarantined {
                         self.obs.metrics.inc("planner.quarantined");
-                        let fields = [("change", subject.0 as f64)];
-                        self.obs.tracer.event("quarantine", now, &fields);
                     }
                     // The simulator retries until green, so of the standard
                     // policy only its backoff schedule is read.
@@ -509,12 +498,6 @@ impl<'a> Driver<'a> {
                     self.obs
                         .metrics
                         .observe("planner.infra_backoff_secs", backoff.as_secs_f64());
-                    let fields = [
-                        ("change", subject.0 as f64),
-                        ("attempt", f64::from(attempt)),
-                        ("backoff_secs", backoff.as_secs_f64()),
-                    ];
-                    self.obs.tracer.event("infra_retry", now, &fields);
                     let b = self.live.get_mut(&build).expect("retried build is live");
                     (b.start, b.finish) = (now, now + duration);
                     self.infra_retries += 1;
@@ -527,11 +510,11 @@ impl<'a> Driver<'a> {
                     builds_scheduled,
                     builds_aborted,
                 } => {
-                    let (counter, event, outcome) = if committed {
+                    let (counter, outcome) = if committed {
                         self.commit_log.push(change);
-                        ("planner.commits", "commit", ChangeOutcome::Committed)
+                        ("planner.commits", ChangeOutcome::Committed)
                     } else {
-                        ("planner.rejects", "reject", ChangeOutcome::Rejected)
+                        ("planner.rejects", ChangeOutcome::Rejected)
                     };
                     let submitted = self.spec(change).submit_time;
                     let turnaround_mins = now.since(submitted).as_mins_f64();
@@ -542,11 +525,6 @@ impl<'a> Driver<'a> {
                     self.obs
                         .metrics
                         .observe("planner.turnaround_mins", turnaround_mins);
-                    let fields = [
-                        ("change", change.0 as f64),
-                        ("turnaround_mins", turnaround_mins),
-                    ];
-                    self.obs.tracer.event(event, now, &fields);
                     self.records.push(ChangeRecord::new(
                         change,
                         submitted,
@@ -677,10 +655,6 @@ impl<'a> sq_sim::Simulation for Driver<'a> {
                     .metrics
                     .observe("planner.build_mins", now.since(b.start).as_mins_f64());
                 self.obs.metrics.inc("planner.builds_finished");
-                self.obs
-                    .tracer
-                    .span_field(b.span, "ok", if ok { 1.0 } else { 0.0 });
-                self.obs.tracer.end_span(b.span, now);
                 let outcome = if ok { Outcome::Green } else { Outcome::Red };
                 self.core.finished(build, outcome, &mut self.actions);
                 self.apply(now, sched);
@@ -1241,58 +1215,64 @@ mod tests {
     fn observed_runs_are_unperturbed_and_export_identical_json() {
         let w = workload(200.0, 100, 33);
         let history = workload(100.0, 3000, 92);
-        let strategy = Strategy::build(StrategyKind::SubmitQueue, &w, Some(&history));
         let cfg = PlannerConfig {
             workers: 100,
             faults: Some(SimFaults::at_rate(0.1, 5)),
             ..PlannerConfig::default()
         };
-        let mut o1 = Observer::new();
-        let r1 = run_simulation_observed(&w, &strategy, &cfg, &mut o1);
-        let mut o2 = Observer::new();
-        let r2 = run_simulation_observed(&w, &strategy, &cfg, &mut o2);
-        // Same seed ⇒ byte-identical exports (the layer's acceptance
-        // criterion) and identical results.
-        assert_eq!(o1.to_json(), o2.to_json());
-        assert_eq!(r1.commit_log, r2.commit_log);
-        // Observability must not perturb the simulation itself.
-        let r0 = run_simulation(&w, &strategy, &cfg);
-        assert_eq!(r0.commit_log, r1.commit_log);
-        assert_eq!(r0.makespan, r1.makespan);
-        assert_eq!(r0.builds_started, r1.builds_started);
-        // Counters agree with the result's own accounting.
-        let m = &o1.metrics;
-        assert_eq!(m.counter("planner.commits") as usize, r1.committed());
-        assert_eq!(m.counter("planner.rejects") as usize, r1.rejected());
-        assert_eq!(m.counter("planner.builds_aborted"), r1.builds_aborted);
-        assert_eq!(m.counter("planner.infra_retries"), r1.infra_retries);
-        // A retry re-uses its span, so scheduled spans + retries =
-        // total started builds.
-        assert_eq!(
-            m.counter("planner.builds_started") + m.counter("planner.infra_retries"),
-            r1.builds_started
-        );
-        assert_eq!(
-            o1.tracer.spans().len() as u64,
-            m.counter("planner.builds_started")
-        );
-        // The run drains fully: every build span is closed.
-        assert!(o1.tracer.spans().iter().all(|s| s.end.is_some()));
-        assert!(m.counter("planner.builds_needed") > 0);
-        assert!(m.histogram("planner.queue_depth").is_some());
-        assert!(m.histogram("planner.p_needed_mass").is_some());
-        assert!(m.gauge("planner.utilization").is_some());
-        // Conflict-index counters: the pairwise relation is served from
-        // cached bitsets (admitting a change misses once for the
-        // newcomer, then every pending neighbour is a hit).
-        assert!(m.counter("analyzer.pairs_checked") > 0);
-        assert!(m.counter("analyzer.cache_misses") > 0);
-        assert!(
-            m.counter("analyzer.cache_hits") > m.counter("analyzer.cache_misses"),
-            "pending-window re-queries must be served from cache ({} hits vs {} misses)",
-            m.counter("analyzer.cache_hits"),
-            m.counter("analyzer.cache_misses")
-        );
+        for kind in StrategyKind::all() {
+            let strategy = Strategy::build(kind, &w, kind.needs_history().then_some(&history));
+            let name = kind.name();
+            let mut o1 = Observer::new();
+            let r1 = run_simulation_observed(&w, &strategy, &cfg, &mut o1);
+            let mut o2 = Observer::new();
+            let r2 = run_simulation_observed(&w, &strategy, &cfg, &mut o2);
+            // Same seed ⇒ byte-identical exports (the layer's acceptance
+            // criterion) and identical results.
+            assert_eq!(o1.metrics.to_json(), o2.metrics.to_json(), "{name}");
+            assert_eq!(r1.commit_log, r2.commit_log, "{name}");
+            // Observability must not perturb the simulation itself.
+            let r0 = run_simulation(&w, &strategy, &cfg);
+            assert_eq!(r0.commit_log, r1.commit_log, "{name}");
+            assert_eq!(r0.makespan, r1.makespan, "{name}");
+            assert_eq!(r0.builds_started, r1.builds_started, "{name}");
+            // Counters agree with the result's own accounting.
+            let m = &o1.metrics;
+            assert_eq!(m.counter("planner.commits") as usize, r1.committed());
+            assert_eq!(m.counter("planner.rejects") as usize, r1.rejected());
+            assert_eq!(m.counter("planner.builds_aborted"), r1.builds_aborted);
+            assert_eq!(m.counter("planner.infra_retries"), r1.infra_retries);
+            // A retry re-runs its build on the same worker, so scheduled
+            // builds + retries = total started builds.
+            assert_eq!(
+                m.counter("planner.builds_started") + m.counter("planner.infra_retries"),
+                r1.builds_started,
+                "{name}"
+            );
+            // The run drains fully: every scheduled build finished or
+            // was aborted.
+            assert_eq!(
+                m.counter("planner.builds_finished") + m.counter("planner.builds_aborted"),
+                m.counter("planner.builds_started"),
+                "{name}"
+            );
+            assert!(m.counter("planner.builds_needed") > 0, "{name}");
+            assert!(m.histogram("planner.queue_depth").is_some(), "{name}");
+            assert!(m.histogram("planner.p_needed_mass").is_some(), "{name}");
+            assert!(m.gauge("planner.utilization").is_some(), "{name}");
+            // Conflict-index counters: the pairwise relation is served
+            // from cached bitsets (admitting a change misses once for the
+            // newcomer, then every pending neighbour is a hit).
+            assert!(m.counter("analyzer.pairs_checked") > 0, "{name}");
+            assert!(m.counter("analyzer.cache_misses") > 0, "{name}");
+            assert!(
+                m.counter("analyzer.cache_hits") > m.counter("analyzer.cache_misses"),
+                "{name}: pending-window re-queries must be served from cache \
+                 ({} hits vs {} misses)",
+                m.counter("analyzer.cache_hits"),
+                m.counter("analyzer.cache_misses")
+            );
+        }
     }
 
     #[test]
@@ -1303,8 +1283,6 @@ mod tests {
         let r = run_simulation_observed(&w, &strategy, &config(30), &mut obs);
         assert_eq!(r.records.len(), 30);
         assert_eq!(obs.metrics.counter("planner.builds_started"), 0);
-        assert!(obs.tracer.spans().is_empty());
-        assert!(obs.tracer.events().is_empty());
     }
 
     #[test]

@@ -117,7 +117,7 @@ proptest! {
             let strategy = SqStrategy::lean_with(predictor().clone(), config);
             let mut obs = Observer::new();
             let result = run_simulation_observed(&w, &strategy, &planner_config, &mut obs);
-            (obs.to_json(), result)
+            (obs.metrics.to_json(), result)
         };
         let (json_a, result_a) = run();
         let (json_b, result_b) = run();

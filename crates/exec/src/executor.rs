@@ -30,17 +30,15 @@
 //! Failures come in two colors (the [`fault`](crate::fault) module's
 //! taxonomy): a genuine [`StepOutcome::Failure`] means the change is
 //! bad and resolves immediately, while a [`StepOutcome::InfraFailure`]
-//! is environmental and is retried under the caller's [`RetryPolicy`]
-//! with deterministic backoff charged as build time. Artifacts enter
-//! the cache only for steps whose *final* outcome is success, so a
-//! flaky or crashed step can never poison the cache.
+//! is environmental and is retried under the caller's [`RetryPolicy`].
+//! Artifacts enter the cache only for steps whose *final* outcome is
+//! success, so a flaky or crashed step can never poison the cache.
 
 use crate::cache::ArtifactCache;
 use crate::fault::{InfraFault, RetryPolicy};
 use crate::step::{steps_for, BuildStep};
 use parking_lot::Mutex;
 use sq_build::{BuildGraph, TargetHashes, TargetName};
-use sq_sim::SimDuration;
 use std::collections::{HashMap, HashSet};
 use std::sync::Condvar;
 
@@ -81,8 +79,6 @@ pub struct ExecReport {
     pub infra_events: Vec<(BuildStep, InfraFault)>,
     /// Step attempts that were retried after an infra fault.
     pub infra_retries: u64,
-    /// Total deterministic backoff charged as build time by retries.
-    pub charged_backoff: SimDuration,
     /// Times a parked worker woke and found neither a ready target nor
     /// a reason to exit. Exact, not a timing: a dependency chain costs
     /// none, however many workers wait beside it.
@@ -102,7 +98,6 @@ impl ExecReport {
         self.cache_hits += done.cache_hits;
         self.infra_events.extend(done.infra_events);
         self.infra_retries += done.infra_retries;
-        self.charged_backoff += done.charged_backoff;
         if self.failure.is_none() {
             self.failure = done.failure;
         }
@@ -136,11 +131,10 @@ impl RealExecutor {
     ///   target run sequentially; distinct ready targets run in parallel.
     /// * Steps whose `(target hash, step kind)` is cached are skipped.
     /// * A step that returns [`StepOutcome::InfraFailure`] is re-run up
-    ///   to `policy`'s attempt bound ([`RetryPolicy::none`]: never),
-    ///   with each retry's deterministic backoff charged to the report
-    ///   (not slept — wall clock stays fast; the simulator accounts the
-    ///   latency). Genuine failures are never retried. A step whose
-    ///   final outcome is not success never reaches the artifact cache.
+    ///   to `policy`'s attempt bound ([`RetryPolicy::none`]: never), at
+    ///   once: no backoff is slept. Genuine failures are never retried.
+    ///   A step whose final outcome is not success never reaches the
+    ///   artifact cache.
     pub fn execute_with_recovery<F>(
         &self,
         graph: &BuildGraph,
@@ -238,7 +232,6 @@ where
                     done.infra_events.push((step.clone(), fault.clone()));
                     if policy.should_retry(attempt) {
                         done.infra_retries += 1;
-                        done.charged_backoff += policy.backoff(attempt);
                         attempt += 1;
                         continue;
                     }
@@ -568,7 +561,7 @@ mod tests {
     }
 
     #[test]
-    fn flaky_step_recovers_via_retries_and_charges_backoff() {
+    fn flaky_step_recovers_via_retries() {
         let (graph, hashes, targets) = fixture();
         let cache = Mutex::new(ArtifactCache::new());
         let policy = RetryPolicy::standard(3, 42);
@@ -598,7 +591,6 @@ mod tests {
         assert_eq!(report.executed.len(), 5);
         assert_eq!(report.infra_retries, 5, "one retry per step");
         assert_eq!(report.infra_events.len(), 5);
-        assert!(report.charged_backoff > SimDuration::ZERO);
         // Recovered steps are cached like any success.
         assert_eq!(cache.lock().stats().entries, 5);
     }

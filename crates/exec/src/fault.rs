@@ -15,8 +15,8 @@
 //!   runs *and* independent of worker-thread interleaving — no shared
 //!   RNG stream whose draw order could differ.
 //! * [`RetryPolicy`] — bounded retries with deterministic exponential
-//!   backoff, charged as build time. Genuine failures
-//!   ([`StepOutcome::Failure`]) are never retried: retrying a
+//!   backoff, which the simulator charges as build time. Genuine
+//!   failures ([`StepOutcome::Failure`]) are never retried: retrying a
 //!   compile error cannot turn a bad change good, it only hides the
 //!   distinction the planner needs.
 //!

@@ -125,12 +125,6 @@ impl JsonWriter {
         self.out.push_str(if v { "true" } else { "false" });
     }
 
-    /// Emit `null`.
-    pub fn value_null(&mut self) {
-        self.before_value();
-        self.out.push_str("null");
-    }
-
     /// Shorthand: `key` followed by a u64 value.
     pub fn field_u64(&mut self, k: &str, v: u64) {
         self.key(k);
@@ -202,11 +196,10 @@ mod tests {
         w.value_f64(f64::NAN);
         w.value_f64(f64::INFINITY);
         w.value_bool(true);
-        w.value_null();
         w.end_array();
         assert_eq!(
             w.finish(),
-            "[\"line\\nbreak \\\"q\\\" \\\\ \\u0001\",null,null,true,null]"
+            "[\"line\\nbreak \\\"q\\\" \\\\ \\u0001\",null,null,true]"
         );
     }
 

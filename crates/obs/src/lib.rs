@@ -10,25 +10,22 @@
 //! * [`MetricsRegistry`] — named counters, gauges, and log-bucketed
 //!   histograms ([`LogHistogram`]), with deterministic JSON export
 //!   (keys sorted, no wall-clock anywhere).
-//! * [`Tracer`] — structured spans and events stamped with **simulated
-//!   time** ([`sq_sim::SimTime`]), so traces from two same-seed runs are
-//!   bit-identical; also exported as JSON.
-//! * [`Observer`] — the pair of them, as passed through the planner and
-//!   executor hot paths. A disabled observer costs one branch per call
-//!   site, so the uninstrumented configurations stay honest baselines.
+//! * [`Observer`] — the registry as passed through the planner's hot
+//!   path. A disabled observer costs one branch per call site, so the
+//!   uninstrumented configurations stay honest baselines.
 //! * [`check`] — the exporter-hygiene harness: periodic exporters must
 //!   be idempotent (same snapshot exported twice == exported once), and
 //!   [`check::exporter_idempotence`] is the shared regression check
 //!   every `record_*_into` in the workspace runs under.
-//! * [`json`] — the tiny hand-rolled JSON writer both exports share. No
+//! * [`json`] — the tiny hand-rolled JSON writer every export shares. No
 //!   external dependency: exports must stay byte-stable across runs, so
 //!   the serializer is owned here and floats go through Rust's shortest
 //!   round-trip formatting.
 //!
 //! Everything is deterministic given deterministic inputs: the registry
-//! stores names in `BTreeMap`s, the tracer records in call order, and
-//! simulated time comes from the caller. The acceptance test for the
-//! whole layer is byte equality of exports across same-seed reruns.
+//! stores names in `BTreeMap`s and reads no clock. The acceptance test
+//! for the whole layer is byte equality of exports across same-seed
+//! reruns.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -36,31 +33,24 @@
 pub mod check;
 pub mod json;
 pub mod metrics;
-pub mod trace;
 
 pub use check::{assert_idempotent_export, exporter_idempotence};
 pub use json::JsonWriter;
 pub use metrics::{LogHistogram, MetricsRegistry};
-pub use trace::{SpanId, Tracer};
 
-use sq_sim::SimTime;
-
-/// A metrics registry and a tracer travelling together through the
-/// instrumented hot paths.
+/// The metrics registry travelling through the planner's hot path. A
+/// wrapper of one field, kept because `benchmark/` names it.
 #[derive(Debug, Clone, Default)]
 pub struct Observer {
     /// Counters, gauges, histograms.
     pub metrics: MetricsRegistry,
-    /// Sim-time spans and events.
-    pub tracer: Tracer,
 }
 
 impl Observer {
-    /// An enabled observer: metrics and traces are recorded.
+    /// An enabled observer: metrics are recorded.
     pub fn new() -> Self {
         Observer {
             metrics: MetricsRegistry::new(),
-            tracer: Tracer::new(),
         }
     }
 
@@ -70,32 +60,12 @@ impl Observer {
     pub fn disabled() -> Self {
         Observer {
             metrics: MetricsRegistry::disabled(),
-            tracer: Tracer::disabled(),
         }
     }
 
-    /// True iff the metrics side records (the tracer may still be off).
+    /// True iff the metrics registry records.
     pub fn is_enabled(&self) -> bool {
         self.metrics.is_enabled()
-    }
-
-    /// Record a point event on the tracer (no-op when disabled).
-    pub fn event(&mut self, name: &str, at: SimTime, fields: &[(&str, f64)]) {
-        self.tracer.event(name, at, fields);
-    }
-
-    /// Export metrics and trace as one JSON object:
-    /// `{"metrics": {...}, "trace": {...}}`. Deterministic byte-for-byte
-    /// for deterministic inputs.
-    pub fn to_json(&self) -> String {
-        let mut w = JsonWriter::new();
-        w.begin_object();
-        w.key("metrics");
-        self.metrics.write_json(&mut w);
-        w.key("trace");
-        self.tracer.write_json(&mut w);
-        w.end_object();
-        w.finish()
     }
 }
 
@@ -109,24 +79,8 @@ mod tests {
         o.metrics.inc("c");
         o.metrics.set_gauge("g", 1.0);
         o.metrics.observe("h", 2.0);
-        let s = o.tracer.start_span("s", SimTime::ZERO);
-        o.tracer.end_span(s, SimTime::from_secs(1));
-        o.event("e", SimTime::ZERO, &[("k", 1.0)]);
         assert!(!o.is_enabled());
         assert_eq!(o.metrics.counter("c"), 0);
-        assert_eq!(o.tracer.spans().len(), 0);
-        assert_eq!(o.tracer.events().len(), 0);
-    }
-
-    #[test]
-    fn combined_export_is_valid_shape() {
-        let mut o = Observer::new();
-        o.metrics.inc("planner.commits");
-        o.event("commit", SimTime::from_secs(3), &[("change", 7.0)]);
-        let j = o.to_json();
-        assert!(j.starts_with("{\"metrics\":"));
-        assert!(j.contains("\"trace\":"));
-        assert!(j.contains("planner.commits"));
     }
 
     #[test]
@@ -136,11 +90,9 @@ mod tests {
             for i in 0..100u64 {
                 o.metrics.add("c", i);
                 o.metrics.observe("h", (i as f64) * 0.37);
-                let s = o.tracer.start_span("build", SimTime::from_micros(i));
-                o.tracer.end_span(s, SimTime::from_micros(i + 10));
             }
             o.metrics.set_gauge("g", 0.123456789);
-            o.to_json()
+            o.metrics.to_json()
         };
         assert_eq!(build(), build());
     }

@@ -71,7 +71,7 @@ use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::os::fd::OwnedFd;
-use std::os::unix::fs::MetadataExt;
+use std::os::unix::fs::{FileTypeExt, MetadataExt};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -84,7 +84,8 @@ use std::time::{Duration, Instant};
 pub enum Endpoint {
     /// A TCP address, e.g. `127.0.0.1:0` (0 = ephemeral port).
     Tcp(String),
-    /// A Unix-domain socket path (unlinked before bind, and on drain
+    /// A Unix-domain socket path (unlinked before bind if it names a
+    /// socket file, any other file fails the bind; and unlinked on drain
     /// while it still names the socket this server bound).
     Uds(PathBuf),
 }
@@ -286,7 +287,10 @@ impl<W: Wal + Send + 'static> Server<W> {
                     }));
                 }
                 Endpoint::Uds(path) => {
-                    let _ = std::fs::remove_file(path);
+                    // Replace a stale socket file, and nothing else.
+                    if std::fs::symlink_metadata(path).is_ok_and(|m| m.file_type().is_socket()) {
+                        let _ = std::fs::remove_file(path);
+                    }
                     let listener = UnixListener::bind(path)?;
                     uds_paths.push((path.clone(), file_id(path)));
                     listeners.push(listener.try_clone()?.into());

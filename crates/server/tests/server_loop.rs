@@ -643,6 +643,26 @@ fn a_failed_bind_leaves_no_acceptor_holding_the_queue() {
     assert_eq!(Arc::strong_count(&storage), 1);
 }
 
+/// A UDS endpoint replaces only a socket file: a regular file at its
+/// path makes `start` fail and is left as it was.
+#[test]
+fn a_uds_path_naming_a_regular_file_is_refused_not_deleted() {
+    let storage = shared();
+    let path = std::env::temp_dir().join(format!("sq-server-precious-{}.txt", std::process::id()));
+    std::fs::write(&path, "data").unwrap();
+    let started = Server::start(
+        open_queue(demo_repo(), &storage),
+        always_pass(),
+        ServerConfig::default(),
+        &[Endpoint::Uds(path.clone())],
+    );
+    let kept = std::fs::read_to_string(&path);
+    let _ = std::fs::remove_file(&path);
+    assert!(started.is_err(), "bind over a regular file must fail");
+    assert_eq!(kept.ok().as_deref(), Some("data"), "the file was deleted");
+    assert_eq!(Arc::strong_count(&storage), 1);
+}
+
 /// A peer that sends part of a frame and then stops, on either
 /// transport: drain ends its connection anyway (the part is a torn
 /// tail), so `shutdown` returns. The tail goes out in one write with a
